@@ -21,17 +21,15 @@ import argparse
 import configparser
 import sys
 
-import numpy as np
-
 from . import __version__
 from .benchmark import ExperimentConfig, emit_table, run_experiment
 from .errors import ConfigError, DegenerateApprox, ParseError, VolcdError
 from .linalg import (
     CsrSymmetricUpper,
     eigendecompose,
+    format_triples,
     load_csr_triples,
     load_dense_triples,
-    save_triples,
 )
 from .problems import ProblemSpec, generate
 from .rng import RngStream
@@ -166,24 +164,11 @@ def _cmd_gen(args) -> int:
         raise ConfigError("gen needs problem parameters")
     obj, _, f_star = generate(spec)
     b = obj.curvature_matrix()
+    _write(format_triples(b), args.out)
     if args.out:
-        save_triples(b, args.out)
         n = b.n if isinstance(b, CsrSymmetricUpper) else b.shape[0]
         sys.stdout.write(f"wrote {n} x {n} curvature matrix to {args.out}"
                          f" (f_star = {f_star!r})\n")
-    else:
-        import io
-
-        buf = io.StringIO()
-        if isinstance(b, CsrSymmetricUpper):
-            rows = np.repeat(np.arange(b.n), np.diff(b.indptr))
-            for i, j, v in zip(rows.tolist(), b.indices.tolist(), b.values.tolist()):
-                buf.write(f"{i + 1} {j + 1} {v!r}\n")
-        else:
-            iu, ju = np.nonzero(np.triu(b))
-            for i, j in zip(iu.tolist(), ju.tolist()):
-                buf.write(f"{i + 1} {j + 1} {float(b[i, j])!r}\n")
-        sys.stdout.write(buf.getvalue())
     return 0
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import (
     NumericError,
@@ -27,6 +28,7 @@ __all__ = [
     "as_symmetric",
     "determinant",
     "eigendecompose",
+    "format_triples",
     "load_csr_triples",
     "load_dense_triples",
     "principal_submatrix",
@@ -206,6 +208,32 @@ class CsrSymmetricUpper:
             values.extend(float(a[i, c]) for c in cols)
             indptr.append(len(indices))
         return cls(n, np.asarray(indptr), np.asarray(indices), np.asarray(values))
+
+    def to_scipy(self) -> scipy.sparse.csr_matrix:
+        """The full symmetric matrix as a scipy CSR matrix."""
+        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        upper = scipy.sparse.coo_matrix(
+            (self.values, (rows, self.indices)), shape=self.shape
+        )
+        off = rows != self.indices
+        lower = scipy.sparse.coo_matrix(
+            (self.values[off], (self.indices[off], rows[off])), shape=self.shape
+        )
+        return (upper + lower).tocsr()
+
+    @classmethod
+    def from_scipy(cls, sp) -> "CsrSymmetricUpper":
+        """Build from a full symmetric scipy sparse matrix.
+
+        The diagonal is kept explicit for every nonempty row, so validation
+        sees the true diagonal values.
+        """
+        sp = scipy.sparse.csr_matrix(sp)
+        sp.sum_duplicates()
+        upper = scipy.sparse.triu(sp, k=1, format="csr")
+        with_diag = upper + scipy.sparse.diags(sp.diagonal(), format="csr")
+        with_diag.sort_indices()
+        return cls(sp.shape[0], with_diag.indptr, with_diag.indices, with_diag.data)
 
     @classmethod
     def from_rows(cls, n: int, rows) -> "CsrSymmetricUpper":
@@ -436,8 +464,8 @@ def load_csr_triples(path, n: int | None = None) -> CsrSymmetricUpper:
     return CsrSymmetricUpper.from_rows(n, rows)
 
 
-def save_triples(b, path) -> None:
-    """Write a matrix in the triple text format (upper triangle, 1-based).
+def format_triples(b) -> str:
+    """A matrix in the triple text format (upper triangle, 1-based).
 
     Trailing all-zero rows are pinned with an explicit `n n 0` entry so the
     dimension survives a round trip.
@@ -453,6 +481,10 @@ def save_triples(b, path) -> None:
         triples = list(zip(iu.tolist(), ju.tolist(), a[iu, ju].tolist()))
     if not triples or max(j for _, j, _ in triples) < n - 1:
         triples.append((n - 1, n - 1, float(b.entry(n - 1, n - 1)) if _is_csr(b) else 0.0))
+    return "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in triples)
+
+
+def save_triples(b, path) -> None:
+    """Write a matrix to ``path`` in the triple text format."""
     with open(path, "w", encoding="utf-8") as fh:
-        for i, j, v in triples:
-            fh.write(f"{i + 1} {j + 1} {v!r}\n")
+        fh.write(format_triples(b))

@@ -34,32 +34,6 @@ __all__ = [
 REFRESH_INTERVAL = 10**6
 
 
-def _csr_to_scipy(b: CsrSymmetricUpper) -> scipy.sparse.csr_matrix:
-    """Full symmetric scipy matrix from upper-triangle storage."""
-    rows = np.repeat(np.arange(b.n), np.diff(b.indptr))
-    upper = scipy.sparse.coo_matrix((b.values, (rows, b.indices)), shape=b.shape)
-    off = rows != b.indices
-    lower = scipy.sparse.coo_matrix(
-        (b.values[off], (b.indices[off], rows[off])), shape=b.shape
-    )
-    return (upper + lower).tocsr()
-
-
-def _scipy_to_csr_upper(sp) -> CsrSymmetricUpper:
-    """Upper-triangle storage from a full symmetric scipy matrix.
-
-    Keeps the diagonal explicit for every nonempty row so construction-time
-    validation sees the true diagonal values.
-    """
-    sp = scipy.sparse.csr_matrix(sp)
-    sp.sum_duplicates()
-    n = sp.shape[0]
-    upper = scipy.sparse.triu(sp, k=1, format="csr")
-    with_diag = upper + scipy.sparse.diags(sp.diagonal(), format="csr")
-    with_diag.sort_indices()
-    return CsrSymmetricUpper(n, with_diag.indptr, with_diag.indices, with_diag.data)
-
-
 # ---------------------------------------------------------------------------
 # Losses
 
@@ -205,15 +179,17 @@ class GradientState:
         raise NotImplementedError
 
 
-class _QuadraticDenseState(GradientState):
+class _QuadraticState(GradientState):
+    """Quadratic state: maintains g = Ax - b through the objective's operator."""
+
     def __init__(self, obj: "QuadraticObjective", x0):
         super().__init__(x0)
-        self._a = obj._a_dense
+        self._op = obj._operator()
         self._b = obj.b
         self._recompute()
 
     def _recompute(self):
-        self._g = self._a @ self.x - self._b
+        self._g = self._op @ self.x - self._b
         self._value = 0.5 * float(self.x @ (self._g - self._b))
 
     def partial_gradient(self, s):
@@ -222,11 +198,13 @@ class _QuadraticDenseState(GradientState):
     def full_gradient(self):
         return self._g.copy()
 
+
+class _QuadraticDenseState(_QuadraticState):
     def _apply(self, s, h):
         # h' A[S,S] h = h' (g_old[S] - g_new[S]), so the exact value change
         # -g_old[S]'h + h'A[S,S]h/2 collapses to -h'(g_old[S] + g_new[S])/2
         g = self._g
-        a = self._a
+        a = self._op
         x = self.x
         if s.size == 1:
             i = s[0]
@@ -251,71 +229,45 @@ class _QuadraticDenseState(GradientState):
             self._value -= 0.5 * float(h @ (gs_old + g[s]))
 
 
-class _QuadraticSparseState(GradientState):
-    def __init__(self, obj: "QuadraticObjective", x0):
-        super().__init__(x0)
-        op = obj._op_scipy()
-        self._indptr = op.indptr
-        self._rows = op.indices
-        self._vals = op.data
-        self._op = op
-        self._b = obj.b
-        self._recompute()
-
-    def _recompute(self):
-        self._g = self._op @ self.x - self._b
-        self._value = 0.5 * float(self.x @ (self._g - self._b))
-
-    def partial_gradient(self, s):
-        return self._g[s].copy()
-
-    def full_gradient(self):
-        return self._g.copy()
-
+class _QuadraticSparseState(_QuadraticState):
     def _apply(self, s, h):
+        indptr, rows, vals = self._op.indptr, self._op.indices, self._op.data
         g = self._g
         gs_old = g[s].copy()
         self.x[s] -= h
         for j, hj in zip(s, h):
-            lo, hi = self._indptr[j], self._indptr[j + 1]
-            g[self._rows[lo:hi]] -= self._vals[lo:hi] * hj
+            lo, hi = indptr[j], indptr[j + 1]
+            g[rows[lo:hi]] -= vals[lo:hi] * hj
         self._value -= 0.5 * float(h @ (gs_old + g[s]))
 
 
-class _SeparableDenseState(GradientState):
+class _SeparableState(GradientState):
+    """Separable state: maintains z = Ax and the loss derivatives w at z."""
+
     def __init__(self, obj: "SeparableObjective", x0):
         super().__init__(x0)
         self._obj = obj
         self._recompute()
 
     def _recompute(self):
-        obj = self._obj
-        self._z = obj.a @ self.x
-        self._sync()
-
-    def _sync(self):
-        obj = self._obj
-        if obj.loss.rowwise:
-            self._w = obj.loss.derivs(self._z, obj.b)
-            self._value = float(obj.loss.values(self._z, obj.b).sum())
-        else:
-            r = self._z - obj.b
-            self._w = obj.loss.grad(r)
-            self._value = float(obj.loss.value(r))
-
-    def partial_gradient(self, s):
-        return self._obj.a[:, s].T @ self._w
+        self._z = np.asarray(self._obj.a @ self.x).ravel()
+        self._value, self._w = self._obj._loss_eval(self._z)
 
     def full_gradient(self):
-        return self._obj.a.T @ self._w
+        return np.asarray(self._obj.a.T @ self._w).ravel()
+
+
+class _SeparableDenseState(_SeparableState):
+    def partial_gradient(self, s):
+        return self._obj.a[:, s].T @ self._w
 
     def _apply(self, s, h):
         self.x[s] -= h
         self._z -= self._obj.a[:, s] @ h
-        self._sync()
+        self._value, self._w = self._obj._loss_eval(self._z)
 
 
-class _SeparableSparseState(GradientState):
+class _SeparableSparseState(_SeparableState):
     """Separable state over a scipy CSR data matrix.
 
     A companion CSC view provides the touched-rows structure: a coordinate
@@ -324,25 +276,11 @@ class _SeparableSparseState(GradientState):
     """
 
     def __init__(self, obj: "SeparableObjective", x0):
-        super().__init__(x0)
-        self._obj = obj
         csc = obj._csc()
         self._cptr = csc.indptr
         self._crow = csc.indices
         self._cval = csc.data
-        self._recompute()
-
-    def _recompute(self):
-        obj = self._obj
-        self._z = np.asarray(obj.a @ self.x).ravel()
-        obj_b = obj.b
-        if obj.loss.rowwise:
-            self._w = obj.loss.derivs(self._z, obj_b)
-            self._value = float(obj.loss.values(self._z, obj_b).sum())
-        else:
-            r = self._z - obj_b
-            self._w = obj.loss.grad(r)
-            self._value = float(obj.loss.value(r))
+        super().__init__(obj, x0)
 
     def partial_gradient(self, s):
         out = np.empty(len(s))
@@ -350,9 +288,6 @@ class _SeparableSparseState(GradientState):
             lo, hi = self._cptr[j], self._cptr[j + 1]
             out[p] = self._cval[lo:hi] @ self._w[self._crow[lo:hi]]
         return out
-
-    def full_gradient(self):
-        return np.asarray(self._obj.a.T @ self._w).ravel()
 
     def _apply(self, s, h):
         obj = self._obj
@@ -362,8 +297,8 @@ class _SeparableSparseState(GradientState):
         deltas = np.concatenate(
             [self._cval[sl] * hj for sl, hj in zip(slices, h)]
         )
-        touched = np.unique(rows)
         if obj.loss.rowwise:
+            touched = np.unique(rows)
             old = obj.loss.values(self._z[touched], obj.b[touched]).sum()
             np.subtract.at(self._z, rows, deltas)
             zt = self._z[touched]
@@ -371,9 +306,7 @@ class _SeparableSparseState(GradientState):
             self._value += float(obj.loss.values(zt, obj.b[touched]).sum() - old)
         else:
             np.subtract.at(self._z, rows, deltas)
-            r = self._z - obj.b
-            self._w = obj.loss.grad(r)
-            self._value = float(obj.loss.value(r))
+            self._value, self._w = obj._loss_eval(self._z)
 
 
 class _RidgeState(GradientState):
@@ -415,38 +348,35 @@ class QuadraticObjective:
         if isinstance(a, CsrSymmetricUpper):
             self.a = a
             self.n = a.n
-            self._a_dense = None
+            self._op = None  # scipy form, built on first use
         else:
             self.a = np.asarray(a, dtype=float)
             self.n = self.a.shape[0]
-            self._a_dense = self.a
+            self._op = self.a
         self.b = np.asarray(b, dtype=float)
         if self.b.shape != (self.n,):
             raise ValueError("linear term has wrong length")
-        self._op = None
 
-    def _op_scipy(self):
+    def _operator(self):
+        """A in a form that multiplies vectors: the array, or a scipy matrix."""
         if self._op is None:
-            self._op = _csr_to_scipy(self.a)
+            self._op = self.a.to_scipy()
         return self._op
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
-        ax = self._a_dense @ x if self._a_dense is not None else self._op_scipy() @ x
-        return 0.5 * float(x @ ax) - float(self.b @ x)
+        return 0.5 * float(x @ (self._operator() @ x)) - float(self.b @ x)
 
     def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ax = self._a_dense @ x if self._a_dense is not None else self._op_scipy() @ x
-        return ax - self.b
+        return self._operator() @ np.asarray(x, dtype=float) - self.b
 
     def curvature_matrix(self):
         return self.a
 
     def init_state(self, x0) -> GradientState:
-        if self._a_dense is not None:
-            return _QuadraticDenseState(self, x0)
-        return _QuadraticSparseState(self, x0)
+        if isinstance(self.a, CsrSymmetricUpper):
+            return _QuadraticSparseState(self, x0)
+        return _QuadraticDenseState(self, x0)
 
 
 class SeparableObjective:
@@ -473,25 +403,30 @@ class SeparableObjective:
             self._csc_cache = scipy.sparse.csc_matrix(self.a)
         return self._csc_cache
 
+    def _loss_eval(self, z):
+        """(f, w) at data products z = Ax, where w = dloss/dz so that the
+        gradient is A'w."""
+        loss = self.loss
+        if loss.rowwise:
+            return float(loss.values(z, self.b).sum()), loss.derivs(z, self.b)
+        r = z - self.b
+        return float(loss.value(r)), loss.grad(r)
+
+    def _products(self, x):
+        return np.asarray(self.a @ np.asarray(x, dtype=float)).ravel()
+
     def value(self, x) -> float:
-        z = np.asarray(self.a @ np.asarray(x, dtype=float)).ravel()
-        if self.loss.rowwise:
-            return float(self.loss.values(z, self.b).sum())
-        return float(self.loss.value(z - self.b))
+        return self._loss_eval(self._products(x))[0]
 
     def gradient(self, x) -> np.ndarray:
-        z = np.asarray(self.a @ np.asarray(x, dtype=float)).ravel()
-        if self.loss.rowwise:
-            w = self.loss.derivs(z, self.b)
-        else:
-            w = self.loss.grad(z - self.b)
+        w = self._loss_eval(self._products(x))[1]
         return np.asarray(self.a.T @ w).ravel()
 
     def curvature_matrix(self):
-        scale = self.loss.smoothness
+        gram = self.loss.smoothness * (self.a.T @ self.a)
         if self.sparse:
-            return _scipy_to_csr_upper(scale * (self.a.T @ self.a))
-        return symmetrize(scale * (self.a.T @ self.a))
+            return CsrSymmetricUpper.from_scipy(gram)
+        return symmetrize(gram)
 
     def init_state(self, x0) -> GradientState:
         if self.sparse:
@@ -520,8 +455,8 @@ class RegularizedObjective:
     def curvature_matrix(self):
         core = self.inner.curvature_matrix()
         if isinstance(core, CsrSymmetricUpper):
-            sp = _csr_to_scipy(core) + self.gamma * scipy.sparse.identity(self.n)
-            return _scipy_to_csr_upper(sp)
+            sp = core.to_scipy() + self.gamma * scipy.sparse.identity(self.n)
+            return CsrSymmetricUpper.from_scipy(sp)
         return core + self.gamma * np.eye(self.n)
 
     def init_state(self, x0) -> GradientState:

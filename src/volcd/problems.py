@@ -267,9 +267,7 @@ def reference_min(obj, grad_tol: float = 1e-10, max_iters: int = 100_000) -> flo
     b = obj.curvature_matrix()
     try:
         if isinstance(b, CsrSymmetricUpper):
-            from .objectives import _csr_to_scipy
-
-            solve = scipy.sparse.linalg.factorized(_csr_to_scipy(b).tocsc())
+            solve = scipy.sparse.linalg.factorized(b.to_scipy().tocsc())
         else:
             cho = scipy.linalg.cho_factor(b, check_finite=False)
             solve = lambda g: scipy.linalg.cho_solve(cho, g, check_finite=False)

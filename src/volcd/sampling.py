@@ -33,14 +33,10 @@ __all__ = [
     "VolumeSampler",
     "all_subsets",
     "build_cumulative",
-    "build_volume_sampler",
-    "cumulative_sample",
     "exact_probabilities",
     "principal_minors",
     "sparse2_preprocess",
-    "sparse2_sample",
     "tau_nice_sample",
-    "volume_sample",
 ]
 
 # Enumerating more outcomes than this is refused outright.
@@ -100,10 +96,6 @@ def build_cumulative(weights) -> CumulativeTable:
     np.clip(cum, None, 1.0, out=cum)
     cum[-1] = 1.0
     return CumulativeTable(cum)
-
-
-def cumulative_sample(table: CumulativeTable, u: float) -> int:
-    return table.sample(u)
 
 
 # ---------------------------------------------------------------------------
@@ -221,14 +213,6 @@ class VolumeSampler:
 
     def probabilities(self) -> np.ndarray:
         return np.diff(self.table.cumulative, prepend=0.0)
-
-
-def build_volume_sampler(b, tau: int) -> VolumeSampler:
-    return VolumeSampler(b, tau)
-
-
-def volume_sample(sampler: VolumeSampler, rng: RngStream) -> np.ndarray:
-    return sampler.sample(rng)
 
 
 def exact_probabilities(b, tau: int) -> dict[tuple[int, ...], float]:
@@ -367,10 +351,6 @@ class SparseTwoSampler:
 
 def sparse2_preprocess(b: CsrSymmetricUpper) -> SparseTwoSampler:
     return SparseTwoSampler(b)
-
-
-def sparse2_sample(sampler: SparseTwoSampler, rng: RngStream) -> np.ndarray:
-    return sampler.sample(rng)
 
 
 # ---------------------------------------------------------------------------

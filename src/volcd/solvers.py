@@ -232,10 +232,11 @@ def run(obj, b, config: SolverConfig):
 
     if trace[-1][0] != k:
         trace.append((k, float(state.value)))
+    # written so that a NaN value (a diverged run) counts as capped
     capped = bool(
         config.target_gap is not None
         and config.f_star is not None
-        and state.value - config.f_star > config.target_gap
+        and not (state.value - config.f_star <= config.target_gap)
     )
     return SolverReport(
         method=config.method,

@@ -19,6 +19,21 @@ def test_gen_writes_loadable_matrix(tmp_path, capsys):
     assert np.allclose(lam, [160.0, 100.0, 1, 1, 1, 1], atol=1e-6)
 
 
+def test_gen_stdout_matches_out_file(tmp_path, capsys):
+    # empty trailing rows: only the `n n 0` pin keeps the dimension at 40
+    args = [
+        "gen", "--kind", "huber", "--n", "40", "--m", "6", "--sparsity", "2",
+        "--reflections", "2", "--seed", "0",
+    ]
+    assert main(args) == 0
+    printed = tmp_path / "stdout.txt"
+    printed.write_text(capsys.readouterr().out)
+    out = tmp_path / "b.txt"
+    assert main(args + ["--out", str(out)]) == 0
+    assert printed.read_text() == out.read_text()
+    assert load_csr_triples(printed).n == 40
+
+
 def test_theory_verb_prints_ratios(tmp_path, capsys):
     out = tmp_path / "b.txt"
     save_triples(np.diag([4.0, 2.0, 1.0, 1.0]), out)

@@ -38,6 +38,9 @@ def make_objectives(rng, m=9, n=6):
         "logsumexp": SeparableObjective(a_dense, offsets, LogSumExpLoss(0.3)),
         "sqrtnorm": SeparableObjective(a_dense, offsets, SqrtNormLoss(0.3)),
         "logistic_sparse": SeparableObjective(a_sparse, labels, LogisticLoss()),
+        "huber_sparse": SeparableObjective(a_sparse, offsets, HuberLoss(0.5)),
+        "logsumexp_sparse": SeparableObjective(a_sparse, offsets, LogSumExpLoss(0.3)),
+        "sqrtnorm_sparse": SeparableObjective(a_sparse, offsets, SqrtNormLoss(0.3)),
         "ridge_logistic": RegularizedObjective(
             SeparableObjective(a_dense, labels, LogisticLoss()), 1.0
         ),
@@ -220,6 +223,23 @@ def test_incremental_state_drift(steps):
         assert np.allclose(
             state.partial_gradient(s), fresh_grad[s], atol=1e-8
         ), name
+
+
+def test_refresh_matches_incremental_state():
+    rng = np.random.default_rng(11)
+    for name, obj in make_objectives(rng).items():
+        state = obj.init_state(rng.standard_normal(obj.n) * 0.1)
+        for _ in range(3000):
+            tau = int(rng.integers(1, 3))
+            s = np.sort(rng.choice(obj.n, size=tau, replace=False))
+            state.apply_step(s, 0.01 * rng.standard_normal(tau))
+        kept_value, kept_grad = state.value, state.full_gradient()
+        state.refresh()
+        for value in (kept_value, obj.value(state.x)):
+            assert state.value == pytest.approx(value, rel=1e-9), name
+        for grad in (kept_grad, obj.gradient(state.x)):
+            gap = np.linalg.norm(state.full_gradient() - grad)
+            assert gap <= 1e-9 * np.linalg.norm(grad), name
 
 
 def test_apply_step_matches_fresh_recompute():

@@ -11,11 +11,9 @@ from volcd.sampling import (
     VolumeSampler,
     all_subsets,
     build_cumulative,
-    cumulative_sample,
     exact_probabilities,
     principal_minors,
     sparse2_preprocess,
-    sparse2_sample,
     tau_nice_sample,
 )
 
@@ -65,12 +63,12 @@ def test_build_cumulative_empty_support():
 
 def test_cumulative_sample_min_rule():
     table = build_cumulative([2, 3, 5])
-    assert cumulative_sample(table, 0.25) == 1
+    assert table.sample(0.25) == 1
     # boundary: u equal to a stored cumulative goes to the smaller index
-    assert cumulative_sample(table, 0.2) == 0
+    assert table.sample(0.2) == 0
     zero_first = build_cumulative([0, 1, 0])
     for u in (0.01, 0.5, 0.999):
-        assert cumulative_sample(zero_first, u) == 1
+        assert zero_first.sample(u) == 1
 
 
 def test_cumulative_sample_matches_linear_scan():
@@ -263,9 +261,9 @@ def test_sparse2_requires_rank_two():
         sparse2_preprocess(CsrSymmetricUpper.from_dense(np.diag([1.0, 0.0])))
 
 
-def test_sparse2_sample_wrapper():
+def test_sparse_two_sampler_single_draw():
     sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(TRIDIAG))
-    s = sparse2_sample(sampler, RngStream(1))
+    s = sampler.sample(RngStream(1))
     assert s[0] < s[1]
 
 

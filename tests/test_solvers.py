@@ -302,6 +302,18 @@ def test_capped_flag_set_when_gap_not_reached():
     )
     rep = rcdvs_run(obj, a, cfg)
     assert rep.capped
+    # a curvature below the true one diverges to NaN, which must not pass
+    # for a converged run
+    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+    obj = QuadraticObjective(a, np.array([1.0, 1.0]))
+    f_star = obj.value(np.linalg.solve(a, obj.b))
+    cfg = SolverConfig(
+        method="rcdvs", tau=1, max_iters=3000, target_gap=1e-6, f_star=f_star, seed=0
+    )
+    with np.errstate(all="ignore"):
+        rep = rcdvs_run(obj, 0.01 * a, cfg)
+    assert np.isnan(rep.final_value)
+    assert rep.capped
 
 
 def test_run_dispatch_and_method_guards():
