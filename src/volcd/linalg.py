@@ -177,9 +177,10 @@ class CsrSymmetricUpper:
         if i > j:
             i, j = j, i
         lo, hi = self.indptr[i], self.indptr[i + 1]
-        k = np.searchsorted(self.indices[lo:hi], j)
-        if k < hi - lo and self.indices[lo + k] == j:
-            return float(self.values[lo + k])
+        # the method skips np.searchsorted's dispatch, most of a lookup's cost
+        k = lo + self.indices[lo:hi].searchsorted(j)
+        if k < hi and self.indices[k] == j:
+            return float(self.values[k])
         return 0.0
 
     def to_dense(self) -> np.ndarray:

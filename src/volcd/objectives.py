@@ -67,13 +67,8 @@ class LogisticLoss:
 
     def derivs(self, z, b):
         s = b * z
-        # sigmoid(-s) without overflow on either tail
-        out = np.empty_like(s)
-        pos = s >= 0
-        e = np.exp(-np.abs(s))
-        out[pos] = e[pos] / (1.0 + e[pos])
-        out[~pos] = 1.0 / (1.0 + e[~pos])
-        return -b * out
+        e = np.exp(-np.abs(s))  # sigmoid(-s) without overflow on either tail
+        return -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
 
 
 class HuberLoss:
@@ -292,6 +287,32 @@ class _SeparableSparseState(_SeparableState):
     def _apply(self, s, h):
         obj = self._obj
         self.x[s] -= h
+        if obj.loss.rowwise and s.size <= 2:
+            # one column at a time: a column's rows are distinct, so a plain
+            # scatter updates z exactly as np.subtract.at over all columns
+            # would.  Each column's rows are read just before and just after
+            # its own update, so the value changes add up even where the
+            # columns share rows; the loss runs once on all of them.
+            z = self._z
+            rows, before, after = [], [], []
+            for j, hj in zip(s, h):
+                lo, hi = self._cptr[j], self._cptr[j + 1]
+                r = self._crow[lo:hi]
+                zr = z[r]
+                before.append(zr.copy())
+                zr -= self._cval[lo:hi] * hj
+                z[r] = zr
+                rows.append(r)
+                after.append(zr)
+            rows = np.concatenate(rows)
+            b = obj.b[rows]
+            loss = obj.loss
+            self._value += float(
+                loss.values(np.concatenate(after), b).sum()
+                - loss.values(np.concatenate(before), b).sum()
+            )
+            self._w[rows] = loss.derivs(z[rows], b)
+            return
         slices = [slice(self._cptr[j], self._cptr[j + 1]) for j in s]
         rows = np.concatenate([self._crow[sl] for sl in slices])
         deltas = np.concatenate(

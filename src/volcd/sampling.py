@@ -211,6 +211,12 @@ class VolumeSampler:
     def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
         return self.subsets[self.table.sample_many(rng.uniforms(k))]
 
+    def draws(self, rng: RngStream, chunk: int):
+        """Endless stream of subsets, drawn ``chunk`` at a time by
+        :meth:`sample_many`."""
+        while True:
+            yield from self.sample_many(rng, chunk)
+
     def probabilities(self) -> np.ndarray:
         return np.diff(self.table.cumulative, prepend=0.0)
 
@@ -257,6 +263,11 @@ class SparseTwoSampler:
         ``pair_mass(i, j, k) = diag[i] * (t[i] - t[j + 1]) - hcum[i][k]``
 
     evaluated on the fly, so sampling is O(log n) time and O(1) memory.
+
+    Draws are made on demand: :meth:`draws` takes the uniforms for a whole
+    chunk at once but runs the searches for one pair only when the caller
+    asks for it, so a run that stops early pays only for the pairs it used.
+    :meth:`sample_many` is the first ``k`` pairs of a ``k``-chunk stream.
     """
 
     def __init__(self, b: CsrSymmetricUpper):
@@ -340,12 +351,23 @@ class SparseTwoSampler:
         i, j = self._sample_one(rng.uniform(), rng.uniform())
         return np.array([i, j], dtype=np.int64)
 
+    def draws(self, rng: RngStream, chunk: int):
+        """Endless stream of pairs, as int64 arrays of length 2.
+
+        Each chunk of ``chunk`` pairs takes ``chunk`` first and then
+        ``chunk`` second uniforms from ``rng``, like :meth:`sample_many`;
+        the searches for a pair run only when the pair is requested.
+        """
+        while True:
+            u1 = rng.uniforms(chunk).tolist()
+            u2 = rng.uniforms(chunk).tolist()
+            for a, b in zip(u1, u2):
+                yield np.array(self._sample_one(a, b), dtype=np.int64)
+
     def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
-        u1 = rng.uniforms(k)
-        u2 = rng.uniforms(k)
         out = np.empty((k, 2), dtype=np.int64)
-        for idx in range(k):
-            out[idx] = self._sample_one(u1[idx], u2[idx])
+        for idx, pair in zip(range(k), self.draws(rng, k)):
+            out[idx] = pair
         return out
 
 

@@ -4,11 +4,20 @@ One iteration draws a coordinate subset S, solves the curvature-restricted
 Newton system B[S, S] h = grad f(x)[S], and decrements x[S] by h.  The three
 methods differ only in how S is drawn and how the subsystem is solved:
 
-* ``rcdvs``: determinantal subset sampling, exact Cholesky solve;
+* ``rcdvs``: determinantal subset sampling, exact solve;
 * ``rcd``: the same with subset size 1 (selection proportional to the
   diagonal of B);
 * ``sdna``: uniform subsets without replacement, pseudoinverse solve so that
   degenerate submatrices are tolerated.
+
+For subsets of one or two coordinates the solve is closed form on dense and
+sparse B alike, reading only the diagonal and the one off-diagonal entry;
+a singular block raises :class:`SingularSubmatrix` under the exact methods
+and falls back to the pseudoinverse under ``sdna``.  Larger subsets extract
+B[S, S] and factor it (Cholesky, or the pseudoinverse for ``sdna``).
+
+A run stops at the iteration budget, at the target gap, or at the first
+non-finite objective value; a diverged run is reported as capped.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -16,6 +25,7 @@ each its own seed.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -102,7 +112,10 @@ class SolverReport:
 
 
 def check_stop(k: int, value: float, config: SolverConfig) -> bool:
-    """True once the iteration budget or the target gap is reached."""
+    """True once the iteration budget or the target gap is reached, or once
+    the value is no longer finite (a diverged run)."""
+    if not math.isfinite(value):
+        return True
     if config.target_gap is not None:
         if config.f_star is None:
             raise ConfigError("target_gap mode needs the optimal value f_star")
@@ -122,8 +135,13 @@ class _UniformSubsets:
     def sample(self, rng: RngStream):
         return tau_nice_sample(self.n, self.tau, rng)
 
+    def draws(self, rng: RngStream, chunk: int):
+        # one generator call per subset, so the stream does not depend on chunk
+        while True:
+            yield tau_nice_sample(self.n, self.tau, rng)
+
     def sample_many(self, rng: RngStream, k: int):
-        return np.stack([tau_nice_sample(self.n, self.tau, rng) for _ in range(k)])
+        return np.stack([s for _, s in zip(range(k), self.draws(rng, k))])
 
 
 def _make_sampler(method: str, b, tau: int, n: int):
@@ -136,21 +154,30 @@ def _make_sampler(method: str, b, tau: int, n: int):
 
 def _subset_stream(config: SolverConfig, sampler, rng: RngStream):
     if config.forced_subsets is not None:
-        for s in config.forced_subsets:
-            yield np.asarray(s, dtype=np.int64)
-        return
-    while True:
-        batch = sampler.sample_many(rng, _SAMPLE_CHUNK)
-        for row in batch:
-            yield row
+        return (np.asarray(s, dtype=np.int64) for s in config.forced_subsets)
+    return sampler.draws(rng, _SAMPLE_CHUNK)
 
 
 def _make_step_solver(b, tau: int, exact: bool):
-    """Return h = solve(B[S, S], g) specialized for small subset sizes."""
-    dense = not isinstance(b, CsrSymmetricUpper)
+    """Return h = solve(B[S, S], g): closed forms for tau <= 2 read B through
+    its diagonal and a pair lookup, larger subsets factor B[S, S]."""
+    if tau > 2:
+
+        def solve_general(s, g):
+            sub = principal_submatrix(b, s)
+            if exact:
+                return spd_solve(sub, g)
+            return pseudo_solve(sub, g)
+
+        return solve_general
+
+    if isinstance(b, CsrSymmetricUpper):
+        diag, pair = b.diagonal(), b.entry
+    else:
+        b = np.asarray(b, dtype=float)
+        diag, pair = np.diag(b), b.item
 
     if tau == 1:
-        diag = np.diag(b) if dense else b.diagonal()
 
         def solve1(s, g):
             d = diag[s[0]]
@@ -162,29 +189,19 @@ def _make_step_solver(b, tau: int, exact: bool):
 
         return solve1
 
-    if tau == 2 and dense:
-
-        def solve2(s, g):
-            i, j = s
-            aa, bb, cc = b[i, i], b[j, j], b[i, j]
-            det = aa * bb - cc * cc
-            if det > 0.0 and aa > 0.0:
-                return np.array(
-                    [(bb * g[0] - cc * g[1]) / det, (aa * g[1] - cc * g[0]) / det]
-                )
-            if exact:
-                raise SingularSubmatrix("singular 2x2 submatrix")
-            return pseudo_solve(np.array([[aa, cc], [cc, bb]]), g)
-
-        return solve2
-
-    def solve_general(s, g):
-        sub = principal_submatrix(b, s)
+    def solve2(s, g):
+        i, j = s
+        aa, bb, cc = diag[i], diag[j], pair(i, j)
+        det = aa * bb - cc * cc
+        if det > 0.0 and aa > 0.0:
+            return np.array(
+                [(bb * g[0] - cc * g[1]) / det, (aa * g[1] - cc * g[0]) / det]
+            )
         if exact:
-            return spd_solve(sub, g)
-        return pseudo_solve(sub, g)
+            raise SingularSubmatrix("singular 2x2 submatrix")
+        return pseudo_solve(np.array([[aa, cc], [cc, bb]]), g)
 
-    return solve_general
+    return solve2
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +230,7 @@ def run(obj, b, config: SolverConfig):
 
     trace = [(0, float(state.value))]
     log: list | None = [] if config.record_subsets else None
+    trace_every = config.trace_every
     k = 0
     stopped = check_stop(k, state.value, config)
     while not stopped:
@@ -226,17 +244,20 @@ def run(obj, b, config: SolverConfig):
         if log is not None:
             log.append(s)
         k += 1
-        if k % config.trace_every == 0:
+        if k % trace_every == 0:
             trace.append((k, float(state.value)))
         stopped = check_stop(k, state.value, config)
 
     if trace[-1][0] != k:
         trace.append((k, float(state.value)))
-    # written so that a NaN value (a diverged run) counts as capped
+    # a diverged run (inf or NaN value) counts as capped
     capped = bool(
         config.target_gap is not None
         and config.f_star is not None
-        and not (state.value - config.f_star <= config.target_gap)
+        and not (
+            math.isfinite(state.value)
+            and state.value - config.f_star <= config.target_gap
+        )
     )
     return SolverReport(
         method=config.method,

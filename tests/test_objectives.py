@@ -78,6 +78,10 @@ def test_logistic_extreme_margins_stable():
     assert np.isfinite(vals).all()
     assert vals[0] == pytest.approx(0.0, abs=1e-300)
     assert vals[1] == pytest.approx(1e4)
+    for labels in (b, -b):
+        d = loss.derivs(z * labels, labels)  # margins s = +1e4, -1e4
+        assert np.isfinite(d).all()
+        assert np.array_equal(d, [0.0, -labels[1]])
 
 
 def test_gradients_match_finite_differences():
@@ -270,3 +274,33 @@ def test_huber_smoothing_sandwich():
         smooth = obj.value(x)
         assert smooth <= l1 + 1e-12
         assert l1 <= smooth + m * mu / 2 + 1e-12
+
+
+@pytest.mark.parametrize("loss", [HuberLoss(0.5), LogisticLoss()])
+def test_sparse_pair_step_on_shared_rows(loss):
+    # columns 0 and 1 share rows 1 and 3: the column-by-column update must
+    # leave z exactly as one scatter-subtract over both columns would
+    a = scipy.sparse.csr_matrix(np.array([
+        [1.0, 0.0, 0.5],
+        [2.0, -1.0, 0.0],
+        [0.0, 3.0, 0.0],
+        [-0.5, 0.7, 1.0],
+        [0.0, 0.0, 2.0],
+    ]))
+    labels = np.array([1.0, -1.0, 1.0, 1.0, -1.0])
+    obj = SeparableObjective(a, labels, loss)
+    x0 = np.array([0.3, -0.2, 0.1])
+    state = obj.init_state(x0)
+    z_ref = state._z.copy()
+    s, h = np.array([0, 1]), np.array([0.8, -1.3])
+    state.apply_step(s, h)
+    csc = a.tocsc()
+    cols = [slice(csc.indptr[j], csc.indptr[j + 1]) for j in s]
+    rows = np.concatenate([csc.indices[c] for c in cols])
+    deltas = np.concatenate([csc.data[c] * hj for c, hj in zip(cols, h)])
+    np.subtract.at(z_ref, rows, deltas)
+    assert state._z.tobytes() == z_ref.tobytes()
+    assert np.array_equal(state._w, loss.derivs(z_ref, labels))
+    x = x0.copy()
+    x[s] -= h
+    assert state.value == pytest.approx(obj.value(x), rel=1e-12, abs=1e-12)

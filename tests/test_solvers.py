@@ -3,8 +3,14 @@ import io
 import numpy as np
 import pytest
 
-from volcd.errors import ConfigError
-from volcd.linalg import CsrSymmetricUpper, eigendecompose, spd_solve
+from volcd.errors import ConfigError, SingularSubmatrix
+from volcd.linalg import (
+    CsrSymmetricUpper,
+    eigendecompose,
+    principal_submatrix,
+    pseudo_solve,
+    spd_solve,
+)
 from volcd.objectives import (
     HuberLoss,
     LogisticLoss,
@@ -12,8 +18,18 @@ from volcd.objectives import (
     SeparableObjective,
 )
 from volcd.rng import RngStream
-from volcd.sampling import VolumeSampler, exact_probabilities
-from volcd.solvers import SolverConfig, check_stop, rcd_run, rcdvs_run, run, sdna_run
+from volcd.problems import banded_psd
+from volcd.sampling import SparseTwoSampler, VolumeSampler, exact_probabilities
+from volcd.solvers import (
+    SolverConfig,
+    _make_step_solver,
+    _UniformSubsets,
+    check_stop,
+    rcd_run,
+    rcdvs_run,
+    run,
+    sdna_run,
+)
 from volcd.spectral import b_tau
 
 
@@ -312,7 +328,9 @@ def test_capped_flag_set_when_gap_not_reached():
     )
     with np.errstate(all="ignore"):
         rep = rcdvs_run(obj, 0.01 * a, cfg)
-    assert np.isnan(rep.final_value)
+    # the run ends at the first non-finite value, long before the budget
+    assert np.isinf(rep.final_value)
+    assert rep.iterations < 3000
     assert rep.capped
 
 
@@ -377,3 +395,60 @@ def test_sparse_curvature_pair_path():
     values = [f for _, f in rep.trace]
     assert (np.diff(values) <= 1e-10).all()
     assert rep.final_value == pytest.approx(obj.value(rep.x_final), abs=1e-9)
+
+
+def test_pair_solve_same_on_dense_and_sparse_curvature():
+    # the closed-form 2x2 solve reads the same three entries from either
+    # storage, so the steps agree bit for bit
+    csr = banded_psd(40, 4, seed=3)
+    dense = csr.to_dense()
+    rng = np.random.default_rng(4)
+    for exact in (True, False):
+        solve_d = _make_step_solver(dense, 2, exact)
+        solve_s = _make_step_solver(csr, 2, exact)
+        for _ in range(200):
+            s = np.sort(rng.choice(40, size=2, replace=False))
+            g = rng.standard_normal(2)
+            assert solve_d(s, g).tobytes() == solve_s(s, g).tobytes()
+            assert np.allclose(solve_s(s, g), spd_solve(dense[np.ix_(s, s)], g))
+
+
+def test_singular_sparse_pair_raises_or_falls_back():
+    # coordinates 0 and 1 are copies of each other: B[{0,1},{0,1}] has rank one
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    csr = CsrSymmetricUpper.from_dense(a)
+    s, g = np.array([0, 1]), np.array([0.5, -0.25])
+    with pytest.raises(SingularSubmatrix):
+        _make_step_solver(csr, 2, exact=True)(s, g)
+    h = _make_step_solver(csr, 2, exact=False)(s, g)
+    assert np.array_equal(h, pseudo_solve(principal_submatrix(csr, s), g))
+    obj = QuadraticObjective(csr, np.array([1.0, 1.0, 0.5]))
+    forced = SolverConfig(method="rcdvs", tau=2, max_iters=1, forced_subsets=[[0, 1]])
+    with pytest.raises(SingularSubmatrix):
+        rcdvs_run(obj, csr, forced)
+    rep = sdna_run(obj, csr, SolverConfig(
+        method="sdna", tau=2, max_iters=1, forced_subsets=[[0, 1]]))
+    assert rep.final_value <= obj.value(np.zeros(3)) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "method, sparse, make_sampler",
+    [
+        ("rcdvs", True, lambda b: SparseTwoSampler(b)),
+        ("rcdvs", False, lambda b: VolumeSampler(b, 2)),
+        ("sdna", True, lambda b: _UniformSubsets(b.shape[0], 2)),
+    ],
+)
+def test_subset_stream_matches_sample_many(method, sparse, make_sampler):
+    # a run draws the same subsets as consecutive 4096-draw batches of the
+    # sampler, also across the chunk boundary
+    csr = banded_psd(60, 3, seed=5)
+    b = csr if sparse else csr.to_dense()
+    obj = QuadraticObjective(b, np.random.default_rng(6).standard_normal(60))
+    cfg = SolverConfig(method=method, tau=2, max_iters=5000, seed=7,
+                       trace_every=10**9, record_subsets=True)
+    rep = run(obj, b, cfg)
+    sampler, rng = make_sampler(b), RngStream(7)
+    expected = np.concatenate([sampler.sample_many(rng, 4096) for _ in range(2)])
+    assert rep.iterations == 5000
+    assert np.array_equal(np.array(rep.subsets), expected[:5000])
