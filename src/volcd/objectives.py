@@ -287,47 +287,33 @@ class _SeparableSparseState(_SeparableState):
     def _apply(self, s, h):
         obj = self._obj
         self.x[s] -= h
-        if obj.loss.rowwise and s.size <= 2:
-            # one column at a time: a column's rows are distinct, so a plain
-            # scatter updates z exactly as np.subtract.at over all columns
-            # would.  Each column's rows are read just before and just after
-            # its own update, so the value changes add up even where the
-            # columns share rows; the loss runs once on all of them.
-            z = self._z
-            rows, before, after = [], [], []
-            for j, hj in zip(s, h):
-                lo, hi = self._cptr[j], self._cptr[j + 1]
-                r = self._crow[lo:hi]
-                zr = z[r]
-                before.append(zr.copy())
-                zr -= self._cval[lo:hi] * hj
-                z[r] = zr
-                rows.append(r)
-                after.append(zr)
-            rows = np.concatenate(rows)
-            b = obj.b[rows]
-            loss = obj.loss
-            self._value += float(
-                loss.values(np.concatenate(after), b).sum()
-                - loss.values(np.concatenate(before), b).sum()
-            )
-            self._w[rows] = loss.derivs(z[rows], b)
+        # one column at a time: a column's rows are distinct, so a plain
+        # scatter updates z exactly as np.subtract.at over all columns would.
+        # Each column's rows are read just before and just after its own
+        # update, so a rowwise loss's value changes add up even where the
+        # columns share rows; the loss runs once on all of them.
+        z = self._z
+        rows, before, after = [], [], []
+        for j, hj in zip(s, h):
+            lo, hi = self._cptr[j], self._cptr[j + 1]
+            r = self._crow[lo:hi]
+            zr = z[r]
+            before.append(zr.copy())
+            zr -= self._cval[lo:hi] * hj
+            z[r] = zr
+            rows.append(r)
+            after.append(zr)
+        loss = obj.loss
+        if not loss.rowwise:
+            self._value, self._w = obj._loss_eval(z)
             return
-        slices = [slice(self._cptr[j], self._cptr[j + 1]) for j in s]
-        rows = np.concatenate([self._crow[sl] for sl in slices])
-        deltas = np.concatenate(
-            [self._cval[sl] * hj for sl, hj in zip(slices, h)]
+        rows = np.concatenate(rows)
+        b = obj.b[rows]
+        self._value += float(
+            loss.values(np.concatenate(after), b).sum()
+            - loss.values(np.concatenate(before), b).sum()
         )
-        if obj.loss.rowwise:
-            touched = np.unique(rows)
-            old = obj.loss.values(self._z[touched], obj.b[touched]).sum()
-            np.subtract.at(self._z, rows, deltas)
-            zt = self._z[touched]
-            self._w[touched] = obj.loss.derivs(zt, obj.b[touched])
-            self._value += float(obj.loss.values(zt, obj.b[touched]).sum() - old)
-        else:
-            np.subtract.at(self._z, rows, deltas)
-            self._value, self._w = obj._loss_eval(self._z)
+        self._w[rows] = loss.derivs(z[rows], b)
 
 
 class _RidgeState(GradientState):

@@ -17,7 +17,8 @@ and falls back to the pseudoinverse under ``sdna``.  Larger subsets extract
 B[S, S] and factor it (Cholesky, or the pseudoinverse for ``sdna``).
 
 A run stops at the iteration budget, at the target gap, or at the first
-non-finite objective value; a diverged run is reported as capped.
+non-finite objective value; in target-gap mode a diverged run is reported as
+capped.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -32,7 +33,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SingularSubmatrix
-from .linalg import CsrSymmetricUpper, principal_submatrix, pseudo_solve, spd_solve
+from .linalg import (
+    CsrSymmetricUpper,
+    principal_submatrix,
+    pseudo_solve,
+    spd_solve,
+    validate_index_set,
+)
 from .rng import RngStream
 from .sampling import SparseTwoSampler, VolumeSampler, tau_nice_sample
 
@@ -88,6 +95,10 @@ class SolverConfig:
                 raise ConfigError("target_gap mode needs the optimal value f_star")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be at least 1")
+        # checked here, before a run's clock starts, so a replay of recorded
+        # subsets times the same loop as the sampled run
+        for s in self.forced_subsets or ():
+            validate_index_set(s, n)
 
 
 @dataclass
@@ -132,16 +143,10 @@ class _UniformSubsets:
     def __init__(self, n: int, tau: int):
         self.n, self.tau = n, tau
 
-    def sample(self, rng: RngStream):
-        return tau_nice_sample(self.n, self.tau, rng)
-
-    def draws(self, rng: RngStream, chunk: int):
-        # one generator call per subset, so the stream does not depend on chunk
+    def draws(self, rng: RngStream, _chunk: int):
+        # one generator call per subset, so the stream ignores the chunk size
         while True:
             yield tau_nice_sample(self.n, self.tau, rng)
-
-    def sample_many(self, rng: RngStream, k: int):
-        return np.stack([s for _, s in zip(range(k), self.draws(rng, k))])
 
 
 def _make_sampler(method: str, b, tau: int, n: int):
@@ -250,7 +255,7 @@ def run(obj, b, config: SolverConfig):
 
     if trace[-1][0] != k:
         trace.append((k, float(state.value)))
-    # a diverged run (inf or NaN value) counts as capped
+    # in target-gap mode a diverged run (inf or NaN value) counts as capped
     capped = bool(
         config.target_gap is not None
         and config.f_star is not None

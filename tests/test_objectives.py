@@ -276,10 +276,20 @@ def test_huber_smoothing_sandwich():
         assert l1 <= smooth + m * mu / 2 + 1e-12
 
 
-@pytest.mark.parametrize("loss", [HuberLoss(0.5), LogisticLoss()])
-def test_sparse_pair_step_on_shared_rows(loss):
-    # columns 0 and 1 share rows 1 and 3: the column-by-column update must
-    # leave z exactly as one scatter-subtract over both columns would
+@pytest.mark.parametrize(
+    "loss", [HuberLoss(0.5), LogisticLoss(), LogSumExpLoss(0.3), SqrtNormLoss(0.3)]
+)
+@pytest.mark.parametrize(
+    "s, h",
+    [
+        (np.array([0, 1]), np.array([0.8, -1.3])),
+        (np.array([0, 1, 2]), np.array([0.8, -1.3, 0.6])),
+    ],
+)
+def test_sparse_step_on_shared_rows(loss, s, h):
+    # columns 0 and 1 share rows 1 and 3, and column 2 meets both in rows 0
+    # and 3: the column-by-column update must leave z exactly as one
+    # scatter-subtract over all columns would
     a = scipy.sparse.csr_matrix(np.array([
         [1.0, 0.0, 0.5],
         [2.0, -1.0, 0.0],
@@ -292,7 +302,6 @@ def test_sparse_pair_step_on_shared_rows(loss):
     x0 = np.array([0.3, -0.2, 0.1])
     state = obj.init_state(x0)
     z_ref = state._z.copy()
-    s, h = np.array([0, 1]), np.array([0.8, -1.3])
     state.apply_step(s, h)
     csc = a.tocsc()
     cols = [slice(csc.indptr[j], csc.indptr[j + 1]) for j in s]
@@ -300,7 +309,7 @@ def test_sparse_pair_step_on_shared_rows(loss):
     deltas = np.concatenate([csc.data[c] * hj for c, hj in zip(cols, h)])
     np.subtract.at(z_ref, rows, deltas)
     assert state._z.tobytes() == z_ref.tobytes()
-    assert np.array_equal(state._w, loss.derivs(z_ref, labels))
+    assert np.array_equal(state._w, obj._loss_eval(z_ref)[1])
     x = x0.copy()
     x[s] -= h
     assert state.value == pytest.approx(obj.value(x), rel=1e-12, abs=1e-12)

@@ -19,11 +19,15 @@ from volcd.objectives import (
 )
 from volcd.rng import RngStream
 from volcd.problems import banded_psd
-from volcd.sampling import SparseTwoSampler, VolumeSampler, exact_probabilities
+from volcd.sampling import (
+    SparseTwoSampler,
+    VolumeSampler,
+    exact_probabilities,
+    tau_nice_sample,
+)
 from volcd.solvers import (
     SolverConfig,
     _make_step_solver,
-    _UniformSubsets,
     check_stop,
     rcd_run,
     rcdvs_run,
@@ -431,24 +435,45 @@ def test_singular_sparse_pair_raises_or_falls_back():
     assert rep.final_value <= obj.value(np.zeros(3)) + 1e-12
 
 
+def _two_batches(sampler, rng):
+    return np.concatenate([sampler.sample_many(rng, 4096) for _ in range(2)])
+
+
 @pytest.mark.parametrize(
-    "method, sparse, make_sampler",
+    "method, sparse, reference",
     [
-        ("rcdvs", True, lambda b: SparseTwoSampler(b)),
-        ("rcdvs", False, lambda b: VolumeSampler(b, 2)),
-        ("sdna", True, lambda b: _UniformSubsets(b.shape[0], 2)),
+        ("rcdvs", True, lambda b, rng: _two_batches(SparseTwoSampler(b), rng)),
+        ("rcdvs", False, lambda b, rng: _two_batches(VolumeSampler(b, 2), rng)),
+        ("sdna", True,
+         lambda b, rng: [tau_nice_sample(b.shape[0], 2, rng) for _ in range(5000)]),
     ],
 )
-def test_subset_stream_matches_sample_many(method, sparse, make_sampler):
-    # a run draws the same subsets as consecutive 4096-draw batches of the
-    # sampler, also across the chunk boundary
+def test_subset_stream_matches_reference_draws(method, sparse, reference):
+    # a run draws the same subsets as consecutive 4096-draw batches of its
+    # sampler, also across the chunk boundary, and sdna the same as one
+    # tau_nice_sample call per iteration
     csr = banded_psd(60, 3, seed=5)
     b = csr if sparse else csr.to_dense()
     obj = QuadraticObjective(b, np.random.default_rng(6).standard_normal(60))
     cfg = SolverConfig(method=method, tau=2, max_iters=5000, seed=7,
                        trace_every=10**9, record_subsets=True)
     rep = run(obj, b, cfg)
-    sampler, rng = make_sampler(b), RngStream(7)
-    expected = np.concatenate([sampler.sample_many(rng, 4096) for _ in range(2)])
+    expected = np.asarray(reference(b, RngStream(7)))
     assert rep.iterations == 5000
     assert np.array_equal(np.array(rep.subsets), expected[:5000])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize(
+    "forced, error",
+    [([[1, 1]], ValueError), ([[2, 0]], ValueError), ([[0, 3]], IndexError)],
+)
+def test_forced_subsets_are_validated(sparse, forced, error):
+    # a repeated index would apply a step to x once but to the gradient or
+    # residual twice, so a bad forced subset must fail before the run
+    a = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 0.0], [0.0, 0.0, 1.0]])
+    b = CsrSymmetricUpper.from_dense(a) if sparse else a
+    obj = QuadraticObjective(b, np.ones(3))
+    cfg = SolverConfig(method="sdna", tau=2, max_iters=1, forced_subsets=forced)
+    with pytest.raises(error):
+        run(obj, b, cfg)
