@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import CsrSymmetricUpper, eigendecompose
+from .linalg import as_dense, eigendecompose
 from .problems import ProblemSpec, generate, load_libsvm, reference_min
 from .solvers import SolverConfig, run
 from .spectral import acceleration_ratio
@@ -104,18 +104,8 @@ def _problem_eigenvalues(config: ExperimentConfig, b) -> np.ndarray:
     problems get a dense eigendecomposition (feature counts are small).
     """
     if config.problem is not None:
-        spec = config.problem
-        if spec.kind == "logistic":
-            raise ConfigError("logistic problems need a dataset")
-        k = spec.n if spec.kind == "quadratic" else min(spec.m, spec.n)
-        lam = np.ones(spec.n)
-        lam[k:] = 0.0
-        lam[0] = spec.lam1
-        if k > 1:
-            lam[1] = spec.lam2
-        return np.sort(lam)[::-1]
-    dense = b.to_dense() if isinstance(b, CsrSymmetricUpper) else b
-    return eigendecompose(dense).eigenvalues
+        return np.sort(config.problem.eigenvalues())[::-1]
+    return eigendecompose(as_dense(b)).eigenvalues
 
 
 def _cached_reference_min(config: ExperimentConfig, obj) -> float:

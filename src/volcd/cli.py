@@ -25,7 +25,7 @@ from . import __version__
 from .benchmark import ExperimentConfig, emit_table, run_experiment
 from .errors import ConfigError, DegenerateApprox, ParseError, VolcdError
 from .linalg import (
-    CsrSymmetricUpper,
+    as_dense,
     eigendecompose,
     format_triples,
     load_csr_triples,
@@ -166,7 +166,7 @@ def _cmd_gen(args) -> int:
     b = obj.curvature_matrix()
     _write(format_triples(b), args.out)
     if args.out:
-        n = b.n if isinstance(b, CsrSymmetricUpper) else b.shape[0]
+        n = b.shape[0]
         sys.stdout.write(f"wrote {n} x {n} curvature matrix to {args.out}"
                          f" (f_star = {f_star!r})\n")
     return 0
@@ -212,8 +212,7 @@ def _load_matrix(path):
 
 def _cmd_theory(args) -> int:
     b = _load_matrix(args.matrix)
-    dense = b.to_dense() if isinstance(b, CsrSymmetricUpper) else b
-    spectrum = eigendecompose(dense)
+    spectrum = eigendecompose(as_dense(b))
     lam = spectrum.eigenvalues
     lines = [f"n = {lam.size}", "eigenvalues (descending):"]
     lines.append("  " + " ".join(f"{v:.6g}" for v in lam))

@@ -4,6 +4,11 @@ Dense symmetric matrices are plain ``numpy.ndarray`` objects; the helpers here
 validate and symmetrize at construction boundaries.  Sparse symmetric matrices
 use :class:`CsrSymmetricUpper`, a compressed-row layout that stores only the
 diagonal-and-rightward entries of each row, diagonal first.
+
+Only this module reads the storage of a curvature matrix B.  Other modules
+may pick an algorithm by storage (the sparse pair sampler, the sparse solver
+states), but they read B through ``shape`` and ``diagonal()``, which both
+storages provide, and densify it only with :func:`as_dense`.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ __all__ = [
     "CsrSymmetricUpper",
     "Spectrum",
     "adjugate",
+    "as_dense",
     "as_symmetric",
     "determinant",
     "eigendecompose",
@@ -39,6 +45,9 @@ __all__ = [
     "symmetrize",
     "validate_index_set",
 ]
+
+# Principal minors below this times (max diagonal) ** tau count as exactly 0.
+_DET_CLAMP = 1e-14
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -190,25 +199,9 @@ class CsrSymmetricUpper:
         return a + a.T - np.diag(np.diag(a))
 
     @classmethod
-    def from_dense(cls, a, tol: float = 0.0) -> "CsrSymmetricUpper":
-        """Build from a dense symmetric matrix, dropping entries |v| <= tol.
-
-        The diagonal entry is kept explicit whenever its row has any stored
-        entry, so validation sees the true diagonal value.
-        """
-        a = as_symmetric(a)
-        n = a.shape[0]
-        indptr = [0]
-        indices: list[int] = []
-        values: list[float] = []
-        for i in range(n):
-            cols = (np.flatnonzero(np.abs(a[i, i:]) > tol) + i).tolist()
-            if cols and cols[0] != i:
-                cols = [i] + cols
-            indices.extend(cols)
-            values.extend(float(a[i, c]) for c in cols)
-            indptr.append(len(indices))
-        return cls(n, np.asarray(indptr), np.asarray(indices), np.asarray(values))
+    def from_dense(cls, a) -> "CsrSymmetricUpper":
+        """Build from a dense symmetric matrix, storing its nonzero entries."""
+        return cls.from_scipy(scipy.sparse.csr_matrix(as_symmetric(a)))
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         """The full symmetric matrix as a scipy CSR matrix."""
@@ -224,10 +217,11 @@ class CsrSymmetricUpper:
 
     @classmethod
     def from_scipy(cls, sp) -> "CsrSymmetricUpper":
-        """Build from a full symmetric scipy sparse matrix.
+        """Build from a symmetric scipy sparse matrix.
 
-        The diagonal is kept explicit for every nonempty row, so validation
-        sees the true diagonal values.
+        Only the diagonal and the upper triangle are read, so the lower
+        triangle may be left out.  The diagonal is kept explicit for every
+        nonempty row, so validation sees the true diagonal values.
         """
         sp = scipy.sparse.csr_matrix(sp)
         sp.sum_duplicates()
@@ -250,8 +244,12 @@ class CsrSymmetricUpper:
         return cls(n, np.asarray(indptr), np.asarray(indices), np.asarray(values))
 
 
-def _is_csr(b) -> bool:
-    return isinstance(b, CsrSymmetricUpper)
+def as_dense(b) -> np.ndarray:
+    """B as a float array, whether stored dense or as a
+    :class:`CsrSymmetricUpper`."""
+    if isinstance(b, CsrSymmetricUpper):
+        return b.to_dense()
+    return np.asarray(b, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -264,18 +262,9 @@ def principal_submatrix(b, s) -> np.ndarray:
     ``b`` may be a dense symmetric array or a :class:`CsrSymmetricUpper`;
     the result is a dense tau x tau symmetric array.
     """
-    if _is_csr(b):
-        s = validate_index_set(s, b.n)
-        tau = s.size
-        out = np.zeros((tau, tau))
-        for p in range(tau):
-            cols, vals = b.row(int(s[p]))
-            if cols.size == 0:
-                continue
-            k = np.searchsorted(cols, s[p:])
-            hit = (k < cols.size) & (cols[np.minimum(k, cols.size - 1)] == s[p:])
-            out[p, p:][hit] = vals[k[hit]]
-        return out + out.T - np.diag(np.diag(out))
+    if isinstance(b, CsrSymmetricUpper):
+        idx = validate_index_set(s, b.n).tolist()
+        return np.array([[b.entry(i, j) for j in idx] for i in idx])
     b = np.asarray(b, dtype=float)
     s = validate_index_set(s, b.shape[0])
     return b[np.ix_(s, s)]
@@ -351,10 +340,11 @@ def determinant(m) -> float:
 def psd_det(m, clamp_scale: float | None = None) -> float:
     """Principal-minor determinant of a PSD matrix, clamped to exactly 0.
 
-    Values below ``1e-14 * (max diagonal) ** tau`` are treated as degenerate
-    and return 0.0, so floating-point noise cannot give a singular submatrix
-    positive sampling probability.  ``clamp_scale`` overrides ``max diagonal``
-    when the submatrix is part of a larger matrix.
+    Values below ``_DET_CLAMP * (max diagonal) ** tau`` (1e-14 times that
+    power) are treated as degenerate and return 0.0, so floating-point noise
+    cannot give a singular submatrix positive sampling probability.
+    ``clamp_scale`` overrides ``max diagonal`` when the submatrix is part of
+    a larger matrix.
     """
     m = np.asarray(m, dtype=float)
     tau = m.shape[0]
@@ -366,7 +356,7 @@ def psd_det(m, clamp_scale: float | None = None) -> float:
     except np.linalg.LinAlgError:
         return 0.0
     det = float(np.prod(np.diag(chol)) ** 2)
-    if det < 1e-14 * scale**tau:
+    if det < _DET_CLAMP * scale**tau:
         return 0.0
     return det
 
@@ -471,7 +461,7 @@ def format_triples(b) -> str:
     Trailing all-zero rows are pinned with an explicit `n n 0` entry so the
     dimension survives a round trip.
     """
-    if _is_csr(b):
+    if isinstance(b, CsrSymmetricUpper):
         n = b.n
         rows = np.repeat(np.arange(n), np.diff(b.indptr))
         triples = list(zip(rows.tolist(), b.indices.tolist(), b.values.tolist()))
@@ -481,7 +471,7 @@ def format_triples(b) -> str:
         iu, ju = np.nonzero(np.triu(a))
         triples = list(zip(iu.tolist(), ju.tolist(), a[iu, ju].tolist()))
     if not triples or max(j for _, j, _ in triples) < n - 1:
-        triples.append((n - 1, n - 1, float(b.entry(n - 1, n - 1)) if _is_csr(b) else 0.0))
+        triples.append((n - 1, n - 1, 0.0))
     return "".join(f"{i + 1} {j + 1} {v!r}\n" for i, j, v in triples)
 
 

@@ -337,7 +337,9 @@ class _RidgeState(GradientState):
     def _apply(self, s, h):
         xs_old = self.x[s]
         self._sq += float(h @ h) - 2.0 * float(xs_old @ h)
-        self._inner.apply_step(s, h)
+        # the inner step without the inner step count: this state's refresh
+        # already recomputes the inner state once per interval
+        self._inner._apply(s, h)
 
     def _recompute(self):
         self._inner.refresh()
@@ -353,13 +355,10 @@ class QuadraticObjective:
 
     def __init__(self, a, b):
         if isinstance(a, CsrSymmetricUpper):
-            self.a = a
-            self.n = a.n
-            self._op = None  # scipy form, built on first use
+            self.a, self._op = a, None  # scipy form, built on first use
         else:
-            self.a = np.asarray(a, dtype=float)
-            self.n = self.a.shape[0]
-            self._op = self.a
+            self.a = self._op = np.asarray(a, dtype=float)
+        self.n = self.a.shape[0]
         self.b = np.asarray(b, dtype=float)
         if self.b.shape != (self.n,):
             raise ValueError("linear term has wrong length")

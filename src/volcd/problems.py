@@ -10,7 +10,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .errors import ConfigError, NumericError, ParseError, UnboundedLevelSet
-from .linalg import CsrSymmetricUpper, symmetrize
+from .linalg import CsrSymmetricUpper, as_dense, symmetrize
 from .objectives import (
     HuberLoss,
     LogisticLoss,
@@ -50,6 +50,23 @@ class ProblemSpec:
     sparsity: int | None = None  # nonzeros per reflection direction
     seed: int = 0
     reflections: int = 10
+
+    def eigenvalues(self) -> np.ndarray:
+        """The constructed spectrum of the curvature matrix, in construction
+        order: lam1, lam2, then ones, with zeros past min(m, n) for huber.
+
+        Not sorted when lam2 < 1.  Logistic problems come from datasets and
+        have no constructed spectrum.
+        """
+        if self.kind == "logistic":
+            raise ConfigError("logistic problems need a dataset")
+        k = self.n if self.kind == "quadratic" else min(self.m, self.n)
+        lam = np.zeros(self.n)
+        lam[:k] = 1.0
+        lam[0] = self.lam1
+        if k > 1:
+            lam[1] = self.lam2
+        return lam
 
     def validate(self) -> None:
         if self.kind not in ("quadratic", "huber", "logistic"):
@@ -94,11 +111,7 @@ def gen_quadratic(spec: ProblemSpec):
     spec.validate()
     rng = RngStream(spec.seed)
     n = spec.n
-    diag = np.ones(n)
-    diag[0] = spec.lam1
-    if n > 1:
-        diag[1] = spec.lam2
-    a = np.diag(diag)
+    a = np.diag(spec.eigenvalues())
     for _ in range(spec.reflections):
         u = _sphere_direction(n, rng)
         w = a @ u
@@ -132,10 +145,7 @@ def gen_huber(spec: ProblemSpec):
     k = min(m, n)
     # (1/mu) A'A must end up with eigenvalues (lam1, lam2, 1, ..., 1), so
     # the rectangular diagonal carries sqrt(mu * lam_i)
-    diag = np.full(k, np.sqrt(spec.mu))
-    diag[0] = np.sqrt(spec.mu * spec.lam1)
-    if k > 1:
-        diag[1] = np.sqrt(spec.mu * spec.lam2)
+    diag = np.sqrt(spec.mu * spec.eigenvalues()[:k])
 
     if spec.sparsity is None:
         a = np.zeros((m, n))
@@ -254,7 +264,7 @@ def reference_min(obj, grad_tol: float = 1e-10, max_iters: int = 100_000) -> flo
     converges deterministically and runs until the gradient norm is tiny.
     """
     if isinstance(obj, QuadraticObjective):
-        a = obj.a.to_dense() if isinstance(obj.a, CsrSymmetricUpper) else obj.a
+        a = as_dense(obj.a)
         x_star, _, _, _ = np.linalg.lstsq(a, obj.b, rcond=None)
         resid = a @ x_star - obj.b
         if np.linalg.norm(resid) > 1e-8 * (1.0 + np.linalg.norm(obj.b)):
@@ -320,12 +330,8 @@ def banded_psd(n: int, bandwidth: int, seed: int = 0) -> CsrSymmetricUpper:
     rows.append(np.arange(n))
     cols.append(np.arange(n))
     vals.append(rowsum + 1.0)
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
-    order = np.lexsort((c, r))
-    r, c, v = r[order], c[order], v[order]
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, r + 1, 1)
-    indptr = np.cumsum(indptr)
-    return CsrSymmetricUpper(n, indptr, c, v)
+    upper = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    )
+    return CsrSymmetricUpper.from_scipy(upper)

@@ -43,12 +43,6 @@ class RngStream:
             bad = u == 0.0
         return u
 
-    def integers(self, low: int, high: int) -> int:
-        return int(self._gen.integers(low, high))
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size)
 

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import CombinatorialBlowup, EmptySupport
-from .linalg import CsrSymmetricUpper
+from .linalg import _DET_CLAMP, CsrSymmetricUpper, as_dense
 from .rng import RngStream
 
 __all__ = [
@@ -42,7 +42,6 @@ __all__ = [
 # Enumerating more outcomes than this is refused outright.
 MAX_ENUMERATED_SUBSETS = 10**8
 
-_DET_CLAMP = 1e-14
 _CHUNK = 1 << 14
 
 
@@ -65,9 +64,6 @@ class CumulativeTable:
         if abs(cumulative[-1] - 1.0) > 1e-12:
             raise ValueError("cumulative probabilities must end at 1")
         self.cumulative = cumulative
-
-    def __len__(self) -> int:
-        return self.cumulative.size
 
     def sample(self, u: float) -> int:
         """Smallest index k with u <= P_k (0-based)."""
@@ -131,30 +127,33 @@ def principal_minors(
 ) -> np.ndarray:
     """det(B[S, S]) for every tau-subset S in lexicographic order.
 
+    ``b`` may be a dense array or a :class:`~volcd.linalg.CsrSymmetricUpper`;
+    tau = 1 reads only its diagonal, larger tau a dense view.
     With ``clamp=True`` (the PSD sampling path) minors below
     ``1e-14 * (max diagonal) ** tau``, including roundoff negatives, are
     set to exactly 0, so degenerate submatrices carry no sampling mass.
     Pass ``clamp=False`` to get raw determinants, e.g. for indefinite input.
     """
-    if isinstance(b, CsrSymmetricUpper):
-        b = b.to_dense()
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
+    diag = b.diagonal().astype(float)
     if subsets is None:
-        subsets = all_subsets(n, tau)
+        subsets = all_subsets(diag.size, tau)
     if tau == 1:
-        minors = np.diag(b)[subsets[:, 0]].astype(float, copy=True)
-    elif tau == 2:
-        i, j = subsets[:, 0], subsets[:, 1]
-        minors = b[i, i] * b[j, j] - b[i, j] ** 2
+        # singleton minors are the diagonal, which sparse B gives without
+        # densifying
+        minors = diag[subsets[:, 0]]
     else:
-        minors = np.empty(subsets.shape[0])
-        for lo in range(0, subsets.shape[0], _CHUNK):
-            block = subsets[lo : lo + _CHUNK]
-            sub = b[block[:, :, None], block[:, None, :]]
-            minors[lo : lo + block.shape[0]] = np.linalg.det(sub)
+        b = as_dense(b)
+        if tau == 2:
+            i, j = subsets[:, 0], subsets[:, 1]
+            minors = b[i, i] * b[j, j] - b[i, j] ** 2
+        else:
+            minors = np.empty(subsets.shape[0])
+            for lo in range(0, subsets.shape[0], _CHUNK):
+                block = subsets[lo : lo + _CHUNK]
+                sub = b[block[:, :, None], block[:, None, :]]
+                minors[lo : lo + block.shape[0]] = np.linalg.det(sub)
     if clamp:
-        diag_max = float(np.max(np.diag(b)))
+        diag_max = float(np.max(diag))
         threshold = _DET_CLAMP * diag_max**tau if diag_max > 0 else np.inf
         minors[minors < threshold] = 0.0
     return minors
@@ -171,24 +170,6 @@ class VolumeSampler:
     """
 
     def __init__(self, b, tau: int):
-        if isinstance(b, CsrSymmetricUpper):
-            if tau == 1:
-                # singleton minors are the diagonal; stay sparse at any n
-                n = b.n
-                self.n, self.tau = n, 1
-                self.subsets = all_subsets(n, 1)
-                diag = b.diagonal()
-                threshold = _DET_CLAMP * float(diag.max()) if diag.max() > 0 else np.inf
-                diag = diag.copy()
-                diag[diag < threshold] = 0.0
-                try:
-                    self.table = build_cumulative(diag)
-                except EmptySupport:
-                    raise EmptySupport("the matrix diagonal is zero") from None
-                self.total_minor_mass = float(diag.sum())
-                return
-            b = b.to_dense()
-        b = np.asarray(b, dtype=float)
         n = b.shape[0]
         if not 1 <= tau <= n:
             raise ValueError(f"subset size {tau} out of range for dimension {n}")
@@ -203,7 +184,6 @@ class VolumeSampler:
                 f"all order-{tau} principal minors are zero; "
                 f"subset size exceeds the matrix rank"
             ) from None
-        self.total_minor_mass = float(minors.sum())
 
     def sample(self, rng: RngStream) -> np.ndarray:
         return self.subsets[self.table.sample(rng.uniform())]
@@ -226,11 +206,7 @@ def exact_probabilities(b, tau: int) -> dict[tuple[int, ...], float]:
 
     Enumeration oracle for testing both samplers; keep n small (<= 20).
     """
-    if isinstance(b, CsrSymmetricUpper):
-        n = b.n
-    else:
-        n = np.asarray(b).shape[0]
-    subsets = all_subsets(n, tau)
+    subsets = all_subsets(b.shape[0], tau)
     minors = principal_minors(b, tau, subsets)
     total = minors.sum()
     if total <= 0:
@@ -287,9 +263,7 @@ class SparseTwoSampler:
         row_of = np.repeat(np.arange(n), rowlen)
         self.hcum = running - before_row[row_of]
 
-        diag = np.zeros(n)
-        diag[nonempty] = values[indptr[:-1][nonempty]]
-        self.diag = diag
+        self.diag = diag = b.diagonal()
         self.t = np.concatenate((np.cumsum(diag[::-1])[::-1], [0.0]))
 
         h_last = np.zeros(n)

@@ -122,6 +122,11 @@ class SolverReport:
             fh.write(f"{k},{f!r}\n")
 
 
+def _gap_reached(value: float, config: SolverConfig) -> bool:
+    """In target-gap mode: the value is finite and within the target gap."""
+    return math.isfinite(value) and value - config.f_star <= config.target_gap
+
+
 def check_stop(k: int, value: float, config: SolverConfig) -> bool:
     """True once the iteration budget or the target gap is reached, or once
     the value is no longer finite (a diverged run)."""
@@ -130,7 +135,7 @@ def check_stop(k: int, value: float, config: SolverConfig) -> bool:
     if config.target_gap is not None:
         if config.f_star is None:
             raise ConfigError("target_gap mode needs the optimal value f_star")
-        if value - config.f_star <= config.target_gap:
+        if _gap_reached(value, config):
             return True
     return config.max_iters is not None and k >= config.max_iters
 
@@ -177,10 +182,11 @@ def _make_step_solver(b, tau: int, exact: bool):
         return solve_general
 
     if isinstance(b, CsrSymmetricUpper):
-        diag, pair = b.diagonal(), b.entry
+        pair = b.entry
     else:
         b = np.asarray(b, dtype=float)
-        diag, pair = np.diag(b), b.item
+        pair = b.item
+    diag = b.diagonal()
 
     if tau == 1:
 
@@ -256,14 +262,7 @@ def run(obj, b, config: SolverConfig):
     if trace[-1][0] != k:
         trace.append((k, float(state.value)))
     # in target-gap mode a diverged run (inf or NaN value) counts as capped
-    capped = bool(
-        config.target_gap is not None
-        and config.f_star is not None
-        and not (
-            math.isfinite(state.value)
-            and state.value - config.f_star <= config.target_gap
-        )
-    )
+    capped = config.target_gap is not None and not _gap_reached(state.value, config)
     return SolverReport(
         method=config.method,
         tau=config.tau,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CombinatorialBlowup, DegenerateApprox, UnboundedLevelSet
-from .linalg import Spectrum, adjugate, eigendecompose, symmetrize
+from .linalg import Spectrum, adjugate, as_dense, eigendecompose, symmetrize
 from .sampling import all_subsets, principal_minors, subset_count
 
 __all__ = [
@@ -66,7 +66,7 @@ def sum_principal_minors(b, tau: int) -> float:
     this is the enumeration side of that identity.  Allowed up to n = 20
     (batched determinants stay cheap there).
     """
-    b = np.asarray(b, dtype=float) if not hasattr(b, "to_dense") else b.to_dense()
+    b = as_dense(b)
     n = b.shape[0]
     if not 1 <= tau <= n:
         raise ValueError(f"subset size {tau} out of range for dimension {n}")
@@ -88,7 +88,7 @@ def sum_adjugates(b, tau: int, method: str = "spectral") -> np.ndarray:
       elementary symmetric polynomials of degree tau - 1 in the eigenvalues
       with one entry removed at a time.
     """
-    b = np.asarray(b, dtype=float) if not hasattr(b, "to_dense") else b.to_dense()
+    b = as_dense(b)
     n = b.shape[0]
     if method == "enumerate":
         _guard_enumeration(n, tau)
@@ -191,7 +191,7 @@ def expected_step_matrix(b, tau: int) -> np.ndarray:
     Only subsets with a (clamped) positive minor contribute, mirroring the
     sampler's exclusion of degenerate submatrices.
     """
-    b = np.asarray(b, dtype=float) if not hasattr(b, "to_dense") else b.to_dense()
+    b = as_dense(b)
     n = b.shape[0]
     _guard_enumeration(n, tau)
     subsets = all_subsets(n, tau)

@@ -55,8 +55,17 @@ def test_submatrix_csr_matches_dense():
         csr = CsrSymmetricUpper.from_dense(b)
         tau = int(rng.integers(1, n + 1))
         s = np.sort(rng.choice(n, size=tau, replace=False))
-        assert np.allclose(
+        assert np.array_equal(
             principal_submatrix(csr, s), principal_submatrix(b, s)
+        )
+    # an empty row reads as zeros, inside and outside the selected block
+    csr = CsrSymmetricUpper.from_rows(
+        4, [([0, 2], [2.0, 0.5]), ([], []), ([2, 3], [3.0, -1.0]), ([3], [1.5])]
+    )
+    dense = csr.to_dense()
+    for s in ([1], [0, 1], [0, 2], [1, 3], [0, 1, 2], [0, 1, 2, 3]):
+        assert np.array_equal(
+            principal_submatrix(csr, s), principal_submatrix(dense, s)
         )
 
 

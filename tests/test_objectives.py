@@ -246,6 +246,27 @@ def test_refresh_matches_incremental_state():
             assert gap <= 1e-9 * np.linalg.norm(grad), name
 
 
+def test_ridge_state_refreshes_inner_once_per_interval(monkeypatch):
+    from volcd import objectives
+
+    monkeypatch.setattr(objectives, "REFRESH_INTERVAL", 10)
+    a = scipy.sparse.random(12, 5, density=0.5, random_state=8, format="csr")
+    obj = RegularizedObjective(
+        SeparableObjective(a, np.sign(np.arange(12) - 5.5), LogisticLoss()), 0.5
+    )
+    state = obj.init_state(np.zeros(5))
+    inner = state._inner
+    recomputes = []
+    recompute = inner._recompute
+    monkeypatch.setattr(
+        inner, "_recompute", lambda: (recomputes.append(1), recompute())
+    )
+    for k in range(10):
+        state.apply_step([k % 5], [0.1 * (k + 1)])
+    assert len(recomputes) == 1
+    assert state.value == pytest.approx(obj.value(state.x), abs=1e-12)
+
+
 def test_apply_step_matches_fresh_recompute():
     rng = np.random.default_rng(9)
     a = rng.standard_normal((6, 4))

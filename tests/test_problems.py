@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from volcd.errors import ConfigError, ParseError, UnboundedLevelSet
-from volcd.linalg import CsrSymmetricUpper
+from volcd.linalg import CsrSymmetricUpper, eigendecompose
 from volcd.objectives import QuadraticObjective, RegularizedObjective
 from volcd.problems import (
     ProblemSpec,
     banded_psd,
     gen_huber,
     gen_quadratic,
+    generate,
     load_libsvm,
     read_libsvm,
     reference_min,
@@ -46,6 +47,22 @@ def test_quadratic_fresh_seeds_fresh_instances():
     a1 = gen_quadratic(s1)[0].a
     a2 = gen_quadratic(s2)[0].a
     assert not np.allclose(a1, a2)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"kind": "quadratic", "n": 30, "lam1": 900.0, "lam2": 0.5},
+        {"kind": "huber", "n": 20, "m": 35, "lam1": 400.0},
+        {"kind": "huber", "n": 24, "m": 15, "lam1": 400.0, "lam2": 30.0},
+    ],
+)
+def test_spec_eigenvalues_match_generated_curvature(fields):
+    spec = ProblemSpec(seed=13, **fields)
+    obj, _, _ = generate(spec)
+    lam = eigendecompose(obj.curvature_matrix()).eigenvalues
+    expected = np.sort(spec.eigenvalues())[::-1]
+    assert np.abs(lam - expected).max() <= 1e-8 * spec.lam1
 
 
 # ---------------------------------------------------------------------------

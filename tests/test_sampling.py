@@ -93,6 +93,25 @@ def test_tau_one_is_diagonal_proportional():
     assert np.allclose(sampler.probabilities(), [1 / 6, 2 / 6, 3 / 6])
 
 
+def test_tau_one_same_on_sparse_and_dense_storage():
+    b = random_psd(np.random.default_rng(5), 9)
+    b[np.abs(b) < 1.0] = 0.0
+    np.fill_diagonal(b, np.abs(np.diag(b)) + 0.5)
+    b[4, :] = b[:, 4] = 0.0  # a zero row carries no mass
+    csr = CsrSymmetricUpper.from_dense(b)
+    sparse, dense = VolumeSampler(csr, 1), VolumeSampler(csr.to_dense(), 1)
+    assert np.array_equal(sparse.probabilities(), dense.probabilities())
+    assert sparse.probabilities()[4] == 0.0
+    assert np.array_equal(
+        sparse.sample_many(RngStream(3), 1000), dense.sample_many(RngStream(3), 1000)
+    )
+
+
+def test_tau_one_empty_sparse_matrix_has_no_support():
+    with pytest.raises(EmptySupport):
+        VolumeSampler(CsrSymmetricUpper.from_rows(4, []), 1)
+
+
 def test_tau_two_diagonal_minors():
     sampler = VolumeSampler(np.diag([1.0, 2.0, 3.0]), 2)
     assert np.allclose(sampler.probabilities(), [2 / 11, 3 / 11, 6 / 11])
