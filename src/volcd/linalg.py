@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 import scipy.sparse
 
 from .errors import (
@@ -29,6 +29,7 @@ from .errors import (
 __all__ = [
     "CsrSymmetricUpper",
     "Spectrum",
+    "add_to_diagonal",
     "adjugate",
     "as_dense",
     "as_symmetric",
@@ -252,6 +253,20 @@ def as_dense(b) -> np.ndarray:
     return np.asarray(b, dtype=float)
 
 
+def add_to_diagonal(b, c: float):
+    """B + c * I in the storage of B.
+
+    On a :class:`CsrSymmetricUpper` every row, empty ones included, ends up
+    with a stored diagonal, and stored zeros are dropped.
+    """
+    if isinstance(b, CsrSymmetricUpper):
+        return CsrSymmetricUpper.from_scipy(
+            b.to_scipy() + c * scipy.sparse.identity(b.n)
+        )
+    b = as_dense(b)
+    return b + c * np.eye(b.shape[0])
+
+
 # ---------------------------------------------------------------------------
 # Submatrices and factorizations
 
@@ -273,16 +288,22 @@ def principal_submatrix(b, s) -> np.ndarray:
 def spd_solve(m, rhs) -> np.ndarray:
     """Solve M h = rhs for symmetric positive definite M via Cholesky.
 
-    Raises :class:`SingularSubmatrix` on a non-positive pivot, which signals
-    a degenerate coordinate selection.
+    Calls LAPACK ``potrf``/``potrs`` directly; only the lower triangle of M
+    is read.  Raises :class:`SingularSubmatrix` on a non-positive pivot,
+    which signals a degenerate coordinate selection, and ``ValueError`` on a
+    non-square M.
     """
     m = np.asarray(m, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    try:
-        c, low = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSubmatrix(str(exc)) from exc
-    return scipy.linalg.cho_solve((c, low), rhs, check_finite=False)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    c, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=0)
+    if info > 0:
+        raise SingularSubmatrix(
+            f"leading minor of order {info} is not positive definite"
+        )
+    h, _ = scipy.linalg.lapack.dpotrs(c, rhs, lower=1)
+    return h
 
 
 def pseudo_solve(m, rhs) -> np.ndarray:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse
 
-from .linalg import CsrSymmetricUpper, symmetrize
+from .linalg import CsrSymmetricUpper, add_to_diagonal, symmetrize
 
 __all__ = [
     "GradientState",
@@ -459,11 +459,7 @@ class RegularizedObjective:
         return self.inner.gradient(x) + self.gamma * x
 
     def curvature_matrix(self):
-        core = self.inner.curvature_matrix()
-        if isinstance(core, CsrSymmetricUpper):
-            sp = core.to_scipy() + self.gamma * scipy.sparse.identity(self.n)
-            return CsrSymmetricUpper.from_scipy(sp)
-        return core + self.gamma * np.eye(self.n)
+        return add_to_diagonal(self.inner.curvature_matrix(), self.gamma)
 
     def init_state(self, x0) -> GradientState:
         return _RidgeState(self, x0)

@@ -6,7 +6,10 @@ Four samplers live here:
   finite distribution (cumulative sums plus binary search).
 * :class:`VolumeSampler` draws tau-element subsets S with probability
   proportional to det(B[S, S]) by enumerating all subsets, practical only
-  for small tau.
+  for small tau.  The enumeration is vectorized: :func:`all_subsets` fills
+  the lexicographic subset table block by block, and
+  :func:`principal_minors` uses closed forms for tau <= 3 and batched LU
+  determinants for tau >= 4.
 * :class:`SparseTwoSampler` draws 2-element subsets from the same
   determinantal distribution in O(log n) per draw after an O(nnz + n)
   preprocessing pass over a :class:`~volcd.linalg.CsrSymmetricUpper`.
@@ -18,7 +21,6 @@ as long as each thread owns its :class:`~volcd.rng.RngStream`.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
@@ -59,7 +61,7 @@ class CumulativeTable:
         cumulative = np.asarray(cumulative, dtype=float)
         if cumulative.size < 1:
             raise ValueError("need at least one outcome")
-        if (np.diff(cumulative) < 0).any():
+        if (cumulative[1:] < cumulative[:-1]).any():
             raise ValueError("cumulative probabilities must be nondecreasing")
         if abs(cumulative[-1] - 1.0) > 1e-12:
             raise ValueError("cumulative probabilities must end at 1")
@@ -103,23 +105,66 @@ def subset_count(n: int, tau: int) -> int:
 
 
 def all_subsets(n: int, tau: int) -> np.ndarray:
-    """All tau-element subsets of range(n) in lexicographic order, (N, tau)."""
+    """All tau-element subsets of range(n) in lexicographic order, (N, tau).
+
+    For tau >= 3 the table is filled block by block: the subsets that start
+    with i are i followed by the last C(n - 1 - i, tau - 1) rows of the
+    (tau - 1)-subsets of range(1, n), so each block is one slice copy into
+    the preallocated result.  Time and memory are O(C(n, tau) * tau).
+    """
     count = subset_count(n, tau)
     if count > MAX_ENUMERATED_SUBSETS:
         raise CombinatorialBlowup(
             f"C({n},{tau}) = {count} subsets exceed the enumeration cap"
         )
+    if count == 0:
+        return np.empty((0, tau), dtype=np.int64)
     if tau == 1:
         return np.arange(n, dtype=np.int64).reshape(-1, 1)
     if tau == 2:
         iu, ju = np.triu_indices(n, k=1)
         return np.column_stack((iu, ju)).astype(np.int64)
-    flat = np.fromiter(
-        itertools.chain.from_iterable(itertools.combinations(range(n), tau)),
-        dtype=np.int64,
-        count=count * tau,
-    )
-    return flat.reshape(count, tau)
+    tail = all_subsets(n - 1, tau - 1)
+    tail += 1
+    out = np.empty((count, tau), dtype=np.int64)
+    pos = 0
+    for i in range(n - tau + 1):
+        size = subset_count(n - 1 - i, tau - 1)
+        out[pos : pos + size, 0] = i
+        out[pos : pos + size, 1:] = tail[-size:]
+        pos += size
+    return out
+
+
+def _order3_minors(b: np.ndarray, diag: np.ndarray, subsets: np.ndarray):
+    """det(B[S, S]) for the rows of ``subsets = all_subsets(n, 3)``.
+
+    Expands each determinant along its first row,
+    ``d_i (d_j d_k - b_jk^2) - b_ij^2 d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``,
+    block by leading index i as in :func:`all_subsets`.  The pair terms come
+    from one table over the pairs 1 <= j < k < n, which the first block
+    lists; block i reads its last C(n - 1 - i, 2) rows.  The expansion is an
+    identity for every symmetric matrix, so indefinite input is fine.
+    """
+    n = diag.size
+    pairs = subsets[: subset_count(n - 1, 2), 1:]
+    j, k = pairs[:, 0], pairs[:, 1]
+    b_jk = b[j, k]
+    d_j, d_k = diag[j], diag[k]
+    pair = d_j * d_k - b_jk**2
+    out = np.empty(subsets.shape[0])
+    pos = 0
+    for i in range(n - 2):
+        size = subset_count(n - 1 - i, 2)
+        b_ij, b_ik = b[i, j[-size:]], b[i, k[-size:]]
+        out[pos : pos + size] = (
+            diag[i] * pair[-size:]
+            - b_ij**2 * d_k[-size:]
+            - b_ik**2 * d_j[-size:]
+            + 2.0 * b_ij * b_ik * b_jk[-size:]
+        )
+        pos += size
+    return out
 
 
 def principal_minors(
@@ -128,7 +173,11 @@ def principal_minors(
     """det(B[S, S]) for every tau-subset S in lexicographic order.
 
     ``b`` may be a dense array or a :class:`~volcd.linalg.CsrSymmetricUpper`;
-    tau = 1 reads only its diagonal, larger tau a dense view.
+    tau = 1 reads only its diagonal, larger tau a dense view.  ``subsets``,
+    when given, must be ``all_subsets(n, tau)``.  tau <= 3 use closed forms
+    (the diagonal, ``d_i d_j - b_ij^2``, and a first-row expansion evaluated
+    block by leading index), each O(1) per subset; tau >= 4 gathers B[S, S]
+    in chunks and takes batched LU determinants, O(tau^3) per subset.
     With ``clamp=True`` (the PSD sampling path) minors below
     ``1e-14 * (max diagonal) ** tau``, including roundoff negatives, are
     set to exactly 0, so degenerate submatrices carry no sampling mass.
@@ -146,6 +195,8 @@ def principal_minors(
         if tau == 2:
             i, j = subsets[:, 0], subsets[:, 1]
             minors = b[i, i] * b[j, j] - b[i, j] ** 2
+        elif tau == 3:
+            minors = _order3_minors(b, diag, subsets)
         else:
             minors = np.empty(subsets.shape[0])
             for lo in range(0, subsets.shape[0], _CHUNK):
@@ -162,9 +213,11 @@ def principal_minors(
 class VolumeSampler:
     """Determinantal subset sampler built by full enumeration.
 
-    Preprocessing computes every principal minor of order tau and their
-    cumulative sums (O(C(n, tau) * tau^3)); each draw afterwards is a single
-    binary search.  Construction refuses more than ``MAX_ENUMERATED_SUBSETS``
+    Preprocessing builds the lexicographic subset table and every principal
+    minor of order tau, then their cumulative sums: O(C(n, tau) * tau) time
+    and memory for tau <= 3 (closed-form minors), O(C(n, tau) * tau^3) time
+    for tau >= 4 (batched LU).  Each draw afterwards is a single binary
+    search.  Construction refuses more than ``MAX_ENUMERATED_SUBSETS``
     outcomes and raises :class:`EmptySupport` when every minor is zero,
     i.e. when tau exceeds the rank of the matrix.
     """

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 
 from volcd.errors import ParseError, SingularSubmatrix, ZeroDiagonalNonzeroRow
 from volcd.linalg import (
     CsrSymmetricUpper,
+    add_to_diagonal,
     adjugate,
     as_symmetric,
     determinant,
@@ -94,8 +97,32 @@ def test_spd_solve_hand_case():
 
 
 def test_spd_solve_singular_raises():
-    with pytest.raises(SingularSubmatrix):
-        spd_solve([[1.0, 1], [1, 1]], [1.0, 2.0])
+    for m in (
+        [[1.0, 1], [1, 1]],  # rank deficient
+        [[1.0, 2], [2, 1]],  # indefinite
+        [[2.0, 0, 0], [0, 0, 0], [0, 0, 3]],  # zero pivot
+    ):
+        with pytest.raises(SingularSubmatrix):
+            spd_solve(m, np.ones(len(m)))
+
+
+def test_spd_solve_rejects_non_square():
+    with pytest.raises(ValueError):
+        spd_solve(np.ones((2, 3)), [1.0, 2.0])
+
+
+def test_spd_solve_bitwise_matches_scipy_cholesky():
+    rng = np.random.default_rng(11)
+    for n in (3, 5):
+        for _ in range(200):
+            g = rng.standard_normal((n + 2, n))
+            m = g.T @ g
+            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 2))):
+                factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+                expected = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+                h = spd_solve(m, rhs)
+                assert h.shape == expected.shape
+                assert np.array_equal(h, expected)
 
 
 def test_spd_solve_residual_bound():
@@ -107,6 +134,32 @@ def test_spd_solve_residual_bound():
         rhs = rng.standard_normal(n)
         h = spd_solve(m, rhs)
         assert np.linalg.norm(m @ h - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
+
+
+def test_add_to_diagonal_matches_scipy_sum():
+    rng = np.random.default_rng(12)
+    dense = rng.standard_normal((5, 7))
+    dense = dense.T @ dense
+    dense[3, :] = dense[:, 3] = 0.0
+    shifted = add_to_diagonal(dense, 0.5)
+    assert np.array_equal(shifted, dense + 0.5 * np.eye(7))
+    csrs = [
+        CsrSymmetricUpper.from_dense(dense),
+        # an empty row and a stored off-diagonal zero
+        CsrSymmetricUpper.from_rows(
+            4, [([0, 2], [2.0, 0.0]), ([], []), ([2, 3], [1.0, 0.5]), ([3], [1.0])]
+        ),
+        CsrSymmetricUpper.from_rows(3, []),
+    ]
+    for csr in csrs:
+        expected = CsrSymmetricUpper.from_scipy(
+            csr.to_scipy() + 0.5 * scipy.sparse.identity(csr.n)
+        )
+        got = add_to_diagonal(csr, 0.5)
+        assert isinstance(got, CsrSymmetricUpper)
+        for name in ("indptr", "indices", "values"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        assert (np.diff(got.indptr) > 0).all()
 
 
 def test_pseudo_solve_zero_block():

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from volcd.errors import CombinatorialBlowup, EmptySupport
 from volcd.linalg import CsrSymmetricUpper, psd_det
 from volcd.rng import RngStream
 from volcd.sampling import (
+    CumulativeTable,
     SparseTwoSampler,
     VolumeSampler,
     all_subsets,
@@ -59,6 +61,14 @@ def test_build_cumulative_uniform():
 def test_build_cumulative_empty_support():
     with pytest.raises(EmptySupport):
         build_cumulative([0.0, 0.0])
+
+
+def test_cumulative_table_validation():
+    assert CumulativeTable([0.2, 0.2, 1.0]).sample(0.2) == 0  # ties are allowed
+    with pytest.raises(ValueError):
+        CumulativeTable([0.5, 0.4, 1.0])
+    with pytest.raises(ValueError):
+        CumulativeTable([0.5, 0.9])
 
 
 def test_cumulative_sample_min_rule():
@@ -133,6 +143,63 @@ def test_lexicographic_subset_order():
     subs = all_subsets(4, 2)
     expected = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert [tuple(s) for s in subs] == expected
+
+
+@pytest.mark.parametrize(
+    "n, tau",
+    [(n, tau) for n in (1, 2, 3, 6, 9) for tau in range(1, n + 1)]
+    + [(12, 3), (12, 4), (12, 5), (15, 14), (15, 15), (4, 5)],
+)
+def test_all_subsets_match_itertools(n, tau):
+    expected = np.array(
+        list(itertools.combinations(range(n), tau)), dtype=np.int64
+    ).reshape(-1, tau)
+    subs = all_subsets(n, tau)
+    assert subs.dtype == np.int64
+    assert np.array_equal(subs, expected)
+
+
+def _per_subset_det(b, tau):
+    subsets = itertools.combinations(range(b.shape[0]), tau)
+    return np.array([np.linalg.det(b[np.ix_(s, s)]) for s in subsets])
+
+
+def test_order3_minors_match_per_subset_determinants():
+    rng = np.random.default_rng(8)
+    for n in (3, 4, 7, 13):
+        g = rng.standard_normal((n, n))
+        indefinite = g + g.T
+        got = principal_minors(indefinite, 3, clamp=False)
+        ref = _per_subset_det(indefinite, 3)
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    psd = random_psd(rng, 9)
+    psd[2, :] = psd[:, 2] = 0.0
+    ref = _per_subset_det(psd, 3)
+    raw = principal_minors(psd, 3, clamp=False)
+    assert np.abs(raw - ref).max() <= 1e-12 * np.abs(ref).max()
+    clamped = principal_minors(psd, 3)
+    touches_zero_row = (all_subsets(9, 3) == 2).any(axis=1)
+    assert (clamped[touches_zero_row] == 0.0).all()
+    assert (clamped[~touches_zero_row] > 0.0).all()
+
+
+def test_low_order_minors_are_the_closed_forms():
+    b = random_psd(np.random.default_rng(9), 8)
+    assert np.array_equal(principal_minors(b, 1, clamp=False), np.diag(b))
+    pairs = np.array(list(itertools.combinations(range(8), 2)))
+    i, j = pairs[:, 0], pairs[:, 1]
+    expected = b[i, i] * b[j, j] - b[i, j] ** 2
+    assert np.array_equal(principal_minors(b, 2, clamp=False), expected)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_tau_three_draws_match_per_subset_determinant_table(seed):
+    b = random_psd(np.random.default_rng(10 + seed), 30)
+    subsets = all_subsets(30, 3)
+    table = build_cumulative(_per_subset_det(b, 3))
+    expected = subsets[table.sample_many(RngStream(seed).uniforms(20_000))]
+    got = VolumeSampler(b, 3).sample_many(RngStream(seed), 20_000)
+    assert np.array_equal(got, expected)
 
 
 def test_exact_probabilities_match_sampler_table():
