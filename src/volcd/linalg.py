@@ -7,8 +7,9 @@ diagonal-and-rightward entries of each row, diagonal first.
 
 Only this module reads the storage of a curvature matrix B.  Other modules
 may pick an algorithm by storage (the sparse pair sampler, the sparse solver
-states), but they read B through ``shape`` and ``diagonal()``, which both
-storages provide, and densify it only with :func:`as_dense`.
+states), but they read B through ``shape``, ``diagonal()`` and
+``item(i, j)``, which both storages provide, gather blocks with
+:func:`gather_submatrix`, and densify it only with :func:`as_dense`.
 """
 
 from __future__ import annotations
@@ -33,9 +34,9 @@ __all__ = [
     "adjugate",
     "as_dense",
     "as_symmetric",
-    "determinant",
     "eigendecompose",
     "format_triples",
+    "gather_submatrix",
     "load_csr_triples",
     "load_dense_triples",
     "principal_submatrix",
@@ -171,19 +172,14 @@ class CsrSymmetricUpper:
     def shape(self) -> tuple[int, int]:
         return (self.n, self.n)
 
-    def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Column indices and values of stored entries in row i."""
-        lo, hi = self.indptr[i], self.indptr[i + 1]
-        return self.indices[lo:hi], self.values[lo:hi]
-
     def diagonal(self) -> np.ndarray:
         d = np.zeros(self.n)
         nonempty = np.flatnonzero(np.diff(self.indptr) > 0)
         d[nonempty] = self.values[self.indptr[:-1][nonempty]]
         return d
 
-    def entry(self, i: int, j: int) -> float:
-        """B[i, j] with symmetric lookup."""
+    def item(self, i: int, j: int) -> float:
+        """B[i, j] with symmetric lookup, named like ``ndarray.item``."""
         if i > j:
             i, j = j, i
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -275,14 +271,25 @@ def principal_submatrix(b, s) -> np.ndarray:
     """Extract the dense principal submatrix B[S, S].
 
     ``b`` may be a dense symmetric array or a :class:`CsrSymmetricUpper`;
-    the result is a dense tau x tau symmetric array.
+    the result is a dense tau x tau symmetric array.  The subset is
+    validated first; see :func:`gather_submatrix` for the unchecked gather.
+    """
+    if not isinstance(b, CsrSymmetricUpper):
+        b = np.asarray(b, dtype=float)
+    return gather_submatrix(b, validate_index_set(s, b.shape[0]))
+
+
+def gather_submatrix(b, s: np.ndarray) -> np.ndarray:
+    """B[S, S] as a dense array, for an int64 subset already known to be
+    valid (sorted, distinct, in range); nothing is checked.
+
+    ``b`` is an ndarray, read by one fancy index, or a
+    :class:`CsrSymmetricUpper`, read by one lookup per entry.
     """
     if isinstance(b, CsrSymmetricUpper):
-        idx = validate_index_set(s, b.n).tolist()
-        return np.array([[b.entry(i, j) for j in idx] for i in idx])
-    b = np.asarray(b, dtype=float)
-    s = validate_index_set(s, b.shape[0])
-    return b[np.ix_(s, s)]
+        idx = s.tolist()
+        return np.array([[b.item(i, j) for j in idx] for i in idx])
+    return b[s[:, None], s]
 
 
 def spd_solve(m, rhs) -> np.ndarray:
@@ -343,21 +350,6 @@ def eigendecompose(b) -> Spectrum:
     return Spectrum(eigenvalues=w[order], q=q[:, order])
 
 
-def determinant(m) -> float:
-    """Determinant of a symmetric matrix.
-
-    Positive definite inputs go through Cholesky (product of squared pivots),
-    which keeps PSD determinants nonnegative; anything else falls back to the
-    general LU path.
-    """
-    m = np.asarray(m, dtype=float)
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return float(np.linalg.det(m))
-    return float(np.prod(np.diag(chol)) ** 2)
-
-
 def psd_det(m, clamp_scale: float | None = None) -> float:
     """Principal-minor determinant of a PSD matrix, clamped to exactly 0.
 
@@ -383,7 +375,7 @@ def psd_det(m, clamp_scale: float | None = None) -> float:
 
 
 def adjugate(m) -> np.ndarray:
-    """Adjugate matrix: satisfies M @ adjugate(M) = determinant(M) * I.
+    """Adjugate matrix: satisfies M @ adjugate(M) = det(M) * I.
 
     Computed as det(M) * inv(M) when M is comfortably nonsingular, by cofactor
     expansion otherwise.  Used by test oracles only; sizes stay small.

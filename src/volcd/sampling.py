@@ -100,10 +100,6 @@ def build_cumulative(weights) -> CumulativeTable:
 # Subset enumeration and principal minors
 
 
-def subset_count(n: int, tau: int) -> int:
-    return math.comb(n, tau)
-
-
 def all_subsets(n: int, tau: int) -> np.ndarray:
     """All tau-element subsets of range(n) in lexicographic order, (N, tau).
 
@@ -112,7 +108,7 @@ def all_subsets(n: int, tau: int) -> np.ndarray:
     (tau - 1)-subsets of range(1, n), so each block is one slice copy into
     the preallocated result.  Time and memory are O(C(n, tau) * tau).
     """
-    count = subset_count(n, tau)
+    count = math.comb(n, tau)
     if count > MAX_ENUMERATED_SUBSETS:
         raise CombinatorialBlowup(
             f"C({n},{tau}) = {count} subsets exceed the enumeration cap"
@@ -129,7 +125,7 @@ def all_subsets(n: int, tau: int) -> np.ndarray:
     out = np.empty((count, tau), dtype=np.int64)
     pos = 0
     for i in range(n - tau + 1):
-        size = subset_count(n - 1 - i, tau - 1)
+        size = math.comb(n - 1 - i, tau - 1)
         out[pos : pos + size, 0] = i
         out[pos : pos + size, 1:] = tail[-size:]
         pos += size
@@ -147,7 +143,7 @@ def _order3_minors(b: np.ndarray, diag: np.ndarray, subsets: np.ndarray):
     identity for every symmetric matrix, so indefinite input is fine.
     """
     n = diag.size
-    pairs = subsets[: subset_count(n - 1, 2), 1:]
+    pairs = subsets[: math.comb(n - 1, 2), 1:]
     j, k = pairs[:, 0], pairs[:, 1]
     b_jk = b[j, k]
     d_j, d_k = diag[j], diag[k]
@@ -155,7 +151,7 @@ def _order3_minors(b: np.ndarray, diag: np.ndarray, subsets: np.ndarray):
     out = np.empty(subsets.shape[0])
     pos = 0
     for i in range(n - 2):
-        size = subset_count(n - 1 - i, 2)
+        size = math.comb(n - 1 - i, 2)
         b_ij, b_ik = b[i, j[-size:]], b[i, k[-size:]]
         out[pos : pos + size] = (
             diag[i] * pair[-size:]

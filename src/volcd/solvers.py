@@ -7,14 +7,16 @@ methods differ only in how S is drawn and how the subsystem is solved:
 * ``rcdvs``: determinantal subset sampling, exact solve;
 * ``rcd``: the same with subset size 1 (selection proportional to the
   diagonal of B);
-* ``sdna``: uniform subsets without replacement, pseudoinverse solve so that
-  degenerate submatrices are tolerated.
+* ``sdna``: uniform subsets without replacement, exact solve with a
+  pseudoinverse fallback so that degenerate submatrices are tolerated.
 
-For subsets of one or two coordinates the solve is closed form on dense and
-sparse B alike, reading only the diagonal and the one off-diagonal entry;
-a singular block raises :class:`SingularSubmatrix` under the exact methods
-and falls back to the pseudoinverse under ``sdna``.  Larger subsets extract
-B[S, S] and factor it (Cholesky, or the pseudoinverse for ``sdna``).
+The solve dispatches on the size of the subset it is given, not on the
+configured ``tau``, so a forced subset of any size gets its own Newton step.
+One or two coordinates are solved in closed form from the diagonal of B and
+its one off-diagonal entry; larger subsets gather B[S, S] and factor it by
+Cholesky.  Dense and sparse B take the same path.  Every size applies one
+rule to a singular block: :class:`SingularSubmatrix` under the exact methods,
+the pseudoinverse step under ``sdna``.
 
 A run stops at the iteration budget, at the target gap, or at the first
 non-finite objective value; in target-gap mode a diverged run is reported as
@@ -26,6 +28,7 @@ each its own seed.
 
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -35,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, SingularSubmatrix
 from .linalg import (
     CsrSymmetricUpper,
-    principal_submatrix,
+    gather_submatrix,
     pseudo_solve,
     spd_solve,
     validate_index_set,
@@ -141,78 +144,53 @@ def check_stop(k: int, value: float, config: SolverConfig) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Subset streams and subsystem solves
+# Samplers and subsystem solves
 
 
-class _UniformSubsets:
-    def __init__(self, n: int, tau: int):
-        self.n, self.tau = n, tau
-
-    def draws(self, rng: RngStream, _chunk: int):
-        # one generator call per subset, so the stream ignores the chunk size
-        while True:
-            yield tau_nice_sample(self.n, self.tau, rng)
-
-
-def _make_sampler(method: str, b, tau: int, n: int):
-    if method == "sdna":
-        return _UniformSubsets(n, tau)
+def _make_sampler(b, tau: int):
     if isinstance(b, CsrSymmetricUpper) and tau == 2:
         return SparseTwoSampler(b)
     return VolumeSampler(b, tau)
 
 
-def _subset_stream(config: SolverConfig, sampler, rng: RngStream):
-    if config.forced_subsets is not None:
-        return (np.asarray(s, dtype=np.int64) for s in config.forced_subsets)
-    return sampler.draws(rng, _SAMPLE_CHUNK)
-
-
-def _make_step_solver(b, tau: int, exact: bool):
-    """Return h = solve(B[S, S], g): closed forms for tau <= 2 read B through
-    its diagonal and a pair lookup, larger subsets factor B[S, S]."""
-    if tau > 2:
-
-        def solve_general(s, g):
-            sub = principal_submatrix(b, s)
-            if exact:
-                return spd_solve(sub, g)
-            return pseudo_solve(sub, g)
-
-        return solve_general
-
-    if isinstance(b, CsrSymmetricUpper):
-        pair = b.entry
-    else:
-        b = np.asarray(b, dtype=float)
-        pair = b.item
+def _make_step_solver(b, exact: bool):
+    """Return h = solve(S, g), the solution of B[S, S] h = g, by the size of
+    S: closed forms for one and two coordinates read B through its diagonal
+    and ``item``, larger subsets gather B[S, S] and factor it.  A singular
+    block raises :class:`SingularSubmatrix` if ``exact``, and is solved by
+    the pseudoinverse otherwise."""
     diag = b.diagonal()
+    pair = b.item
 
-    if tau == 1:
-
-        def solve1(s, g):
+    def solve(s, g):
+        size = s.size
+        if size == 1:
             d = diag[s[0]]
             if d > 0.0:
                 return g / d
             if exact:
                 raise SingularSubmatrix("zero diagonal pivot")
             return np.zeros(1)
+        if size == 2:
+            i, j = s
+            aa, bb, cc = diag[i], diag[j], pair(i, j)
+            det = aa * bb - cc * cc
+            if det > 0.0 and aa > 0.0:
+                return np.array(
+                    [(bb * g[0] - cc * g[1]) / det, (aa * g[1] - cc * g[0]) / det]
+                )
+            if exact:
+                raise SingularSubmatrix("singular 2x2 submatrix")
+            return pseudo_solve(np.array([[aa, cc], [cc, bb]]), g)
+        sub = gather_submatrix(b, s)
+        try:
+            return spd_solve(sub, g)
+        except SingularSubmatrix:
+            if exact:
+                raise
+            return pseudo_solve(sub, g)
 
-        return solve1
-
-    def solve2(s, g):
-        i, j = s
-        aa, bb, cc = diag[i], diag[j], pair(i, j)
-        det = aa * bb - cc * cc
-        if det > 0.0 and aa > 0.0:
-            return np.array(
-                [(bb * g[0] - cc * g[1]) / det, (aa * g[1] - cc * g[0]) / det]
-            )
-        if exact:
-            raise SingularSubmatrix("singular 2x2 submatrix")
-        return pseudo_solve(np.array([[aa, cc], [cc, bb]]), g)
-
-    return solve2
+    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +211,14 @@ def run(obj, b, config: SolverConfig):
     x0 = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float)
     state = obj.init_state(x0)
     rng = RngStream(config.seed)
-    sampler = None
-    if config.forced_subsets is None:
-        sampler = _make_sampler(config.method, b, config.tau, n)
-    subsets = _subset_stream(config, sampler, rng)
-    solve = _make_step_solver(b, config.tau, exact=config.method != "sdna")
+    if config.forced_subsets is not None:
+        subsets = (np.asarray(s, dtype=np.int64) for s in config.forced_subsets)
+    elif config.method == "sdna":
+        # one generator call per subset, drawn only when the loop asks
+        subsets = (tau_nice_sample(n, config.tau, rng) for _ in itertools.count())
+    else:
+        subsets = _make_sampler(b, config.tau).draws(rng, _SAMPLE_CHUNK)
+    solve = _make_step_solver(b, exact=config.method != "sdna")
 
     trace = [(0, float(state.value))]
     log: list | None = [] if config.record_subsets else None
@@ -292,7 +273,8 @@ def rcd_run(obj, b, config: SolverConfig) -> SolverReport:
 
 
 def sdna_run(obj, b, config: SolverConfig) -> SolverReport:
-    """Uniform-subset baseline with pseudoinverse subsystem solves."""
+    """Uniform-subset baseline, exact steps with a pseudoinverse fallback on
+    singular blocks."""
     if config.method != "sdna":
         raise ConfigError(f"config.method is {config.method!r}, expected 'sdna'")
     return run(obj, b, config)

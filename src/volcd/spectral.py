@@ -9,13 +9,14 @@ the identity tests and are hard-capped at small sizes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CombinatorialBlowup, DegenerateApprox, UnboundedLevelSet
 from .linalg import Spectrum, adjugate, as_dense, eigendecompose, symmetrize
-from .sampling import all_subsets, principal_minors, subset_count
+from .sampling import all_subsets, principal_minors
 
 __all__ = [
     "TauApprox",
@@ -110,7 +111,7 @@ def _guard_enumeration(n: int, tau: int) -> None:
     """Cap for paths that factor every submatrix (adjugates, inverses)."""
     if not 1 <= tau <= n:
         raise ValueError(f"subset size {tau} out of range for dimension {n}")
-    if n > _ENUM_CAP_N and subset_count(n, tau) > _ENUM_CAP_SUBSETS:
+    if n > _ENUM_CAP_N and math.comb(n, tau) > _ENUM_CAP_SUBSETS:
         raise CombinatorialBlowup(
             f"enumeration over C({n},{tau}) subsets exceeds the brute-force cap"
         )

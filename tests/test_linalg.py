@@ -9,7 +9,6 @@ from volcd.linalg import (
     add_to_diagonal,
     adjugate,
     as_symmetric,
-    determinant,
     eigendecompose,
     load_csr_triples,
     load_dense_triples,
@@ -208,11 +207,8 @@ def test_eigendecompose_invariants_and_similarity():
 
 
 def test_determinant_and_adjugate_small():
-    assert determinant(np.diag([1.0, 2.0])) == pytest.approx(2.0)
     assert np.allclose(adjugate(np.diag([1.0, 2.0])), np.diag([2.0, 1.0]))
-    assert determinant(np.eye(4)) == pytest.approx(1.0)
     assert np.allclose(adjugate(np.eye(4)), np.eye(4))
-    assert determinant(TRIDIAG[:2, :2]) == pytest.approx(3.0)
     assert np.allclose(
         adjugate(np.array([[2.0, 1], [1, 2]])), np.array([[2.0, -1], [-1, 2]])
     )
@@ -228,17 +224,6 @@ def test_adjugate_identity_m_times_adj():
         det = np.linalg.det(m)
         scale = max(1.0, abs(det))
         assert np.allclose(m @ adj, det * np.eye(n), atol=1e-8 * scale)
-
-
-def test_determinant_is_product_of_eigenvalues():
-    rng = np.random.default_rng(6)
-    for _ in range(40):
-        n = int(rng.integers(2, 9))
-        m = rng.standard_normal((n, n))
-        m = 0.5 * (m + m.T)
-        lam = np.linalg.eigvalsh(m)
-        expected = float(np.prod(lam))
-        assert determinant(m) == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
 
 def test_psd_det_clamps_degenerate():
@@ -264,7 +249,7 @@ def test_csr_zero_diagonal_with_offdiag_rejected():
 def test_csr_zero_rows_allowed():
     c = CsrSymmetricUpper.from_rows(3, [([0], [1.0]), ([], []), ([2], [2.0])])
     assert np.allclose(c.to_dense(), np.diag([1.0, 0.0, 2.0]))
-    assert c.row(1)[0].size == 0
+    assert c.indptr[1] == c.indptr[2]  # row 1 stores nothing
 
 
 def test_csr_rejects_unsorted_columns():
@@ -279,9 +264,9 @@ def test_csr_rejects_negative_diagonal():
 
 def test_csr_entry_lookup():
     c = CsrSymmetricUpper.from_dense(TRIDIAG)
-    assert c.entry(0, 1) == 1.0
-    assert c.entry(1, 0) == 1.0
-    assert c.entry(0, 2) == 0.0
+    assert c.item(0, 1) == 1.0
+    assert c.item(1, 0) == 1.0
+    assert c.item(0, 2) == 0.0
     assert np.allclose(c.diagonal(), [2.0, 2.0, 2.0])
 
 

@@ -408,8 +408,8 @@ def test_pair_solve_same_on_dense_and_sparse_curvature():
     dense = csr.to_dense()
     rng = np.random.default_rng(4)
     for exact in (True, False):
-        solve_d = _make_step_solver(dense, 2, exact)
-        solve_s = _make_step_solver(csr, 2, exact)
+        solve_d = _make_step_solver(dense, exact)
+        solve_s = _make_step_solver(csr, exact)
         for _ in range(200):
             s = np.sort(rng.choice(40, size=2, replace=False))
             g = rng.standard_normal(2)
@@ -423,8 +423,8 @@ def test_singular_sparse_pair_raises_or_falls_back():
     csr = CsrSymmetricUpper.from_dense(a)
     s, g = np.array([0, 1]), np.array([0.5, -0.25])
     with pytest.raises(SingularSubmatrix):
-        _make_step_solver(csr, 2, exact=True)(s, g)
-    h = _make_step_solver(csr, 2, exact=False)(s, g)
+        _make_step_solver(csr, exact=True)(s, g)
+    h = _make_step_solver(csr, exact=False)(s, g)
     assert np.array_equal(h, pseudo_solve(principal_submatrix(csr, s), g))
     obj = QuadraticObjective(csr, np.array([1.0, 1.0, 0.5]))
     forced = SolverConfig(method="rcdvs", tau=2, max_iters=1, forced_subsets=[[0, 1]])
@@ -433,6 +433,57 @@ def test_singular_sparse_pair_raises_or_falls_back():
     rep = sdna_run(obj, csr, SolverConfig(
         method="sdna", tau=2, max_iters=1, forced_subsets=[[0, 1]]))
     assert rep.final_value <= obj.value(np.zeros(3)) + 1e-12
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("method", ["rcdvs", "sdna"])
+@pytest.mark.parametrize("tau", [1, 2, 3])
+def test_forced_subsets_of_any_size_take_their_newton_step(tau, method, sparse):
+    # the step follows the size of the subset it is given, not config.tau
+    csr = banded_psd(6, 2, seed=8)
+    dense = csr.to_dense()
+    b = csr if sparse else dense
+    obj = QuadraticObjective(b, np.random.default_rng(9).standard_normal(6))
+    forced = [[0, 1], [2], [1, 3, 5], [0, 2, 3, 4], [4, 5], [3]]
+    x = np.zeros(6)
+    for s in forced:
+        cfg = SolverConfig(method=method, tau=tau, max_iters=1, x0=x,
+                           forced_subsets=[s])
+        rep = run(obj, b, cfg)
+        h = np.linalg.solve(dense[np.ix_(s, s)], obj.gradient(x)[s])
+        step = x - rep.x_final
+        assert np.allclose(step[s], h, rtol=1e-12, atol=1e-12)
+        assert not np.delete(step, s).any()
+        x = rep.x_final
+    rep = run(obj, b, SolverConfig(method=method, tau=tau, max_iters=len(forced),
+                                   forced_subsets=forced))
+    assert rep.iterations == len(forced)
+    assert np.allclose(rep.x_final, x, rtol=1e-12, atol=1e-12)
+    assert rep.final_value == pytest.approx(obj.value(rep.x_final), rel=1e-12)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_singular_block_rule_at_size_three(sparse):
+    # coordinates 0 and 1 are copies of each other, so B[{0,1,2},{0,1,2}] is
+    # singular; B[{1,2,3},{1,2,3}] is positive definite
+    a = np.array([[1.0, 1.0, 0.0, 0.0], [1.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 2.0, 1.0], [0.0, 0.0, 1.0, 2.0]])
+    b = CsrSymmetricUpper.from_dense(a) if sparse else a
+    g = np.array([0.5, -0.25, 1.0])
+    singular, regular = np.array([0, 1, 2]), np.array([1, 2, 3])
+    with pytest.raises(SingularSubmatrix):
+        _make_step_solver(b, exact=True)(singular, g)
+    h = _make_step_solver(b, exact=False)(singular, g)
+    assert np.array_equal(h, pseudo_solve(a[np.ix_(singular, singular)], g))
+    for exact in (True, False):
+        h = _make_step_solver(b, exact)(regular, g)
+        assert np.array_equal(h, spd_solve(a[np.ix_(regular, regular)], g))
+    obj = QuadraticObjective(b, np.ones(4))
+    forced = dict(tau=3, max_iters=1, forced_subsets=[[0, 1, 2]])
+    with pytest.raises(SingularSubmatrix):
+        run(obj, b, SolverConfig(method="rcdvs", **forced))
+    rep = run(obj, b, SolverConfig(method="sdna", **forced))
+    assert rep.final_value <= obj.value(np.zeros(4)) + 1e-12
 
 
 def _two_batches(sampler, rng):
