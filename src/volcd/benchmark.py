@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +34,13 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
-    """A full experiment: problem source, method grid, stopping, seeding."""
+    """A full experiment: problem source, method grid, stopping, seeding.
+
+    The problem is either generated from ``problem`` or read from the LIBSVM
+    file ``dataset`` as ridge logistic regression with weight ``gamma``.
+    ``problem.seed`` is replaced in every repetition by a seed derived from
+    ``seed``, which also seeds every solver run.
+    """
 
     problem: ProblemSpec | None = None
     dataset: str | None = None
@@ -54,8 +61,12 @@ class ExperimentConfig:
             raise ConfigError("epsilon must be positive")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
+        if self.max_updates < 1:
+            raise ConfigError("max_updates must be at least 1")
         if not self.methods:
             raise ConfigError("need at least one (method, tau) cell")
+        if self.output not in _FORMATS:
+            raise ConfigError(f"unknown output format {self.output!r}")
 
 
 @dataclass
@@ -97,25 +108,12 @@ class ResultTable:
         return cls(rows=rows, meta=payload["meta"], raw=payload["raw"])
 
 
-def _problem_eigenvalues(config: ExperimentConfig, b) -> np.ndarray:
-    """Spectrum of the curvature matrix for the theory columns.
-
-    Generator problems have an exactly known constructed spectrum; dataset
-    problems get a dense eigendecomposition (feature counts are small).
-    """
-    if config.problem is not None:
-        return np.sort(config.problem.eigenvalues())[::-1]
-    return eigendecompose(as_dense(b)).eigenvalues
-
-
 def _cached_reference_min(config: ExperimentConfig, obj) -> float:
     """Reference optimum for a dataset problem, cached next to the file.
 
     The sidecar is keyed by the dataset content hash and the ridge weight so
     repetitions (and repeat runs) share one reference solve.
     """
-    import os
-
     digest = hashlib.sha256()
     with open(config.dataset, "rb") as fh:
         digest.update(fh.read())
@@ -141,32 +139,37 @@ def _cached_reference_min(config: ExperimentConfig, obj) -> float:
 def run_experiment(config: ExperimentConfig) -> ResultTable:
     """Execute the full repetition protocol and aggregate medians."""
     config.validate()
-    root = np.random.SeedSequence(config.seed)
-    rep_seqs = root.spawn(config.repetitions)
-
-    dataset_obj = None
-    dataset_fstar = None
-    if config.dataset is not None:
-        dataset_obj = load_libsvm(config.dataset, gamma=config.gamma)
-        dataset_fstar = _cached_reference_min(config, dataset_obj)
-
     cells = [("rcd", 1)] + [
         (m, t) for (m, t) in config.methods if (m, t) != ("rcd", 1)
     ]
-    raw: list[dict] = []
-    eigenvalues = None
+    if config.dataset is None:
+        n = config.problem.n
+    else:
+        dataset = load_libsvm(config.dataset, gamma=config.gamma)
+        n = dataset.n
+    # every cell is checked before the reference solve and the first run
+    for method, tau in cells:
+        SolverConfig(method=method, tau=tau, max_iters=1).validate(n)
 
+    # the theory columns use a generator problem's constructed spectrum; a
+    # dataset's curvature matrix is small enough to eigendecompose densely
+    if config.dataset is None:
+        eigenvalues = np.sort(config.problem.eigenvalues())[::-1]
+    else:
+        dataset_b = dataset.curvature_matrix()
+        dataset_fstar = _cached_reference_min(config, dataset)
+        eigenvalues = eigendecompose(as_dense(dataset_b)).eigenvalues
+
+    raw: list[dict] = []
+    rep_seqs = np.random.SeedSequence(config.seed).spawn(config.repetitions)
     for rep, seq in enumerate(rep_seqs):
         prob_seq, solver_seq = seq.spawn(2)
-        if dataset_obj is not None:
-            obj, f_star = dataset_obj, dataset_fstar
-            b = obj.curvature_matrix()
-        else:
+        if config.dataset is None:
             spec = replace(config.problem, seed=int(prob_seq.generate_state(1)[0]))
             obj, _, f_star = generate(spec)
             b = obj.curvature_matrix()
-        if eigenvalues is None:
-            eigenvalues = _problem_eigenvalues(config, b)
+        else:
+            obj, b, f_star = dataset, dataset_b, dataset_fstar
 
         solver_seeds = solver_seq.spawn(len(cells))
         rep_out: dict = {"rep": rep}
@@ -233,7 +236,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         "epsilon": config.epsilon,
         "repetitions": config.repetitions,
         "seed": config.seed,
-        "source": config.dataset or vars(config.problem),
+        # without the generator seed, which every repetition replaces
+        "source": config.dataset
+        or {k: v for k, v in vars(config.problem).items() if k != "seed"},
         "top_eigenvalues": [float(v) for v in eigenvalues[:4]],
         "theory_ratios": {
             str(t): acceleration_ratio(eigenvalues, 1, t)
@@ -247,7 +252,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
 # Table emission
 
 
-_COLUMNS = ("method", "tau", "median_it", "median_time", "acc", "pct", "capped")
+_FORMATS = ("csv", "json", "markdown")
+_COLUMNS = tuple(f.name for f in fields(ResultRow))
 
 
 def _cell(value) -> str:
@@ -258,24 +264,21 @@ def _cell(value) -> str:
 
 def emit_table(table: ResultTable, fmt: str = "markdown") -> str:
     """Render a :class:`ResultTable` as csv, json, or aligned markdown."""
+    if fmt not in _FORMATS:
+        raise ConfigError(f"unknown output format {fmt!r}")
     if fmt == "json":
         return table.to_json()
+    header = list(_COLUMNS)
+    body = [[_cell(getattr(row, c)) for c in header] for row in table.rows]
     if fmt == "csv":
-        lines = [",".join(_COLUMNS)]
-        for row in table.rows:
-            lines.append(",".join(_cell(getattr(row, c)) for c in _COLUMNS))
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        header = list(_COLUMNS)
-        body = [[_cell(getattr(row, c)) for c in header] for row in table.rows]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-            for i in range(len(header))
-        ]
-        def fmt_row(cells):
-            return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
-        lines = [fmt_row(header)]
-        lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
-        lines.extend(fmt_row(r) for r in body)
-        return "\n".join(lines) + "\n"
-    raise ConfigError(f"unknown output format {fmt!r}")
+        return "".join(",".join(cells) + "\n" for cells in [header, *body])
+    widths = [
+        max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
+        for i in range(len(header))
+    ]
+    def fmt_row(cells):
+        return "| " + " | ".join(c.ljust(w) for c, w in zip(cells, widths)) + " |"
+    lines = [fmt_row(header)]
+    lines.append("|" + "|".join("-" * (w + 2) for w in widths) + "|")
+    lines.extend(fmt_row(r) for r in body)
+    return "\n".join(lines) + "\n"

@@ -10,8 +10,13 @@ Verbs:
 * ``sample-test``  compare empirical subset frequencies against the exact
                    determinantal distribution
 
-Experiment settings may come from an INI config file (sections ``[problem]``
-and ``[experiment]``); every field can be overridden by a same-named flag.
+``gen`` reads ``[problem]`` kind n m lam1 lam2 mu sparsity seed reflections.
+``run`` reads ``[problem]`` without seed, since every repetition's problem seed
+derives from the experiment seed, and ``[experiment]`` dataset gamma methods
+epsilon repetitions max_updates seed output.  The keys come from the INI file
+of ``--config``, overridden by same-named flags (``--max-updates``); sections a
+verb does not read are ignored.  An unknown key or a value that does not parse
+is a configuration error.
 Exit codes: 0 success, 2 configuration error, 3 numeric failure.
 """
 
@@ -40,6 +45,20 @@ from .sampling import (
 )
 from .spectral import acceleration_ratio, b_tau
 
+
+def _parse_methods(text: str) -> list[tuple[str, int]]:
+    """``rcdvs:2,sdna:2`` (commas or spaces) as (method, tau) cells."""
+    cells = []
+    for item in text.replace(",", " ").split():
+        name, colon, tau = item.partition(":")
+        if not colon:
+            raise ValueError(f"method cell {item!r} must look like rcdvs:2")
+        cells.append((name, int(tau)))
+    return cells
+
+
+# one table per INI section of every setting a verb reads, with the parser
+# its value goes through whether it comes from the file or from a flag
 _PROBLEM_FIELDS = {
     "kind": str,
     "n": int,
@@ -47,7 +66,6 @@ _PROBLEM_FIELDS = {
     "lam1": float,
     "lam2": float,
     "mu": float,
-    "gamma": float,
     "sparsity": int,
     "seed": int,
     "reflections": int,
@@ -55,23 +73,20 @@ _PROBLEM_FIELDS = {
 _EXPERIMENT_FIELDS = {
     "dataset": str,
     "gamma": float,
-    "methods": str,
+    "methods": _parse_methods,
     "epsilon": float,
     "repetitions": int,
     "max_updates": int,
     "seed": int,
     "output": str,
 }
-
-
-def _parse_methods(text: str) -> list[tuple[str, int]]:
-    cells = []
-    for item in text.replace(",", " ").split():
-        if ":" not in item:
-            raise ConfigError(f"method cell {item!r} must look like rcdvs:2")
-        name, tau = item.split(":", 1)
-        cells.append((name.strip(), int(tau)))
-    return cells
+_SECTIONS = {
+    "gen": {"problem": _PROBLEM_FIELDS},
+    "run": {
+        "problem": {k: v for k, v in _PROBLEM_FIELDS.items() if k != "seed"},
+        "experiment": _EXPERIMENT_FIELDS,
+    },
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,21 +97,17 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    def add_problem_flags(p):
+    for verb, help_text in (
+        ("gen", "generate a problem, write its curvature matrix"),
+        ("run", "run an experiment and print the table"),
+    ):
+        p = sub.add_parser(verb, help=help_text)
         p.add_argument("--config", help="INI config file")
-        for name, typ in _PROBLEM_FIELDS.items():
-            p.add_argument(f"--{name}", type=typ)
-
-    g = sub.add_parser("gen", help="generate a problem, write its curvature matrix")
-    add_problem_flags(g)
-    g.add_argument("--out", help="output path (default stdout)")
-
-    r = sub.add_parser("run", help="run an experiment and print the table")
-    add_problem_flags(r)
-    for name, typ in _EXPERIMENT_FIELDS.items():
-        if name not in ("gamma", "seed"):  # shared with problem flags
-            r.add_argument(f"--{name.replace('_', '-')}", dest=name, type=typ)
-    r.add_argument("--out", help="output path (default stdout)")
+        # no type=: flags are parsed with the INI keys, by _settings
+        for table in _SECTIONS[verb].values():
+            for name in table:
+                p.add_argument(f"--{name.replace('_', '-')}", dest=name)
+        p.add_argument("--out", help="output path (default stdout)")
 
     t = sub.add_parser("theory", help="spectral quantities of a matrix file")
     t.add_argument("--matrix", required=True, help="triple-format matrix file")
@@ -113,41 +124,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config_file(path: str) -> tuple[dict, dict]:
-    ini = configparser.ConfigParser()
-    read = ini.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    problem = {}
-    experiment = {}
-    for key, raw in ini.items("problem") if ini.has_section("problem") else []:
-        if key not in _PROBLEM_FIELDS:
-            raise ConfigError(f"unknown [problem] field {key!r}")
-        problem[key] = _PROBLEM_FIELDS[key](raw)
-    for key, raw in ini.items("experiment") if ini.has_section("experiment") else []:
-        if key not in _EXPERIMENT_FIELDS:
-            raise ConfigError(f"unknown [experiment] field {key!r}")
-        experiment[key] = _EXPERIMENT_FIELDS[key](raw)
-    return problem, experiment
+def _settings(args) -> dict[str, dict]:
+    """The verb's settings by section: the INI file's keys with the flags
+    laid over them, every value parsed by its section's table."""
+    ini = configparser.ConfigParser(interpolation=None)
+    try:
+        if args.config and not ini.read(args.config):
+            raise ConfigError(f"cannot read config file {args.config!r}")
+    except configparser.Error as exc:
+        raise ConfigError(f"malformed config file: {exc}") from None
+    settings = {}
+    for section, table in _SECTIONS[args.verb].items():
+        raw = dict(ini.items(section)) if ini.has_section(section) else {}
+        unknown = sorted(raw.keys() - table.keys())
+        if unknown:
+            raise ConfigError(f"unknown [{section}] key(s): {', '.join(unknown)}")
+        for key in table:
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
+        values = {}
+        for key, text in raw.items():
+            try:
+                values[key] = table[key](text)
+            except ValueError as exc:
+                raise ConfigError(f"{key} = {text!r} does not parse: {exc}") from None
+        settings[section] = values
+    return settings
 
 
-def _merge_problem(args) -> ProblemSpec | None:
-    fields: dict = {}
-    if getattr(args, "config", None):
-        fields.update(_load_config_file(args.config)[0])
-    for name in _PROBLEM_FIELDS:
-        val = getattr(args, name, None)
-        if val is not None:
-            fields[name] = val
-    # gamma and seed are shared with the experiment settings; on their own
-    # they do not describe a generated problem (e.g. dataset runs)
-    if not set(fields) - {"gamma", "seed"}:
-        return None
-    if "kind" not in fields:
-        raise ConfigError("problem needs a kind (quadratic | huber | logistic)")
-    if "n" not in fields:
-        raise ConfigError("problem needs a dimension n")
+def _problem(fields: dict) -> ProblemSpec:
+    missing = [k for k in ("kind", "n") if k not in fields]
+    if missing:
+        raise ConfigError(f"problem needs {' and '.join(missing)}")
     return ProblemSpec(**fields)
+
+
+def _run_config(args) -> ExperimentConfig:
+    settings = _settings(args)
+    problem = _problem(settings["problem"]) if settings["problem"] else None
+    return ExperimentConfig(problem=problem, **settings["experiment"])
 
 
 def _write(text: str, out: str | None) -> None:
@@ -159,10 +174,7 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _cmd_gen(args) -> int:
-    spec = _merge_problem(args)
-    if spec is None:
-        raise ConfigError("gen needs problem parameters")
-    obj, _, f_star = generate(spec)
+    obj, _, f_star = generate(_problem(_settings(args)["problem"]))
     b = obj.curvature_matrix()
     _write(format_triples(b), args.out)
     if args.out:
@@ -173,23 +185,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    problem = _merge_problem(args)
-    fields: dict = {}
-    if getattr(args, "config", None):
-        fields.update(_load_config_file(args.config)[1])
-    for name in _EXPERIMENT_FIELDS:
-        val = getattr(args, name, None)
-        if val is not None:
-            fields[name] = val
-    # --seed and --gamma are declared with the problem flags but steer the
-    # experiment as well (the per-repetition problem seeds derive from the
-    # experiment seed; gamma matters for dataset problems)
-    if getattr(args, "seed", None) is not None:
-        fields["seed"] = args.seed
-    if getattr(args, "gamma", None) is not None:
-        fields["gamma"] = args.gamma
-    methods = _parse_methods(fields.pop("methods", "rcdvs:2"))
-    config = ExperimentConfig(problem=problem, methods=methods, **fields)
+    config = _run_config(args)
     table = run_experiment(config)
     _write(emit_table(table, config.output), args.out)
     return 0

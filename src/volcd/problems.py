@@ -34,19 +34,19 @@ __all__ = [
 
 @dataclass
 class ProblemSpec:
-    """Parameters of a synthetic problem instance.
+    """Parameters of a generated quadratic or smoothed-l1 (huber) problem.
 
     The synthetic spectra put ``lam1 >= lam2`` ahead of a flat tail of ones,
-    so ``lam1 / lam2`` is the spectral gap under study.
+    so ``lam1 / lam2`` is the spectral gap under study.  Logistic problems
+    are read from LIBSVM files (:func:`load_libsvm`), not generated.
     """
 
-    kind: str  # quadratic | huber | logistic
+    kind: str  # quadratic | huber
     n: int
     m: int | None = None
     lam1: float = 400.0
     lam2: float = 100.0
     mu: float = 0.01
-    gamma: float = 1.0
     sparsity: int | None = None  # nonzeros per reflection direction
     seed: int = 0
     reflections: int = 10
@@ -55,11 +55,8 @@ class ProblemSpec:
         """The constructed spectrum of the curvature matrix, in construction
         order: lam1, lam2, then ones, with zeros past min(m, n) for huber.
 
-        Not sorted when lam2 < 1.  Logistic problems come from datasets and
-        have no constructed spectrum.
+        Not sorted when lam2 < 1.
         """
-        if self.kind == "logistic":
-            raise ConfigError("logistic problems need a dataset")
         k = self.n if self.kind == "quadratic" else min(self.m, self.n)
         lam = np.zeros(self.n)
         lam[:k] = 1.0
@@ -69,7 +66,9 @@ class ProblemSpec:
         return lam
 
     def validate(self) -> None:
-        if self.kind not in ("quadratic", "huber", "logistic"):
+        if self.kind == "logistic":
+            raise ConfigError("logistic problems come from LIBSVM files: use --dataset")
+        if self.kind not in ("quadratic", "huber"):
             raise ConfigError(f"unknown problem kind {self.kind!r}")
         if self.n < 1:
             raise ConfigError("dimension must be positive")
@@ -170,12 +169,10 @@ def gen_huber(spec: ProblemSpec):
 
 
 def generate(spec: ProblemSpec):
-    """Dispatch on the problem kind; logistic problems come from datasets."""
-    if spec.kind == "quadratic":
-        return gen_quadratic(spec)
+    """Dispatch on the problem kind."""
     if spec.kind == "huber":
         return gen_huber(spec)
-    raise ConfigError("logistic problems are loaded from LIBSVM files, not generated")
+    return gen_quadratic(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -229,12 +226,12 @@ def read_libsvm(path):
         raise ParseError("no samples found")
     uniq = sorted(set(labels))
     if len(uniq) > 2:
-        raise ValueError(f"expected binary labels, found {len(uniq)} distinct values")
+        raise ParseError(f"expected binary labels, found {len(uniq)} distinct values")
     y = np.asarray(labels)
     if len(uniq) == 2:
         y = np.where(y == uniq[0], -1.0, 1.0)
     elif uniq[0] not in (-1.0, 1.0):
-        raise ValueError(f"single label value {uniq[0]} is not interpretable")
+        raise ParseError(f"single label value {uniq[0]} is not interpretable")
     a = scipy.sparse.csr_matrix(
         (data, indices, indptr), shape=(len(labels), n)
     )

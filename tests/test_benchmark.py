@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from volcd import benchmark
 from volcd.benchmark import ExperimentConfig, ResultTable, emit_table, run_experiment
 from volcd.errors import ConfigError
+from volcd.objectives import RegularizedObjective
 from volcd.problems import ProblemSpec
 
 
@@ -110,6 +112,43 @@ def test_config_validation():
         small_config(repetitions=0).validate()
     with pytest.raises(ConfigError):
         small_config(methods=[]).validate()
+    with pytest.raises(ConfigError):
+        small_config(max_updates=0).validate()
+    with pytest.raises(ConfigError):
+        small_config(output="xml").validate()
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the configuration was checked")
+
+
+def test_cells_checked_before_any_work(tmp_path, monkeypatch):
+    for name in ("generate", "reference_min", "run"):
+        monkeypatch.setattr(benchmark, name, _refuse)
+    for methods in ([("rcdvs", 31)], [("bogus", 2)], [("rcd", 2)]):
+        with pytest.raises(ConfigError):
+            run_experiment(small_config(methods=methods))
+    path = tmp_path / "three.svm"  # three features
+    path.write_text("+1 1:1 2:0.5\n-1 1:0.5 3:1\n")
+    with pytest.raises(ConfigError):
+        run_experiment(ExperimentConfig(dataset=str(path), methods=[("rcdvs", 4)]))
+
+
+def test_dataset_curvature_matrix_built_once(tmp_path, monkeypatch):
+    path = tmp_path / "toy.svm"
+    path.write_text("+1 1:1 2:0.5\n-1 1:0.5 3:1\n+1 2:1 3:-0.5\n")
+    cfg = ExperimentConfig(dataset=str(path), repetitions=3, epsilon=1e-3)
+    run_experiment(cfg)  # writes the f* sidecar
+    calls = []
+    build = RegularizedObjective.curvature_matrix
+
+    def counted(self):
+        calls.append(1)
+        return build(self)
+
+    monkeypatch.setattr(RegularizedObjective, "curvature_matrix", counted)
+    run_experiment(cfg)
+    assert len(calls) == 1
 
 
 def test_huber_experiment_paths():

@@ -1,8 +1,17 @@
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
-from volcd.cli import main
+from volcd import benchmark
+from volcd.benchmark import ExperimentConfig
+from volcd.cli import _SECTIONS, _build_parser, _problem, _run_config, _settings, main
 from volcd.linalg import load_csr_triples, save_triples
+from volcd.problems import ProblemSpec
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
 def test_gen_writes_loadable_matrix(tmp_path, capsys):
@@ -125,3 +134,124 @@ def test_run_verb_dataset_path(tmp_path, capsys):
 
     assert no_time(first) == no_time(second)
     assert len(no_time(first)) == 3
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("work started before the settings were checked")
+
+
+@pytest.mark.parametrize(
+    "ini, flags",
+    [
+        ("[problem]\nkind = quadratic\nn = 10\ngamma = 50\n", []),
+        ("[problem]\nkind = quadratic\nn = 10\nseed = 9\n", []),
+        ("[problem]\nkind = quadratic\nn = abc\n", []),
+        ("[problem]\nkind = quadratic\n", ["--n", "abc"]),
+        ("[problem\nkind = quadratic\n", []),
+        ("", ["--kind", "quadratic", "--n", "10", "--methods", "rcdvs:x"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--methods", "rcdvs"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--methods", "rcdvs:11"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--output", "xml"]),
+        ("", ["--kind", "logistic", "--n", "10"]),
+    ],
+)
+def test_bad_run_settings_exit_2_before_any_work(
+    tmp_path, capsys, monkeypatch, ini, flags
+):
+    for name in ("generate", "run"):
+        monkeypatch.setattr(benchmark, name, _refuse)
+    cfg = tmp_path / "exp.ini"
+    cfg.write_text(ini)
+    assert main(["run", "--config", str(cfg), *flags]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_gen_has_no_gamma(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--kind", "quadratic", "--n", "4", "--gamma", "1"])
+    assert exc.value.code == 2  # argparse usage error
+
+
+def test_run_three_label_dataset_exits_2(tmp_path, capsys):
+    data = tmp_path / "multi.svm"
+    data.write_text("1 1:1\n2 1:0.5\n3 2:1\n")
+    assert main(["run", "--dataset", str(data), "--repetitions", "1"]) == 2
+    assert "binary labels" in capsys.readouterr().err
+
+
+# One value per key, each different from the default and from _BASE.
+_SAMPLE = {
+    "kind": "huber", "n": "7", "m": "9", "lam1": "500", "lam2": "50",
+    "mu": "0.5", "sparsity": "3", "seed": "4", "reflections": "2",
+    "dataset": "data.svm", "gamma": "0.5", "methods": "rcdvs:3, sdna:2",
+    "epsilon": "0.5", "repetitions": "3", "max_updates": "123", "output": "csv",
+}
+_BASE = {"problem": {"kind": "quadratic", "n": "5"}, "experiment": {}}
+
+
+def _config(verb, argv):
+    args = _build_parser().parse_args([verb, *argv])
+    if verb == "run":
+        return _run_config(args)
+    return _problem(_settings(args)["problem"])
+
+
+def _write_ini(path, sections) -> str:
+    path.write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for name, keys in sections.items()
+    ))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "verb, section, key",
+    [
+        (verb, section, key)
+        for verb, sections in _SECTIONS.items()
+        for section, table in sections.items()
+        for key in table
+    ],
+)
+def test_flag_and_ini_key_build_equal_configs(tmp_path, verb, section, key):
+    base = {name: dict(_BASE[name]) for name in _SECTIONS[verb]}
+    base_ini = _write_ini(tmp_path / "base.ini", base)
+    flag = f"--{key.replace('_', '-')}"
+    from_flag = _config(verb, ["--config", base_ini, flag, _SAMPLE[key]])
+    base[section][key] = _SAMPLE[key]
+    from_ini = _config(verb, ["--config", _write_ini(tmp_path / "key.ini", base)])
+    assert from_flag == from_ini
+    assert from_flag != _config(verb, ["--config", base_ini])  # the key took effect
+
+
+def _benchmark_workloads() -> dict:
+    """``perfbench/workloads.py``'s workloads, loaded without changing it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+_WORKLOADS = _benchmark_workloads()
+
+
+@pytest.mark.parametrize("name", sorted(_WORKLOADS))
+def test_benchmark_command_lines_build_intended_configs(name):
+    workload = _WORKLOADS[name]
+    data = "data.svm" if workload.dataset else None
+    argv = workload.cli_args(777, 2, data)
+    expected = ExperimentConfig(
+        problem=ProblemSpec(**workload.problem) if workload.problem else None,
+        dataset=data,
+        gamma=workload.dataset["gamma"] if workload.dataset else 1.0,
+        methods=list(workload.methods),
+        epsilon=workload.epsilon,
+        repetitions=2,
+        max_updates=workload.max_updates,
+        seed=777,
+        output="json",
+    )
+    assert _config("run", argv) == expected

@@ -116,6 +116,14 @@ def test_huber_sparsity_bounds_checked():
         gen_huber(spec)
 
 
+def test_logistic_kind_is_not_generated():
+    spec = ProblemSpec(kind="logistic", n=3)
+    with pytest.raises(ConfigError, match="--dataset"):
+        spec.validate()
+    with pytest.raises(ConfigError):
+        generate(spec)
+
+
 # ---------------------------------------------------------------------------
 # libsvm ingestion
 
@@ -147,7 +155,10 @@ def test_libsvm_malformed_line_number(tmp_path):
 def test_libsvm_nonbinary_labels(tmp_path):
     path = tmp_path / "multi.svm"
     path.write_text("1 1:1\n2 1:1\n3 1:1\n")
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError):
+        read_libsvm(path)
+    path.write_text("2 1:1\n2 1:0.5\n")  # one label, not +-1
+    with pytest.raises(ParseError):
         read_libsvm(path)
 
 

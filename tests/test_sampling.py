@@ -6,6 +6,7 @@ import pytest
 
 from volcd.errors import CombinatorialBlowup, EmptySupport
 from volcd.linalg import CsrSymmetricUpper, psd_det
+from volcd.problems import banded_psd
 from volcd.rng import RngStream
 from volcd.sampling import (
     CumulativeTable,
@@ -355,6 +356,29 @@ def test_sparse_two_sampler_single_draw():
 
 # ---------------------------------------------------------------------------
 # uniform subsets and determinism
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda b: VolumeSampler(b.to_dense(), 2),
+        lambda b: VolumeSampler(b, 2),
+        lambda b: VolumeSampler(b.to_dense(), 3),
+        lambda b: VolumeSampler(b, 3),
+        SparseTwoSampler,
+    ],
+    ids=["dense-2", "csr-2", "dense-3", "csr-3", "sparse-pairs"],
+)
+def test_draws_continue_sample_many_blocks_across_chunks(make):
+    # the solver consumes subsets through draws(); it must be the same
+    # stream as consecutive sample_many blocks of the chunk size
+    sampler = make(banded_psd(9, 2, seed=4))
+    chunk = 4
+    stream = sampler.draws(RngStream(21), chunk)
+    got = np.array([next(stream) for _ in range(2 * chunk + 3)])
+    rng = RngStream(21)
+    blocks = np.concatenate([sampler.sample_many(rng, chunk) for _ in range(3)])
+    assert np.array_equal(got, blocks[: got.shape[0]])
 
 
 def test_tau_nice_extremes():
