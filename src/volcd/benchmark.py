@@ -108,11 +108,12 @@ class ResultTable:
         return cls(rows=rows, meta=payload["meta"], raw=payload["raw"])
 
 
-def _cached_reference_min(config: ExperimentConfig, obj) -> float:
+def _cached_reference_min(config: ExperimentConfig, obj, b) -> float:
     """Reference optimum for a dataset problem, cached next to the file.
 
     The sidecar is keyed by the dataset content hash and the ridge weight so
-    repetitions (and repeat runs) share one reference solve.
+    repetitions (and repeat runs) share one reference solve.  ``b`` is the
+    objective's curvature matrix, which a cold sidecar's solve reuses.
     """
     digest = hashlib.sha256()
     with open(config.dataset, "rb") as fh:
@@ -127,7 +128,7 @@ def _cached_reference_min(config: ExperimentConfig, obj) -> float:
                 return float(payload["f_star"])
         except (ValueError, KeyError):
             pass
-    f_star = reference_min(obj)
+    f_star = reference_min(obj, b=b)
     try:
         with open(sidecar, "w", encoding="utf-8") as fh:
             json.dump({"key": key, "f_star": f_star}, fh)
@@ -157,7 +158,7 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         eigenvalues = np.sort(config.problem.eigenvalues())[::-1]
     else:
         dataset_b = dataset.curvature_matrix()
-        dataset_fstar = _cached_reference_min(config, dataset)
+        dataset_fstar = _cached_reference_min(config, dataset, dataset_b)
         eigenvalues = eigendecompose(as_dense(dataset_b)).eigenvalues
 
     raw: list[dict] = []

@@ -17,7 +17,8 @@ epsilon repetitions max_updates seed output.  The keys come from the INI file
 of ``--config``, overridden by same-named flags (``--max-updates``); sections a
 verb does not read are ignored.  An unknown key or a value that does not parse
 is a configuration error.
-Exit codes: 0 success, 2 configuration error, 3 numeric failure.
+Exit codes: 0 success, 2 configuration error (including a file that cannot
+be read or written), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -275,7 +276,9 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.verb](args)
-    except (ConfigError, ParseError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:
+        # OSError: a dataset or matrix file that cannot be read, or an
+        # --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VolcdError as exc:

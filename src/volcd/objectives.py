@@ -9,6 +9,13 @@ for all x, y.  Solvers hold a :class:`GradientState` per run; the state keeps
 the iterate together with maintained residuals so that a coordinate step and
 its partial gradient cost only the touched rows and columns, never a full
 pass over the data.
+
+A rowwise loss (square, logistic, Huber) has one kernel, ``eval(z, b)``,
+returning the per-row values and derivatives together, so the work they share
+(``z - b``, ``exp(-|s|)``) is done once.  A sparse separable objective keeps
+one ``(rows, vals, b_rows)`` view per column of A, built once; its state also
+keeps the per-row loss values, so a step costs a fixed few numpy calls per
+column and evaluates the loss on that column's rows only.
 """
 
 from __future__ import annotations
@@ -44,11 +51,9 @@ class SquareLoss:
     rowwise = True
     smoothness = 1.0
 
-    def values(self, z, b):
-        return 0.5 * (z - b) ** 2
-
-    def derivs(self, z, b):
-        return z - b
+    def eval(self, z, b):
+        d = z - b
+        return 0.5 * d**2, d
 
 
 class LogisticLoss:
@@ -61,14 +66,11 @@ class LogisticLoss:
     rowwise = True
     smoothness = 0.25
 
-    def values(self, z, b):
-        s = b * z
-        return np.maximum(0.0, -s) + np.log1p(np.exp(-np.abs(s)))
-
-    def derivs(self, z, b):
+    def eval(self, z, b):
         s = b * z
         e = np.exp(-np.abs(s))  # sigmoid(-s) without overflow on either tail
-        return -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
+        values = np.maximum(0.0, -s) + np.log1p(e)
+        return values, -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
 
 
 class HuberLoss:
@@ -82,12 +84,13 @@ class HuberLoss:
         self.mu = float(mu)
         self.smoothness = 1.0 / self.mu
 
-    def values(self, z, b):
-        t = np.abs(z - b)
-        return np.where(t <= self.mu, 0.5 * t**2 / self.mu, t - 0.5 * self.mu)
-
-    def derivs(self, z, b):
-        return np.clip((z - b) / self.mu, -1.0, 1.0)
+    def eval(self, z, b):
+        mu = self.mu
+        d = z - b
+        t = np.abs(d)
+        values = np.where(t <= mu, 0.5 * t**2 / mu, t - 0.5 * mu)
+        # np.clip(d / mu, -1, 1) element for element, without its wrapper
+        return values, np.minimum(np.maximum(d / mu, -1.0), 1.0)
 
 
 class LogSumExpLoss:
@@ -265,23 +268,31 @@ class _SeparableDenseState(_SeparableState):
 class _SeparableSparseState(_SeparableState):
     """Separable state over a scipy CSR data matrix.
 
-    A companion CSC view provides the touched-rows structure: a coordinate
-    step updates only the residuals of rows whose data columns it meets, and
-    a partial gradient reads only those columns.
+    The objective's column views give each column's rows, its nonzeros and
+    the per-row parameters b of those rows, so a coordinate step updates only
+    the rows its columns meet and a partial gradient reads only those
+    columns.  For a rowwise loss the state also keeps the per-row loss values
+    ``ell``, with value = ell.sum() after every recompute: a step then
+    evaluates the loss once per column, on that column's rows only, and
+    never on the rows it left alone.
     """
 
     def __init__(self, obj: "SeparableObjective", x0):
-        csc = obj._csc()
-        self._cptr = csc.indptr
-        self._crow = csc.indices
-        self._cval = csc.data
+        self._cols = obj._columns()
         super().__init__(obj, x0)
 
+    def _recompute(self):
+        super()._recompute()
+        loss = self._obj.loss
+        if loss.rowwise:
+            self._ell = loss.eval(self._z, self._obj.b)[0]
+
     def partial_gradient(self, s):
+        cols, w = self._cols, self._w
         out = np.empty(len(s))
         for p, j in enumerate(s):
-            lo, hi = self._cptr[j], self._cptr[j + 1]
-            out[p] = self._cval[lo:hi] @ self._w[self._crow[lo:hi]]
+            rows, vals, _ = cols[j]
+            out[p] = vals @ w[rows]
         return out
 
     def _apply(self, s, h):
@@ -289,31 +300,28 @@ class _SeparableSparseState(_SeparableState):
         self.x[s] -= h
         # one column at a time: a column's rows are distinct, so a plain
         # scatter updates z exactly as np.subtract.at over all columns would.
-        # Each column's rows are read just before and just after its own
-        # update, so a rowwise loss's value changes add up even where the
-        # columns share rows; the loss runs once on all of them.
-        z = self._z
-        rows, before, after = [], [], []
-        for j, hj in zip(s, h):
-            lo, hi = self._cptr[j], self._cptr[j + 1]
-            r = self._crow[lo:hi]
-            zr = z[r]
-            before.append(zr.copy())
-            zr -= self._cval[lo:hi] * hj
-            z[r] = zr
-            rows.append(r)
-            after.append(zr)
-        loss = obj.loss
+        # Each column reads ell just after the previous column wrote it, so
+        # the value changes add up exactly even where columns share rows.
+        z, cols, loss = self._z, self._cols, obj.loss
         if not loss.rowwise:
+            for j, hj in zip(s, h):
+                rows, vals, _ = cols[j]
+                z[rows] -= vals * hj
             self._value, self._w = obj._loss_eval(z)
             return
-        rows = np.concatenate(rows)
-        b = obj.b[rows]
-        self._value += float(
-            loss.values(np.concatenate(after), b).sum()
-            - loss.values(np.concatenate(before), b).sum()
-        )
-        self._w[rows] = loss.derivs(z[rows], b)
+        # put and add.reduce are the scatter and sum without the wrappers
+        ell, w = self._ell, self._w
+        value = self._value
+        for j, hj in zip(s, h):
+            rows, vals, b_rows = cols[j]
+            zr = z[rows]
+            zr -= vals * hj
+            z.put(rows, zr)
+            ev, dv = loss.eval(zr, b_rows)
+            value += float(np.add.reduce(ev) - np.add.reduce(ell[rows]))
+            ell.put(rows, ev)
+            w.put(rows, dv)
+        self._value = value
 
 
 class _RidgeState(GradientState):
@@ -402,19 +410,29 @@ class SeparableObjective:
         if self.b.shape != (self.m,):
             raise ValueError("per-row parameter has wrong length")
         self.loss = loss
-        self._csc_cache = None
+        self._columns_cache = None
 
-    def _csc(self):
-        if self._csc_cache is None:
-            self._csc_cache = scipy.sparse.csc_matrix(self.a)
-        return self._csc_cache
+    def _columns(self):
+        """One ``(rows, vals, b_rows)`` view per column of a sparse A: the
+        column's row indices, its nonzeros and b at those rows, as slices of
+        one CSC copy of A and one gather of b, built on first use."""
+        if self._columns_cache is None:
+            csc = scipy.sparse.csc_matrix(self.a)
+            ptr, rows, vals = csc.indptr, csc.indices, csc.data
+            b_rows = self.b[rows]
+            self._columns_cache = [
+                (rows[lo:hi], vals[lo:hi], b_rows[lo:hi])
+                for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())
+            ]
+        return self._columns_cache
 
     def _loss_eval(self, z):
         """(f, w) at data products z = Ax, where w = dloss/dz so that the
         gradient is A'w."""
         loss = self.loss
         if loss.rowwise:
-            return float(loss.values(z, self.b).sum()), loss.derivs(z, self.b)
+            values, w = loss.eval(z, self.b)
+            return float(values.sum()), w
         r = z - self.b
         return float(loss.value(r)), loss.grad(r)
 

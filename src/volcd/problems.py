@@ -251,7 +251,9 @@ def load_libsvm(path, gamma: float = 1.0):
 # Reference optimal values
 
 
-def reference_min(obj, grad_tol: float = 1e-10, max_iters: int = 100_000) -> float:
+def reference_min(
+    obj, grad_tol: float = 1e-10, max_iters: int = 100_000, b=None
+) -> float:
     """Optimal objective value, exact for quadratics, iterative otherwise.
 
     Quadratics use the minimum-norm stationary point; an inconsistent linear
@@ -259,6 +261,8 @@ def reference_min(obj, grad_tol: float = 1e-10, max_iters: int = 100_000) -> flo
     definite curvature matrix (e.g. any ridge weight > 0): the bound-
     minimizing full-gradient iteration x <- x - B^{-1} grad f(x) then
     converges deterministically and runs until the gradient norm is tiny.
+    ``b`` is that curvature matrix when the caller has already built it;
+    by default it is built here.
     """
     if isinstance(obj, QuadraticObjective):
         a = as_dense(obj.a)
@@ -271,7 +275,8 @@ def reference_min(obj, grad_tol: float = 1e-10, max_iters: int = 100_000) -> flo
             )
         return float(obj.value(x_star))
 
-    b = obj.curvature_matrix()
+    if b is None:
+        b = obj.curvature_matrix()
     try:
         if isinstance(b, CsrSymmetricUpper):
             solve = scipy.sparse.linalg.factorized(b.to_scipy().tocsc())

@@ -55,11 +55,8 @@ def _tv(counts: dict, exact: dict, draws: int) -> float:
 
 
 def _count(samples) -> dict:
-    counts: dict = {}
-    for row in samples:
-        key = tuple(int(v) for v in row)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    rows, counts = np.unique(samples, axis=0, return_counts=True)
+    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
 
 
 def _random_psd(rng, n, rank=None):

@@ -7,7 +7,7 @@ from volcd import benchmark
 from volcd.benchmark import ExperimentConfig, ResultTable, emit_table, run_experiment
 from volcd.errors import ConfigError
 from volcd.objectives import RegularizedObjective
-from volcd.problems import ProblemSpec
+from volcd.problems import ProblemSpec, load_libsvm, reference_min
 
 
 def small_config(**overrides):
@@ -138,7 +138,6 @@ def test_dataset_curvature_matrix_built_once(tmp_path, monkeypatch):
     path = tmp_path / "toy.svm"
     path.write_text("+1 1:1 2:0.5\n-1 1:0.5 3:1\n+1 2:1 3:-0.5\n")
     cfg = ExperimentConfig(dataset=str(path), repetitions=3, epsilon=1e-3)
-    run_experiment(cfg)  # writes the f* sidecar
     calls = []
     build = RegularizedObjective.curvature_matrix
 
@@ -147,8 +146,12 @@ def test_dataset_curvature_matrix_built_once(tmp_path, monkeypatch):
         return build(self)
 
     monkeypatch.setattr(RegularizedObjective, "curvature_matrix", counted)
-    run_experiment(cfg)
+    run_experiment(cfg)  # cold: solves for f* and writes the sidecar
     assert len(calls) == 1
+    run_experiment(cfg)  # warm: reads f* from the sidecar
+    assert len(calls) == 2
+    sidecar = json.loads((tmp_path / "toy.svm.fstar.json").read_text())
+    assert sidecar["f_star"] == reference_min(load_libsvm(str(path), gamma=cfg.gamma))
 
 
 def test_huber_experiment_paths():

@@ -179,6 +179,22 @@ def test_run_three_label_dataset_exits_2(tmp_path, capsys):
     assert "binary labels" in capsys.readouterr().err
 
 
+def test_run_missing_dataset_exits_2(tmp_path, capsys):
+    missing = tmp_path / "missing.svm"
+    assert main(["run", "--dataset", str(missing), "--repetitions", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(missing) in err
+
+
+def test_run_out_into_missing_directory_exits_2(tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "table.json"
+    argv = ["run", "--kind", "quadratic", "--n", "4", "--methods", "rcdvs:2",
+            "--repetitions", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err
+
+
 # One value per key, each different from the default and from _BASE.
 _SAMPLE = {
     "kind": "huber", "n": "7", "m": "9", "lam1": "500", "lam2": "50",

@@ -61,7 +61,7 @@ def test_quadratic_closed_form():
 def test_huber_pointwise_values():
     h = HuberLoss(1.0)
     z = np.array([0.0, 0.5, 2.0])
-    assert np.allclose(h.values(z, np.zeros(3)), [0.0, 0.125, 1.5])
+    assert np.allclose(h.eval(z, np.zeros(3))[0], [0.0, 0.125, 1.5])
 
 
 def test_logistic_at_origin():
@@ -74,12 +74,12 @@ def test_logistic_extreme_margins_stable():
     loss = LogisticLoss()
     z = np.array([1e4, -1e4])
     b = np.array([1.0, 1.0])
-    vals = loss.values(z, b)
+    vals = loss.eval(z, b)[0]
     assert np.isfinite(vals).all()
     assert vals[0] == pytest.approx(0.0, abs=1e-300)
     assert vals[1] == pytest.approx(1e4)
     for labels in (b, -b):
-        d = loss.derivs(z * labels, labels)  # margins s = +1e4, -1e4
+        d = loss.eval(z * labels, labels)[1]  # margins s = +1e4, -1e4
         assert np.isfinite(d).all()
         assert np.array_equal(d, [0.0, -labels[1]])
 
@@ -238,12 +238,21 @@ def test_refresh_matches_incremental_state():
             s = np.sort(rng.choice(obj.n, size=tau, replace=False))
             state.apply_step(s, 0.01 * rng.standard_normal(tau))
         kept_value, kept_grad = state.value, state.full_gradient()
+        # the separable caches: derivatives w, and per-row loss values ell
+        # where the state keeps them (sparse rowwise)
+        inner = getattr(state, "_inner", state)
+        caches = [c for c in ("_w", "_ell") if hasattr(inner, c)]
+        kept = {c: getattr(inner, c).copy() for c in caches}
         state.refresh()
         for value in (kept_value, obj.value(state.x)):
             assert state.value == pytest.approx(value, rel=1e-9), name
         for grad in (kept_grad, obj.gradient(state.x)):
             gap = np.linalg.norm(state.full_gradient() - grad)
             assert gap <= 1e-9 * np.linalg.norm(grad), name
+        for c in caches:
+            fresh = getattr(inner, c)
+            gap = np.linalg.norm(fresh - kept[c])
+            assert gap <= 1e-9 * np.linalg.norm(fresh), (name, c)
 
 
 def test_ridge_state_refreshes_inner_once_per_interval(monkeypatch):
@@ -298,13 +307,15 @@ def test_huber_smoothing_sandwich():
 
 
 @pytest.mark.parametrize(
-    "loss", [HuberLoss(0.5), LogisticLoss(), LogSumExpLoss(0.3), SqrtNormLoss(0.3)]
+    "loss",
+    [HuberLoss(0.5), LogisticLoss(), LogSumExpLoss(0.3), SqrtNormLoss(0.3), SquareLoss()],
 )
 @pytest.mark.parametrize(
     "s, h",
     [
         (np.array([0, 1]), np.array([0.8, -1.3])),
         (np.array([0, 1, 2]), np.array([0.8, -1.3, 0.6])),
+        (np.array([1]), np.array([-1.3])),
     ],
 )
 def test_sparse_step_on_shared_rows(loss, s, h):
@@ -331,6 +342,43 @@ def test_sparse_step_on_shared_rows(loss, s, h):
     np.subtract.at(z_ref, rows, deltas)
     assert state._z.tobytes() == z_ref.tobytes()
     assert np.array_equal(state._w, obj._loss_eval(z_ref)[1])
+    if loss.rowwise:
+        ell, w = loss.eval(z_ref, labels)
+        assert state._ell.tobytes() == ell.tobytes()
+        assert state._w.tobytes() == w.tobytes()
     x = x0.copy()
     x[s] -= h
     assert state.value == pytest.approx(obj.value(x), rel=1e-12, abs=1e-12)
+
+
+def _reference_values_and_derivs(loss, z, b):
+    """The per-row values and derivatives as separate expressions, one pass
+    each; ``eval`` shares their common work and must agree bit for bit."""
+    if isinstance(loss, SquareLoss):
+        return 0.5 * (z - b) ** 2, z - b
+    if isinstance(loss, LogisticLoss):
+        s = b * z
+        values = np.maximum(0.0, -s) + np.log1p(np.exp(-np.abs(s)))
+        e = np.exp(-np.abs(s))
+        return values, -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
+    t = np.abs(z - b)
+    values = np.where(t <= loss.mu, 0.5 * t**2 / loss.mu, t - 0.5 * loss.mu)
+    return values, np.clip((z - b) / loss.mu, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("loss", [SquareLoss(), LogisticLoss(), HuberLoss(0.5)])
+def test_loss_eval_matches_reference_formulas(loss):
+    rng = np.random.default_rng(12)
+    b = np.concatenate([np.sign(rng.standard_normal(40)), [1.0, -1.0] * 6])
+    z = np.concatenate([
+        3.0 * rng.standard_normal(40),
+        [1e4, -1e4, -1e4, 1e4],  # margins b * z of +-1e4
+        [1.5, -1.5, 0.5, -0.5],  # |z - b| exactly mu = 0.5 for Huber
+        [1.0, -1.0],  # z - b = 0
+        [np.nan, np.nan],
+    ])
+    values, derivs = loss.eval(z, b)
+    ref_values, ref_derivs = _reference_values_and_derivs(loss, z, b)
+    assert values.tobytes() == ref_values.tobytes()
+    assert derivs.tobytes() == ref_derivs.tobytes()
+    assert np.isnan(values[-2:]).all() and np.isnan(derivs[-2:]).all()
