@@ -43,6 +43,7 @@ from .sampling import (
     SparseTwoSampler,
     VolumeSampler,
     exact_probabilities,
+    subset_counts,
 )
 from .spectral import acceleration_ratio, b_tau
 
@@ -241,11 +242,7 @@ def _cmd_sample_test(args) -> int:
         sampler = SparseTwoSampler(b)
     else:
         sampler = VolumeSampler(b, args.tau)
-    draws = sampler.sample_many(rng, args.draws)
-    counts: dict[tuple[int, ...], int] = {}
-    for row in draws:
-        key = tuple(int(v) for v in row)
-        counts[key] = counts.get(key, 0) + 1
+    counts = subset_counts(sampler.sample_many(rng, args.draws), b.shape[0])
     tv = 0.5 * sum(
         abs(counts.get(s, 0) / args.draws - p) for s, p in exact.items()
     )

@@ -37,8 +37,10 @@ class ProblemSpec:
     """Parameters of a generated quadratic or smoothed-l1 (huber) problem.
 
     The synthetic spectra put ``lam1 >= lam2`` ahead of a flat tail of ones,
-    so ``lam1 / lam2`` is the spectral gap under study.  Logistic problems
-    are read from LIBSVM files (:func:`load_libsvm`), not generated.
+    so ``lam1 / lam2`` is the spectral gap under study.  ``m`` (rows) and
+    ``sparsity`` belong to huber problems; a quadratic rejects them.
+    Logistic problems are read from LIBSVM files (:func:`load_libsvm`), not
+    generated.
     """
 
     kind: str  # quadratic | huber
@@ -76,6 +78,8 @@ class ProblemSpec:
             raise ConfigError("need lam1 >= lam2 > 0")
         if self.mu <= 0:
             raise ConfigError("smoothing parameter must be positive")
+        if self.kind == "quadratic" and not (self.m is None and self.sparsity is None):
+            raise ConfigError("quadratic problems take no m or sparsity")
         if self.kind == "huber" and (self.m is None or self.m < 1):
             raise ConfigError("huber problems need a row count m")
         if self.sparsity is not None:

@@ -11,8 +11,12 @@ Four samplers live here:
   :func:`principal_minors` uses closed forms for tau <= 3 and batched LU
   determinants for tau >= 4.
 * :class:`SparseTwoSampler` draws 2-element subsets from the same
-  determinantal distribution in O(log n) per draw after an O(nnz + n)
-  preprocessing pass over a :class:`~volcd.linalg.CsrSymmetricUpper`.
+  determinantal distribution after an O(nnz + n) preprocessing pass over a
+  :class:`~volcd.linalg.CsrSymmetricUpper`, which also builds two guide
+  tables.  Draws are searched in sub-batches, on demand, by lock-step numpy
+  bisections that start from guide-table brackets; each pair equals the one
+  the scalar reference search ``_sample_one`` returns, which stays as the
+  test oracle.
 * :func:`tau_nice_sample` draws subsets uniformly without replacement.
 
 All samplers are immutable after construction; concurrent sampling is safe
@@ -38,6 +42,7 @@ __all__ = [
     "exact_probabilities",
     "principal_minors",
     "sparse2_preprocess",
+    "subset_counts",
     "tau_nice_sample",
 ]
 
@@ -45,6 +50,9 @@ __all__ = [
 MAX_ENUMERATED_SUBSETS = 10**8
 
 _CHUNK = 1 << 14
+
+# SparseTwoSampler searches its pair draws this many at a time.
+_SUB_BATCH = 256
 
 
 class CumulativeTable:
@@ -266,8 +274,40 @@ def exact_probabilities(b, tau: int) -> dict[tuple[int, ...], float]:
     }
 
 
+def subset_counts(samples: np.ndarray, n: int) -> dict[tuple[int, ...], int]:
+    """How often each subset occurs among the rows of ``samples``, (k, tau)
+    indices into range(n): one ``np.unique`` over the rows' flat indices."""
+    dims = (n,) * samples.shape[1]
+    keys, counts = np.unique(np.ravel_multi_index(samples.T, dims), return_counts=True)
+    rows = np.column_stack(np.unravel_index(keys, dims))
+    return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+
 # ---------------------------------------------------------------------------
 # Sparse 2-element determinantal sampling
+
+
+def _bisect(pred, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Lock-step bisection: per lane, the smallest index in [a, c) at which
+    ``pred`` holds, else c.
+
+    A lane with a < c probes exactly as the scalar loop ``while a < c: mid =
+    (a + c) // 2`` does, so even a predicate that is not monotone gives the
+    scalar loop's answer.  A finished lane may step ``a`` past ``c``; that
+    leaves ``c``, the answer, in place.
+    """
+    for _ in range(int((c - a).max()).bit_length()):
+        mid = (a + c) >> 1
+        hit = pred(mid)
+        a = np.where(hit, a, mid + 1)
+        c = np.where(hit, mid, c)
+    return c
+
+
+def _count_below(keys: np.ndarray) -> np.ndarray:
+    """``out[b]`` = how many of the nonnegative ``keys`` have a floor below
+    b, for b = 0 .. floor(max) + 1; O(len + max) by one bincount."""
+    return np.concatenate(([0], np.cumsum(np.bincount(keys.astype(np.int64)))))
 
 
 class SparseTwoSampler:
@@ -280,19 +320,29 @@ class SparseTwoSampler:
     * ``t``: suffix sums of the diagonal (length n + 1, last entry 0),
     * ``q``: running total of per-row pair masses, where row i carries
       mass ``diag[i] * t[i] - hcum[row end]`` equal to the sum of all
-      2x2 principal minors det(B[{i,j},{i,j}]) over j > i.
+      2x2 principal minors det(B[{i,j},{i,j}]) over j > i,
+    * two guide tables (the indexed search of Chen & Asau 1974) of about n
+      buckets each: the row guide over ``q`` and the gap guide over ``t``.
 
-    Each draw performs three binary searches (over rows, over a row's stored
-    entries, then over one inter-entry column gap) with the partial pair mass
+    A draw makes three searches (over rows, over a row's stored entries,
+    then over one inter-entry column gap) with the partial pair mass
 
         ``pair_mass(i, j, k) = diag[i] * (t[i] - t[j + 1]) - hcum[i][k]``
 
-    evaluated on the fly, so sampling is O(log n) time and O(1) memory.
+    evaluated on the fly.  :meth:`_search` runs them for a batch of draws as
+    lock-step numpy bisections, with the predicates of the scalar reference
+    :meth:`_sample_one` written as the same floating-point expressions.  The
+    row and gap searches start from a bracket read off their guide, so each
+    takes a few probes instead of about log2(n); a gap bracket whose
+    endpoints fail the predicate is searched again over the whole gap.  The
+    guides only narrow the searches, so every pair is the one
+    :meth:`_sample_one` returns; that method stays as the test oracle.
 
-    Draws are made on demand: :meth:`draws` takes the uniforms for a whole
-    chunk at once but runs the searches for one pair only when the caller
-    asks for it, so a run that stops early pays only for the pairs it used.
-    :meth:`sample_many` is the first ``k`` pairs of a ``k``-chunk stream.
+    Draws are searched on demand: :meth:`draws` takes the uniforms for a
+    whole chunk at once but searches them ``_SUB_BATCH`` at a time, only
+    when the caller reaches them, so a run that stops early pays for few
+    unused pairs.  :meth:`sample_many` is the first ``k`` pairs of a
+    ``k``-chunk stream.
     """
 
     def __init__(self, b: CsrSymmetricUpper):
@@ -305,18 +355,22 @@ class SparseTwoSampler:
         indptr, values = b.indptr, b.values
         rowlen = np.diff(indptr)
         nonempty = rowlen > 0
+        row_end = indptr[1:][nonempty] - 1
 
         sq = values**2
         running = np.cumsum(sq)
         before_row = np.concatenate(([0.0], running))[indptr[:-1]]
         row_of = np.repeat(np.arange(n), rowlen)
         self.hcum = running - before_row[row_of]
+        # one past the last column of the gap that starts at each stored entry
+        self._gap_stop = np.append(b.indices[1:], n)
+        self._gap_stop[row_end] = n
 
         self.diag = diag = b.diagonal()
         self.t = np.concatenate((np.cumsum(diag[::-1])[::-1], [0.0]))
 
         h_last = np.zeros(n)
-        h_last[nonempty] = self.hcum[indptr[1:][nonempty] - 1]
+        h_last[nonempty] = self.hcum[row_end]
         mass = diag[: n - 1] * self.t[: n - 1] - h_last[: n - 1]
         np.maximum(mass, 0.0, out=mass)
         self.q = np.cumsum(mass)
@@ -324,6 +378,13 @@ class SparseTwoSampler:
             raise EmptySupport(
                 "no 2x2 principal minor is positive; matrix rank is below 2"
             )
+
+        # row guide: [b] = how many rows have q in a bucket below b
+        self._row_scale = (n - 1) / self.q[-1]
+        self._row_guide = _count_below(self.q * self._row_scale)
+        # gap guide: [b] = how many suffix sums t lie in bucket b or above
+        self._gap_scale = n / self.t[0]
+        self._gap_guide = (n + 1) - _count_below(self.t * self._gap_scale)
 
     @property
     def n(self) -> int:
@@ -338,6 +399,8 @@ class SparseTwoSampler:
         return self.diag[i] * (self.t[i] - self.t[j + 1]) - hk
 
     def _sample_one(self, u1: float, u2: float) -> tuple[int, int]:
+        """One draw by scalar searches: the reference that :meth:`_search`
+        must match draw for draw."""
         q = self.q
         i0 = int(np.searchsorted(q, u1 * q[-1], side="left"))
         lo, hi = int(self.b.indptr[i0]), int(self.b.indptr[i0 + 1])
@@ -370,28 +433,88 @@ class SparseTwoSampler:
                 jlo = mid + 1
         return i0, jlo
 
+    def _search(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+        """The pairs :meth:`_sample_one` returns for the uniforms ``u1`` and
+        ``u2``, as a (len(u1), 2) int64 array, searched in lock step."""
+        q, t, diag, hcum, n = self.q, self.t, self.diag, self.hcum, self.n
+
+        # the row: smallest i with v <= q[i].  v and every q[i] reach their
+        # buckets through the same multiplication, and rounding is monotone,
+        # so the answer lies in [rows[b], rows[b + 1]] without a check.
+        v = u1 * q[-1]
+        b = (v * self._row_scale).astype(np.int64)
+        rows = self._row_guide
+        i0 = _bisect(lambda i: v <= q[i], rows[b], np.minimum(rows[b + 1], n - 2))
+
+        # the stored entry: the scalar search's probes over [0, r - 1], at
+        # absolute positions in the row's slice [lo, hi)
+        lo, hi = self.b.indptr[i0], self.b.indptr[i0 + 1]
+        d, ti = diag[i0], t[i0]
+        target = u2 * (d * (ti - t[n]) - hcum[hi - 1])
+        stop = self._gap_stop
+        pos = _bisect(
+            lambda p: target <= d * (ti - t[stop[p]]) - hcum[p],
+            lo,
+            np.maximum(hi - 1, lo),
+        )
+
+        # the column: smallest j in the chosen gap with enough mass, searched
+        # as p = j + 1 in [plo, phi].  The threshold t[p] <= ti - (target +
+        # hk) / d, roughly, picks a bracket from the gap guide; its endpoints
+        # confirm it.
+        cols = self.b.indices
+        plo = cols[pos] + 1
+        # an empty row, reachable only with u1 = 0, searches up to n - 1
+        phi = np.where(hi > lo, stop[pos], n)
+        hk = hcum[pos]
+
+        def enough(p):
+            return target <= d * (ti - t[p]) - hk
+
+        guide = self._gap_guide
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y = (ti - (target + hk) / d) * self._gap_scale
+        b = np.fmin(np.fmax(y, 0.0), guide.size - 2).astype(np.int64)
+        a = np.minimum(np.maximum(guide[b + 1], plo), phi)
+        c = np.minimum(np.maximum(guide[b], plo), phi)
+        ok = ((a == plo) | ~enough(a - 1)) & ((c == phi) | enough(c))
+        if not ok.all():
+            a = np.where(ok, a, plo)
+            c = np.where(ok, c, phi)
+        out = np.empty((u1.size, 2), dtype=np.int64)
+        out[:, 0] = i0
+        out[:, 1] = _bisect(enough, a, c) - 1
+        return out
+
     def sample(self, rng: RngStream) -> np.ndarray:
-        i, j = self._sample_one(rng.uniform(), rng.uniform())
-        return np.array([i, j], dtype=np.int64)
+        u1, u2 = rng.uniform(), rng.uniform()
+        return self._search(np.array([u1]), np.array([u2]))[0]
+
+    def _batches(self, rng: RngStream, chunk: int):
+        # each chunk takes ``chunk`` first and then ``chunk`` second uniforms
+        # and is searched _SUB_BATCH draws at a time, as the caller asks
+        while True:
+            u1 = rng.uniforms(chunk)
+            u2 = rng.uniforms(chunk)
+            for lo in range(0, chunk, _SUB_BATCH):
+                yield self._search(u1[lo : lo + _SUB_BATCH], u2[lo : lo + _SUB_BATCH])
 
     def draws(self, rng: RngStream, chunk: int):
         """Endless stream of pairs, as int64 arrays of length 2.
 
         Each chunk of ``chunk`` pairs takes ``chunk`` first and then
         ``chunk`` second uniforms from ``rng``, like :meth:`sample_many`;
-        the searches for a pair run only when the pair is requested.
+        a sub-batch of pairs is searched only when the caller reaches it.
         """
-        while True:
-            u1 = rng.uniforms(chunk).tolist()
-            u2 = rng.uniforms(chunk).tolist()
-            for a, b in zip(u1, u2):
-                yield np.array(self._sample_one(a, b), dtype=np.int64)
+        for batch in self._batches(rng, chunk):
+            yield from batch
 
     def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
-        out = np.empty((k, 2), dtype=np.int64)
-        for idx, pair in zip(range(k), self.draws(rng, k)):
-            out[idx] = pair
-        return out
+        batches = self._batches(rng, k)
+        return np.concatenate(
+            [np.empty((0, 2), dtype=np.int64)]
+            + [next(batches) for _ in range(0, k, _SUB_BATCH)]
+        )
 
 
 def sparse2_preprocess(b: CsrSymmetricUpper) -> SparseTwoSampler:

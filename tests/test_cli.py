@@ -153,6 +153,8 @@ def _refuse(*args, **kwargs):
         ("", ["--kind", "quadratic", "--n", "10", "--methods", "rcdvs:11"]),
         ("", ["--kind", "quadratic", "--n", "10", "--output", "xml"]),
         ("", ["--kind", "logistic", "--n", "10"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--m", "5"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--sparsity", "3"]),
     ],
 )
 def test_bad_run_settings_exit_2_before_any_work(
@@ -164,6 +166,12 @@ def test_bad_run_settings_exit_2_before_any_work(
     cfg.write_text(ini)
     assert main(["run", "--config", str(cfg), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", [["--m", "5"], ["--sparsity", "3"]])
+def test_gen_quadratic_rejects_huber_fields(capsys, flag):
+    assert main(["gen", "--kind", "quadratic", "--n", "4", *flag]) == 2
+    assert "no m or sparsity" in capsys.readouterr().err
 
 
 def test_gen_has_no_gamma(capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from volcd.errors import CombinatorialBlowup, EmptySupport
 from volcd.linalg import CsrSymmetricUpper, psd_det
-from volcd.problems import banded_psd
+from volcd.problems import ProblemSpec, banded_psd, generate
 from volcd.rng import RngStream
 from volcd.sampling import (
     CumulativeTable,
@@ -17,6 +17,7 @@ from volcd.sampling import (
     exact_probabilities,
     principal_minors,
     sparse2_preprocess,
+    subset_counts,
     tau_nice_sample,
 )
 
@@ -352,6 +353,92 @@ def test_sparse_two_sampler_single_draw():
     sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(TRIDIAG))
     s = sampler.sample(RngStream(1))
     assert s[0] < s[1]
+    rng = RngStream(1)
+    u1, u2 = rng.uniform(), rng.uniform()
+    assert tuple(s) == sampler._sample_one(u1, u2)
+
+
+def _sparse_psd_with_empty_rows(seed, n):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.15)
+    g[:, rng.random(n) < 0.25] = 0.0  # empty rows and columns of B
+    return CsrSymmetricUpper.from_dense(g.T @ g)
+
+
+def _sparse_huber_curvature():
+    spec = ProblemSpec(kind="huber", n=200, m=500, sparsity=10, seed=5)
+    return generate(spec)[0].curvature_matrix()
+
+
+PAIR_SEARCH_MATRICES = {
+    "tridiag": lambda: CsrSymmetricUpper.from_dense(TRIDIAG),
+    "eye2": lambda: CsrSymmetricUpper.from_dense(np.eye(2)),
+    "zero-rows": lambda: CsrSymmetricUpper.from_dense(np.diag([0.0, 1.0, 0.0, 2.0])),
+    "random-9": lambda: _sparse_psd_with_empty_rows(1, 9),
+    "random-16": lambda: _sparse_psd_with_empty_rows(2, 16),
+    "random-40": lambda: _sparse_psd_with_empty_rows(3, 40),
+    "banded-50": lambda: banded_psd(50, 4, seed=50),
+    "banded-2000": lambda: banded_psd(2000, 4, seed=2000),
+    "banded-20000": lambda: banded_psd(20000, 4, seed=20000),
+    "sparse-huber": _sparse_huber_curvature,
+}
+
+
+def _edge_uniforms(sampler):
+    # 0, the row guide's bucket edges, the nextafter neighbours of every
+    # q[i] / q[-1] (at most 300 rows), and some plain uniforms
+    q = sampler.q
+    rows = np.unique(np.linspace(0, q.size - 1, min(q.size, 300)).astype(int))
+    edges = np.arange(1, q.size) / sampler._row_scale / q[-1]
+    ratio = q[rows] / q[-1]
+    u1 = np.concatenate((
+        [0.0],
+        edges[:: max(1, edges.size // 300)],
+        np.nextafter(ratio, 0.0),
+        ratio,
+        np.nextafter(ratio, 1.0),
+        np.random.default_rng(q.size).random(500),
+    ))
+    u1 = u1[u1 < 1.0]
+    u2 = np.resize([0.0, np.nextafter(1.0, 0.0), 0.5, 1e-12, 0.999], u1.size)
+    u2[::3] = np.random.default_rng(q.size + 1).random(u2[::3].size)
+    return u1, u2
+
+
+@pytest.mark.parametrize("name", list(PAIR_SEARCH_MATRICES))
+def test_batched_pair_search_matches_sample_one(name):
+    # the lock-step search must return the scalar search's pair for every
+    # uniform, edge cases included, whether a draw's guide bracket holds or
+    # it falls back to its whole gap
+    b = PAIR_SEARCH_MATRICES[name]()
+    sampler = SparseTwoSampler(b)
+    u1, u2 = _edge_uniforms(sampler)
+    expected = np.array(
+        [sampler._sample_one(a, c) for a, c in zip(u1.tolist(), u2.tolist())]
+    )
+    assert np.array_equal(sampler._search(u1, u2), expected)
+
+    # a constant gap guide puts every bracket at one end of its gap: 0 at
+    # the first column, n + 1 at the last.  A draw whose column lies
+    # elsewhere must take the full-gap fallback to come out right; with the
+    # zero guide, every column that is not a stored entry of its row does.
+    stored = {
+        (i, int(j))
+        for i in range(b.n)
+        for j in b.indices[b.indptr[i] : b.indptr[i + 1]]
+    }
+    assert any((int(i), int(j)) not in stored for i, j in expected)
+    for fill in (0, b.n + 1):
+        sampler._gap_guide = np.full_like(sampler._gap_guide, fill)
+        assert np.array_equal(sampler._search(u1, u2), expected)
+
+
+def test_subset_counts_match_dict_loop():
+    rng = np.random.default_rng(12)
+    for n, tau in ((6, 1), (6, 2), (9, 3), (4, 4)):
+        samples = np.sort(rng.integers(0, n, (5000, tau)), axis=1)
+        assert subset_counts(samples, n) == count_subsets(samples)
+    assert subset_counts(np.empty((0, 2), dtype=np.int64), 5) == {}
 
 
 # ---------------------------------------------------------------------------

@@ -490,19 +490,31 @@ def _two_batches(sampler, rng):
     return np.concatenate([sampler.sample_many(rng, 4096) for _ in range(2)])
 
 
+def _two_scalar_chunks(b, rng):
+    # the scalar search on each 4096-draw chunk's uniforms: the chunk's
+    # first uniforms, then its second ones
+    sampler = SparseTwoSampler(b)
+    pairs = []
+    for _ in range(2):
+        u1, u2 = rng.uniforms(4096).tolist(), rng.uniforms(4096).tolist()
+        pairs += [sampler._sample_one(a, c) for a, c in zip(u1, u2)]
+    return pairs
+
+
 @pytest.mark.parametrize(
     "method, sparse, reference",
     [
-        ("rcdvs", True, lambda b, rng: _two_batches(SparseTwoSampler(b), rng)),
+        ("rcdvs", True, lambda b, rng: _two_scalar_chunks(b, rng)),
         ("rcdvs", False, lambda b, rng: _two_batches(VolumeSampler(b, 2), rng)),
         ("sdna", True,
          lambda b, rng: [tau_nice_sample(b.shape[0], 2, rng) for _ in range(5000)]),
     ],
 )
 def test_subset_stream_matches_reference_draws(method, sparse, reference):
-    # a run draws the same subsets as consecutive 4096-draw batches of its
-    # sampler, also across the chunk boundary, and sdna the same as one
-    # tau_nice_sample call per iteration
+    # a run draws the same subsets as its sampler's reference draws over
+    # consecutive 4096-draw chunks, also across the chunk boundary: the
+    # scalar pair search for SparseTwoSampler, sample_many batches for
+    # VolumeSampler, and one tau_nice_sample call per iteration for sdna
     csr = banded_psd(60, 3, seed=5)
     b = csr if sparse else csr.to_dense()
     obj = QuadraticObjective(b, np.random.default_rng(6).standard_normal(60))
