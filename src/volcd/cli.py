@@ -15,8 +15,8 @@ Verbs:
 derives from the experiment seed, and ``[experiment]`` dataset gamma methods
 epsilon repetitions max_updates seed output.  The keys come from the INI file
 of ``--config``, overridden by same-named flags (``--max-updates``); sections a
-verb does not read are ignored.  An unknown key or a value that does not parse
-is a configuration error.
+verb does not read are ignored.  An unknown key, a value that does not parse,
+or gamma without dataset is a configuration error.
 Exit codes: 0 success, 2 configuration error (including a file that cannot
 be read or written), 3 numeric failure.
 """
@@ -163,8 +163,13 @@ def _problem(fields: dict) -> ProblemSpec:
 
 def _run_config(args) -> ExperimentConfig:
     settings = _settings(args)
+    experiment = settings["experiment"]
+    # judged from the keys given, since ExperimentConfig.gamma has a default
+    if "gamma" in experiment and "dataset" not in experiment:
+        raise ConfigError("gamma is the ridge weight of a dataset problem; "
+                          "it needs dataset")
     problem = _problem(settings["problem"]) if settings["problem"] else None
-    return ExperimentConfig(problem=problem, **settings["experiment"])
+    return ExperimentConfig(problem=problem, **experiment)
 
 
 def _write(text: str, out: str | None) -> None:

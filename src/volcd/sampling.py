@@ -1,15 +1,21 @@
 """Random coordinate-subset generators.
 
-Four samplers live here:
+Five samplers live here:
 
 * :class:`CumulativeTable` realizes the classic inverse-CDF method for a
   finite distribution (cumulative sums plus binary search).
 * :class:`VolumeSampler` draws tau-element subsets S with probability
-  proportional to det(B[S, S]) by enumerating all subsets, practical only
-  for small tau.  The enumeration is vectorized: :func:`all_subsets` fills
-  the lexicographic subset table block by block, and
-  :func:`principal_minors` uses closed forms for tau <= 3 and batched LU
-  determinants for tau >= 4.
+  proportional to det(B[S, S]) by enumerating all C(n, tau) subsets, so its
+  table grows as C(n, tau) * tau.  The enumeration is vectorized:
+  :func:`all_subsets` fills the lexicographic subset table block by block,
+  and :func:`principal_minors` uses closed forms for tau <= 3 and batched LU
+  determinants for tau >= 4.  Each draw is one binary search.  It is the
+  exactness oracle for the other determinantal samplers.
+* :class:`SpectralVolumeSampler` draws from the same distribution without
+  enumerating: it eigendecomposes B once, O(n^3) time and O(n^2) memory,
+  picks tau eigenvectors through a prefix table of elementary symmetric
+  polynomials, then draws the rows of the projection DPP they span by
+  rejection, O(tau^3 + tau log n) per draw.
 * :class:`SparseTwoSampler` draws 2-element subsets from the same
   determinantal distribution after an O(nnz + n) preprocessing pass over a
   :class:`~volcd.linalg.CsrSymmetricUpper`, which also builds two guide
@@ -18,6 +24,11 @@ Four samplers live here:
   the scalar reference search ``_sample_one`` returns, which stays as the
   test oracle.
 * :func:`tau_nice_sample` draws subsets uniformly without replacement.
+
+:func:`make_sampler` picks the determinantal sampler for a storage, n and
+tau: the sparse pair sampler for CSR B with tau = 2, enumeration while
+C(n, tau) <= tau * n^2 (every tau <= 2, tau = 3 up to n = 20, tau = 4 up to
+n = 12), the spectral sampler beyond.
 
 All samplers are immutable after construction; concurrent sampling is safe
 as long as each thread owns its :class:`~volcd.rng.RngStream`.
@@ -30,16 +41,18 @@ import math
 import numpy as np
 
 from .errors import CombinatorialBlowup, EmptySupport
-from .linalg import _DET_CLAMP, CsrSymmetricUpper, as_dense
+from .linalg import _DET_CLAMP, CsrSymmetricUpper, as_dense, eigendecompose
 from .rng import RngStream
 
 __all__ = [
     "CumulativeTable",
     "SparseTwoSampler",
+    "SpectralVolumeSampler",
     "VolumeSampler",
     "all_subsets",
     "build_cumulative",
     "exact_probabilities",
+    "make_sampler",
     "principal_minors",
     "sparse2_preprocess",
     "subset_counts",
@@ -51,8 +64,13 @@ MAX_ENUMERATED_SUBSETS = 10**8
 
 _CHUNK = 1 << 14
 
-# SparseTwoSampler searches its pair draws this many at a time.
+# SparseTwoSampler and SpectralVolumeSampler search their draws this many at
+# a time.
 _SUB_BATCH = 256
+
+# SpectralVolumeSampler gives up on a search once this many of its draws
+# all fell under the minor clamp.
+_CLAMP_GIVE_UP = 10_000
 
 
 class CumulativeTable:
@@ -221,9 +239,12 @@ class VolumeSampler:
     minor of order tau, then their cumulative sums: O(C(n, tau) * tau) time
     and memory for tau <= 3 (closed-form minors), O(C(n, tau) * tau^3) time
     for tau >= 4 (batched LU).  Each draw afterwards is a single binary
-    search.  Construction refuses more than ``MAX_ENUMERATED_SUBSETS``
-    outcomes and raises :class:`EmptySupport` when every minor is zero,
-    i.e. when tau exceeds the rank of the matrix.
+    search, about 0.5 us.  That suits small C(n, tau), where the table stays
+    within a small multiple of B; :func:`make_sampler` uses it while
+    C(n, tau) <= tau * n^2 and :class:`SpectralVolumeSampler` beyond.  It is
+    the exactness oracle either way.  Construction refuses more than
+    ``MAX_ENUMERATED_SUBSETS`` outcomes and raises :class:`EmptySupport`
+    when every minor is zero, i.e. when tau exceeds the rank of the matrix.
     """
 
     def __init__(self, b, tau: int):
@@ -281,6 +302,176 @@ def subset_counts(samples: np.ndarray, n: int) -> dict[tuple[int, ...], int]:
     keys, counts = np.unique(np.ravel_multi_index(samples.T, dims), return_counts=True)
     rows = np.column_stack(np.unravel_index(keys, dims))
     return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+
+# ---------------------------------------------------------------------------
+# Spectral determinantal sampling
+
+
+def _esp_prefix_table(x: np.ndarray, m: int) -> np.ndarray:
+    """Elementary symmetric polynomials of every prefix of x, (m + 1, len + 1).
+
+    ``e[l, j]`` is e_l(x[:j]), with e_0 = 1 and e_l of fewer than l values 0.
+    Row l is one cumulative sum of ``x * e[l - 1, :-1]`` behind a leading 0,
+    which adds the terms of e_l(x[:j]) = e_l(x[:j - 1]) + x[j - 1] e_{l-1}(x[:j - 1])
+    in the order of the scalar recurrence.  O(n * m) time and memory.
+    """
+    e = np.zeros((m + 1, x.size + 1))
+    e[0] = 1.0
+    for l in range(1, m + 1):
+        np.multiply(x, e[l - 1, :-1], out=e[l, 1:])
+        np.cumsum(e[l], out=e[l])
+    return e
+
+
+class SpectralVolumeSampler:
+    """Determinantal subset sampler from one eigendecomposition of B.
+
+    A tau-subset S is drawn with probability proportional to det(B[S, S]),
+    the distribution :class:`VolumeSampler` enumerates, in two phases:
+
+    1. Pick tau eigenvectors J with probability proportional to the product
+       of their eigenvalues (Kulesza & Taskar 2012, Alg. 8).  With ``e[l, j]``
+       the degree-l elementary symmetric polynomial of the first j
+       eigenvalues, the largest of l picks among the first j' lies within
+       the first j with probability e[l, j] / e[l, j'], so each pick is one
+       ``searchsorted`` over a row of that table.
+    2. Draw the rows of the projection DPP spanned by Q[:, J], one at a time
+       by rejection (Hough, Krishnapur, Peres & Virag 2006).  A proposal
+       takes a column c of J uniformly and a row i from column c's CDF of
+       squared entries, that is i with probability ||Q[i, J]||^2 / tau, and
+       is accepted with probability w_t(i) / w_0(i), where w_t(i) is the
+       part of ||Q[i, J]||^2 orthogonal to the rows already chosen.  That
+       needs about tau * H_tau proposals per draw.
+
+    Preprocessing is the eigendecomposition, O(n^3) time, and O(n^2) memory
+    for the eigenvectors, their column CDFs and a dense view of B.  Negative
+    eigenvalues are clamped to 0 and the rest scaled by the largest, which
+    cancels in every ratio and keeps the table from overflowing; those
+    within roundoff of 0 (at most n * eps times the largest) count as 0, so
+    tau above the numerical rank raises :class:`EmptySupport`.  A draw costs
+    O(tau^3 + tau log n).  Subsets whose minor falls under the enumeration
+    clamp (``_DET_CLAMP * max(diag) ** tau``) are drawn again, so the
+    distribution equals :class:`VolumeSampler`'s and no drawn block is
+    singular.
+
+    Draws come sorted, searched ``_SUB_BATCH`` lanes at a time in lock step:
+    each round every unfinished lane makes tau proposals.  The number of
+    uniforms a draw takes depends on its rejections, so the stream is its
+    own and has no draw-for-draw contract with enumeration.
+    """
+
+    def __init__(self, b, tau: int):
+        n = b.shape[0]
+        if not 1 <= tau <= n:
+            raise ValueError(f"subset size {tau} out of range for dimension {n}")
+        self.n = n
+        self.tau = int(tau)
+        self.b = as_dense(b)
+        spectrum = eigendecompose(self.b)
+        lam = np.maximum(spectrum.eigenvalues, 0.0)
+        if lam[0] > 0.0:
+            lam /= lam[0]
+        rank = int(np.count_nonzero(lam > n * np.finfo(float).eps))
+        if tau > rank:
+            raise EmptySupport(
+                f"subset size {tau} exceeds the numerical rank {rank}"
+            )
+        self._esp = _esp_prefix_table(lam[:rank], self.tau)
+        self._q = q = np.ascontiguousarray(spectrum.q[:, :rank])
+        # column c's CDF, normalized to end at exactly 1 and shifted by 2c,
+        # so one search over the flattened columns stays inside column c
+        cdf = np.cumsum(q * q, axis=0)
+        cdf /= cdf[-1]
+        cdf[-1] = 1.0
+        cdf += 2.0 * np.arange(rank)
+        self._cdf = cdf.ravel(order="F")
+        diag_max = float(np.max(np.diagonal(self.b)))
+        self._threshold = _DET_CLAMP * diag_max**tau
+
+    def _eigen_sets(self, rng: RngStream, k: int) -> np.ndarray:
+        """k eigenvector sets, (k, tau) ascending column indices of ``_q``."""
+        e, tau = self._esp, self.tau
+        u = rng.uniforms(k * tau).reshape(tau, k)
+        picks = np.empty((k, tau), dtype=np.int64)
+        top = np.full(k, e.shape[1] - 1)
+        for l in range(tau, 0, -1):
+            # the largest of l picks among the first ``top`` eigenvalues
+            top = np.searchsorted(e[l], u[l - 1] * e[l, top]) - 1
+            picks[:, l - 1] = top
+        return picks
+
+    def _rows(self, rng: RngStream, sets: np.ndarray) -> np.ndarray:
+        """One sorted row set per eigenvector set, by lock-step rejection.
+
+        Each round, every unfinished lane makes ``tau`` proposals and keeps
+        the first one accepted, which is the row a one-at-a-time rejection
+        loop over the same proposals would keep; the rest go unused.
+        """
+        q, n, tau = self._q, self.n, self.tau
+        k = sets.shape[0]
+        rows = np.empty((k, tau), dtype=np.int64)
+        basis = np.zeros((k, tau, tau))  # orthonormal rows, zero until chosen
+        count = np.zeros(k, dtype=np.int64)
+        lanes = np.arange(k)
+        while lanes.size:
+            m = lanes.size
+            uc, ur, ua = rng.uniforms(3 * m * tau).reshape(3, m, tau)
+            own = sets[lanes]
+            pick = np.minimum((uc * tau).astype(np.int64), tau - 1)
+            col = own[np.arange(m)[:, None], pick]
+            i = np.searchsorted(self._cdf, 2.0 * col + ur) - n * col
+            v = q[i[:, :, None], own[:, None, :]]  # (lane, proposal, tau)
+            lane_basis = basis[lanes]
+            proj = v @ lane_basis.transpose(0, 2, 1)
+            w0 = np.einsum("mrt,mrt->mr", v, v)
+            accept = ua * w0 < w0 - np.einsum("mrk,mrk->mr", proj, proj)
+            sel = np.flatnonzero(accept.any(axis=1))
+            first = accept[sel].argmax(axis=1)
+            chosen = proj[sel, first][:, None, :] @ lane_basis[sel]
+            resid = v[sel, first] - chosen[:, 0]
+            resid /= np.linalg.norm(resid, axis=1)[:, None]
+            hit = lanes[sel]
+            at = count[hit]
+            basis[hit, at] = resid
+            rows[hit, at] = i[sel, first]
+            count[hit] = at + 1
+            lanes = lanes[count[lanes] < tau]
+        rows.sort(axis=1)
+        return rows
+
+    def _search(self, rng: RngStream, k: int) -> np.ndarray:
+        """k sorted subsets, (k, tau) int64; lanes whose minor falls under
+        the clamp are drawn again."""
+        out = np.empty((k, self.tau), dtype=np.int64)
+        todo = np.arange(k)
+        drawn = 0
+        while todo.size:
+            s = self._rows(rng, self._eigen_sets(rng, todo.size))
+            ok = np.linalg.det(self.b[s[:, :, None], s[:, None, :]]) >= self._threshold
+            # a row accepted twice, with roundoff odds, is drawn again too
+            ok &= (np.diff(s, axis=1) > 0).all(axis=1)
+            out[todo[ok]] = s[ok]
+            drawn += todo.size
+            todo = todo[~ok]
+            if todo.size == k and drawn >= _CLAMP_GIVE_UP:
+                raise EmptySupport(
+                    f"none of {drawn} drawn order-{self.tau} minors passed the "
+                    f"clamp; the support is empty or nearly so"
+                )
+        return out
+
+    def draws(self, rng: RngStream, chunk: int):
+        """Endless stream of sorted subsets, searched ``_SUB_BATCH`` at a time
+        when the caller reaches them.  The stream does not depend on
+        ``chunk``, which only matches the other samplers' signature."""
+        while True:
+            yield from self._search(rng, _SUB_BATCH)
+
+    def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
+        """The first k subsets of :meth:`draws`."""
+        batches = [self._search(rng, _SUB_BATCH) for _ in range(0, k, _SUB_BATCH)]
+        return np.concatenate([np.empty((0, self.tau), dtype=np.int64)] + batches)[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -532,3 +723,26 @@ def tau_nice_sample(n: int, tau: int, rng: RngStream) -> np.ndarray:
     pick = rng.generator.choice(n, size=tau, replace=False)
     pick.sort()
     return pick.astype(np.int64)
+
+
+# ---------------------------------------------------------------------------
+# Sampler choice
+
+
+def make_sampler(b, tau: int):
+    """The determinantal sampler for B's storage, its dimension n and tau.
+
+    * CSR B with tau = 2: :class:`SparseTwoSampler`, O(nnz + n).
+    * C(n, tau) <= tau * n^2: :class:`VolumeSampler`.  That covers every
+      tau <= 2, tau = 3 up to n = 20 and tau = 4 up to n = 12, where the
+      enumeration table is within a small multiple of B and draws are
+      cheapest.
+    * Larger C(n, tau): :class:`SpectralVolumeSampler`, O(n^3) once and
+      O(tau^3 + tau log n) per draw.
+    """
+    n = b.shape[0]
+    if isinstance(b, CsrSymmetricUpper) and tau == 2:
+        return SparseTwoSampler(b)
+    if math.comb(n, tau) <= tau * n * n:
+        return VolumeSampler(b, tau)
+    return SpectralVolumeSampler(b, tau)

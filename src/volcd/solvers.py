@@ -10,6 +10,12 @@ methods differ only in how S is drawn and how the subsystem is solved:
 * ``sdna``: uniform subsets without replacement, exact solve with a
   pseudoinverse fallback so that degenerate submatrices are tolerated.
 
+The determinantal draws come from :func:`~volcd.sampling.make_sampler`: the
+sparse pair sampler for CSR B with tau = 2, enumeration of all C(n, tau)
+minors while C(n, tau) <= tau * n^2, and otherwise the spectral sampler,
+which eigendecomposes B once (O(n^3) time, O(n^2) memory) and then costs
+O(tau^3 + tau log n) per draw.
+
 The solve dispatches on the size of the subset it is given, not on the
 configured ``tau``, so a forced subset of any size gets its own Newton step.
 One or two coordinates are solved in closed form from the diagonal of B and
@@ -37,14 +43,13 @@ import numpy as np
 
 from .errors import ConfigError, SingularSubmatrix
 from .linalg import (
-    CsrSymmetricUpper,
     gather_submatrix,
     pseudo_solve,
     spd_solve,
     validate_index_set,
 )
 from .rng import RngStream
-from .sampling import SparseTwoSampler, VolumeSampler, tau_nice_sample
+from .sampling import make_sampler, tau_nice_sample
 
 __all__ = [
     "SolverConfig",
@@ -144,13 +149,7 @@ def check_stop(k: int, value: float, config: SolverConfig) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Samplers and subsystem solves
-
-
-def _make_sampler(b, tau: int):
-    if isinstance(b, CsrSymmetricUpper) and tau == 2:
-        return SparseTwoSampler(b)
-    return VolumeSampler(b, tau)
+# Subsystem solves
 
 
 def _make_step_solver(b, exact: bool):
@@ -217,7 +216,7 @@ def run(obj, b, config: SolverConfig):
         # one generator call per subset, drawn only when the loop asks
         subsets = (tau_nice_sample(n, config.tau, rng) for _ in itertools.count())
     else:
-        subsets = _make_sampler(b, config.tau).draws(rng, _SAMPLE_CHUNK)
+        subsets = make_sampler(b, config.tau).draws(rng, _SAMPLE_CHUNK)
     solve = _make_step_solver(b, exact=config.method != "sdna")
 
     trace = [(0, float(state.value))]

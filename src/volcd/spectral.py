@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import CombinatorialBlowup, DegenerateApprox, UnboundedLevelSet
 from .linalg import Spectrum, adjugate, as_dense, eigendecompose, symmetrize
-from .sampling import all_subsets, principal_minors
+from .sampling import _esp_prefix_table, all_subsets, principal_minors
 
 __all__ = [
     "TauApprox",
@@ -38,8 +38,9 @@ _RANK_RTOL = 1e-12
 def elementary_symmetric(x, m: int) -> float:
     """Elementary symmetric polynomial of degree m, with sigma_0 = 1.
 
-    Evaluated by the degree-by-degree recurrence over prefixes, O(n * m),
-    which is stable for nonnegative inputs; degrees above len(x) return 0.
+    Evaluated by the degree-by-degree recurrence over prefixes, O(n * m)
+    time and memory, which is stable for nonnegative inputs; degrees above
+    len(x) return 0.
     """
     x = np.asarray(x, dtype=float).ravel()
     if m < 0:
@@ -50,14 +51,9 @@ def elementary_symmetric(x, m: int) -> float:
 
 
 def _esp_all_degrees(x: np.ndarray, m: int) -> np.ndarray:
-    """Degrees 0..m of the elementary symmetric polynomials of x."""
-    e = np.zeros(m + 1)
-    e[0] = 1.0
-    for k, xi in enumerate(x):
-        top = min(k + 1, m)
-        # numpy buffers the right-hand side, so old prefix values are used
-        e[1 : top + 1] += xi * e[0:top]
-    return e
+    """Degrees 0..m of the elementary symmetric polynomials of x: the last
+    column of the spectral sampler's prefix table."""
+    return _esp_prefix_table(x, m)[:, -1]
 
 
 def sum_principal_minors(b, tau: int) -> float:

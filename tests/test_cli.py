@@ -100,6 +100,14 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert rc == 3  # every pair minor is zero: empty support
 
 
+def test_run_tau_four_past_the_enumeration_range(capsys):
+    # C(60, 4) = 487635 > 4 * 60^2, so rcdvs:4 draws from the spectral sampler
+    argv = ["run", "--kind", "quadratic", "--n", "60", "--methods", "rcdvs:4",
+            "--repetitions", "1", "--output", "json"]
+    assert main(argv) == 0
+    assert '"rcdvs:4"' in capsys.readouterr().out
+
+
 def test_unknown_config_field_rejected(tmp_path):
     cfg = tmp_path / "bad.ini"
     cfg.write_text("[experiment]\nbogus = 1\n")
@@ -155,6 +163,8 @@ def _refuse(*args, **kwargs):
         ("", ["--kind", "logistic", "--n", "10"]),
         ("", ["--kind", "quadratic", "--n", "10", "--m", "5"]),
         ("", ["--kind", "quadratic", "--n", "10", "--sparsity", "3"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--gamma", "2"]),
+        ("[experiment]\ngamma = 2\n", ["--kind", "quadratic", "--n", "10"]),
     ],
 )
 def test_bad_run_settings_exit_2_before_any_work(
@@ -210,7 +220,11 @@ _SAMPLE = {
     "dataset": "data.svm", "gamma": "0.5", "methods": "rcdvs:3, sdna:2",
     "epsilon": "0.5", "repetitions": "3", "max_updates": "123", "output": "csv",
 }
-_BASE = {"problem": {"kind": "quadratic", "n": "5"}, "experiment": {}}
+# run's base names a dataset, without which gamma is an error
+_BASE = {
+    "problem": {"kind": "quadratic", "n": "5"},
+    "experiment": {"dataset": "base.svm"},
+}
 
 
 def _config(verb, argv):

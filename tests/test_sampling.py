@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from volcd import sampling
 from volcd.errors import CombinatorialBlowup, EmptySupport
 from volcd.linalg import CsrSymmetricUpper, psd_det
 from volcd.problems import ProblemSpec, banded_psd, generate
@@ -11,10 +12,12 @@ from volcd.rng import RngStream
 from volcd.sampling import (
     CumulativeTable,
     SparseTwoSampler,
+    SpectralVolumeSampler,
     VolumeSampler,
     all_subsets,
     build_cumulative,
     exact_probabilities,
+    make_sampler,
     principal_minors,
     sparse2_preprocess,
     subset_counts,
@@ -258,6 +261,125 @@ def test_sampled_submatrices_always_nonsingular():
             sampler = VolumeSampler(b, tau)
             for s in sampler.sample_many(stream, 400):
                 assert psd_det(b[np.ix_(s, s)], clamp_scale=np.diag(b).max()) > 0
+
+
+# ---------------------------------------------------------------------------
+# spectral determinantal sampler
+
+
+def _sparse_full_rank(seed, n):
+    b = random_psd(np.random.default_rng(seed), n)
+    b[np.abs(b) < 0.5 * np.abs(b).mean()] = 0.0
+    np.fill_diagonal(b, np.abs(b).sum(axis=1) + 0.5)  # diagonally dominant
+    return CsrSymmetricUpper.from_dense(b)
+
+
+SPECTRAL_CASES = [
+    # (name, matrix, taus): n <= 12, dense and CSR, and tau = rank
+    ("dense-7", lambda: random_psd(np.random.default_rng(30), 7), (2, 3, 4, 5)),
+    ("csr-8", lambda: _sparse_full_rank(31, 8), (2, 3, 5)),
+    ("rank4-8", lambda: random_psd(np.random.default_rng(32), 8, rank=4), (3, 4)),
+    ("csr-12", lambda: _sparse_full_rank(33, 12), (2,)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, make, tau",
+    [(name, make, tau) for name, make, taus in SPECTRAL_CASES for tau in taus],
+    ids=[f"{name}-tau{tau}" for name, _, taus in SPECTRAL_CASES for tau in taus],
+)
+def test_spectral_sampler_matches_exact_distribution(name, make, tau):
+    # criterion 1's bound: total variation at most 0.02 against enumeration
+    b = make()
+    draws = 60_000
+    samples = SpectralVolumeSampler(b, tau).sample_many(RngStream(40 + tau), draws)
+    assert samples.shape == (draws, tau) and samples.dtype == np.int64
+    assert (np.diff(samples, axis=1) > 0).all()  # sorted, distinct rows
+    exact = exact_probabilities(b, tau)
+    assert tv_distance(subset_counts(samples, b.shape[0]), exact, draws) <= 0.02
+
+
+def test_spectral_sampler_empty_support_above_rank():
+    b = random_psd(np.random.default_rng(34), 6, rank=3)
+    SpectralVolumeSampler(b, 3)
+    with pytest.raises(EmptySupport):
+        SpectralVolumeSampler(b, 4)
+    with pytest.raises(EmptySupport):
+        SpectralVolumeSampler(np.zeros((3, 3)), 1)
+
+
+def test_spectral_sampler_gives_up_when_every_minor_is_clamped():
+    # rank 2 numerically, but the only pair minor, 1e-15, is under the clamp,
+    # so enumeration has no support either
+    b = np.diag([1.0, 1e-15])
+    with pytest.raises(EmptySupport):
+        VolumeSampler(b, 2)
+    sampler = SpectralVolumeSampler(b, 2)
+    with pytest.raises(EmptySupport):
+        sampler.sample_many(RngStream(0), 1)
+
+
+def test_spectral_sampler_never_draws_a_degenerate_subset():
+    # the {0, 1} block is singular
+    b = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1.0]])
+    draws = SpectralVolumeSampler(b, 2).sample_many(RngStream(3), 5000)
+    assert (0, 1) not in count_subsets(draws)
+    # {1, ..., 8} has minor 1, under the clamp 1e-14 * 60^8 = 1.7, yet it
+    # carries 1/481 of the unclamped mass: about 40 of 20k draws without
+    # the redraw.  Every other subset holds 0 and is kept.
+    b = np.diag([60.0] + [1.0] * 8)
+    draws = SpectralVolumeSampler(b, 8).sample_many(RngStream(4), 20_000)
+    assert (draws[:, 0] == 0).all()
+    exact = exact_probabilities(b, 8)
+    assert exact[tuple(range(1, 9))] == 0.0
+    assert tv_distance(subset_counts(draws, 9), exact, 20_000) <= 0.02
+
+
+def test_spectral_sampler_same_seed_same_subsets():
+    b = _sparse_full_rank(35, 10)
+    a = SpectralVolumeSampler(b, 3).sample_many(RngStream(99), 600)
+    again = SpectralVolumeSampler(b, 3).sample_many(RngStream(99), 600)
+    assert np.array_equal(a, again)
+    other = SpectralVolumeSampler(b, 3).sample_many(RngStream(98), 600)
+    assert not np.array_equal(a, other)
+
+
+@pytest.mark.parametrize("chunk", [4, 4096])
+def test_spectral_sample_many_is_the_head_of_draws(chunk):
+    sampler = SpectralVolumeSampler(random_psd(np.random.default_rng(36), 9), 4)
+    stream = sampler.draws(RngStream(21), chunk)
+    head = np.array([next(stream) for _ in range(600)])
+    for k in (1, 256, 300, 600):
+        assert np.array_equal(sampler.sample_many(RngStream(21), k), head[:k])
+
+
+@pytest.mark.parametrize(
+    "storage, n, tau, expected",
+    [
+        ("dense", 20, 3, "enumerate"),
+        ("dense", 21, 3, "spectral"),
+        ("dense", 12, 4, "enumerate"),
+        ("dense", 13, 4, "spectral"),
+        ("csr", 21, 3, "spectral"),
+        ("csr", 2000, 2, "pairs"),
+        ("csr", 2000, 1, "enumerate"),
+        ("dense", 2000, 2, "enumerate"),
+        ("dense", 2000, 1, "enumerate"),
+    ],
+)
+def test_make_sampler_rule_at_its_boundaries(monkeypatch, storage, n, tau, expected):
+    # the rule alone: the constructors are replaced, so nothing is built
+    for name, tag in (
+        ("VolumeSampler", "enumerate"),
+        ("SpectralVolumeSampler", "spectral"),
+        ("SparseTwoSampler", "pairs"),
+    ):
+        monkeypatch.setattr(sampling, name, lambda *args, tag=tag: tag)
+    if storage == "csr":
+        b = CsrSymmetricUpper.from_rows(n, [])
+    else:
+        b = np.broadcast_to(0.0, (n, n))
+    assert make_sampler(b, tau) == expected
 
 
 # ---------------------------------------------------------------------------

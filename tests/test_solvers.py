@@ -18,9 +18,10 @@ from volcd.objectives import (
     SeparableObjective,
 )
 from volcd.rng import RngStream
-from volcd.problems import banded_psd
+from volcd.problems import ProblemSpec, banded_psd, gen_quadratic
 from volcd.sampling import (
     SparseTwoSampler,
+    SpectralVolumeSampler,
     VolumeSampler,
     exact_probabilities,
     tau_nice_sample,
@@ -240,6 +241,21 @@ def test_monotone_descent_nonquadratic():
     values = [f for _, f in rep.trace]
     diffs = np.diff(values)
     assert (diffs <= 1e-8).all()
+
+
+def test_rcdvs_tau_four_at_n_400_runs_on_spectral_draws():
+    # C(400, 4) = 1.05e9 subsets exceed the enumeration cap; the run draws
+    # from the spectral sampler instead and still descends at every step
+    obj = gen_quadratic(ProblemSpec(kind="quadratic", n=400, seed=3))[0]
+    b = obj.curvature_matrix()
+    cfg = SolverConfig(method="rcdvs", tau=4, max_iters=300, seed=5, trace_every=1,
+                       record_subsets=True)
+    rep = run(obj, b, cfg)
+    assert rep.iterations == 300
+    values = np.array([f for _, f in rep.trace])
+    assert (np.diff(values) <= 1e-10 * np.abs(values).max()).all()
+    expected = SpectralVolumeSampler(b, 4).sample_many(RngStream(5), 300)
+    assert np.array_equal(np.array(rep.subsets), expected)
 
 
 def test_expected_one_step_decrease_meets_bound():

@@ -55,6 +55,27 @@ def test_esp_above_dimension_is_zero():
     assert elementary_symmetric([1.0, 2.0], 3) == 0.0
 
 
+def _esp_scalar_loop(x, m):
+    # the degree-by-degree loop the prefix table replaced
+    e = np.zeros(m + 1)
+    e[0] = 1.0
+    for k, xi in enumerate(x):
+        top = min(k + 1, m)
+        e[1 : top + 1] += xi * e[0:top]
+    return e
+
+
+def test_esp_prefix_table_bitwise_equals_scalar_loop():
+    from volcd.spectral import _esp_all_degrees
+
+    rng = np.random.default_rng(2)
+    for trial in range(2000):
+        x = rng.random(int(rng.integers(0, 30))) * 10.0 ** rng.uniform(-3, 3)
+        x[rng.random(x.size) < 0.3 * (trial % 2)] = 0.0
+        m = int(rng.integers(0, 35))
+        assert _esp_all_degrees(x, m).tobytes() == _esp_scalar_loop(x, m).tobytes()
+
+
 def test_esp_matches_definitional_sum():
     import itertools
 
