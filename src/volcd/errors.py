@@ -14,7 +14,8 @@ class EmptySupport(VolcdError):
 
 
 class CombinatorialBlowup(VolcdError):
-    """Subset enumeration was refused because the outcome count is too large."""
+    """A sampler was refused: too many subsets to enumerate, or too large a
+    matrix to eigendecompose."""
 
 
 class ZeroDiagonalNonzeroRow(VolcdError):

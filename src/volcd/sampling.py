@@ -15,7 +15,9 @@ Five samplers live here:
   enumerating: it eigendecomposes B once, O(n^3) time and O(n^2) memory,
   picks tau eigenvectors through a prefix table of elementary symmetric
   polynomials, then draws the rows of the projection DPP they span by
-  rejection, O(tau^3 + tau log n) per draw.
+  rejection, O(tau^3 + tau log n) per draw.  Given a handover count, it
+  builds the enumeration table once a run has drawn that many subsets and
+  takes the rest of the stream from it.
 * :class:`SparseTwoSampler` draws 2-element subsets from the same
   determinantal distribution after an O(nnz + n) preprocessing pass over a
   :class:`~volcd.linalg.CsrSymmetricUpper`, which also builds two guide
@@ -28,7 +30,8 @@ Five samplers live here:
 :func:`make_sampler` picks the determinantal sampler for a storage, n and
 tau: the sparse pair sampler for CSR B with tau = 2, enumeration while
 C(n, tau) <= tau * n^2 (every tau <= 2, tau = 3 up to n = 20, tau = 4 up to
-n = 12), the spectral sampler beyond.
+n = 12), the spectral sampler beyond, handing over to enumeration after
+as many draws as the table costs to build (``_handover_draws``).
 
 All samplers are immutable after construction; concurrent sampling is safe
 as long as each thread owns its :class:`~volcd.rng.RngStream`.
@@ -61,6 +64,16 @@ __all__ = [
 
 # Enumerating more outcomes than this is refused outright.
 MAX_ENUMERATED_SUBSETS = 10**8
+
+# The spectral sampler refuses B with more rows than this: it holds three
+# dense n x n arrays (B, its eigenvectors and their column CDFs), 384 MB at
+# the cap, where the eigendecomposition takes on the order of 20 s on one
+# core (18 ms at n = 400, scaled by n^3).
+MAX_SPECTRAL_DIMENSION = 4096
+
+# The spectral sampler hands a run over to an enumeration table of at most
+# this many subsets (about 80 MB at tau = 3), never to a larger one.
+MAX_HANDOVER_SUBSETS = 1 << 21
 
 _CHUNK = 1 << 14
 
@@ -239,10 +252,11 @@ class VolumeSampler:
     minor of order tau, then their cumulative sums: O(C(n, tau) * tau) time
     and memory for tau <= 3 (closed-form minors), O(C(n, tau) * tau^3) time
     for tau >= 4 (batched LU).  Each draw afterwards is a single binary
-    search, about 0.5 us.  That suits small C(n, tau), where the table stays
-    within a small multiple of B; :func:`make_sampler` uses it while
-    C(n, tau) <= tau * n^2 and :class:`SpectralVolumeSampler` beyond.  It is
-    the exactness oracle either way.  Construction refuses more than
+    search, about 0.5 us.  The build takes about 70 ns per subset at
+    tau = 3 and 0.7 us at tau = 4 and 5, so :func:`make_sampler` enumerates
+    from the start only while C(n, tau) <= tau * n^2, where the table builds
+    in under 1 ms, and otherwise after the spectral sampler's handover.  It
+    is the exactness oracle either way.  Construction refuses more than
     ``MAX_ENUMERATED_SUBSETS`` outcomes and raises :class:`EmptySupport`
     when every minor is zero, i.e. when tau exceeds the rank of the matrix.
     """
@@ -359,14 +373,28 @@ class SpectralVolumeSampler:
     each round every unfinished lane makes tau proposals.  The number of
     uniforms a draw takes depends on its rejections, so the stream is its
     own and has no draw-for-draw contract with enumeration.
+
+    A draw costs 10-20 us at tau = 3-5, against about 0.5 us from an
+    enumeration table, so a long run is cheaper with the table once it has
+    drawn as many subsets as the table costs to build.  With ``handover``
+    set, :meth:`draws` builds a :class:`VolumeSampler` after the first
+    ``handover`` draws and continues the stream from it on the same
+    ``rng``.  B with more than ``MAX_SPECTRAL_DIMENSION`` rows raises
+    :class:`CombinatorialBlowup` before anything is densified.
     """
 
-    def __init__(self, b, tau: int):
+    def __init__(self, b, tau: int, handover: int | None = None):
         n = b.shape[0]
         if not 1 <= tau <= n:
             raise ValueError(f"subset size {tau} out of range for dimension {n}")
+        if n > MAX_SPECTRAL_DIMENSION:
+            raise CombinatorialBlowup(
+                f"dimension {n} exceeds the spectral sampler's cap "
+                f"{MAX_SPECTRAL_DIMENSION}: it densifies and eigendecomposes B"
+            )
         self.n = n
         self.tau = int(tau)
+        self.handover = handover
         self.b = as_dense(b)
         spectrum = eigendecompose(self.b)
         lam = np.maximum(spectrum.eigenvalues, 0.0)
@@ -461,17 +489,33 @@ class SpectralVolumeSampler:
                 )
         return out
 
+    def _batches(self, rng: RngStream, chunk: int):
+        # spectral sub-batches up to the handover, the last one cut short,
+        # then the table's chunks, each drawn when the caller reaches it
+        if self.handover is None:
+            while True:
+                yield self._search(rng, _SUB_BATCH)
+        for lo in range(0, self.handover, _SUB_BATCH):
+            yield self._search(rng, min(_SUB_BATCH, self.handover - lo))
+        table = VolumeSampler(self.b, self.tau)
+        while True:
+            yield table.sample_many(rng, chunk)
+
     def draws(self, rng: RngStream, chunk: int):
         """Endless stream of sorted subsets, searched ``_SUB_BATCH`` at a time
         when the caller reaches them.  The stream does not depend on
-        ``chunk``, which only matches the other samplers' signature."""
-        while True:
-            yield from self._search(rng, _SUB_BATCH)
+        ``chunk``, which sizes only the draws after a handover."""
+        for batch in self._batches(rng, chunk):
+            yield from batch
 
     def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
         """The first k subsets of :meth:`draws`."""
-        batches = [self._search(rng, _SUB_BATCH) for _ in range(0, k, _SUB_BATCH)]
-        return np.concatenate([np.empty((0, self.tau), dtype=np.int64)] + batches)[:k]
+        batches = self._batches(rng, k)
+        out, total = [np.empty((0, self.tau), dtype=np.int64)], 0
+        while total < k:
+            out.append(next(batches))
+            total += len(out[-1])
+        return np.concatenate(out)[:k]
 
 
 # ---------------------------------------------------------------------------
@@ -729,20 +773,40 @@ def tau_nice_sample(n: int, tau: int, rng: RngStream) -> np.ndarray:
 # Sampler choice
 
 
+def _handover_draws(n: int, tau: int) -> int | None:
+    """How many spectral draws cost as much as building the enumeration
+    table, or None when the table would exceed ``MAX_HANDOVER_SUBSETS``.
+
+    Measured on dense quadratics at n = 12-250 (one BLAS thread): the table
+    builds in about 70 ns per subset at tau = 3 (closed-form minors) and
+    0.65-0.9 us at tau = 4 and 5 (batched LU), while a spectral draw costs
+    about 10, 13 and 17 us more than a table draw.  So the table pays for
+    itself after about C(n, 3) / 128 or C(n, tau) / 16 draws.
+    """
+    count = math.comb(n, tau)
+    if count > MAX_HANDOVER_SUBSETS:
+        return None
+    return -(-count // (128 if tau == 3 else 16))
+
+
 def make_sampler(b, tau: int):
     """The determinantal sampler for B's storage, its dimension n and tau.
 
     * CSR B with tau = 2: :class:`SparseTwoSampler`, O(nnz + n).
     * C(n, tau) <= tau * n^2: :class:`VolumeSampler`.  That covers every
       tau <= 2, tau = 3 up to n = 20 and tau = 4 up to n = 12, where the
-      enumeration table is within a small multiple of B and draws are
-      cheapest.
+      table builds in under 1 ms and its 0.5 us draws repay the difference
+      to the spectral build within 50 draws.
     * Larger C(n, tau): :class:`SpectralVolumeSampler`, O(n^3) once and
-      O(tau^3 + tau log n) per draw.
+      O(tau^3 + tau log n) per draw, which suits a short run.  A long run
+      is handed over to enumeration after ``_handover_draws(n, tau)`` draws,
+      so it pays at most the eigendecomposition and the table's build cost
+      again over enumerating from the start; a table above
+      ``MAX_HANDOVER_SUBSETS`` is never built.
     """
     n = b.shape[0]
     if isinstance(b, CsrSymmetricUpper) and tau == 2:
         return SparseTwoSampler(b)
     if math.comb(n, tau) <= tau * n * n:
         return VolumeSampler(b, tau)
-    return SpectralVolumeSampler(b, tau)
+    return SpectralVolumeSampler(b, tau, handover=_handover_draws(n, tau))

@@ -14,7 +14,8 @@ The determinantal draws come from :func:`~volcd.sampling.make_sampler`: the
 sparse pair sampler for CSR B with tau = 2, enumeration of all C(n, tau)
 minors while C(n, tau) <= tau * n^2, and otherwise the spectral sampler,
 which eigendecomposes B once (O(n^3) time, O(n^2) memory) and then costs
-O(tau^3 + tau log n) per draw.
+O(tau^3 + tau log n) per draw; a long run hands over to enumeration once
+its draws have cost as much as the table's build.
 
 The solve dispatches on the size of the subset it is given, not on the
 configured ``tau``, so a forced subset of any size gets its own Newton step.

@@ -353,18 +353,52 @@ def test_spectral_sample_many_is_the_head_of_draws(chunk):
         assert np.array_equal(sampler.sample_many(RngStream(21), k), head[:k])
 
 
+@pytest.mark.parametrize("chunk", [4, 4096])
+def test_spectral_handover_continues_the_stream_from_enumeration(chunk):
+    # 300 spectral draws, searched as sub-batches of 256 and 44, then the
+    # table's draws on the same stream
+    b = random_psd(np.random.default_rng(37), 9)
+    sampler = SpectralVolumeSampler(b, 3, handover=300)
+    stream = sampler.draws(RngStream(22), chunk)
+    head = np.array([next(stream) for _ in range(800)])
+    rng = RngStream(22)
+    spectral = SpectralVolumeSampler(b, 3)
+    expected = np.concatenate(
+        (spectral._search(rng, 256), spectral._search(rng, 44),
+         VolumeSampler(b, 3).sample_many(rng, 500))
+    )
+    assert np.array_equal(head, expected)
+    for k in (1, 300, 301, 800):
+        assert np.array_equal(sampler.sample_many(RngStream(22), k), head[:k])
+
+
+def test_spectral_sampler_refuses_a_large_dimension_before_densifying(monkeypatch):
+    def no_densify(b):
+        raise AssertionError("densified")
+
+    monkeypatch.setattr(sampling, "as_dense", no_densify)
+    with pytest.raises(CombinatorialBlowup):
+        make_sampler(CsrSymmetricUpper.from_rows(100_000, []), 3)
+    cap = sampling.MAX_SPECTRAL_DIMENSION
+    with pytest.raises(CombinatorialBlowup):
+        SpectralVolumeSampler(CsrSymmetricUpper.from_rows(cap + 1, []), 3)
+
+
 @pytest.mark.parametrize(
     "storage, n, tau, expected",
     [
-        ("dense", 20, 3, "enumerate"),
-        ("dense", 21, 3, "spectral"),
-        ("dense", 12, 4, "enumerate"),
-        ("dense", 13, 4, "spectral"),
-        ("csr", 21, 3, "spectral"),
-        ("csr", 2000, 2, "pairs"),
-        ("csr", 2000, 1, "enumerate"),
-        ("dense", 2000, 2, "enumerate"),
-        ("dense", 2000, 1, "enumerate"),
+        ("dense", 20, 3, ("enumerate", None)),
+        ("dense", 21, 3, ("spectral", 11)),  # C(21, 3) = 1330
+        ("dense", 12, 4, ("enumerate", None)),
+        ("dense", 13, 4, ("spectral", 45)),  # C(13, 4) = 715
+        ("dense", 160, 3, ("spectral", 5234)),  # C(160, 3) = 669,920
+        ("dense", 233, 3, ("spectral", 16260)),  # the largest table handed over
+        ("dense", 234, 3, ("spectral", None)),
+        ("csr", 21, 3, ("spectral", 11)),
+        ("csr", 2000, 2, ("pairs", None)),
+        ("csr", 2000, 1, ("enumerate", None)),
+        ("dense", 2000, 2, ("enumerate", None)),
+        ("dense", 2000, 1, ("enumerate", None)),
     ],
 )
 def test_make_sampler_rule_at_its_boundaries(monkeypatch, storage, n, tau, expected):
@@ -374,7 +408,9 @@ def test_make_sampler_rule_at_its_boundaries(monkeypatch, storage, n, tau, expec
         ("SpectralVolumeSampler", "spectral"),
         ("SparseTwoSampler", "pairs"),
     ):
-        monkeypatch.setattr(sampling, name, lambda *args, tag=tag: tag)
+        monkeypatch.setattr(
+            sampling, name, lambda *args, tag=tag, handover=None: (tag, handover)
+        )
     if storage == "csr":
         b = CsrSymmetricUpper.from_rows(n, [])
     else:

@@ -258,6 +258,24 @@ def test_rcdvs_tau_four_at_n_400_runs_on_spectral_draws():
     assert np.array_equal(np.array(rep.subsets), expected)
 
 
+def test_long_rcdvs_run_hands_over_to_enumeration():
+    # C(30, 3) = 4060 > 3 * 30^2: 32 spectral draws, then enumeration
+    obj = gen_quadratic(ProblemSpec(kind="quadratic", n=30, seed=4))[0]
+    b = obj.curvature_matrix()
+    cfg = SolverConfig(method="rcdvs", tau=3, max_iters=1000, seed=6, trace_every=1,
+                       record_subsets=True)
+    rep = run(obj, b, cfg)
+    assert rep.iterations == 1000
+    values = np.array([f for _, f in rep.trace])
+    assert (np.diff(values) <= 1e-10 * np.abs(values).max()).all()
+    rng = RngStream(6)
+    expected = np.concatenate(
+        (SpectralVolumeSampler(b, 3)._search(rng, 32),
+         VolumeSampler(b, 3).sample_many(rng, 968))
+    )
+    assert np.array_equal(np.array(rep.subsets), expected)
+
+
 def test_expected_one_step_decrease_meets_bound():
     rng = np.random.default_rng(11)
     n = 6
