@@ -10,15 +10,16 @@ may pick an algorithm by storage (the sparse pair sampler, the sparse solver
 states), but they read B through ``shape``, ``diagonal()`` and
 ``item(i, j)``, which both storages provide, gather blocks with
 :func:`gather_submatrix`, and densify it only with :func:`as_dense`.
+
+scipy is imported only inside the functions that call it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg.lapack
-import scipy.sparse
 
 from .errors import (
     NumericError,
@@ -26,6 +27,9 @@ from .errors import (
     SingularSubmatrix,
     ZeroDiagonalNonzeroRow,
 )
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "CsrSymmetricUpper",
@@ -198,10 +202,14 @@ class CsrSymmetricUpper:
     @classmethod
     def from_dense(cls, a) -> "CsrSymmetricUpper":
         """Build from a dense symmetric matrix, storing its nonzero entries."""
+        import scipy.sparse
+
         return cls.from_scipy(scipy.sparse.csr_matrix(as_symmetric(a)))
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         """The full symmetric matrix as a scipy CSR matrix."""
+        import scipy.sparse
+
         rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
         upper = scipy.sparse.coo_matrix(
             (self.values, (rows, self.indices)), shape=self.shape
@@ -220,6 +228,8 @@ class CsrSymmetricUpper:
         triangle may be left out.  The diagonal is kept explicit for every
         nonempty row, so validation sees the true diagonal values.
         """
+        import scipy.sparse
+
         sp = scipy.sparse.csr_matrix(sp)
         sp.sum_duplicates()
         upper = scipy.sparse.triu(sp, k=1, format="csr")
@@ -256,6 +266,8 @@ def add_to_diagonal(b, c: float):
     with a stored diagonal, and stored zeros are dropped.
     """
     if isinstance(b, CsrSymmetricUpper):
+        import scipy.sparse
+
         return CsrSymmetricUpper.from_scipy(
             b.to_scipy() + c * scipy.sparse.identity(b.n)
         )
@@ -300,6 +312,8 @@ def spd_solve(m, rhs) -> np.ndarray:
     which signals a degenerate coordinate selection, and ``ValueError`` on a
     non-square M.
     """
+    import scipy.linalg.lapack
+
     m = np.asarray(m, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:

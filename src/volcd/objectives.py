@@ -20,8 +20,9 @@ column and evaluates the loss on that column's rows only.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
-import scipy.sparse
 
 from .linalg import CsrSymmetricUpper, add_to_diagonal, symmetrize
 
@@ -399,8 +400,10 @@ class SeparableObjective:
     smoothness constant."""
 
     def __init__(self, a, b, loss):
-        if scipy.sparse.issparse(a):
-            self.a = scipy.sparse.csr_matrix(a)
+        # no scipy sparse matrix exists before scipy.sparse is imported
+        sp = sys.modules.get("scipy.sparse")
+        if sp is not None and sp.issparse(a):
+            self.a = sp.csr_matrix(a)
             self.sparse = True
         else:
             self.a = np.asarray(a, dtype=float)
@@ -417,6 +420,8 @@ class SeparableObjective:
         column's row indices, its nonzeros and b at those rows, as slices of
         one CSC copy of A and one gather of b, built on first use."""
         if self._columns_cache is None:
+            import scipy.sparse
+
             csc = scipy.sparse.csc_matrix(self.a)
             ptr, rows, vals = csc.indptr, csc.indices, csc.data
             b_rows = self.b[rows]

@@ -1,13 +1,14 @@
-"""Benchmark problem generators, dataset ingestion, and reference optima."""
+"""Benchmark problem generators, dataset ingestion, and reference optima.
+
+scipy is imported only inside the functions that call it.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .errors import ConfigError, NumericError, ParseError, UnboundedLevelSet
 from .linalg import CsrSymmetricUpper, as_dense, symmetrize
@@ -19,6 +20,9 @@ from .objectives import (
     SeparableObjective,
 )
 from .rng import RngStream
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 __all__ = [
     "ProblemSpec",
@@ -94,6 +98,8 @@ def _sphere_direction(dim: int, rng: RngStream) -> np.ndarray:
 
 
 def _sparse_direction(dim: int, p: int, rng: RngStream) -> scipy.sparse.csc_matrix:
+    import scipy.sparse
+
     idx = rng.generator.choice(dim, size=p, replace=False)
     vals = _sphere_direction(p, rng)
     return scipy.sparse.csc_matrix(
@@ -159,6 +165,8 @@ def gen_huber(spec: ProblemSpec):
             a -= 2.0 * np.outer(u, u @ a)
             a -= 2.0 * np.outer(a @ v, v)
     else:
+        import scipy.sparse
+
         a = scipy.sparse.diags(diag, shape=(m, n), format="csr")
         for _ in range(spec.reflections):
             u = _sparse_direction(m, spec.sparsity, rng)
@@ -236,6 +244,8 @@ def read_libsvm(path):
         y = np.where(y == uniq[0], -1.0, 1.0)
     elif uniq[0] not in (-1.0, 1.0):
         raise ParseError(f"single label value {uniq[0]} is not interpretable")
+    import scipy.sparse
+
     a = scipy.sparse.csr_matrix(
         (data, indices, indptr), shape=(len(labels), n)
     )
@@ -279,6 +289,9 @@ def reference_min(
             )
         return float(obj.value(x_star))
 
+    import scipy.linalg
+    import scipy.sparse.linalg
+
     if b is None:
         b = obj.curvature_matrix()
     try:
@@ -317,6 +330,8 @@ def banded_psd(n: int, bandwidth: int, seed: int = 0) -> CsrSymmetricUpper:
     entry exceeds the absolute sum of its row, column included implicitly by
     symmetry.  nnz is about n * (bandwidth + 1).
     """
+    import scipy.sparse
+
     if bandwidth < 1 or bandwidth >= n:
         raise ValueError("need 1 <= bandwidth < n")
     rng = RngStream(seed)

@@ -57,7 +57,6 @@ __all__ = [
     "exact_probabilities",
     "make_sampler",
     "principal_minors",
-    "sparse2_preprocess",
     "subset_counts",
     "tau_nice_sample",
 ]
@@ -750,10 +749,6 @@ class SparseTwoSampler:
             [np.empty((0, 2), dtype=np.int64)]
             + [next(batches) for _ in range(0, k, _SUB_BATCH)]
         )
-
-
-def sparse2_preprocess(b: CsrSymmetricUpper) -> SparseTwoSampler:
-    return SparseTwoSampler(b)
 
 
 # ---------------------------------------------------------------------------

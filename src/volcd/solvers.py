@@ -19,8 +19,8 @@ its draws have cost as much as the table's build.
 
 The solve dispatches on the size of the subset it is given, not on the
 configured ``tau``, so a forced subset of any size gets its own Newton step.
-One or two coordinates are solved in closed form from the diagonal of B and
-its one off-diagonal entry; larger subsets gather B[S, S] and factor it by
+Closed forms for one to three coordinates read the diagonal of B and its
+off-diagonal entries in S; larger subsets gather B[S, S] and factor it by
 Cholesky.  Dense and sparse B take the same path.  Every size applies one
 rule to a singular block: :class:`SingularSubmatrix` under the exact methods,
 the pseudoinverse step under ``sdna``.
@@ -155,11 +155,12 @@ def check_stop(k: int, value: float, config: SolverConfig) -> bool:
 
 def _make_step_solver(b, exact: bool):
     """Return h = solve(S, g), the solution of B[S, S] h = g, by the size of
-    S: closed forms for one and two coordinates read B through its diagonal
-    and ``item``, larger subsets gather B[S, S] and factor it.  A singular
-    block raises :class:`SingularSubmatrix` if ``exact``, and is solved by
-    the pseudoinverse otherwise."""
-    diag = b.diagonal()
+    S: closed forms for one to three coordinates read B through its diagonal
+    and ``item``, larger subsets gather B[S, S] and factor it.  A block with
+    a leading pivot that is not positive (NaN included) is singular: it
+    raises :class:`SingularSubmatrix` if ``exact``, and is solved by the
+    pseudoinverse otherwise."""
+    diag = b.diagonal().tolist()
     pair = b.item
 
     def solve(s, g):
@@ -182,6 +183,28 @@ def _make_step_solver(b, exact: bool):
             if exact:
                 raise SingularSubmatrix("singular 2x2 submatrix")
             return pseudo_solve(np.array([[aa, cc], [cc, bb]]), g)
+        if size == 3:
+            # B[S, S] = L D L' with unit lower L; each pivot is checked
+            # before it divides
+            i, j, k = s.tolist()
+            d1 = diag[i]
+            if d1 > 0.0:
+                p, q = pair(i, j), pair(i, k)
+                l21, l31 = p / d1, q / d1
+                d2 = diag[j] - p * l21
+                if d2 > 0.0:
+                    t = pair(j, k) - q * l21
+                    l32 = t / d2
+                    d3 = diag[k] - q * l31 - t * l32
+                    if d3 > 0.0:
+                        g1, g2, g3 = g.tolist()
+                        y2 = g2 - l21 * g1
+                        h3 = (g3 - l31 * g1 - l32 * y2) / d3
+                        h2 = y2 / d2 - l32 * h3
+                        return np.array([g1 / d1 - l21 * h2 - l31 * h3, h2, h3])
+            if exact:
+                raise SingularSubmatrix("singular 3x3 submatrix")
+            return pseudo_solve(gather_submatrix(b, s), g)
         sub = gather_submatrix(b, s)
         try:
             return spd_solve(sub, g)

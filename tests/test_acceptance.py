@@ -26,10 +26,10 @@ from volcd.objectives import (
 from volcd.problems import ProblemSpec, banded_psd, read_libsvm, reference_min
 from volcd.rng import RngStream
 from volcd.sampling import (
+    SparseTwoSampler,
     VolumeSampler,
     exact_probabilities,
     principal_minors,
-    sparse2_preprocess,
     subset_counts,
 )
 from volcd.solvers import SolverConfig, rcdvs_run
@@ -76,7 +76,7 @@ def test_criterion_1_sampler_exactness():
             samples = sampler.sample_many(RngStream(1000 + trial), draws)
             counts = subset_counts(samples, 6)
             worst = max(worst, _tv(counts, exact, draws))
-        pair = sparse2_preprocess(CsrSymmetricUpper.from_dense(b))
+        pair = SparseTwoSampler(CsrSymmetricUpper.from_dense(b))
         counts = subset_counts(pair.sample_many(RngStream(2000 + trial), draws), 6)
         worst = max(worst, _tv(counts, exact_probabilities(b, 2), draws))
     elapsed = time.perf_counter() - started
@@ -362,12 +362,12 @@ import gc, json, time
 import numpy as np
 from volcd.problems import banded_psd
 from volcd.rng import RngStream
-from volcd.sampling import sparse2_preprocess
+from volcd.sampling import SparseTwoSampler
 
 sizes = (10_000, 20_000, 40_000)  # ~1e5, 2e5, 4e5 stored entries
 mats = {n: banded_psd(n, 9, seed=n) for n in sizes}
 for b in mats.values():
-    sparse2_preprocess(b)  # warm allocator and caches
+    SparseTwoSampler(b)  # warm allocator and caches
 
 # interleave the timed rounds so transient load hits every size alike
 best = {n: float("inf") for n in sizes}
@@ -376,13 +376,13 @@ gc.disable()
 for _ in range(9):
     for n in sizes:
         t0 = time.perf_counter()
-        sparse2_preprocess(mats[n])
+        SparseTwoSampler(mats[n])
         best[n] = min(best[n], time.perf_counter() - t0)
 gc.enable()
 
 latency = []
 for n in (10_000, 100_000, 1_000_000):
-    sampler = sparse2_preprocess(banded_psd(n, 4, seed=n + 1))
+    sampler = SparseTwoSampler(banded_psd(n, 4, seed=n + 1))
     rng = RngStream(n)
     sampler.sample_many(rng, 500)  # warm up
     per_draw = float("inf")
@@ -445,5 +445,5 @@ def test_degenerate_submatrices_never_sampled():
             for s in sampler.sample_many(stream, 2500):
                 assert psd_det(b[np.ix_(s, s)], clamp_scale=scale) > 0
         csr = CsrSymmetricUpper.from_dense(b)
-        for s in sparse2_preprocess(csr).sample_many(stream, 2500):
+        for s in SparseTwoSampler(csr).sample_many(stream, 2500):
             assert psd_det(b[np.ix_(s, s)], clamp_scale=scale) > 0

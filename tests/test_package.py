@@ -1,5 +1,8 @@
 import importlib
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -32,3 +35,29 @@ def test_readme_python_blocks_run():
     namespace: dict = {}
     for block in blocks:
         exec(compile(block, str(readme), "exec"), namespace)
+
+
+_DENSE_RUN = """
+import sys
+import volcd, volcd.cli
+code = volcd.cli.main(["run", "--kind", "quadratic", "--n", "30", "--methods",
+                       "rcdvs:2,rcdvs:3,sdna:3", "--epsilon", "0.01",
+                       "--repetitions", "2", "--output", "json", "--out", sys.argv[1]])
+print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_dense_run_never_imports_scipy(tmp_path):
+    # scipy is imported where CSR storage, a reference solve of a
+    # non-quadratic problem or a step of four or more coordinates needs it;
+    # a dense quadratic run with steps of one to three coordinates needs none
+    src = str(Path(volcd.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _DENSE_RUN, str(tmp_path / "table.json")],
+        capture_output=True, text=True, check=True, env=env,
+    )
+    code, loaded = proc.stdout.split(None, 1)
+    assert code == "0"
+    assert loaded.strip() == "[]"

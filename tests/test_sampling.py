@@ -19,7 +19,6 @@ from volcd.sampling import (
     exact_probabilities,
     make_sampler,
     principal_minors,
-    sparse2_preprocess,
     subset_counts,
     tau_nice_sample,
 )
@@ -423,14 +422,14 @@ def test_make_sampler_rule_at_its_boundaries(monkeypatch, storage, n, tau, expec
 
 
 def test_sparse2_preprocess_hand_values():
-    sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(TRIDIAG))
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
     assert np.allclose(sampler.hcum, [4.0, 5.0, 4.0, 5.0, 4.0])
     assert np.allclose(sampler.t, [6.0, 4.0, 2.0, 0.0])
     assert np.allclose(sampler.q, [7.0, 10.0])
 
 
 def test_sparse2_preprocess_identity_two():
-    sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(np.eye(2)))
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(np.eye(2)))
     assert np.allclose(sampler.hcum[:1], [1.0])
     assert np.allclose(sampler.t, [2.0, 1.0, 0.0])
     assert np.allclose(sampler.q, [1.0])
@@ -438,7 +437,7 @@ def test_sparse2_preprocess_identity_two():
 
 def test_sparse2_zero_row_contributes_nothing():
     b = np.diag([1.0, 0.0, 2.0])
-    sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(b))
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(b))
     # masses: row 0 pairs with {1,2}: 1*0 + 1*2 = 2; row 1: zero
     assert np.allclose(sampler.q, [2.0, 2.0])
     draws = sampler.sample_many(RngStream(11), 3000)
@@ -446,7 +445,7 @@ def test_sparse2_zero_row_contributes_nothing():
 
 
 def test_sparse2_sample_trace():
-    sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(TRIDIAG))
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
     # row search: q1/q2 = 0.7 >= 0.65 picks the first row; the gap search
     # then lands past the stored neighbor, on column 2
     assert sampler._sample_one(0.65, 0.5) == (0, 2)
@@ -455,7 +454,7 @@ def test_sparse2_sample_trace():
 
 
 def test_sparse2_statistical_matches_exact():
-    sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(TRIDIAG))
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
     draws = 20_000
     counts = count_subsets(sampler.sample_many(RngStream(13), draws))
     tv = tv_distance(counts, exact_probabilities(TRIDIAG, 2), draws)
@@ -472,7 +471,7 @@ def test_sparse2_matches_general_sampler_distribution():
         exact = exact_probabilities(b, 2)
         draws = 20_000
         tv_sparse = tv_distance(
-            count_subsets(sparse2_preprocess(csr).sample_many(RngStream(trial), draws)),
+            count_subsets(SparseTwoSampler(csr).sample_many(RngStream(trial), draws)),
             exact,
             draws,
         )
@@ -492,7 +491,7 @@ def test_sparse2_normalization_equals_minor_sum():
         b[np.abs(b) < 0.3] = 0.0
         np.fill_diagonal(b, np.abs(np.diag(b)) + 1.0)
         csr = CsrSymmetricUpper.from_dense(b)
-        sampler = sparse2_preprocess(csr)
+        sampler = SparseTwoSampler(csr)
         total = principal_minors(b, 2, clamp=False).sum()
         assert sampler.total_pair_mass() == pytest.approx(total, rel=1e-8)
         lam = np.linalg.eigvalsh(b)
@@ -504,11 +503,11 @@ def test_sparse2_normalization_equals_minor_sum():
 
 def test_sparse2_requires_rank_two():
     with pytest.raises(EmptySupport):
-        sparse2_preprocess(CsrSymmetricUpper.from_dense(np.diag([1.0, 0.0])))
+        SparseTwoSampler(CsrSymmetricUpper.from_dense(np.diag([1.0, 0.0])))
 
 
 def test_sparse_two_sampler_single_draw():
-    sampler = sparse2_preprocess(CsrSymmetricUpper.from_dense(TRIDIAG))
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
     s = sampler.sample(RngStream(1))
     assert s[0] < s[1]
     rng = RngStream(1)
@@ -645,7 +644,7 @@ def test_identical_seeds_identical_sequences():
     b = random_psd(np.random.default_rng(8), 6)
     for factory in (
         lambda: VolumeSampler(b, 2),
-        lambda: sparse2_preprocess(
+        lambda: SparseTwoSampler(
             CsrSymmetricUpper.from_dense(b + 6 * np.eye(6))
         ),
     ):

@@ -436,19 +436,20 @@ def test_sparse_curvature_pair_path():
 
 
 def test_pair_solve_same_on_dense_and_sparse_curvature():
-    # the closed-form 2x2 solve reads the same three entries from either
-    # storage, so the steps agree bit for bit
+    # the closed-form 2x2 and 3x3 solves read the same diagonal and
+    # off-diagonal entries from either storage, so the steps agree bit for bit
     csr = banded_psd(40, 4, seed=3)
     dense = csr.to_dense()
     rng = np.random.default_rng(4)
-    for exact in (True, False):
-        solve_d = _make_step_solver(dense, exact)
-        solve_s = _make_step_solver(csr, exact)
-        for _ in range(200):
-            s = np.sort(rng.choice(40, size=2, replace=False))
-            g = rng.standard_normal(2)
-            assert solve_d(s, g).tobytes() == solve_s(s, g).tobytes()
-            assert np.allclose(solve_s(s, g), spd_solve(dense[np.ix_(s, s)], g))
+    for size in (2, 3):
+        for exact in (True, False):
+            solve_d = _make_step_solver(dense, exact)
+            solve_s = _make_step_solver(csr, exact)
+            for _ in range(200):
+                s = np.sort(rng.choice(40, size=size, replace=False))
+                g = rng.standard_normal(size)
+                assert solve_d(s, g).tobytes() == solve_s(s, g).tobytes()
+                assert np.allclose(solve_s(s, g), spd_solve(dense[np.ix_(s, s)], g))
 
 
 def test_singular_sparse_pair_raises_or_falls_back():
@@ -509,15 +510,41 @@ def test_singular_block_rule_at_size_three(sparse):
         _make_step_solver(b, exact=True)(singular, g)
     h = _make_step_solver(b, exact=False)(singular, g)
     assert np.array_equal(h, pseudo_solve(a[np.ix_(singular, singular)], g))
+    # the regular block takes the closed form, the same bits from dense and
+    # CSR B and within roundoff of the LAPACK Cholesky solve
+    reference = spd_solve(a[np.ix_(regular, regular)], g)
     for exact in (True, False):
         h = _make_step_solver(b, exact)(regular, g)
-        assert np.array_equal(h, spd_solve(a[np.ix_(regular, regular)], g))
+        other = _make_step_solver(a if sparse else CsrSymmetricUpper.from_dense(a), exact)
+        assert h.tobytes() == other(regular, g).tobytes()
+        assert np.abs(h - reference).max() <= 1e-12 * np.abs(reference).max()
     obj = QuadraticObjective(b, np.ones(4))
     forced = dict(tau=3, max_iters=1, forced_subsets=[[0, 1, 2]])
     with pytest.raises(SingularSubmatrix):
         run(obj, b, SolverConfig(method="rcdvs", **forced))
     rep = run(obj, b, SolverConfig(method="sdna", **forced))
     assert rep.final_value <= obj.value(np.zeros(4)) + 1e-12
+
+
+@pytest.mark.parametrize(
+    "block",
+    [
+        [[0.0, 0.0, 0.0], [0.0, 1.0, 0.5], [0.0, 0.5, 1.0]],  # first pivot 0
+        [[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]],  # second pivot 0
+        [[2.0, 1.0, 3.0], [1.0, 2.0, 3.0], [3.0, 3.0, 6.0]],  # third pivot 0
+        [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, np.nan]],  # NaN pivot
+    ],
+)
+def test_size_three_closed_form_checks_every_pivot(block):
+    a = np.array(block)
+    s, g = np.arange(3), np.array([1.0, -2.0, 0.5])
+    with pytest.raises(SingularSubmatrix):
+        _make_step_solver(a, exact=True)(s, g)
+    if np.isfinite(a).all():  # LAPACK's potrf passes a NaN pivot through
+        with pytest.raises(SingularSubmatrix):
+            spd_solve(a, g)
+        h = _make_step_solver(a, exact=False)(s, g)
+        assert np.array_equal(h, pseudo_solve(a, g))
 
 
 def _two_batches(sampler, rng):
