@@ -76,10 +76,7 @@ from .solvers import (
     SolverConfig,
     SolverReport,
     check_stop,
-    rcd_run,
-    rcdvs_run,
     run,
-    sdna_run,
 )
 from .spectral import (
     TauApprox,
@@ -148,14 +145,11 @@ __all__ = [
     "modulus_quadratic",
     "principal_submatrix",
     "pseudo_solve",
-    "rcd_run",
-    "rcdvs_run",
     "read_libsvm",
     "reference_min",
     "run",
     "run_experiment",
     "save_triples",
-    "sdna_run",
     "spd_solve",
     "sum_adjugates",
     "sum_principal_minors",

@@ -8,7 +8,8 @@ Verbs:
 * ``theory``       print the spectrum, surrogate spectra, and predicted
                    acceleration ratios for a matrix file
 * ``sample-test``  compare empirical subset frequencies against the exact
-                   determinantal distribution
+                   determinantal distribution, drawn from the sampler
+                   ``make_sampler`` picks, the one ``run`` uses
 
 ``gen`` reads ``[problem]`` kind n m lam1 lam2 mu sparsity seed reflections.
 ``run`` reads ``[problem]`` without seed, since every repetition's problem seed
@@ -39,12 +40,7 @@ from .linalg import (
 )
 from .problems import ProblemSpec, generate
 from .rng import RngStream
-from .sampling import (
-    SparseTwoSampler,
-    VolumeSampler,
-    exact_probabilities,
-    subset_counts,
-)
+from .sampling import exact_probabilities, make_sampler, subset_counts
 from .spectral import acceleration_ratio, b_tau
 
 
@@ -121,7 +117,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tau", type=int, default=2)
     s.add_argument("--draws", type=int, default=100_000)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--sparse", action="store_true", help="use the sparse pair sampler")
     s.add_argument("--out", help="output path (default stdout)")
     return parser
 
@@ -239,15 +234,11 @@ def _cmd_theory(args) -> int:
 
 def _cmd_sample_test(args) -> int:
     b = _load_matrix(args.matrix)
+    if not 1 <= args.tau <= b.shape[0] or args.draws < 1:
+        raise ConfigError(f"need 1 <= tau <= {b.shape[0]} and draws >= 1")
     exact = exact_probabilities(b, args.tau)
-    rng = RngStream(args.seed)
-    if args.sparse:
-        if args.tau != 2:
-            raise ConfigError("the sparse sampler draws pairs only (tau = 2)")
-        sampler = SparseTwoSampler(b)
-    else:
-        sampler = VolumeSampler(b, args.tau)
-    counts = subset_counts(sampler.sample_many(rng, args.draws), b.shape[0])
+    draws = make_sampler(b, args.tau).sample_many(RngStream(args.seed), args.draws)
+    counts = subset_counts(draws, b.shape[0])
     tv = 0.5 * sum(
         abs(counts.get(s, 0) / args.draws - p) for s, p in exact.items()
     )

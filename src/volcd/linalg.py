@@ -43,9 +43,11 @@ __all__ = [
     "gather_submatrix",
     "load_csr_triples",
     "load_dense_triples",
+    "minor_threshold",
     "principal_submatrix",
     "psd_det",
     "pseudo_solve",
+    "require_finite",
     "save_triples",
     "spd_solve",
     "symmetrize",
@@ -54,6 +56,14 @@ __all__ = [
 
 # Principal minors below this times (max diagonal) ** tau count as exactly 0.
 _DET_CLAMP = 1e-14
+
+
+def minor_threshold(diag_max: float, tau: int) -> float:
+    """The value below which an order-tau principal minor of B counts as
+    exactly 0, for B's largest diagonal entry ``diag_max``: 1e-14 times
+    ``diag_max ** tau``, or infinity when ``diag_max <= 0``.  Every
+    determinantal sampler and :func:`psd_det` clamp with it."""
+    return _DET_CLAMP * diag_max**tau if diag_max > 0 else np.inf
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -73,12 +83,19 @@ def as_symmetric(a, tol: float = 1e-10) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if a.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix contains non-finite entries")
+    require_finite(a)
     scale = max(1.0, float(np.abs(a).max()))
     if np.abs(a - a.T).max() > tol * scale:
         raise ValueError("matrix is not symmetric")
     return symmetrize(a)
+
+
+def require_finite(b) -> None:
+    """Raise ``ValueError`` when B has a non-finite entry.  A
+    :class:`CsrSymmetricUpper` is finite by construction; a dense B is
+    scanned once."""
+    if not isinstance(b, CsrSymmetricUpper) and not np.isfinite(b).all():
+        raise ValueError("matrix contains non-finite entries")
 
 
 def validate_index_set(s, n: int) -> np.ndarray:
@@ -328,8 +345,10 @@ def spd_solve(m, rhs) -> np.ndarray:
 
 
 def pseudo_solve(m, rhs) -> np.ndarray:
-    """Minimum-norm least-squares solution pinv(M) @ rhs; total on PSD input."""
+    """Minimum-norm least-squares solution pinv(M) @ rhs; total on finite PSD
+    input.  A non-finite M raises ``ValueError`` before LAPACK sees it."""
     m = np.asarray(m, dtype=float)
+    require_finite(m)
     rhs = np.asarray(rhs, dtype=float)
     sol, _, _, _ = np.linalg.lstsq(m, rhs, rcond=None)
     return sol
@@ -367,25 +386,22 @@ def eigendecompose(b) -> Spectrum:
 def psd_det(m, clamp_scale: float | None = None) -> float:
     """Principal-minor determinant of a PSD matrix, clamped to exactly 0.
 
-    Values below ``_DET_CLAMP * (max diagonal) ** tau`` (1e-14 times that
-    power) are treated as degenerate and return 0.0, so floating-point noise
-    cannot give a singular submatrix positive sampling probability.
-    ``clamp_scale`` overrides ``max diagonal`` when the submatrix is part of
-    a larger matrix.
+    Values below :func:`minor_threshold` of the largest diagonal entry are
+    treated as degenerate and return 0.0, so floating-point noise cannot give
+    a singular submatrix positive sampling probability.  ``clamp_scale``
+    overrides that entry when the submatrix is part of a larger matrix.
     """
     m = np.asarray(m, dtype=float)
-    tau = m.shape[0]
     scale = float(np.max(np.diag(m))) if clamp_scale is None else float(clamp_scale)
-    if scale <= 0.0:
+    threshold = minor_threshold(scale, m.shape[0])
+    if threshold == np.inf:
         return 0.0
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return 0.0
     det = float(np.prod(np.diag(chol)) ** 2)
-    if det < _DET_CLAMP * scale**tau:
-        return 0.0
-    return det
+    return 0.0 if det < threshold else det
 
 
 def adjugate(m) -> np.ndarray:

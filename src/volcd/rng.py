@@ -1,8 +1,10 @@
 """Seedable random streams with open-interval uniform draws.
 
 All randomized code in the package draws from :class:`RngStream` so that a run
-is fully reproducible from a single 64-bit seed and independent streams can be
-split off for concurrent work.
+is fully reproducible from a single 64-bit seed.  The determinantal samplers
+take their uniforms in vectors, a chunk or a sub-batch at a time, through
+:meth:`RngStream.uniforms`; a subset stream is therefore fixed by the seed and
+the order in which the sampler asks for those vectors.
 """
 
 from __future__ import annotations
@@ -18,21 +20,10 @@ class RngStream:
     draws that land exactly on 0.0 are redrawn.
     """
 
-    def __init__(self, seed: int | np.random.SeedSequence = 0):
-        if isinstance(seed, np.random.SeedSequence):
-            self._seq = seed
-            self.seed = seed.entropy
-        else:
-            self.seed = int(seed)
-            self._seq = np.random.SeedSequence(self.seed)
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
-
-    def uniform(self) -> float:
-        """One uniform in (0, 1)."""
-        u = self._gen.random()
-        while u == 0.0:
-            u = self._gen.random()
-        return u
+    def __init__(self, seed: int = 0):
+        self._gen = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(int(seed)))
+        )
 
     def uniforms(self, k: int) -> np.ndarray:
         """Vector of k uniforms in (0, 1)."""
@@ -45,10 +36,6 @@ class RngStream:
 
     def standard_normal(self, size) -> np.ndarray:
         return self._gen.standard_normal(size)
-
-    def spawn(self, k: int) -> list["RngStream"]:
-        """Split off k independent child streams."""
-        return [RngStream(s) for s in self._seq.spawn(k)]
 
     @property
     def generator(self) -> np.random.Generator:

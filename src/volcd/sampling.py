@@ -33,6 +33,12 @@ C(n, tau) <= tau * n^2 (every tau <= 2, tau = 3 up to n = 20, tau = 4 up to
 n = 12), the spectral sampler beyond, handing over to enumeration after
 as many draws as the table costs to build (``_handover_draws``).
 
+The three determinantal samplers share one stream contract: each yields its
+draws in batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
+chunk)`` (the endless stream a solver run reads) and ``sample_many(rng, k)``
+(its first k subsets) are defined once on top of it.  A single draw is
+``sample_many(rng, 1)[0]``.
+
 All samplers are immutable after construction; concurrent sampling is safe
 as long as each thread owns its :class:`~volcd.rng.RngStream`.
 """
@@ -44,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import CombinatorialBlowup, EmptySupport
-from .linalg import _DET_CLAMP, CsrSymmetricUpper, as_dense, eigendecompose
+from .linalg import CsrSymmetricUpper, as_dense, eigendecompose, minor_threshold
 from .rng import RngStream
 
 __all__ = [
@@ -213,7 +219,7 @@ def principal_minors(
     block by leading index), each O(1) per subset; tau >= 4 gathers B[S, S]
     in chunks and takes batched LU determinants, O(tau^3) per subset.
     With ``clamp=True`` (the PSD sampling path) minors below
-    ``1e-14 * (max diagonal) ** tau``, including roundoff negatives, are
+    :func:`~volcd.linalg.minor_threshold`, including roundoff negatives, are
     set to exactly 0, so degenerate submatrices carry no sampling mass.
     Pass ``clamp=False`` to get raw determinants, e.g. for indefinite input.
     """
@@ -238,13 +244,32 @@ def principal_minors(
                 sub = b[block[:, :, None], block[:, None, :]]
                 minors[lo : lo + block.shape[0]] = np.linalg.det(sub)
     if clamp:
-        diag_max = float(np.max(diag))
-        threshold = _DET_CLAMP * diag_max**tau if diag_max > 0 else np.inf
-        minors[minors < threshold] = 0.0
+        minors[minors < minor_threshold(float(np.max(diag)), tau)] = 0.0
     return minors
 
 
-class VolumeSampler:
+class _SubsetStream:
+    """The draw methods of every determinantal sampler, over the subclass's
+    ``_batches(rng, chunk)``: a generator of (m, tau) int64 batches that takes
+    uniforms from ``rng`` only as each batch is reached."""
+
+    def draws(self, rng: RngStream, chunk: int):
+        """Endless stream of sorted subsets, as int64 arrays of length tau,
+        each batch drawn when the caller reaches it."""
+        for batch in self._batches(rng, chunk):
+            yield from batch
+
+    def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
+        """The first k subsets of ``draws(rng, k)``, as a (k, tau) array."""
+        batches = self._batches(rng, k)
+        out, total = [np.empty((0, self.tau), dtype=np.int64)], 0
+        while total < k:
+            out.append(next(batches))
+            total += len(out[-1])
+        return np.concatenate(out)[:k]
+
+
+class VolumeSampler(_SubsetStream):
     """Determinantal subset sampler built by full enumeration.
 
     Preprocessing builds the lexicographic subset table and every principal
@@ -276,17 +301,9 @@ class VolumeSampler:
                 f"subset size exceeds the matrix rank"
             ) from None
 
-    def sample(self, rng: RngStream) -> np.ndarray:
-        return self.subsets[self.table.sample(rng.uniform())]
-
-    def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
-        return self.subsets[self.table.sample_many(rng.uniforms(k))]
-
-    def draws(self, rng: RngStream, chunk: int):
-        """Endless stream of subsets, drawn ``chunk`` at a time by
-        :meth:`sample_many`."""
+    def _batches(self, rng: RngStream, chunk: int):
         while True:
-            yield from self.sample_many(rng, chunk)
+            yield self.subsets[self.table.sample_many(rng.uniforms(chunk))]
 
     def probabilities(self) -> np.ndarray:
         return np.diff(self.table.cumulative, prepend=0.0)
@@ -337,7 +354,7 @@ def _esp_prefix_table(x: np.ndarray, m: int) -> np.ndarray:
     return e
 
 
-class SpectralVolumeSampler:
+class SpectralVolumeSampler(_SubsetStream):
     """Determinantal subset sampler from one eigendecomposition of B.
 
     A tau-subset S is drawn with probability proportional to det(B[S, S]),
@@ -364,7 +381,7 @@ class SpectralVolumeSampler:
     within roundoff of 0 (at most n * eps times the largest) count as 0, so
     tau above the numerical rank raises :class:`EmptySupport`.  A draw costs
     O(tau^3 + tau log n).  Subsets whose minor falls under the enumeration
-    clamp (``_DET_CLAMP * max(diag) ** tau``) are drawn again, so the
+    clamp (:func:`~volcd.linalg.minor_threshold`) are drawn again, so the
     distribution equals :class:`VolumeSampler`'s and no drawn block is
     singular.
 
@@ -376,9 +393,10 @@ class SpectralVolumeSampler:
     A draw costs 10-20 us at tau = 3-5, against about 0.5 us from an
     enumeration table, so a long run is cheaper with the table once it has
     drawn as many subsets as the table costs to build.  With ``handover``
-    set, :meth:`draws` builds a :class:`VolumeSampler` after the first
-    ``handover`` draws and continues the stream from it on the same
-    ``rng``.  B with more than ``MAX_SPECTRAL_DIMENSION`` rows raises
+    set, the stream builds a :class:`VolumeSampler` after the first
+    ``handover`` draws and continues from it on the same ``rng``, in chunks
+    of the caller's ``chunk``; the draws before do not depend on ``chunk``.
+    B with more than ``MAX_SPECTRAL_DIMENSION`` rows raises
     :class:`CombinatorialBlowup` before anything is densified.
     """
 
@@ -413,8 +431,7 @@ class SpectralVolumeSampler:
         cdf[-1] = 1.0
         cdf += 2.0 * np.arange(rank)
         self._cdf = cdf.ravel(order="F")
-        diag_max = float(np.max(np.diagonal(self.b)))
-        self._threshold = _DET_CLAMP * diag_max**tau
+        self._threshold = minor_threshold(float(np.max(np.diagonal(self.b))), tau)
 
     def _eigen_sets(self, rng: RngStream, k: int) -> np.ndarray:
         """k eigenvector sets, (k, tau) ascending column indices of ``_q``."""
@@ -496,25 +513,7 @@ class SpectralVolumeSampler:
                 yield self._search(rng, _SUB_BATCH)
         for lo in range(0, self.handover, _SUB_BATCH):
             yield self._search(rng, min(_SUB_BATCH, self.handover - lo))
-        table = VolumeSampler(self.b, self.tau)
-        while True:
-            yield table.sample_many(rng, chunk)
-
-    def draws(self, rng: RngStream, chunk: int):
-        """Endless stream of sorted subsets, searched ``_SUB_BATCH`` at a time
-        when the caller reaches them.  The stream does not depend on
-        ``chunk``, which sizes only the draws after a handover."""
-        for batch in self._batches(rng, chunk):
-            yield from batch
-
-    def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
-        """The first k subsets of :meth:`draws`."""
-        batches = self._batches(rng, k)
-        out, total = [np.empty((0, self.tau), dtype=np.int64)], 0
-        while total < k:
-            out.append(next(batches))
-            total += len(out[-1])
-        return np.concatenate(out)[:k]
+        yield from VolumeSampler(self.b, self.tau)._batches(rng, chunk)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +543,7 @@ def _count_below(keys: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], np.cumsum(np.bincount(keys.astype(np.int64)))))
 
 
-class SparseTwoSampler:
+class SparseTwoSampler(_SubsetStream):
     """2-element determinantal sampler for sparse symmetric PSD matrices.
 
     Preprocessing is a few vectorized passes over the stored entries,
@@ -572,12 +571,13 @@ class SparseTwoSampler:
     guides only narrow the searches, so every pair is the one
     :meth:`_sample_one` returns; that method stays as the test oracle.
 
-    Draws are searched on demand: :meth:`draws` takes the uniforms for a
-    whole chunk at once but searches them ``_SUB_BATCH`` at a time, only
-    when the caller reaches them, so a run that stops early pays for few
-    unused pairs.  :meth:`sample_many` is the first ``k`` pairs of a
-    ``k``-chunk stream.
+    Draws are searched on demand: each chunk of ``chunk`` pairs takes
+    ``chunk`` first and then ``chunk`` second uniforms at once, but is
+    searched ``_SUB_BATCH`` pairs at a time, only when the caller reaches
+    them, so a run that stops early pays for few unused pairs.
     """
+
+    tau = 2
 
     def __init__(self, b: CsrSymmetricUpper):
         if not isinstance(b, CsrSymmetricUpper):
@@ -720,35 +720,12 @@ class SparseTwoSampler:
         out[:, 1] = _bisect(enough, a, c) - 1
         return out
 
-    def sample(self, rng: RngStream) -> np.ndarray:
-        u1, u2 = rng.uniform(), rng.uniform()
-        return self._search(np.array([u1]), np.array([u2]))[0]
-
     def _batches(self, rng: RngStream, chunk: int):
-        # each chunk takes ``chunk`` first and then ``chunk`` second uniforms
-        # and is searched _SUB_BATCH draws at a time, as the caller asks
         while True:
             u1 = rng.uniforms(chunk)
             u2 = rng.uniforms(chunk)
             for lo in range(0, chunk, _SUB_BATCH):
                 yield self._search(u1[lo : lo + _SUB_BATCH], u2[lo : lo + _SUB_BATCH])
-
-    def draws(self, rng: RngStream, chunk: int):
-        """Endless stream of pairs, as int64 arrays of length 2.
-
-        Each chunk of ``chunk`` pairs takes ``chunk`` first and then
-        ``chunk`` second uniforms from ``rng``, like :meth:`sample_many`;
-        a sub-batch of pairs is searched only when the caller reaches it.
-        """
-        for batch in self._batches(rng, chunk):
-            yield from batch
-
-    def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
-        batches = self._batches(rng, k)
-        return np.concatenate(
-            [np.empty((0, 2), dtype=np.int64)]
-            + [next(batches) for _ in range(0, k, _SUB_BATCH)]
-        )
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .errors import ConfigError, SingularSubmatrix
 from .linalg import (
     gather_submatrix,
     pseudo_solve,
+    require_finite,
     spd_solve,
     validate_index_set,
 )
@@ -56,10 +57,7 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "check_stop",
-    "rcd_run",
-    "rcdvs_run",
     "run",
-    "sdna_run",
 ]
 
 _METHODS = ("rcdvs", "rcd", "sdna")
@@ -224,11 +222,13 @@ def run(obj, b, config: SolverConfig):
     """Execute one solver run and return its :class:`SolverReport`.
 
     ``b`` is the curvature matrix certifying the smoothness of ``obj`` (or a
-    user-supplied upper bound); it is taken as given and not re-verified.
-    Dispatches on ``config.method``.
+    user-supplied upper bound); it is taken as given and not re-verified,
+    except that a dense B with a non-finite entry raises ``ValueError``.
+    This is the one solver entry point: it dispatches on ``config.method``.
     """
     n = obj.n
     config.validate(n)
+    require_finite(b)
     start = time.perf_counter()
 
     x0 = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float)
@@ -279,25 +279,3 @@ def run(obj, b, config: SolverConfig):
         capped=capped,
         subsets=log,
     )
-
-
-def rcdvs_run(obj, b, config: SolverConfig) -> SolverReport:
-    """Determinantal-sampling coordinate descent (the main method)."""
-    if config.method != "rcdvs":
-        raise ConfigError(f"config.method is {config.method!r}, expected 'rcdvs'")
-    return run(obj, b, config)
-
-
-def rcd_run(obj, b, config: SolverConfig) -> SolverReport:
-    """Single-coordinate descent, selection proportional to diag(B)."""
-    if config.method != "rcd":
-        raise ConfigError(f"config.method is {config.method!r}, expected 'rcd'")
-    return run(obj, b, config)
-
-
-def sdna_run(obj, b, config: SolverConfig) -> SolverReport:
-    """Uniform-subset baseline, exact steps with a pseudoinverse fallback on
-    singular blocks."""
-    if config.method != "sdna":
-        raise ConfigError(f"config.method is {config.method!r}, expected 'sdna'")
-    return run(obj, b, config)

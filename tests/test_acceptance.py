@@ -32,7 +32,7 @@ from volcd.sampling import (
     principal_minors,
     subset_counts,
 )
-from volcd.solvers import SolverConfig, rcdvs_run
+from volcd.solvers import SolverConfig, run
 from volcd.spectral import (
     acceleration_ratio,
     b_tau,
@@ -160,7 +160,7 @@ def _gap_traces(obj, b, tau, runs, iters, seed0):
         cfg = SolverConfig(
             method="rcdvs", tau=tau, max_iters=iters, seed=seed0 + r, trace_every=1
         )
-        rep = rcdvs_run(obj, b, cfg)
+        rep = run(obj, b, cfg)
         gaps[r] = [f for _, f in rep.trace]
     return gaps
 
@@ -224,7 +224,7 @@ def test_criterion_5_monotone_descent():
         method="rcdvs", tau=2, max_iters=10_000, seed=9, record_subsets=True,
         trace_every=10**9,
     )
-    rep = rcdvs_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     x = np.zeros(n)
     prev = obj.value(x)
     violations = 0
@@ -252,7 +252,7 @@ def test_criterion_5_monotone_descent():
         cfg = SolverConfig(
             method="rcdvs", tau=2, max_iters=5_000, seed=10, trace_every=1
         )
-        rep = rcdvs_run(obj_nq, b, cfg)
+        rep = run(obj_nq, b, cfg)
         values = np.array([f for _, f in rep.trace])
         worst_rise = max(worst_rise, float(np.diff(values).max()))
     _report(

@@ -42,6 +42,24 @@ def test_acc_consistency_per_repetition(table):
             assert cell["acc"] * cell["it"] == pytest.approx(it_rcd)
 
 
+def test_each_cell_and_repetition_calls_the_module_run_once(monkeypatch):
+    # perfbench's child times a reference kernel before every solver run by
+    # patching volcd.benchmark.run, so the experiment loop must call that
+    # module global, once per cell and repetition
+    solver_run = benchmark.run
+    calls = []
+
+    def counted(obj, b, config):
+        calls.append(f"{config.method}:{config.tau}")
+        return solver_run(obj, b, config)
+
+    monkeypatch.setattr(benchmark, "run", counted)
+    table = run_experiment(small_config(repetitions=2))
+    cells = [f"{row.method}:{row.tau}" for row in table.rows]
+    assert calls == cells * 2
+    assert sorted(cells) == ["rcd:1", "rcdvs:2", "sdna:2"]
+
+
 def _strip_times(payload: dict) -> dict:
     payload["rows"] = [
         {k: v for k, v in r.items() if k != "median_time"} for r in payload["rows"]

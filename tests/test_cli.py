@@ -7,9 +7,18 @@ import pytest
 
 from volcd import benchmark
 from volcd.benchmark import ExperimentConfig
-from volcd.cli import _SECTIONS, _build_parser, _problem, _run_config, _settings, main
+from volcd.cli import (
+    _SECTIONS,
+    _build_parser,
+    _load_matrix,
+    _problem,
+    _run_config,
+    _settings,
+    main,
+)
 from volcd.linalg import load_csr_triples, save_triples
 from volcd.problems import ProblemSpec
+from volcd.sampling import exact_probabilities
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
@@ -54,17 +63,40 @@ def test_theory_verb_prints_ratios(tmp_path, capsys):
 
 
 def test_sample_test_verb_small_tv(tmp_path, capsys):
-    out = tmp_path / "b.txt"
-    save_triples(np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]]), out)
-    for extra in ([], ["--sparse"]):
-        rc = main(
-            ["sample-test", "--matrix", str(out), "--tau", "2",
-             "--draws", "20000", "--seed", "3"] + extra
-        )
-        assert rc == 0
+    # sample-test draws from make_sampler's choice: the sparse pair sampler
+    # for a CSR file at tau = 2, enumeration for a file that loads dense
+    # (row 1 stores no diagonal beside its off-diagonal entry), and spectral
+    # draws handed over to the table at n = 21, tau = 3
+    save_triples(np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]]), tmp_path / "csr.txt")
+    (tmp_path / "dense.txt").write_text("1 2 0.1\n2 2 1\n3 3 1\n")
+    padded = np.zeros((21, 21))
+    padded[:6, :6] = 2 * np.eye(6) + np.eye(6, k=1) + np.eye(6, k=-1)
+    save_triples(padded, tmp_path / "spectral.txt")
+    draws = 20000
+    for name, tau in (("csr.txt", 2), ("dense.txt", 2), ("spectral.txt", 3)):
+        path = tmp_path / name
+        args = ["sample-test", "--matrix", str(path), "--tau", str(tau),
+                "--draws", str(draws), "--seed", "3"]
+        assert main(args) == 0
         text = capsys.readouterr().out
         tv = float(text.split("total variation distance:")[1].split()[0])
-        assert tv <= 0.03
+        # E[TV] <= sqrt(K / N) / 2 over the K outcomes of positive mass, and
+        # a draw moves TV by at most 1 / N, so TV exceeds its mean by
+        # 1.5 sqrt(K / N) with odds below exp(-4.5 K)
+        exact = exact_probabilities(_load_matrix(path), tau)
+        support = sum(p > 0 for p in exact.values())
+        assert tv <= 2.0 * np.sqrt(support / draws)
+        with pytest.raises(SystemExit) as exc:
+            main(args + ["--sparse"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau", "4"], ["--draws", "0"]])
+def test_sample_test_rejects_a_bad_tau_or_draw_count(tmp_path, capsys, flags):
+    out = tmp_path / "b.txt"
+    save_triples(np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]]), out)
+    assert main(["sample-test", "--matrix", str(out)] + flags) == 2
+    assert "tau" in capsys.readouterr().err
 
 
 def test_run_verb_with_config_file_and_override(tmp_path, capsys):

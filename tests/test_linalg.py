@@ -169,6 +169,12 @@ def test_pseudo_solve_rank_one():
     assert np.allclose(pseudo_solve([[1.0, 1], [1, 1]], [2.0, 2.0]), [1.0, 1.0])
 
 
+def test_pseudo_solve_refuses_a_non_finite_matrix():
+    # LAPACK's least-squares routine can stall on a NaN matrix
+    with pytest.raises(ValueError, match="non-finite"):
+        pseudo_solve(np.diag([1.0, np.nan]), np.array([1.0, 1.0]))
+
+
 def test_pseudo_solve_matches_spd_solve_on_spd():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -345,11 +345,32 @@ def test_spectral_sampler_same_seed_same_subsets():
 
 @pytest.mark.parametrize("chunk", [4, 4096])
 def test_spectral_sample_many_is_the_head_of_draws(chunk):
-    sampler = SpectralVolumeSampler(random_psd(np.random.default_rng(36), 9), 4)
-    stream = sampler.draws(RngStream(21), chunk)
-    head = np.array([next(stream) for _ in range(600)])
-    for k in (1, 256, 300, 600):
-        assert np.array_equal(sampler.sample_many(RngStream(21), k), head[:k])
+    # the stream contract every determinantal sampler shares:
+    # sample_many(rng, k) is the head of draws(rng, k).  Only the pair
+    # sampler's stream depends on the chunk, which it takes as sample_many
+    # blocks; the others draw the same stream for every chunk.
+    b = random_psd(np.random.default_rng(36), 9)
+    csr = banded_psd(9, 2, seed=4)
+    samplers = (
+        VolumeSampler(b, 3),
+        VolumeSampler(csr, 3),
+        SparseTwoSampler(csr),
+        SpectralVolumeSampler(b, 4),
+        SpectralVolumeSampler(b, 3, handover=300),
+    )
+    for sampler in samplers:
+        stream = sampler.draws(RngStream(21), chunk)
+        head = np.array([next(stream) for _ in range(600)])
+        if isinstance(sampler, SparseTwoSampler):
+            rng = RngStream(21)
+            blocks = [sampler.sample_many(rng, chunk) for _ in range(0, 600, chunk)]
+            assert np.array_equal(np.concatenate(blocks)[:600], head)
+        else:
+            assert np.array_equal(sampler.sample_many(RngStream(21), 600), head)
+        for k in (1, 256, 300, 600):
+            stream = sampler.draws(RngStream(21), k)
+            first = np.array([next(stream) for _ in range(k)])
+            assert np.array_equal(sampler.sample_many(RngStream(21), k), first)
 
 
 @pytest.mark.parametrize("chunk", [4, 4096])
@@ -508,10 +529,10 @@ def test_sparse2_requires_rank_two():
 
 def test_sparse_two_sampler_single_draw():
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
-    s = sampler.sample(RngStream(1))
+    s = sampler.sample_many(RngStream(1), 1)[0]
     assert s[0] < s[1]
     rng = RngStream(1)
-    u1, u2 = rng.uniform(), rng.uniform()
+    u1, u2 = rng.uniforms(1)[0], rng.uniforms(1)[0]
     assert tuple(s) == sampler._sample_one(u1, u2)
 
 

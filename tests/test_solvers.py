@@ -30,10 +30,7 @@ from volcd.solvers import (
     SolverConfig,
     _make_step_solver,
     check_stop,
-    rcd_run,
-    rcdvs_run,
     run,
-    sdna_run,
 )
 from volcd.spectral import b_tau
 
@@ -52,7 +49,7 @@ def test_forced_single_coordinate_step():
     a = np.array([[2.0, 1], [1, 2]])
     obj = QuadraticObjective(a, np.array([1.0, 1.0]))
     cfg = SolverConfig(method="rcdvs", tau=1, max_iters=1, forced_subsets=[[0]])
-    rep = rcdvs_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     assert np.allclose(rep.x_final, [0.5, 0.0])
     assert rep.final_value == pytest.approx(-0.25)
     assert rep.trace == [(0, 0.0), (1, -0.25)]
@@ -62,7 +59,7 @@ def test_full_subset_is_one_newton_step():
     rng = np.random.default_rng(0)
     obj = spd_quadratic(rng, 5)
     cfg = SolverConfig(method="rcdvs", tau=5, max_iters=1, seed=1)
-    rep = rcdvs_run(obj, obj.a, cfg)
+    rep = run(obj, obj.a, cfg)
     x_star = np.linalg.solve(obj.a, obj.b)
     assert np.allclose(rep.x_final, x_star, atol=1e-10)
 
@@ -74,7 +71,7 @@ def test_single_coordinate_step_zeroes_coordinate():
     cfg = SolverConfig(
         method="rcdvs", tau=1, max_iters=1, x0=x0, forced_subsets=[[1]]
     )
-    rep = rcdvs_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     assert rep.x_final[1] == 0.0
     assert np.allclose(rep.x_final[[0, 2]], x0[[0, 2]])
 
@@ -85,8 +82,8 @@ def test_sdna_step_equals_exact_step_when_nonsingular():
     forced = [[0, 2]]
     cfg_v = SolverConfig(method="rcdvs", tau=2, max_iters=1, forced_subsets=forced)
     cfg_s = SolverConfig(method="sdna", tau=2, max_iters=1, forced_subsets=forced)
-    rep_v = rcdvs_run(obj, obj.a, cfg_v)
-    rep_s = sdna_run(obj, obj.a, cfg_s)
+    rep_v = run(obj, obj.a, cfg_v)
+    rep_s = run(obj, obj.a, cfg_s)
     assert np.allclose(rep_v.x_final, rep_s.x_final, atol=1e-10)
 
 
@@ -95,7 +92,7 @@ def test_sdna_rank_deficient_submatrix_still_descends():
     a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     obj = QuadraticObjective(a, np.array([1.0, 1.0, 0.5]))
     cfg = SolverConfig(method="sdna", tau=2, max_iters=1, forced_subsets=[[0, 1]])
-    rep = sdna_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     assert rep.final_value <= obj.value(np.zeros(3)) + 1e-12
 
 
@@ -117,7 +114,7 @@ def test_zero_iteration_budget_reports_start():
     a = np.diag([1.0, 2.0])
     obj = QuadraticObjective(a, np.array([1.0, 1.0]))
     cfg = SolverConfig(method="rcdvs", tau=1, max_iters=0, x0=np.array([3.0, 3.0]))
-    rep = rcdvs_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     assert rep.iterations == 0
     assert np.allclose(rep.x_final, [3.0, 3.0])
     assert rep.final_value == pytest.approx(obj.value([3.0, 3.0]))
@@ -152,7 +149,7 @@ def test_rcd_selection_proportional_to_diagonal():
         method="rcd", tau=1, max_iters=20_000, seed=3, record_subsets=True,
         trace_every=10**9,
     )
-    rep = rcd_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     counts = np.zeros(3)
     for s in rep.subsets:
         counts[s[0]] += 1
@@ -167,7 +164,7 @@ def test_sdna_tau_one_is_uniform_not_weighted():
         method="sdna", tau=1, max_iters=20_000, seed=4, record_subsets=True,
         trace_every=10**9,
     )
-    rep = sdna_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     counts = np.zeros(3)
     for s in rep.subsets:
         counts[s[0]] += 1
@@ -182,7 +179,7 @@ def test_rcdvs_subsets_follow_exact_distribution():
         method="rcdvs", tau=2, max_iters=20_000, seed=6, record_subsets=True,
         trace_every=10**9,
     )
-    rep = rcdvs_run(obj, obj.a, cfg)
+    rep = run(obj, obj.a, cfg)
     exact = exact_probabilities(obj.a, 2)
     counts: dict = {}
     for s in rep.subsets:
@@ -201,7 +198,7 @@ def test_monotone_descent_on_quadratic_recomputed():
     rng = np.random.default_rng(7)
     obj = spd_quadratic(rng, 12)
     cfg = SolverConfig(method="rcdvs", tau=2, max_iters=1000, seed=8, record_subsets=True)
-    rep = rcdvs_run(obj, obj.a, cfg)
+    rep = run(obj, obj.a, cfg)
     # replay the run and recompute the objective from scratch at every step
     x = np.zeros(12)
     prev = obj.value(x)
@@ -224,7 +221,7 @@ def test_descent_on_full_residual_losses():
         obj = SeparableObjective(a, b_off, loss)
         bmat = obj.curvature_matrix()
         cfg = SolverConfig(method="rcdvs", tau=2, max_iters=500, seed=31, trace_every=1)
-        rep = rcdvs_run(obj, bmat, cfg)
+        rep = run(obj, bmat, cfg)
         values = [f for _, f in rep.trace]
         assert (np.diff(values) <= 1e-10).all()
         assert rep.final_value == pytest.approx(obj.value(rep.x_final), abs=1e-9)
@@ -237,7 +234,7 @@ def test_monotone_descent_nonquadratic():
     obj = SeparableObjective(a, labels, LogisticLoss())
     b = obj.curvature_matrix()
     cfg = SolverConfig(method="rcdvs", tau=2, max_iters=2000, seed=10, trace_every=1)
-    rep = rcdvs_run(obj, b, cfg)
+    rep = run(obj, b, cfg)
     values = [f for _, f in rep.trace]
     diffs = np.diff(values)
     assert (diffs <= 1e-8).all()
@@ -314,7 +311,7 @@ def test_rcd_linear_rate_loose():
             method="rcd", tau=1, max_iters=k_half, seed=seed, x0=x0,
             trace_every=10**9,
         )
-        gaps.append(rcd_run(obj, a, cfg).final_value)
+        gaps.append(run(obj, a, cfg).final_value)
     assert np.mean(gaps) <= gap0 / 2
 
 
@@ -326,8 +323,8 @@ def test_seed_determinism_full_trace():
     rng = np.random.default_rng(13)
     obj = spd_quadratic(rng, 8)
     cfg = dict(method="rcdvs", tau=2, max_iters=500, seed=42, trace_every=7)
-    rep1 = rcdvs_run(obj, obj.a, SolverConfig(**cfg))
-    rep2 = rcdvs_run(obj, obj.a, SolverConfig(**cfg))
+    rep1 = run(obj, obj.a, SolverConfig(**cfg))
+    rep2 = run(obj, obj.a, SolverConfig(**cfg))
     assert rep1.trace == rep2.trace
     assert np.array_equal(rep1.x_final, rep2.x_final)
 
@@ -336,7 +333,7 @@ def test_trace_cadence_and_export():
     a = np.diag([1.0, 2.0])
     obj = QuadraticObjective(a, np.array([1.0, 1.0]))
     cfg = SolverConfig(method="rcdvs", tau=1, max_iters=10, seed=0, trace_every=3)
-    rep = rcdvs_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     ks = [k for k, _ in rep.trace]
     assert ks == [0, 3, 6, 9, 10]
     buf = io.StringIO()
@@ -354,7 +351,7 @@ def test_capped_flag_set_when_gap_not_reached():
     cfg = SolverConfig(
         method="rcdvs", tau=1, max_iters=1, target_gap=1e-12, f_star=f_star, seed=0
     )
-    rep = rcdvs_run(obj, a, cfg)
+    rep = run(obj, a, cfg)
     assert rep.capped
     # a curvature below the true one diverges to NaN, which must not pass
     # for a converged run
@@ -365,7 +362,7 @@ def test_capped_flag_set_when_gap_not_reached():
         method="rcdvs", tau=1, max_iters=3000, target_gap=1e-6, f_star=f_star, seed=0
     )
     with np.errstate(all="ignore"):
-        rep = rcdvs_run(obj, 0.01 * a, cfg)
+        rep = run(obj, 0.01 * a, cfg)
     # the run ends at the first non-finite value, long before the budget
     assert np.isinf(rep.final_value)
     assert rep.iterations < 3000
@@ -377,8 +374,18 @@ def test_run_dispatch_and_method_guards():
     obj = QuadraticObjective(a, np.array([1.0, 1.0]))
     cfg = SolverConfig(method="sdna", tau=2, max_iters=5, seed=0)
     assert run(obj, a, cfg).method == "sdna"
-    with pytest.raises(ConfigError):
-        rcdvs_run(obj, a, cfg)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 3, 4])
+@pytest.mark.parametrize("method", ["rcdvs", "sdna"])
+def test_run_refuses_a_non_finite_curvature_matrix(method, tau):
+    # without the check, the NaN pivot of a 4-coordinate block gives a NaN
+    # step, and sdna's pseudoinverse fallback can stall inside LAPACK
+    b = np.diag([1.0, 1, 1, np.nan])
+    obj = QuadraticObjective(np.eye(4), np.ones(4))
+    cfg = SolverConfig(method=method, tau=tau, max_iters=20, seed=0)
+    with pytest.raises(ValueError, match="non-finite"):
+        run(obj, b, cfg)
 
 
 def test_sparse_and_dense_states_agree_on_forced_run():
@@ -402,7 +409,7 @@ def test_sparse_and_dense_states_agree_on_forced_run():
             method="rcdvs", tau=3, max_iters=200, forced_subsets=list(forced),
             trace_every=1,
         )
-        reports.append(rcdvs_run(obj, a, cfg))
+        reports.append(run(obj, a, cfg))
     d, s = reports
     assert np.allclose(d.x_final, s.x_final, atol=1e-12)
     for (kd, fd), (ks, fs) in zip(d.trace, s.trace):
@@ -417,7 +424,7 @@ def test_rcd_on_sparse_curvature_stays_sparse():
     b = banded_psd(5000, 3, seed=24)
     obj = QuadraticObjective(b, np.ones(5000))
     cfg = SolverConfig(method="rcd", tau=1, max_iters=500, seed=25, trace_every=1)
-    rep = rcd_run(obj, b, cfg)
+    rep = run(obj, b, cfg)
     values = [f for _, f in rep.trace]
     assert (np.diff(values) <= 1e-10).all()
 
@@ -429,7 +436,7 @@ def test_sparse_curvature_pair_path():
     b = banded_psd(50, 3, seed=1)
     obj = QuadraticObjective(b, np.ones(50))
     cfg = SolverConfig(method="rcdvs", tau=2, max_iters=300, seed=2, trace_every=1)
-    rep = rcdvs_run(obj, b, cfg)
+    rep = run(obj, b, cfg)
     values = [f for _, f in rep.trace]
     assert (np.diff(values) <= 1e-10).all()
     assert rep.final_value == pytest.approx(obj.value(rep.x_final), abs=1e-9)
@@ -464,8 +471,8 @@ def test_singular_sparse_pair_raises_or_falls_back():
     obj = QuadraticObjective(csr, np.array([1.0, 1.0, 0.5]))
     forced = SolverConfig(method="rcdvs", tau=2, max_iters=1, forced_subsets=[[0, 1]])
     with pytest.raises(SingularSubmatrix):
-        rcdvs_run(obj, csr, forced)
-    rep = sdna_run(obj, csr, SolverConfig(
+        run(obj, csr, forced)
+    rep = run(obj, csr, SolverConfig(
         method="sdna", tau=2, max_iters=1, forced_subsets=[[0, 1]]))
     assert rep.final_value <= obj.value(np.zeros(3)) + 1e-12
 
