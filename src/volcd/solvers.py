@@ -29,6 +29,17 @@ A run stops at the iteration budget, at the target gap, or at the first
 non-finite objective value; in target-gap mode a diverged run is reported as
 capped.
 
+The loop is picked once per run from the type of the objective's state.  A
+dense :class:`~volcd.objectives.QuadraticObjective` takes a fused loop: a
+step of one or two coordinates reads the gradient entries as Python floats,
+solves by the closed forms and updates the maintained gradient by one
+in-place axpy per coordinate, with no call into the state; larger steps call
+the general solve and the state's update.  Every other state, and any state
+that offers only ``value``, ``x``, ``partial_gradient`` and ``apply_step``,
+goes through those four.  The fused loop performs the same floating-point
+operations in the same order, so both loops give bitwise the same subsets,
+iterates, values, trace, refresh steps and stopping step.
+
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
 """
@@ -42,6 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import objectives
 from .errors import ConfigError, SingularSubmatrix
 from .linalg import (
     gather_submatrix,
@@ -157,52 +169,61 @@ def _make_step_solver(b, exact: bool):
     and ``item``, larger subsets gather B[S, S] and factor it.  A block with
     a leading pivot that is not positive (NaN included) is singular: it
     raises :class:`SingularSubmatrix` if ``exact``, and is solved by the
-    pseudoinverse otherwise."""
+    pseudoinverse otherwise.
+
+    The closed forms take and return Python floats; ``solve`` carries them
+    as ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` for the fused
+    dense quadratic step of :func:`run`, which never builds an array."""
     diag = b.diagonal().tolist()
     pair = b.item
 
+    def one(i, g1):
+        d = diag[i]
+        if d > 0.0:
+            return g1 / d
+        if exact:
+            raise SingularSubmatrix("zero diagonal pivot")
+        return 0.0
+
+    def two(i, j, g1, g2):
+        aa, bb, cc = diag[i], diag[j], pair(i, j)
+        det = aa * bb - cc * cc
+        if det > 0.0 and aa > 0.0:
+            return (bb * g1 - cc * g2) / det, (aa * g2 - cc * g1) / det
+        if exact:
+            raise SingularSubmatrix("singular 2x2 submatrix")
+        h1, h2 = pseudo_solve(np.array([[aa, cc], [cc, bb]]), np.array([g1, g2])).tolist()
+        return h1, h2
+
+    def three(i, j, k, g1, g2, g3):
+        # B[S, S] = L D L' with unit lower L; each pivot is checked before
+        # it divides
+        d1 = diag[i]
+        if d1 > 0.0:
+            p, q = pair(i, j), pair(i, k)
+            l21, l31 = p / d1, q / d1
+            d2 = diag[j] - p * l21
+            if d2 > 0.0:
+                t = pair(j, k) - q * l21
+                l32 = t / d2
+                d3 = diag[k] - q * l31 - t * l32
+                if d3 > 0.0:
+                    y2 = g2 - l21 * g1
+                    h3 = (g3 - l31 * g1 - l32 * y2) / d3
+                    h2 = y2 / d2 - l32 * h3
+                    return g1 / d1 - l21 * h2 - l31 * h3, h2, h3
+        if exact:
+            raise SingularSubmatrix("singular 3x3 submatrix")
+        sub = gather_submatrix(b, np.array([i, j, k], dtype=np.int64))
+        h1, h2, h3 = pseudo_solve(sub, np.array([g1, g2, g3])).tolist()
+        return h1, h2, h3
+
+    closed = (None, one, two, three)
+
     def solve(s, g):
         size = s.size
-        if size == 1:
-            d = diag[s[0]]
-            if d > 0.0:
-                return g / d
-            if exact:
-                raise SingularSubmatrix("zero diagonal pivot")
-            return np.zeros(1)
-        if size == 2:
-            i, j = s
-            aa, bb, cc = diag[i], diag[j], pair(i, j)
-            det = aa * bb - cc * cc
-            if det > 0.0 and aa > 0.0:
-                return np.array(
-                    [(bb * g[0] - cc * g[1]) / det, (aa * g[1] - cc * g[0]) / det]
-                )
-            if exact:
-                raise SingularSubmatrix("singular 2x2 submatrix")
-            return pseudo_solve(np.array([[aa, cc], [cc, bb]]), g)
-        if size == 3:
-            # B[S, S] = L D L' with unit lower L; each pivot is checked
-            # before it divides
-            i, j, k = s.tolist()
-            d1 = diag[i]
-            if d1 > 0.0:
-                p, q = pair(i, j), pair(i, k)
-                l21, l31 = p / d1, q / d1
-                d2 = diag[j] - p * l21
-                if d2 > 0.0:
-                    t = pair(j, k) - q * l21
-                    l32 = t / d2
-                    d3 = diag[k] - q * l31 - t * l32
-                    if d3 > 0.0:
-                        g1, g2, g3 = g.tolist()
-                        y2 = g2 - l21 * g1
-                        h3 = (g3 - l31 * g1 - l32 * y2) / d3
-                        h2 = y2 / d2 - l32 * h3
-                        return np.array([g1 / d1 - l21 * h2 - l31 * h3, h2, h3])
-            if exact:
-                raise SingularSubmatrix("singular 3x3 submatrix")
-            return pseudo_solve(gather_submatrix(b, s), g)
+        if size <= 3:
+            return np.array(closed[size](*s.tolist(), *g.tolist()), ndmin=1)
         sub = gather_submatrix(b, s)
         try:
             return spd_solve(sub, g)
@@ -211,11 +232,95 @@ def _make_step_solver(b, exact: bool):
                 raise
             return pseudo_solve(sub, g)
 
+    solve.one, solve.two = one, two
     return solve
 
 
 # ---------------------------------------------------------------------------
 # Main loop
+
+
+def _generic_loop(state, subsets, solve, config, trace, log) -> int:
+    """Iterate through the state's public methods until a stop; return the
+    number of iterations."""
+    trace_every = config.trace_every
+    k = 0
+    for s in subsets:  # a forced subset sequence may run out first
+        g = state.partial_gradient(s)
+        h = solve(s, g)
+        state.apply_step(s, h)
+        if log is not None:
+            log.append(s)
+        k += 1
+        if k % trace_every == 0:
+            trace.append((k, float(state.value)))
+        if check_stop(k, state.value, config):
+            break
+    return k
+
+
+def _dense_quadratic_loop(state, subsets, solve, config, trace, log) -> int:
+    """:func:`_generic_loop` fused for a dense quadratic state.
+
+    Steps of one or two coordinates run on Python floats: the gradient
+    entries come from ``g.item``, the closed forms of ``solve`` give the
+    step, each coordinate updates g = Ax - b by one in-place axpy with row
+    i of A, and the value changes by the state's own expression.  Every
+    operation is the one ``apply_step`` does, in the same order, so the
+    iterates, values and stops are bitwise those of the generic loop.
+    Larger steps call ``solve`` and the state's ``_apply``.  The value, the
+    refresh count and ``check_stop``'s tests live in the loop body.
+    """
+    one, two = solve.one, solve.two
+    x, a = state.x, state._op
+    g, value, steps = state._g, state._value, state._steps
+    tmp = np.empty_like(g)
+    multiply, subtract, isfinite = np.multiply, np.subtract, math.isfinite
+    interval = objectives.REFRESH_INTERVAL
+    trace_every = config.trace_every
+    f_star, gap = config.f_star, config.target_gap
+    limit = math.inf if config.max_iters is None else config.max_iters
+    k = 0
+    for s in subsets:
+        size = s.size
+        if size == 1:
+            i = s.item(0)
+            gi = g.item(i)
+            h = one(i, gi)
+            x[i] -= h
+            multiply(a[i], h, out=tmp)  # row view; symmetric, so row i is column i
+            subtract(g, tmp, out=g)
+            value -= 0.5 * h * (gi + g.item(i))
+        elif size == 2:
+            i, j = s.tolist()
+            gi, gj = g.item(i), g.item(j)
+            hi, hj = two(i, j, gi, gj)
+            x[i] -= hi
+            x[j] -= hj
+            multiply(a[i], hi, out=tmp)
+            subtract(g, tmp, out=g)
+            multiply(a[j], hj, out=tmp)
+            subtract(g, tmp, out=g)
+            value -= 0.5 * (hi * (gi + g.item(i)) + hj * (gj + g.item(j)))
+        else:
+            state._value = value
+            state._apply(s, solve(s, g[s]))
+            value = state._value
+        if log is not None:
+            log.append(s)
+        k += 1
+        steps += 1
+        if steps >= interval:
+            state._value = value
+            state.refresh()
+            g, value, steps = state._g, state._value, 0
+        if k % trace_every == 0:
+            trace.append((k, float(value)))
+        # check_stop's tests, in its order and with its expressions
+        if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
+            break
+    state._value, state._steps = value, steps
+    return k
 
 
 def run(obj, b, config: SolverConfig):
@@ -245,23 +350,12 @@ def run(obj, b, config: SolverConfig):
 
     trace = [(0, float(state.value))]
     log: list | None = [] if config.record_subsets else None
-    trace_every = config.trace_every
-    k = 0
-    stopped = check_stop(k, state.value, config)
-    while not stopped:
-        try:
-            s = next(subsets)
-        except StopIteration:
-            break  # forced subset sequence exhausted
-        g = state.partial_gradient(s)
-        h = solve(s, g)
-        state.apply_step(s, h)
-        if log is not None:
-            log.append(s)
-        k += 1
-        if k % trace_every == 0:
-            trace.append((k, float(state.value)))
-        stopped = check_stop(k, state.value, config)
+    if check_stop(0, state.value, config):
+        k = 0
+    elif type(state) is objectives._QuadraticDenseState:
+        k = _dense_quadratic_loop(state, subsets, solve, config, trace, log)
+    else:
+        k = _generic_loop(state, subsets, solve, config, trace, log)
 
     if trace[-1][0] != k:
         trace.append((k, float(state.value)))

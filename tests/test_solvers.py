@@ -1,8 +1,10 @@
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from volcd import objectives, solvers
 from volcd.errors import ConfigError, SingularSubmatrix
 from volcd.linalg import (
     CsrSymmetricUpper,
@@ -608,3 +610,193 @@ def test_forced_subsets_are_validated(sparse, forced, error):
     cfg = SolverConfig(method="sdna", tau=2, max_iters=1, forced_subsets=forced)
     with pytest.raises(error):
         run(obj, b, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the fused dense quadratic loop against the generic loop
+
+
+class _PublicState:
+    """A state that offers the loop only ``value``, ``x``,
+    ``partial_gradient`` and ``apply_step``, so ``run`` takes the generic
+    loop for it."""
+
+    def __init__(self, inner):
+        self._inner = inner
+
+    @property
+    def value(self):
+        return self._inner.value
+
+    @property
+    def x(self):
+        return self._inner.x
+
+    def partial_gradient(self, s):
+        return self._inner.partial_gradient(s)
+
+    def apply_step(self, s, h):
+        self._inner.apply_step(s, h)
+
+
+class _PublicObjective:
+    def __init__(self, obj):
+        self._obj = obj
+        self.n = obj.n
+
+    def init_state(self, x0):
+        return _PublicState(self._obj.init_state(x0))
+
+
+def _outcome(rep):
+    return (
+        rep.iterations,
+        np.float64(rep.final_value).tobytes(),
+        rep.x_final.tobytes(),
+        np.array(rep.trace, dtype=float).tobytes(),
+        None if rep.subsets is None else [s.tolist() for s in rep.subsets],
+        rep.capped,
+    )
+
+
+def _both_paths(monkeypatch, obj, b, cfg):
+    """The outcomes of one run through the fused loop and through the
+    generic loop; the first must have taken the fused loop."""
+    fused_calls = []
+    fused = solvers._dense_quadratic_loop
+
+    def spy(*args):
+        fused_calls.append(1)
+        return fused(*args)
+
+    monkeypatch.setattr(solvers, "_dense_quadratic_loop", spy)
+    with np.errstate(all="ignore"):
+        direct = run(obj, b, cfg)
+        generic = run(_PublicObjective(obj), b, cfg)
+    assert fused_calls == [1]
+    return direct, generic
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2)])
+@pytest.mark.parametrize("trace_every", [1, 7])
+def test_fused_loop_is_bitwise_the_generic_loop(monkeypatch, method, tau, trace_every):
+    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+    b = obj.curvature_matrix()
+    x0 = np.random.default_rng(4).standard_normal(40)
+    for stop in (dict(target_gap=1e-3, f_star=f_star, max_iters=100_000),
+                 dict(max_iters=1500)):
+        cfg = SolverConfig(method=method, tau=tau, seed=5, x0=x0, trace_every=trace_every,
+                           record_subsets=True, **stop)
+        direct, generic = _both_paths(monkeypatch, obj, b, cfg)
+        assert _outcome(direct) == _outcome(generic)
+        assert 0 < direct.iterations < 100_000 and not direct.capped
+    # a curvature below the true one diverges: both loops stop at the same
+    # first non-finite value
+    cfg = SolverConfig(method=method, tau=tau, seed=5, target_gap=1e-3, f_star=f_star,
+                       max_iters=100_000, trace_every=trace_every)
+    direct, generic = _both_paths(monkeypatch, obj, b / 4, cfg)
+    assert _outcome(direct) == _outcome(generic)
+    assert not np.isfinite(direct.final_value) and direct.iterations < 100_000
+    assert np.isfinite([f for _, f in direct.trace[:-1]]).all()
+
+
+def test_fused_loop_matches_on_sdna_pseudoinverse_steps(monkeypatch):
+    # coordinates 2k and 2k + 1 are copies, so uniform pairs often meet a
+    # singular 2x2 block and take the pseudoinverse step
+    base = spd_quadratic(np.random.default_rng(14), 5).a
+    a = np.kron(base, np.ones((2, 2)))
+    obj = QuadraticObjective(a, np.random.default_rng(15).standard_normal(10))
+    calls = []
+
+    def counting(m, rhs):
+        calls.append(1)
+        return pseudo_solve(m, rhs)
+
+    monkeypatch.setattr(solvers, "pseudo_solve", counting)
+    cfg = SolverConfig(method="sdna", tau=2, max_iters=500, seed=16, trace_every=3,
+                       record_subsets=True)
+    direct, generic = _both_paths(monkeypatch, obj, a, cfg)
+    assert _outcome(direct) == _outcome(generic)
+    assert len(calls) >= 40
+
+
+def test_fused_loop_matches_on_forced_subsets_of_every_size(monkeypatch):
+    obj = spd_quadratic(np.random.default_rng(17), 12)
+    rng = np.random.default_rng(18)
+    forced = [np.sort(rng.choice(12, size=1 + p % 5, replace=False)) for p in range(60)]
+    for method in ("rcdvs", "sdna"):
+        cfg = SolverConfig(method=method, tau=2, max_iters=len(forced),
+                           forced_subsets=forced, trace_every=1, record_subsets=True)
+        direct, generic = _both_paths(monkeypatch, obj, obj.a, cfg)
+        assert _outcome(direct) == _outcome(generic)
+        assert direct.iterations == len(forced)
+        assert direct.final_value == pytest.approx(obj.value(direct.x_final), rel=1e-12)
+
+
+def test_fused_loop_raises_on_the_same_singular_step():
+    # the fourth forced subset is the singular block {0, 1}: both loops take
+    # the first three steps alike and raise at the fourth
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    obj = QuadraticObjective(a, np.array([1.0, 0.5, 0.5]))
+    forced = [[0], [2], [1, 2], [0, 1], [2]]
+    cfg = SolverConfig(method="rcdvs", tau=2, max_iters=3, forced_subsets=forced)
+    outcomes = []
+    for target in (obj, _PublicObjective(obj)):
+        outcomes.append(_outcome(run(target, a, cfg)))
+        with pytest.raises(SingularSubmatrix):
+            run(target, a, replace(cfg, max_iters=4))
+    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 3
+
+
+def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
+    # a short refresh interval, set after import: the fused loop reads it
+    # when the run starts, recomputes at the same steps and keeps the
+    # maintained value on the from-scratch one
+    monkeypatch.setattr(objectives, "REFRESH_INTERVAL", 9)
+    refreshed = []
+    refresh = objectives.GradientState.refresh
+
+    def spy(state):
+        refreshed.append(state.x.tobytes())
+        refresh(state)
+
+    monkeypatch.setattr(objectives.GradientState, "refresh", spy)
+    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=19))
+    b = obj.curvature_matrix()
+    forced = [np.sort(np.random.default_rng(20).choice(30, size=1 + p % 3, replace=False))
+              for p in range(100)]
+    for extra in (dict(method="rcdvs", tau=2), dict(method="rcd", tau=1),
+                  dict(method="rcdvs", tau=2, forced_subsets=forced)):
+        cfg = SolverConfig(max_iters=100, seed=21, trace_every=1, **extra)
+        refreshed.clear()
+        direct = run(obj, b, cfg)
+        at_direct = list(refreshed)
+        refreshed.clear()
+        generic = run(_PublicObjective(obj), b, cfg)
+        assert len(at_direct) == 100 // 9
+        assert at_direct == refreshed
+        assert _outcome(direct) == _outcome(generic)
+        full = obj.value(direct.x_final)
+        assert abs(direct.final_value - full) <= 1e-9 * abs(full)
+
+
+def test_fused_loop_stops_where_check_stop_does(monkeypatch):
+    # f_star is placed where value - f_star <= gap and value <= f_star + gap
+    # round differently for the value after 40 steps: the second reads
+    # "reached", check_stop does not, and both loops stop where check_stop says
+    obj = spd_quadratic(np.random.default_rng(22), 8)
+    cfg = SolverConfig(method="rcd", tau=1, max_iters=60, seed=23, trace_every=1)
+    values = [f for _, f in run(obj, obj.a, cfg).trace]
+    v = values[40]
+    gap, f_star = next(
+        (gap, f)
+        for gap in (1e-6, 2e-6, 3e-6, 7e-7)
+        for f in (v - gap + d * np.spacing(v) for d in range(-8, 9))
+        if v <= f + gap and not v - f <= gap
+    )
+    cfg = replace(cfg, target_gap=gap, f_star=f_star)
+    stop = next(k for k, f in enumerate(values) if check_stop(k, f, cfg))
+    assert stop > 40
+    direct, generic = _both_paths(monkeypatch, obj, obj.a, cfg)
+    assert _outcome(direct) == _outcome(generic)
+    assert direct.iterations == stop
