@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass, field, fields, replace
@@ -37,7 +38,8 @@ class ExperimentConfig:
     """A full experiment: problem source, method grid, stopping, seeding.
 
     The problem is either generated from ``problem`` or read from the LIBSVM
-    file ``dataset`` as ridge logistic regression with weight ``gamma``.
+    file ``dataset`` as ridge logistic regression with weight ``gamma``, a
+    finite ``gamma >= 0`` where 0 means no ridge.
     ``problem.seed`` is replaced in every repetition by a seed derived from
     ``seed``, which also seeds every solver run.
     """
@@ -57,8 +59,10 @@ class ExperimentConfig:
             raise ConfigError("configure exactly one of problem or dataset")
         if self.problem is not None:
             self.problem.validate()
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ConfigError("epsilon must be finite and positive")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ConfigError("gamma must be finite and nonnegative")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be at least 1")
         if self.max_updates < 1:

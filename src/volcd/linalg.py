@@ -16,6 +16,7 @@ scipy is imported only inside the functions that call it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -321,6 +322,16 @@ def gather_submatrix(b, s: np.ndarray) -> np.ndarray:
     return b[s[:, None], s]
 
 
+@functools.cache
+def _cholesky_routines():
+    """LAPACK ``dpotrf`` and ``dpotrs``, imported on the first call only, so
+    a run that never factors a block never imports scipy and one that does
+    runs no import statement per solve."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+
+    return dpotrf, dpotrs
+
+
 def spd_solve(m, rhs) -> np.ndarray:
     """Solve M h = rhs for symmetric positive definite M via Cholesky.
 
@@ -329,18 +340,17 @@ def spd_solve(m, rhs) -> np.ndarray:
     which signals a degenerate coordinate selection, and ``ValueError`` on a
     non-square M.
     """
-    import scipy.linalg.lapack
-
+    potrf, potrs = _cholesky_routines()
     m = np.asarray(m, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    c, info = scipy.linalg.lapack.dpotrf(m, lower=1, clean=0)
+    c, info = potrf(m, lower=1, clean=0)
     if info > 0:
         raise SingularSubmatrix(
             f"leading minor of order {info} is not positive definite"
         )
-    h, _ = scipy.linalg.lapack.dpotrs(c, rhs, lower=1)
+    h, _ = potrs(c, rhs, lower=1)
     return h
 
 

@@ -15,7 +15,11 @@ returning the per-row values and derivatives together, so the work they share
 (``z - b``, ``exp(-|s|)``) is done once.  A sparse separable objective keeps
 one ``(rows, vals, b_rows)`` view per column of A, built once; its state also
 keeps the per-row loss values, so a step costs a fixed few numpy calls per
-column and evaluates the loss on that column's rows only.
+column and evaluates the loss on that column's rows only.  That column
+update, ``_column_step``, is the one place it is written: the state's
+``_apply`` and the fused loop that :func:`volcd.solvers.run` takes for
+sparse separable runs under a rowwise loss (bare or with ridge) both call
+it, so the two loops give bitwise the same iterates.
 """
 
 from __future__ import annotations
@@ -266,6 +270,27 @@ class _SeparableDenseState(_SeparableState):
         self._value, self._w = self._obj._loss_eval(self._z)
 
 
+def _column_step(loss, z, ell, w, col, hj) -> float:
+    """One column's share of a sparse separable step under a rowwise loss.
+
+    Decrements the products z on the column's rows by its nonzeros times hj,
+    evaluates the loss on those rows only, writes the per-row values into
+    ell and the derivatives into w, and returns the change of the loss sum.
+    ``_SeparableSparseState._apply`` and the fused sparse loop of
+    :func:`volcd.solvers.run` both step a column through here.
+    """
+    rows, vals, b_rows = col
+    # put and add.reduce are the scatter and sum without the wrappers
+    zr = z[rows]
+    zr -= vals * hj
+    z.put(rows, zr)
+    ev, dv = loss.eval(zr, b_rows)
+    change = float(np.add.reduce(ev) - np.add.reduce(ell[rows]))
+    ell.put(rows, ev)
+    w.put(rows, dv)
+    return change
+
+
 class _SeparableSparseState(_SeparableState):
     """Separable state over a scipy CSR data matrix.
 
@@ -310,18 +335,10 @@ class _SeparableSparseState(_SeparableState):
                 z[rows] -= vals * hj
             self._value, self._w = obj._loss_eval(z)
             return
-        # put and add.reduce are the scatter and sum without the wrappers
         ell, w = self._ell, self._w
         value = self._value
         for j, hj in zip(s, h):
-            rows, vals, b_rows = cols[j]
-            zr = z[rows]
-            zr -= vals * hj
-            z.put(rows, zr)
-            ev, dv = loss.eval(zr, b_rows)
-            value += float(np.add.reduce(ev) - np.add.reduce(ell[rows]))
-            ell.put(rows, ev)
-            w.put(rows, dv)
+            value += _column_step(loss, z, ell, w, cols[j], hj)
         self._value = value
 
 

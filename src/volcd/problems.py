@@ -5,6 +5,7 @@ scipy is imported only inside the functions that call it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -78,10 +79,10 @@ class ProblemSpec:
             raise ConfigError(f"unknown problem kind {self.kind!r}")
         if self.n < 1:
             raise ConfigError("dimension must be positive")
-        if not self.lam1 >= self.lam2 > 0:
-            raise ConfigError("need lam1 >= lam2 > 0")
-        if self.mu <= 0:
-            raise ConfigError("smoothing parameter must be positive")
+        if not math.isfinite(self.lam1) or not self.lam1 >= self.lam2 > 0:
+            raise ConfigError("need finite lam1 >= lam2 > 0")
+        if not (math.isfinite(self.mu) and self.mu > 0):
+            raise ConfigError("smoothing parameter must be finite and positive")
         if self.kind == "quadratic" and not (self.m is None and self.sparsity is None):
             raise ConfigError("quadratic problems take no m or sparsity")
         if self.kind == "huber" and (self.m is None or self.m < 1):

@@ -29,16 +29,24 @@ A run stops at the iteration budget, at the target gap, or at the first
 non-finite objective value; in target-gap mode a diverged run is reported as
 capped.
 
-The loop is picked once per run from the type of the objective's state.  A
-dense :class:`~volcd.objectives.QuadraticObjective` takes a fused loop: a
-step of one or two coordinates reads the gradient entries as Python floats,
-solves by the closed forms and updates the maintained gradient by one
-in-place axpy per coordinate, with no call into the state; larger steps call
-the general solve and the state's update.  Every other state, and any state
-that offers only ``value``, ``x``, ``partial_gradient`` and ``apply_step``,
-goes through those four.  The fused loop performs the same floating-point
-operations in the same order, so both loops give bitwise the same subsets,
-iterates, values, trace, refresh steps and stopping step.
+The loop is picked once per run from the type of the objective's state.  Two
+kinds of state take a fused loop, in which a step of one or two coordinates
+reads its gradient entries as Python floats and solves by the closed forms,
+with no call into the state's public methods:
+
+* a dense :class:`~volcd.objectives.QuadraticObjective` updates the
+  maintained gradient by one in-place axpy per coordinate;
+* a sparse :class:`~volcd.objectives.SeparableObjective` with a rowwise loss,
+  bare or inside a :class:`~volcd.objectives.RegularizedObjective`, updates
+  x and the ridge's squared norm on floats and each column through the
+  state's own column update.
+
+Larger steps in either fused loop call the general solve and the state's
+update.  Every other state, and any state that offers only ``value``, ``x``,
+``partial_gradient`` and ``apply_step``, goes through those four.  A fused
+loop performs the same floating-point operations in the same order, so both
+loops give bitwise the same subsets, iterates, values, trace, refresh steps
+and stopping step.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -108,10 +116,14 @@ class SolverConfig:
         if self.max_iters is not None and self.max_iters < 0:
             raise ConfigError("max_iters must be nonnegative")
         if self.target_gap is not None:
-            if self.target_gap <= 0:
-                raise ConfigError("target_gap must be positive")
+            # a NaN gap is never reached; an infinite gap or f_star reads as
+            # converged at iteration 0
+            if not (math.isfinite(self.target_gap) and self.target_gap > 0):
+                raise ConfigError("target_gap must be finite and positive")
             if self.f_star is None:
                 raise ConfigError("target_gap mode needs the optimal value f_star")
+            if not math.isfinite(self.f_star):
+                raise ConfigError("f_star must be finite")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be at least 1")
         # checked here, before a run's clock starts, so a replay of recorded
@@ -173,7 +185,7 @@ def _make_step_solver(b, exact: bool):
 
     The closed forms take and return Python floats; ``solve`` carries them
     as ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` for the fused
-    dense quadratic step of :func:`run`, which never builds an array."""
+    loops of :func:`run`, which never build an array for them."""
     diag = b.diagonal().tolist()
     pair = b.item
 
@@ -323,6 +335,105 @@ def _dense_quadratic_loop(state, subsets, solve, config, trace, log) -> int:
     return k
 
 
+def _is_rowwise_sparse(state) -> bool:
+    """True for a sparse separable state under a rowwise loss, bare or
+    inside a ridge state: the states :func:`_sparse_separable_loop` serves."""
+    if type(state) is objectives._RidgeState:
+        state = state._inner
+    return type(state) is objectives._SeparableSparseState and state._obj.loss.rowwise
+
+
+def _sparse_separable_loop(state, subsets, solve, config, trace, log) -> int:
+    """:func:`_generic_loop` fused for a sparse separable state under a
+    rowwise loss, bare or inside a ridge state.
+
+    Steps of one or two coordinates run on Python floats: a partial
+    gradient entry is ``(vals @ w[rows]).item()``, plus gamma times the
+    coordinate under ridge; the closed forms of ``solve`` give the step; x
+    and the ridge's squared norm change on floats, and each column goes
+    through :func:`objectives._column_step`, the state's own column update.
+    A pair keeps numpy's length-2 dots for the squared-norm change, as the
+    ridge state computes it: a length-2 dot does not always round as
+    ``a*a + b*b`` does.  Larger steps call the state's ``partial_gradient``,
+    ``solve`` and ``_apply``.  Every operation is the generic loop's, in its
+    order, so the iterates, values and stops are bitwise the same.  A
+    refresh replaces z, ell and w, so the loop rebinds them after one.
+    """
+    ridge = type(state) is objectives._RidgeState
+    inner = state._inner if ridge else state
+    one, two = solve.one, solve.two
+    column, loss = objectives._column_step, inner._obj.loss
+    x, cols = state.x, inner._cols
+    z, ell, w = inner._z, inner._ell, inner._w
+    value, steps = inner._value, state._steps
+    gamma = state._gamma if ridge else 0.0
+    sq = state._sq if ridge else 0.0
+    isfinite = math.isfinite
+    interval = objectives.REFRESH_INTERVAL
+    trace_every = config.trace_every
+    f_star, gap = config.f_star, config.target_gap
+    limit = math.inf if config.max_iters is None else config.max_iters
+    k = 0
+    for s in subsets:
+        size = s.size
+        if size == 1:
+            i = s.item(0)
+            ci = cols[i]
+            gi = (ci[1] @ w[ci[0]]).item()
+            if ridge:
+                xi = x.item(i)
+                gi += gamma * xi
+            h = one(i, gi)
+            if ridge:
+                sq += h * h - 2.0 * (xi * h)
+            x[i] -= h
+            value += column(loss, z, ell, w, ci, h)
+        elif size == 2:
+            i, j = s.tolist()
+            ci, cj = cols[i], cols[j]
+            gi = (ci[1] @ w[ci[0]]).item()
+            gj = (cj[1] @ w[cj[0]]).item()
+            if ridge:
+                gi += gamma * x.item(i)
+                gj += gamma * x.item(j)
+            hi, hj = two(i, j, gi, gj)
+            if ridge:
+                hs = np.array((hi, hj))
+                sq += float(hs @ hs) - 2.0 * float(x[s] @ hs)
+            x[i] -= hi
+            x[j] -= hj
+            value += column(loss, z, ell, w, ci, hi)
+            value += column(loss, z, ell, w, cj, hj)
+        else:
+            inner._value = value
+            if ridge:
+                state._sq = sq
+            state._apply(s, solve(s, state.partial_gradient(s)))
+            value = inner._value
+            if ridge:
+                sq = state._sq
+        if log is not None:
+            log.append(s)
+        k += 1
+        steps += 1
+        if steps >= interval:
+            state.refresh()
+            z, ell, w, value, steps = inner._z, inner._ell, inner._w, inner._value, 0
+            if ridge:
+                sq = state._sq
+        # the state's value property, with its expression
+        total = value + 0.5 * gamma * sq if ridge else value
+        if k % trace_every == 0:
+            trace.append((k, float(total)))
+        # check_stop's tests, in its order and with its expressions
+        if not isfinite(total) or (gap is not None and total - f_star <= gap) or k >= limit:
+            break
+    inner._value, state._steps = value, steps
+    if ridge:
+        state._sq = sq
+    return k
+
+
 def run(obj, b, config: SolverConfig):
     """Execute one solver run and return its :class:`SolverReport`.
 
@@ -354,6 +465,8 @@ def run(obj, b, config: SolverConfig):
         k = 0
     elif type(state) is objectives._QuadraticDenseState:
         k = _dense_quadratic_loop(state, subsets, solve, config, trace, log)
+    elif _is_rowwise_sparse(state):
+        k = _sparse_separable_loop(state, subsets, solve, config, trace, log)
     else:
         k = _generic_loop(state, subsets, solve, config, trace, log)
 

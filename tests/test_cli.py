@@ -197,6 +197,10 @@ def _refuse(*args, **kwargs):
         ("", ["--kind", "quadratic", "--n", "10", "--sparsity", "3"]),
         ("", ["--kind", "quadratic", "--n", "10", "--gamma", "2"]),
         ("[experiment]\ngamma = 2\n", ["--kind", "quadratic", "--n", "10"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--epsilon", "nan"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--lam1", "inf"]),
+        ("", ["--kind", "huber", "--n", "10", "--m", "5", "--mu", "nan"]),
+        ("", ["--kind", "huber", "--n", "10", "--m", "5", "--mu", "inf"]),
     ],
 )
 def test_bad_run_settings_exit_2_before_any_work(
@@ -208,6 +212,18 @@ def test_bad_run_settings_exit_2_before_any_work(
     cfg.write_text(ini)
     assert main(["run", "--config", str(cfg), *flags]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("gamma", ["inf", "nan", "-1"])
+def test_run_refuses_a_bad_ridge_weight(tmp_path, capsys, monkeypatch, gamma):
+    # gamma = 0 means no ridge; a negative or NaN weight used to run
+    # unregularized, an infinite one ended in a traceback
+    for name in ("load_libsvm", "run"):
+        monkeypatch.setattr(benchmark, name, _refuse)
+    data = tmp_path / "toy.svm"
+    data.write_text("+1 1:1\n-1 1:-1\n")
+    assert main(["run", "--dataset", str(data), "--gamma", gamma]) == 2
+    assert "gamma must be finite and nonnegative" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag", [["--m", "5"], ["--sparsity", "3"]])

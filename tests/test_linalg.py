@@ -1,3 +1,5 @@
+import builtins
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -103,6 +105,22 @@ def test_spd_solve_singular_raises():
     ):
         with pytest.raises(SingularSubmatrix):
             spd_solve(m, np.ones(len(m)))
+
+
+def test_spd_solve_imports_lapack_once(monkeypatch):
+    spd_solve(np.eye(4), np.ones(4))
+    imported = []
+    real_import = builtins.__import__
+
+    def recording(name, *args, **kwargs):
+        imported.append(name)
+        return real_import(name, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "__import__", recording)
+    h = spd_solve(4.0 * np.eye(4), np.ones(4))
+    monkeypatch.undo()
+    assert imported == []
+    assert np.array_equal(h, np.full(4, 0.25))
 
 
 def test_spd_solve_rejects_non_square():

@@ -18,9 +18,10 @@ from volcd.objectives import (
     LogisticLoss,
     QuadraticObjective,
     SeparableObjective,
+    SquareLoss,
 )
 from volcd.rng import RngStream
-from volcd.problems import ProblemSpec, banded_psd, gen_quadratic
+from volcd.problems import ProblemSpec, banded_psd, gen_quadratic, load_libsvm
 from volcd.sampling import (
     SparseTwoSampler,
     SpectralVolumeSampler,
@@ -126,6 +127,20 @@ def test_gap_mode_requires_f_star():
     cfg = SolverConfig(method="rcd", tau=1, target_gap=0.1)
     with pytest.raises(ConfigError):
         cfg.validate(3)
+
+
+@pytest.mark.parametrize(
+    "stop",
+    [dict(target_gap=float("nan"), f_star=0.0), dict(target_gap=float("inf"), f_star=0.0),
+     dict(target_gap=0.1, f_star=float("inf")), dict(target_gap=0.1, f_star=float("-inf")),
+     dict(target_gap=0.1, f_star=float("nan"))],
+)
+def test_non_finite_gap_or_f_star_rejected(stop):
+    # a NaN gap is never reached and the run goes on to its budget; an
+    # infinite gap or f_star reads as converged at iteration 0
+    obj = QuadraticObjective(np.eye(3), np.ones(3))
+    with pytest.raises(ConfigError, match="finite"):
+        run(obj, np.eye(3), SolverConfig(method="rcd", tau=1, max_iters=50, **stop))
 
 
 def test_rcd_rejects_larger_tau():
@@ -659,17 +674,17 @@ def _outcome(rep):
     )
 
 
-def _both_paths(monkeypatch, obj, b, cfg):
-    """The outcomes of one run through the fused loop and through the
-    generic loop; the first must have taken the fused loop."""
+def _both_paths(monkeypatch, obj, b, cfg, loop="_dense_quadratic_loop"):
+    """The outcomes of one run through the fused loop named ``loop`` and
+    through the generic loop; the first must have taken the fused loop."""
     fused_calls = []
-    fused = solvers._dense_quadratic_loop
+    fused = getattr(solvers, loop)
 
     def spy(*args):
         fused_calls.append(1)
         return fused(*args)
 
-    monkeypatch.setattr(solvers, "_dense_quadratic_loop", spy)
+    monkeypatch.setattr(solvers, loop, spy)
     with np.errstate(all="ignore"):
         direct = run(obj, b, cfg)
         generic = run(_PublicObjective(obj), b, cfg)
@@ -798,5 +813,169 @@ def test_fused_loop_stops_where_check_stop_does(monkeypatch):
     stop = next(k for k, f in enumerate(values) if check_stop(k, f, cfg))
     assert stop > 40
     direct, generic = _both_paths(monkeypatch, obj, obj.a, cfg)
+    assert _outcome(direct) == _outcome(generic)
+    assert direct.iterations == stop
+
+
+# ---------------------------------------------------------------------------
+# the fused loop of sparse separable runs
+
+_SPARSE_KINDS = ("huber", "square", "logistic", "ridge-logistic")
+_SPARSE_LOOP = "_sparse_separable_loop"
+
+
+def _sparse_separable(kind, tmp_path, gamma=0.5):
+    """A 40 x 17 sparse separable objective and its CSR curvature matrix.
+
+    Columns 9..16 copy columns 0..7 and column 8 is empty, so B has singular
+    pairs and a zero diagonal entry.  The logistic objectives are read from
+    a LIBSVM file, without ridge or with ridge weight ``gamma``."""
+    import scipy.sparse
+
+    rng = np.random.default_rng(30)
+    base = scipy.sparse.random(40, 8, density=0.3, random_state=30, format="csc",
+                               data_rvs=rng.standard_normal)
+    a = scipy.sparse.hstack([base, scipy.sparse.csc_matrix((40, 1)), base]).tocsr()
+    if kind == "huber":
+        obj = SeparableObjective(a, rng.standard_normal(40), HuberLoss(0.5))
+    elif kind == "square":
+        obj = SeparableObjective(a, rng.standard_normal(40), SquareLoss())
+    else:
+        path = tmp_path / "data.svm"
+        with open(path, "w", encoding="utf-8") as fh:
+            for row, label in zip(a.toarray(), rng.choice([-1, 1], size=40)):
+                feats = " ".join(f"{j + 1}:{float(row[j])!r}" for j in np.flatnonzero(row))
+                fh.write(f"{label:+d} {feats}\n")
+        obj = load_libsvm(path, gamma=gamma if kind == "ridge-logistic" else 0.0)
+    return obj, obj.curvature_matrix()
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2)])
+@pytest.mark.parametrize("kind", _SPARSE_KINDS)
+def test_sparse_fused_loop_is_bitwise_the_generic_loop(monkeypatch, tmp_path, kind, method, tau):
+    obj, b = _sparse_separable(kind, tmp_path)
+    x0 = np.random.default_rng(31).standard_normal(obj.n)
+    f0 = obj.value(x0)
+    f_ref = run(obj, b, SolverConfig(method="rcd", max_iters=2000, seed=32, x0=x0)).final_value
+    calls = []
+
+    def counting(m, rhs):
+        calls.append(1)
+        return pseudo_solve(m, rhs)
+
+    monkeypatch.setattr(solvers, "pseudo_solve", counting)
+    for trace_every in (1, 7):
+        for stop in (dict(target_gap=0.05 * (f0 - f_ref), f_star=f_ref, max_iters=20_000),
+                     dict(max_iters=300)):
+            cfg = SolverConfig(method=method, tau=tau, seed=33, x0=x0, trace_every=trace_every,
+                               record_subsets=True, **stop)
+            direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
+            assert _outcome(direct) == _outcome(generic)
+            assert 0 < direct.iterations < 20_000 and not direct.capped
+    # uniform pairs meet the copied columns and the empty one, whose 2x2
+    # blocks are singular without ridge: sdna takes the pseudoinverse step
+    assert (len(calls) > 0) == (method == "sdna" and kind != "ridge-logistic")
+
+
+@pytest.mark.parametrize("kind", _SPARSE_KINDS)
+def test_sparse_fused_loop_matches_on_forced_subsets_of_every_size(monkeypatch, tmp_path, kind):
+    # rcdvs steps on distinct columns; sdna's subsets may hold a copied
+    # column or the empty one, and so singular blocks of every size
+    obj, b = _sparse_separable(kind, tmp_path)
+    rng = np.random.default_rng(34)
+    for method, pool in (("rcdvs", 8), ("sdna", obj.n)):
+        forced = [np.sort(rng.choice(pool, size=1 + p % 5, replace=False)) for p in range(60)]
+        cfg = SolverConfig(method=method, tau=2, max_iters=len(forced),
+                           forced_subsets=forced, trace_every=1, record_subsets=True)
+        direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
+        assert _outcome(direct) == _outcome(generic)
+        assert direct.iterations == len(forced)
+        assert direct.final_value == pytest.approx(obj.value(direct.x_final), rel=1e-12)
+
+
+@pytest.mark.parametrize("singular", [[8], [0, 9], [0, 9, 12]])
+@pytest.mark.parametrize("kind", ["huber", "logistic"])
+def test_sparse_fused_loop_raises_on_the_same_singular_step(monkeypatch, tmp_path, kind, singular):
+    # the fourth forced subset is an empty column, a column and its copy, or
+    # a block whose second pivot is zero: both loops take the first three
+    # steps alike and raise at the fourth
+    obj, b = _sparse_separable(kind, tmp_path)
+    forced = [[0], [2, 3], [1, 4, 5], singular, [6]]
+    cfg = SolverConfig(method="rcdvs", tau=2, max_iters=3, forced_subsets=forced)
+    direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
+    assert _outcome(direct) == _outcome(generic) and direct.iterations == 3
+    for target in (obj, _PublicObjective(obj)):
+        with pytest.raises(SingularSubmatrix):
+            run(target, b, replace(cfg, max_iters=4))
+
+
+@pytest.mark.parametrize("kind", ["huber", "ridge-logistic"])
+def test_sparse_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch, tmp_path, kind):
+    # a refresh replaces z, ell and w (and recomputes the squared norm under
+    # ridge): the fused loop must go on with the new arrays, at the steps
+    # where the generic loop refreshes
+    monkeypatch.setattr(objectives, "REFRESH_INTERVAL", 7)
+    refreshed = []
+    refresh = objectives.GradientState.refresh
+
+    def spy(state):
+        refreshed.append((type(state).__name__, state.x.tobytes()))
+        refresh(state)
+
+    monkeypatch.setattr(objectives.GradientState, "refresh", spy)
+    obj, b = _sparse_separable(kind, tmp_path)
+    rng = np.random.default_rng(35)
+    forced = [np.sort(rng.choice(8, size=1 + p % 4, replace=False)) for p in range(100)]
+    # under ridge the outer refresh also refreshes the inner state
+    per_run = (100 // 7) * (2 if kind == "ridge-logistic" else 1)
+    for extra in (dict(method="rcd", tau=1), dict(method="rcdvs", tau=2),
+                  dict(method="sdna", tau=2), dict(method="rcdvs", tau=2, forced_subsets=forced)):
+        cfg = SolverConfig(max_iters=100, seed=36, trace_every=1, record_subsets=True, **extra)
+        refreshed.clear()
+        direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
+        assert len(refreshed) == 2 * per_run
+        assert refreshed[:per_run] == refreshed[per_run:]
+        assert _outcome(direct) == _outcome(generic)
+        full = obj.value(direct.x_final)
+        assert abs(direct.final_value - full) <= 1e-9 * abs(full)
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2)])
+@pytest.mark.parametrize("kind", ["square", "ridge-logistic"])
+def test_sparse_fused_loop_stops_a_diverging_run_where_the_generic_loop_does(
+    monkeypatch, tmp_path, kind, method, tau
+):
+    # a quarter of the curvature overshoots each step threefold on the
+    # square loss and on a dominant ridge term: both loops stop at the same
+    # first non-finite value
+    obj, b = _sparse_separable(kind, tmp_path, gamma=8.0)
+    quarter = CsrSymmetricUpper.from_dense(b.to_dense() / 4)
+    cfg = SolverConfig(method=method, tau=tau, seed=37, target_gap=1e-3, f_star=0.0,
+                       max_iters=20_000, trace_every=5)
+    direct, generic = _both_paths(monkeypatch, obj, quarter, cfg, _SPARSE_LOOP)
+    assert _outcome(direct) == _outcome(generic)
+    assert not np.isfinite(direct.final_value) and direct.iterations < 20_000
+    assert np.isfinite([f for _, f in direct.trace[:-1]]).all()
+
+
+@pytest.mark.parametrize("kind", ["huber", "ridge-logistic"])
+def test_sparse_fused_loop_stops_where_check_stop_does(monkeypatch, tmp_path, kind):
+    # as for the dense loop: at step 40, value - f_star <= gap is false
+    # while value <= f_star + gap is true, and both loops stop where
+    # check_stop says, on the state's own value expression under ridge
+    obj, b = _sparse_separable(kind, tmp_path)
+    cfg = SolverConfig(method="rcd", tau=1, max_iters=60, seed=38, trace_every=1)
+    values = [f for _, f in run(obj, b, cfg).trace]
+    v = values[40]
+    gap, f_star = next(
+        (gap, f)
+        for gap in (1e-6, 2e-6, 3e-6, 7e-7)
+        for f in (v - gap + d * np.spacing(v) for d in range(-8, 9))
+        if v <= f + gap and not v - f <= gap
+    )
+    cfg = replace(cfg, target_gap=gap, f_star=f_star)
+    stop = next(k for k, f in enumerate(values) if check_stop(k, f, cfg))
+    assert stop > 40
+    direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
     assert _outcome(direct) == _outcome(generic)
     assert direct.iterations == stop
