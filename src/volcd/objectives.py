@@ -15,15 +15,16 @@ returning the per-row values and derivatives together, so the work they share
 (``z - b``, ``exp(-|s|)``) is done once.  A sparse separable objective keeps
 one ``(rows, vals, b_rows)`` view per column of A, built once; its state also
 keeps the per-row loss values, so a step costs a fixed few numpy calls per
-column and evaluates the loss on that column's rows only.  That column
-update, ``_column_step``, is the one place it is written: the state's
-``_apply`` and the fused loop that :func:`volcd.solvers.run` takes for
-sparse separable runs under a rowwise loss (bare or with ridge) both call
-it, so the two loops give bitwise the same iterates.
+column and evaluates the loss on that column's rows only.
+
+A solver steps a state through :func:`steps`: a fused step for a dense
+quadratic state and for a sparse separable one under a rowwise loss, bitwise
+the state's own methods.  ``_column_step`` is the one column update of both.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -78,16 +79,22 @@ class LogisticLoss:
         return values, -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
 
 
-class HuberLoss:
+class _SmoothedLoss:
+    """A loss smoothed by mu > 0, with smoothness constant 1 / mu."""
+
+    def __init__(self, mu: float):
+        mu = float(mu)
+        # a NaN mu is not <= 0, and an infinite one gives a zero curvature matrix
+        if not (math.isfinite(mu) and mu > 0):
+            raise ValueError("smoothing parameter must be finite and positive")
+        self.mu = mu
+        self.smoothness = 1.0 / mu
+
+
+class HuberLoss(_SmoothedLoss):
     """Smoothed absolute value per row, quadratic inside |t - b_i| <= mu."""
 
     rowwise = True
-
-    def __init__(self, mu: float):
-        if mu <= 0:
-            raise ValueError("smoothing parameter must be positive")
-        self.mu = float(mu)
-        self.smoothness = 1.0 / self.mu
 
     def eval(self, z, b):
         mu = self.mu
@@ -98,17 +105,11 @@ class HuberLoss:
         return values, np.minimum(np.maximum(d / mu, -1.0), 1.0)
 
 
-class LogSumExpLoss:
+class LogSumExpLoss(_SmoothedLoss):
     """Smoothed maximum of the residual vector: mu * ln sum exp(r_i / mu),
     shifted so the value at r = 0 is 0.  Operates on the full residual."""
 
     rowwise = False
-
-    def __init__(self, mu: float):
-        if mu <= 0:
-            raise ValueError("smoothing parameter must be positive")
-        self.mu = float(mu)
-        self.smoothness = 1.0 / self.mu
 
     def value(self, r):
         top = float(np.max(r))
@@ -121,16 +122,10 @@ class LogSumExpLoss:
         return e / e.sum()
 
 
-class SqrtNormLoss:
+class SqrtNormLoss(_SmoothedLoss):
     """Smoothed Euclidean norm of the residual: sqrt(||r||^2 + mu^2) - mu."""
 
     rowwise = False
-
-    def __init__(self, mu: float):
-        if mu <= 0:
-            raise ValueError("smoothing parameter must be positive")
-        self.mu = float(mu)
-        self.smoothness = 1.0 / self.mu
 
     def value(self, r):
         return float(np.sqrt(r @ r + self.mu**2) - self.mu)
@@ -271,13 +266,11 @@ class _SeparableDenseState(_SeparableState):
 
 
 def _column_step(loss, z, ell, w, col, hj) -> float:
-    """One column's share of a sparse separable step under a rowwise loss.
+    """One column's share of a sparse separable step under a rowwise loss,
+    for ``_SeparableSparseState._apply`` and the fused step of :func:`steps`.
 
-    Decrements the products z on the column's rows by its nonzeros times hj,
-    evaluates the loss on those rows only, writes the per-row values into
-    ell and the derivatives into w, and returns the change of the loss sum.
-    ``_SeparableSparseState._apply`` and the fused sparse loop of
-    :func:`volcd.solvers.run` both step a column through here.
+    Decrements z on the column's rows by its nonzeros times hj, evaluates the
+    loss on those rows only into ell and w, and returns the value change.
     """
     rows, vals, b_rows = col
     # put and add.reduce are the scatter and sum without the wrappers
@@ -370,6 +363,148 @@ class _RidgeState(GradientState):
     def _recompute(self):
         self._inner.refresh()
         self._sq = float(self.x @ self.x)
+
+
+# ---------------------------------------------------------------------------
+# Steps
+
+
+def steps(state, subsets, solve):
+    """Step ``state`` by h = solve(S, partial gradient on S) for each S
+    drawn from ``subsets``, yielding its value after each step.
+
+    A dense quadratic state and a sparse separable state under a rowwise
+    loss (bare or with ridge) take a fused step, bitwise ``apply_step``'s,
+    whose locals go back to the state when the generator closes or ends."""
+    kind = type(state)
+    if kind is _QuadraticDenseState:
+        return _dense_quadratic_steps(state, subsets, solve)
+    inner = state._inner if kind is _RidgeState else state
+    if type(inner) is _SeparableSparseState and inner._obj.loss.rowwise:
+        return _sparse_separable_steps(state, subsets, solve)
+    return _public_steps(state, subsets, solve)
+
+
+def _public_steps(state, subsets, solve):
+    """Steps through the state's public methods."""
+    for s in subsets:
+        state.apply_step(s, solve(s, state.partial_gradient(s)))
+        yield state.value
+
+
+def _dense_quadratic_steps(state, subsets, solve):
+    """Fused steps of a dense quadratic state: one or two coordinates take
+    ``solve.one``/``solve.two`` on Python floats from ``g.item`` and one
+    in-place axpy per coordinate with row i of A; larger steps call
+    ``solve`` and ``_apply``."""
+    one, two = solve.one, solve.two
+    x, a = state.x, state._op
+    g, value, count = state._g, state._value, state._steps
+    tmp = np.empty_like(g)
+    multiply, subtract = np.multiply, np.subtract
+    interval = REFRESH_INTERVAL
+    try:
+        for s in subsets:
+            size = s.size
+            if size == 1:
+                i = s.item(0)
+                gi = g.item(i)
+                h = one(i, gi)
+                x[i] -= h
+                multiply(a[i], h, out=tmp)  # row view; symmetric, so row i is column i
+                subtract(g, tmp, out=g)
+                value -= 0.5 * h * (gi + g.item(i))
+            elif size == 2:
+                i, j = s.tolist()
+                gi, gj = g.item(i), g.item(j)
+                hi, hj = two(i, j, gi, gj)
+                x[i] -= hi
+                x[j] -= hj
+                multiply(a[i], hi, out=tmp)
+                subtract(g, tmp, out=g)
+                multiply(a[j], hj, out=tmp)
+                subtract(g, tmp, out=g)
+                value -= 0.5 * (hi * (gi + g.item(i)) + hj * (gj + g.item(j)))
+            else:
+                state._value = value
+                state._apply(s, solve(s, g[s]))
+                value = state._value
+            count += 1
+            if count >= interval:
+                state._value = value
+                state.refresh()
+                g, value, count = state._g, state._value, 0
+            yield value
+    finally:
+        state._value, state._steps = value, count
+
+
+def _sparse_separable_steps(state, subsets, solve):
+    """Fused steps of a sparse separable state under a rowwise loss, bare or
+    with ridge: one or two coordinates read ``(vals @ w[rows]).item()``,
+    solve on floats and step each column by :func:`_column_step`; larger
+    steps call ``partial_gradient``, ``solve`` and ``_apply``.  A pair keeps
+    ``_RidgeState._apply``'s length-2 dots: they may round unlike a*a + b*b."""
+    ridge = type(state) is _RidgeState
+    inner = state._inner if ridge else state
+    one, two = solve.one, solve.two
+    column, loss = _column_step, inner._obj.loss
+    x, cols = state.x, inner._cols
+    z, ell, w = inner._z, inner._ell, inner._w
+    value, count = inner._value, state._steps
+    gamma = state._gamma if ridge else 0.0
+    sq = state._sq if ridge else 0.0
+    interval = REFRESH_INTERVAL
+    try:
+        for s in subsets:
+            size = s.size
+            if size == 1:
+                i = s.item(0)
+                ci = cols[i]
+                gi = (ci[1] @ w[ci[0]]).item()
+                if ridge:
+                    xi = x.item(i)
+                    gi += gamma * xi
+                h = one(i, gi)
+                if ridge:
+                    sq += h * h - 2.0 * (xi * h)
+                x[i] -= h
+                value += column(loss, z, ell, w, ci, h)
+            elif size == 2:
+                i, j = s.tolist()
+                ci, cj = cols[i], cols[j]
+                gi = (ci[1] @ w[ci[0]]).item()
+                gj = (cj[1] @ w[cj[0]]).item()
+                if ridge:
+                    gi += gamma * x.item(i)
+                    gj += gamma * x.item(j)
+                hi, hj = two(i, j, gi, gj)
+                if ridge:
+                    hs = np.array((hi, hj))
+                    sq += float(hs @ hs) - 2.0 * float(x[s] @ hs)
+                x[i] -= hi
+                x[j] -= hj
+                value += column(loss, z, ell, w, ci, hi)
+                value += column(loss, z, ell, w, cj, hj)
+            else:
+                h = solve(s, state.partial_gradient(s))
+                if ridge:  # _RidgeState._apply's update, on the local sq
+                    sq += float(h @ h) - 2.0 * float(x[s] @ h)
+                inner._value = value
+                inner._apply(s, h)
+                value = inner._value
+            count += 1
+            if count >= interval:
+                state.refresh()
+                z, ell, w, value, count = inner._z, inner._ell, inner._w, inner._value, 0
+                if ridge:
+                    sq = state._sq
+            # the ridge state's value property, with its expression
+            yield value + 0.5 * gamma * sq if ridge else value
+    finally:
+        inner._value, state._steps = value, count
+        if ridge:
+            state._sq = sq
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +619,8 @@ class RegularizedObjective:
     """inner(x) + gamma * ||x||^2 / 2; curvature gains gamma on the diagonal."""
 
     def __init__(self, inner, gamma: float):
-        if gamma <= 0:
-            raise ValueError("ridge weight must be positive")
+        if not (math.isfinite(gamma) and gamma > 0):
+            raise ValueError("ridge weight must be finite and positive")
         self.inner = inner
         self.gamma = float(gamma)
         self.n = inner.n

@@ -254,7 +254,10 @@ def read_libsvm(path):
 
 
 def load_libsvm(path, gamma: float = 1.0):
-    """Ridge-regularized logistic regression objective from a LIBSVM file."""
+    """Ridge-regularized logistic regression objective from a LIBSVM file,
+    with a finite ridge weight ``gamma >= 0``, where 0 means no ridge."""
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError("ridge weight must be finite and nonnegative")
     a, y = read_libsvm(path)
     core = SeparableObjective(a, y, LogisticLoss())
     if gamma > 0:

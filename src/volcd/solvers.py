@@ -27,26 +27,10 @@ the pseudoinverse step under ``sdna``.
 
 A run stops at the iteration budget, at the target gap, or at the first
 non-finite objective value; in target-gap mode a diverged run is reported as
-capped.
-
-The loop is picked once per run from the type of the objective's state.  Two
-kinds of state take a fused loop, in which a step of one or two coordinates
-reads its gradient entries as Python floats and solves by the closed forms,
-with no call into the state's public methods:
-
-* a dense :class:`~volcd.objectives.QuadraticObjective` updates the
-  maintained gradient by one in-place axpy per coordinate;
-* a sparse :class:`~volcd.objectives.SeparableObjective` with a rowwise loss,
-  bare or inside a :class:`~volcd.objectives.RegularizedObjective`, updates
-  x and the ridge's squared norm on floats and each column through the
-  state's own column update.
-
-Larger steps in either fused loop call the general solve and the state's
-update.  Every other state, and any state that offers only ``value``, ``x``,
-``partial_gradient`` and ``apply_step``, goes through those four.  A fused
-loop performs the same floating-point operations in the same order, so both
-loops give bitwise the same subsets, iterates, values, trace, refresh steps
-and stopping step.
+capped.  :func:`run` has one loop over :func:`~volcd.objectives.steps`,
+which steps the state and yields its value; the loop counts, traces and
+tests for a stop, and reads the state only through ``value`` and ``x``.  A
+fused step, where the state has one, gives bitwise the run of its methods.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -153,11 +137,6 @@ class SolverReport:
             fh.write(f"{k},{f!r}\n")
 
 
-def _gap_reached(value: float, config: SolverConfig) -> bool:
-    """In target-gap mode: the value is finite and within the target gap."""
-    return math.isfinite(value) and value - config.f_star <= config.target_gap
-
-
 def check_stop(k: int, value: float, config: SolverConfig) -> bool:
     """True once the iteration budget or the target gap is reached, or once
     the value is no longer finite (a diverged run)."""
@@ -166,7 +145,7 @@ def check_stop(k: int, value: float, config: SolverConfig) -> bool:
     if config.target_gap is not None:
         if config.f_star is None:
             raise ConfigError("target_gap mode needs the optimal value f_star")
-        if _gap_reached(value, config):
+        if value - config.f_star <= config.target_gap:
             return True
     return config.max_iters is not None and k >= config.max_iters
 
@@ -183,9 +162,8 @@ def _make_step_solver(b, exact: bool):
     raises :class:`SingularSubmatrix` if ``exact``, and is solved by the
     pseudoinverse otherwise.
 
-    The closed forms take and return Python floats; ``solve`` carries them
-    as ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` for the fused
-    loops of :func:`run`, which never build an array for them."""
+    ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
+    on Python floats, for the fused steps of :func:`~volcd.objectives.steps`."""
     diag = b.diagonal().tolist()
     pair = b.item
 
@@ -252,186 +230,11 @@ def _make_step_solver(b, exact: bool):
 # Main loop
 
 
-def _generic_loop(state, subsets, solve, config, trace, log) -> int:
-    """Iterate through the state's public methods until a stop; return the
-    number of iterations."""
-    trace_every = config.trace_every
-    k = 0
-    for s in subsets:  # a forced subset sequence may run out first
-        g = state.partial_gradient(s)
-        h = solve(s, g)
-        state.apply_step(s, h)
-        if log is not None:
-            log.append(s)
-        k += 1
-        if k % trace_every == 0:
-            trace.append((k, float(state.value)))
-        if check_stop(k, state.value, config):
-            break
-    return k
-
-
-def _dense_quadratic_loop(state, subsets, solve, config, trace, log) -> int:
-    """:func:`_generic_loop` fused for a dense quadratic state.
-
-    Steps of one or two coordinates run on Python floats: the gradient
-    entries come from ``g.item``, the closed forms of ``solve`` give the
-    step, each coordinate updates g = Ax - b by one in-place axpy with row
-    i of A, and the value changes by the state's own expression.  Every
-    operation is the one ``apply_step`` does, in the same order, so the
-    iterates, values and stops are bitwise those of the generic loop.
-    Larger steps call ``solve`` and the state's ``_apply``.  The value, the
-    refresh count and ``check_stop``'s tests live in the loop body.
-    """
-    one, two = solve.one, solve.two
-    x, a = state.x, state._op
-    g, value, steps = state._g, state._value, state._steps
-    tmp = np.empty_like(g)
-    multiply, subtract, isfinite = np.multiply, np.subtract, math.isfinite
-    interval = objectives.REFRESH_INTERVAL
-    trace_every = config.trace_every
-    f_star, gap = config.f_star, config.target_gap
-    limit = math.inf if config.max_iters is None else config.max_iters
-    k = 0
+def _recorded(subsets, log):
+    """The subsets, each appended to ``log`` as it is drawn."""
     for s in subsets:
-        size = s.size
-        if size == 1:
-            i = s.item(0)
-            gi = g.item(i)
-            h = one(i, gi)
-            x[i] -= h
-            multiply(a[i], h, out=tmp)  # row view; symmetric, so row i is column i
-            subtract(g, tmp, out=g)
-            value -= 0.5 * h * (gi + g.item(i))
-        elif size == 2:
-            i, j = s.tolist()
-            gi, gj = g.item(i), g.item(j)
-            hi, hj = two(i, j, gi, gj)
-            x[i] -= hi
-            x[j] -= hj
-            multiply(a[i], hi, out=tmp)
-            subtract(g, tmp, out=g)
-            multiply(a[j], hj, out=tmp)
-            subtract(g, tmp, out=g)
-            value -= 0.5 * (hi * (gi + g.item(i)) + hj * (gj + g.item(j)))
-        else:
-            state._value = value
-            state._apply(s, solve(s, g[s]))
-            value = state._value
-        if log is not None:
-            log.append(s)
-        k += 1
-        steps += 1
-        if steps >= interval:
-            state._value = value
-            state.refresh()
-            g, value, steps = state._g, state._value, 0
-        if k % trace_every == 0:
-            trace.append((k, float(value)))
-        # check_stop's tests, in its order and with its expressions
-        if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
-            break
-    state._value, state._steps = value, steps
-    return k
-
-
-def _is_rowwise_sparse(state) -> bool:
-    """True for a sparse separable state under a rowwise loss, bare or
-    inside a ridge state: the states :func:`_sparse_separable_loop` serves."""
-    if type(state) is objectives._RidgeState:
-        state = state._inner
-    return type(state) is objectives._SeparableSparseState and state._obj.loss.rowwise
-
-
-def _sparse_separable_loop(state, subsets, solve, config, trace, log) -> int:
-    """:func:`_generic_loop` fused for a sparse separable state under a
-    rowwise loss, bare or inside a ridge state.
-
-    Steps of one or two coordinates run on Python floats: a partial
-    gradient entry is ``(vals @ w[rows]).item()``, plus gamma times the
-    coordinate under ridge; the closed forms of ``solve`` give the step; x
-    and the ridge's squared norm change on floats, and each column goes
-    through :func:`objectives._column_step`, the state's own column update.
-    A pair keeps numpy's length-2 dots for the squared-norm change, as the
-    ridge state computes it: a length-2 dot does not always round as
-    ``a*a + b*b`` does.  Larger steps call the state's ``partial_gradient``,
-    ``solve`` and ``_apply``.  Every operation is the generic loop's, in its
-    order, so the iterates, values and stops are bitwise the same.  A
-    refresh replaces z, ell and w, so the loop rebinds them after one.
-    """
-    ridge = type(state) is objectives._RidgeState
-    inner = state._inner if ridge else state
-    one, two = solve.one, solve.two
-    column, loss = objectives._column_step, inner._obj.loss
-    x, cols = state.x, inner._cols
-    z, ell, w = inner._z, inner._ell, inner._w
-    value, steps = inner._value, state._steps
-    gamma = state._gamma if ridge else 0.0
-    sq = state._sq if ridge else 0.0
-    isfinite = math.isfinite
-    interval = objectives.REFRESH_INTERVAL
-    trace_every = config.trace_every
-    f_star, gap = config.f_star, config.target_gap
-    limit = math.inf if config.max_iters is None else config.max_iters
-    k = 0
-    for s in subsets:
-        size = s.size
-        if size == 1:
-            i = s.item(0)
-            ci = cols[i]
-            gi = (ci[1] @ w[ci[0]]).item()
-            if ridge:
-                xi = x.item(i)
-                gi += gamma * xi
-            h = one(i, gi)
-            if ridge:
-                sq += h * h - 2.0 * (xi * h)
-            x[i] -= h
-            value += column(loss, z, ell, w, ci, h)
-        elif size == 2:
-            i, j = s.tolist()
-            ci, cj = cols[i], cols[j]
-            gi = (ci[1] @ w[ci[0]]).item()
-            gj = (cj[1] @ w[cj[0]]).item()
-            if ridge:
-                gi += gamma * x.item(i)
-                gj += gamma * x.item(j)
-            hi, hj = two(i, j, gi, gj)
-            if ridge:
-                hs = np.array((hi, hj))
-                sq += float(hs @ hs) - 2.0 * float(x[s] @ hs)
-            x[i] -= hi
-            x[j] -= hj
-            value += column(loss, z, ell, w, ci, hi)
-            value += column(loss, z, ell, w, cj, hj)
-        else:
-            inner._value = value
-            if ridge:
-                state._sq = sq
-            state._apply(s, solve(s, state.partial_gradient(s)))
-            value = inner._value
-            if ridge:
-                sq = state._sq
-        if log is not None:
-            log.append(s)
-        k += 1
-        steps += 1
-        if steps >= interval:
-            state.refresh()
-            z, ell, w, value, steps = inner._z, inner._ell, inner._w, inner._value, 0
-            if ridge:
-                sq = state._sq
-        # the state's value property, with its expression
-        total = value + 0.5 * gamma * sq if ridge else value
-        if k % trace_every == 0:
-            trace.append((k, float(total)))
-        # check_stop's tests, in its order and with its expressions
-        if not isfinite(total) or (gap is not None and total - f_star <= gap) or k >= limit:
-            break
-    inner._value, state._steps = value, steps
-    if ridge:
-        state._sq = sq
-    return k
+        log.append(s)
+        yield s
 
 
 def run(obj, b, config: SolverConfig):
@@ -459,26 +262,34 @@ def run(obj, b, config: SolverConfig):
         subsets = make_sampler(b, config.tau).draws(rng, _SAMPLE_CHUNK)
     solve = _make_step_solver(b, exact=config.method != "sdna")
 
-    trace = [(0, float(state.value))]
     log: list | None = [] if config.record_subsets else None
-    if check_stop(0, state.value, config):
-        k = 0
-    elif type(state) is objectives._QuadraticDenseState:
-        k = _dense_quadratic_loop(state, subsets, solve, config, trace, log)
-    elif _is_rowwise_sparse(state):
-        k = _sparse_separable_loop(state, subsets, solve, config, trace, log)
-    else:
-        k = _generic_loop(state, subsets, solve, config, trace, log)
+    if log is not None:
+        subsets = _recorded(subsets, log)
+
+    value = state.value
+    trace = [(0, float(value))]
+    trace_every, f_star, gap = config.trace_every, config.f_star, config.target_gap
+    limit = math.inf if config.max_iters is None else config.max_iters
+    isfinite = math.isfinite
+    k = 0
+    if not check_stop(0, value, config):
+        for value in objectives.steps(state, subsets, solve):
+            k += 1
+            if k % trace_every == 0:
+                trace.append((k, float(value)))
+            # check_stop's tests, in its order and with its expressions
+            if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
+                break
 
     if trace[-1][0] != k:
-        trace.append((k, float(state.value)))
+        trace.append((k, float(value)))
     # in target-gap mode a diverged run (inf or NaN value) counts as capped
-    capped = config.target_gap is not None and not _gap_reached(state.value, config)
+    capped = gap is not None and not (isfinite(value) and value - f_star <= gap)
     return SolverReport(
         method=config.method,
         tau=config.tau,
         iterations=k,
-        final_value=float(state.value),
+        final_value=float(value),
         x_final=state.x.copy(),
         trace=trace,
         wall_time=time.perf_counter() - start,

@@ -382,3 +382,14 @@ def test_loss_eval_matches_reference_formulas(loss):
     assert values.tobytes() == ref_values.tobytes()
     assert derivs.tobytes() == ref_derivs.tobytes()
     assert np.isnan(values[-2:]).all() and np.isnan(derivs[-2:]).all()
+
+
+@pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])
+def test_constructors_refuse_a_non_finite_or_non_positive_weight(weight):
+    # a NaN weight is not <= 0; an infinite mu gives smoothness 0, so a zero
+    # curvature matrix
+    inner = SeparableObjective(np.eye(2), np.zeros(2), SquareLoss())
+    for make in (HuberLoss, LogSumExpLoss, SqrtNormLoss,
+                 lambda gamma: RegularizedObjective(inner, gamma)):
+        with pytest.raises(ValueError):
+            make(weight)

@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import re
@@ -61,3 +62,17 @@ def test_dense_run_never_imports_scipy(tmp_path):
     code, loaded = proc.stdout.split(None, 1)
     assert code == "0"
     assert loaded.strip() == "[]"
+
+
+def test_solvers_reads_no_private_attribute():
+    # solvers steps a state through objectives.steps and reads only its value
+    # and x: how a state is laid out is known to objectives alone
+    path = Path(volcd.__file__).with_name("solvers.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    private = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+        and not (node.attr.startswith("__") and node.attr.endswith("__"))
+    ]
+    assert private == []

@@ -172,6 +172,17 @@ def test_load_libsvm_applies_ridge(tmp_path):
     assert dense[0, 0] == pytest.approx(0.25 * (1 + 0.25) + 2.0)
 
 
+@pytest.mark.parametrize("gamma", [-1.0, float("nan"), float("inf")])
+def test_load_libsvm_refuses_a_bad_ridge_weight(tmp_path, gamma):
+    # before, a negative or NaN weight silently dropped the ridge; 0 still
+    # means no ridge
+    path = tmp_path / "tiny.svm"
+    path.write_text("+1 1:1\n-1 1:0.5\n")
+    with pytest.raises(ValueError):
+        load_libsvm(path, gamma=gamma)
+    assert not isinstance(load_libsvm(path, gamma=0.0), RegularizedObjective)
+
+
 # ---------------------------------------------------------------------------
 # reference optima
 

@@ -674,17 +674,18 @@ def _outcome(rep):
     )
 
 
-def _both_paths(monkeypatch, obj, b, cfg, loop="_dense_quadratic_loop"):
-    """The outcomes of one run through the fused loop named ``loop`` and
-    through the generic loop; the first must have taken the fused loop."""
+def _both_paths(monkeypatch, obj, b, cfg, loop="_dense_quadratic_steps"):
+    """The outcomes of one run through the fused step of ``objectives``
+    named ``loop`` and through the state's public methods; the first must
+    have taken the fused step."""
     fused_calls = []
-    fused = getattr(solvers, loop)
+    fused = getattr(objectives, loop)
 
     def spy(*args):
         fused_calls.append(1)
         return fused(*args)
 
-    monkeypatch.setattr(solvers, loop, spy)
+    monkeypatch.setattr(objectives, loop, spy)
     with np.errstate(all="ignore"):
         direct = run(obj, b, cfg)
         generic = run(_PublicObjective(obj), b, cfg)
@@ -821,7 +822,7 @@ def test_fused_loop_stops_where_check_stop_does(monkeypatch):
 # the fused loop of sparse separable runs
 
 _SPARSE_KINDS = ("huber", "square", "logistic", "ridge-logistic")
-_SPARSE_LOOP = "_sparse_separable_loop"
+_SPARSE_LOOP = "_sparse_separable_steps"
 
 
 def _sparse_separable(kind, tmp_path, gamma=0.5):
@@ -979,3 +980,40 @@ def test_sparse_fused_loop_stops_where_check_stop_does(monkeypatch, tmp_path, ki
     direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
     assert _outcome(direct) == _outcome(generic)
     assert direct.iterations == stop
+
+
+# ---------------------------------------------------------------------------
+# one subset drawn per iteration
+
+
+@pytest.mark.parametrize("kind", ["dense", "huber", "ridge-logistic"])
+def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kind):
+    # the steps draw a subset only when the loop asks for the next value: a
+    # run that stops at the gap or at its budget has drawn one subset per
+    # iteration, through the fused step and through the public methods alike
+    drawn = []
+
+    def counting(n, tau, rng):
+        drawn.append(1)
+        return tau_nice_sample(n, tau, rng)
+
+    monkeypatch.setattr(solvers, "tau_nice_sample", counting)
+    if kind == "dense":
+        obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=3))
+        b, loop = obj.curvature_matrix(), "_dense_quadratic_steps"
+        gap = 1e-3
+    else:
+        obj, b = _sparse_separable(kind, tmp_path)
+        f_star = run(obj, b, SolverConfig(method="rcd", max_iters=2000, seed=32)).final_value
+        gap, loop = 0.05 * (obj.value(np.zeros(obj.n)) - f_star), _SPARSE_LOOP
+    for stop, budget in ((dict(target_gap=gap, f_star=f_star, max_iters=100_000), False),
+                         (dict(max_iters=200), True)):
+        cfg = SolverConfig(method="sdna", tau=2, seed=39, record_subsets=budget, **stop)
+        drawn.clear()
+        direct, generic = _both_paths(monkeypatch, obj, b, cfg, loop)
+        assert _outcome(direct) == _outcome(generic)
+        assert len(drawn) == direct.iterations + generic.iterations
+        assert (direct.iterations == 200) if budget else (0 < direct.iterations < 100_000)
+        assert not direct.capped
+        if budget:
+            assert len(direct.subsets) == len(generic.subsets) == 200
