@@ -20,6 +20,11 @@ column and evaluates the loss on that column's rows only.
 A solver steps a state through :func:`steps`: a fused step for a dense
 quadratic state and for a sparse separable one under a rowwise loss, bitwise
 the state's own methods.  ``_column_step`` is the one column update of both.
+A dense quadratic state on a sampled stream of one- or two-coordinate
+subsets (rcd:1, rcdvs:1, rcdvs:2) takes windowed steps instead, each window
+of steps one block lower-triangular solve; they agree with the per-step
+fused step to rounding (1e-10 relative in the tests, 1.5e-12 measured), not
+bitwise.  Forced subsets and sdna keep the per-step step.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import sys
 import numpy as np
 
 from .linalg import CsrSymmetricUpper, add_to_diagonal, symmetrize
+from .sampling import Draws
 
 __all__ = [
     "GradientState",
@@ -45,6 +51,10 @@ __all__ = [
 
 # Incremental caches are rebuilt from scratch this often to bound float drift.
 REFRESH_INTERVAL = 10**6
+
+# Coordinates per window of a dense quadratic's windowed steps: a window
+# takes _WINDOW // tau subsets.
+_WINDOW = 48
 
 
 # ---------------------------------------------------------------------------
@@ -84,9 +94,12 @@ class _SmoothedLoss:
 
     def __init__(self, mu: float):
         mu = float(mu)
-        # a NaN mu is not <= 0, and an infinite one gives a zero curvature matrix
-        if not (math.isfinite(mu) and mu > 0):
-            raise ValueError("smoothing parameter must be finite and positive")
+        # a NaN mu is not <= 0, an infinite one gives a zero curvature
+        # matrix, and a subnormal one an infinite smoothness constant
+        if not (math.isfinite(mu) and mu > 0 and math.isfinite(1.0 / mu)):
+            raise ValueError(
+                "smoothing parameter must be finite and positive, with a finite reciprocal"
+            )
         self.mu = mu
         self.smoothness = 1.0 / mu
 
@@ -375,9 +388,16 @@ def steps(state, subsets, solve):
 
     A dense quadratic state and a sparse separable state under a rowwise
     loss (bare or with ridge) take a fused step, bitwise ``apply_step``'s,
-    whose locals go back to the state when the generator closes or ends."""
+    whose locals go back to the state when the generator closes or ends.
+    A dense quadratic state on a sampler's :class:`~volcd.sampling.Draws`
+    of one or two coordinates, with a dense B, takes windowed steps, which
+    agree with the fused step to rounding and apply the steps whose values
+    they yielded when the generator closes."""
     kind = type(state)
     if kind is _QuadraticDenseState:
+        if (type(subsets) is Draws and subsets.tau <= 2
+                and isinstance(solve.matrix, np.ndarray)):
+            return _dense_window_steps(state, subsets, solve)
         return _dense_quadratic_steps(state, subsets, solve)
     inner = state._inner if kind is _RidgeState else state
     if type(inner) is _SeparableSparseState and inner._obj.loss.rowwise:
@@ -436,6 +456,103 @@ def _dense_quadratic_steps(state, subsets, solve):
                 g, value, count = state._g, state._value, 0
             yield value
     finally:
+        state._value, state._steps = value, count
+
+
+def _apply_window(x, g, idx, h, rows, p):
+    """The first p coordinates of a window's steps: x[idx] -= h and
+    g -= A[:, idx] h, with ``rows`` = A[idx]."""
+    np.subtract(g, h[:p] @ rows[:p], out=g)
+    np.subtract.at(x, idx[:p], h[:p])
+
+
+def _dense_window_steps(state, draws, solve):
+    """Windowed steps of a dense quadratic state on a sampled stream of one-
+    or two-coordinate subsets.
+
+    A window peeks at the next ``_WINDOW // tau`` subsets S_1, ..., S_m of
+    the stream's batch, fewer at the batch's end and at the refresh
+    boundary, and stacks their indices into I.  Step t solves B[S_t, S_t]
+    h_t = g[S_t] - sum_{s<t} A[S_t, S_s] h_s, so the window's steps are one
+    block lower-triangular system M h = g[I], where M has B's diagonal
+    blocks and the strictly block-lower part of A[I, I].  The values
+    value - cumsum(h_t . B h_t - h_t . A h_t / 2) are yielded one at a time,
+    and the steps whose values were yielded are applied, with R = A[I],
+    as g -= h @ R and x[I] -= h when the window runs out or the generator
+    closes.  The stream logs exactly those subsets.  A singular diagonal
+    block ends the window before it and takes the per-step path, which
+    raises under an exact method; so does the first subset of a window
+    whose solve overflows on a diverging run.  The iterates agree with the
+    per-step path to rounding, not bitwise."""
+    tau = draws.tau
+    x, a, b = state.x, state._op, solve.matrix
+    g, value, count = state._g, state._value, state._steps
+    bdiag = b.diagonal()
+    block = np.arange(_WINDOW) // tau
+    lower = block[:, None] > block  # strictly block-lower
+    pairs = np.arange(0, _WINDOW, 2)
+    per, interval = _WINDOW // tau, REFRESH_INTERVAL
+    pending = 0  # steps whose values were yielded but which are not applied
+    try:
+        while True:
+            subs = draws.peek(min(per, interval - count))
+            idx = subs.ravel()
+            bd = bdiag[idx]
+            if tau == 1:
+                ok = bd > 0.0
+            else:
+                bp = b[subs[:, 0], subs[:, 1]]
+                b1, b2 = bd[0::2], bd[1::2]
+                ok = (b1 * b2 - bp * bp > 0.0) & (b1 > 0.0)  # solve.two's test
+            m = len(subs) if ok.all() else int(ok.argmin())
+            if m:
+                p = m * tau
+                idx, bd = idx[:p], bd[:p]
+                rows = a[idx]
+                sub = rows[:, idx]
+                mat = np.where(lower[:p, :p], sub, 0.0)
+                flat = mat.ravel()
+                flat[:: p + 1] = bd
+                if tau == 2:
+                    bp, even = bp[:m], pairs[:m]
+                    flat[even * (p + 1) + 1] = bp  # entries (2t, 2t + 1)
+                    flat[even * (p + 1) + p] = bp  # and (2t + 1, 2t)
+                try:
+                    h = np.linalg.solve(mat, g[idx])
+                except np.linalg.LinAlgError:
+                    m = 0  # an overflow inside the solve: the run diverges
+            if m == 0:
+                s = subs[0]
+                draws.take(1)
+                state._value = value
+                state._apply(s, solve(s, g[s]))
+                vals = [state._value]
+                m = 1
+            else:
+                # each step's value decrease h . B h - h . A h / 2, term by term
+                dec = (bd - 0.5 * sub.diagonal()) * (h * h)
+                if tau == 2:
+                    cross = (bp - 0.5 * sub[even, even + 1]) * (h[0::2] * h[1::2])
+                    dec = dec[0::2] + dec[1::2] + 2.0 * cross
+                vals = (value - np.cumsum(dec)).tolist()
+                for v in vals[:-1]:
+                    pending += 1
+                    yield v
+                _apply_window(x, g, idx, h, rows, p)
+                draws.take(m)
+                pending = 0
+            value = vals[-1]
+            count += m
+            if count >= interval:
+                state._value = value
+                state.refresh()
+                g, value, count = state._g, state._value, 0
+            yield value
+    finally:
+        if pending:
+            _apply_window(x, g, idx, h, rows, pending * tau)
+            draws.take(pending)
+            value, count = vals[pending - 1], count + pending
         state._value, state._steps = value, count
 
 

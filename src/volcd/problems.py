@@ -81,8 +81,11 @@ class ProblemSpec:
             raise ConfigError("dimension must be positive")
         if not math.isfinite(self.lam1) or not self.lam1 >= self.lam2 > 0:
             raise ConfigError("need finite lam1 >= lam2 > 0")
-        if not (math.isfinite(self.mu) and self.mu > 0):
-            raise ConfigError("smoothing parameter must be finite and positive")
+        mu = self.mu
+        if not (math.isfinite(mu) and mu > 0 and math.isfinite(1.0 / mu)):
+            raise ConfigError(
+                "smoothing parameter must be finite and positive, with a finite reciprocal"
+            )
         if self.kind == "quadratic" and not (self.m is None and self.sparsity is None):
             raise ConfigError("quadratic problems take no m or sparsity")
         if self.kind == "huber" and (self.m is None or self.m < 1):

@@ -35,7 +35,8 @@ as many draws as the table costs to build (``_handover_draws``).
 
 The three determinantal samplers share one stream contract: each yields its
 draws in batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
-chunk)`` (the endless stream a solver run reads) and ``sample_many(rng, k)``
+chunk)`` (the endless stream a solver run reads, a :class:`Draws` that hands
+out one subset or a slice of its batch at a time) and ``sample_many(rng, k)``
 (its first k subsets) are defined once on top of it.  A single draw is
 ``sample_many(rng, 1)[0]``.
 
@@ -55,6 +56,7 @@ from .rng import RngStream
 
 __all__ = [
     "CumulativeTable",
+    "Draws",
     "SparseTwoSampler",
     "SpectralVolumeSampler",
     "VolumeSampler",
@@ -248,16 +250,56 @@ def principal_minors(
     return minors
 
 
+class Draws:
+    """A sampler's endless stream of sorted subsets, each an int64 array of
+    length ``tau``, drawn batch by batch as the reader reaches each batch.
+
+    Iterating takes one subset at a time.  ``peek(k)`` hands out the next
+    subsets, at most k and never past the end of the current batch, as one
+    (m, tau) array slice, and ``take(m)`` then takes the first m of them,
+    so a reader can look ahead and take only what it used.  Each subset
+    taken is appended to ``log`` when one is given.
+    """
+
+    def __init__(self, batches, tau: int, log: list | None = None):
+        self._batches = batches
+        self.tau = tau
+        self.log = log
+        self._batch = np.empty((0, tau), dtype=np.int64)
+        self._pos = 0
+
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        if self._pos == len(self._batch):
+            self._batch, self._pos = next(self._batches), 0
+        s = self._batch[self._pos]
+        self._pos += 1
+        if self.log is not None:
+            self.log.append(s)
+        return s
+
+    def peek(self, k: int) -> np.ndarray:
+        if self._pos == len(self._batch):
+            self._batch, self._pos = next(self._batches), 0
+        return self._batch[self._pos : self._pos + k]
+
+    def take(self, m: int) -> None:
+        if self.log is not None:
+            self.log.extend(self._batch[self._pos : self._pos + m])
+        self._pos += m
+
+
 class _SubsetStream:
     """The draw methods of every determinantal sampler, over the subclass's
     ``_batches(rng, chunk)``: a generator of (m, tau) int64 batches that takes
     uniforms from ``rng`` only as each batch is reached."""
 
-    def draws(self, rng: RngStream, chunk: int):
-        """Endless stream of sorted subsets, as int64 arrays of length tau,
-        each batch drawn when the caller reaches it."""
-        for batch in self._batches(rng, chunk):
-            yield from batch
+    def draws(self, rng: RngStream, chunk: int, log: list | None = None) -> Draws:
+        """Endless stream of sorted subsets in batches of ``chunk``, as a
+        :class:`Draws` that appends each subset taken to ``log``."""
+        return Draws(self._batches(rng, chunk), self.tau, log)
 
     def sample_many(self, rng: RngStream, k: int) -> np.ndarray:
         """The first k subsets of ``draws(rng, k)``, as a (k, tau) array."""

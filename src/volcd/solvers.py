@@ -31,6 +31,12 @@ capped.  :func:`run` has one loop over :func:`~volcd.objectives.steps`,
 which steps the state and yields its value; the loop counts, traces and
 tests for a stop, and reads the state only through ``value`` and ``x``.  A
 fused step, where the state has one, gives bitwise the run of its methods.
+A sampled rcd:1 or rcdvs:2 run (rcdvs:1 too) on a dense quadratic with a
+dense B takes windowed steps: each window of up to 48 coordinates' steps is
+one block lower-triangular solve.  They agree with the per-step fused step,
+which forced subsets replay, to rounding rather than bitwise: 1e-10
+relative in the tests, 1.5e-12 at worst measured, with equal iteration
+counts.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -163,7 +169,8 @@ def _make_step_solver(b, exact: bool):
     pseudoinverse otherwise.
 
     ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
-    on Python floats, for the fused steps of :func:`~volcd.objectives.steps`."""
+    on Python floats, for the fused steps of :func:`~volcd.objectives.steps`,
+    and ``solve.matrix`` is B itself, for its windowed steps."""
     diag = b.diagonal().tolist()
     pair = b.item
 
@@ -222,7 +229,7 @@ def _make_step_solver(b, exact: bool):
                 raise
             return pseudo_solve(sub, g)
 
-    solve.one, solve.two = one, two
+    solve.one, solve.two, solve.matrix = one, two, b
     return solve
 
 
@@ -253,18 +260,20 @@ def run(obj, b, config: SolverConfig):
     x0 = np.zeros(n) if config.x0 is None else np.asarray(config.x0, dtype=float)
     state = obj.init_state(x0)
     rng = RngStream(config.seed)
-    if config.forced_subsets is not None:
-        subsets = (np.asarray(s, dtype=np.int64) for s in config.forced_subsets)
-    elif config.method == "sdna":
-        # one generator call per subset, drawn only when the loop asks
-        subsets = (tau_nice_sample(n, config.tau, rng) for _ in itertools.count())
-    else:
-        subsets = make_sampler(b, config.tau).draws(rng, _SAMPLE_CHUNK)
-    solve = _make_step_solver(b, exact=config.method != "sdna")
-
     log: list | None = [] if config.record_subsets else None
-    if log is not None:
-        subsets = _recorded(subsets, log)
+    if config.forced_subsets is None and config.method != "sdna":
+        # the stream logs each subset when a step takes it, one at a time or
+        # a window at a time
+        subsets = make_sampler(b, config.tau).draws(rng, _SAMPLE_CHUNK, log)
+    else:
+        if config.forced_subsets is not None:
+            subsets = (np.asarray(s, dtype=np.int64) for s in config.forced_subsets)
+        else:
+            # one generator call per subset, drawn only when the loop asks
+            subsets = (tau_nice_sample(n, config.tau, rng) for _ in itertools.count())
+        if log is not None:
+            subsets = _recorded(subsets, log)
+    solve = _make_step_solver(b, exact=config.method != "sdna")
 
     value = state.value
     trace = [(0, float(value))]
@@ -273,13 +282,16 @@ def run(obj, b, config: SolverConfig):
     isfinite = math.isfinite
     k = 0
     if not check_stop(0, value, config):
-        for value in objectives.steps(state, subsets, solve):
+        stepper = objectives.steps(state, subsets, solve)
+        for value in stepper:
             k += 1
             if k % trace_every == 0:
                 trace.append((k, float(value)))
             # check_stop's tests, in its order and with its expressions
             if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
                 break
+        # a windowed step applies the steps whose values it yielded on close
+        stepper.close()
 
     if trace[-1][0] != k:
         trace.append((k, float(value)))

@@ -89,6 +89,22 @@ def test_experiment_is_deterministic_byte_for_byte():
     assert j1 == j2
 
 
+def test_median_is_bitwise_np_median():
+    # the table's medians skip np.median, which imports numpy.ma; acc is
+    # NaN for a cell that took 0 iterations, and the median propagates it
+    rng = np.random.default_rng(50)
+    cases = [[3], [7, 2], [1e308, 1e308], [0.1, 0.2, 0.7, 0.3], [5, float("nan"), 1]]
+    for size in range(1, 12):
+        cases.append(rng.standard_normal(size).tolist())
+        cases.append((rng.lognormal(size=size) / 3).tolist())
+        cases.append(rng.integers(0, 10**6, size).tolist())
+    for values in cases:
+        got = np.float64(benchmark._median(values)).tobytes()
+        with np.errstate(over="ignore"):  # the mean of 1e308 and 1e308
+            expected = np.float64(np.median(values)).tobytes()
+        assert got == expected, values
+
+
 def test_capped_runs_flagged_and_excluded():
     cfg = small_config(max_updates=20)  # absurdly small iteration budget
     with pytest.warns(UserWarning, match="iteration cap"):

@@ -201,6 +201,8 @@ def _refuse(*args, **kwargs):
         ("", ["--kind", "quadratic", "--n", "10", "--lam1", "inf"]),
         ("", ["--kind", "huber", "--n", "10", "--m", "5", "--mu", "nan"]),
         ("", ["--kind", "huber", "--n", "10", "--m", "5", "--mu", "inf"]),
+        # a subnormal mu has an infinite reciprocal, the loss's smoothness
+        ("", ["--kind", "huber", "--n", "10", "--m", "20", "--mu", "1e-320"]),
     ],
 )
 def test_bad_run_settings_exit_2_before_any_work(

@@ -393,3 +393,11 @@ def test_constructors_refuse_a_non_finite_or_non_positive_weight(weight):
                  lambda gamma: RegularizedObjective(inner, gamma)):
         with pytest.raises(ValueError):
             make(weight)
+
+
+def test_smoothed_losses_refuse_a_mu_with_an_infinite_reciprocal():
+    # 1 / 1e-320 overflows: the smoothness constant, and so B, would be inf
+    for make in (HuberLoss, LogSumExpLoss, SqrtNormLoss):
+        with pytest.raises(ValueError, match="finite reciprocal"):
+            make(1e-320)
+        assert make(1e-300).smoothness == 1.0 / 1e-300

@@ -23,10 +23,12 @@ from volcd.objectives import (
 from volcd.rng import RngStream
 from volcd.problems import ProblemSpec, banded_psd, gen_quadratic, load_libsvm
 from volcd.sampling import (
+    Draws,
     SparseTwoSampler,
     SpectralVolumeSampler,
     VolumeSampler,
     exact_probabilities,
+    make_sampler,
     tau_nice_sample,
 )
 from volcd.solvers import (
@@ -693,6 +695,17 @@ def _both_paths(monkeypatch, obj, b, cfg, loop="_dense_quadratic_steps"):
     return direct, generic
 
 
+def _per_step(obj, b, cfg):
+    """``cfg`` pinned to the per-step fused step: a sampled rcd:1 or rcdvs:2
+    stream would take the windowed step, so its subsets, as the public
+    methods' run draws them, are replayed as forced subsets."""
+    if cfg.method == "sdna" or cfg.tau > 2 or cfg.forced_subsets is not None:
+        return cfg
+    with np.errstate(all="ignore"):
+        drawn = run(_PublicObjective(obj), b, replace(cfg, record_subsets=True)).subsets
+    return replace(cfg, forced_subsets=drawn)
+
+
 @pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2)])
 @pytest.mark.parametrize("trace_every", [1, 7])
 def test_fused_loop_is_bitwise_the_generic_loop(monkeypatch, method, tau, trace_every):
@@ -703,14 +716,14 @@ def test_fused_loop_is_bitwise_the_generic_loop(monkeypatch, method, tau, trace_
                  dict(max_iters=1500)):
         cfg = SolverConfig(method=method, tau=tau, seed=5, x0=x0, trace_every=trace_every,
                            record_subsets=True, **stop)
-        direct, generic = _both_paths(monkeypatch, obj, b, cfg)
+        direct, generic = _both_paths(monkeypatch, obj, b, _per_step(obj, b, cfg))
         assert _outcome(direct) == _outcome(generic)
         assert 0 < direct.iterations < 100_000 and not direct.capped
     # a curvature below the true one diverges: both loops stop at the same
     # first non-finite value
     cfg = SolverConfig(method=method, tau=tau, seed=5, target_gap=1e-3, f_star=f_star,
                        max_iters=100_000, trace_every=trace_every)
-    direct, generic = _both_paths(monkeypatch, obj, b / 4, cfg)
+    direct, generic = _both_paths(monkeypatch, obj, b / 4, _per_step(obj, b / 4, cfg))
     assert _outcome(direct) == _outcome(generic)
     assert not np.isfinite(direct.final_value) and direct.iterations < 100_000
     assert np.isfinite([f for _, f in direct.trace[:-1]]).all()
@@ -783,7 +796,7 @@ def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
               for p in range(100)]
     for extra in (dict(method="rcdvs", tau=2), dict(method="rcd", tau=1),
                   dict(method="rcdvs", tau=2, forced_subsets=forced)):
-        cfg = SolverConfig(max_iters=100, seed=21, trace_every=1, **extra)
+        cfg = _per_step(obj, b, SolverConfig(max_iters=100, seed=21, trace_every=1, **extra))
         refreshed.clear()
         direct = run(obj, b, cfg)
         at_direct = list(refreshed)
@@ -802,6 +815,7 @@ def test_fused_loop_stops_where_check_stop_does(monkeypatch):
     # "reached", check_stop does not, and both loops stop where check_stop says
     obj = spd_quadratic(np.random.default_rng(22), 8)
     cfg = SolverConfig(method="rcd", tau=1, max_iters=60, seed=23, trace_every=1)
+    cfg = _per_step(obj, obj.a, cfg)
     values = [f for _, f in run(obj, obj.a, cfg).trace]
     v = values[40]
     gap, f_star = next(
@@ -816,6 +830,139 @@ def test_fused_loop_stops_where_check_stop_does(monkeypatch):
     direct, generic = _both_paths(monkeypatch, obj, obj.a, cfg)
     assert _outcome(direct) == _outcome(generic)
     assert direct.iterations == stop
+
+
+# ---------------------------------------------------------------------------
+# the windowed steps of sampled rcd:1 and rcdvs:2 runs on dense quadratics
+
+# the window solves each window's steps as one linear system, so it agrees
+# with the per-step path to rounding, not bitwise
+_WINDOW_RTOL = 1e-10
+
+
+def _window_and_replay(monkeypatch, obj, b, cfg):
+    """A sampled run, which must take the windowed step, and the per-step
+    replay of the subsets it recorded."""
+    calls = []
+    window = objectives._dense_window_steps
+
+    def spy(*args):
+        calls.append(1)
+        return window(*args)
+
+    monkeypatch.setattr(objectives, "_dense_window_steps", spy)
+    with np.errstate(all="ignore"):
+        windowed = run(obj, b, replace(cfg, record_subsets=True))
+        replay = run(obj, b, replace(cfg, forced_subsets=windowed.subsets))
+    assert calls == [1]
+    return windowed, replay
+
+
+def _assert_agree(windowed, replay):
+    """Equal iterations and trace steps; values and iterates within
+    ``_WINDOW_RTOL`` of the replay's scale."""
+    assert windowed.iterations == replay.iterations
+    assert [k for k, _ in windowed.trace] == [k for k, _ in replay.trace]
+    fw = np.array([f for _, f in windowed.trace])
+    fr = np.array([f for _, f in replay.trace])
+    assert np.abs(fw - fr).max() <= _WINDOW_RTOL * np.abs(fr).max()
+    xr = replay.x_final
+    assert np.abs(windowed.x_final - xr).max() <= _WINDOW_RTOL * np.abs(xr).max()
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
+@pytest.mark.parametrize("trace_every", [1, 7])
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+def test_window_agrees_with_the_per_step_replay(monkeypatch, method, tau, trace_every, scale):
+    # B = 2A halves each step: the diagonal blocks come from B, the rest of
+    # each window's system from A
+    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+    b = scale * obj.curvature_matrix()
+    x0 = np.random.default_rng(4).standard_normal(40)
+    per = objectives._WINDOW // tau
+    stops = [dict(target_gap=1e-3, f_star=f_star, max_iters=100_000)]
+    # budgets that stop the run at offsets 0, 1 and per - 1 of its fourth window
+    stops += [dict(max_iters=3 * per + offset + 1) for offset in (0, 1, per - 1)]
+    for stop in stops:
+        cfg = SolverConfig(method=method, tau=tau, seed=5, x0=x0, trace_every=trace_every,
+                           **stop)
+        windowed, replay = _window_and_replay(monkeypatch, obj, b, cfg)
+        _assert_agree(windowed, replay)
+        assert 0 < windowed.iterations < 100_000 and not windowed.capped
+        # the stream logs exactly the subsets the steps took
+        drawn = make_sampler(b, tau).sample_many(RngStream(5), windowed.iterations)
+        assert np.array_equal(np.array(windowed.subsets), drawn)
+    assert windowed.iterations == 4 * per
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
+def test_window_stops_a_diverging_run_at_its_first_non_finite_value(monkeypatch, method, tau):
+    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+    cfg = SolverConfig(method=method, tau=tau, seed=5, target_gap=1e-3, f_star=f_star,
+                       max_iters=100_000, trace_every=1)
+    windowed, replay = _window_and_replay(monkeypatch, obj, obj.curvature_matrix() / 4, cfg)
+    assert windowed.capped and not np.isfinite(windowed.final_value)
+    assert windowed.iterations == replay.iterations < 100_000
+    assert np.isfinite([f for _, f in windowed.trace[:-1]]).all()
+
+
+def test_window_refreshes_at_the_per_step_paths_steps(monkeypatch):
+    # windows end at the refresh boundary, so a short interval refreshes at
+    # the steps where the per-step replay refreshes
+    monkeypatch.setattr(objectives, "REFRESH_INTERVAL", 9)
+    refreshed = []
+    refresh = objectives.GradientState.refresh
+
+    def spy(state):
+        refreshed.append(state.x.copy())
+        refresh(state)
+
+    monkeypatch.setattr(objectives.GradientState, "refresh", spy)
+    obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=19))
+    b = obj.curvature_matrix()
+    for method, tau in (("rcd", 1), ("rcdvs", 2)):
+        cfg = SolverConfig(method=method, tau=tau, max_iters=100, seed=21, trace_every=1)
+        refreshed.clear()
+        windowed, replay = _window_and_replay(monkeypatch, obj, b, cfg)
+        per_run = 100 // 9
+        assert len(refreshed) == 2 * per_run
+        for xw, xr in zip(refreshed[:per_run], refreshed[per_run:]):
+            assert np.abs(xw - xr).max() <= _WINDOW_RTOL * np.abs(xr).max()
+        _assert_agree(windowed, replay)
+        full = obj.value(windowed.x_final)
+        assert abs(windowed.final_value - full) <= 1e-9 * abs(full)
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
+def test_window_value_stays_on_the_objective_over_200k_steps(method, tau):
+    obj, _, _ = gen_quadratic(
+        ProblemSpec(kind="quadratic", n=100, lam1=6400.0, lam2=100.0, seed=40)
+    )
+    cfg = SolverConfig(method=method, tau=tau, max_iters=200_000, seed=41, trace_every=2**62)
+    rep = run(obj, obj.curvature_matrix(), cfg)
+    full = obj.value(rep.x_final)
+    assert rep.iterations == 200_000
+    assert abs(rep.final_value - full) <= 1e-9 * abs(full)
+
+
+def test_window_raises_at_the_singular_blocks_step():
+    # the third pair is the singular block {0, 1}: the window takes the two
+    # pairs before it, and the per-step step raises on it
+    a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
+    obj = QuadraticObjective(a, np.array([1.0, 0.5, 0.5]))
+    batch = np.array([[0, 2], [1, 2], [0, 1], [0, 2]])
+    draws = Draws(iter([batch]), 2, log=[])
+    state = obj.init_state(np.zeros(3))
+    stepper = objectives.steps(state, draws, _make_step_solver(a, exact=True))
+    assert stepper.__name__ == "_dense_window_steps"
+    values = [next(stepper), next(stepper)]
+    with pytest.raises(SingularSubmatrix):
+        next(stepper)
+    replay = run(obj, a, SolverConfig(method="rcdvs", tau=2, max_iters=2,
+                                      forced_subsets=list(batch[:2])))
+    assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-14)
+    assert state.x == pytest.approx(replay.x_final, rel=1e-14)
+    assert np.array_equal(np.array(draws.log), batch[:3])
 
 
 # ---------------------------------------------------------------------------
