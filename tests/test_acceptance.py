@@ -380,17 +380,25 @@ for _ in range(9):
         best[n] = min(best[n], time.perf_counter() - t0)
 gc.enable()
 
-latency = []
-for n in (10_000, 100_000, 1_000_000):
-    sampler = SparseTwoSampler(banded_psd(n, 4, seed=n + 1))
-    rng = RngStream(n)
-    sampler.sample_many(rng, 500)  # warm up
-    per_draw = float("inf")
-    for _ in range(7):
+# three samplers per size, each timed by its best of seven rounds of 3000
+# draws; the rounds are interleaved over all nine samplers, as above, so a
+# slow spell of the machine hits every size alike, and a size's draw cost
+# is the median of its three samplers
+lat_sizes = (10_000, 100_000, 1_000_000)
+timed = []
+for n in lat_sizes:
+    b = banded_psd(n, 4, seed=n + 1)
+    for _ in range(3):
+        sampler, rng = SparseTwoSampler(b), RngStream(n)
+        sampler.sample_many(rng, 500)  # warm up
+        timed.append([sampler, rng, float("inf")])
+for _ in range(7):
+    for entry in timed:
+        sampler, rng, _ = entry
         t0 = time.perf_counter()
         sampler.sample_many(rng, 3000)
-        per_draw = min(per_draw, (time.perf_counter() - t0) / 3000)
-    latency.append(per_draw)
+        entry[2] = min(entry[2], (time.perf_counter() - t0) / 3000)
+latency = [sorted(e[2] for e in timed[3 * k:3 * k + 3])[1] for k in range(len(lat_sizes))]
 
 print(json.dumps({"preprocess": [best[n] for n in sizes], "latency": latency}))
 """

@@ -361,19 +361,31 @@ def _reference_values_and_derivs(loss, z, b):
         values = np.maximum(0.0, -s) + np.log1p(np.exp(-np.abs(s)))
         e = np.exp(-np.abs(s))
         return values, -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
-    t = np.abs(z - b)
-    values = np.where(t <= loss.mu, 0.5 * t**2 / loss.mu, t - 0.5 * loss.mu)
-    return values, np.clip((z - b) / loss.mu, -1.0, 1.0)
+    # the clip form: c = clip(d / mu, -1, 1) times d - c * mu / 2
+    c = np.clip((z - b) / loss.mu, -1.0, 1.0)
+    return c * ((z - b) - 0.5 * loss.mu * c), c
 
 
-@pytest.mark.parametrize("loss", [SquareLoss(), LogisticLoss(), HuberLoss(0.5)])
+def _piecewise_huber(d, mu):
+    """The textbook Huber values: d^2 / (2 mu) inside |d| <= mu, else |d| - mu / 2."""
+    t = np.abs(d)
+    return np.where(t <= mu, 0.5 * t**2 / mu, t - 0.5 * mu)
+
+
+@pytest.mark.parametrize(
+    "loss", [SquareLoss(), LogisticLoss(), HuberLoss(0.5), HuberLoss(0.01), HuberLoss(0.3)]
+)
 def test_loss_eval_matches_reference_formulas(loss):
+    # a power-of-two mu scales exactly, so 0.01 and 0.3 are the cases that
+    # pin the kernel's rounding
     rng = np.random.default_rng(12)
-    b = np.concatenate([np.sign(rng.standard_normal(40)), [1.0, -1.0] * 6])
+    mu = getattr(loss, "mu", 0.5)
+    b = np.concatenate([np.sign(rng.standard_normal(40)), [1.0, -1.0] * 2,
+                        [mu, -mu, 2.0 * mu, -2.0 * mu], [1.0, -1.0] * 2])
     z = np.concatenate([
-        3.0 * rng.standard_normal(40),
+        b[:40] + 3.0 * mu * rng.standard_normal(40),  # a quarter with |z - b| < mu
         [1e4, -1e4, -1e4, 1e4],  # margins b * z of +-1e4
-        [1.5, -1.5, 0.5, -0.5],  # |z - b| exactly mu = 0.5 for Huber
+        [2.0 * mu, -2.0 * mu, mu, -mu],  # |z - b| exactly mu for Huber
         [1.0, -1.0],  # z - b = 0
         [np.nan, np.nan],
     ])
@@ -382,6 +394,27 @@ def test_loss_eval_matches_reference_formulas(loss):
     assert values.tobytes() == ref_values.tobytes()
     assert derivs.tobytes() == ref_derivs.tobytes()
     assert np.isnan(values[-2:]).all() and np.isnan(derivs[-2:]).all()
+
+
+@pytest.mark.parametrize("mu", [0.5, 0.01, 0.3, 1e-5, 7.0])
+def test_huber_clip_form_agrees_with_the_piecewise_formula(mu):
+    # outside |d| <= mu bitwise; inside within a few ulp (each form is
+    # within about 1.3 ulp of the exact value); derivatives bitwise
+    rng = np.random.default_rng(13)
+    b = rng.standard_normal(4000) * mu
+    z = b + mu * np.concatenate([rng.uniform(-1.0, 1.0, 2000), rng.uniform(-50.0, 50.0, 2000)])
+    z = np.concatenate([z, b + mu, b - mu, b])
+    b = np.concatenate([b, b, b, b])
+    d = z - b
+    values, derivs = HuberLoss(mu).eval(z, b)
+    ref = _piecewise_huber(d, mu)
+    outside = np.abs(d) > mu
+    assert 1500 < outside.sum() < 6000
+    assert values[outside].tobytes() == ref[outside].tobytes()
+    inside = ~outside
+    assert (np.abs(values[inside] - ref[inside]) <= 3.0 * np.spacing(ref[inside])).all()
+    assert (values[inside] >= 0.0).all() and (values[d == 0.0] == 0.0).all()
+    assert derivs.tobytes() == np.clip(d / mu, -1.0, 1.0).tobytes()
 
 
 @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf"), float("-inf")])

@@ -21,7 +21,7 @@ from volcd.objectives import (
     SquareLoss,
 )
 from volcd.rng import RngStream
-from volcd.problems import ProblemSpec, banded_psd, gen_quadratic, load_libsvm
+from volcd.problems import ProblemSpec, banded_psd, gen_huber, gen_quadratic, load_libsvm
 from volcd.sampling import (
     Draws,
     SparseTwoSampler,
@@ -1127,6 +1127,19 @@ def test_sparse_fused_loop_stops_where_check_stop_does(monkeypatch, tmp_path, ki
     direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
     assert _outcome(direct) == _outcome(generic)
     assert direct.iterations == stop
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
+def test_sparse_huber_value_does_not_drift_over_a_long_run(method, tau):
+    # 20k steps on a sparse Huber instance of perfbench's shape (about 33
+    # rows per column): the value the steps maintain one column at a time
+    # stays with a from-scratch evaluation at the final iterate
+    obj, _, _ = gen_huber(ProblemSpec(kind="huber", n=200, m=500, sparsity=10, mu=0.01, seed=4))
+    rep = run(obj, obj.curvature_matrix(),
+              SolverConfig(method=method, tau=tau, seed=5, max_iters=20_000, trace_every=1000))
+    assert rep.iterations == 20_000
+    full = obj.value(rep.x_final)
+    assert abs(rep.final_value - full) <= 1e-10 * max(1.0, abs(full))
 
 
 # ---------------------------------------------------------------------------
