@@ -209,12 +209,16 @@ def _load_matrix(path):
 
 
 def _cmd_theory(args) -> int:
+    try:
+        taus = [int(t) for t in args.taus.split(",") if t.strip()]
+    except ValueError:
+        raise ConfigError(f"--taus {args.taus!r} must be comma-separated integers") from None
     b = _load_matrix(args.matrix)
     spectrum = eigendecompose(as_dense(b))
     lam = spectrum.eigenvalues
     lines = [f"n = {lam.size}", "eigenvalues (descending):"]
     lines.append("  " + " ".join(f"{v:.6g}" for v in lam))
-    for tau in [int(t) for t in args.taus.split(",") if t.strip()]:
+    for tau in taus:
         if tau < 1 or tau > lam.size:
             continue
         try:
@@ -234,8 +238,8 @@ def _cmd_theory(args) -> int:
 
 def _cmd_sample_test(args) -> int:
     b = _load_matrix(args.matrix)
-    if not 1 <= args.tau <= b.shape[0] or args.draws < 1:
-        raise ConfigError(f"need 1 <= tau <= {b.shape[0]} and draws >= 1")
+    if not 1 <= args.tau <= b.shape[0] or args.draws < 1 or args.seed < 0:
+        raise ConfigError(f"need 1 <= tau <= {b.shape[0]}, draws >= 1 and seed >= 0")
     exact = exact_probabilities(b, args.tau)
     draws = make_sampler(b, args.tau).sample_many(RngStream(args.seed), args.draws)
     counts = subset_counts(draws, b.shape[0])

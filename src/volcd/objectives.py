@@ -21,14 +21,15 @@ state also keeps the per-row loss values, so a step costs a fixed few numpy
 calls per column (one ``np.dot`` for a partial-gradient entry, one reduction
 for a value change) and evaluates the loss on that column's rows only.
 
-A solver steps a state through :func:`steps`: a fused step for a dense
-quadratic state and for a sparse separable one under a rowwise loss, bitwise
-the state's own methods.  ``_column_step`` is the one column update of both.
-A dense quadratic state on a sampled stream of one- or two-coordinate
-subsets (rcd:1, rcdvs:1, rcdvs:2) takes windowed steps instead, each window
-of steps one block lower-triangular solve; they agree with the per-step
-fused step to rounding (1e-10 relative in the tests, 1.5e-12 measured), not
-bitwise.  Forced subsets and sdna keep the per-step step.
+A solver steps a state through :func:`steps`.  A sparse separable state
+under a rowwise loss takes a fused step, bitwise the state's own methods;
+``_column_step`` is the one column update of both.  A dense quadratic state
+on a sampled stream of one- or two-coordinate subsets (rcd:1, rcdvs:1,
+rcdvs:2) takes windowed steps, each window of steps one block
+lower-triangular solve; they agree with the per-step path to rounding
+(1e-10 relative in the tests, 1.5e-12 measured), not bitwise.  Every other
+run, a dense quadratic one on forced subsets, under sdna or at tau >= 3
+included, steps through the state's public methods.
 """
 
 from __future__ import annotations
@@ -402,19 +403,19 @@ def steps(state, subsets, solve):
     """Step ``state`` by h = solve(S, partial gradient on S) for each S
     drawn from ``subsets``, yielding its value after each step.
 
-    A dense quadratic state and a sparse separable state under a rowwise
-    loss (bare or with ridge) take a fused step, bitwise ``apply_step``'s,
-    whose locals go back to the state when the generator closes or ends.
     A dense quadratic state on a sampler's :class:`~volcd.sampling.Draws`
     of one or two coordinates, with a dense B, takes windowed steps, which
-    agree with the fused step to rounding and apply the steps whose values
-    they yielded when the generator closes."""
+    agree with the per-step path to rounding and apply the steps whose
+    values they yielded when the generator closes.  A sparse separable
+    state under a rowwise loss (bare or with ridge) takes a fused step,
+    bitwise ``apply_step``'s, whose locals go back to the state when the
+    generator closes or ends.  Every other state, a dense quadratic one on
+    forced subsets, sdna's stream or tau >= 3 included, steps through its
+    public methods."""
     kind = type(state)
-    if kind is _QuadraticDenseState:
-        if (type(subsets) is Draws and subsets.tau <= 2
-                and isinstance(solve.matrix, np.ndarray)):
-            return _dense_window_steps(state, subsets, solve)
-        return _dense_quadratic_steps(state, subsets, solve)
+    if (kind is _QuadraticDenseState and type(subsets) is Draws and subsets.tau <= 2
+            and isinstance(solve.matrix, np.ndarray)):
+        return _dense_window_steps(state, subsets, solve)
     inner = state._inner if kind is _RidgeState else state
     if type(inner) is _SeparableSparseState and inner._obj.loss.rowwise:
         return _sparse_separable_steps(state, subsets, solve)
@@ -426,53 +427,6 @@ def _public_steps(state, subsets, solve):
     for s in subsets:
         state.apply_step(s, solve(s, state.partial_gradient(s)))
         yield state.value
-
-
-def _dense_quadratic_steps(state, subsets, solve):
-    """Fused steps of a dense quadratic state: one or two coordinates take
-    ``solve.one``/``solve.two`` on Python floats from ``g.item`` and one
-    in-place axpy per coordinate with row i of A; larger steps call
-    ``solve`` and ``_apply``."""
-    one, two = solve.one, solve.two
-    x, a = state.x, state._op
-    g, value, count = state._g, state._value, state._steps
-    tmp = np.empty_like(g)
-    multiply, subtract = np.multiply, np.subtract
-    interval = REFRESH_INTERVAL
-    try:
-        for s in subsets:
-            size = s.size
-            if size == 1:
-                i = s.item(0)
-                gi = g.item(i)
-                h = one(i, gi)
-                x[i] -= h
-                multiply(a[i], h, out=tmp)  # row view; symmetric, so row i is column i
-                subtract(g, tmp, out=g)
-                value -= 0.5 * h * (gi + g.item(i))
-            elif size == 2:
-                i, j = s.tolist()
-                gi, gj = g.item(i), g.item(j)
-                hi, hj = two(i, j, gi, gj)
-                x[i] -= hi
-                x[j] -= hj
-                multiply(a[i], hi, out=tmp)
-                subtract(g, tmp, out=g)
-                multiply(a[j], hj, out=tmp)
-                subtract(g, tmp, out=g)
-                value -= 0.5 * (hi * (gi + g.item(i)) + hj * (gj + g.item(j)))
-            else:
-                state._value = value
-                state._apply(s, solve(s, g[s]))
-                value = state._value
-            count += 1
-            if count >= interval:
-                state._value = value
-                state.refresh()
-                g, value, count = state._g, state._value, 0
-            yield value
-    finally:
-        state._value, state._steps = value, count
 
 
 def _apply_window(x, g, idx, h, rows, p):
@@ -499,7 +453,7 @@ def _dense_window_steps(state, draws, solve):
     block ends the window before it and takes the per-step path, which
     raises under an exact method; so does the first subset of a window
     whose solve overflows on a diverging run.  The iterates agree with the
-    per-step path to rounding, not bitwise."""
+    per-step path, ``_apply``, to rounding, not bitwise."""
     tau = draws.tau
     x, a, b = state.x, state._op, solve.matrix
     g, value, count = state._g, state._value, state._steps

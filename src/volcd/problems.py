@@ -79,6 +79,10 @@ class ProblemSpec:
             raise ConfigError(f"unknown problem kind {self.kind!r}")
         if self.n < 1:
             raise ConfigError("dimension must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if self.reflections < 0:
+            raise ConfigError("reflections must be nonnegative")
         if not math.isfinite(self.lam1) or not self.lam1 >= self.lam2 > 0:
             raise ConfigError("need finite lam1 >= lam2 > 0")
         mu = self.mu

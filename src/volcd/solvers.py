@@ -30,13 +30,13 @@ non-finite objective value; in target-gap mode a diverged run is reported as
 capped.  :func:`run` has one loop over :func:`~volcd.objectives.steps`,
 which steps the state and yields its value; the loop counts, traces and
 tests for a stop, and reads the state only through ``value`` and ``x``.  A
-fused step, where the state has one, gives bitwise the run of its methods.
-A sampled rcd:1 or rcdvs:2 run (rcdvs:1 too) on a dense quadratic with a
-dense B takes windowed steps: each window of up to 48 coordinates' steps is
-one block lower-triangular solve.  They agree with the per-step fused step,
-which forced subsets replay, to rounding rather than bitwise: 1e-10
-relative in the tests, 1.5e-12 at worst measured, with equal iteration
-counts.
+sparse separable state under a rowwise loss takes a fused step, bitwise the
+run of its methods.  A sampled rcd:1 or rcdvs:2 run (rcdvs:1 too) on a
+dense quadratic with a dense B takes windowed steps: each window of up to
+48 coordinates' steps is one block lower-triangular solve.  They agree with
+the per-step path through the state's methods, which forced subsets
+replay, to rounding rather than bitwise: 1e-10 relative in the tests,
+1.5e-12 at worst measured, with equal iteration counts.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -116,6 +116,8 @@ class SolverConfig:
                 raise ConfigError("f_star must be finite")
         if self.trace_every < 1:
             raise ConfigError("trace_every must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         # checked here, before a run's clock starts, so a replay of recorded
         # subsets times the same loop as the sampled run
         for s in self.forced_subsets or ():
@@ -169,8 +171,9 @@ def _make_step_solver(b, exact: bool):
     pseudoinverse otherwise.
 
     ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
-    on Python floats, for the fused steps of :func:`~volcd.objectives.steps`,
-    and ``solve.matrix`` is B itself, for its windowed steps."""
+    on Python floats, for the fused sparse separable step of
+    :func:`~volcd.objectives.steps`, and ``solve.matrix`` is B itself, for
+    its windowed dense steps."""
     diag = b.diagonal().tolist()
     pair = b.item
 

@@ -150,6 +150,8 @@ def test_config_validation():
         small_config(max_updates=0).validate()
     with pytest.raises(ConfigError):
         small_config(output="xml").validate()
+    with pytest.raises(ConfigError, match="seed"):
+        small_config(seed=-1).validate()
 
 
 def _refuse(*args, **kwargs):

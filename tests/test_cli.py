@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from volcd import benchmark
+from volcd import benchmark, cli
 from volcd.benchmark import ExperimentConfig
 from volcd.cli import (
     _SECTIONS,
@@ -37,6 +37,16 @@ def test_gen_writes_loadable_matrix(tmp_path, capsys):
     assert np.allclose(lam, [160.0, 100.0, 1, 1, 1, 1], atol=1e-6)
 
 
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--reflections", "-3"]])
+def test_gen_refuses_a_negative_seed_or_reflection_count(tmp_path, capsys, flag):
+    # a negative seed ended in numpy's traceback, and a negative reflection
+    # count wrote the unreflected diagonal
+    out = tmp_path / "b.txt"
+    assert main(["gen", "--kind", "quadratic", "--n", "6", *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[0][2:]} must be nonnegative")
+    assert not out.exists()
+
+
 def test_gen_stdout_matches_out_file(tmp_path, capsys):
     # empty trailing rows: only the `n n 0` pin keeps the dimension at 40
     args = [
@@ -60,6 +70,14 @@ def test_theory_verb_prints_ratios(tmp_path, capsys):
     text = capsys.readouterr().out
     assert "eigenvalues" in text
     assert "2" in text  # R(1, 2) = 8 / 4
+
+
+def test_theory_refuses_a_subset_size_that_does_not_parse(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "b.txt"
+    save_triples(np.diag([4.0, 2.0, 1.0, 1.0]), out)
+    monkeypatch.setattr(cli, "eigendecompose", _refuse)
+    assert main(["theory", "--matrix", str(out), "--taus", "2,x"]) == 2
+    assert capsys.readouterr().err.startswith("error: --taus '2,x'")
 
 
 def test_sample_test_verb_small_tv(tmp_path, capsys):
@@ -97,6 +115,14 @@ def test_sample_test_rejects_a_bad_tau_or_draw_count(tmp_path, capsys, flags):
     save_triples(np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]]), out)
     assert main(["sample-test", "--matrix", str(out)] + flags) == 2
     assert "tau" in capsys.readouterr().err
+
+
+def test_sample_test_rejects_a_negative_seed(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "b.txt"
+    save_triples(np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]]), out)
+    monkeypatch.setattr(cli, "make_sampler", _refuse)
+    assert main(["sample-test", "--matrix", str(out), "--seed", "-1"]) == 2
+    assert "seed >= 0" in capsys.readouterr().err
 
 
 def test_run_verb_with_config_file_and_override(tmp_path, capsys):
@@ -203,6 +229,9 @@ def _refuse(*args, **kwargs):
         ("", ["--kind", "huber", "--n", "10", "--m", "5", "--mu", "inf"]),
         # a subnormal mu has an infinite reciprocal, the loss's smoothness
         ("", ["--kind", "huber", "--n", "10", "--m", "20", "--mu", "1e-320"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--seed", "-1"]),
+        ("[experiment]\nseed = -1\n", ["--kind", "quadratic", "--n", "10"]),
+        ("", ["--kind", "quadratic", "--n", "10", "--reflections", "-3"]),
     ],
 )
 def test_bad_run_settings_exit_2_before_any_work(

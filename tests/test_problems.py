@@ -116,6 +116,15 @@ def test_huber_sparsity_bounds_checked():
         gen_huber(spec)
 
 
+@pytest.mark.parametrize("field", [dict(seed=-1), dict(reflections=-3)])
+def test_negative_seed_or_reflection_count_rejected(field):
+    # a negative reflection count used to generate the unreflected diagonal
+    for spec in (ProblemSpec(kind="quadratic", n=6, **field),
+                 ProblemSpec(kind="huber", n=6, m=4, **field)):
+        with pytest.raises(ConfigError, match=next(iter(field))):
+            generate(spec)
+
+
 def test_logistic_kind_is_not_generated():
     spec = ProblemSpec(kind="logistic", n=3)
     with pytest.raises(ConfigError, match="--dataset"):

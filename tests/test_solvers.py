@@ -157,6 +157,14 @@ def test_unknown_method_rejected():
         cfg.validate(3)
 
 
+def test_negative_seed_rejected_before_the_run():
+    # numpy's seed sequence refuses a negative seed only once the run has
+    # started; validate refuses it first
+    obj = QuadraticObjective(np.eye(3), np.ones(3))
+    with pytest.raises(ConfigError, match="seed"):
+        run(obj, np.eye(3), SolverConfig(method="rcd", tau=1, max_iters=5, seed=-1))
+
+
 # ---------------------------------------------------------------------------
 # sampling behavior inside the solvers
 
@@ -630,7 +638,8 @@ def test_forced_subsets_are_validated(sparse, forced, error):
 
 
 # ---------------------------------------------------------------------------
-# the fused dense quadratic loop against the generic loop
+# steps through the state's public methods: every dense quadratic run off
+# the window, and the reference of the fused sparse step
 
 
 class _PublicState:
@@ -676,7 +685,7 @@ def _outcome(rep):
     )
 
 
-def _both_paths(monkeypatch, obj, b, cfg, loop="_dense_quadratic_steps"):
+def _both_paths(monkeypatch, obj, b, cfg, loop):
     """The outcomes of one run through the fused step of ``objectives``
     named ``loop`` and through the state's public methods; the first must
     have taken the fused step."""
@@ -695,41 +704,16 @@ def _both_paths(monkeypatch, obj, b, cfg, loop="_dense_quadratic_steps"):
     return direct, generic
 
 
-def _per_step(obj, b, cfg):
-    """``cfg`` pinned to the per-step fused step: a sampled rcd:1 or rcdvs:2
-    stream would take the windowed step, so its subsets, as the public
-    methods' run draws them, are replayed as forced subsets."""
-    if cfg.method == "sdna" or cfg.tau > 2 or cfg.forced_subsets is not None:
-        return cfg
-    with np.errstate(all="ignore"):
-        drawn = run(_PublicObjective(obj), b, replace(cfg, record_subsets=True)).subsets
-    return replace(cfg, forced_subsets=drawn)
+def _newton_steps(a, rhs, x0, forced):
+    """The iterates x <- x - A[S, S]^{-1} (A x - rhs)[S], one per subset,
+    recomputed from scratch at every step."""
+    x = np.array(x0, dtype=float)
+    for s in forced:
+        x[s] -= np.linalg.solve(a[np.ix_(s, s)], (a @ x - rhs)[s])
+    return x
 
 
-@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2)])
-@pytest.mark.parametrize("trace_every", [1, 7])
-def test_fused_loop_is_bitwise_the_generic_loop(monkeypatch, method, tau, trace_every):
-    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
-    b = obj.curvature_matrix()
-    x0 = np.random.default_rng(4).standard_normal(40)
-    for stop in (dict(target_gap=1e-3, f_star=f_star, max_iters=100_000),
-                 dict(max_iters=1500)):
-        cfg = SolverConfig(method=method, tau=tau, seed=5, x0=x0, trace_every=trace_every,
-                           record_subsets=True, **stop)
-        direct, generic = _both_paths(monkeypatch, obj, b, _per_step(obj, b, cfg))
-        assert _outcome(direct) == _outcome(generic)
-        assert 0 < direct.iterations < 100_000 and not direct.capped
-    # a curvature below the true one diverges: both loops stop at the same
-    # first non-finite value
-    cfg = SolverConfig(method=method, tau=tau, seed=5, target_gap=1e-3, f_star=f_star,
-                       max_iters=100_000, trace_every=trace_every)
-    direct, generic = _both_paths(monkeypatch, obj, b / 4, _per_step(obj, b / 4, cfg))
-    assert _outcome(direct) == _outcome(generic)
-    assert not np.isfinite(direct.final_value) and direct.iterations < 100_000
-    assert np.isfinite([f for _, f in direct.trace[:-1]]).all()
-
-
-def test_fused_loop_matches_on_sdna_pseudoinverse_steps(monkeypatch):
+def test_dense_sdna_pseudoinverse_steps_keep_the_value_on_the_objective(monkeypatch):
     # coordinates 2k and 2k + 1 are copies, so uniform pairs often meet a
     # singular 2x2 block and take the pseudoinverse step
     base = spd_quadratic(np.random.default_rng(14), 5).a
@@ -744,43 +728,52 @@ def test_fused_loop_matches_on_sdna_pseudoinverse_steps(monkeypatch):
     monkeypatch.setattr(solvers, "pseudo_solve", counting)
     cfg = SolverConfig(method="sdna", tau=2, max_iters=500, seed=16, trace_every=3,
                        record_subsets=True)
-    direct, generic = _both_paths(monkeypatch, obj, a, cfg)
-    assert _outcome(direct) == _outcome(generic)
+    rep = run(obj, a, cfg)
+    assert rep.iterations == len(rep.subsets) == 500
     assert len(calls) >= 40
+    full = obj.value(rep.x_final)
+    assert abs(rep.final_value - full) <= 1e-12 * max(1.0, abs(full))
 
 
-def test_fused_loop_matches_on_forced_subsets_of_every_size(monkeypatch):
+def test_dense_forced_subsets_of_sizes_one_to_five_take_their_newton_steps():
+    # off the window a dense quadratic steps through its public methods,
+    # whose _apply has its own branches for one and two coordinates
     obj = spd_quadratic(np.random.default_rng(17), 12)
     rng = np.random.default_rng(18)
     forced = [np.sort(rng.choice(12, size=1 + p % 5, replace=False)) for p in range(60)]
+    stepper = objectives.steps(obj.init_state(np.zeros(12)), iter(forced),
+                               _make_step_solver(obj.a, exact=True))
+    assert stepper.__name__ == "_public_steps"
+    expected = _newton_steps(obj.a, obj.b, np.zeros(12), forced)
     for method in ("rcdvs", "sdna"):
         cfg = SolverConfig(method=method, tau=2, max_iters=len(forced),
                            forced_subsets=forced, trace_every=1, record_subsets=True)
-        direct, generic = _both_paths(monkeypatch, obj, obj.a, cfg)
-        assert _outcome(direct) == _outcome(generic)
-        assert direct.iterations == len(forced)
-        assert direct.final_value == pytest.approx(obj.value(direct.x_final), rel=1e-12)
+        rep = run(obj, obj.a, cfg)
+        assert rep.iterations == len(forced)
+        assert [s.tolist() for s in rep.subsets] == [s.tolist() for s in forced]
+        assert np.abs(rep.x_final - expected).max() <= 1e-10 * np.abs(expected).max()
+        assert rep.final_value == pytest.approx(obj.value(rep.x_final), rel=1e-12)
 
 
 def test_fused_loop_raises_on_the_same_singular_step():
-    # the fourth forced subset is the singular block {0, 1}: both loops take
-    # the first three steps alike and raise at the fourth
+    # the fourth forced subset is the singular block {0, 1}: the first three
+    # steps are taken and the fourth raises
     a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     obj = QuadraticObjective(a, np.array([1.0, 0.5, 0.5]))
     forced = [[0], [2], [1, 2], [0, 1], [2]]
     cfg = SolverConfig(method="rcdvs", tau=2, max_iters=3, forced_subsets=forced)
-    outcomes = []
-    for target in (obj, _PublicObjective(obj)):
-        outcomes.append(_outcome(run(target, a, cfg)))
-        with pytest.raises(SingularSubmatrix):
-            run(target, a, replace(cfg, max_iters=4))
-    assert outcomes[0] == outcomes[1] and outcomes[0][0] == 3
+    rep = run(obj, a, cfg)
+    assert rep.iterations == 3
+    assert np.allclose(rep.x_final, _newton_steps(a, obj.b, np.zeros(3), forced[:3]),
+                       rtol=1e-14, atol=1e-14)
+    with pytest.raises(SingularSubmatrix):
+        run(obj, a, replace(cfg, max_iters=4))
 
 
 def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
-    # a short refresh interval, set after import: the fused loop reads it
-    # when the run starts, recomputes at the same steps and keeps the
-    # maintained value on the from-scratch one
+    # a short refresh interval, set after import: a per-step run recomputes
+    # its state every 9 steps and keeps the maintained value on the
+    # from-scratch one
     monkeypatch.setattr(objectives, "REFRESH_INTERVAL", 9)
     refreshed = []
     refresh = objectives.GradientState.refresh
@@ -790,46 +783,21 @@ def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
         refresh(state)
 
     monkeypatch.setattr(objectives.GradientState, "refresh", spy)
-    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=19))
+    obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=19))
     b = obj.curvature_matrix()
     forced = [np.sort(np.random.default_rng(20).choice(30, size=1 + p % 3, replace=False))
               for p in range(100)]
-    for extra in (dict(method="rcdvs", tau=2), dict(method="rcd", tau=1),
-                  dict(method="rcdvs", tau=2, forced_subsets=forced)):
-        cfg = _per_step(obj, b, SolverConfig(max_iters=100, seed=21, trace_every=1, **extra))
-        refreshed.clear()
-        direct = run(obj, b, cfg)
-        at_direct = list(refreshed)
-        refreshed.clear()
-        generic = run(_PublicObjective(obj), b, cfg)
-        assert len(at_direct) == 100 // 9
-        assert at_direct == refreshed
-        assert _outcome(direct) == _outcome(generic)
-        full = obj.value(direct.x_final)
-        assert abs(direct.final_value - full) <= 1e-9 * abs(full)
-
-
-def test_fused_loop_stops_where_check_stop_does(monkeypatch):
-    # f_star is placed where value - f_star <= gap and value <= f_star + gap
-    # round differently for the value after 40 steps: the second reads
-    # "reached", check_stop does not, and both loops stop where check_stop says
-    obj = spd_quadratic(np.random.default_rng(22), 8)
-    cfg = SolverConfig(method="rcd", tau=1, max_iters=60, seed=23, trace_every=1)
-    cfg = _per_step(obj, obj.a, cfg)
-    values = [f for _, f in run(obj, obj.a, cfg).trace]
-    v = values[40]
-    gap, f_star = next(
-        (gap, f)
-        for gap in (1e-6, 2e-6, 3e-6, 7e-7)
-        for f in (v - gap + d * np.spacing(v) for d in range(-8, 9))
-        if v <= f + gap and not v - f <= gap
-    )
-    cfg = replace(cfg, target_gap=gap, f_star=f_star)
-    stop = next(k for k, f in enumerate(values) if check_stop(k, f, cfg))
-    assert stop > 40
-    direct, generic = _both_paths(monkeypatch, obj, obj.a, cfg)
-    assert _outcome(direct) == _outcome(generic)
-    assert direct.iterations == stop
+    cfg = SolverConfig(method="rcdvs", tau=2, max_iters=100, trace_every=1,
+                       forced_subsets=forced)
+    refreshed.clear()
+    rep = run(obj, b, cfg)
+    at_steps = list(refreshed)
+    assert len(at_steps) == 100 // 9
+    # the state is refreshed after its 9th, 18th, ... step
+    for k, x in enumerate(at_steps, start=1):
+        assert x == run(obj, b, replace(cfg, max_iters=9 * k)).x_final.tobytes()
+    full = obj.value(rep.x_final)
+    assert abs(rep.final_value - full) <= 1e-9 * abs(full)
 
 
 # ---------------------------------------------------------------------------
@@ -1150,7 +1118,8 @@ def test_sparse_huber_value_does_not_drift_over_a_long_run(method, tau):
 def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kind):
     # the steps draw a subset only when the loop asks for the next value: a
     # run that stops at the gap or at its budget has drawn one subset per
-    # iteration, through the fused step and through the public methods alike
+    # iteration, through the fused sparse step and through the public
+    # methods alike; a dense quadratic's sdna run takes the public methods
     drawn = []
 
     def counting(n, tau, rng):
@@ -1160,20 +1129,23 @@ def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kin
     monkeypatch.setattr(solvers, "tau_nice_sample", counting)
     if kind == "dense":
         obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=3))
-        b, loop = obj.curvature_matrix(), "_dense_quadratic_steps"
-        gap = 1e-3
+        b, gap = obj.curvature_matrix(), 1e-3
     else:
         obj, b = _sparse_separable(kind, tmp_path)
         f_star = run(obj, b, SolverConfig(method="rcd", max_iters=2000, seed=32)).final_value
-        gap, loop = 0.05 * (obj.value(np.zeros(obj.n)) - f_star), _SPARSE_LOOP
+        gap = 0.05 * (obj.value(np.zeros(obj.n)) - f_star)
     for stop, budget in ((dict(target_gap=gap, f_star=f_star, max_iters=100_000), False),
                          (dict(max_iters=200), True)):
         cfg = SolverConfig(method="sdna", tau=2, seed=39, record_subsets=budget, **stop)
         drawn.clear()
-        direct, generic = _both_paths(monkeypatch, obj, b, cfg, loop)
-        assert _outcome(direct) == _outcome(generic)
-        assert len(drawn) == direct.iterations + generic.iterations
+        if kind == "dense":
+            reps = [run(obj, b, cfg)]
+        else:
+            reps = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
+        assert all(_outcome(rep) == _outcome(reps[0]) for rep in reps)
+        assert len(drawn) == sum(rep.iterations for rep in reps)
+        direct = reps[0]
         assert (direct.iterations == 200) if budget else (0 < direct.iterations < 100_000)
         assert not direct.capped
         if budget:
-            assert len(direct.subsets) == len(generic.subsets) == 200
+            assert all(len(rep.subsets) == 200 for rep in reps)
