@@ -66,11 +66,11 @@ from .sampling import (
     CumulativeTable,
     SparseTwoSampler,
     SpectralVolumeSampler,
+    UniformSampler,
     VolumeSampler,
     build_cumulative,
     exact_probabilities,
     make_sampler,
-    tau_nice_sample,
 )
 from .solvers import (
     SolverConfig,
@@ -120,6 +120,7 @@ __all__ = [
     "SquareLoss",
     "TauApprox",
     "UnboundedLevelSet",
+    "UniformSampler",
     "VolcdError",
     "VolumeSampler",
     "ZeroDiagonalNonzeroRow",
@@ -153,5 +154,4 @@ __all__ = [
     "spd_solve",
     "sum_adjugates",
     "sum_principal_minors",
-    "tau_nice_sample",
 ]

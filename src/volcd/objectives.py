@@ -25,11 +25,11 @@ A solver steps a state through :func:`steps`.  A sparse separable state
 under a rowwise loss takes a fused step, bitwise the state's own methods;
 ``_column_step`` is the one column update of both.  A dense quadratic state
 on a sampled stream of one- or two-coordinate subsets (rcd:1, rcdvs:1,
-rcdvs:2) takes windowed steps, each window of steps one block
-lower-triangular solve; they agree with the per-step path to rounding
+rcdvs:2, sdna:1, sdna:2) takes windowed steps, each window of steps one
+block lower-triangular solve; they agree with the per-step path to rounding
 (1e-10 relative in the tests, 1.5e-12 measured), not bitwise.  Every other
-run, a dense quadratic one on forced subsets, under sdna or at tau >= 3
-included, steps through the state's public methods.
+run, a dense quadratic one on forced subsets or at tau >= 3 included, steps
+through the state's public methods.
 """
 
 from __future__ import annotations
@@ -410,8 +410,8 @@ def steps(state, subsets, solve):
     state under a rowwise loss (bare or with ridge) takes a fused step,
     bitwise ``apply_step``'s, whose locals go back to the state when the
     generator closes or ends.  Every other state, a dense quadratic one on
-    forced subsets, sdna's stream or tau >= 3 included, steps through its
-    public methods."""
+    forced subsets or at tau >= 3 included, steps through its public
+    methods."""
     kind = type(state)
     if (kind is _QuadraticDenseState and type(subsets) is Draws and subsets.tau <= 2
             and isinstance(solve.matrix, np.ndarray)):

@@ -25,7 +25,7 @@ Five samplers live here:
   bisections that start from guide-table brackets; each pair equals the one
   the scalar reference search ``_sample_one`` returns, which stays as the
   test oracle.
-* :func:`tau_nice_sample` draws subsets uniformly without replacement.
+* :class:`UniformSampler` draws subsets uniformly without replacement.
 
 :func:`make_sampler` picks the determinantal sampler for a storage, n and
 tau: the sparse pair sampler for CSR B with tau = 2, enumeration while
@@ -33,8 +33,8 @@ C(n, tau) <= tau * n^2 (every tau <= 2, tau = 3 up to n = 20, tau = 4 up to
 n = 12), the spectral sampler beyond, handing over to enumeration after
 as many draws as the table costs to build (``_handover_draws``).
 
-The three determinantal samplers share one stream contract: each yields its
-draws in batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
+The four subset samplers share one stream contract: each yields its draws in
+batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
 chunk)`` (the endless stream a solver run reads, a :class:`Draws` that hands
 out one subset or a slice of its batch at a time) and ``sample_many(rng, k)``
 (its first k subsets) are defined once on top of it.  A single draw is
@@ -59,6 +59,7 @@ __all__ = [
     "Draws",
     "SparseTwoSampler",
     "SpectralVolumeSampler",
+    "UniformSampler",
     "VolumeSampler",
     "all_subsets",
     "build_cumulative",
@@ -66,7 +67,6 @@ __all__ = [
     "make_sampler",
     "principal_minors",
     "subset_counts",
-    "tau_nice_sample",
 ]
 
 # Enumerating more outcomes than this is refused outright.
@@ -292,9 +292,14 @@ class Draws:
 
 
 class _SubsetStream:
-    """The draw methods of every determinantal sampler, over the subclass's
+    """The draw methods of every subset sampler, over the subclass's
     ``_batches(rng, chunk)``: a generator of (m, tau) int64 batches that takes
     uniforms from ``rng`` only as each batch is reached."""
+
+    def __init__(self, n: int, tau: int):
+        if not 1 <= tau <= n:
+            raise ValueError(f"subset size {tau} out of range for dimension {n}")
+        self.n, self.tau = n, int(tau)
 
     def draws(self, rng: RngStream, chunk: int, log: list | None = None) -> Draws:
         """Endless stream of sorted subsets in batches of ``chunk``, as a
@@ -329,10 +334,7 @@ class VolumeSampler(_SubsetStream):
 
     def __init__(self, b, tau: int):
         n = b.shape[0]
-        if not 1 <= tau <= n:
-            raise ValueError(f"subset size {tau} out of range for dimension {n}")
-        self.n = n
-        self.tau = int(tau)
+        super().__init__(n, tau)
         self.subsets = all_subsets(n, tau)
         minors = principal_minors(b, tau, self.subsets)
         try:
@@ -444,15 +446,12 @@ class SpectralVolumeSampler(_SubsetStream):
 
     def __init__(self, b, tau: int, handover: int | None = None):
         n = b.shape[0]
-        if not 1 <= tau <= n:
-            raise ValueError(f"subset size {tau} out of range for dimension {n}")
+        super().__init__(n, tau)
         if n > MAX_SPECTRAL_DIMENSION:
             raise CombinatorialBlowup(
                 f"dimension {n} exceeds the spectral sampler's cap "
                 f"{MAX_SPECTRAL_DIMENSION}: it densifies and eigendecomposes B"
             )
-        self.n = n
-        self.tau = int(tau)
         self.handover = handover
         self.b = as_dense(b)
         spectrum = eigendecompose(self.b)
@@ -619,15 +618,12 @@ class SparseTwoSampler(_SubsetStream):
     them, so a run that stops early pays for few unused pairs.
     """
 
-    tau = 2
-
     def __init__(self, b: CsrSymmetricUpper):
         if not isinstance(b, CsrSymmetricUpper):
             raise TypeError("SparseTwoSampler requires a CsrSymmetricUpper matrix")
-        if b.n < 2:
-            raise ValueError("need dimension at least 2 for pair sampling")
-        self.b = b
         n = b.n
+        super().__init__(n, 2)
+        self.b = b
         indptr, values = b.indptr, b.values
         rowlen = np.diff(indptr)
         nonempty = rowlen > 0
@@ -661,10 +657,6 @@ class SparseTwoSampler(_SubsetStream):
         # gap guide: [b] = how many suffix sums t lie in bucket b or above
         self._gap_scale = n / self.t[0]
         self._gap_guide = (n + 1) - _count_below(self.t * self._gap_scale)
-
-    @property
-    def n(self) -> int:
-        return self.b.n
 
     def total_pair_mass(self) -> float:
         """Sum of all 2x2 principal minors (the normalization constant)."""
@@ -774,13 +766,28 @@ class SparseTwoSampler(_SubsetStream):
 # Uniform subsets
 
 
-def tau_nice_sample(n: int, tau: int, rng: RngStream) -> np.ndarray:
-    """Uniform tau-element subset of range(n), sampled without replacement."""
-    if not 1 <= tau <= n:
-        raise ValueError(f"subset size {tau} out of range for dimension {n}")
-    pick = rng.generator.choice(n, size=tau, replace=False)
-    pick.sort()
-    return pick.astype(np.int64)
+class UniformSampler(_SubsetStream):
+    """Uniform tau-element subsets of range(n), without replacement.
+
+    Each subset takes its own tau uniforms, so the stream does not depend on
+    the chunk size.  Pick k is the floor(u_k * (n - k))-th index not yet
+    picked (u_k < 1 keeps it below n - k), found by shifting past the
+    earlier picks in increasing order.
+    """
+
+    def _batches(self, rng: RngStream, chunk: int):
+        n, tau = self.n, self.tau
+        while True:
+            u = rng.uniforms(chunk * tau).reshape(chunk, tau)
+            picks = []  # the picks so far, one sorted column each
+            for k in range(tau):
+                v = (u[:, k] * (n - k)).astype(np.int64)
+                for c, p in enumerate(picks):
+                    # shift past p if v reaches it; the smaller stays at c
+                    v += v >= p
+                    picks[c], v = np.minimum(p, v), np.maximum(p, v)
+                picks.append(v)
+            yield np.column_stack(picks)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ methods differ only in how S is drawn and how the subsystem is solved:
 * ``rcdvs``: determinantal subset sampling, exact solve;
 * ``rcd``: the same with subset size 1 (selection proportional to the
   diagonal of B);
-* ``sdna``: uniform subsets without replacement, exact solve with a
-  pseudoinverse fallback so that degenerate submatrices are tolerated.
+* ``sdna``: uniform subsets (:class:`~volcd.sampling.UniformSampler`),
+  exact solve with a pseudoinverse fallback for degenerate submatrices.
 
 The determinantal draws come from :func:`~volcd.sampling.make_sampler`: the
 sparse pair sampler for CSR B with tau = 2, enumeration of all C(n, tau)
@@ -31,12 +31,13 @@ capped.  :func:`run` has one loop over :func:`~volcd.objectives.steps`,
 which steps the state and yields its value; the loop counts, traces and
 tests for a stop, and reads the state only through ``value`` and ``x``.  A
 sparse separable state under a rowwise loss takes a fused step, bitwise the
-run of its methods.  A sampled rcd:1 or rcdvs:2 run (rcdvs:1 too) on a
-dense quadratic with a dense B takes windowed steps: each window of up to
-48 coordinates' steps is one block lower-triangular solve.  They agree with
-the per-step path through the state's methods, which forced subsets
-replay, to rounding rather than bitwise: 1e-10 relative in the tests,
-1.5e-12 at worst measured, with equal iteration counts.
+run of its methods.  A sampled run of one or two coordinates per step (rcd:1,
+rcdvs:1, rcdvs:2, sdna:1, sdna:2) on a dense quadratic with a dense B takes
+windowed steps: each window of up to 48 coordinates' steps is one block
+lower-triangular solve.  They agree with the per-step path through the
+state's methods, which forced subsets replay, to rounding rather than
+bitwise: 1e-10 relative in the tests, 1.5e-12 at worst measured, with equal
+iteration counts.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -44,7 +45,6 @@ each its own seed.
 
 from __future__ import annotations
 
-import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -61,7 +61,7 @@ from .linalg import (
     validate_index_set,
 )
 from .rng import RngStream
-from .sampling import make_sampler, tau_nice_sample
+from .sampling import UniformSampler, make_sampler
 
 __all__ = [
     "SolverConfig",
@@ -240,13 +240,6 @@ def _make_step_solver(b, exact: bool):
 # Main loop
 
 
-def _recorded(subsets, log):
-    """The subsets, each appended to ``log`` as it is drawn."""
-    for s in subsets:
-        log.append(s)
-        yield s
-
-
 def run(obj, b, config: SolverConfig):
     """Execute one solver run and return its :class:`SolverReport`.
 
@@ -264,18 +257,15 @@ def run(obj, b, config: SolverConfig):
     state = obj.init_state(x0)
     rng = RngStream(config.seed)
     log: list | None = [] if config.record_subsets else None
-    if config.forced_subsets is None and config.method != "sdna":
+    forced = config.forced_subsets
+    if forced is None:
         # the stream logs each subset when a step takes it, one at a time or
         # a window at a time
-        subsets = make_sampler(b, config.tau).draws(rng, _SAMPLE_CHUNK, log)
+        subsets = (UniformSampler(n, config.tau) if config.method == "sdna"
+                   else make_sampler(b, config.tau)).draws(rng, _SAMPLE_CHUNK, log)
     else:
-        if config.forced_subsets is not None:
-            subsets = (np.asarray(s, dtype=np.int64) for s in config.forced_subsets)
-        else:
-            # one generator call per subset, drawn only when the loop asks
-            subsets = (tau_nice_sample(n, config.tau, rng) for _ in itertools.count())
-        if log is not None:
-            subsets = _recorded(subsets, log)
+        forced = [np.asarray(s, dtype=np.int64) for s in forced]
+        subsets = iter(forced)
     solve = _make_step_solver(b, exact=config.method != "sdna")
 
     value = state.value
@@ -298,6 +288,8 @@ def run(obj, b, config: SolverConfig):
 
     if trace[-1][0] != k:
         trace.append((k, float(value)))
+    if forced is not None and log is not None:
+        log = forced[:k]
     # in target-gap mode a diverged run (inf or NaN value) counts as capped
     capped = gap is not None and not (isfinite(value) and value - f_star <= gap)
     return SolverReport(

@@ -42,7 +42,7 @@ _DENSE_RUN = """
 import sys
 import volcd, volcd.cli
 code = volcd.cli.main(["run", "--kind", "quadratic", "--n", "30", "--methods",
-                       "rcdvs:2,rcdvs:3,sdna:3", "--epsilon", "0.01",
+                       "rcdvs:2,rcdvs:3,sdna:2,sdna:3", "--epsilon", "0.01",
                        "--repetitions", "2", "--output", "json", "--out", sys.argv[1]])
 print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 print("numpy.ma" in sys.modules)

@@ -13,6 +13,7 @@ from volcd.sampling import (
     CumulativeTable,
     SparseTwoSampler,
     SpectralVolumeSampler,
+    UniformSampler,
     VolumeSampler,
     all_subsets,
     build_cumulative,
@@ -20,7 +21,6 @@ from volcd.sampling import (
     make_sampler,
     principal_minors,
     subset_counts,
-    tau_nice_sample,
 )
 
 TRIDIAG = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
@@ -631,8 +631,9 @@ def test_subset_counts_match_dict_loop():
         lambda b: VolumeSampler(b.to_dense(), 3),
         lambda b: VolumeSampler(b, 3),
         SparseTwoSampler,
+        lambda b: UniformSampler(b.shape[0], 3),
     ],
-    ids=["dense-2", "csr-2", "dense-3", "csr-3", "sparse-pairs"],
+    ids=["dense-2", "csr-2", "dense-3", "csr-3", "sparse-pairs", "uniform-3"],
 )
 def test_draws_continue_sample_many_blocks_across_chunks(make):
     # the solver consumes subsets through draws(); it must be the same
@@ -646,19 +647,51 @@ def test_draws_continue_sample_many_blocks_across_chunks(make):
     assert np.array_equal(got, blocks[: got.shape[0]])
 
 
-def test_tau_nice_extremes():
-    rng = RngStream(0)
-    assert tuple(tau_nice_sample(3, 3, rng)) == (0, 1, 2)
-    singles = {tuple(tau_nice_sample(3, 1, rng)) for _ in range(200)}
-    assert singles == {(0,), (1,), (2,)}
+def _uniform_reference(n, tau, u):
+    """Scalar uniform subsets, one per row of ``u``: pick k is the
+    floor(u_k (n - k))-th index not yet picked."""
+    out = []
+    for row in u.tolist():
+        picks = []
+        for k, uk in enumerate(row):
+            v = int(uk * (n - k))
+            for p in sorted(picks):
+                v += v >= p
+            picks.append(v)
+        out.append(sorted(picks))
+    return np.array(out, dtype=np.int64)
 
 
-def test_tau_nice_uniform_statistical():
-    draws = 20_000
-    rng = RngStream(17)
-    counts = count_subsets([tau_nice_sample(3, 2, rng) for _ in range(draws)])
-    exact = {s: 1 / 3 for s in [(0, 1), (0, 2), (1, 2)]}
-    assert tv_distance(counts, exact, draws) <= 0.03
+@pytest.mark.parametrize("n, tau", [(3, 1), (3, 2), (3, 3), (6, 3), (7, 4)])
+def test_uniform_sampler_is_uniform(n, tau):
+    draws = 50_000
+    samples = UniformSampler(n, tau).sample_many(RngStream(17), draws)
+    exact = {s: 1 / math.comb(n, tau) for s in itertools.combinations(range(n), tau)}
+    assert tv_distance(subset_counts(samples, n), exact, draws) <= 0.03
+
+
+def test_uniform_sampler_rows_are_sorted_distinct_and_seeded():
+    samples = UniformSampler(40, 5).sample_many(RngStream(21), 3000)
+    assert samples.dtype == np.int64 and samples.shape == (3000, 5)
+    assert (np.diff(samples, axis=1) > 0).all()
+    assert samples.min() >= 0 and samples.max() < 40
+    u = RngStream(21).uniforms(3000 * 5).reshape(3000, 5)
+    assert np.array_equal(samples, _uniform_reference(40, 5, u))
+    for tau in (0, 41):
+        with pytest.raises(ValueError):
+            UniformSampler(40, tau)
+
+
+def test_uniform_sampler_maps_the_largest_uniform_to_the_largest_free_index():
+    # floor(u m) <= m - 1 for the largest double u below 1, so no pick needs
+    # a clamp
+    class Top:
+        def uniforms(self, k):
+            return np.full(k, np.nextafter(1.0, 0.0))
+
+    for n, tau in ((1, 1), (3, 1), (3, 3), (7, 4), (1000, 3), (5_000_000, 2)):
+        got = UniformSampler(n, tau).sample_many(Top(), 4)
+        assert np.array_equal(got, np.tile(np.arange(n - tau, n), (4, 1)))
 
 
 def test_identical_seeds_identical_sequences():
@@ -668,13 +701,11 @@ def test_identical_seeds_identical_sequences():
         lambda: SparseTwoSampler(
             CsrSymmetricUpper.from_dense(b + 6 * np.eye(6))
         ),
+        lambda: UniformSampler(8, 3),
     ):
         a = factory().sample_many(RngStream(99), 500)
         bseq = factory().sample_many(RngStream(99), 500)
         assert np.array_equal(a, bseq)
-    u1 = [tuple(tau_nice_sample(8, 3, RngStream(21))) for _ in range(1)]
-    u2 = [tuple(tau_nice_sample(8, 3, RngStream(21))) for _ in range(1)]
-    assert u1 == u2
 
 
 def test_rng_open_interval():

@@ -26,10 +26,10 @@ from volcd.sampling import (
     Draws,
     SparseTwoSampler,
     SpectralVolumeSampler,
+    UniformSampler,
     VolumeSampler,
     exact_probabilities,
     make_sampler,
-    tau_nice_sample,
 )
 from volcd.solvers import (
     SolverConfig,
@@ -601,15 +601,14 @@ def _two_scalar_chunks(b, rng):
     [
         ("rcdvs", True, lambda b, rng: _two_scalar_chunks(b, rng)),
         ("rcdvs", False, lambda b, rng: _two_batches(VolumeSampler(b, 2), rng)),
-        ("sdna", True,
-         lambda b, rng: [tau_nice_sample(b.shape[0], 2, rng) for _ in range(5000)]),
+        ("sdna", True, lambda b, rng: UniformSampler(b.shape[0], 2).sample_many(rng, 5000)),
     ],
 )
 def test_subset_stream_matches_reference_draws(method, sparse, reference):
     # a run draws the same subsets as its sampler's reference draws over
     # consecutive 4096-draw chunks, also across the chunk boundary: the
     # scalar pair search for SparseTwoSampler, sample_many batches for
-    # VolumeSampler, and one tau_nice_sample call per iteration for sdna
+    # VolumeSampler, and one 5000-subset block of UniformSampler for sdna
     csr = banded_psd(60, 3, seed=5)
     b = csr if sparse else csr.to_dense()
     obj = QuadraticObjective(b, np.random.default_rng(6).standard_normal(60))
@@ -726,9 +725,19 @@ def test_dense_sdna_pseudoinverse_steps_keep_the_value_on_the_objective(monkeypa
         return pseudo_solve(m, rhs)
 
     monkeypatch.setattr(solvers, "pseudo_solve", counting)
+    windows = []
+    window = objectives._dense_window_steps
+
+    def spy(*args):
+        windows.append(1)
+        return window(*args)
+
+    # the window hands each singular block to sdna's per-step solve
+    monkeypatch.setattr(objectives, "_dense_window_steps", spy)
     cfg = SolverConfig(method="sdna", tau=2, max_iters=500, seed=16, trace_every=3,
                        record_subsets=True)
     rep = run(obj, a, cfg)
+    assert windows == [1]
     assert rep.iterations == len(rep.subsets) == 500
     assert len(calls) >= 40
     full = obj.value(rep.x_final)
@@ -761,9 +770,11 @@ def test_fused_loop_raises_on_the_same_singular_step():
     a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     obj = QuadraticObjective(a, np.array([1.0, 0.5, 0.5]))
     forced = [[0], [2], [1, 2], [0, 1], [2]]
-    cfg = SolverConfig(method="rcdvs", tau=2, max_iters=3, forced_subsets=forced)
+    cfg = SolverConfig(method="rcdvs", tau=2, max_iters=3, forced_subsets=forced,
+                       record_subsets=True)
     rep = run(obj, a, cfg)
     assert rep.iterations == 3
+    assert [s.tolist() for s in rep.subsets] == forced[:3]
     assert np.allclose(rep.x_final, _newton_steps(a, obj.b, np.zeros(3), forced[:3]),
                        rtol=1e-14, atol=1e-14)
     with pytest.raises(SingularSubmatrix):
@@ -801,7 +812,8 @@ def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the windowed steps of sampled rcd:1 and rcdvs:2 runs on dense quadratics
+# the windowed steps of sampled rcd:1, rcdvs:2, sdna:1 and sdna:2 runs on
+# dense quadratics
 
 # the window solves each window's steps as one linear system, so it agrees
 # with the per-step path to rounding, not bitwise
@@ -838,7 +850,15 @@ def _assert_agree(windowed, replay):
     assert np.abs(windowed.x_final - xr).max() <= _WINDOW_RTOL * np.abs(xr).max()
 
 
-@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
+_WINDOWED = [("rcd", 1), ("rcdvs", 2), ("sdna", 1), ("sdna", 2)]
+
+
+def _stream(method, b, tau):
+    """The sampler whose stream a sampled run reads."""
+    return UniformSampler(b.shape[0], tau) if method == "sdna" else make_sampler(b, tau)
+
+
+@pytest.mark.parametrize("method, tau", _WINDOWED)
 @pytest.mark.parametrize("trace_every", [1, 7])
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_window_agrees_with_the_per_step_replay(monkeypatch, method, tau, trace_every, scale):
@@ -858,12 +878,12 @@ def test_window_agrees_with_the_per_step_replay(monkeypatch, method, tau, trace_
         _assert_agree(windowed, replay)
         assert 0 < windowed.iterations < 100_000 and not windowed.capped
         # the stream logs exactly the subsets the steps took
-        drawn = make_sampler(b, tau).sample_many(RngStream(5), windowed.iterations)
+        drawn = _stream(method, b, tau).sample_many(RngStream(5), windowed.iterations)
         assert np.array_equal(np.array(windowed.subsets), drawn)
     assert windowed.iterations == 4 * per
 
 
-@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
+@pytest.mark.parametrize("method, tau", _WINDOWED)
 def test_window_stops_a_diverging_run_at_its_first_non_finite_value(monkeypatch, method, tau):
     obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
     cfg = SolverConfig(method=method, tau=tau, seed=5, target_gap=1e-3, f_star=f_star,
@@ -888,7 +908,7 @@ def test_window_refreshes_at_the_per_step_paths_steps(monkeypatch):
     monkeypatch.setattr(objectives.GradientState, "refresh", spy)
     obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=19))
     b = obj.curvature_matrix()
-    for method, tau in (("rcd", 1), ("rcdvs", 2)):
+    for method, tau in _WINDOWED:
         cfg = SolverConfig(method=method, tau=tau, max_iters=100, seed=21, trace_every=1)
         refreshed.clear()
         windowed, replay = _window_and_replay(monkeypatch, obj, b, cfg)
@@ -1116,17 +1136,10 @@ def test_sparse_huber_value_does_not_drift_over_a_long_run(method, tau):
 
 @pytest.mark.parametrize("kind", ["dense", "huber", "ridge-logistic"])
 def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kind):
-    # the steps draw a subset only when the loop asks for the next value: a
-    # run that stops at the gap or at its budget has drawn one subset per
-    # iteration, through the fused sparse step and through the public
-    # methods alike; a dense quadratic's sdna run takes the public methods
-    drawn = []
-
-    def counting(n, tau, rng):
-        drawn.append(1)
-        return tau_nice_sample(n, tau, rng)
-
-    monkeypatch.setattr(solvers, "tau_nice_sample", counting)
+    # the steps take a subset only when the loop asks for the next value: a
+    # run that stops at the gap or at its budget has consumed the first k
+    # subsets of its stream, through the window (a dense quadratic's sdna
+    # run), the fused sparse step and the public methods alike
     if kind == "dense":
         obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=3))
         b, gap = obj.curvature_matrix(), 1e-3
@@ -1136,16 +1149,17 @@ def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kin
         gap = 0.05 * (obj.value(np.zeros(obj.n)) - f_star)
     for stop, budget in ((dict(target_gap=gap, f_star=f_star, max_iters=100_000), False),
                          (dict(max_iters=200), True)):
-        cfg = SolverConfig(method="sdna", tau=2, seed=39, record_subsets=budget, **stop)
-        drawn.clear()
+        cfg = SolverConfig(method="sdna", tau=2, seed=39, record_subsets=True, **stop)
         if kind == "dense":
-            reps = [run(obj, b, cfg)]
+            reps = _window_and_replay(monkeypatch, obj, b, cfg)
+            _assert_agree(*reps)
         else:
             reps = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
-        assert all(_outcome(rep) == _outcome(reps[0]) for rep in reps)
-        assert len(drawn) == sum(rep.iterations for rep in reps)
+            assert _outcome(reps[0]) == _outcome(reps[1])
         direct = reps[0]
         assert (direct.iterations == 200) if budget else (0 < direct.iterations < 100_000)
         assert not direct.capped
-        if budget:
-            assert all(len(rep.subsets) == 200 for rep in reps)
+        drawn = UniformSampler(obj.n, 2).sample_many(RngStream(39), direct.iterations)
+        for rep in reps:
+            assert len(rep.subsets) == rep.iterations
+            assert np.array_equal(np.array(rep.subsets), drawn)
