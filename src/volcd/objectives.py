@@ -24,12 +24,13 @@ for a value change) and evaluates the loss on that column's rows only.
 A solver steps a state through :func:`steps`.  A sparse separable state
 under a rowwise loss takes a fused step, bitwise the state's own methods;
 ``_column_step`` is the one column update of both.  A dense quadratic state
-on a sampled stream of one- or two-coordinate subsets (rcd:1, rcdvs:1,
-rcdvs:2, sdna:1, sdna:2) takes windowed steps, each window of steps one
+on a sampled stream of subsets of one to three coordinates (rcd:1, rcdvs:1
+to rcdvs:3, sdna:1 to sdna:3) takes windowed steps, each window of steps one
 block lower-triangular solve; they agree with the per-step path to rounding
-(1e-10 relative in the tests, 1.5e-12 measured), not bitwise.  Every other
-run, a dense quadratic one on forced subsets or at tau >= 3 included, steps
-through the state's public methods.
+(1e-10 relative in the tests, 1.5e-12 measured), not bitwise, and a
+diverging run stops where the per-step path stops.  Every other run, a dense
+quadratic one on forced subsets or at tau >= 4 included, steps through the
+state's public methods.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ REFRESH_INTERVAL = 10**6
 # Coordinates per window of a dense quadratic's windowed steps: a window
 # takes _WINDOW // tau subsets.
 _WINDOW = 48
+
+# A window whose values pass this magnitude is not taken: near 1e308 the
+# per-step value update overflows before a window's cumsum does.
+_VALUE_LIMIT = 1e300
 
 
 # ---------------------------------------------------------------------------
@@ -404,16 +409,17 @@ def steps(state, subsets, solve):
     drawn from ``subsets``, yielding its value after each step.
 
     A dense quadratic state on a sampler's :class:`~volcd.sampling.Draws`
-    of one or two coordinates, with a dense B, takes windowed steps, which
+    of one to three coordinates, with a dense B, takes windowed steps, which
     agree with the per-step path to rounding and apply the steps whose
     values they yielded when the generator closes.  A sparse separable
     state under a rowwise loss (bare or with ridge) takes a fused step,
     bitwise ``apply_step``'s, whose locals go back to the state when the
     generator closes or ends.  Every other state, a dense quadratic one on
-    forced subsets or at tau >= 3 included, steps through its public
-    methods."""
+    forced subsets or at tau >= 4 included, steps through its public
+    methods: a subset of four or more coordinates is solved by LAPACK's
+    Cholesky, whose singularity test a window cannot repeat."""
     kind = type(state)
-    if (kind is _QuadraticDenseState and type(subsets) is Draws and subsets.tau <= 2
+    if (kind is _QuadraticDenseState and type(subsets) is Draws and subsets.tau <= 3
             and isinstance(solve.matrix, np.ndarray)):
         return _dense_window_steps(state, subsets, solve)
     inner = state._inner if kind is _RidgeState else state
@@ -437,8 +443,8 @@ def _apply_window(x, g, idx, h, rows, p):
 
 
 def _dense_window_steps(state, draws, solve):
-    """Windowed steps of a dense quadratic state on a sampled stream of one-
-    or two-coordinate subsets.
+    """Windowed steps of a dense quadratic state on a sampled stream of
+    subsets of one to three coordinates.
 
     A window peeks at the next ``_WINDOW // tau`` subsets S_1, ..., S_m of
     the stream's batch, fewer at the batch's end and at the refresh
@@ -449,48 +455,70 @@ def _dense_window_steps(state, draws, solve):
     value - cumsum(h_t . B h_t - h_t . A h_t / 2) are yielded one at a time,
     and the steps whose values were yielded are applied, with R = A[I],
     as g -= h @ R and x[I] -= h when the window runs out or the generator
-    closes.  The stream logs exactly those subsets.  A singular diagonal
-    block ends the window before it and takes the per-step path, which
-    raises under an exact method; so does the first subset of a window
-    whose solve overflows on a diverging run.  The iterates agree with the
-    per-step path, ``_apply``, to rounding, not bitwise."""
+    closes.  The stream logs exactly those subsets.  A diagonal block that
+    fails ``solve.regular``, the closed forms' own pivot test, ends the
+    window before it and takes the per-step path, which raises under an
+    exact method; so does the first subset of a window whose solve fails.
+    A window with a step that raises the value (B does not bound A on that
+    block: the run overshoots, and its iteration amplifies rounding
+    differences) or with values past ``_VALUE_LIMIT`` is not taken, and
+    its subsets step one at a time, so a diverging run takes the per-step
+    path's own arithmetic and stops where its replay stops.  Otherwise the
+    iterates agree with the per-step path, ``_apply``, to rounding, not
+    bitwise."""
     tau = draws.tau
-    x, a, b = state.x, state._op, solve.matrix
+    x, a, b, regular = state.x, state._op, solve.matrix, solve.regular
     g, value, count = state._g, state._value, state._steps
     bdiag = b.diagonal()
     block = np.arange(_WINDOW) // tau
     lower = block[:, None] > block  # strictly block-lower
-    pairs = np.arange(0, _WINDOW, 2)
+    # block t's strictly upper entries (r, c), in row order, sit at
+    # (t tau + r, t tau + c) in the window's system
+    first = np.arange(0, _WINDOW, tau)[:, None]
+    upper_r, upper_c = (first + i for i in np.triu_indices(tau, 1))
     per, interval = _WINDOW // tau, REFRESH_INTERVAL
     pending = 0  # steps whose values were yielded but which are not applied
+    solo = 0  # subsets left to step one at a time after a window not taken
     try:
         while True:
             subs = draws.peek(min(per, interval - count))
-            idx = subs.ravel()
-            bd = bdiag[idx]
-            if tau == 1:
-                ok = bd > 0.0
+            m = 0
+            if solo:
+                solo -= 1
             else:
-                bp = b[subs[:, 0], subs[:, 1]]
-                b1, b2 = bd[0::2], bd[1::2]
-                ok = (b1 * b2 - bp * bp > 0.0) & (b1 > 0.0)  # solve.two's test
-            m = len(subs) if ok.all() else int(ok.argmin())
+                k = len(subs)
+                idx = subs.ravel()
+                bd = bdiag[idx]
+                bo = b[idx[upper_r[:k]], idx[upper_c[:k]]] if tau > 1 else None
+                ok = regular(bd.reshape(k, tau), bo)
+                m = k if ok.all() else int(ok.argmin())
             if m:
                 p = m * tau
                 idx, bd = idx[:p], bd[:p]
                 rows = a[idx]
                 sub = rows[:, idx]
                 mat = np.where(lower[:p, :p], sub, 0.0)
-                flat = mat.ravel()
-                flat[:: p + 1] = bd
-                if tau == 2:
-                    bp, even = bp[:m], pairs[:m]
-                    flat[even * (p + 1) + 1] = bp  # entries (2t, 2t + 1)
-                    flat[even * (p + 1) + p] = bp  # and (2t + 1, 2t)
+                mat.ravel()[:: p + 1] = bd
+                if tau > 1:
+                    bo, r, c = bo[:m], upper_r[:m], upper_c[:m]
+                    mat[r, c] = bo
+                    mat[c, r] = bo
                 try:
                     h = np.linalg.solve(mat, g[idx])
                 except np.linalg.LinAlgError:
                     m = 0  # an overflow inside the solve: the run diverges
+            if m:
+                # each step's value decrease h . B h - h . A h / 2, term by term
+                dec = (bd - 0.5 * sub.diagonal()) * (h * h)
+                if tau > 1:
+                    cross = (bo - 0.5 * sub[r, c]) * (h[r] * h[c])
+                    dec = dec.reshape(m, tau).sum(1) + 2.0 * cross.sum(1)
+                vals = (value - np.cumsum(dec)).tolist()
+                # the window is taken only if every step descends, so its
+                # values fall from value to vals[-1], and stay within the limit
+                if not (dec.min() >= 0.0 and value <= _VALUE_LIMIT
+                        and vals[-1] >= -_VALUE_LIMIT):
+                    m, solo = 0, per - 1
             if m == 0:
                 s = subs[0]
                 draws.take(1)
@@ -499,12 +527,6 @@ def _dense_window_steps(state, draws, solve):
                 vals = [state._value]
                 m = 1
             else:
-                # each step's value decrease h . B h - h . A h / 2, term by term
-                dec = (bd - 0.5 * sub.diagonal()) * (h * h)
-                if tau == 2:
-                    cross = (bp - 0.5 * sub[even, even + 1]) * (h[0::2] * h[1::2])
-                    dec = dec[0::2] + dec[1::2] + 2.0 * cross
-                vals = (value - np.cumsum(dec)).tolist()
                 for v in vals[:-1]:
                     pending += 1
                     yield v

@@ -31,13 +31,15 @@ capped.  :func:`run` has one loop over :func:`~volcd.objectives.steps`,
 which steps the state and yields its value; the loop counts, traces and
 tests for a stop, and reads the state only through ``value`` and ``x``.  A
 sparse separable state under a rowwise loss takes a fused step, bitwise the
-run of its methods.  A sampled run of one or two coordinates per step (rcd:1,
-rcdvs:1, rcdvs:2, sdna:1, sdna:2) on a dense quadratic with a dense B takes
-windowed steps: each window of up to 48 coordinates' steps is one block
-lower-triangular solve.  They agree with the per-step path through the
-state's methods, which forced subsets replay, to rounding rather than
-bitwise: 1e-10 relative in the tests, 1.5e-12 at worst measured, with equal
-iteration counts.
+run of its methods.  A sampled run of one to three coordinates per step
+(rcd:1, rcdvs:1 to rcdvs:3, sdna:1 to sdna:3) on a dense quadratic with a
+dense B takes windowed steps: each window of up to 48 coordinates' steps is
+one block lower-triangular solve, and ``solve.regular``, the closed forms'
+pivot tests vectorized, picks the blocks it may solve.  They agree with the
+per-step path through the state's methods, which forced subsets replay, to
+rounding rather than bitwise: 1e-10 relative in the tests, 1.5e-12 at worst
+measured, with equal iteration counts and, on a diverging run, the same
+stopping step.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -172,8 +174,12 @@ def _make_step_solver(b, exact: bool):
 
     ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
     on Python floats, for the fused sparse separable step of
-    :func:`~volcd.objectives.steps`, and ``solve.matrix`` is B itself, for
-    its windowed dense steps."""
+    :func:`~volcd.objectives.steps`.  For its windowed dense steps,
+    ``solve.matrix`` is B itself and ``solve.regular(d, o)`` is the pivot
+    test of the closed form for one to three coordinates, vectorized over a
+    stack of blocks (``d`` their diagonals, ``o`` their strictly upper
+    entries in row order): True where that closed form solves the block, so
+    the window solves exactly the blocks the per-step path does."""
     diag = b.diagonal().tolist()
     pair = b.item
 
@@ -218,6 +224,27 @@ def _make_step_solver(b, exact: bool):
         h1, h2, h3 = pseudo_solve(sub, np.array([g1, g2, g3])).tolist()
         return h1, h2, h3
 
+    def regular(d, o):
+        # the pivot tests of one, two and three, expression for expression,
+        # on stacked blocks of one size: d[:, r] = B[s_r, s_r], and o holds
+        # B[s_r, s_c] for r < c in row order
+        size = d.shape[1]
+        if size == 1:
+            return d[:, 0] > 0.0
+        if size == 2:
+            aa, bb, cc = d[:, 0], d[:, 1], o[:, 0]
+            return (aa * bb - cc * cc > 0.0) & (aa > 0.0)
+        d1, (p, q, r) = d[:, 0], o.T
+        # three divides only after a pivot passed; here a failed pivot's
+        # later expressions may divide by zero, and their results are unused
+        with np.errstate(all="ignore"):
+            l21, l31 = p / d1, q / d1
+            d2 = d[:, 1] - p * l21
+            t = r - q * l21
+            l32 = t / d2
+            d3 = d[:, 2] - q * l31 - t * l32
+        return (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0)
+
     closed = (None, one, two, three)
 
     def solve(s, g):
@@ -232,7 +259,7 @@ def _make_step_solver(b, exact: bool):
                 raise
             return pseudo_solve(sub, g)
 
-    solve.one, solve.two, solve.matrix = one, two, b
+    solve.one, solve.two, solve.regular, solve.matrix = one, two, regular, b
     return solve
 
 

@@ -812,8 +812,8 @@ def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the windowed steps of sampled rcd:1, rcdvs:2, sdna:1 and sdna:2 runs on
-# dense quadratics
+# the windowed steps of sampled rcd:1, rcdvs:2, rcdvs:3, sdna:1, sdna:2 and
+# sdna:3 runs on dense quadratics
 
 # the window solves each window's steps as one linear system, so it agrees
 # with the per-step path to rounding, not bitwise
@@ -850,7 +850,7 @@ def _assert_agree(windowed, replay):
     assert np.abs(windowed.x_final - xr).max() <= _WINDOW_RTOL * np.abs(xr).max()
 
 
-_WINDOWED = [("rcd", 1), ("rcdvs", 2), ("sdna", 1), ("sdna", 2)]
+_WINDOWED = [("rcd", 1), ("rcdvs", 2), ("sdna", 1), ("sdna", 2), ("rcdvs", 3), ("sdna", 3)]
 
 
 def _stream(method, b, tau):
@@ -885,13 +885,22 @@ def test_window_agrees_with_the_per_step_replay(monkeypatch, method, tau, trace_
 
 @pytest.mark.parametrize("method, tau", _WINDOWED)
 def test_window_stops_a_diverging_run_at_its_first_non_finite_value(monkeypatch, method, tau):
-    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
-    cfg = SolverConfig(method=method, tau=tau, seed=5, target_gap=1e-3, f_star=f_star,
-                       max_iters=100_000, trace_every=1)
-    windowed, replay = _window_and_replay(monkeypatch, obj, obj.curvature_matrix() / 4, cfg)
-    assert windowed.capped and not np.isfinite(windowed.final_value)
-    assert windowed.iterations == replay.iterations < 100_000
-    assert np.isfinite([f for _, f in windowed.trace[:-1]]).all()
+    # B = A / 4 overshoots: every step raises the value and the iteration
+    # amplifies rounding, so no window is taken and the run steps one subset
+    # at a time; a window's cumsum would outlast the per-step update's
+    # overflow and could stop a few steps late
+    for problem_seed in (0, 1, 2, 3):
+        obj, _, f_star = gen_quadratic(
+            ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=problem_seed))
+        for seed in range(15) if problem_seed < 3 else (5,):
+            cfg = SolverConfig(method=method, tau=tau, seed=seed, target_gap=1e-3,
+                               f_star=f_star, max_iters=100_000, trace_every=1)
+            windowed, replay = _window_and_replay(monkeypatch, obj,
+                                                  obj.curvature_matrix() / 4, cfg)
+            where = f"problem seed {problem_seed}, solver seed {seed}"
+            assert windowed.capped and not np.isfinite(windowed.final_value), where
+            assert windowed.iterations == replay.iterations < 100_000, where
+            assert np.isfinite([f for _, f in windowed.trace[:-1]]).all(), where
 
 
 def test_window_refreshes_at_the_per_step_paths_steps(monkeypatch):
@@ -921,7 +930,7 @@ def test_window_refreshes_at_the_per_step_paths_steps(monkeypatch):
         assert abs(windowed.final_value - full) <= 1e-9 * abs(full)
 
 
-@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3)])
 def test_window_value_stays_on_the_objective_over_200k_steps(method, tau):
     obj, _, _ = gen_quadratic(
         ProblemSpec(kind="quadratic", n=100, lam1=6400.0, lam2=100.0, seed=40)
@@ -951,6 +960,97 @@ def test_window_raises_at_the_singular_blocks_step():
     assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-14)
     assert state.x == pytest.approx(replay.x_final, rel=1e-14)
     assert np.array_equal(np.array(draws.log), batch[:3])
+
+
+@pytest.mark.parametrize("method", ["rcdvs", "sdna"])
+@pytest.mark.parametrize(
+    "singular",
+    [
+        [[1.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 1.0]],  # third pivot exactly 0
+        [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # second pivot exactly 0
+    ],
+)
+def test_window_meets_a_singular_three_block_as_the_per_step_path_does(method, singular):
+    # the third subset is the singular block {0, 1, 2}: the window takes the
+    # two subsets before it; at the block rcdvs raises and sdna takes its
+    # pseudoinverse step, and the stream has logged up to that block
+    a = np.zeros((5, 5))
+    a[:3, :3] = singular
+    a[3:, 3:] = [[2.0, 1.0], [1.0, 2.0]]
+    obj = QuadraticObjective(a, np.array([1.0, 0.5, 0.5, -1.0, 0.25]))
+    batch = np.array([[0, 3, 4], [2, 3, 4], [0, 1, 2], [1, 3, 4]])
+    draws = Draws(iter([batch]), 3, log=[])
+    state = obj.init_state(np.zeros(5))
+    stepper = objectives.steps(state, draws, _make_step_solver(a, exact=method == "rcdvs"))
+    assert stepper.__name__ == "_dense_window_steps"
+    values = [next(stepper), next(stepper)]
+    if method == "rcdvs":
+        with pytest.raises(SingularSubmatrix):
+            next(stepper)
+        taken = 2
+    else:
+        values.append(next(stepper))
+        taken = 3
+    replay = run(obj, a, SolverConfig(method=method, tau=3, max_iters=taken,
+                                      forced_subsets=list(batch[:taken])))
+    assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-14)
+    assert state.x == pytest.approx(replay.x_final, rel=1e-14, abs=1e-14)
+    assert np.array_equal(np.array(draws.log), batch[:3])
+
+
+def test_vectorized_pivot_tests_match_the_closed_forms():
+    # solve.regular is the window's test of which blocks the closed forms
+    # solve; on small-integer blocks, many of them singular or indefinite
+    # with pivots of exactly 0, it decides as one, two and three do
+    rng = np.random.default_rng(50)
+    regular = _make_step_solver(np.eye(1), exact=True).regular
+    for size in (1, 2, 3):
+        blocks = [np.array(m, dtype=float) for m in (
+            np.diag([0.0] * size), np.diag([np.nan] + [1.0] * (size - 1)))]
+        for _ in range(400):
+            f = rng.integers(-2, 3, size=(size, size))
+            blocks.append((f @ f.T + np.diag(rng.integers(-1, 2, size=size))).astype(float))
+        upper = np.triu_indices(size, 1)
+        d = np.array([m.diagonal() for m in blocks])
+        o = np.array([m[upper] for m in blocks]).reshape(len(blocks), -1)
+        closed = []
+        for m in blocks:
+            try:
+                _make_step_solver(m, exact=True)(np.arange(size), np.ones(size))
+                closed.append(True)
+            except SingularSubmatrix:
+                closed.append(False)
+        assert regular(d, o).tolist() == closed
+        assert 50 < sum(closed) < len(blocks) - 50
+
+
+@pytest.mark.parametrize("method, tau", _WINDOWED)
+def test_window_steps_past_the_value_limit_one_subset_at_a_time(monkeypatch, method, tau):
+    # a start at f(x0) = 4e300 puts the first values above _VALUE_LIMIT:
+    # a window from a value above it is not taken, and it and the rest of a
+    # window's worth of subsets take the per-step path; the windows take
+    # over below it
+    obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+    u = np.random.default_rng(4).standard_normal(40)
+    x0 = u * np.sqrt(4e300 / obj.value(u))
+    per_step = []
+    apply = objectives._QuadraticDenseState._apply
+
+    def counting(state, s, h):
+        per_step.append(1)
+        apply(state, s, h)
+
+    cfg = SolverConfig(method=method, tau=tau, seed=5, x0=x0, max_iters=400, trace_every=1,
+                       record_subsets=True)
+    monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", counting)
+    windowed = run(obj, obj.a, cfg)
+    monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", apply)
+    replay = run(obj, obj.a, replace(cfg, forced_subsets=windowed.subsets))
+    _assert_agree(windowed, replay)
+    above = sum(f > objectives._VALUE_LIMIT for _, f in windowed.trace[:-1])
+    per = objectives._WINDOW // tau
+    assert 0 < above <= len(per_step) < above + per
+    assert len(per_step) % per == 0 and len(per_step) < windowed.iterations == 400
 
 
 # ---------------------------------------------------------------------------
