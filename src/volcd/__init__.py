@@ -23,6 +23,7 @@ from .errors import (
     ZeroDiagonalNonzeroRow,
 )
 from .linalg import (
+    CsrMatrix,
     CsrSymmetricUpper,
     Spectrum,
     adjugate,
@@ -93,6 +94,7 @@ from .spectral import (
 __all__ = [
     "CombinatorialBlowup",
     "ConfigError",
+    "CsrMatrix",
     "CsrSymmetricUpper",
     "CumulativeTable",
     "DegenerateApprox",

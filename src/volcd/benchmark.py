@@ -182,10 +182,15 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         eigenvalues = np.sort(config.problem.eigenvalues())[::-1]
     else:
         dataset_b = dataset.curvature_matrix()
-        dataset_fstar = _cached_reference_min(config, dataset, dataset_b)
-        eigenvalues = eigendecompose(as_dense(dataset_b)).eigenvalues
+        # the reference solve and the eigendecomposition both read B densely
+        dense_b = as_dense(dataset_b)
+        dataset_fstar = _cached_reference_min(config, dataset, dense_b)
+        eigenvalues = eigendecompose(dense_b).eigenvalues
 
     raw: list[dict] = []
+    # capped repetitions whose value turned non-finite: they stopped early,
+    # not at the iteration cap
+    diverged = dict.fromkeys((f"{m}:{t}" for m, t in cells), 0)
     rep_seqs = np.random.SeedSequence(config.seed).spawn(config.repetitions)
     for rep, seq in enumerate(rep_seqs):
         prob_seq, solver_seq = seq.spawn(2)
@@ -217,6 +222,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 "time": report.wall_time,
                 "capped": report.capped,
             }
+            if report.capped and not math.isfinite(report.final_value):
+                diverged[f"{method}:{tau}"] += 1
             if method == "rcd":
                 baseline_it = report.iterations
             cell["acc"] = (
@@ -232,11 +239,13 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         key = f"{method}:{tau}"
         good = [r[key] for r in raw if not r[key]["capped"]]
         capped = sum(1 for r in raw if r[key]["capped"])
-        if capped:
-            warnings.warn(
-                f"{key}: {capped}/{len(raw)} repetitions hit the iteration cap "
-                "and are excluded from the medians"
-            )
+        for count, cause in ((capped - diverged[key], "hit the iteration cap"),
+                             (diverged[key], "diverged to a non-finite value")):
+            if count:
+                warnings.warn(
+                    f"{key}: {count}/{len(raw)} repetitions {cause} "
+                    "and are excluded from the medians"
+                )
         ratio = acceleration_ratio(eigenvalues, 1, tau)
         if good:
             med_it = _median([c["it"] for c in good])

@@ -3,7 +3,10 @@
 Dense symmetric matrices are plain ``numpy.ndarray`` objects; the helpers here
 validate and symmetrize at construction boundaries.  Sparse symmetric matrices
 use :class:`CsrSymmetricUpper`, a compressed-row layout that stores only the
-diagonal-and-rightward entries of each row, diagonal first.
+diagonal-and-rightward entries of each row, diagonal first.  A sparse data
+matrix A is a :class:`CsrMatrix`, which multiplies vectors, hands out its
+columns and builds the upper triangle of scale * A'A; its kernels are numpy
+``bincount`` sums, bitwise scipy's CSR kernels.
 
 Only this module reads the storage of a curvature matrix B.  Other modules
 may pick an algorithm by storage (the sparse pair sampler, the sparse solver
@@ -11,7 +14,11 @@ states), but they read B through ``shape``, ``diagonal()`` and
 ``item(i, j)``, which both storages provide, gather blocks with
 :func:`gather_submatrix`, and densify it only with :func:`as_dense`.
 
-scipy is imported only inside the functions that call it.
+scipy is imported only inside the functions that call it: the LAPACK
+Cholesky of :func:`spd_solve` (steps of four or more coordinates) and the
+``from_scipy``/``to_scipy`` bridges of :class:`CsrSymmetricUpper`, for
+callers that already hold scipy matrices.  Every other sparse operation is
+numpy alone.
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 __all__ = [
+    "CsrMatrix",
     "CsrSymmetricUpper",
     "Spectrum",
     "add_to_diagonal",
@@ -162,7 +170,7 @@ class CsrSymmetricUpper:
             raise ValueError("values contain non-finite entries")
         if indices.size and (indices.min() < 0 or indices.max() >= n):
             raise IndexError("column index out of range")
-        rows = np.repeat(np.arange(n), np.diff(indptr))
+        rows = self._rows()
         if (indices < rows).any():
             raise ValueError("entries below the diagonal are not stored")
         first = indptr[:-1][np.diff(indptr) > 0]
@@ -211,32 +219,40 @@ class CsrSymmetricUpper:
             return float(self.values[k])
         return 0.0
 
+    def _rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(self.n), np.diff(self.indptr))
+
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        a[rows, self.indices] = self.values
+        a[self._rows(), self.indices] = self.values
         return a + a.T - np.diag(np.diag(a))
+
+    def full(self) -> "CsrMatrix":
+        """The full symmetric matrix as a :class:`CsrMatrix`, without the
+        stored zeros."""
+        n, rows, cols, vals = self.n, self._rows(), self.indices, self.values
+        off = rows != cols
+        keys = np.concatenate((rows * n + cols, cols[off] * n + rows[off]))
+        vals = np.concatenate((vals, vals[off]))
+        return CsrMatrix((n, n), *_nonzero_entries(keys, vals, n))
 
     @classmethod
     def from_dense(cls, a) -> "CsrSymmetricUpper":
         """Build from a dense symmetric matrix, storing its nonzero entries."""
-        import scipy.sparse
-
-        return cls.from_scipy(scipy.sparse.csr_matrix(as_symmetric(a)))
+        a = as_symmetric(a)
+        n = a.shape[0]
+        rows, cols = np.nonzero(np.triu(a))
+        return cls(n, rows.searchsorted(np.arange(n + 1)), cols, a[rows, cols])
 
     def to_scipy(self) -> scipy.sparse.csr_matrix:
         """The full symmetric matrix as a scipy CSR matrix."""
         import scipy.sparse
 
-        rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        upper = scipy.sparse.coo_matrix(
-            (self.values, (rows, self.indices)), shape=self.shape
+        full = self.full()
+        return scipy.sparse.csr_matrix(
+            (full.data, full.indices, full.indptr), shape=self.shape
         )
-        off = rows != self.indices
-        lower = scipy.sparse.coo_matrix(
-            (self.values[off], (self.indices[off], rows[off])), shape=self.shape
-        )
-        return (upper + lower).tocsr()
 
     @classmethod
     def from_scipy(cls, sp) -> "CsrSymmetricUpper":
@@ -269,6 +285,135 @@ class CsrSymmetricUpper:
         return cls(n, np.asarray(indptr), np.asarray(indices), np.asarray(values))
 
 
+def _vector(x, size: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (size,):
+        raise ValueError(f"expected a vector of length {size}, got shape {x.shape}")
+    return x
+
+
+def _compress(keys, m: int, n: int):
+    """``indptr`` and column indices of an m x n matrix's entries, given
+    sorted, distinct keys row * n + column."""
+    rows, cols = np.divmod(keys, n)
+    return rows.searchsorted(np.arange(m + 1)), cols
+
+
+def _nonzero_entries(keys, vals, n: int):
+    """``indptr``, column indices and values of an n x n matrix's nonzero
+    entries, given distinct keys row * n + column in any order."""
+    keep = vals != 0
+    keys, vals = keys[keep], vals[keep]
+    order = np.argsort(keys)
+    return (*_compress(keys[order], n, n), vals[order])
+
+
+class CsrMatrix:
+    """Rectangular sparse matrix in canonical compressed-row form: the
+    storage of a sparse data matrix A.
+
+    Row i keeps strictly increasing column indices
+    ``indices[indptr[i]:indptr[i + 1]]`` and the matching float64 ``data``;
+    every index array it holds or hands out is intp.  The constructor takes
+    any compressed-row arrays: it sorts each row and adds repeated entries
+    up in storage order.  Explicit zeros are kept.
+
+    The products are sequential ``np.bincount`` sums from 0, each row's in
+    column order for ``A @ x`` and each column's in row order for
+    :meth:`rmatvec`, which is the order of scipy's CSR kernels: the results
+    are bitwise theirs.
+    """
+
+    __slots__ = ("shape", "indptr", "indices", "data", "_row")
+
+    def __init__(self, shape, indptr, indices, data):
+        m, n = (int(d) for d in shape)
+        indptr = np.asarray(indptr, dtype=np.intp)
+        indices = np.asarray(indices, dtype=np.intp)
+        data = np.asarray(data, dtype=float)
+        if m < 0 or n < 0:
+            raise ValueError(f"invalid shape {shape}")
+        if indptr.shape != (m + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError("malformed indptr")
+        if indices.shape != data.shape:
+            raise ValueError("indices and data must have equal length")
+        counts = np.diff(indptr)
+        if (counts < 0).any():
+            raise ValueError("indptr must be nondecreasing")
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise IndexError("column index out of range")
+        row = np.repeat(np.arange(m, dtype=np.intp), counts)
+        keys = row * n + indices
+        if (keys[1:] <= keys[:-1]).any():
+            # unsorted or repeated columns; the repeats add up in storage order
+            keys, inverse = np.unique(keys, return_inverse=True)
+            data = np.bincount(inverse, weights=data, minlength=keys.size)
+            indptr, indices = _compress(keys, m, n)
+            row = np.repeat(np.arange(m, dtype=np.intp), np.diff(indptr))
+        self.shape = (m, n)
+        self.indptr, self.indices, self.data, self._row = indptr, indices, data, row
+
+    @classmethod
+    def from_scipy(cls, sp) -> "CsrMatrix":
+        """A scipy sparse matrix of any format in this storage."""
+        sp = sp.tocsr()
+        return cls(sp.shape, sp.indptr, sp.indices, sp.data)
+
+    @property
+    def nnz(self) -> int:
+        return int(self.data.size)
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        out[self._row, self.indices] = self.data
+        return out
+
+    def __matmul__(self, x) -> np.ndarray:
+        """A @ x for a vector x."""
+        m, n = self.shape
+        return np.bincount(self._row, weights=self.data * _vector(x, n)[self.indices],
+                           minlength=m)
+
+    def rmatvec(self, w) -> np.ndarray:
+        """A'w for a vector w."""
+        m, n = self.shape
+        return np.bincount(self.indices, weights=self.data * _vector(w, m)[self._row],
+                           minlength=n)
+
+    def columns(self):
+        """``(indptr, rows, data)`` of A in compressed-column form, each
+        column's rows ascending."""
+        order = np.argsort(self.indices, kind="stable")
+        indptr = self.indices[order].searchsorted(np.arange(self.shape[1] + 1))
+        return indptr, self._row[order], self.data[order]
+
+    def gram(self, scale: float) -> CsrSymmetricUpper:
+        """The upper triangle of scale * A'A.
+
+        Entry (i, j) adds a[k, i] * a[k, j] over the rows k in ascending
+        order, from 0, and is then scaled; exact zeros are not stored.  That
+        is scipy's ``scale * (a.T @ a)`` read by
+        :meth:`CsrSymmetricUpper.from_scipy`, bitwise.
+        """
+        n, nnz, indices, data = self.shape[1], self.nnz, self.indices, self.data
+        # entry e pairs with itself and with the entries right of it in its
+        # row, e' = e, e + 1, ...; the pairs come in row order
+        entry = np.arange(nnz)
+        span = np.repeat(self.indptr[1:], np.diff(self.indptr)) - entry
+        second = np.arange(int(span.sum())) - np.repeat(np.cumsum(span) - span - entry, span)
+        keys = np.repeat(indices * n, span) + indices[second]
+        products = np.repeat(data, span) * data[second]
+        if n * n <= keys.size:
+            # a dense accumulator costs no more memory than the pairs
+            sums = np.bincount(keys, weights=products, minlength=n * n)
+            keys = np.flatnonzero(sums)
+            sums = sums[keys]
+        else:
+            keys, inverse = np.unique(keys, return_inverse=True)
+            sums = np.bincount(inverse, weights=products, minlength=keys.size)
+        return CsrSymmetricUpper(n, *_nonzero_entries(keys, sums * scale, n))
+
+
 def as_dense(b) -> np.ndarray:
     """B as a float array, whether stored dense or as a
     :class:`CsrSymmetricUpper`."""
@@ -284,11 +429,11 @@ def add_to_diagonal(b, c: float):
     with a stored diagonal, and stored zeros are dropped.
     """
     if isinstance(b, CsrSymmetricUpper):
-        import scipy.sparse
-
-        return CsrSymmetricUpper.from_scipy(
-            b.to_scipy() + c * scipy.sparse.identity(b.n)
-        )
+        n, rows = b.n, b._rows()
+        off = rows != b.indices
+        keys = np.concatenate((np.arange(n) * (n + 1), rows[off] * n + b.indices[off]))
+        vals = np.concatenate((b.diagonal() + c, b.values[off]))
+        return CsrSymmetricUpper(n, *_nonzero_entries(keys, vals, n))
     b = as_dense(b)
     return b + c * np.eye(b.shape[0])
 
@@ -516,8 +661,7 @@ def format_triples(b) -> str:
     """
     if isinstance(b, CsrSymmetricUpper):
         n = b.n
-        rows = np.repeat(np.arange(n), np.diff(b.indptr))
-        triples = list(zip(rows.tolist(), b.indices.tolist(), b.values.tolist()))
+        triples = list(zip(b._rows().tolist(), b.indices.tolist(), b.values.tolist()))
     else:
         a = as_symmetric(b)
         n = a.shape[0]

@@ -15,8 +15,11 @@ returning the per-row values and derivatives together, so the work they share
 (``z - b``, ``exp(-|s|)``, Huber's clipped ``d / mu``) is done once.  Huber's
 kernel is the clip form c * (d - c * mu / 2) with c = clip(d / mu, -1, 1):
 bitwise the piecewise formula outside |d| <= mu, within 1.11 ulp of the
-exact value inside (the piecewise form: 1.28).  A sparse separable objective
-keeps one ``(rows, vals, b_rows)`` view per column of A, built once; its
+exact value inside (the piecewise form: 1.28).  A sparse data matrix is a
+numpy :class:`~volcd.linalg.CsrMatrix`, so no objective imports scipy: a
+scipy sparse matrix given by the caller is converted on the way in.  A
+sparse separable objective keeps one ``(rows, vals, b_rows)`` view per
+column of A, built once, with intp row indices; its
 state also keeps the per-row loss values, so a step costs a fixed few numpy
 calls per column (one ``np.dot`` for a partial-gradient entry, one reduction
 for a value change) and evaluates the loss on that column's rows only.
@@ -40,7 +43,7 @@ import sys
 
 import numpy as np
 
-from .linalg import CsrSymmetricUpper, add_to_diagonal, symmetrize
+from .linalg import CsrMatrix, CsrSymmetricUpper, add_to_diagonal, symmetrize
 from .sampling import Draws
 
 __all__ = [
@@ -283,7 +286,7 @@ class _SeparableState(GradientState):
         self._value, self._w = self._obj._loss_eval(self._z)
 
     def full_gradient(self):
-        return np.asarray(self._obj.a.T @ self._w).ravel()
+        return self._obj._adjoint(self._w)
 
 
 class _SeparableDenseState(_SeparableState):
@@ -316,7 +319,7 @@ def _column_step(loss, z, ell, w, col, hj) -> float:
 
 
 class _SeparableSparseState(_SeparableState):
-    """Separable state over a scipy CSR data matrix.
+    """Separable state over a :class:`~volcd.linalg.CsrMatrix` data matrix.
 
     The objective's column views give each column's rows, its nonzeros and
     the per-row parameters b of those rows, so a coordinate step updates only
@@ -626,7 +629,7 @@ class QuadraticObjective:
 
     def __init__(self, a, b):
         if isinstance(a, CsrSymmetricUpper):
-            self.a, self._op = a, None  # scipy form, built on first use
+            self.a, self._op = a, None  # full CSR form, built on first use
         else:
             self.a = self._op = np.asarray(a, dtype=float)
         self.n = self.a.shape[0]
@@ -635,9 +638,10 @@ class QuadraticObjective:
             raise ValueError("linear term has wrong length")
 
     def _operator(self):
-        """A in a form that multiplies vectors: the array, or a scipy matrix."""
+        """A in a form that multiplies vectors: the array, or the full
+        symmetric :class:`~volcd.linalg.CsrMatrix`."""
         if self._op is None:
-            self._op = self.a.to_scipy()
+            self._op = self.a.full()
         return self._op
 
     def value(self, x) -> float:
@@ -659,17 +663,19 @@ class QuadraticObjective:
 class SeparableObjective:
     """f(x) = sum_i g_i(<a_i, x>) for a rowwise loss, or g(Ax - b) for a
     full-residual loss; curvature matrix is L * A'A with L the loss
-    smoothness constant."""
+    smoothness constant.
+
+    A sparse A, a :class:`~volcd.linalg.CsrMatrix` or a scipy sparse matrix
+    of any format, is kept as a canonical float64 CsrMatrix (sorted rows,
+    repeated entries added up); anything else as a float64 array."""
 
     def __init__(self, a, b, loss):
         # no scipy sparse matrix exists before scipy.sparse is imported
         sp = sys.modules.get("scipy.sparse")
         if sp is not None and sp.issparse(a):
-            self.a = sp.csr_matrix(a)
-            self.sparse = True
-        else:
-            self.a = np.asarray(a, dtype=float)
-            self.sparse = False
+            a = CsrMatrix.from_scipy(a)
+        self.sparse = isinstance(a, CsrMatrix)
+        self.a = a if self.sparse else np.asarray(a, dtype=float)
         self.m, self.n = self.a.shape
         self.b = np.asarray(b, dtype=float)
         if self.b.shape != (self.m,):
@@ -680,12 +686,10 @@ class SeparableObjective:
     def _columns(self):
         """One ``(rows, vals, b_rows)`` view per column of a sparse A: the
         column's row indices, its nonzeros and b at those rows, as slices of
-        one CSC copy of A and one gather of b, built on first use."""
+        one compressed-column copy of A and one gather of b, built on first
+        use."""
         if self._columns_cache is None:
-            import scipy.sparse
-
-            csc = scipy.sparse.csc_matrix(self.a)
-            ptr, rows, vals = csc.indptr, csc.indices, csc.data
+            ptr, rows, vals = self.a.columns()
             b_rows = self.b[rows]
             self._columns_cache = [
                 (rows[lo:hi], vals[lo:hi], b_rows[lo:hi])
@@ -704,20 +708,22 @@ class SeparableObjective:
         return float(loss.value(r)), loss.grad(r)
 
     def _products(self, x):
-        return np.asarray(self.a @ np.asarray(x, dtype=float)).ravel()
+        return self.a @ np.asarray(x, dtype=float)
+
+    def _adjoint(self, w):
+        """A'w."""
+        return self.a.rmatvec(w) if self.sparse else self.a.T @ w
 
     def value(self, x) -> float:
         return self._loss_eval(self._products(x))[0]
 
     def gradient(self, x) -> np.ndarray:
-        w = self._loss_eval(self._products(x))[1]
-        return np.asarray(self.a.T @ w).ravel()
+        return self._adjoint(self._loss_eval(self._products(x))[1])
 
     def curvature_matrix(self):
-        gram = self.loss.smoothness * (self.a.T @ self.a)
         if self.sparse:
-            return CsrSymmetricUpper.from_scipy(gram)
-        return symmetrize(gram)
+            return self.a.gram(self.loss.smoothness)
+        return symmetrize(self.loss.smoothness * (self.a.T @ self.a))
 
     def init_state(self, x0) -> GradientState:
         if self.sparse:

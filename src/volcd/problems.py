@@ -1,18 +1,19 @@
 """Benchmark problem generators, dataset ingestion, and reference optima.
 
-scipy is imported only inside the functions that call it.
+Sparse Huber problems and LIBSVM data are :class:`~volcd.linalg.CsrMatrix`
+data matrices, generated, parsed and solved for their reference optima with
+numpy alone; scipy is imported only by :func:`banded_psd`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, NumericError, ParseError, UnboundedLevelSet
-from .linalg import CsrSymmetricUpper, as_dense, symmetrize
+from .linalg import CsrMatrix, CsrSymmetricUpper, as_dense, symmetrize
 from .objectives import (
     HuberLoss,
     LogisticLoss,
@@ -21,9 +22,6 @@ from .objectives import (
     SeparableObjective,
 )
 from .rng import RngStream
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "ProblemSpec",
@@ -105,14 +103,29 @@ def _sphere_direction(dim: int, rng: RngStream) -> np.ndarray:
     return u / np.linalg.norm(u)
 
 
-def _sparse_direction(dim: int, p: int, rng: RngStream) -> scipy.sparse.csc_matrix:
-    import scipy.sparse
-
+def _sparse_direction(dim: int, p: int, rng: RngStream):
+    """A unit direction with p nonzeros: its indices ascending, and its
+    values at them."""
     idx = rng.generator.choice(dim, size=p, replace=False)
     vals = _sphere_direction(p, rng)
-    return scipy.sparse.csc_matrix(
-        (vals, (idx, np.zeros(p, dtype=np.int64))), shape=(dim, 1)
-    )
+    order = np.argsort(idx)
+    return idx[order], vals[order]
+
+
+def _minus_outer(keys, vals, n: int, rows, r, cols, c):
+    """A - 2 r c' for sparse A, given as sorted keys row * n + column and
+    values, and r and c given by their nonzeros; exact zeros are dropped."""
+    new = (rows[:, None] * n + cols).ravel()
+    keys = np.concatenate((keys, new))
+    vals = np.concatenate((vals, -(2.0 * (r[:, None] * c)).ravel()))
+    # two sorted runs; a stable sort puts A's entry ahead of its update
+    order = np.argsort(keys, kind="stable")
+    keys, vals = keys[order], vals[order]
+    both = np.flatnonzero(keys[1:] == keys[:-1])
+    vals[both] += vals[both + 1]
+    keep = vals != 0
+    keep[both + 1] = False
+    return keys[keep], vals[keep]
 
 
 def gen_quadratic(spec: ProblemSpec):
@@ -149,8 +162,9 @@ def gen_huber(spec: ProblemSpec):
     random reflections, so the curvature matrix (1/mu) A'A has eigenvalues
     (lam1, lam2, 1, ..., 1) plus n - m zeros when m < n.  With ``sparsity``
     set, reflection directions have that many nonzeros and the data matrix
-    stays sparse.  Offsets are consistent (b = A x_star), so the optimal
-    value is exactly 0.
+    stays sparse: a :class:`~volcd.linalg.CsrMatrix`, reflected on index
+    arrays.  Offsets are consistent (b = A x_star), so the optimal value is
+    exactly 0.
 
     Returns ``(objective, x_star, f_star)``.
     """
@@ -173,17 +187,30 @@ def gen_huber(spec: ProblemSpec):
             a -= 2.0 * np.outer(u, u @ a)
             a -= 2.0 * np.outer(a @ v, v)
     else:
-        import scipy.sparse
-
-        a = scipy.sparse.diags(diag, shape=(m, n), format="csr")
+        # A's entries as sorted keys row * n + column, starting on the diagonal
+        keys, vals = np.arange(k) * (n + 1), diag
         for _ in range(spec.reflections):
-            u = _sparse_direction(m, spec.sparsity, rng)
-            v = _sparse_direction(n, spec.sparsity, rng)
-            a = (a - 2.0 * (u @ (u.T @ a))).tocsr()
-            a = (a - 2.0 * ((a @ v) @ v.T)).tocsr()
+            ui, u = _sparse_direction(m, spec.sparsity, rng)
+            vi, v = _sparse_direction(n, spec.sparsity, rng)
+            # A - 2 u (u'A): t = u'A adds each column's terms in row order
+            rows, cols = np.divmod(keys, n)
+            weight = np.zeros(m)
+            weight[ui] = u
+            t = np.bincount(cols, weights=vals * weight[rows], minlength=n)
+            tj = np.flatnonzero(t)
+            keys, vals = _minus_outer(keys, vals, n, ui, u, tj, t[tj])
+            # A - 2 (Av) v': s = Av adds each row's terms in column order
+            rows, cols = np.divmod(keys, n)
+            weight = np.zeros(n)
+            weight[vi] = v
+            s = np.bincount(rows, weights=vals * weight[cols], minlength=m)
+            si = np.flatnonzero(s)
+            keys, vals = _minus_outer(keys, vals, n, si, s[si], vi, v)
+        rows, cols = np.divmod(keys, n)
+        a = CsrMatrix((m, n), rows.searchsorted(np.arange(m + 1)), cols, vals)
 
     x_star = rng.generator.uniform(-1.0, 1.0, size=n)
-    b = np.asarray(a @ x_star).ravel()
+    b = a @ x_star
     obj = SeparableObjective(a, b, HuberLoss(spec.mu))
     return obj, x_star, 0.0
 
@@ -200,7 +227,8 @@ def generate(spec: ProblemSpec):
 
 
 def read_libsvm(path):
-    """Parse a LIBSVM text file into (csr data matrix, labels in {-1, +1}).
+    """Parse a LIBSVM text file into (:class:`~volcd.linalg.CsrMatrix` data
+    matrix, labels in {-1, +1}).
 
     Lines look like ``label idx:val idx:val ...`` with 1-based feature
     indices.  Exactly two distinct labels are allowed; the smaller maps to
@@ -252,12 +280,7 @@ def read_libsvm(path):
         y = np.where(y == uniq[0], -1.0, 1.0)
     elif uniq[0] not in (-1.0, 1.0):
         raise ParseError(f"single label value {uniq[0]} is not interpretable")
-    import scipy.sparse
-
-    a = scipy.sparse.csr_matrix(
-        (data, indices, indptr), shape=(len(labels), n)
-    )
-    return a, y
+    return CsrMatrix((len(labels), n), indptr, indices, data), y
 
 
 def load_libsvm(path, gamma: float = 1.0):
@@ -286,6 +309,8 @@ def reference_min(
     definite curvature matrix (e.g. any ridge weight > 0): the bound-
     minimizing full-gradient iteration x <- x - B^{-1} grad f(x) then
     converges deterministically and runs until the gradient norm is tiny.
+    B is densified, sparse or not, and factored once by numpy's Cholesky; a
+    B that is not positive definite raises :class:`NumericError`.
     ``b`` is that curvature matrix when the caller has already built it;
     by default it is built here.
     """
@@ -300,22 +325,19 @@ def reference_min(
             )
         return float(obj.value(x_star))
 
-    import scipy.linalg
-    import scipy.sparse.linalg
-
     if b is None:
         b = obj.curvature_matrix()
     try:
-        if isinstance(b, CsrSymmetricUpper):
-            solve = scipy.sparse.linalg.factorized(b.to_scipy().tocsc())
-        else:
-            cho = scipy.linalg.cho_factor(b, check_finite=False)
-            solve = lambda g: scipy.linalg.cho_solve(cho, g, check_finite=False)
-    except (scipy.linalg.LinAlgError, RuntimeError) as exc:
+        chol = np.linalg.cholesky(as_dense(b))
+    except np.linalg.LinAlgError as exc:
         raise NumericError(
-            "curvature matrix is singular; the reference solve needs a "
-            "strongly convex objective (any ridge weight > 0) or a quadratic"
+            "curvature matrix is not positive definite; the reference solve "
+            "needs a strongly convex objective (any ridge weight > 0) or a "
+            "quadratic"
         ) from exc
+    # B^-1 = W'W with W = L^-1: the iteration's fixed point is grad f = 0
+    # whatever the rounding of W, so it only preconditions the steps
+    inv_chol = np.linalg.inv(chol)
 
     x = np.zeros(obj.n)
     for _ in range(max_iters):
@@ -323,7 +345,7 @@ def reference_min(
         gnorm = float(np.linalg.norm(g))
         if gnorm <= grad_tol:
             return float(obj.value(x))
-        x = x - solve(g)
+        x = x - inv_chol.T @ (inv_chol @ g)
     raise NumericError(
         f"reference solve did not reach gradient norm {grad_tol:g} in "
         f"{max_iters} iterations (achieved {gnorm:.3e})"

@@ -114,6 +114,40 @@ def test_capped_runs_flagged_and_excluded():
     assert np.isnan(rcd.median_it)
 
 
+def test_diverged_runs_are_not_blamed_on_the_iteration_cap(monkeypatch):
+    # a run whose value turns non-finite stops early and is reported capped;
+    # the warning names that cause apart from real cap hits
+    from dataclasses import replace
+
+    solver_run = benchmark.run
+    calls = []
+
+    def run_diverging_sdna(obj, b, cfg):
+        report = solver_run(obj, b, cfg)
+        if cfg.method == "sdna":
+            calls.append(cfg.seed)
+            if len(calls) % 3 != 1:  # two of three repetitions diverge
+                return replace(report, final_value=float("nan"), capped=True)
+        return report
+
+    monkeypatch.setattr(benchmark, "run", run_diverging_sdna)
+    with pytest.warns(UserWarning) as record:
+        t = run_experiment(small_config())
+    messages = [str(w.message) for w in record]
+    assert messages == [
+        "sdna:2: 2/3 repetitions diverged to a non-finite value "
+        "and are excluded from the medians"
+    ]
+    sdna = next(r for r in t.rows if r.method == "sdna")
+    assert sdna.capped == 2
+
+    monkeypatch.setattr(benchmark, "run", solver_run)
+    with pytest.warns(UserWarning) as record:
+        run_experiment(small_config(max_updates=20))
+    assert all("iteration cap" in str(w.message) and "diverged" not in str(w.message)
+               for w in record)
+
+
 def test_emit_csv_shape(table):
     text = emit_table(table, "csv")
     lines = text.strip().splitlines()

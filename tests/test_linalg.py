@@ -7,6 +7,7 @@ import scipy.sparse
 
 from volcd.errors import ParseError, SingularSubmatrix, ZeroDiagonalNonzeroRow
 from volcd.linalg import (
+    CsrMatrix,
     CsrSymmetricUpper,
     add_to_diagonal,
     adjugate,
@@ -20,6 +21,7 @@ from volcd.linalg import (
     save_triples,
     spd_solve,
 )
+from volcd.objectives import QuadraticObjective
 
 TRIDIAG = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
 
@@ -170,13 +172,159 @@ def test_add_to_diagonal_matches_scipy_sum():
     ]
     for csr in csrs:
         expected = CsrSymmetricUpper.from_scipy(
-            csr.to_scipy() + 0.5 * scipy.sparse.identity(csr.n)
+            _scipy_full(csr) + 0.5 * scipy.sparse.identity(csr.n)
         )
         got = add_to_diagonal(csr, 0.5)
         assert isinstance(got, CsrSymmetricUpper)
-        for name in ("indptr", "indices", "values"):
-            assert np.array_equal(getattr(got, name), getattr(expected, name))
+        _assert_same_upper(got, expected)
         assert (np.diff(got.indptr) > 0).all()
+
+
+# ---------------------------------------------------------------------------
+# numpy CSR kernels, bitwise against scipy oracles
+
+
+def _scipy_full(csr):
+    """The full symmetric scipy matrix of a CsrSymmetricUpper, built from its
+    upper triangle by scipy alone."""
+    rows = np.repeat(np.arange(csr.n), np.diff(csr.indptr))
+    upper = scipy.sparse.coo_matrix((csr.values, (rows, csr.indices)), shape=csr.shape)
+    off = rows != csr.indices
+    lower = scipy.sparse.coo_matrix(
+        (csr.values[off], (csr.indices[off], rows[off])), shape=csr.shape
+    )
+    return (upper + lower).tocsr()
+
+
+def _assert_same_upper(got, expected):
+    assert got.n == expected.n
+    for name in ("indptr", "indices", "values"):
+        assert getattr(got, name).dtype == getattr(expected, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
+def _assert_same_csr(got, expected):
+    """A CsrMatrix against a canonical scipy matrix: equal arrays, bitwise
+    data, intp indices."""
+    assert got.shape == expected.shape
+    assert got.indptr.dtype == got.indices.dtype == np.intp
+    assert np.array_equal(got.indptr, expected.indptr)
+    assert np.array_equal(got.indices, expected.indices)
+    assert got.data.dtype == np.float64
+    assert got.data.tobytes() == expected.data.astype(np.float64).tobytes()
+
+
+def _sparse_cases():
+    """scipy CSR data matrices: random ones with an empty row and an empty
+    column, an all-zero one, and one stored with unsorted rows, a repeated
+    entry and empty rows."""
+    cases = []
+    shapes = [(30, 12, 0.3), (12, 30, 0.1), (40, 40, 0.05), (7, 5, 0.9), (1, 1, 1.0)]
+    for seed, (m, n, density) in enumerate(shapes):
+        rng = np.random.default_rng(seed)
+        d = np.where(rng.random((m, n)) < density, rng.standard_normal((m, n)), 0.0)
+        if m > 2 and n > 2:
+            d[1] = 0.0
+            d[:, 2] = 0.0
+        cases.append(scipy.sparse.csr_matrix(d))
+    cases.append(scipy.sparse.csr_matrix((6, 4)))
+    # row 0 unsorted, row 2 unsorted with column 1 twice, rows 1 and 3 empty
+    cases.append(scipy.sparse.csr_matrix((
+        np.array([0.5, -1.25, 2.0, 0.75, 3.0, -0.5, 1.5]),
+        np.array([3, 0, 2, 1, 1, 0, 3]),
+        np.array([0, 3, 3, 6, 6, 7]),
+    ), shape=(5, 4)))
+    return cases
+
+
+def _canonical(sp):
+    canon = sp.copy()
+    canon.sum_duplicates()  # sorts each row and adds repeats
+    return canon
+
+
+def test_csr_matrix_arrays_and_products_match_scipy():
+    rng = np.random.default_rng(21)
+    for sp in _sparse_cases():
+        m, n = sp.shape
+        a = CsrMatrix.from_scipy(sp)
+        canon = _canonical(sp)
+        _assert_same_csr(a, canon)
+        assert a.toarray().tobytes() == canon.toarray().tobytes()
+        x, w = rng.standard_normal(n), rng.standard_normal(m)
+        assert (a @ x).tobytes() == (canon @ x).tobytes()
+        assert a.rmatvec(w).tobytes() == (canon.T @ w).tobytes()
+
+
+def test_csr_matrix_sums_repeated_entries_in_float64():
+    sp = _sparse_cases()[-1]
+    a = CsrMatrix.from_scipy(sp.astype(np.float32))
+    assert a.data.dtype == np.float64
+    assert np.array_equal(a.toarray(), sp.toarray())
+    assert a.toarray()[2, 1] == 3.75
+    with pytest.raises(ValueError, match="length 4"):
+        a @ np.zeros(5)
+
+
+def test_csr_gram_matches_scipy():
+    cases = _sparse_cases()
+    pairs = [int((np.diff(c.indptr) * (np.diff(c.indptr) + 1) // 2).sum()) for c in cases]
+    # both accumulators run: dense where n * n is at most the pair count
+    assert {c.shape[1] ** 2 <= p for c, p in zip(cases, pairs)} == {True, False}
+    for sp in cases:
+        a, canon = CsrMatrix.from_scipy(sp), _canonical(sp)
+        for scale in (1.0, 0.25, 1.0 / 0.3):
+            expected = CsrSymmetricUpper.from_scipy(scale * (canon.T @ canon))
+            _assert_same_upper(a.gram(scale), expected)
+
+
+def test_csr_columns_match_scipy_csc():
+    for sp in _sparse_cases():
+        csc = scipy.sparse.csc_matrix(_canonical(sp))
+        indptr, rows, data = CsrMatrix.from_scipy(sp).columns()
+        assert indptr.dtype == rows.dtype == np.intp
+        assert np.array_equal(indptr, csc.indptr)
+        assert np.array_equal(rows, csc.indices)
+        assert data.tobytes() == csc.data.tobytes()
+
+
+def _symmetric_cases():
+    """Dense PSD matrices, with zero-diagonal (empty) rows among them."""
+    out = [TRIDIAG, np.zeros((3, 3)), np.diag([0.0, 2.0, 0.0])]
+    for sp in _sparse_cases():
+        canon = _canonical(sp)
+        out.append((canon.T @ canon).toarray())
+    return out
+
+
+def test_from_dense_and_add_to_diagonal_match_scipy():
+    for dense in _symmetric_cases():
+        csr = CsrSymmetricUpper.from_dense(dense)
+        expected = CsrSymmetricUpper.from_scipy(scipy.sparse.csr_matrix(as_symmetric(dense)))
+        _assert_same_upper(csr, expected)
+        for c in (0.5, 1.0 / 3.0):
+            _assert_same_upper(
+                add_to_diagonal(csr, c),
+                CsrSymmetricUpper.from_scipy(
+                    _scipy_full(csr) + c * scipy.sparse.identity(csr.n)
+                ),
+            )
+
+
+def test_full_operator_and_its_products_match_scipy():
+    rng = np.random.default_rng(22)
+    csrs = [CsrSymmetricUpper.from_dense(d) for d in _symmetric_cases()]
+    # a stored off-diagonal zero, which the full operator leaves out
+    csrs.append(CsrSymmetricUpper.from_rows(3, [([0, 2], [2.0, 0.0]), ([], []), ([2], [1.0])]))
+    for csr in csrs:
+        expected = _scipy_full(csr)
+        for full in (csr.full(), QuadraticObjective(csr, np.zeros(csr.n))._operator()):
+            _assert_same_csr(full, expected)
+            x = rng.standard_normal(csr.n)
+            assert (full @ x).tobytes() == (expected @ x).tobytes()
+        bridged = csr.to_scipy()
+        assert np.array_equal(bridged.indices, expected.indices)
+        assert bridged.data.tobytes() == expected.data.tobytes()
 
 
 def test_pseudo_solve_zero_block():

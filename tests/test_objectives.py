@@ -434,3 +434,52 @@ def test_smoothed_losses_refuse_a_mu_with_an_infinite_reciprocal():
         with pytest.raises(ValueError, match="finite reciprocal"):
             make(1e-320)
         assert make(1e-300).smoothness == 1.0 / 1e-300
+
+
+# ---------------------------------------------------------------------------
+# sparse input is kept as canonical float64 CSR
+
+
+def _rcd_run(obj, steps=50):
+    from volcd.solvers import SolverConfig, run
+
+    return run(obj, obj.curvature_matrix(),
+               SolverConfig(method="rcd", tau=1, max_iters=steps, seed=3))
+
+
+def test_repeated_sparse_entries_step_as_their_sum():
+    # entry (1, 2) is stored as two repeats, 0.5 + 1.0; a column's rows were
+    # once scattered with put, which wrote row 1 once and lost the other
+    # repeat, so the maintained value left the objective
+    repeated = scipy.sparse.csr_matrix((
+        np.array([2.0, -1.0, 0.5, 1.0, 1.5, 3.0, 1.0, -2.0]),
+        np.array([0, 2, 2, 2, 0, 1, 1, 2]),
+        np.array([0, 2, 5, 7, 8]),
+    ), shape=(4, 3))
+    summed = repeated.copy()
+    summed.sum_duplicates()
+    offsets = np.array([1.0, -2.0, 0.5, 3.0])
+    rep = _rcd_run(SeparableObjective(repeated, offsets, SquareLoss()))
+    ref = _rcd_run(SeparableObjective(summed, offsets, SquareLoss()))
+    assert rep.final_value == pytest.approx(
+        SeparableObjective(summed, offsets, SquareLoss()).value(rep.x_final), rel=1e-12
+    )
+    assert rep.x_final.tobytes() == ref.x_final.tobytes()
+    assert rep.trace == ref.trace
+
+
+def test_float32_sparse_input_steps_in_float64():
+    # float32 column values times a float step stayed float32, and the
+    # maintained value drifted from a recomputation by 1e-8
+    single = scipy.sparse.random(20, 8, density=0.4, random_state=11, format="csr",
+                                 dtype=np.float32)
+    double = single.astype(np.float64)
+    offsets = np.random.default_rng(11).standard_normal(20)
+    obj = SeparableObjective(single, offsets, HuberLoss(0.3))
+    assert obj.a.data.dtype == np.float64
+    assert obj._columns()[0][0].dtype == np.intp
+    rep = _rcd_run(obj, 200)
+    ref = _rcd_run(SeparableObjective(double, offsets, HuberLoss(0.3)), 200)
+    assert rep.x_final.tobytes() == ref.x_final.tobytes()
+    assert rep.trace == ref.trace
+    assert rep.final_value == pytest.approx(obj.value(rep.x_final), rel=1e-13)

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import re
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import volcd
@@ -38,34 +40,68 @@ def test_readme_python_blocks_run():
         exec(compile(block, str(readme), "exec"), namespace)
 
 
-_DENSE_RUN = """
+# prints the exit code, the scipy modules loaded and whether numpy.ma is
+_RUN = """
 import sys
 import volcd, volcd.cli
-code = volcd.cli.main(["run", "--kind", "quadratic", "--n", "30", "--methods",
-                       "rcdvs:2,rcdvs:3,sdna:2,sdna:3", "--epsilon", "0.01",
-                       "--repetitions", "2", "--output", "json", "--out", sys.argv[1]])
+code = volcd.cli.main(sys.argv[1:])
 print(code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 print("numpy.ma" in sys.modules)
 """
 
+_OUTPUT = ["--epsilon", "0.01", "--repetitions", "2", "--output", "json"]
 
-def test_dense_run_never_imports_scipy(tmp_path):
-    # scipy is imported where CSR storage, a reference solve of a
-    # non-quadratic problem or a step of four or more coordinates needs it;
-    # a dense quadratic run with steps of one to three coordinates needs none
+
+def _run_loads(tmp_path, args):
+    """Run ``volcd run <args>`` in a fresh interpreter; its exit code, the
+    scipy modules it loaded, and whether it loaded numpy.ma."""
     src = str(Path(volcd.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _DENSE_RUN, str(tmp_path / "table.json")],
+        [sys.executable, "-c", _RUN, "run", *args, *_OUTPUT,
+         "--out", str(tmp_path / "table.json")],
         capture_output=True, text=True, check=True, env=env,
     )
     first, masked = proc.stdout.strip().rsplit("\n", 1)
     code, loaded = first.split(None, 1)
-    assert code == "0"
-    assert loaded.strip() == "[]"
+    return code, loaded.strip(), masked
+
+
+def test_dense_run_never_imports_scipy(tmp_path):
+    # scipy is imported only for a step of four or more coordinates (LAPACK's
+    # Cholesky), a banded test matrix and the scipy bridges; a dense
+    # quadratic run with steps of one to three coordinates needs none
+    args = ["--kind", "quadratic", "--n", "30", "--methods", "rcdvs:2,rcdvs:3,sdna:2,sdna:3"]
     # np.median imports numpy.ma, 10-15 ms a process; the medians do without
-    assert masked == "False"
+    assert _run_loads(tmp_path, args) == ("0", "[]", "False")
+
+
+def _write_libsvm(path):
+    gen = np.random.default_rng(5)
+    x = np.where(gen.random((60, 8)) < 0.4, gen.standard_normal((60, 8)), 0.0)
+    y = np.where(x @ gen.standard_normal(8) > 0.0, "+1", "-1")
+    path.write_text("".join(
+        label + "".join(f" {j + 1}:{row[j]!r}" for j in np.flatnonzero(row).tolist()) + "\n"
+        for label, row in zip(y.tolist(), x.tolist())
+    ))
+
+
+@pytest.mark.parametrize("source", ["huber", "libsvm"])
+def test_sparse_run_never_imports_scipy(tmp_path, source):
+    # the CSR data matrix, its gram and columns, the LIBSVM parse and the
+    # reference optimum are numpy alone
+    if source == "huber":
+        args = ["--kind", "huber", "--n", "30", "--m", "60", "--sparsity", "3"]
+    else:
+        _write_libsvm(tmp_path / "data.svm")
+        args = ["--dataset", str(tmp_path / "data.svm"), "--gamma", "0.5"]
+    args += ["--methods", "rcdvs:2,sdna:2", "--max-updates", "20000"]
+    assert _run_loads(tmp_path, args) == ("0", "[]", "False")
+    table = json.loads((tmp_path / "table.json").read_text(encoding="utf-8"))
+    assert [(r["method"], r["tau"]) for r in table["rows"]] == [
+        ("rcd", 1), ("rcdvs", 2), ("sdna", 2)
+    ]
 
 
 def test_solvers_reads_no_private_attribute():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volcd.errors import ConfigError, ParseError, UnboundedLevelSet
+from volcd.errors import ConfigError, NumericError, ParseError, UnboundedLevelSet
 from volcd.linalg import CsrSymmetricUpper, eigendecompose
 from volcd.objectives import QuadraticObjective, RegularizedObjective
 from volcd.problems import (
@@ -110,6 +110,50 @@ def test_huber_sparsity_one_keeps_matrix_diagonal():
     assert np.count_nonzero(a - np.diag(np.diag(a))) == 0
 
 
+def _scipy_huber_matrix(spec):
+    """gen_huber's sparse data matrix as scipy's sparse products build it,
+    from the same draws, with its rows sorted."""
+    import scipy.sparse
+
+    from volcd.rng import RngStream
+
+    rng = RngStream(spec.seed)
+    m, n, p = spec.m, spec.n, spec.sparsity
+    diag = np.sqrt(spec.mu * spec.eigenvalues()[: min(m, n)])
+    a = scipy.sparse.diags(diag, shape=(m, n), format="csr")
+
+    def direction(dim):
+        idx = rng.generator.choice(dim, size=p, replace=False)
+        u = rng.standard_normal(p)
+        u = u / np.linalg.norm(u)
+        return scipy.sparse.csc_matrix((u, (idx, np.zeros(p, dtype=np.int64))), shape=(dim, 1))
+
+    for _ in range(spec.reflections):
+        u, v = direction(m), direction(n)
+        a = (a - 2.0 * (u @ (u.T @ a))).tocsr()
+        a = (a - 2.0 * ((a @ v) @ v.T)).tocsr()
+    a.sort_indices()
+    return a
+
+
+@pytest.mark.parametrize("shape", [(500, 200, 10, 0), (90, 60, 6, 1), (40, 70, 5, 2),
+                                   (30, 30, 1, 3), (25, 20, 20, 4)])
+def test_sparse_huber_matrix_matches_the_scipy_construction(shape):
+    # the declared difference: scipy leaves rows unsorted after a reflection
+    # and its A v sums them in that order, while the numpy reflections sum
+    # each row in column order; the pattern stays and entries agree to 1e-15
+    m, n, sparsity, seed = shape
+    spec = ProblemSpec(kind="huber", n=n, m=m, sparsity=sparsity, seed=seed)
+    obj, x_star, _ = gen_huber(spec)
+    expected = _scipy_huber_matrix(spec)
+    assert obj.a.indices.dtype == np.intp
+    assert np.array_equal(obj.a.indptr, expected.indptr)
+    assert np.array_equal(obj.a.indices, expected.indices)
+    top = np.abs(expected.data).max()
+    assert np.abs(obj.a.data - expected.data).max() <= 1e-15 * top
+    assert obj.b.tobytes() == (obj.a @ x_star).tobytes()
+
+
 def test_huber_sparsity_bounds_checked():
     spec = ProblemSpec(kind="huber", n=6, m=4, seed=0, sparsity=5)
     with pytest.raises(ConfigError):
@@ -144,6 +188,32 @@ def test_libsvm_single_line(tmp_path):
     assert a.shape == (1, 1)
     assert y.tolist() == [1.0]
     assert a.toarray().tolist() == [[0.5]]
+
+
+def test_libsvm_arrays_match_scipy(tmp_path):
+    import scipy.sparse
+
+    rng = np.random.default_rng(13)
+    lines, indptr, indices, data = [], [0], [], []
+    for i in range(25):
+        cols = np.flatnonzero(rng.random(9) < 0.4)  # some rows stay empty
+        vals = rng.standard_normal(cols.size)
+        lines.append(("+1" if i % 3 else "-1")
+                     + "".join(f" {j + 1}:{v!r}" for j, v in zip(cols.tolist(), vals.tolist()))
+                     + "\n")
+        indices += cols.tolist()
+        data += vals.tolist()
+        indptr.append(len(indices))
+    path = tmp_path / "rows.svm"
+    path.write_text("".join(lines))
+    a, y = read_libsvm(path)
+    expected = scipy.sparse.csr_matrix((data, indices, indptr), shape=(25, max(indices) + 1))
+    assert a.shape == expected.shape
+    assert a.indptr.dtype == a.indices.dtype == np.intp
+    assert np.array_equal(a.indptr, expected.indptr)
+    assert np.array_equal(a.indices, expected.indices)
+    assert a.data.tobytes() == expected.data.tobytes()
+    assert y.tolist() == [1.0 if i % 3 else -1.0 for i in range(25)]
 
 
 def test_libsvm_label_mapping(tmp_path):
@@ -239,6 +309,18 @@ def test_reference_min_lower_bounds_function_values(tmp_path):
     rng = np.random.default_rng(11)
     for _ in range(100):
         assert f_star <= obj.value(rng.standard_normal(obj.n) * 3) + 1e-12
+
+
+def test_reference_min_refuses_a_curvature_that_is_not_positive_definite(tmp_path):
+    # feature 2 never occurs, so without a ridge B has a zero row
+    path = tmp_path / "gap.svm"
+    path.write_text("+1 1:1 3:0.5\n-1 1:0.5\n")
+    with pytest.raises(NumericError, match="not positive definite"):
+        reference_min(load_libsvm(path, gamma=0.0))
+    obj = load_libsvm(path, gamma=0.5)
+    b = obj.curvature_matrix()
+    assert isinstance(b, CsrSymmetricUpper)
+    assert reference_min(obj) == reference_min(obj, b=b.to_dense())
 
 
 # ---------------------------------------------------------------------------
