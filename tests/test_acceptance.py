@@ -405,16 +405,19 @@ print(json.dumps({"preprocess": [best[n] for n in sizes], "latency": latency}))
 
 
 def test_criterion_9_sparse_sampler_complexity():
-    # Timed in a fresh interpreter with glibc's mmap threshold pinned: the
-    # dynamic threshold otherwise parks itself at the largest array size and
-    # adds a page-fault cycle to every call at that size only, swamping the
-    # O(nnz) work under study with allocator noise.
+    # Timed in a fresh interpreter with glibc's mmap and trim thresholds
+    # pinned: the dynamic mmap threshold otherwise parks itself at the
+    # largest array size and adds a page-fault cycle to every call at that
+    # size only.  Pinning it alone leaves the trim threshold at 128 KiB, so
+    # the freed top of the heap goes back to the system and faults in again
+    # on a later call, at whichever sizes the heap's layout puts there.
+    # Either swamps the O(nnz) work under study with allocator noise.
     import json
     import subprocess
     import sys
 
     env = dict(os.environ)
-    env["MALLOC_MMAP_THRESHOLD_"] = str(64 * 1024 * 1024)
+    env["MALLOC_MMAP_THRESHOLD_"] = env["MALLOC_TRIM_THRESHOLD_"] = str(64 * 1024 * 1024)
     proc = subprocess.run(
         [sys.executable, "-c", _TIMING_SCRIPT],
         capture_output=True,
