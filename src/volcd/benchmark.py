@@ -125,8 +125,10 @@ def _cached_reference_min(config: ExperimentConfig, obj, b) -> float:
     """Reference optimum for a dataset problem, cached next to the file.
 
     The sidecar is keyed by the dataset content hash and the ridge weight so
-    repetitions (and repeat runs) share one reference solve.  ``b`` is the
-    objective's curvature matrix, which a cold sidecar's solve reuses.
+    repetitions (and repeat runs) share one reference solve.  Any other
+    sidecar, or one without a finite ``f_star``, is solved again and
+    rewritten; ``b`` is the objective's curvature matrix, which that solve
+    reuses.
     """
     digest = hashlib.sha256()
     with open(config.dataset, "rb") as fh:
@@ -137,9 +139,12 @@ def _cached_reference_min(config: ExperimentConfig, obj, b) -> float:
         try:
             with open(sidecar, "r", encoding="utf-8") as fh:
                 payload = json.load(fh)
-            if payload.get("key") == key:
-                return float(payload["f_star"])
-        except (ValueError, KeyError):
+            if isinstance(payload, dict) and payload.get("key") == key:
+                f_star = payload.get("f_star")
+                # json's true and false load as bool, a subclass of int
+                if type(f_star) in (int, float) and math.isfinite(f_star):
+                    return float(f_star)
+        except (ValueError, OverflowError):
             pass
     f_star = reference_min(obj, b=b)
     try:

@@ -19,7 +19,8 @@ class CombinatorialBlowup(VolcdError):
 
 
 class ZeroDiagonalNonzeroRow(VolcdError):
-    """A sparse symmetric row stores off-diagonal entries but no positive diagonal."""
+    """A sparse symmetric matrix stores an entry beside a zero diagonal:
+    another entry in its row, or a nonzero one in its column."""
 
 
 class DegenerateApprox(VolcdError):

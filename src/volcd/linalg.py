@@ -8,11 +8,12 @@ matrix A is a :class:`CsrMatrix`, which multiplies vectors, hands out its
 columns and builds the upper triangle of scale * A'A; its kernels are numpy
 ``bincount`` sums, bitwise scipy's CSR kernels.
 
-Only this module reads the storage of a curvature matrix B.  Other modules
-may pick an algorithm by storage (the sparse pair sampler, the sparse solver
-states), but they read B through ``shape``, ``diagonal()`` and
-``item(i, j)``, which both storages provide, gather blocks with
-:func:`gather_submatrix`, and densify it only with :func:`as_dense`.
+Other modules may pick an algorithm by storage (the sparse pair sampler,
+the sparse solver states).  They read B through ``shape``, ``diagonal()``
+and ``item(i, j)``, which both storages provide, gather blocks with
+:func:`gather_submatrix`, and densify it only with :func:`as_dense`.  The
+one exception is ``sampling.SparseTwoSampler``, which walks the
+``indptr``, ``indices`` and ``values`` of a :class:`CsrSymmetricUpper`.
 
 scipy is imported only inside the functions that call it: the LAPACK
 Cholesky of :func:`spd_solve` (steps of four or more coordinates) and the
@@ -65,6 +66,8 @@ __all__ = [
 
 # Principal minors below this times (max diagonal) ** tau count as exactly 0.
 _DET_CLAMP = 1e-14
+# Asymmetry above this, relative to the largest entry, rejects a matrix.
+_SYMMETRY_TOL = 1e-10
 
 
 def minor_threshold(diag_max: float, tau: int) -> float:
@@ -81,10 +84,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.T)
 
 
-def as_symmetric(a, tol: float = 1e-10) -> np.ndarray:
+def as_symmetric(a) -> np.ndarray:
     """Validate that ``a`` is a square, finite, symmetric matrix.
 
-    Asymmetry above ``tol`` (relative to the largest entry) is an error;
+    Asymmetry above 1e-10 (relative to the largest entry) is an error;
     below it, the matrix is symmetrized to remove roundoff.
     """
     a = np.asarray(a, dtype=float)
@@ -94,7 +97,7 @@ def as_symmetric(a, tol: float = 1e-10) -> np.ndarray:
         raise ValueError("matrix dimension must be at least 1")
     require_finite(a)
     scale = max(1.0, float(np.abs(a).max()))
-    if np.abs(a - a.T).max() > tol * scale:
+    if np.abs(a - a.T).max() > _SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
     return symmetrize(a)
 
@@ -134,10 +137,10 @@ class CsrSymmetricUpper:
 
     Row i keeps the column indices ``i <= j_1 < ... < j_r`` and values of its
     nonzeros at or to the right of the diagonal; the lower triangle is implied
-    by symmetry.  Whenever a row is nonempty its first stored entry must be
-    the diagonal with a nonnegative value: a positive-semidefinite matrix with
-    ``B[i, i] = 0`` has a zero row, so off-diagonal entries without a stored
-    positive diagonal are rejected with :class:`ZeroDiagonalNonzeroRow`.
+    by symmetry.  Diagonal values are nonnegative.  A positive-semidefinite
+    matrix with ``B[i, i] = 0`` has a zero row and column i, so where that
+    diagonal is absent or stored as 0.0, row i stores nothing else and column
+    i no nonzero; :class:`ZeroDiagonalNonzeroRow` is raised otherwise.
 
     The arrays follow the standard compressed-row convention: ``indptr`` has
     length n + 1, ``indices``/``values`` have length nnz.  Instances are
@@ -164,7 +167,7 @@ class CsrSymmetricUpper:
             raise ValueError("malformed indptr")
         if indices.shape != values.shape:
             raise ValueError("indices and values must have equal length")
-        if (np.diff(indptr) < 0).any():
+        if (indptr[1:] < indptr[:-1]).any():
             raise ValueError("indptr must be nondecreasing")
         if not np.isfinite(values).all():
             raise ValueError("values contain non-finite entries")
@@ -173,24 +176,19 @@ class CsrSymmetricUpper:
         rows = self._rows()
         if (indices < rows).any():
             raise ValueError("entries below the diagonal are not stored")
-        first = indptr[:-1][np.diff(indptr) > 0]
-        nonempty_rows = np.flatnonzero(np.diff(indptr) > 0)
-        # strictly increasing columns inside each row
-        interior = np.ones(indices.size, dtype=bool)
-        interior[first] = False
-        if indices.size > 1 and (np.diff(indices)[interior[1:]] <= 0).any():
+        if ((indices[1:] <= indices[:-1]) & (rows[1:] == rows[:-1])).any():
             raise ValueError("column indices must be strictly increasing per row")
-        if (indices[first] != nonempty_rows).any():
-            raise ZeroDiagonalNonzeroRow(
-                "nonempty row must store its diagonal entry first"
-            )
-        if (values[first] < 0).any():
+        # columns increase from the diagonal on, so a stored diagonal entry
+        # is its row's first
+        on_diag = indices == rows
+        if (values[on_diag] < 0).any():
             raise ValueError("diagonal values must be nonnegative")
-        row_len = np.diff(indptr)[nonempty_rows]
-        if ((values[first] == 0) & (row_len > 1)).any():
+        zero = np.ones(n, dtype=bool)
+        zero[indices[on_diag]] = values[on_diag] == 0
+        if (~on_diag & (zero[rows] | (values != 0) & zero[indices])).any():
             raise ZeroDiagonalNonzeroRow(
-                "zero diagonal with off-diagonal entries contradicts positive "
-                "semidefiniteness"
+                "a zero diagonal entry, stored or not, admits no other entry in "
+                "its row and no nonzero entry in its column"
             )
 
     @property
@@ -598,8 +596,10 @@ def _adjugate_cofactor(m: np.ndarray) -> np.ndarray:
 
 
 def _parse_triples(path):
-    entries = {}
-    n = 0
+    """The file's entries as 0-based ``(rows, cols, vals)`` arrays, sorted by
+    row, then column; an entry given twice keeps its last value."""
+    ij: list[tuple[int, int]] = []
+    vals: list[float] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -616,41 +616,33 @@ def _parse_triples(path):
                 raise ParseError(f"need 1 <= i <= j, got i={i} j={j}", line=lineno)
             if not np.isfinite(v):
                 raise ParseError(f"non-finite value {parts[2]!r}", line=lineno)
-            entries[(i - 1, j - 1)] = v
-            n = max(n, j)
-    if not entries:
+            ij.append((i - 1, j - 1))
+            vals.append(v)
+    if not ij:
         raise ParseError("no matrix entries found")
-    return n, entries
+    rows, cols = np.array(ij, dtype=np.int64).T
+    # the sort is stable, so of repeated entries the file's last comes last
+    order = np.lexsort((cols, rows))
+    rows, cols, vals = rows[order], cols[order], np.array(vals)[order]
+    last = np.append((rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1]), True)
+    return rows[last], cols[last], vals[last]
 
 
-def load_dense_triples(path, n: int | None = None) -> np.ndarray:
+def load_dense_triples(path) -> np.ndarray:
     """Load a dense symmetric matrix from the triple text format."""
-    n_seen, entries = _parse_triples(path)
-    n = n_seen if n is None else int(n)
+    rows, cols, vals = _parse_triples(path)
+    n = int(cols.max()) + 1
     a = np.zeros((n, n))
-    for (i, j), v in entries.items():
-        a[i, j] = v
-        a[j, i] = v
+    a[rows, cols] = vals
+    a[cols, rows] = vals
     return a
 
 
-def load_csr_triples(path, n: int | None = None) -> CsrSymmetricUpper:
+def load_csr_triples(path) -> CsrSymmetricUpper:
     """Load a :class:`CsrSymmetricUpper` from the triple text format."""
-    n_seen, entries = _parse_triples(path)
-    n = n_seen if n is None else int(n)
-    by_row: dict[int, list[tuple[int, float]]] = {}
-    for (i, j), v in sorted(entries.items()):
-        by_row.setdefault(i, []).append((j, v))
-    rows = []
-    for i in range(n):
-        row = by_row.get(i, [])
-        # make the structural diagonal explicit so validation can see it
-        if row and row[0][0] != i:
-            row = [(i, 0.0)] + row
-        cols = [c for c, _ in row]
-        vals = [v for _, v in row]
-        rows.append((cols, vals))
-    return CsrSymmetricUpper.from_rows(n, rows)
+    rows, cols, vals = _parse_triples(path)
+    n = int(cols.max()) + 1
+    return CsrSymmetricUpper(n, rows.searchsorted(np.arange(n + 1)), cols, vals)
 
 
 def format_triples(b) -> str:

@@ -2,7 +2,9 @@
 
 Sparse Huber problems and LIBSVM data are :class:`~volcd.linalg.CsrMatrix`
 data matrices, generated, parsed and solved for their reference optima with
-numpy alone; scipy is imported only by :func:`banded_psd`.
+numpy alone.  :func:`banded_psd` fills its band as one array and hands the
+stored part to :class:`~volcd.linalg.CsrSymmetricUpper`.  This module
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -299,9 +301,13 @@ def load_libsvm(path, gamma: float = 1.0):
 # Reference optimal values
 
 
-def reference_min(
-    obj, grad_tol: float = 1e-10, max_iters: int = 100_000, b=None
-) -> float:
+# The reference solve of a non-quadratic runs until the gradient norm is at
+# most this, or fails after this many iterations.
+_REFERENCE_GRAD_TOL = 1e-10
+_REFERENCE_MAX_ITERS = 100_000
+
+
+def reference_min(obj, b=None) -> float:
     """Optimal objective value, exact for quadratics, iterative otherwise.
 
     Quadratics use the minimum-norm stationary point; an inconsistent linear
@@ -340,15 +346,15 @@ def reference_min(
     inv_chol = np.linalg.inv(chol)
 
     x = np.zeros(obj.n)
-    for _ in range(max_iters):
+    for _ in range(_REFERENCE_MAX_ITERS):
         g = obj.gradient(x)
         gnorm = float(np.linalg.norm(g))
-        if gnorm <= grad_tol:
+        if gnorm <= _REFERENCE_GRAD_TOL:
             return float(obj.value(x))
         x = x - inv_chol.T @ (inv_chol @ g)
     raise NumericError(
-        f"reference solve did not reach gradient norm {grad_tol:g} in "
-        f"{max_iters} iterations (achieved {gnorm:.3e})"
+        f"reference solve did not reach gradient norm {_REFERENCE_GRAD_TOL:g} in "
+        f"{_REFERENCE_MAX_ITERS} iterations (achieved {gnorm:.3e})"
     )
 
 
@@ -363,29 +369,20 @@ def banded_psd(n: int, bandwidth: int, seed: int = 0) -> CsrSymmetricUpper:
     entry exceeds the absolute sum of its row, column included implicitly by
     symmetry.  nnz is about n * (bandwidth + 1).
     """
-    import scipy.sparse
-
     if bandwidth < 1 or bandwidth >= n:
         raise ValueError("need 1 <= bandwidth < n")
     rng = RngStream(seed)
-    rows = []
-    cols = []
-    vals = []
+    # row i of the band holds B[i, i + d] in column d; past the last column
+    # it holds zeros, which are not stored
+    band = np.zeros((n, bandwidth + 1))
     rowsum = np.zeros(n)
     for d in range(1, bandwidth + 1):
-        cnt = n - d
-        v = rng.standard_normal(cnt)
-        i = np.arange(cnt)
-        rows.append(i)
-        cols.append(i + d)
-        vals.append(v)
-        np.add.at(rowsum, i, np.abs(v))
-        np.add.at(rowsum, i + d, np.abs(v))
-    rows.append(np.arange(n))
-    cols.append(np.arange(n))
-    vals.append(rowsum + 1.0)
-    upper = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return CsrSymmetricUpper.from_scipy(upper)
+        v = rng.standard_normal(n - d)
+        band[: n - d, d] = v
+        rowsum[: n - d] += np.abs(v)
+        rowsum[d:] += np.abs(v)
+    band[:, 0] = rowsum + 1.0
+    keep = band != 0
+    cols = np.arange(n)[:, None] + np.arange(bandwidth + 1)
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return CsrSymmetricUpper(n, indptr, cols[keep], band[keep])

@@ -224,6 +224,29 @@ def test_dataset_curvature_matrix_built_once(tmp_path, monkeypatch):
     assert sidecar["f_star"] == reference_min(load_libsvm(str(path), gamma=cfg.gamma))
 
 
+@pytest.mark.parametrize("payload", [
+    [1, 2],
+    "text",
+    {"f_star": None},  # under the dataset's key
+    {"f_star": float("nan")},
+    {"f_star": True},
+], ids=["list", "string", "null", "nan", "bool"])
+def test_a_malformed_sidecar_is_solved_again_and_rewritten(tmp_path, payload):
+    # a sidecar that is valid JSON but no object, or holds no finite f_star,
+    # ended the run in an AttributeError or a TypeError
+    path = tmp_path / "toy.svm"
+    path.write_text("+1 1:1 2:0.5\n-1 1:0.5 3:1\n+1 2:1 3:-0.5\n")
+    cfg = ExperimentConfig(dataset=str(path), repetitions=1, epsilon=1e-3)
+    sidecar = tmp_path / "toy.svm.fstar.json"
+    run_experiment(cfg)
+    good = json.loads(sidecar.read_text())
+    if isinstance(payload, dict):
+        payload = {"key": good["key"], **payload}
+    sidecar.write_text(json.dumps(payload))
+    run_experiment(cfg)
+    assert json.loads(sidecar.read_text()) == good
+
+
 def test_huber_experiment_paths():
     # dense generator path
     dense_cfg = ExperimentConfig(

@@ -72,6 +72,16 @@ def test_theory_verb_prints_ratios(tmp_path, capsys):
     assert "2" in text  # R(1, 2) = 8 / 4
 
 
+def test_theory_loads_an_indefinite_file_densely(tmp_path, capsys):
+    # column 2 holds 0.5 above an absent diagonal: the sparse layout refuses
+    # the file, and the spectrum of [[1, 0.5], [0.5, 0]] prints all the same
+    out = tmp_path / "b.txt"
+    out.write_text("1 1 1.0\n1 2 0.5\n")
+    assert main(["theory", "--matrix", str(out), "--taus", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["n = 2", "eigenvalues (descending):", "  1.20711 -0.207107"]
+
+
 def test_theory_refuses_a_subset_size_that_does_not_parse(tmp_path, capsys, monkeypatch):
     out = tmp_path / "b.txt"
     save_triples(np.diag([4.0, 2.0, 1.0, 1.0]), out)

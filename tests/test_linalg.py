@@ -418,6 +418,22 @@ def test_csr_zero_diagonal_with_offdiag_rejected():
         CsrSymmetricUpper.from_rows(2, [([0, 1], [0.0, 1.0]), ([1], [2.0])])
 
 
+def test_csr_zero_diagonal_with_nonzero_above_it_rejected():
+    # [[1, 0.5], [0.5, 0]] is indefinite: its column 1 holds 0.5 above a
+    # diagonal that is absent or stored as 0.0
+    for indptr, indices, values in (
+        ([0, 2, 2], [0, 1], [1.0, 0.5]),
+        ([0, 2, 3], [0, 1, 1], [1.0, 0.5, 0.0]),
+    ):
+        with pytest.raises(ZeroDiagonalNonzeroRow):
+            CsrSymmetricUpper(2, indptr, indices, values)
+    with pytest.raises(ZeroDiagonalNonzeroRow):
+        CsrSymmetricUpper.from_dense([[1.0, 0.5], [0.5, 0.0]])
+    # a stored zero above a zero diagonal contradicts nothing
+    c = CsrSymmetricUpper(2, [0, 2, 2], [0, 1], [1.0, 0.0])
+    assert np.array_equal(c.to_dense(), np.diag([1.0, 0.0]))
+
+
 def test_csr_zero_rows_allowed():
     c = CsrSymmetricUpper.from_rows(3, [([0], [1.0]), ([], []), ([2], [2.0])])
     assert np.allclose(c.to_dense(), np.diag([1.0, 0.0, 2.0]))
@@ -486,6 +502,32 @@ def test_triple_loader_reports_line_numbers(tmp_path):
     with pytest.raises(ParseError) as err:
         load_csr_triples(path)
     assert err.value.line == 2
+
+
+def test_triple_loaders_sort_entries_and_keep_the_last_repeat(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("# B\n2 3 1.0\n3 3 4.0\n1 1 2.0\n\n2 2 9.0\n2 2 3.0\n1 3 0.0\n")
+    expected = np.array([[2.0, 0.0, 0.0], [0.0, 3.0, 1.0], [0.0, 1.0, 4.0]])
+    assert np.array_equal(load_dense_triples(path), expected)
+    c = load_csr_triples(path)
+    # the stored zero stays stored
+    assert c.indptr.tolist() == [0, 2, 4, 5]
+    assert c.indices.tolist() == [0, 2, 1, 2, 2]
+    assert c.values.tolist() == [2.0, 0.0, 3.0, 1.0, 4.0]
+
+
+@pytest.mark.parametrize("text", [
+    "1 2 0.5\n2 2 1.0\n",  # row 1 has no diagonal
+    "1 1 0.0\n1 2 0.5\n2 2 1.0\n",  # row 1's diagonal is 0
+    "1 1 1.0\n1 2 0.5\n",  # column 2 has no diagonal
+    "1 1 1.0\n1 2 0.5\n2 2 0.0\n",  # column 2's diagonal is 0
+])
+def test_csr_triple_loader_rejects_an_entry_beside_a_zero_diagonal(tmp_path, text):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ZeroDiagonalNonzeroRow):
+        load_csr_triples(path)
+    assert load_dense_triples(path).shape == (2, 2)
 
 
 def test_as_symmetric_rejects_asymmetry():

@@ -52,26 +52,29 @@ print("numpy.ma" in sys.modules)
 _OUTPUT = ["--epsilon", "0.01", "--repetitions", "2", "--output", "json"]
 
 
-def _run_loads(tmp_path, args):
-    """Run ``volcd run <args>`` in a fresh interpreter; its exit code, the
-    scipy modules it loaded, and whether it loaded numpy.ma."""
+def _fresh(script, *args):
+    """Run ``script`` with ``args`` in a fresh interpreter that imports this
+    volcd; its stdout."""
     src = str(Path(volcd.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", _RUN, "run", *args, *_OUTPUT,
-         "--out", str(tmp_path / "table.json")],
-        capture_output=True, text=True, check=True, env=env,
-    )
-    first, masked = proc.stdout.strip().rsplit("\n", 1)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, check=True, env=env).stdout
+
+
+def _run_loads(tmp_path, args):
+    """Run ``volcd run <args>`` in a fresh interpreter; its exit code, the
+    scipy modules it loaded, and whether it loaded numpy.ma."""
+    stdout = _fresh(_RUN, "run", *args, *_OUTPUT, "--out", str(tmp_path / "table.json"))
+    first, masked = stdout.strip().rsplit("\n", 1)
     code, loaded = first.split(None, 1)
     return code, loaded.strip(), masked
 
 
 def test_dense_run_never_imports_scipy(tmp_path):
     # scipy is imported only for a step of four or more coordinates (LAPACK's
-    # Cholesky), a banded test matrix and the scipy bridges; a dense
-    # quadratic run with steps of one to three coordinates needs none
+    # Cholesky) and the scipy bridges; a dense quadratic run with steps of
+    # one to three coordinates needs none
     args = ["--kind", "quadratic", "--n", "30", "--methods", "rcdvs:2,rcdvs:3,sdna:2,sdna:3"]
     # np.median imports numpy.ma, 10-15 ms a process; the medians do without
     assert _run_loads(tmp_path, args) == ("0", "[]", "False")
@@ -102,6 +105,24 @@ def test_sparse_run_never_imports_scipy(tmp_path, source):
     assert [(r["method"], r["tau"]) for r in table["rows"]] == [
         ("rcd", 1), ("rcdvs", 2), ("sdna", 2)
     ]
+
+
+_BUILD_SPARSE = """
+import sys
+from volcd.linalg import load_csr_triples
+from volcd.problems import banded_psd
+b = banded_psd(2000, 4)
+c = load_csr_triples(sys.argv[1])
+print(b.nnz, c.nnz, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_sparse_curvature_builders_never_import_scipy(tmp_path):
+    # banded_psd and the triple loader hand CsrSymmetricUpper its arrays
+    # directly, without scipy's COO matrix
+    path = tmp_path / "b.txt"
+    path.write_text("1 1 2.0\n1 3 -1.0\n3 3 2.0\n4 4 0\n")
+    assert _fresh(_BUILD_SPARSE, str(path)).split(None, 2) == ["9990", "4", "[]\n"]
 
 
 def test_solvers_reads_no_private_attribute():

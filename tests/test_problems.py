@@ -336,6 +336,46 @@ def test_banded_psd_structure_and_definiteness():
     assert b.nnz == 60 + sum(60 - d for d in range(1, 5))
 
 
+def _banded_psd_by_scipy(n, bandwidth, seed):
+    """banded_psd through scipy's COO matrix and from_scipy, with the same
+    draws: the oracle for the band-array build."""
+    import scipy.sparse
+
+    from volcd.rng import RngStream
+
+    rng = RngStream(seed)
+    rows, cols, vals = [], [], []
+    rowsum = np.zeros(n)
+    for d in range(1, bandwidth + 1):
+        v = rng.standard_normal(n - d)
+        i = np.arange(n - d)
+        rows.append(i)
+        cols.append(i + d)
+        vals.append(v)
+        np.add.at(rowsum, i, np.abs(v))
+        np.add.at(rowsum, i + d, np.abs(v))
+    rows.append(np.arange(n))
+    cols.append(np.arange(n))
+    vals.append(rowsum + 1.0)
+    upper = scipy.sparse.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+    return CsrSymmetricUpper.from_scipy(upper)
+
+
+# bandwidth n - 1 stops at n = 1000: at n = 10000 it stores 5e7 entries
+@pytest.mark.parametrize("n, bandwidth", [
+    (n, bw) for n in (2, 10, 50, 1000, 10000) for bw in sorted({1, 4, 9, n - 1})
+    if bw < n and (bw < 10 or n <= 1000)
+])
+def test_banded_psd_matches_the_scipy_construction_bitwise(n, bandwidth):
+    for seed in range(4):
+        got, expected = banded_psd(n, bandwidth, seed), _banded_psd_by_scipy(n, bandwidth, seed)
+        assert got.n == expected.n
+        for name in ("indptr", "indices", "values"):
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
 def test_dataset_curvature_spectrum_pipeline(tmp_path):
     # synthetic stand-in for the dataset spectral check: rows are coordinate
     # spikes, so the regularized curvature spectrum is known exactly and the
