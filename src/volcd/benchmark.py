@@ -71,6 +71,12 @@ class ExperimentConfig:
             raise ConfigError("seed must be nonnegative")
         if not self.methods:
             raise ConfigError("need at least one (method, tau) cell")
+        # a repeated cell would run twice per repetition, and print twice
+        seen = set()
+        for method, tau in self.methods:
+            if (method, tau) in seen:
+                raise ConfigError(f"method cell {method}:{tau} is listed twice")
+            seen.add((method, tau))
         if self.output not in _FORMATS:
             raise ConfigError(f"unknown output format {self.output!r}")
 

@@ -29,17 +29,18 @@ under a rowwise loss takes a fused step, bitwise the state's own methods;
 ``_column_step`` is the one column update of both.  A dense quadratic state
 on a sampled stream of subsets of one to three coordinates (rcd:1, rcdvs:1
 to rcdvs:3, sdna:1 to sdna:3) takes windowed steps, each window of steps one
-block lower-triangular solve; they agree with the per-step path to rounding
-(1e-10 relative in the tests, 1.5e-12 measured), not bitwise, and a
-diverging run stops where the per-step path stops.  Every other run, a dense
-quadratic one on forced subsets or at tau >= 4 included, steps through the
-state's public methods.
+block lower-triangular solve whose values before the last are yielded as
+one array; they agree with the per-step path to rounding (1e-10 relative in
+the tests, 1.5e-12 measured), not bitwise, and a diverging run stops where
+the per-step path stops.  Every other run, a dense quadratic one on forced
+subsets or at tau >= 4 included, steps through the state's public methods.
 """
 
 from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_left
 
 import numpy as np
 
@@ -64,6 +65,12 @@ REFRESH_INTERVAL = 10**6
 # Coordinates per window of a dense quadratic's windowed steps: a window
 # takes _WINDOW // tau subsets.
 _WINDOW = 48
+
+# Windows per slice of a batch, the subsets whose pivot tests, gathered
+# entries of B and value-decrease constants a dense quadratic's windowed
+# steps compute at once: a slice, not the whole batch, so that a short run
+# does not pay for subsets it never takes.
+_SLICE = 8
 
 # A window whose values pass this magnitude is not taken: near 1e308 the
 # per-step value update overflows before a window's cumsum does.
@@ -413,8 +420,11 @@ def steps(state, subsets, solve):
 
     A dense quadratic state on a sampler's :class:`~volcd.sampling.Draws`
     of one to three coordinates, with a dense B, takes windowed steps, which
-    agree with the per-step path to rounding and apply the steps whose
-    values they yielded when the generator closes.  A sparse separable
+    agree with the per-step path to rounding.  A window yields the values
+    of its steps before the last as one 1-d float64 array, then the last as
+    a float; a reader that stops inside the array sends the number of its
+    values it took, and the window applies those steps and ends, while a
+    close there applies the steps of every value yielded.  A sparse separable
     state under a rowwise loss (bare or with ridge) takes a fused step,
     bitwise ``apply_step``'s, whose locals go back to the state when the
     generator closes or ends.  Every other state, a dense quadratic one on
@@ -454,56 +464,75 @@ def _dense_window_steps(state, draws, solve):
     boundary, and stacks their indices into I.  Step t solves B[S_t, S_t]
     h_t = g[S_t] - sum_{s<t} A[S_t, S_s] h_s, so the window's steps are one
     block lower-triangular system M h = g[I], where M has B's diagonal
-    blocks and the strictly block-lower part of A[I, I].  The values
-    value - cumsum(h_t . B h_t - h_t . A h_t / 2) are yielded one at a time,
-    and the steps whose values were yielded are applied, with R = A[I],
-    as g -= h @ R and x[I] -= h when the window runs out or the generator
-    closes.  The stream logs exactly those subsets.  A diagonal block that
-    fails ``solve.regular``, the closed forms' own pivot test, ends the
-    window before it and takes the per-step path, which raises under an
-    exact method; so does the first subset of a window whose solve fails.
-    A window with a step that raises the value (B does not bound A on that
-    block: the run overshoots, and its iteration amplifies rounding
-    differences) or with values past ``_VALUE_LIMIT`` is not taken, and
-    its subsets step one at a time, so a diverging run takes the per-step
-    path's own arithmetic and stops where its replay stops.  Otherwise the
-    iterates agree with the per-step path, ``_apply``, to rounding, not
-    bitwise."""
+    blocks and the strictly block-lower part of A[I, I].  What depends on
+    the subsets alone is done once per slice of ``_SLICE`` windows' subsets
+    of the batch: the gathered diagonal and block-upper entries of B,
+    ``solve.regular``, the closed forms' own pivot tests, and the constants
+    B_ss - A_ss / 2 and B_st - A_st / 2 of each step's value decrease
+    h_t . B h_t - h_t . A h_t / 2.  The values value - cumsum(decrease) of a
+    window's first m - 1 steps are yielded as one float64 array, and the
+    steps are applied, with R = A[I], as g -= h @ R and x[I] -= h before
+    the last value is yielded as a float.  A reader that stops inside the
+    array sends the number of its values it took, and the window applies
+    those steps and ends; closing the generator there applies them all.
+    The stream logs exactly the subsets applied.  A diagonal block that
+    fails the pivot test ends the window before it and takes the per-step
+    path, which raises under an exact method; so does the first subset of a
+    window whose solve fails.  A window with a step that raises the value
+    (B does not bound A on that block: the run overshoots, and its
+    iteration amplifies rounding differences) or with values past
+    ``_VALUE_LIMIT`` is not taken, and its subsets step one at a time, so a
+    diverging run takes the per-step path's own arithmetic and stops where
+    its replay stops.  So the values of a taken window are finite, within
+    the limit and non-increasing.  Otherwise the iterates agree with the
+    per-step path, ``_apply``, to rounding, not bitwise."""
     tau = draws.tau
     x, a, b, regular = state.x, state._op, solve.matrix, solve.regular
     g, value, count = state._g, state._value, state._steps
-    bdiag = b.diagonal()
+    bdiag, adiag = b.diagonal(), a.diagonal()
     block = np.arange(_WINDOW) // tau
     lower = block[:, None] > block  # strictly block-lower
-    # block t's strictly upper entries (r, c), in row order, sit at
-    # (t tau + r, t tau + c) in the window's system
+    # a subset's strictly upper entries (r, c), in row order, sit at
+    # (t tau + r, t tau + c) in the system of a window whose block t it is
+    pair = np.triu_indices(tau, 1)
     first = np.arange(0, _WINDOW, tau)[:, None]
-    upper_r, upper_c = (first + i for i in np.triu_indices(tau, 1))
+    upper_r, upper_c = (first + i for i in pair)
     per, interval = _WINDOW // tau, REFRESH_INTERVAL
+    off = size = 0  # the next subset's offset in the slice, and its length
     pending = 0  # steps whose values were yielded but which are not applied
     solo = 0  # subsets left to step one at a time after a window not taken
     try:
         while True:
             subs = draws.peek(min(per, interval - count))
+            k = len(subs)
+            if off + k > size:
+                # the next slice starts at subs[0] and ends at the batch's end
+                # at the latest
+                sl = draws.peek(_SLICE * per)
+                off, size = 0, len(sl)
+                flat = sl.ravel()
+                bd_s = bdiag[flat]
+                bo_s = None
+                if tau > 1:
+                    rr, cc = sl[:, pair[0]], sl[:, pair[1]]
+                    bo_s = b[rr, cc]
+                    cross_s = bo_s - 0.5 * a[rr, cc]
+                diag_s = bd_s - 0.5 * adiag[flat]
+                fails = np.flatnonzero(~regular(bd_s.reshape(size, tau), bo_s)).tolist()
+                fails.append(size)
             m = 0
             if solo:
                 solo -= 1
             else:
-                k = len(subs)
-                idx = subs.ravel()
-                bd = bdiag[idx]
-                bo = b[idx[upper_r[:k]], idx[upper_c[:k]]] if tau > 1 else None
-                ok = regular(bd.reshape(k, tau), bo)
-                m = k if ok.all() else int(ok.argmin())
+                m = min(k, fails[bisect_left(fails, off)] - off)
             if m:
-                p = m * tau
-                idx, bd = idx[:p], bd[:p]
+                p, at = m * tau, off * tau
+                idx = flat[at : at + p]
                 rows = a[idx]
-                sub = rows[:, idx]
-                mat = np.where(lower[:p, :p], sub, 0.0)
-                mat.ravel()[:: p + 1] = bd
+                mat = np.where(lower[:p, :p], rows[:, idx], 0.0)
+                mat.ravel()[:: p + 1] = bd_s[at : at + p]
                 if tau > 1:
-                    bo, r, c = bo[:m], upper_r[:m], upper_c[:m]
+                    bo, r, c = bo_s[off : off + m], upper_r[:m], upper_c[:m]
                     mat[r, c] = bo
                     mat[c, r] = bo
                 try:
@@ -511,32 +540,37 @@ def _dense_window_steps(state, draws, solve):
                 except np.linalg.LinAlgError:
                     m = 0  # an overflow inside the solve: the run diverges
             if m:
-                # each step's value decrease h . B h - h . A h / 2, term by term
-                dec = (bd - 0.5 * sub.diagonal()) * (h * h)
+                # each step's value decrease, term by term
+                dec = diag_s[at : at + p] * (h * h)
                 if tau > 1:
-                    cross = (bo - 0.5 * sub[r, c]) * (h[r] * h[c])
+                    cross = cross_s[off : off + m] * (h[r] * h[c])
                     dec = dec.reshape(m, tau).sum(1) + 2.0 * cross.sum(1)
-                vals = (value - np.cumsum(dec)).tolist()
+                vals = value - dec.cumsum()
+                last = float(vals[-1])
                 # the window is taken only if every step descends, so its
-                # values fall from value to vals[-1], and stay within the limit
+                # values fall from value to last, and stay within the limit
                 if not (dec.min() >= 0.0 and value <= _VALUE_LIMIT
-                        and vals[-1] >= -_VALUE_LIMIT):
+                        and last >= -_VALUE_LIMIT):
                     m, solo = 0, per - 1
             if m == 0:
                 s = subs[0]
                 draws.take(1)
                 state._value = value
                 state._apply(s, solve(s, g[s]))
-                vals = [state._value]
-                m = 1
+                value, m = state._value, 1
             else:
-                for v in vals[:-1]:
-                    pending += 1
-                    yield v
+                if m > 1:
+                    pending = m - 1
+                    # a reader that stops inside the block sends how many of
+                    # its values it took
+                    taken = yield vals[:-1]
+                    if taken is not None:
+                        pending = taken
+                        return
                 _apply_window(x, g, idx, h, rows, p)
                 draws.take(m)
-                pending = 0
-            value = vals[-1]
+                value, pending = last, 0
+            off += m
             count += m
             if count >= interval:
                 state._value = value
@@ -547,7 +581,7 @@ def _dense_window_steps(state, draws, solve):
         if pending:
             _apply_window(x, g, idx, h, rows, pending * tau)
             draws.take(pending)
-            value, count = vals[pending - 1], count + pending
+            value, count = float(vals[pending - 1]), count + pending
         state._value, state._steps = value, count
 
 

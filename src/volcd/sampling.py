@@ -256,9 +256,12 @@ class Draws:
 
     Iterating takes one subset at a time.  ``peek(k)`` hands out the next
     subsets, at most k and never past the end of the current batch, as one
-    (m, tau) array slice, and ``take(m)`` then takes the first m of them,
-    so a reader can look ahead and take only what it used.  Each subset
-    taken is appended to ``log`` when one is given.
+    (m, tau) array slice of that batch, and ``take(m)`` then takes the
+    first m of them, so a reader can look ahead and take only what it used.
+    Peeking moves nothing: the windowed steps of a dense quadratic peek at
+    a slice of several windows' subsets to do their per-subset work at
+    once, then peek and take one window at a time.  Each subset taken is
+    appended to ``log`` when one is given.
     """
 
     def __init__(self, batches, tau: int, log: list | None = None):

@@ -35,11 +35,14 @@ run of its methods.  A sampled run of one to three coordinates per step
 (rcd:1, rcdvs:1 to rcdvs:3, sdna:1 to sdna:3) on a dense quadratic with a
 dense B takes windowed steps: each window of up to 48 coordinates' steps is
 one block lower-triangular solve, and ``solve.regular``, the closed forms'
-pivot tests vectorized, picks the blocks it may solve.  They agree with the
-per-step path through the state's methods, which forced subsets replay, to
-rounding rather than bitwise: 1e-10 relative in the tests, 1.5e-12 at worst
-measured, with equal iteration counts and, on a diverging run, the same
-stopping step.
+pivot tests vectorized over a slice of the stream's subsets, picks the
+blocks it may solve.  A window yields the values of its steps before the
+last as one float64 array, which the loop takes whole when no step in it
+can stop the run or be traced, and walks value by value otherwise.  They
+agree with the per-step path through the state's methods, which forced
+subsets replay, to rounding rather than bitwise: 1e-10 relative in the
+tests, 1.5e-12 at worst measured, with equal iteration counts and, on a
+diverging run, the same stopping step.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -274,6 +277,12 @@ def run(obj, b, config: SolverConfig):
     user-supplied upper bound); it is taken as given and not re-verified,
     except that a dense B with a non-finite entry raises ``ValueError``.
     This is the one solver entry point: it dispatches on ``config.method``.
+
+    The steps yield a float per step, or a window's block of values as one
+    1-d array: a block is taken whole when its steps are neither traced nor
+    at the budget and its last value, the least, is off the gap; otherwise
+    its values are walked one by one as floats are, and a stop inside it
+    sends the window the number of its steps taken, which it applies.
     """
     n = obj.n
     config.validate(n)
@@ -299,18 +308,42 @@ def run(obj, b, config: SolverConfig):
     trace = [(0, float(value))]
     trace_every, f_star, gap = config.trace_every, config.f_star, config.target_gap
     limit = math.inf if config.max_iters is None else config.max_iters
-    isfinite = math.isfinite
+    isfinite, ndarray = math.isfinite, np.ndarray
     k = 0
     if not check_stop(0, value, config):
         stepper = objectives.steps(state, subsets, solve)
         for value in stepper:
+            if type(value) is ndarray and value.ndim:
+                # a window's block of values: taken whole when none of its
+                # steps is traced or reaches the budget, and its last value,
+                # the least, misses the gap by check_stop's own expression
+                k0, end = k, k + value.size
+                if end < limit and end // trace_every == k // trace_every and (
+                        gap is None or value[-1] - f_star > gap):
+                    k = end
+                    continue
+                # otherwise it is walked with the float path's expressions
+                for value in value.tolist():
+                    k += 1
+                    if k % trace_every == 0:
+                        trace.append((k, value))
+                    if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
+                        break
+                else:
+                    continue
+                # the window applies the block's steps up to this one, and ends
+                try:
+                    stepper.send(k - k0)
+                except StopIteration:
+                    pass
+                break
             k += 1
             if k % trace_every == 0:
                 trace.append((k, float(value)))
             # check_stop's tests, in its order and with its expressions
             if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
                 break
-        # a windowed step applies the steps whose values it yielded on close
+        # a window applies the steps whose values it yielded on close
         stepper.close()
 
     if trace[-1][0] != k:

@@ -186,6 +186,10 @@ def test_config_validation():
         small_config(output="xml").validate()
     with pytest.raises(ConfigError, match="seed"):
         small_config(seed=-1).validate()
+    with pytest.raises(ConfigError, match="rcdvs:2 is listed twice"):
+        small_config(methods=[("rcdvs", 2), ("rcdvs", 2)]).validate()
+    # the rcd:1 baseline runs once whether or not it is listed
+    small_config(methods=[("rcd", 1), ("rcdvs", 2)]).validate()
 
 
 def _refuse(*args, **kwargs):
@@ -195,7 +199,8 @@ def _refuse(*args, **kwargs):
 def test_cells_checked_before_any_work(tmp_path, monkeypatch):
     for name in ("generate", "reference_min", "run"):
         monkeypatch.setattr(benchmark, name, _refuse)
-    for methods in ([("rcdvs", 31)], [("bogus", 2)], [("rcd", 2)]):
+    for methods in ([("rcdvs", 31)], [("bogus", 2)], [("rcd", 2)],
+                    [("rcdvs", 2), ("sdna", 2), ("rcdvs", 2)], [("rcd", 1), ("rcd", 1)]):
         with pytest.raises(ConfigError):
             run_experiment(small_config(methods=methods))
     path = tmp_path / "three.svm"  # three features

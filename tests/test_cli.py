@@ -242,6 +242,10 @@ def _refuse(*args, **kwargs):
         ("", ["--kind", "quadratic", "--n", "10", "--seed", "-1"]),
         ("[experiment]\nseed = -1\n", ["--kind", "quadratic", "--n", "10"]),
         ("", ["--kind", "quadratic", "--n", "10", "--reflections", "-3"]),
+        # a cell listed twice ran twice per repetition and printed two rows
+        ("", ["--kind", "quadratic", "--n", "20", "--lam1", "100", "--lam2", "10",
+              "--methods", "rcdvs:2,rcdvs:2", "--repetitions", "2", "--seed", "1"]),
+        ("[experiment]\nmethods = sdna:2 rcdvs:3 sdna:2\n", ["--kind", "quadratic", "--n", "10"]),
     ],
 )
 def test_bad_run_settings_exit_2_before_any_work(

@@ -820,9 +820,8 @@ def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
 _WINDOW_RTOL = 1e-10
 
 
-def _window_and_replay(monkeypatch, obj, b, cfg):
-    """A sampled run, which must take the windowed step, and the per-step
-    replay of the subsets it recorded."""
+def _window_spy(monkeypatch):
+    """Counts the runs that take the windowed steps."""
     calls = []
     window = objectives._dense_window_steps
 
@@ -831,6 +830,13 @@ def _window_and_replay(monkeypatch, obj, b, cfg):
         return window(*args)
 
     monkeypatch.setattr(objectives, "_dense_window_steps", spy)
+    return calls
+
+
+def _window_and_replay(monkeypatch, obj, b, cfg):
+    """A sampled run, which must take the windowed step, and the per-step
+    replay of the subsets it recorded."""
+    calls = _window_spy(monkeypatch)
     with np.errstate(all="ignore"):
         windowed = run(obj, b, replace(cfg, record_subsets=True))
         replay = run(obj, b, replace(cfg, forced_subsets=windowed.subsets))
@@ -942,6 +948,16 @@ def test_window_value_stays_on_the_objective_over_200k_steps(method, tau):
     assert abs(rep.final_value - full) <= 1e-9 * abs(full)
 
 
+def _yielded(stepper, count):
+    """The next ``count`` values of the steps, a window's block of values
+    flattened, as floats; the steps must yield exactly that many."""
+    values = []
+    while len(values) < count:
+        values += np.atleast_1d(next(stepper)).tolist()
+    assert len(values) == count
+    return values
+
+
 def test_window_raises_at_the_singular_blocks_step():
     # the third pair is the singular block {0, 1}: the window takes the two
     # pairs before it, and the per-step step raises on it
@@ -952,7 +968,7 @@ def test_window_raises_at_the_singular_blocks_step():
     state = obj.init_state(np.zeros(3))
     stepper = objectives.steps(state, draws, _make_step_solver(a, exact=True))
     assert stepper.__name__ == "_dense_window_steps"
-    values = [next(stepper), next(stepper)]
+    values = _yielded(stepper, 2)
     with pytest.raises(SingularSubmatrix):
         next(stepper)
     replay = run(obj, a, SolverConfig(method="rcdvs", tau=2, max_iters=2,
@@ -960,6 +976,24 @@ def test_window_raises_at_the_singular_blocks_step():
     assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-14)
     assert state.x == pytest.approx(replay.x_final, rel=1e-14)
     assert np.array_equal(np.array(draws.log), batch[:3])
+
+
+def test_closing_a_window_inside_its_block_applies_the_blocks_steps():
+    # a reader that closes the steps after a block without sending a count
+    # has the steps of every value the block held applied and logged
+    obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+    b = obj.curvature_matrix()
+    draws = make_sampler(b, 2).draws(RngStream(5), 4096, log=[])
+    state = obj.init_state(np.zeros(40))
+    stepper = objectives.steps(state, draws, _make_step_solver(b, exact=True))
+    values = _yielded(stepper, 23)
+    stepper.close()
+    assert len(draws.log) == 23
+    replay = run(obj, b, SolverConfig(method="rcdvs", tau=2, max_iters=23,
+                                      forced_subsets=draws.log))
+    assert state.value == values[-1]
+    assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-12)
+    assert np.abs(state.x - replay.x_final).max() <= _WINDOW_RTOL * np.abs(replay.x_final).max()
 
 
 @pytest.mark.parametrize("method", ["rcdvs", "sdna"])
@@ -983,19 +1017,106 @@ def test_window_meets_a_singular_three_block_as_the_per_step_path_does(method, s
     state = obj.init_state(np.zeros(5))
     stepper = objectives.steps(state, draws, _make_step_solver(a, exact=method == "rcdvs"))
     assert stepper.__name__ == "_dense_window_steps"
-    values = [next(stepper), next(stepper)]
+    values = _yielded(stepper, 2)
     if method == "rcdvs":
         with pytest.raises(SingularSubmatrix):
             next(stepper)
         taken = 2
     else:
-        values.append(next(stepper))
+        values += _yielded(stepper, 1)
         taken = 3
     replay = run(obj, a, SolverConfig(method=method, tau=3, max_iters=taken,
                                       forced_subsets=list(batch[:taken])))
     assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-14)
     assert state.x == pytest.approx(replay.x_final, rel=1e-14, abs=1e-14)
     assert np.array_equal(np.array(draws.log), batch[:3])
+
+
+def _assert_same_run(a, b):
+    """Bitwise the same run, whatever the two traces' cadences."""
+    assert _outcome(a)[:3] + _outcome(a)[4:] == _outcome(b)[:3] + _outcome(b)[4:]
+
+
+@pytest.mark.parametrize("method, tau", _WINDOWED)
+def test_a_block_taken_whole_is_bitwise_its_value_by_value_walk(monkeypatch, method, tau):
+    # trace_every = 2**62 lets run take each block of values whole unless
+    # it may stop inside; trace_every = 1 walks every block value by value
+    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+    b = obj.curvature_matrix()
+    x0 = np.random.default_rng(4).standard_normal(40)
+    per = objectives._WINDOW // tau
+    base = SolverConfig(method=method, tau=tau, seed=5, x0=x0, record_subsets=True)
+    # the first two windows are whole: a block of per - 1 values, then a float
+    stepper = objectives.steps(obj.init_state(x0), _stream(method, b, tau).draws(
+        RngStream(5), solvers._SAMPLE_CHUNK), _make_step_solver(b, exact=method != "sdna"))
+    sizes = [np.size(next(stepper)) for _ in range(4)]
+    stepper.close()
+    assert sizes == [per - 1, 1, per - 1, 1]
+    values = [f for _, f in run(obj, b, replace(base, max_iters=2 * per, trace_every=1)).trace]
+    cases = []
+    # gap stops at the first, a middle and the last value of the second
+    # block that lowers the value: a step that lowers it by 0 cannot be
+    # the first below a gap
+    lower = [k for k in range(per + 1, 2 * per) if values[k] < values[k - 1]]
+    assert lower[0] <= per + 3 and lower[-1] >= 2 * per - 3
+    for step in (lower[0], lower[len(lower) // 2], lower[-1]):
+        gap = (values[step - 1] - values[step]) / 2
+        cases.append((dict(target_gap=gap, f_star=values[step] - gap / 2, max_iters=10**5),
+                      b, step))
+    cases.append((dict(max_iters=3 * per + per // 2), b, 3 * per + per // 2))
+    # B = 0.45 A diverges: no window is taken
+    cases.append((dict(target_gap=1e-3, f_star=f_star, max_iters=10**5), 0.45 * b, None))
+    calls = _window_spy(monkeypatch)
+    for stop, curvature, expected in cases:
+        calls.clear()
+        with np.errstate(all="ignore"):
+            whole = run(obj, curvature, replace(base, trace_every=2**62, **stop))
+            walked = run(obj, curvature, replace(base, trace_every=1, **stop))
+        assert calls == [1, 1]
+        _assert_same_run(whole, walked)
+        if expected is None:
+            assert whole.capped and not np.isfinite(whole.final_value)
+        else:
+            assert whole.iterations == expected
+    # refreshes every 100 steps, at steps inside the windows of an unpatched run
+    monkeypatch.setattr(objectives, "REFRESH_INTERVAL", 100)
+    for stop in (dict(max_iters=450), dict(target_gap=1e-3, f_star=f_star, max_iters=10**5)):
+        whole = run(obj, b, replace(base, trace_every=2**62, **stop))
+        walked = run(obj, b, replace(base, trace_every=1, **stop))
+        _assert_same_run(whole, walked)
+        assert whole.iterations > 100
+
+
+@pytest.mark.parametrize("method, tau", _WINDOWED)
+@pytest.mark.parametrize("early", [True, False])
+def test_window_stops_where_check_stop_does(monkeypatch, method, tau, early):
+    # as for the fused sparse loop, with step 47, the last value of a block
+    # for every window size: there value - f_star <= gap and value <=
+    # f_star + gap disagree.  Early, the first holds and the run stops at
+    # 47; late, only the second holds and the run goes on.  A block is taken
+    # whole only when check_stop's own expression misses the gap at its
+    # last value.  The early case needs a gap that is not small against
+    # f_star, where value - f_star rounds.
+    obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=3))
+    b = obj.curvature_matrix()
+    cfg = SolverConfig(method=method, tau=tau, max_iters=60, seed=38, trace_every=1)
+    values = [f for _, f in run(obj, b, cfg).trace]
+    v = values[47]
+    gap, f_star = next(
+        (gap, f)
+        for gap in [1e-6, 2e-6, 3e-6, 7e-7] + [k / 8 * abs(v) for k in range(12, 160)]
+        for f in (v - gap + d * np.spacing(v - gap) for d in range(-8, 9))
+        if (v - f <= gap) == early and (v <= f + gap) != early
+    )
+    cfg = replace(cfg, target_gap=gap, f_star=f_star, record_subsets=True)
+    stop = next(k for k, f in enumerate(values) if check_stop(k, f, cfg))
+    assert stop == 47 if early else stop > 47
+    calls = _window_spy(monkeypatch)
+    whole = run(obj, b, replace(cfg, trace_every=2**62))
+    walked = run(obj, b, cfg)
+    assert calls == [1, 1]
+    _assert_same_run(whole, walked)
+    assert whole.iterations == stop
 
 
 def test_vectorized_pivot_tests_match_the_closed_forms():
