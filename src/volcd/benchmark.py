@@ -87,7 +87,8 @@ class ResultRow:
 
     ``acc`` is the median over repetitions of It(baseline) / It(method);
     ``pct`` expresses it as a percentage of the spectral prediction for the
-    same subset size.  Capped repetitions are excluded from the medians.
+    same subset size.  Capped repetitions are excluded from the medians;
+    ``acc`` and ``pct`` also leave out those whose rcd:1 baseline was capped.
 
     ``pct`` carries no information on a flat leading spectrum: there the
     prediction ``acceleration_ratio(1, tau)`` is about 1 while each
@@ -257,14 +258,19 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                     f"{key}: {count}/{len(raw)} repetitions {cause} "
                     "and are excluded from the medians"
                 )
+        # acc divides by the baseline's count, which means nothing where the
+        # baseline did not converge
+        paired = [r[key] for r in raw if not (r[key]["capped"] or r["rcd:1"]["capped"])]
+        if len(paired) < len(good):
+            warnings.warn(
+                f"{key}: {len(good) - len(paired)}/{len(raw)} repetitions whose rcd:1 "
+                "baseline did not converge are excluded from the acc and pct medians"
+            )
         ratio = acceleration_ratio(eigenvalues, 1, tau)
-        if good:
-            med_it = _median([c["it"] for c in good])
-            med_t = _median([c["time"] for c in good])
-            acc = _median([c["acc"] for c in good])
-            pct = 100.0 * acc / ratio
-        else:
-            med_it = med_t = acc = pct = float("nan")
+        med_it = _median([c["it"] for c in good]) if good else float("nan")
+        med_t = _median([c["time"] for c in good]) if good else float("nan")
+        acc = _median([c["acc"] for c in paired]) if paired else float("nan")
+        pct = 100.0 * acc / ratio
         rows.append(
             ResultRow(
                 method=method,

@@ -74,8 +74,17 @@ def minor_threshold(diag_max: float, tau: int) -> float:
     """The value below which an order-tau principal minor of B counts as
     exactly 0, for B's largest diagonal entry ``diag_max``: 1e-14 times
     ``diag_max ** tau``, or infinity when ``diag_max <= 0``.  Every
-    determinantal sampler and :func:`psd_det` clamp with it."""
-    return _DET_CLAMP * diag_max**tau if diag_max > 0 else np.inf
+    determinantal sampler and :func:`psd_det` clamp with it.  A power that
+    overflows raises :class:`NumericError`."""
+    if not diag_max > 0:
+        return np.inf
+    try:
+        return _DET_CLAMP * diag_max**tau
+    except OverflowError:
+        raise NumericError(
+            f"minor threshold overflows: largest diagonal entry {diag_max:.3g} "
+            f"to the power {tau}"
+        ) from None
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -391,7 +400,8 @@ class CsrMatrix:
         Entry (i, j) adds a[k, i] * a[k, j] over the rows k in ascending
         order, from 0, and is then scaled; exact zeros are not stored.  That
         is scipy's ``scale * (a.T @ a)`` read by
-        :meth:`CsrSymmetricUpper.from_scipy`, bitwise.
+        :meth:`CsrSymmetricUpper.from_scipy`, bitwise.  An entry that
+        overflows raises :class:`NumericError`.
         """
         n, nnz, indices, data = self.shape[1], self.nnz, self.indices, self.data
         # entry e pairs with itself and with the entries right of it in its
@@ -409,7 +419,10 @@ class CsrMatrix:
         else:
             keys, inverse = np.unique(keys, return_inverse=True)
             sums = np.bincount(inverse, weights=products, minlength=keys.size)
-        return CsrSymmetricUpper(n, *_nonzero_entries(keys, sums * scale, n))
+        sums = sums * scale
+        if not np.isfinite(sums).all():
+            raise NumericError("Gram matrix overflows: an entry of scale * A'A is not finite")
+        return CsrSymmetricUpper(n, *_nonzero_entries(keys, sums, n))
 
 
 def as_dense(b) -> np.ndarray:

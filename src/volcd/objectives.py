@@ -10,16 +10,19 @@ the iterate together with maintained residuals so that a coordinate step and
 its partial gradient cost only the touched rows and columns, never a full
 pass over the data.
 
-A rowwise loss (square, logistic, Huber) has one kernel, ``eval(z, b)``,
-returning the per-row values and derivatives together, so the work they share
-(``z - b``, ``exp(-|s|)``, Huber's clipped ``d / mu``) is done once.  Huber's
+Every loss has one kernel, ``eval(z, b) -> (values, w)``: its values and
+derivatives w = dloss/dz together, so their shared work (``z - b``,
+``exp(-|s|)``, Huber's clipped ``d / mu``, the log-sum-exp's exp, the
+smoothed norm) is done once.  Rowwise losses (square, logistic, Huber)
+return per-row values, full-residual ones (log-sum-exp, smoothed norm) the
+total as a 0-d array; the value is ``values.sum()`` either way.  Huber's
 kernel is the clip form c * (d - c * mu / 2) with c = clip(d / mu, -1, 1):
 bitwise the piecewise formula outside |d| <= mu, within 1.11 ulp of the
 exact value inside (the piecewise form: 1.28).  A sparse data matrix is a
 numpy :class:`~volcd.linalg.CsrMatrix`, so no objective imports scipy: a
 scipy sparse matrix given by the caller is converted on the way in.  A
 sparse separable objective keeps one ``(rows, vals, b_rows)`` view per
-column of A, built once, with intp row indices; its
+column of A, built once, with intp row indices; under a rowwise loss its
 state also keeps the per-row loss values, so a step costs a fixed few numpy
 calls per column (one ``np.dot`` for a partial-gradient entry, one reduction
 for a value change) and evaluates the loss on that column's rows only.
@@ -148,31 +151,31 @@ class HuberLoss(_SmoothedLoss):
 
 class LogSumExpLoss(_SmoothedLoss):
     """Smoothed maximum of the residual vector: mu * ln sum exp(r_i / mu),
-    shifted so the value at r = 0 is 0.  Operates on the full residual."""
+    shifted so the value at r = 0 is 0.  Operates on the full residual
+    r = z - b: ``eval`` returns the total as a 0-d array, and the softmax
+    weights, from one shared exp."""
 
     rowwise = False
 
-    def value(self, r):
-        top = float(np.max(r))
-        return top + self.mu * (
-            np.log(np.sum(np.exp((r - top) / self.mu))) - np.log(r.size)
-        )
-
-    def grad(self, r):
-        e = np.exp((r - np.max(r)) / self.mu)
-        return e / e.sum()
+    def eval(self, z, b):
+        r = z - b
+        top = np.max(r)
+        e = np.exp((r - top) / self.mu)
+        total = e.sum()
+        return np.asarray(top + self.mu * (np.log(total) - np.log(r.size))), e / total
 
 
 class SqrtNormLoss(_SmoothedLoss):
-    """Smoothed Euclidean norm of the residual: sqrt(||r||^2 + mu^2) - mu."""
+    """Smoothed Euclidean norm of the residual: sqrt(||r||^2 + mu^2) - mu.
+    Operates on the full residual r = z - b: ``eval`` returns the total as a
+    0-d array, and r over the shared smoothed norm."""
 
     rowwise = False
 
-    def value(self, r):
-        return float(np.sqrt(r @ r + self.mu**2) - self.mu)
-
-    def grad(self, r):
-        return r / np.sqrt(r @ r + self.mu**2)
+    def eval(self, z, b):
+        r = z - b
+        norm = np.sqrt(r @ r + self.mu**2)
+        return np.asarray(norm - self.mu), r / norm
 
 
 # ---------------------------------------------------------------------------
@@ -242,29 +245,19 @@ class _QuadraticDenseState(_QuadraticState):
     def _apply(self, s, h):
         # h' A[S,S] h = h' (g_old[S] - g_new[S]), so the exact value change
         # -g_old[S]'h + h'A[S,S]h/2 collapses to -h'(g_old[S] + g_new[S])/2
-        g = self._g
-        a = self._op
-        x = self.x
+        # A is symmetric, so its rows stand for its columns: a[i] * h for one
+        # coordinate, else the window's row form h @ a[s], bitwise a[:, s] @ h
+        g, a, x = self._g, self._op, self.x
         if s.size == 1:
-            i = s[0]
-            hv = h[0]
+            i, hv = s[0], h[0]
             g_old = g[i]
             x[i] -= hv
-            g -= a[i] * hv  # row view; symmetric, so row i is column i
+            g -= a[i] * hv
             self._value -= 0.5 * hv * (g_old + g[i])
-        elif s.size == 2:
-            i, j = s
-            hi, hj = h
-            gi_old, gj_old = g[i], g[j]
-            x[i] -= hi
-            x[j] -= hj
-            g -= a[i] * hi
-            g -= a[j] * hj
-            self._value -= 0.5 * (hi * (gi_old + g[i]) + hj * (gj_old + g[j]))
         else:
-            gs_old = g[s].copy()
+            gs_old = g[s]
             x[s] -= h
-            g -= a[:, s] @ h
+            g -= h @ a[s]
             self._value -= 0.5 * float(h @ (gs_old + g[s]))
 
 
@@ -281,29 +274,33 @@ class _QuadraticSparseState(_QuadraticState):
 
 
 class _SeparableState(GradientState):
-    """Separable state: maintains z = Ax and the loss derivatives w at z."""
+    """Separable state over a dense data matrix: maintains z = Ax and the
+    loss's ``eval`` at z, its values ell and derivatives w."""
 
     def __init__(self, obj: "SeparableObjective", x0):
         super().__init__(x0)
         self._obj = obj
         self._recompute()
 
+    def _evaluate(self):
+        """ell, w and the value at the current z, by one loss evaluation."""
+        self._ell, self._w = self._obj.loss.eval(self._z, self._obj.b)
+        self._value = float(self._ell.sum())
+
     def _recompute(self):
         self._z = self._obj._products(self.x)
-        self._value, self._w = self._obj._loss_eval(self._z)
+        self._evaluate()
+
+    def partial_gradient(self, s):
+        return self._obj.a[:, s].T @ self._w
 
     def full_gradient(self):
         return self._obj._adjoint(self._w)
 
-
-class _SeparableDenseState(_SeparableState):
-    def partial_gradient(self, s):
-        return self._obj.a[:, s].T @ self._w
-
     def _apply(self, s, h):
         self.x[s] -= h
         self._z -= self._obj.a[:, s] @ h
-        self._value, self._w = self._obj._loss_eval(self._z)
+        self._evaluate()
 
 
 def _column_step(loss, z, ell, w, col, hj) -> float:
@@ -331,25 +328,14 @@ class _SeparableSparseState(_SeparableState):
     The objective's column views give each column's rows, its nonzeros and
     the per-row parameters b of those rows, so a coordinate step updates only
     the rows its columns meet and a partial gradient reads only those
-    columns.  For a rowwise loss the state also keeps the per-row loss values
-    ``ell``, with value = ell.sum() after every recompute: a step then
-    evaluates the loss once per column, on that column's rows only, and
-    never on the rows it left alone.
+    columns.  Under a rowwise loss a step evaluates the loss once per
+    column, on that column's rows only, and never on the rows it left alone;
+    under a full-residual loss it evaluates the loss on all of z.
     """
 
     def __init__(self, obj: "SeparableObjective", x0):
         self._cols = obj._columns()
         super().__init__(obj, x0)
-
-    def _recompute(self):
-        obj = self._obj
-        if not obj.loss.rowwise:
-            super()._recompute()
-            return
-        # one loss evaluation gives ell and w; the value is _loss_eval's sum
-        self._z = obj._products(self.x)
-        self._ell, self._w = obj.loss.eval(self._z, obj.b)
-        self._value = float(self._ell.sum())
 
     def partial_gradient(self, s):
         cols, w = self._cols, self._w
@@ -360,24 +346,22 @@ class _SeparableSparseState(_SeparableState):
         return out
 
     def _apply(self, s, h):
-        obj = self._obj
         self.x[s] -= h
         # one column at a time: a column's rows are distinct, so a plain
         # scatter updates z exactly as np.subtract.at over all columns would.
         # Each column reads ell just after the previous column wrote it, so
         # the value changes add up exactly even where columns share rows.
-        z, cols, loss = self._z, self._cols, obj.loss
-        if not loss.rowwise:
+        z, cols, loss = self._z, self._cols, self._obj.loss
+        if loss.rowwise:
+            ell, w, value = self._ell, self._w, self._value
             for j, hj in zip(s, h):
-                rows, vals, _ = cols[j]
-                z[rows] -= vals * hj
-            self._value, self._w = obj._loss_eval(z)
+                value += _column_step(loss, z, ell, w, cols[j], hj)
+            self._value = value
             return
-        ell, w = self._ell, self._w
-        value = self._value
         for j, hj in zip(s, h):
-            value += _column_step(loss, z, ell, w, cols[j], hj)
-        self._value = value
+            rows, vals, _ = cols[j]
+            z[rows] -= vals * hj
+        self._evaluate()
 
 
 class _RidgeState(GradientState):
@@ -734,12 +718,8 @@ class SeparableObjective:
     def _loss_eval(self, z):
         """(f, w) at data products z = Ax, where w = dloss/dz so that the
         gradient is A'w."""
-        loss = self.loss
-        if loss.rowwise:
-            values, w = loss.eval(z, self.b)
-            return float(values.sum()), w
-        r = z - self.b
-        return float(loss.value(r)), loss.grad(r)
+        values, w = self.loss.eval(z, self.b)
+        return float(values.sum()), w
 
     def _products(self, x):
         return self.a @ np.asarray(x, dtype=float)
@@ -762,7 +742,7 @@ class SeparableObjective:
     def init_state(self, x0) -> GradientState:
         if self.sparse:
             return _SeparableSparseState(self, x0)
-        return _SeparableDenseState(self, x0)
+        return _SeparableState(self, x0)
 
 
 class RegularizedObjective:

@@ -234,7 +234,8 @@ def read_libsvm(path):
 
     Lines look like ``label idx:val idx:val ...`` with 1-based feature
     indices.  Exactly two distinct labels are allowed; the smaller maps to
-    -1 and the larger to +1.
+    -1 and the larger to +1.  A non-finite label or value is a
+    :class:`ParseError` naming its line.
     """
     labels: list[float] = []
     indptr = [0]
@@ -248,9 +249,12 @@ def read_libsvm(path):
                 continue
             parts = line.split()
             try:
-                labels.append(float(parts[0]))
+                label = float(parts[0])
             except ValueError:
                 raise ParseError(f"bad label {parts[0]!r}", line=lineno) from None
+            if not math.isfinite(label):
+                raise ParseError(f"non-finite label {parts[0]!r}", line=lineno)
+            labels.append(label)
             prev = 0
             for item in parts[1:]:
                 try:
@@ -262,6 +266,8 @@ def read_libsvm(path):
                     ) from None
                 if idx < 1:
                     raise ParseError(f"feature index {idx} < 1", line=lineno)
+                if not math.isfinite(val):
+                    raise ParseError(f"non-finite value {val_s!r}", line=lineno)
                 if idx <= prev:
                     raise ParseError(
                         f"feature indices must increase, got {idx} after {prev}",

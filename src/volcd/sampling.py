@@ -50,7 +50,7 @@ import math
 
 import numpy as np
 
-from .errors import CombinatorialBlowup, EmptySupport
+from .errors import CombinatorialBlowup, EmptySupport, NumericError
 from .linalg import CsrSymmetricUpper, as_dense, eigendecompose, minor_threshold
 from .rng import RngStream
 
@@ -226,6 +226,8 @@ def principal_minors(
     Pass ``clamp=False`` to get raw determinants, e.g. for indefinite input.
     """
     diag = b.diagonal().astype(float)
+    # before the minors: a threshold that overflows raises NumericError
+    threshold = minor_threshold(float(np.max(diag)), tau) if clamp else None
     if subsets is None:
         subsets = all_subsets(diag.size, tau)
     if tau == 1:
@@ -246,7 +248,7 @@ def principal_minors(
                 sub = b[block[:, :, None], block[:, None, :]]
                 minors[lo : lo + block.shape[0]] = np.linalg.det(sub)
     if clamp:
-        minors[minors < minor_threshold(float(np.max(diag)), tau)] = 0.0
+        minors[minors < threshold] = 0.0
     return minors
 
 
@@ -649,6 +651,10 @@ class SparseTwoSampler(_SubsetStream):
         mass = diag[: n - 1] * self.t[: n - 1] - h_last[: n - 1]
         np.maximum(mass, 0.0, out=mass)
         self.q = np.cumsum(mass)
+        if not (math.isfinite(self.q[-1]) and math.isfinite(self.t[0])):
+            raise NumericError(
+                "pair masses overflow: the diagonal or the 2x2 minors of B are too large"
+            )
         if self.q[-1] <= 0.0:
             raise EmptySupport(
                 "no 2x2 principal minor is positive; matrix rank is below 2"

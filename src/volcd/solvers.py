@@ -28,21 +28,13 @@ the pseudoinverse step under ``sdna``.
 A run stops at the iteration budget, at the target gap, or at the first
 non-finite objective value; in target-gap mode a diverged run is reported as
 capped.  :func:`run` has one loop over :func:`~volcd.objectives.steps`,
-which steps the state and yields its value; the loop counts, traces and
-tests for a stop, and reads the state only through ``value`` and ``x``.  A
-sparse separable state under a rowwise loss takes a fused step, bitwise the
-run of its methods.  A sampled run of one to three coordinates per step
-(rcd:1, rcdvs:1 to rcdvs:3, sdna:1 to sdna:3) on a dense quadratic with a
-dense B takes windowed steps: each window of up to 48 coordinates' steps is
-one block lower-triangular solve, and ``solve.regular``, the closed forms'
-pivot tests vectorized over a slice of the stream's subsets, picks the
-blocks it may solve.  A window yields the values of its steps before the
-last as one float64 array, which the loop takes whole when no step in it
-can stop the run or be traced, and walks value by value otherwise.  They
-agree with the per-step path through the state's methods, which forced
-subsets replay, to rounding rather than bitwise: 1e-10 relative in the
-tests, 1.5e-12 at worst measured, with equal iteration counts and, on a
-diverging run, the same stopping step.
+which steps the state and yields its value, or a window's values as one
+float64 array; the loop counts, traces and tests for a stop, and reads the
+state only through ``value`` and ``x``.  :func:`~volcd.objectives.steps`
+says which step each state takes (a fused sparse step, a dense window, or
+the state's methods, which forced subsets replay) and how closely they
+agree; ``solve.regular``, the closed forms' pivot tests vectorized over
+stacked blocks, serves the windows.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.

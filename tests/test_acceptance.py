@@ -411,12 +411,18 @@ def test_criterion_9_sparse_sampler_complexity():
     # size only.  Pinning it alone leaves the trim threshold at 128 KiB, so
     # the freed top of the heap goes back to the system and faults in again
     # on a later call, at whichever sizes the heap's layout puts there.
-    # Either swamps the O(nnz) work under study with allocator noise.
+    # Either swamps the O(nnz) work under study with allocator noise.  The
+    # child imports the volcd under test, installed or not.
     import json
     import subprocess
     import sys
+    from pathlib import Path
+
+    import volcd
 
     env = dict(os.environ)
+    src = str(Path(volcd.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env["MALLOC_MMAP_THRESHOLD_"] = env["MALLOC_TRIM_THRESHOLD_"] = str(64 * 1024 * 1024)
     proc = subprocess.run(
         [sys.executable, "-c", _TIMING_SCRIPT],

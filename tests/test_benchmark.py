@@ -148,6 +148,52 @@ def test_diverged_runs_are_not_blamed_on_the_iteration_cap(monkeypatch):
                for w in record)
 
 
+def test_acc_leaves_out_repetitions_whose_baseline_did_not_converge(monkeypatch):
+    # acc divides by the baseline's iterations, which for a capped rcd:1 run
+    # are the cap, not a time to epsilon
+    from dataclasses import replace
+
+    solver_run = benchmark.run
+    calls = []
+
+    def run_capping_rcd(obj, b, cfg):
+        report = solver_run(obj, b, cfg)
+        if cfg.method == "rcd":
+            calls.append(cfg.seed)
+            if len(calls) != 2:  # only the second repetition's baseline converges
+                return replace(report, capped=True)
+        return report
+
+    monkeypatch.setattr(benchmark, "run", run_capping_rcd)
+    with pytest.warns(UserWarning) as record:
+        t = run_experiment(small_config())
+    assert [str(w.message) for w in record] == [
+        "rcd:1: 2/3 repetitions hit the iteration cap and are excluded from the medians",
+        *(f"{key}: 2/3 repetitions whose rcd:1 baseline did not converge are excluded "
+          "from the acc and pct medians" for key in ("rcdvs:2", "sdna:2")),
+    ]
+    for row in t.rows[1:]:
+        cells = [rep[f"{row.method}:{row.tau}"] for rep in t.raw]
+        assert row.median_it == benchmark._median([c["it"] for c in cells])
+        assert row.acc == cells[1]["acc"]
+        assert row.pct == 100.0 * row.acc / t.meta["theory_ratios"][str(row.tau)]
+
+    # dense-gap's shape with a budget that caps every baseline: no acc at all
+    monkeypatch.setattr(benchmark, "run", solver_run)
+    cfg = small_config(problem=ProblemSpec(kind="quadratic", n=100, lam1=6400.0, lam2=100.0),
+                       methods=[("rcdvs", 2)], max_updates=6000, seed=1)
+    with pytest.warns(UserWarning) as record:
+        t = run_experiment(cfg)
+    assert [str(w.message) for w in record] == [
+        "rcd:1: 3/3 repetitions hit the iteration cap and are excluded from the medians",
+        "rcdvs:2: 3/3 repetitions whose rcd:1 baseline did not converge are excluded "
+        "from the acc and pct medians",
+    ]
+    rcd, rcdvs = t.rows
+    assert rcd.capped == 3 and rcdvs.capped == 0
+    assert np.isnan(rcdvs.acc) and np.isnan(rcdvs.pct) and rcdvs.median_it > 0
+
+
 def test_emit_csv_shape(table):
     text = emit_table(table, "csv")
     lines = text.strip().splitlines()

@@ -168,6 +168,32 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert rc == 3  # every pair minor is zero: empty support
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.parametrize("flags, message", [
+    # (max B_ii)^2 overflows the minor threshold: dense B, quadratic and huber
+    (["--kind", "quadratic", "--n", "5", "--lam1", "1e200", "--lam2", "1"],
+     "minor threshold overflows"),
+    (["--kind", "huber", "--n", "5", "--m", "8", "--lam1", "1e300", "--mu", "1e-300"],
+     "minor threshold overflows"),
+    # sparse B: the pair sampler's masses overflow
+    (["--kind", "huber", "--n", "5", "--m", "8", "--sparsity", "2", "--lam1", "1e300",
+      "--lam2", "1e300"], "pair masses overflow"),
+])
+def test_run_overflowing_curvature_exits_3(capsys, flags, message):
+    argv = ["run", *flags, "--methods", "rcdvs:2", "--repetitions", "1", "--max-updates", "100"]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: ") and message in err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_run_overflowing_dataset_gram_exits_3(tmp_path, capsys):
+    data = tmp_path / "huge.svm"
+    data.write_text("1 1:1e308 2:1e308\n-1 1:1e308 2:1\n")
+    assert main(["run", "--dataset", str(data), "--methods", "rcdvs:2", "--repetitions", "1"]) == 3
+    assert "numeric failure: Gram matrix overflows" in capsys.readouterr().err
+
+
 def test_run_tau_four_past_the_enumeration_range(capsys):
     # C(60, 4) = 487635 > 4 * 60^2, so rcdvs:4 draws from the spectral sampler
     argv = ["run", "--kind", "quadratic", "--n", "60", "--methods", "rcdvs:4",
@@ -288,6 +314,17 @@ def test_run_three_label_dataset_exits_2(tmp_path, capsys):
     data.write_text("1 1:1\n2 1:0.5\n3 2:1\n")
     assert main(["run", "--dataset", str(data), "--repetitions", "1"]) == 2
     assert "binary labels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("inf 1:1\n1 2:1\ninf 1:2\n1 2:3\n", "line 1: non-finite label 'inf'"),
+    ("1 1:1\n-1 2:nan\n", "line 2: non-finite value 'nan'"),
+])
+def test_run_non_finite_dataset_exits_2(tmp_path, capsys, text, message):
+    data = tmp_path / "bad.svm"
+    data.write_text(text)
+    assert main(["run", "--dataset", str(data), "--methods", "rcdvs:2", "--repetitions", "1"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_missing_dataset_exits_2(tmp_path, capsys):

@@ -238,8 +238,8 @@ def test_refresh_matches_incremental_state():
             s = np.sort(rng.choice(obj.n, size=tau, replace=False))
             state.apply_step(s, 0.01 * rng.standard_normal(tau))
         kept_value, kept_grad = state.value, state.full_gradient()
-        # the separable caches: derivatives w, and per-row loss values ell
-        # where the state keeps them (sparse rowwise)
+        # the separable caches: derivatives w and loss values ell, per row
+        # or, under a full-residual loss, the total
         inner = getattr(state, "_inner", state)
         caches = [c for c in ("_w", "_ell") if hasattr(inner, c)]
         kept = {c: getattr(inner, c).copy() for c in caches}
@@ -352,8 +352,20 @@ def test_sparse_step_on_shared_rows(loss, s, h):
 
 
 def _reference_values_and_derivs(loss, z, b):
-    """The per-row values and derivatives as separate expressions, one pass
-    each; ``eval`` shares their common work and must agree bit for bit."""
+    """The values and derivatives as separate expressions, one pass each;
+    ``eval`` shares their common work and must agree bit for bit.  A
+    full-residual loss's pair is the separate value and gradient it had
+    before ``eval``, its total as a 0-d array."""
+    if isinstance(loss, LogSumExpLoss):
+        r = z - b
+        top = float(np.max(r))
+        value = top + loss.mu * (np.log(np.sum(np.exp((r - top) / loss.mu))) - np.log(r.size))
+        e = np.exp((r - np.max(r)) / loss.mu)
+        return np.asarray(float(value)), e / e.sum()
+    if isinstance(loss, SqrtNormLoss):
+        r = z - b
+        value = float(np.sqrt(r @ r + loss.mu**2) - loss.mu)
+        return np.asarray(value), r / np.sqrt(r @ r + loss.mu**2)
     if isinstance(loss, SquareLoss):
         return 0.5 * (z - b) ** 2, z - b
     if isinstance(loss, LogisticLoss):
@@ -373,7 +385,8 @@ def _piecewise_huber(d, mu):
 
 
 @pytest.mark.parametrize(
-    "loss", [SquareLoss(), LogisticLoss(), HuberLoss(0.5), HuberLoss(0.01), HuberLoss(0.3)]
+    "loss", [SquareLoss(), LogisticLoss(), HuberLoss(0.5), HuberLoss(0.01), HuberLoss(0.3),
+             LogSumExpLoss(0.3), LogSumExpLoss(0.01), SqrtNormLoss(0.3), SqrtNormLoss(0.01)]
 )
 def test_loss_eval_matches_reference_formulas(loss):
     # a power-of-two mu scales exactly, so 0.01 and 0.3 are the cases that
@@ -389,11 +402,20 @@ def test_loss_eval_matches_reference_formulas(loss):
         [1.0, -1.0],  # z - b = 0
         [np.nan, np.nan],
     ])
+    # with and without the NaN rows, which poison a full-residual loss's
+    # total and every derivative
+    for rows in (slice(None), slice(-2)):
+        values, derivs = loss.eval(z[rows], b[rows])
+        ref_values, ref_derivs = _reference_values_and_derivs(loss, z[rows], b[rows])
+        assert values.shape == (derivs.shape if loss.rowwise else ())
+        assert values.tobytes() == ref_values.tobytes()
+        assert derivs.tobytes() == ref_derivs.tobytes()
     values, derivs = loss.eval(z, b)
-    ref_values, ref_derivs = _reference_values_and_derivs(loss, z, b)
-    assert values.tobytes() == ref_values.tobytes()
-    assert derivs.tobytes() == ref_derivs.tobytes()
-    assert np.isnan(values[-2:]).all() and np.isnan(derivs[-2:]).all()
+    if loss.rowwise:
+        assert np.isnan(values[-2:]).all() and np.isnan(derivs[-2:]).all()
+        assert not np.isnan(values[:-2]).any()
+    else:
+        assert np.isnan(values) and np.isnan(derivs).all()
 
 
 @pytest.mark.parametrize("mu", [0.5, 0.01, 0.3, 1e-5, 7.0])

@@ -231,6 +231,21 @@ def test_libsvm_malformed_line_number(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text, line, message", [
+    # read as [1, -1, 1, -1] before: inf the +1 class, the real 1s the -1
+    ("inf 1:1\n1 2:1\ninf 1:2\n1 2:3\n", 1, "non-finite label 'inf'"),
+    ("1 1:1\n-1 1:1 2:nan\n", 2, "non-finite value 'nan'"),
+    ("1 1:1\n-1 2:2\n# overflows to inf\n1 1:1e309\n", 4, "non-finite value '1e309'"),
+])
+def test_libsvm_non_finite_entries_are_parse_errors(tmp_path, text, line, message):
+    path = tmp_path / "bad.svm"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_libsvm(path)
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {message}"
+
+
 def test_libsvm_nonbinary_labels(tmp_path):
     path = tmp_path / "multi.svm"
     path.write_text("1 1:1\n2 1:1\n3 1:1\n")

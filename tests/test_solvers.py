@@ -746,7 +746,7 @@ def test_dense_sdna_pseudoinverse_steps_keep_the_value_on_the_objective(monkeypa
 
 def test_dense_forced_subsets_of_sizes_one_to_five_take_their_newton_steps():
     # off the window a dense quadratic steps through its public methods,
-    # whose _apply has its own branches for one and two coordinates
+    # whose _apply has one branch for a single coordinate and one for more
     obj = spd_quadratic(np.random.default_rng(17), 12)
     rng = np.random.default_rng(18)
     forced = [np.sort(rng.choice(12, size=1 + p % 5, replace=False)) for p in range(60)]

@@ -17,7 +17,8 @@ def test_same_iterates_passes_its_own_tree():
     done = _same_iterates(_REPO, "--cells", *cells)
     assert done.returncode == 0, done.stdout + done.stderr
     rows = [line.split() for line in done.stdout.splitlines() if line.startswith("dense-n10/")]
-    assert [row[0] for row in rows] == cells
+    # each cell's sampled runs, then their forced replays
+    assert [row[0] for row in rows] == [name for cell in cells for name in (cell, cell + "/forced")]
     assert all(row[1:] == ["18", "equal", "equal", "equal", "equal", "-"] for row in rows)
     assert done.stdout.rstrip().endswith("0 undeclared difference(s)")
 
@@ -33,8 +34,12 @@ def test_same_iterates_fails_on_a_difference_unless_declared(tmp_path):
     objectives.write_text(text.replace("\n_WINDOW = 48\n", "\n_WINDOW = 24\n"), encoding="utf-8")
     done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1")
     assert done.returncode == 1, done.stdout + done.stderr
-    row = next(line for line in done.stdout.splitlines() if line.startswith("dense-n10/"))
+    row, replay = (line for line in done.stdout.splitlines() if line.startswith("dense-n10/"))
     assert row.split()[1:6] == ["18", "equal", "equal", "DIFFER", "DIFFER"]
     assert row.endswith("UNDECLARED") and 0 < float(row.split()[6]) < 1e-10
-    done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*")
+    # forced replays take no window, so they stay bitwise
+    assert replay.split() == ["dense-n10/rcd:1/forced", "18", "equal", "equal", "equal", "equal",
+                              "-"]
+    assert done.stdout.rstrip().endswith("1 undeclared difference(s)")
+    done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/rcd:1")
     assert done.returncode == 0, done.stdout + done.stderr

@@ -7,16 +7,21 @@ the two trees (this one and OTHER_TREE, each a checkout with ``src/volcd``)
 a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` imports that tree's
 volcd and runs seeds 0-2, each to the shape's epsilon gap (capped at its
 perfbench update budget) and for a budget of 777 steps, each at trace_every
-1, 7 and 2**62: 18 runs per cell.  The shapes are a dense quadratic at
-n = 10 and the dense-gap, dense-tau3, sparse-huber and logistic-file
+1, 7 and 2**62: 18 runs per cell.  Each run is then replayed on the
+subsets it recorded, through ``forced_subsets`` with the same stop and
+trace settings, which takes the per-step path a window replaces.  The
+shapes are a dense quadratic at n = 10, a dense Huber regression (n = 60,
+m = 200), and the dense-gap, dense-tau3, sparse-huber and logistic-file
 workloads of ``perfbench/workloads.py``; seed s builds the problem with seed
 s and seeds the solver with s.
 
-One line per cell says whether the subsets, iteration counts, traces and
-final iterates of its 18 runs are equal, and the largest relative
-difference of the traces and iterates where they are not.  The exit status
-is 1 if a cell differs and matches no ``--declared`` pattern, else 0.
-``--cells`` keeps the cells that match one of its patterns (fnmatch, as in
+Two lines per cell, ``SHAPE/METHOD`` for its sampled runs and
+``SHAPE/METHOD/forced`` for their replays, say whether the subsets,
+iteration counts, traces and final iterates of the 18 runs are equal, and
+the largest relative difference of the traces and iterates where they are
+not.  The exit status is 1 if a line differs and its name matches no
+``--declared`` pattern, else 0.  ``--cells`` keeps the cells whose
+``SHAPE/METHOD`` matches one of its patterns (fnmatch, as in
 ``'dense-n10/*'``).
 """
 
@@ -42,12 +47,15 @@ BUDGET = 777
 TRACE_EVERY = (1, 7, 2**62)
 DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "sdna:1", "sdna:2", "sdna:3")
 SPARSE_METHODS = ("rcd:1", "rcdvs:2")
+HUBER_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
 FIELDS = ("subsets", "iters", "trace", "x_final")
 
 
 def shapes() -> dict:
     """Shape name -> (problem flags or dataset shape, epsilon, update cap, methods)."""
-    out = {"dense-n10": ({"kind": "quadratic", "n": 10}, None, 0.01, 100_000, DENSE_METHODS)}
+    out = {"dense-n10": ({"kind": "quadratic", "n": 10}, None, 0.01, 100_000, DENSE_METHODS),
+           "dense-huber": ({"kind": "huber", "n": 60, "m": 200}, None, 0.01, 100_000,
+                           HUBER_METHODS)}
     for name in ("dense-gap", "dense-tau3", "sparse-huber", "logistic-file"):
         w = WORKLOADS[name]
         methods = DENSE_METHODS if name.startswith("dense") else SPARSE_METHODS
@@ -55,8 +63,9 @@ def shapes() -> dict:
     return out
 
 
-# runs one cell in a fresh interpreter on the tree its PYTHONPATH names, and
-# saves every run's outcome to the .npz file argv[1]
+# runs one cell and replays each run on its subsets in a fresh interpreter
+# on the tree its PYTHONPATH names, and saves every run's outcome to the
+# .npz file argv[1], a replay's keys starting with "forced "
 _CHILD = r"""
 import json, sys
 import numpy as np
@@ -67,6 +76,11 @@ from volcd.solvers import SolverConfig, run
 out, cell = sys.argv[1], json.loads(sys.argv[2])
 method, tau = cell["method"], cell["tau"]
 saved = {}
+def save(key, rep):
+    saved[key + "|subsets"] = np.array(rep.subsets, dtype=np.int64).reshape(-1, tau)
+    saved[key + "|iters"] = np.array([rep.iterations, rep.capped])
+    saved[key + "|trace"] = np.array(rep.trace + [(-1, rep.final_value)], dtype=float)
+    saved[key + "|x_final"] = rep.x_final
 for seed in cell["seeds"]:
     if cell["files"]:
         obj = load_libsvm(cell["files"][str(seed)], gamma=cell["gamma"])
@@ -80,13 +94,12 @@ for seed in cell["seeds"]:
              "budget": dict(max_iters=cell["budget"])}
     for stop, kw in stops.items():
         for every in cell["trace_every"]:
-            rep = run(obj, b, SolverConfig(method=method, tau=tau, seed=seed, trace_every=every,
-                                           record_subsets=True, **kw))
+            settings = dict(method=method, tau=tau, seed=seed, trace_every=every,
+                            record_subsets=True, **kw)
+            rep = run(obj, b, SolverConfig(**settings))
             key = f"seed {seed}, {stop} stop, trace_every {every}"
-            saved[key + "|subsets"] = np.array(rep.subsets, dtype=np.int64).reshape(-1, tau)
-            saved[key + "|iters"] = np.array([rep.iterations, rep.capped])
-            saved[key + "|trace"] = np.array(rep.trace + [(-1, rep.final_value)], dtype=float)
-            saved[key + "|x_final"] = rep.x_final
+            save(key, rep)
+            save("forced " + key, run(obj, b, SolverConfig(forced_subsets=rep.subsets, **settings)))
 np.savez(out, **saved)
 """
 
@@ -145,7 +158,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         print(f"this tree: {HERE}\nother tree: {other}")
-        print(f"{'cell':26} {'runs':>4}  " + "  ".join(f"{f:8}" for f in FIELDS) + "  max rel diff")
+        print(f"{'cell':33} {'runs':>4}  " + "  ".join(f"{f:8}" for f in FIELDS) + "  max rel diff")
         for shape, (problem, dataset, epsilon, cap, methods) in shapes().items():
             files = {}
             for method in methods:
@@ -163,16 +176,19 @@ def main(argv=None) -> int:
                         "trace_every": list(TRACE_EVERY)}
                 mine = run_cell(HERE, cell, tmp / "mine.npz")
                 theirs = run_cell(other, cell, tmp / "theirs.npz")
-                equal, worst = compare(mine, theirs)
-                same = all(equal.values())
-                note = "-" if same else f"{worst:.3g}"
-                if not same and not any(fnmatch.fnmatchcase(name, p) for p in args.declared):
-                    undeclared += 1
-                    note += "  UNDECLARED"
                 runs = len(SEEDS) * 2 * len(TRACE_EVERY)
-                print(f"{name:26} {runs:>4}  "
-                      + "  ".join(f"{'equal' if equal[f] else 'DIFFER':8}" for f in FIELDS)
-                      + f"  {note}", flush=True)
+                # the sampled runs' keys start with "seed", their replays' with "forced"
+                for row, head in ((name, "seed "), (name + "/forced", "forced ")):
+                    equal, worst = compare(*({k: v for k, v in saved.items() if k.startswith(head)}
+                                             for saved in (mine, theirs)))
+                    same = all(equal.values())
+                    note = "-" if same else f"{worst:.3g}"
+                    if not same and not any(fnmatch.fnmatchcase(row, p) for p in args.declared):
+                        undeclared += 1
+                        note += "  UNDECLARED"
+                    print(f"{row:33} {runs:>4}  "
+                          + "  ".join(f"{'equal' if equal[f] else 'DIFFER':8}" for f in FIELDS)
+                          + f"  {note}", flush=True)
     print(f"{undeclared} undeclared difference(s)")
     return 1 if undeclared else 0
 
