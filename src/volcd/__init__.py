@@ -31,7 +31,6 @@ from .linalg import (
     format_triples,
     load_csr_triples,
     load_dense_triples,
-    principal_submatrix,
     pseudo_solve,
     save_triples,
     spd_solve,
@@ -64,7 +63,6 @@ from .problems import (
 )
 from .rng import RngStream
 from .sampling import (
-    CumulativeTable,
     SparseTwoSampler,
     SpectralVolumeSampler,
     UniformSampler,
@@ -96,7 +94,6 @@ __all__ = [
     "ConfigError",
     "CsrMatrix",
     "CsrSymmetricUpper",
-    "CumulativeTable",
     "DegenerateApprox",
     "EmptySupport",
     "ExperimentConfig",
@@ -146,7 +143,6 @@ __all__ = [
     "load_libsvm",
     "make_sampler",
     "modulus_quadratic",
-    "principal_submatrix",
     "pseudo_solve",
     "read_libsvm",
     "reference_min",

@@ -54,8 +54,6 @@ __all__ = [
     "load_csr_triples",
     "load_dense_triples",
     "minor_threshold",
-    "principal_submatrix",
-    "psd_det",
     "pseudo_solve",
     "require_finite",
     "save_triples",
@@ -74,8 +72,8 @@ def minor_threshold(diag_max: float, tau: int) -> float:
     """The value below which an order-tau principal minor of B counts as
     exactly 0, for B's largest diagonal entry ``diag_max``: 1e-14 times
     ``diag_max ** tau``, or infinity when ``diag_max <= 0``.  Every
-    determinantal sampler and :func:`psd_det` clamp with it.  A power that
-    overflows raises :class:`NumericError`."""
+    determinantal sampler clamps with it.  A power that overflows raises
+    :class:`NumericError`."""
     if not diag_max > 0:
         return np.inf
     try:
@@ -410,16 +408,18 @@ class CsrMatrix:
         span = np.repeat(self.indptr[1:], np.diff(self.indptr)) - entry
         second = np.arange(int(span.sum())) - np.repeat(np.cumsum(span) - span - entry, span)
         keys = np.repeat(indices * n, span) + indices[second]
-        products = np.repeat(data, span) * data[second]
-        if n * n <= keys.size:
-            # a dense accumulator costs no more memory than the pairs
-            sums = np.bincount(keys, weights=products, minlength=n * n)
-            keys = np.flatnonzero(sums)
-            sums = sums[keys]
-        else:
-            keys, inverse = np.unique(keys, return_inverse=True)
-            sums = np.bincount(inverse, weights=products, minlength=keys.size)
-        sums = sums * scale
+        # products that overflow are caught by the check below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            products = np.repeat(data, span) * data[second]
+            if n * n <= keys.size:
+                # a dense accumulator costs no more memory than the pairs
+                sums = np.bincount(keys, weights=products, minlength=n * n)
+                keys = np.flatnonzero(sums)
+                sums = sums[keys]
+            else:
+                keys, inverse = np.unique(keys, return_inverse=True)
+                sums = np.bincount(inverse, weights=products, minlength=keys.size)
+            sums = sums * scale
         if not np.isfinite(sums).all():
             raise NumericError("Gram matrix overflows: an entry of scale * A'A is not finite")
         return CsrSymmetricUpper(n, *_nonzero_entries(keys, sums, n))
@@ -451,18 +451,6 @@ def add_to_diagonal(b, c: float):
 
 # ---------------------------------------------------------------------------
 # Submatrices and factorizations
-
-
-def principal_submatrix(b, s) -> np.ndarray:
-    """Extract the dense principal submatrix B[S, S].
-
-    ``b`` may be a dense symmetric array or a :class:`CsrSymmetricUpper`;
-    the result is a dense tau x tau symmetric array.  The subset is
-    validated first; see :func:`gather_submatrix` for the unchecked gather.
-    """
-    if not isinstance(b, CsrSymmetricUpper):
-        b = np.asarray(b, dtype=float)
-    return gather_submatrix(b, validate_index_set(s, b.shape[0]))
 
 
 def gather_submatrix(b, s: np.ndarray) -> np.ndarray:
@@ -549,32 +537,13 @@ def eigendecompose(b) -> Spectrum:
     return Spectrum(eigenvalues=w[order], q=q[:, order])
 
 
-def psd_det(m, clamp_scale: float | None = None) -> float:
-    """Principal-minor determinant of a PSD matrix, clamped to exactly 0.
-
-    Values below :func:`minor_threshold` of the largest diagonal entry are
-    treated as degenerate and return 0.0, so floating-point noise cannot give
-    a singular submatrix positive sampling probability.  ``clamp_scale``
-    overrides that entry when the submatrix is part of a larger matrix.
-    """
-    m = np.asarray(m, dtype=float)
-    scale = float(np.max(np.diag(m))) if clamp_scale is None else float(clamp_scale)
-    threshold = minor_threshold(scale, m.shape[0])
-    if threshold == np.inf:
-        return 0.0
-    try:
-        chol = np.linalg.cholesky(m)
-    except np.linalg.LinAlgError:
-        return 0.0
-    det = float(np.prod(np.diag(chol)) ** 2)
-    return 0.0 if det < threshold else det
-
-
 def adjugate(m) -> np.ndarray:
     """Adjugate matrix: satisfies M @ adjugate(M) = det(M) * I.
 
     Computed as det(M) * inv(M) when M is comfortably nonsingular, by cofactor
-    expansion otherwise.  Used by test oracles only; sizes stay small.
+    expansion otherwise.  Used by the enumerated sums of
+    :mod:`volcd.spectral` (``sum_adjugates``, ``expected_step_matrix``) and
+    by test oracles; sizes stay small.
     """
     m = np.asarray(m, dtype=float)
     n = m.shape[0]

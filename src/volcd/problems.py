@@ -235,7 +235,8 @@ def read_libsvm(path):
     Lines look like ``label idx:val idx:val ...`` with 1-based feature
     indices.  Exactly two distinct labels are allowed; the smaller maps to
     -1 and the larger to +1.  A non-finite label or value is a
-    :class:`ParseError` naming its line.
+    :class:`ParseError` naming its line, and so is a file without any
+    feature entry.
     """
     labels: list[float] = []
     indptr = [0]
@@ -280,6 +281,8 @@ def read_libsvm(path):
             indptr.append(len(indices))
     if not labels:
         raise ParseError("no samples found")
+    if n == 0:
+        raise ParseError("no feature entries found")
     uniq = sorted(set(labels))
     if len(uniq) > 2:
         raise ParseError(f"expected binary labels, found {len(uniq)} distinct values")

@@ -1,9 +1,7 @@
 """Random coordinate-subset generators.
 
-Five samplers live here:
+Four samplers live here:
 
-* :class:`CumulativeTable` realizes the classic inverse-CDF method for a
-  finite distribution (cumulative sums plus binary search).
 * :class:`VolumeSampler` draws tau-element subsets S with probability
   proportional to det(B[S, S]) by enumerating all C(n, tau) subsets, so its
   table grows as C(n, tau) * tau.  The enumeration is vectorized:
@@ -23,8 +21,7 @@ Five samplers live here:
   :class:`~volcd.linalg.CsrSymmetricUpper`, which also builds two guide
   tables.  Draws are searched in sub-batches, on demand, by lock-step numpy
   bisections that start from guide-table brackets; each pair equals the one
-  the scalar reference search ``_sample_one`` returns, which stays as the
-  test oracle.
+  the scalar reference search in ``tests/oracles.py`` returns.
 * :class:`UniformSampler` draws subsets uniformly without replacement.
 
 :func:`make_sampler` picks the determinantal sampler for a storage, n and
@@ -55,7 +52,6 @@ from .linalg import CsrSymmetricUpper, as_dense, eigendecompose, minor_threshold
 from .rng import RngStream
 
 __all__ = [
-    "CumulativeTable",
     "Draws",
     "SparseTwoSampler",
     "SpectralVolumeSampler",
@@ -93,38 +89,14 @@ _SUB_BATCH = 256
 _CLAMP_GIVE_UP = 10_000
 
 
-class CumulativeTable:
-    """Cumulative probabilities P_1 <= ... <= P_N = 1 over N outcomes.
+def build_cumulative(weights) -> np.ndarray:
+    """Cumulative probabilities P_1 <= ... <= P_N = 1 of nonnegative weights.
 
-    Sampling maps a uniform u in (0, 1) to the smallest index k with
-    u <= P_k, so outcomes of weight zero are never returned and ties at
-    stored cumulative values resolve to the smaller index.
-    """
-
-    __slots__ = ("cumulative",)
-
-    def __init__(self, cumulative: np.ndarray):
-        cumulative = np.asarray(cumulative, dtype=float)
-        if cumulative.size < 1:
-            raise ValueError("need at least one outcome")
-        if (cumulative[1:] < cumulative[:-1]).any():
-            raise ValueError("cumulative probabilities must be nondecreasing")
-        if abs(cumulative[-1] - 1.0) > 1e-12:
-            raise ValueError("cumulative probabilities must end at 1")
-        self.cumulative = cumulative
-
-    def sample(self, u: float) -> int:
-        """Smallest index k with u <= P_k (0-based)."""
-        return int(np.searchsorted(self.cumulative, u, side="left"))
-
-    def sample_many(self, us: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self.cumulative, us, side="left")
-
-
-def build_cumulative(weights) -> CumulativeTable:
-    """Normalize nonnegative weights into a :class:`CumulativeTable`.
-
-    Raises :class:`EmptySupport` when every weight is zero.
+    ``searchsorted(u)`` on the result maps a uniform u in (0, 1) to the
+    smallest index k with u <= P_k, so a u equal to a stored value draws the
+    smaller index and outcomes of weight zero are not drawn, except trailing
+    ones: rounding can leave the last positive outcome's P_k a few ulps
+    below 1.  Raises :class:`EmptySupport` when every weight is zero.
     """
     w = np.asarray(weights, dtype=float)
     if w.size < 1:
@@ -139,7 +111,7 @@ def build_cumulative(weights) -> CumulativeTable:
     # keeps the sequence nondecreasing with last entry exactly 1
     np.clip(cum, None, 1.0, out=cum)
     cum[-1] = 1.0
-    return CumulativeTable(cum)
+    return cum
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +315,7 @@ class VolumeSampler(_SubsetStream):
         self.subsets = all_subsets(n, tau)
         minors = principal_minors(b, tau, self.subsets)
         try:
-            self.table = build_cumulative(minors)
+            self.cumulative = build_cumulative(minors)
         except EmptySupport:
             raise EmptySupport(
                 f"all order-{tau} principal minors are zero; "
@@ -352,10 +324,7 @@ class VolumeSampler(_SubsetStream):
 
     def _batches(self, rng: RngStream, chunk: int):
         while True:
-            yield self.subsets[self.table.sample_many(rng.uniforms(chunk))]
-
-    def probabilities(self) -> np.ndarray:
-        return np.diff(self.table.cumulative, prepend=0.0)
+            yield self.subsets[self.cumulative.searchsorted(rng.uniforms(chunk))]
 
 
 def exact_probabilities(b, tau: int) -> dict[tuple[int, ...], float]:
@@ -610,12 +579,12 @@ class SparseTwoSampler(_SubsetStream):
 
     evaluated on the fly.  :meth:`_search` runs them for a batch of draws as
     lock-step numpy bisections, with the predicates of the scalar reference
-    :meth:`_sample_one` written as the same floating-point expressions.  The
-    row and gap searches start from a bracket read off their guide, so each
-    takes a few probes instead of about log2(n); a gap bracket whose
-    endpoints fail the predicate is searched again over the whole gap.  The
-    guides only narrow the searches, so every pair is the one
-    :meth:`_sample_one` returns; that method stays as the test oracle.
+    search in ``tests/oracles.py`` written as the same floating-point
+    expressions.  The row and gap searches start from a bracket read off
+    their guide, so each takes a few probes instead of about log2(n); a gap
+    bracket whose endpoints fail the predicate is searched again over the
+    whole gap.  The guides only narrow the searches, so every pair is the
+    one the reference returns, bit for bit.
 
     Draws are searched on demand: each chunk of ``chunk`` pairs takes
     ``chunk`` first and then ``chunk`` second uniforms at once, but is
@@ -634,23 +603,26 @@ class SparseTwoSampler(_SubsetStream):
         nonempty = rowlen > 0
         row_end = indptr[1:][nonempty] - 1
 
-        sq = values**2
-        running = np.cumsum(sq)
-        before_row = np.concatenate(([0.0], running))[indptr[:-1]]
-        row_of = np.repeat(np.arange(n), rowlen)
-        self.hcum = running - before_row[row_of]
         # one past the last column of the gap that starts at each stored entry
         self._gap_stop = np.append(b.indices[1:], n)
         self._gap_stop[row_end] = n
 
-        self.diag = diag = b.diagonal()
-        self.t = np.concatenate((np.cumsum(diag[::-1])[::-1], [0.0]))
+        # sums that overflow are caught by the check below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            sq = values**2
+            running = np.cumsum(sq)
+            before_row = np.concatenate(([0.0], running))[indptr[:-1]]
+            row_of = np.repeat(np.arange(n), rowlen)
+            self.hcum = running - before_row[row_of]
 
-        h_last = np.zeros(n)
-        h_last[nonempty] = self.hcum[row_end]
-        mass = diag[: n - 1] * self.t[: n - 1] - h_last[: n - 1]
-        np.maximum(mass, 0.0, out=mass)
-        self.q = np.cumsum(mass)
+            self.diag = diag = b.diagonal()
+            self.t = np.concatenate((np.cumsum(diag[::-1])[::-1], [0.0]))
+
+            h_last = np.zeros(n)
+            h_last[nonempty] = self.hcum[row_end]
+            mass = diag[: n - 1] * self.t[: n - 1] - h_last[: n - 1]
+            np.maximum(mass, 0.0, out=mass)
+            self.q = np.cumsum(mass)
         if not (math.isfinite(self.q[-1]) and math.isfinite(self.t[0])):
             raise NumericError(
                 "pair masses overflow: the diagonal or the 2x2 minors of B are too large"
@@ -667,52 +639,10 @@ class SparseTwoSampler(_SubsetStream):
         self._gap_scale = n / self.t[0]
         self._gap_guide = (n + 1) - _count_below(self.t * self._gap_scale)
 
-    def total_pair_mass(self) -> float:
-        """Sum of all 2x2 principal minors (the normalization constant)."""
-        return float(self.q[-1])
-
-    def _pair_mass(self, i: int, j: int, hk: float) -> float:
-        # mass of pairs {i, i+1..j} given cumulative squared values hk
-        return self.diag[i] * (self.t[i] - self.t[j + 1]) - hk
-
-    def _sample_one(self, u1: float, u2: float) -> tuple[int, int]:
-        """One draw by scalar searches: the reference that :meth:`_search`
-        must match draw for draw."""
-        q = self.q
-        i0 = int(np.searchsorted(q, u1 * q[-1], side="left"))
-        lo, hi = int(self.b.indptr[i0]), int(self.b.indptr[i0 + 1])
-        cols = self.b.indices
-        hcum = self.hcum
-        r = hi - lo
-        denom = self._pair_mass(i0, self.n - 1, hcum[hi - 1])
-        target = u2 * denom
-
-        # smallest stored-entry position k whose gap block reaches the target
-        a, bnd = 0, r - 1
-        while a < bnd:
-            mid = (a + bnd) // 2
-            nxt = int(cols[lo + mid + 1]) - 1 if mid + 1 < r else self.n - 1
-            if target <= self._pair_mass(i0, nxt, hcum[lo + mid]):
-                bnd = mid
-            else:
-                a = mid + 1
-        k = a
-
-        # smallest column j inside the chosen gap with enough mass
-        jlo = int(cols[lo + k])
-        jhi = int(cols[lo + k + 1]) - 1 if k + 1 < r else self.n - 1
-        hk = hcum[lo + k]
-        while jlo < jhi:
-            mid = (jlo + jhi) // 2
-            if target <= self._pair_mass(i0, mid, hk):
-                jhi = mid
-            else:
-                jlo = mid + 1
-        return i0, jlo
-
     def _search(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-        """The pairs :meth:`_sample_one` returns for the uniforms ``u1`` and
-        ``u2``, as a (len(u1), 2) int64 array, searched in lock step."""
+        """The pairs the scalar reference search in ``tests/oracles.py``
+        returns for the uniforms ``u1`` and ``u2``, as a (len(u1), 2) int64
+        array, searched in lock step."""
         q, t, diag, hcum, n = self.q, self.t, self.diag, self.hcum, self.n
 
         # the row: smallest i with v <= q[i].  v and every q[i] reach their

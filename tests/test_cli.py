@@ -1,5 +1,7 @@
 import importlib.util
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -168,7 +170,6 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert rc == 3  # every pair minor is zero: empty support
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
 @pytest.mark.parametrize("flags, message", [
     # (max B_ii)^2 overflows the minor threshold: dense B, quadratic and huber
     (["--kind", "quadratic", "--n", "5", "--lam1", "1e200", "--lam2", "1"],
@@ -186,12 +187,29 @@ def test_run_overflowing_curvature_exits_3(capsys, flags, message):
     assert err.startswith("numeric failure: ") and message in err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_run_overflowing_dataset_gram_exits_3(tmp_path, capsys):
     data = tmp_path / "huge.svm"
     data.write_text("1 1:1e308 2:1e308\n-1 1:1e308 2:1\n")
     assert main(["run", "--dataset", str(data), "--methods", "rcdvs:2", "--repetitions", "1"]) == 3
     assert "numeric failure: Gram matrix overflows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--kind", "huber", "--n", "5", "--m", "8", "--sparsity", "2", "--lam1", "1e300",
+      "--lam2", "1e300", "--max-updates", "1000"], "pair masses overflow"),
+    (["--dataset", "huge.svm", "--gamma", "1"], "Gram matrix overflows"),
+])
+def test_run_overflow_exits_print_only_their_message(tmp_path, flags, message):
+    # in a fresh interpreter, where numpy's RuntimeWarnings would reach stderr
+    (tmp_path / "huge.svm").write_text("1 1:1e308 2:1e308\n-1 1:1e308 2:1\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "volcd.cli", "run", *flags, "--methods", "rcdvs:2",
+         "--repetitions", "1"], cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert done.returncode == 3
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith(f"numeric failure: {message}")
 
 
 def test_run_tau_four_past_the_enumeration_range(capsys):
@@ -325,6 +343,13 @@ def test_run_non_finite_dataset_exits_2(tmp_path, capsys, text, message):
     data.write_text(text)
     assert main(["run", "--dataset", str(data), "--methods", "rcdvs:2", "--repetitions", "1"]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_run_dataset_without_feature_entries_exits_2(tmp_path, capsys):
+    data = tmp_path / "labels.svm"
+    data.write_text("1\n-1\n1\n")
+    assert main(["run", "--dataset", str(data), "--methods", "rcdvs:2", "--repetitions", "1"]) == 2
+    assert capsys.readouterr().err == "error: no feature entries found\n"
 
 
 def test_run_missing_dataset_exits_2(tmp_path, capsys):

@@ -246,6 +246,14 @@ def test_libsvm_non_finite_entries_are_parse_errors(tmp_path, text, line, messag
     assert str(err.value) == f"line {line}: {message}"
 
 
+def test_libsvm_without_feature_entries_is_a_parse_error(tmp_path):
+    # labels alone would make a data matrix with no columns
+    path = tmp_path / "labels.svm"
+    path.write_text("1\n-1\n1\n")
+    with pytest.raises(ParseError, match="^no feature entries found$"):
+        read_libsvm(path)
+
+
 def test_libsvm_nonbinary_labels(tmp_path):
     path = tmp_path / "multi.svm"
     path.write_text("1 1:1\n2 1:1\n3 1:1\n")

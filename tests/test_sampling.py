@@ -6,11 +6,10 @@ import pytest
 
 from volcd import sampling
 from volcd.errors import CombinatorialBlowup, EmptySupport
-from volcd.linalg import CsrSymmetricUpper, psd_det
+from volcd.linalg import CsrSymmetricUpper
 from volcd.problems import ProblemSpec, banded_psd, generate
 from volcd.rng import RngStream
 from volcd.sampling import (
-    CumulativeTable,
     SparseTwoSampler,
     SpectralVolumeSampler,
     UniformSampler,
@@ -22,6 +21,8 @@ from volcd.sampling import (
     principal_minors,
     subset_counts,
 )
+
+from oracles import pair_draw, probabilities, psd_det, total_pair_mass
 
 TRIDIAG = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
 
@@ -43,23 +44,32 @@ def random_psd(rng, n, rank=None):
     return g.T @ g
 
 
+class Uniforms:
+    """An rng whose ``uniforms(k)`` hands out the given k values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def uniforms(self, k):
+        assert k == self.u.size
+        return self.u
+
+
 # ---------------------------------------------------------------------------
 # cumulative tables
 
 
 def test_build_cumulative_normalizes():
-    assert np.allclose(build_cumulative([2, 3, 5]).cumulative, [0.2, 0.5, 1.0])
+    assert np.allclose(build_cumulative([2, 3, 5]), [0.2, 0.5, 1.0])
 
 
 def test_build_cumulative_zero_weights_kept():
-    assert np.allclose(build_cumulative([0, 1, 0]).cumulative, [0.0, 1.0, 1.0])
+    assert np.allclose(build_cumulative([0, 1, 0]), [0.0, 1.0, 1.0])
 
 
 def test_build_cumulative_uniform():
     n = 7
-    assert np.allclose(
-        build_cumulative(np.ones(n)).cumulative, np.arange(1, n + 1) / n
-    )
+    assert np.allclose(build_cumulative(np.ones(n)), np.arange(1, n + 1) / n)
 
 
 def test_build_cumulative_empty_support():
@@ -67,22 +77,23 @@ def test_build_cumulative_empty_support():
         build_cumulative([0.0, 0.0])
 
 
-def test_cumulative_table_validation():
-    assert CumulativeTable([0.2, 0.2, 1.0]).sample(0.2) == 0  # ties are allowed
-    with pytest.raises(ValueError):
-        CumulativeTable([0.5, 0.4, 1.0])
-    with pytest.raises(ValueError):
-        CumulativeTable([0.5, 0.9])
-
-
 def test_cumulative_sample_min_rule():
-    table = build_cumulative([2, 3, 5])
-    assert table.sample(0.25) == 1
+    # VolumeSampler draws by ``cumulative.searchsorted(u)``
+    cum = build_cumulative([2, 3, 5])
+    assert cum.searchsorted(0.25) == 1
     # boundary: u equal to a stored cumulative goes to the smaller index
-    assert table.sample(0.2) == 0
+    assert cum.searchsorted(0.2) == 0
     zero_first = build_cumulative([0, 1, 0])
     for u in (0.01, 0.5, 0.999):
-        assert zero_first.sample(u) == 1
+        assert zero_first.searchsorted(u) == 1
+    # through the sampler: {0, 2} is singular, so the cumulative array reads
+    # (0.5, 0.5, 1) over {0,1}, {0,2}, {1,2}; u = 0.5 draws {0,1}, and no
+    # uniform draws {0,2}
+    sampler = VolumeSampler(np.array([[1.0, 0, 1], [0, 1, 0], [1, 0, 1]]), 2)
+    assert sampler.cumulative.tolist() == [0.5, 0.5, 1.0]
+    u = [0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 1e-300, 0.999]
+    got = sampler.sample_many(Uniforms(u), len(u))
+    assert got.tolist() == [[0, 1], [0, 1], [1, 2], [0, 1], [1, 2]]
 
 
 def test_cumulative_sample_matches_linear_scan():
@@ -92,10 +103,16 @@ def test_cumulative_sample_matches_linear_scan():
         w[rng.random(w.size) < 0.3] = 0.0
         if w.sum() == 0:
             continue
-        table = build_cumulative(w)
-        u = float(rng.uniform(1e-9, 1.0))
-        linear = min(k for k in range(w.size) if u <= table.cumulative[k])
-        assert table.sample(u) == linear
+        # tau = 1 on diag(w): the sampler's minors are the weights
+        sampler = VolumeSampler(np.diag(w), 1)
+        cum = sampler.cumulative
+        assert cum.tobytes() == build_cumulative(w).tobytes()
+        # plain uniforms and every stored value in (0, 1), ties included
+        u = np.concatenate((rng.uniform(1e-9, 1.0, size=5), cum[(cum > 0) & (cum < 1)]))
+        linear = [min(k for k in range(w.size) if v <= cum[k]) for v in u.tolist()]
+        drawn = sampler.sample_many(Uniforms(u), u.size)[:, 0]
+        assert drawn.tolist() == linear
+        assert (w[drawn] > 0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +121,7 @@ def test_cumulative_sample_matches_linear_scan():
 
 def test_tau_one_is_diagonal_proportional():
     sampler = VolumeSampler(np.diag([1.0, 2.0, 3.0]), 1)
-    assert np.allclose(sampler.probabilities(), [1 / 6, 2 / 6, 3 / 6])
+    assert np.allclose(probabilities(sampler), [1 / 6, 2 / 6, 3 / 6])
 
 
 def test_tau_one_same_on_sparse_and_dense_storage():
@@ -114,8 +131,8 @@ def test_tau_one_same_on_sparse_and_dense_storage():
     b[4, :] = b[:, 4] = 0.0  # a zero row carries no mass
     csr = CsrSymmetricUpper.from_dense(b)
     sparse, dense = VolumeSampler(csr, 1), VolumeSampler(csr.to_dense(), 1)
-    assert np.array_equal(sparse.probabilities(), dense.probabilities())
-    assert sparse.probabilities()[4] == 0.0
+    assert np.array_equal(probabilities(sparse), probabilities(dense))
+    assert probabilities(sparse)[4] == 0.0
     assert np.array_equal(
         sparse.sample_many(RngStream(3), 1000), dense.sample_many(RngStream(3), 1000)
     )
@@ -128,19 +145,18 @@ def test_tau_one_empty_sparse_matrix_has_no_support():
 
 def test_tau_two_diagonal_minors():
     sampler = VolumeSampler(np.diag([1.0, 2.0, 3.0]), 2)
-    assert np.allclose(sampler.probabilities(), [2 / 11, 3 / 11, 6 / 11])
+    assert np.allclose(probabilities(sampler), [2 / 11, 3 / 11, 6 / 11])
 
 
 def test_tau_two_tridiagonal():
     sampler = VolumeSampler(TRIDIAG, 2)
-    assert np.allclose(sampler.probabilities(), [0.3, 0.4, 0.3])
+    assert np.allclose(probabilities(sampler), [0.3, 0.4, 0.3])
 
 
 def test_sampler_table_walk_explicit_uniforms():
     sampler = VolumeSampler(np.diag([1.0, 2.0, 3.0]), 2)
     # cumulative masses (2, 5, 11)/11 over {0,1}, {0,2}, {1,2}
-    assert tuple(sampler.subsets[sampler.table.sample(0.1)]) == (0, 1)
-    assert tuple(sampler.subsets[sampler.table.sample(0.99)]) == (1, 2)
+    assert sampler.sample_many(Uniforms([0.1, 0.99]), 2).tolist() == [[0, 1], [1, 2]]
 
 
 def test_lexicographic_subset_order():
@@ -200,8 +216,8 @@ def test_low_order_minors_are_the_closed_forms():
 def test_tau_three_draws_match_per_subset_determinant_table(seed):
     b = random_psd(np.random.default_rng(10 + seed), 30)
     subsets = all_subsets(30, 3)
-    table = build_cumulative(_per_subset_det(b, 3))
-    expected = subsets[table.sample_many(RngStream(seed).uniforms(20_000))]
+    cum = build_cumulative(_per_subset_det(b, 3))
+    expected = subsets[cum.searchsorted(RngStream(seed).uniforms(20_000))]
     got = VolumeSampler(b, 3).sample_many(RngStream(seed), 20_000)
     assert np.array_equal(got, expected)
 
@@ -212,7 +228,7 @@ def test_exact_probabilities_match_sampler_table():
     for tau in (1, 2, 3):
         sampler = VolumeSampler(b, tau)
         exact = exact_probabilities(b, tau)
-        for s, p in zip(sampler.subsets, sampler.probabilities()):
+        for s, p in zip(sampler.subsets, probabilities(sampler)):
             assert exact[tuple(int(i) for i in s)] == pytest.approx(p)
 
 
@@ -242,7 +258,7 @@ def test_minor_clamp_excludes_degenerate_submatrices():
     b = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1.0]])
     sampler = VolumeSampler(b, 2)
     probs = dict(zip((tuple(map(int, s)) for s in sampler.subsets),
-                     sampler.probabilities()))
+                     probabilities(sampler)))
     assert probs[(0, 1)] == 0.0
     draws = sampler.sample_many(RngStream(3), 5000)
     assert (0, 1) not in count_subsets(draws)
@@ -469,9 +485,9 @@ def test_sparse2_sample_trace():
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
     # row search: q1/q2 = 0.7 >= 0.65 picks the first row; the gap search
     # then lands past the stored neighbor, on column 2
-    assert sampler._sample_one(0.65, 0.5) == (0, 2)
+    assert pair_draw(sampler, 0.65, 0.5) == (0, 2)
     for u2 in (0.1, 0.5, 0.9):
-        assert sampler._sample_one(0.75, u2) == (1, 2)
+        assert pair_draw(sampler, 0.75, u2) == (1, 2)
 
 
 def test_sparse2_statistical_matches_exact():
@@ -514,12 +530,12 @@ def test_sparse2_normalization_equals_minor_sum():
         csr = CsrSymmetricUpper.from_dense(b)
         sampler = SparseTwoSampler(csr)
         total = principal_minors(b, 2, clamp=False).sum()
-        assert sampler.total_pair_mass() == pytest.approx(total, rel=1e-8)
+        assert total_pair_mass(sampler) == pytest.approx(total, rel=1e-8)
         lam = np.linalg.eigvalsh(b)
         sigma2 = sum(
             lam[i] * lam[j] for i in range(7) for j in range(i + 1, 7)
         )
-        assert sampler.total_pair_mass() == pytest.approx(sigma2, rel=1e-8)
+        assert total_pair_mass(sampler) == pytest.approx(sigma2, rel=1e-8)
 
 
 def test_sparse2_requires_rank_two():
@@ -533,7 +549,7 @@ def test_sparse_two_sampler_single_draw():
     assert s[0] < s[1]
     rng = RngStream(1)
     u1, u2 = rng.uniforms(1)[0], rng.uniforms(1)[0]
-    assert tuple(s) == sampler._sample_one(u1, u2)
+    assert tuple(s) == pair_draw(sampler, u1, u2)
 
 
 def _sparse_psd_with_empty_rows(seed, n):
@@ -592,7 +608,7 @@ def test_batched_pair_search_matches_sample_one(name):
     sampler = SparseTwoSampler(b)
     u1, u2 = _edge_uniforms(sampler)
     expected = np.array(
-        [sampler._sample_one(a, c) for a, c in zip(u1.tolist(), u2.tolist())]
+        [pair_draw(sampler, a, c) for a, c in zip(u1.tolist(), u2.tolist())]
     )
     assert np.array_equal(sampler._search(u1, u2), expected)
 

@@ -6,13 +6,7 @@ import pytest
 
 from volcd import objectives, solvers
 from volcd.errors import ConfigError, SingularSubmatrix
-from volcd.linalg import (
-    CsrSymmetricUpper,
-    eigendecompose,
-    principal_submatrix,
-    pseudo_solve,
-    spd_solve,
-)
+from volcd.linalg import CsrSymmetricUpper, eigendecompose, pseudo_solve, spd_solve
 from volcd.objectives import (
     HuberLoss,
     LogisticLoss,
@@ -38,6 +32,8 @@ from volcd.solvers import (
     run,
 )
 from volcd.spectral import b_tau
+
+from oracles import pair_draw, principal_submatrix
 
 
 def spd_quadratic(rng, n, shift=1.0):
@@ -592,7 +588,7 @@ def _two_scalar_chunks(b, rng):
     pairs = []
     for _ in range(2):
         u1, u2 = rng.uniforms(4096).tolist(), rng.uniforms(4096).tolist()
-        pairs += [sampler._sample_one(a, c) for a, c in zip(u1, u2)]
+        pairs += [pair_draw(sampler, a, c) for a, c in zip(u1, u2)]
     return pairs
 
 
