@@ -4,18 +4,18 @@ Four samplers live here:
 
 * :class:`VolumeSampler` draws tau-element subsets S with probability
   proportional to det(B[S, S]) by enumerating all C(n, tau) subsets, so its
-  table grows as C(n, tau) * tau.  The enumeration is vectorized:
-  :func:`all_subsets` fills the lexicographic subset table block by block,
-  and :func:`principal_minors` uses closed forms for tau <= 3 and batched LU
-  determinants for tau >= 4.  Each draw is one binary search.  It is the
-  exactness oracle for the other determinantal samplers.
+  table grows as C(n, tau) * tau.  :func:`all_subsets` fills the
+  lexicographic table block by block, and :func:`principal_minors`, the one
+  minor kernel (closed forms for tau <= 3, batched LU above), takes every
+  minor.  Each draw is one binary search.  It is the exactness oracle for
+  the other determinantal samplers.
 * :class:`SpectralVolumeSampler` draws from the same distribution without
   enumerating: it eigendecomposes B once, O(n^3) time and O(n^2) memory,
-  picks tau eigenvectors through a prefix table of elementary symmetric
-  polynomials, then draws the rows of the projection DPP they span by
-  rejection, O(tau^3 + tau log n) per draw.  Given a handover count, it
-  builds the enumeration table once a run has drawn that many subsets and
-  takes the rest of the stream from it.
+  picks tau eigenvectors by elementary symmetric polynomials, draws the
+  rows of the projection DPP they span by rejection, O(tau^3 + tau log n)
+  per draw, and clamps their minors by the same kernel.  Given a handover
+  count, it builds the enumeration table once a run has drawn that many
+  subsets and takes the rest of the stream from it.
 * :class:`SparseTwoSampler` draws 2-element subsets from the same
   determinantal distribution after an O(nnz + n) preprocessing pass over a
   :class:`~volcd.linalg.CsrSymmetricUpper`, which also builds two guide
@@ -78,7 +78,7 @@ MAX_SPECTRAL_DIMENSION = 4096
 # this many subsets (about 80 MB at tau = 3), never to a larger one.
 MAX_HANDOVER_SUBSETS = 1 << 21
 
-_CHUNK = 1 << 14
+_CHUNK = 1 << 12
 
 # SparseTwoSampler and SpectralVolumeSampler search their draws this many at
 # a time.
@@ -94,9 +94,10 @@ def build_cumulative(weights) -> np.ndarray:
 
     ``searchsorted(u)`` on the result maps a uniform u in (0, 1) to the
     smallest index k with u <= P_k, so a u equal to a stored value draws the
-    smaller index and outcomes of weight zero are not drawn, except trailing
-    ones: rounding can leave the last positive outcome's P_k a few ulps
-    below 1.  Raises :class:`EmptySupport` when every weight is zero.
+    smaller index and outcomes of weight zero are never drawn: P_k is
+    exactly 1 from the last positive weight on, though rounding can leave
+    its running sum a few ulps below.  Raises :class:`EmptySupport` when
+    every weight is zero.
     """
     w = np.asarray(weights, dtype=float)
     if w.size < 1:
@@ -107,10 +108,10 @@ def build_cumulative(weights) -> np.ndarray:
     if total <= 0.0:
         raise EmptySupport("all weights are zero")
     cum = np.cumsum(w) / total
-    # running roundoff can overshoot 1 before trailing zero weights; clipping
-    # keeps the sequence nondecreasing with last entry exactly 1
+    # roundoff can overshoot 1 before the last positive weight or stop short
+    # of it there: clip, then 1 from the first entry at the final value on
     np.clip(cum, None, 1.0, out=cum)
-    cum[-1] = 1.0
+    cum[cum.searchsorted(cum[-1]) :] = 1.0
     return cum
 
 
@@ -150,75 +151,55 @@ def all_subsets(n: int, tau: int) -> np.ndarray:
     return out
 
 
-def _order3_minors(b: np.ndarray, diag: np.ndarray, subsets: np.ndarray):
-    """det(B[S, S]) for the rows of ``subsets = all_subsets(n, 3)``.
-
-    Expands each determinant along its first row,
-    ``d_i (d_j d_k - b_jk^2) - b_ij^2 d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``,
-    block by leading index i as in :func:`all_subsets`.  The pair terms come
-    from one table over the pairs 1 <= j < k < n, which the first block
-    lists; block i reads its last C(n - 1 - i, 2) rows.  The expansion is an
-    identity for every symmetric matrix, so indefinite input is fine.
-    """
-    n = diag.size
-    pairs = subsets[: math.comb(n - 1, 2), 1:]
-    j, k = pairs[:, 0], pairs[:, 1]
-    b_jk = b[j, k]
-    d_j, d_k = diag[j], diag[k]
-    pair = d_j * d_k - b_jk**2
-    out = np.empty(subsets.shape[0])
-    pos = 0
-    for i in range(n - 2):
-        size = math.comb(n - 1 - i, 2)
-        b_ij, b_ik = b[i, j[-size:]], b[i, k[-size:]]
-        out[pos : pos + size] = (
-            diag[i] * pair[-size:]
-            - b_ij**2 * d_k[-size:]
-            - b_ik**2 * d_j[-size:]
-            + 2.0 * b_ij * b_ik * b_jk[-size:]
-        )
-        pos += size
-    return out
-
-
 def principal_minors(
     b, tau: int, subsets: np.ndarray | None = None, clamp: bool = True
 ) -> np.ndarray:
-    """det(B[S, S]) for every tau-subset S in lexicographic order.
+    """det(B[S, S]) for each row S of ``subsets``: sorted tau-subsets of
+    range(n) in any order, ``all_subsets(n, tau)`` by default.
 
-    ``b`` may be a dense array or a :class:`~volcd.linalg.CsrSymmetricUpper`;
-    tau = 1 reads only its diagonal, larger tau a dense view.  ``subsets``,
-    when given, must be ``all_subsets(n, tau)``.  tau <= 3 use closed forms
-    (the diagonal, ``d_i d_j - b_ij^2``, and a first-row expansion evaluated
-    block by leading index), each O(1) per subset; tau >= 4 gathers B[S, S]
-    in chunks and takes batched LU determinants, O(tau^3) per subset.
-    With ``clamp=True`` (the PSD sampling path) minors below
-    :func:`~volcd.linalg.minor_threshold`, including roundoff negatives, are
-    set to exactly 0, so degenerate submatrices carry no sampling mass.
-    Pass ``clamp=False`` to get raw determinants, e.g. for indefinite input.
+    The one minor kernel, which the enumeration table and the spectral
+    sampler's clamp test share, so a subset's minor is the same bits in
+    either, in any row order.  ``b`` may be dense or a
+    :class:`~volcd.linalg.CsrSymmetricUpper`; tau = 1 reads only its
+    diagonal, larger tau a C-contiguous dense view, ``_CHUNK`` rows at a
+    time.  tau = 2 and 3 take closed forms by flat ``take``s, ``d_i d_j -
+    b_ij^2`` and the first-row expansion ``d_i (d_j d_k - b_jk^2) - b_ij^2
+    d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``, O(1) per subset and identities
+    for any symmetric B; tau >= 4 takes batched LU determinants of the
+    gathered blocks, O(tau^3) per subset.  With ``clamp=True`` (the PSD
+    sampling path) minors below :func:`~volcd.linalg.minor_threshold`,
+    roundoff negatives included, are set to exactly 0, so degenerate
+    submatrices carry no sampling mass; ``clamp=False`` gives raw
+    determinants, e.g. for indefinite input.
     """
     diag = b.diagonal().astype(float)
+    n = diag.size
     # before the minors: a threshold that overflows raises NumericError
     threshold = minor_threshold(float(np.max(diag)), tau) if clamp else None
     if subsets is None:
-        subsets = all_subsets(diag.size, tau)
+        subsets = all_subsets(n, tau)
     if tau == 1:
         # singleton minors are the diagonal, which sparse B gives without
         # densifying
         minors = diag[subsets[:, 0]]
     else:
-        b = as_dense(b)
-        if tau == 2:
-            i, j = subsets[:, 0], subsets[:, 1]
-            minors = b[i, i] * b[j, j] - b[i, j] ** 2
-        elif tau == 3:
-            minors = _order3_minors(b, diag, subsets)
-        else:
-            minors = np.empty(subsets.shape[0])
-            for lo in range(0, subsets.shape[0], _CHUNK):
-                block = subsets[lo : lo + _CHUNK]
-                sub = b[block[:, :, None], block[:, None, :]]
-                minors[lo : lo + block.shape[0]] = np.linalg.det(sub)
+        flat = np.ascontiguousarray(as_dense(b)).ravel()
+        minors = np.empty(subsets.shape[0])
+        for lo in range(0, subsets.shape[0], _CHUNK):
+            s = subsets[lo : lo + _CHUNK]
+            if tau >= 4:
+                m = np.linalg.det(flat.take(s[:, :, None] * n + s[:, None, :]))
+            elif tau == 2:
+                i, j = s.T
+                m = diag.take(i) * diag.take(j) - flat.take(i * n + j) ** 2
+            else:
+                i, j, k = cols = np.ascontiguousarray(s.T)
+                d_i, d_j, d_k = diag.take(cols)
+                b_ij, b_ik = flat.take(i * n + j), flat.take(i * n + k)
+                b_jk = flat.take(j * n + k)
+                pair = d_j * d_k - b_jk**2
+                m = d_i * pair - b_ij**2 * d_k - b_ik**2 * d_j + 2.0 * b_ij * b_ik * b_jk
+            minors[lo : lo + s.shape[0]] = m
     if clamp:
         minors[minors < threshold] = 0.0
     return minors
@@ -300,8 +281,8 @@ class VolumeSampler(_SubsetStream):
     minor of order tau, then their cumulative sums: O(C(n, tau) * tau) time
     and memory for tau <= 3 (closed-form minors), O(C(n, tau) * tau^3) time
     for tau >= 4 (batched LU).  Each draw afterwards is a single binary
-    search, about 0.5 us.  The build takes about 70 ns per subset at
-    tau = 3 and 0.7 us at tau = 4 and 5, so :func:`make_sampler` enumerates
+    search, about 0.5 us.  The build takes 40-70 ns per subset at tau = 3
+    and 0.3-0.75 us at tau = 4 and 5, so :func:`make_sampler` enumerates
     from the start only while C(n, tau) <= tau * n^2, where the table builds
     in under 1 ms, and otherwise after the spectral sampler's handover.  It
     is the exactness oracle either way.  Construction refuses more than
@@ -398,10 +379,10 @@ class SpectralVolumeSampler(_SubsetStream):
     cancels in every ratio and keeps the table from overflowing; those
     within roundoff of 0 (at most n * eps times the largest) count as 0, so
     tau above the numerical rank raises :class:`EmptySupport`.  A draw costs
-    O(tau^3 + tau log n).  Subsets whose minor falls under the enumeration
-    clamp (:func:`~volcd.linalg.minor_threshold`) are drawn again, so the
-    distribution equals :class:`VolumeSampler`'s and no drawn block is
-    singular.
+    O(tau^3 + tau log n).  Subsets whose minor, by the table's kernel
+    :func:`principal_minors`, is under :func:`~volcd.linalg.minor_threshold`
+    are drawn again: the distribution is :class:`VolumeSampler`'s, and no
+    drawn block is singular.
 
     Draws come sorted, searched ``_SUB_BATCH`` lanes at a time in lock step:
     each round every unfinished lane makes tau proposals.  The number of
@@ -427,7 +408,8 @@ class SpectralVolumeSampler(_SubsetStream):
                 f"{MAX_SPECTRAL_DIMENSION}: it densifies and eigendecomposes B"
             )
         self.handover = handover
-        self.b = as_dense(b)
+        # C-contiguous, so the clamp test's minors never copy it
+        self.b = np.ascontiguousarray(as_dense(b))
         spectrum = eigendecompose(self.b)
         lam = np.maximum(spectrum.eigenvalues, 0.0)
         if lam[0] > 0.0:
@@ -500,14 +482,14 @@ class SpectralVolumeSampler(_SubsetStream):
         return rows
 
     def _search(self, rng: RngStream, k: int) -> np.ndarray:
-        """k sorted subsets, (k, tau) int64; lanes whose minor falls under
-        the clamp are drawn again."""
+        """k sorted subsets, (k, tau) int64; lanes whose minor, by the
+        table's kernel :func:`principal_minors`, is clamped are drawn again."""
         out = np.empty((k, self.tau), dtype=np.int64)
         todo = np.arange(k)
         drawn = 0
         while todo.size:
             s = self._rows(rng, self._eigen_sets(rng, todo.size))
-            ok = np.linalg.det(self.b[s[:, :, None], s[:, None, :]]) >= self._threshold
+            ok = principal_minors(self.b, self.tau, s, clamp=False) >= self._threshold
             # a row accepted twice, with roundoff odds, is drawn again too
             ok &= (np.diff(s, axis=1) > 0).all(axis=1)
             out[todo[ok]] = s[ok]
@@ -737,11 +719,11 @@ def _handover_draws(n: int, tau: int) -> int | None:
     """How many spectral draws cost as much as building the enumeration
     table, or None when the table would exceed ``MAX_HANDOVER_SUBSETS``.
 
-    Measured on dense quadratics at n = 12-250 (one BLAS thread): the table
-    builds in about 70 ns per subset at tau = 3 (closed-form minors) and
-    0.65-0.9 us at tau = 4 and 5 (batched LU), while a spectral draw costs
-    about 10, 13 and 17 us more than a table draw.  So the table pays for
-    itself after about C(n, 3) / 128 or C(n, tau) / 16 draws.
+    Measured on dense quadratics at n = 20-235 (one BLAS thread): the table
+    builds in 40-70 ns per subset at tau = 3 (closed-form minors) and
+    0.3-0.75 us at tau = 4 and 5 (batched LU), while a spectral draw costs
+    about 5-10, 8-15 and 10-18 us more than a table draw.  So the table pays
+    for itself after about C(n, 3) / 128 or C(n, tau) / 16 draws.
     """
     count = math.comb(n, tau)
     if count > MAX_HANDOVER_SUBSETS:

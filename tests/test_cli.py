@@ -84,6 +84,16 @@ def test_theory_loads_an_indefinite_file_densely(tmp_path, capsys):
     assert lines[:3] == ["n = 2", "eigenvalues (descending):", "  1.20711 -0.207107"]
 
 
+def test_theory_skips_a_tau_above_n_and_calls_one_above_the_rank_undefined(tmp_path, capsys):
+    out = tmp_path / "b.txt"
+    save_triples(np.diag([1.0, 1.0, 0.0]), out)
+    assert main(["theory", "--matrix", str(out), "--taus", "1,3,4"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines if line.startswith("tau")] == [
+        "tau = 1", "tau = 3"]
+    assert lines[-1].startswith("tau = 3: undefined (")
+
+
 def test_theory_refuses_a_subset_size_that_does_not_parse(tmp_path, capsys, monkeypatch):
     out = tmp_path / "b.txt"
     save_triples(np.diag([4.0, 2.0, 1.0, 1.0]), out)
@@ -212,12 +222,44 @@ def test_run_overflow_exits_print_only_their_message(tmp_path, flags, message):
     assert done.stderr.startswith(f"numeric failure: {message}")
 
 
+def test_run_overflowing_minor_clamp_fails_before_the_baseline_runs():
+    # the rcd:1 baseline would spend its default 1e8-update budget before
+    # rcdvs:2 built its sampler; the clamp is checked before any run
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        str(pathlib.Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "volcd.cli", "run", "--kind", "quadratic", "--n", "5",
+         "--lam1", "1e200", "--lam2", "1", "--methods", "rcdvs:2", "--repetitions", "1"],
+        env=env, capture_output=True, text=True, timeout=30)
+    assert done.returncode == 3
+    assert len(done.stderr.splitlines()) == 1
+    assert done.stderr.startswith("numeric failure: minor threshold overflows")
+
+
 def test_run_tau_four_past_the_enumeration_range(capsys):
     # C(60, 4) = 487635 > 4 * 60^2, so rcdvs:4 draws from the spectral sampler
     argv = ["run", "--kind", "quadratic", "--n", "60", "--methods", "rcdvs:4",
             "--repetitions", "1", "--output", "json"]
     assert main(argv) == 0
     assert '"rcdvs:4"' in capsys.readouterr().out
+
+
+def test_missing_config_file_exits_2(tmp_path, capsys):
+    missing = tmp_path / "absent.ini"
+    assert main(["run", "--config", str(missing), "--kind", "quadratic", "--n", "10"]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read config file")
+
+
+@pytest.mark.parametrize("flags, message", [
+    ([], "problem needs kind and n"),
+    (["--kind", "quadratic"], "problem needs n"),
+    (["--n", "4"], "problem needs kind"),
+])
+def test_gen_without_kind_or_n_exits_2(tmp_path, capsys, flags, message):
+    out = tmp_path / "b.txt"
+    assert main(["gen", *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_unknown_config_field_rejected(tmp_path):

@@ -533,3 +533,60 @@ def test_csr_triple_loader_rejects_an_entry_beside_a_zero_diagonal(tmp_path, tex
 def test_as_symmetric_rejects_asymmetry():
     with pytest.raises(ValueError):
         as_symmetric([[1.0, 2.0], [0.0, 1.0]])
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+@pytest.mark.parametrize("n, indptr, indices, values, error, message", [
+    (0, [0], [], [], ValueError, "dimension must be at least 1"),
+    (2, [0, 1], [0], [1.0], ValueError, "malformed indptr"),
+    (2, [1, 1, 1], [0], [1.0], ValueError, "malformed indptr"),
+    (2, [0, 1, 2], [0, 1], [1.0], ValueError, "equal length"),
+    (2, [0, 2, 1], [0], [1.0], ValueError, "nondecreasing"),
+    (2, [0, 1, 2], [0, 1], [1.0, np.inf], ValueError, "non-finite"),
+    (2, [0, 1, 2], [0, 2], [1.0, 1.0], IndexError, "out of range"),
+    (2, [0, 1, 2], [0, 0], [1.0, 1.0], ValueError, "below the diagonal"),
+])
+def test_csr_symmetric_upper_rejects_malformed_arrays(n, indptr, indices, values, error,
+                                                      message):
+    with pytest.raises(error, match=message):
+        CsrSymmetricUpper(n, indptr, indices, values)
+
+
+@pytest.mark.parametrize("shape, indptr, indices, data, error, message", [
+    ((-1, 2), [0], [], [], ValueError, "invalid shape"),
+    ((2, 2), [0, 1], [0], [1.0], ValueError, "malformed indptr"),
+    ((2, 2), [0, 1, 2], [0, 1], [1.0], ValueError, "equal length"),
+    ((2, 2), [0, 2, 1], [0], [1.0], ValueError, "nondecreasing"),
+    ((2, 2), [0, 1, 2], [0, 2], [1.0, 1.0], IndexError, "out of range"),
+])
+def test_csr_matrix_rejects_malformed_arrays(shape, indptr, indices, data, error, message):
+    with pytest.raises(error, match=message):
+        CsrMatrix(shape, indptr, indices, data)
+
+
+@pytest.mark.parametrize("a, message", [
+    (np.ones((2, 3)), "expected a square matrix"),
+    (np.ones(3), "expected a square matrix"),
+    (np.empty((0, 0)), "at least 1"),
+])
+def test_as_symmetric_rejects_a_non_square_or_empty_matrix(a, message):
+    with pytest.raises(ValueError, match=message):
+        as_symmetric(a)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 1\n", "expected 'i j v'"),
+    ("1 1 2.0 3\n", "expected 'i j v'"),
+    ("1 1 nan\n", "non-finite value"),
+    ("1 1 inf\n", "non-finite value"),
+    ("# only a comment\n\n", "no matrix entries found"),
+])
+@pytest.mark.parametrize("load", [load_dense_triples, load_csr_triples])
+def test_triple_loaders_reject_malformed_files(tmp_path, text, message, load):
+    path = tmp_path / "m.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError, match=message):
+        load(path)

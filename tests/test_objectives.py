@@ -458,6 +458,19 @@ def test_smoothed_losses_refuse_a_mu_with_an_infinite_reciprocal():
         assert make(1e-300).smoothness == 1.0 / 1e-300
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda b: QuadraticObjective(np.eye(3), b), "linear term has wrong length"),
+    (lambda b: QuadraticObjective(CsrSymmetricUpper.from_dense(np.eye(3)), b),
+     "linear term has wrong length"),
+    (lambda b: SeparableObjective(np.ones((3, 2)), b, SquareLoss()),
+     "per-row parameter has wrong length"),
+])
+@pytest.mark.parametrize("b", [np.zeros(2), np.zeros(4), np.zeros((3, 1))])
+def test_objectives_refuse_a_b_of_the_wrong_length(make, message, b):
+    with pytest.raises(ValueError, match=message):
+        make(b)
+
+
 # ---------------------------------------------------------------------------
 # sparse input is kept as canonical float64 CSR
 

@@ -177,6 +177,28 @@ def test_logistic_kind_is_not_generated():
         generate(spec)
 
 
+@pytest.mark.parametrize("spec, message", [
+    (ProblemSpec(kind="cubic", n=4), "unknown problem kind"),
+    (ProblemSpec(kind="quadratic", n=0), "dimension must be positive"),
+    (ProblemSpec(kind="huber", n=4), "need a row count m"),
+    (ProblemSpec(kind="huber", n=4, m=0), "need a row count m"),
+])
+def test_problem_spec_validate_rejects(spec, message):
+    with pytest.raises(ConfigError, match=message):
+        spec.validate()
+
+
+def test_gen_huber_refuses_a_quadratic_spec():
+    with pytest.raises(ConfigError, match="needs a huber ProblemSpec"):
+        gen_huber(ProblemSpec(kind="quadratic", n=4))
+
+
+@pytest.mark.parametrize("n, bandwidth", [(5, 0), (5, 5), (5, 7)])
+def test_banded_psd_bandwidth_must_lie_below_n(n, bandwidth):
+    with pytest.raises(ValueError, match="bandwidth"):
+        banded_psd(n, bandwidth)
+
+
 # ---------------------------------------------------------------------------
 # libsvm ingestion
 
@@ -251,6 +273,27 @@ def test_libsvm_without_feature_entries_is_a_parse_error(tmp_path):
     path = tmp_path / "labels.svm"
     path.write_text("1\n-1\n1\n")
     with pytest.raises(ParseError, match="^no feature entries found$"):
+        read_libsvm(path)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("+1 1:1\nyes 1:1\n", 2, "bad label 'yes'"),
+    ("+1 0:1\n", 1, "feature index 0 < 1"),
+    ("+1 1:1 1:2\n", 1, "feature indices must increase, got 1 after 1"),
+    ("+1 2:1 1:2\n", 1, "feature indices must increase, got 1 after 2"),
+])
+def test_libsvm_malformed_entries_are_parse_errors(tmp_path, text, line, message):
+    path = tmp_path / "bad.svm"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        read_libsvm(path)
+    assert str(err.value) == f"line {line}: {message}"
+
+
+def test_libsvm_without_samples_is_a_parse_error(tmp_path):
+    path = tmp_path / "empty.svm"
+    path.write_text("# no samples\n\n")
+    with pytest.raises(ParseError, match="^no samples found$"):
         read_libsvm(path)
 
 

@@ -77,6 +77,15 @@ def test_build_cumulative_empty_support():
         build_cumulative([0.0, 0.0])
 
 
+@pytest.mark.parametrize("weights, message", [
+    ([], "at least one weight"),
+    ([1.0, -0.5], "nonnegative"),
+])
+def test_build_cumulative_rejects_empty_or_negative_weights(weights, message):
+    with pytest.raises(ValueError, match=message):
+        build_cumulative(weights)
+
+
 def test_cumulative_sample_min_rule():
     # VolumeSampler draws by ``cumulative.searchsorted(u)``
     cum = build_cumulative([2, 3, 5])
@@ -113,6 +122,29 @@ def test_cumulative_sample_matches_linear_scan():
         drawn = sampler.sample_many(Uniforms(u), u.size)[:, 0]
         assert drawn.tolist() == linear
         assert (w[drawn] > 0).all()
+
+
+def test_largest_uniform_never_draws_a_trailing_zero_weight():
+    # the running sum can stop a few ulps short of 1 at the last positive
+    # weight; the largest uniform below 1 must still draw a positive weight
+    top = 1.0 - 2.0**-53
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        w = rng.uniform(0, 1, size=rng.integers(2, 12))
+        w[rng.random(w.size) < 0.3] = 0.0
+        w[-1] = 0.0
+        if w.sum() == 0:
+            continue
+        assert (build_cumulative(w)[np.flatnonzero(w)[-1] :] == 1.0).all()
+        drawn = VolumeSampler(np.diag(w), 1).sample_many(Uniforms([top]), 1)
+        assert w[drawn[0, 0]] > 0
+    # coordinate 7 has a zero row and column, so the pairs holding it are
+    # singular, the last pair (6, 7) among them
+    a = np.random.default_rng(0).standard_normal((8, 7))
+    b = a @ a.T
+    b[7, :] = b[:, 7] = 0.0
+    sampler = VolumeSampler(b, 2)
+    assert sampler.sample_many(Uniforms([top]), 1).tolist() == [[5, 6]]
 
 
 # ---------------------------------------------------------------------------
@@ -201,6 +233,29 @@ def test_order3_minors_match_per_subset_determinants():
     touches_zero_row = (all_subsets(9, 3) == 2).any(axis=1)
     assert (clamped[touches_zero_row] == 0.0).all()
     assert (clamped[~touches_zero_row] > 0.0).all()
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+def test_minors_of_any_subset_rows_are_the_tables_bits(tau, sparse):
+    # one kernel for the table and for the spectral sampler's clamp test:
+    # rows in any order, with repeats, over several chunks, give the
+    # table's minor at each subset
+    rng = np.random.default_rng(20 + tau)
+    n = 11
+    dense = random_psd(rng, n, rank=n - 2) + np.diag(rng.uniform(0, 1, n))
+    if sparse:
+        dense[np.abs(dense) < 0.5 * np.abs(dense).mean()] = 0.0
+        np.fill_diagonal(dense, np.abs(dense).sum(axis=1) + 0.5)
+        b = CsrSymmetricUpper.from_dense(dense)
+    else:
+        b = dense
+    table = all_subsets(n, tau)
+    rows = rng.integers(0, table.shape[0], size=2 * sampling._CHUNK + 7)
+    for clamp in (False, True):
+        full = principal_minors(b, tau, clamp=clamp)
+        got = principal_minors(b, tau, table[rows], clamp=clamp)
+        assert got.tobytes() == full[rows].tobytes()
 
 
 def test_low_order_minors_are_the_closed_forms():
@@ -541,6 +596,11 @@ def test_sparse2_normalization_equals_minor_sum():
 def test_sparse2_requires_rank_two():
     with pytest.raises(EmptySupport):
         SparseTwoSampler(CsrSymmetricUpper.from_dense(np.diag([1.0, 0.0])))
+
+
+def test_sparse_two_sampler_refuses_a_dense_array():
+    with pytest.raises(TypeError, match="CsrSymmetricUpper"):
+        SparseTwoSampler(np.eye(3))
 
 
 def test_sparse_two_sampler_single_draw():

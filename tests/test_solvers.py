@@ -577,6 +577,50 @@ def test_size_three_closed_form_checks_every_pivot(block):
         assert np.array_equal(h, pseudo_solve(a, g))
 
 
+@pytest.mark.parametrize("sparse", [False, True])
+def test_singular_block_rule_at_size_four(sparse):
+    # coordinate 3 has a zero row and column, so LAPACK's Cholesky of
+    # B[{0,1,2,3},{0,1,2,3}] stops at its fourth leading minor
+    a = spd_quadratic(np.random.default_rng(12), 5).a
+    a[3, :] = a[:, 3] = 0.0
+    b = CsrSymmetricUpper.from_dense(a) if sparse else a
+    s, g = np.arange(4), np.array([0.5, -0.25, 1.0, 2.0])
+    with pytest.raises(SingularSubmatrix, match="leading minor of order 4"):
+        _make_step_solver(b, exact=True)(s, g)
+    h = _make_step_solver(b, exact=False)(s, g)
+    assert np.array_equal(h, pseudo_solve(a[np.ix_(s, s)], g))
+    obj = QuadraticObjective(b, np.ones(5))
+    forced = dict(tau=4, max_iters=1, forced_subsets=[[0, 1, 2, 3]])
+    with pytest.raises(SingularSubmatrix):
+        run(obj, b, SolverConfig(method="rcdvs", **forced))
+    rep = run(obj, b, SolverConfig(method="sdna", **forced))
+    assert rep.final_value <= obj.value(np.zeros(5)) + 1e-12
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_sdna_single_coordinate_step_on_a_zero_pivot_is_zero(sparse):
+    a = np.diag([0.0, 2.0])
+    b = CsrSymmetricUpper.from_dense(a) if sparse else a
+    solve = _make_step_solver(b, exact=False)
+    assert solve(np.array([0]), np.array([0.75])).tolist() == [0.0]
+    assert solve.one(0, 0.75) == 0.0
+    with pytest.raises(SingularSubmatrix, match="zero diagonal pivot"):
+        _make_step_solver(b, exact=True)(np.array([0]), np.array([0.75]))
+
+
+@pytest.mark.parametrize("subset, message", [
+    ([], "nonempty"),
+    ([0, 1, 2, 3], "exceeds dimension 3"),
+])
+def test_forced_subset_empty_or_longer_than_n_is_rejected(subset, message):
+    cfg = SolverConfig(method="sdna", tau=1, max_iters=1, forced_subsets=[subset])
+    with pytest.raises(ValueError, match=message):
+        cfg.validate(3)
+    obj = QuadraticObjective(np.eye(3), np.ones(3))
+    with pytest.raises(ValueError, match=message):
+        run(obj, np.eye(3), cfg)
+
+
 def _two_batches(sampler, rng):
     return np.concatenate([sampler.sample_many(rng, 4096) for _ in range(2)])
 

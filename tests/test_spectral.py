@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from volcd.errors import DegenerateApprox, UnboundedLevelSet
+from volcd.errors import CombinatorialBlowup, DegenerateApprox, UnboundedLevelSet
 from volcd.linalg import adjugate, eigendecompose
 from volcd.spectral import (
     acceleration_ratio,
@@ -392,3 +392,39 @@ def test_d_tau_no_curvature_is_unbounded():
     fake = b_tau(eigendecompose(np.eye(2)), 1)
     with pytest.raises(UnboundedLevelSet):
         d_tau_quadratic(spec, fake, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# range and cap checks
+
+_SPEC4 = eigendecompose(np.diag([4.0, 2.0, 1.0, 1.0]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: elementary_symmetric([1.0, 2.0], -1), ValueError, "degree must be nonnegative"),
+    (lambda: sum_principal_minors(TRIDIAG, 0), ValueError, "out of range"),
+    (lambda: sum_principal_minors(TRIDIAG, 4), ValueError, "out of range"),
+    (lambda: sum_principal_minors(np.eye(21), 2), CombinatorialBlowup, "capped at n = 20"),
+    (lambda: sum_adjugates(TRIDIAG, 0, method="enumerate"), ValueError, "out of range"),
+    (lambda: sum_adjugates(TRIDIAG, 4, method="enumerate"), ValueError, "out of range"),
+    (lambda: sum_adjugates(np.eye(40), 5, method="enumerate"), CombinatorialBlowup,
+     "brute-force cap"),
+    (lambda: sum_adjugates(TRIDIAG, 2, method="other"), ValueError, "unknown method"),
+    (lambda: b_tau(_SPEC4, 0), ValueError, "out of range"),
+    (lambda: b_tau(_SPEC4, 5), ValueError, "out of range"),
+    (lambda: acceleration_ratio([4.0, 2.0, 1.0], 0, 2), ValueError, "1 <= tau1 <= tau2"),
+    (lambda: acceleration_ratio([4.0, 2.0, 1.0], 2, 1), ValueError, "1 <= tau1 <= tau2"),
+    (lambda: acceleration_ratio([4.0, 2.0, 1.0], 1, 4), ValueError, "1 <= tau1 <= tau2"),
+    (lambda: expected_step_matrix(TRIDIAG, 0), ValueError, "out of range"),
+    (lambda: expected_step_matrix(TRIDIAG, 4), ValueError, "out of range"),
+    (lambda: expected_step_matrix(np.eye(40), 5), CombinatorialBlowup, "brute-force cap"),
+    (lambda: d_tau_quadratic(_SPEC4, b_tau(_SPEC4, 2), -1.0), ValueError,
+     "initial gap must be nonnegative"),
+    (lambda: d_tau_quadratic(_SPEC4, b_tau(_SPEC4, 2), np.inf), UnboundedLevelSet,
+     "not finite"),
+    (lambda: d_tau_quadratic(_SPEC4, b_tau(_SPEC4, 2), np.nan), UnboundedLevelSet,
+     "not finite"),
+])
+def test_range_and_cap_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
