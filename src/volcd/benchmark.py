@@ -19,8 +19,9 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import CsrSymmetricUpper, as_dense, eigendecompose, minor_threshold
+from .linalg import CsrSymmetricUpper, as_dense, eigendecompose
 from .problems import ProblemSpec, generate, load_libsvm, reference_min
+from .sampling import minor_threshold
 from .solvers import SolverConfig, run
 from .spectral import acceleration_ratio
 
@@ -120,12 +121,6 @@ class ResultTable:
             "raw": self.raw,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ResultTable":
-        payload = json.loads(text)
-        rows = [ResultRow(**r) for r in payload["rows"]]
-        return cls(rows=rows, meta=payload["meta"], raw=payload["raw"])
 
 
 def _cached_reference_min(config: ExperimentConfig, obj, b) -> float:

@@ -53,7 +53,6 @@ __all__ = [
     "gather_submatrix",
     "load_csr_triples",
     "load_dense_triples",
-    "minor_threshold",
     "pseudo_solve",
     "require_finite",
     "save_triples",
@@ -62,27 +61,8 @@ __all__ = [
     "validate_index_set",
 ]
 
-# Principal minors below this times (max diagonal) ** tau count as exactly 0.
-_DET_CLAMP = 1e-14
 # Asymmetry above this, relative to the largest entry, rejects a matrix.
 _SYMMETRY_TOL = 1e-10
-
-
-def minor_threshold(diag_max: float, tau: int) -> float:
-    """The value below which an order-tau principal minor of B counts as
-    exactly 0, for B's largest diagonal entry ``diag_max``: 1e-14 times
-    ``diag_max ** tau``, or infinity when ``diag_max <= 0``.  Every
-    determinantal sampler clamps with it.  A power that overflows raises
-    :class:`NumericError`."""
-    if not diag_max > 0:
-        return np.inf
-    try:
-        return _DET_CLAMP * diag_max**tau
-    except OverflowError:
-        raise NumericError(
-            f"minor threshold overflows: largest diagonal entry {diag_max:.3g} "
-            f"to the power {tau}"
-        ) from None
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
@@ -275,19 +255,6 @@ class CsrSymmetricUpper:
         with_diag = upper + scipy.sparse.diags(sp.diagonal(), format="csr")
         with_diag.sort_indices()
         return cls(sp.shape[0], with_diag.indptr, with_diag.indices, with_diag.data)
-
-    @classmethod
-    def from_rows(cls, n: int, rows) -> "CsrSymmetricUpper":
-        """Build from per-row (columns, values) pairs; empty rows allowed."""
-        indptr = [0]
-        indices: list[int] = []
-        values: list[float] = []
-        for i in range(n):
-            cols, vals = rows[i] if i < len(rows) else ((), ())
-            indices.extend(int(c) for c in cols)
-            values.extend(float(v) for v in vals)
-            indptr.append(len(indices))
-        return cls(n, np.asarray(indptr), np.asarray(indices), np.asarray(values))
 
 
 def _vector(x, size: int) -> np.ndarray:
@@ -517,10 +484,6 @@ class Spectrum:
 
     eigenvalues: np.ndarray
     q: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.size
 
     def matrix(self) -> np.ndarray:
         return symmetrize((self.q * self.eigenvalues) @ self.q.T)

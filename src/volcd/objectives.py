@@ -27,7 +27,15 @@ state also keeps the per-row loss values, so a step costs a fixed few numpy
 calls per column (one ``np.dot`` for a partial-gradient entry, one reduction
 for a value change) and evaluates the loss on that column's rows only.
 
-A solver steps a state through :func:`steps`.  A sparse separable state
+A solver steps a state through :func:`steps`, the one place that knows
+how a subset is stepped.  Its step kernel, :func:`_make_step_solver`,
+solves B[S, S] h = grad f(x)[S] by the size of S, not the configured tau,
+so a forced subset of any size gets its own Newton step: closed forms for
+one to three coordinates read the diagonal of B and its off-diagonal
+entries in S, larger subsets gather B[S, S] and factor it by LAPACK's
+Cholesky, for dense and sparse B alike.  Every size applies one rule to a
+singular block: :class:`~volcd.errors.SingularSubmatrix` when the solve is
+exact, the pseudoinverse step otherwise.  A sparse separable state
 under a rowwise loss takes a fused step, bitwise the state's own methods;
 ``_column_step`` is the one column update of both.  A dense quadratic state
 on a sampled stream of subsets of one to three coordinates (rcd:1, rcdvs:1
@@ -47,7 +55,16 @@ from bisect import bisect_left
 
 import numpy as np
 
-from .linalg import CsrMatrix, CsrSymmetricUpper, add_to_diagonal, symmetrize
+from .errors import SingularSubmatrix
+from .linalg import (
+    CsrMatrix,
+    CsrSymmetricUpper,
+    add_to_diagonal,
+    gather_submatrix,
+    pseudo_solve,
+    spd_solve,
+    symmetrize,
+)
 from .sampling import Draws
 
 __all__ = [
@@ -200,9 +217,6 @@ class GradientState:
     def partial_gradient(self, s) -> np.ndarray:
         raise NotImplementedError
 
-    def full_gradient(self) -> np.ndarray:
-        raise NotImplementedError
-
     def apply_step(self, s, h) -> None:
         """Decrement x[S] by h and update residuals incrementally."""
         self._apply(np.asarray(s), np.asarray(h, dtype=float))
@@ -236,9 +250,6 @@ class _QuadraticState(GradientState):
 
     def partial_gradient(self, s):
         return self._g[s].copy()
-
-    def full_gradient(self):
-        return self._g.copy()
 
 
 class _QuadraticDenseState(_QuadraticState):
@@ -293,9 +304,6 @@ class _SeparableState(GradientState):
 
     def partial_gradient(self, s):
         return self._obj.a[:, s].T @ self._w
-
-    def full_gradient(self):
-        return self._obj._adjoint(self._w)
 
     def _apply(self, s, h):
         self.x[s] -= h
@@ -379,9 +387,6 @@ class _RidgeState(GradientState):
     def partial_gradient(self, s):
         return self._inner.partial_gradient(s) + self._gamma * self.x[s]
 
-    def full_gradient(self):
-        return self._inner.full_gradient() + self._gamma * self.x
-
     def _apply(self, s, h):
         xs_old = self.x[s]
         self._sq += float(h @ h) - 2.0 * float(xs_old @ h)
@@ -398,9 +403,109 @@ class _RidgeState(GradientState):
 # Steps
 
 
-def steps(state, subsets, solve):
-    """Step ``state`` by h = solve(S, partial gradient on S) for each S
-    drawn from ``subsets``, yielding its value after each step.
+def _make_step_solver(b, exact: bool):
+    """Return h = solve(S, g), the solution of B[S, S] h = g, by the size of
+    S: closed forms for one to three coordinates read B through its diagonal
+    and ``item``, larger subsets gather B[S, S] and factor it.  A block with
+    a leading pivot that is not positive (NaN included) is singular: it
+    raises :class:`SingularSubmatrix` if ``exact``, and is solved by the
+    pseudoinverse otherwise.
+
+    ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
+    on Python floats, for the fused sparse separable step.  For the windowed
+    dense steps, ``solve.regular(d, o)`` is the pivot test of the closed
+    form for one to three coordinates, vectorized over a stack of blocks
+    (``d`` their diagonals, ``o`` their strictly upper entries in row
+    order): True where that closed form solves the block, so the window
+    solves exactly the blocks the per-step path does."""
+    diag = b.diagonal().tolist()
+    pair = b.item
+
+    def one(i, g1):
+        d = diag[i]
+        if d > 0.0:
+            return g1 / d
+        if exact:
+            raise SingularSubmatrix("zero diagonal pivot")
+        return 0.0
+
+    def two(i, j, g1, g2):
+        aa, bb, cc = diag[i], diag[j], pair(i, j)
+        det = aa * bb - cc * cc
+        if det > 0.0 and aa > 0.0:
+            return (bb * g1 - cc * g2) / det, (aa * g2 - cc * g1) / det
+        if exact:
+            raise SingularSubmatrix("singular 2x2 submatrix")
+        h1, h2 = pseudo_solve(np.array([[aa, cc], [cc, bb]]), np.array([g1, g2])).tolist()
+        return h1, h2
+
+    def three(i, j, k, g1, g2, g3):
+        # B[S, S] = L D L' with unit lower L; each pivot is checked before
+        # it divides
+        d1 = diag[i]
+        if d1 > 0.0:
+            p, q = pair(i, j), pair(i, k)
+            l21, l31 = p / d1, q / d1
+            d2 = diag[j] - p * l21
+            if d2 > 0.0:
+                t = pair(j, k) - q * l21
+                l32 = t / d2
+                d3 = diag[k] - q * l31 - t * l32
+                if d3 > 0.0:
+                    y2 = g2 - l21 * g1
+                    h3 = (g3 - l31 * g1 - l32 * y2) / d3
+                    h2 = y2 / d2 - l32 * h3
+                    return g1 / d1 - l21 * h2 - l31 * h3, h2, h3
+        if exact:
+            raise SingularSubmatrix("singular 3x3 submatrix")
+        sub = gather_submatrix(b, np.array([i, j, k], dtype=np.int64))
+        h1, h2, h3 = pseudo_solve(sub, np.array([g1, g2, g3])).tolist()
+        return h1, h2, h3
+
+    def regular(d, o):
+        # the pivot tests of one, two and three, expression for expression,
+        # on stacked blocks of one size: d[:, r] = B[s_r, s_r], and o holds
+        # B[s_r, s_c] for r < c in row order
+        size = d.shape[1]
+        if size == 1:
+            return d[:, 0] > 0.0
+        if size == 2:
+            aa, bb, cc = d[:, 0], d[:, 1], o[:, 0]
+            return (aa * bb - cc * cc > 0.0) & (aa > 0.0)
+        d1, (p, q, r) = d[:, 0], o.T
+        # three divides only after a pivot passed; here a failed pivot's
+        # later expressions may divide by zero, and their results are unused
+        with np.errstate(all="ignore"):
+            l21, l31 = p / d1, q / d1
+            d2 = d[:, 1] - p * l21
+            t = r - q * l21
+            l32 = t / d2
+            d3 = d[:, 2] - q * l31 - t * l32
+        return (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0)
+
+    closed = (None, one, two, three)
+
+    def solve(s, g):
+        size = s.size
+        if size <= 3:
+            return np.array(closed[size](*s.tolist(), *g.tolist()), ndmin=1)
+        sub = gather_submatrix(b, s)
+        try:
+            return spd_solve(sub, g)
+        except SingularSubmatrix:
+            if exact:
+                raise
+            return pseudo_solve(sub, g)
+
+    solve.one, solve.two, solve.regular = one, two, regular
+    return solve
+
+
+def steps(state, subsets, b, exact: bool):
+    """Step ``state`` by the solution h of B[S, S] h = partial gradient on S
+    for each S drawn from ``subsets``, yielding its value after each step.
+    A singular block raises :class:`SingularSubmatrix` if ``exact`` and
+    takes the pseudoinverse step otherwise (:func:`_make_step_solver`).
 
     A dense quadratic state on a sampler's :class:`~volcd.sampling.Draws`
     of one to three coordinates, with a dense B, takes windowed steps, which
@@ -415,10 +520,11 @@ def steps(state, subsets, solve):
     forced subsets or at tau >= 4 included, steps through its public
     methods: a subset of four or more coordinates is solved by LAPACK's
     Cholesky, whose singularity test a window cannot repeat."""
+    solve = _make_step_solver(b, exact)
     kind = type(state)
     if (kind is _QuadraticDenseState and type(subsets) is Draws and subsets.tau <= 3
-            and isinstance(solve.matrix, np.ndarray)):
-        return _dense_window_steps(state, subsets, solve)
+            and isinstance(b, np.ndarray)):
+        return _dense_window_steps(state, subsets, b, solve)
     inner = state._inner if kind is _RidgeState else state
     if type(inner) is _SeparableSparseState and inner._obj.loss.rowwise:
         return _sparse_separable_steps(state, subsets, solve)
@@ -439,7 +545,7 @@ def _apply_window(x, g, idx, h, rows, p):
     np.subtract.at(x, idx[:p], h[:p])
 
 
-def _dense_window_steps(state, draws, solve):
+def _dense_window_steps(state, draws, b, solve):
     """Windowed steps of a dense quadratic state on a sampled stream of
     subsets of one to three coordinates.
 
@@ -471,7 +577,7 @@ def _dense_window_steps(state, draws, solve):
     the limit and non-increasing.  Otherwise the iterates agree with the
     per-step path, ``_apply``, to rounding, not bitwise."""
     tau = draws.tau
-    x, a, b, regular = state.x, state._op, solve.matrix, solve.regular
+    x, a, regular = state.x, state._op, solve.regular
     g, value, count = state._g, state._value, state._steps
     bdiag, adiag = b.diagonal(), a.diagonal()
     block = np.arange(_WINDOW) // tau

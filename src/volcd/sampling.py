@@ -30,6 +30,10 @@ C(n, tau) <= tau * n^2 (every tau <= 2, tau = 3 up to n = 20, tau = 4 up to
 n = 12), the spectral sampler beyond, handing over to enumeration after
 as many draws as the table costs to build (``_handover_draws``).
 
+This module owns the rule that says when a minor counts as zero:
+:func:`minor_threshold` gives the clamp, and :func:`principal_minors` is
+the one place that applies it, for the table and the spectral sampler alike.
+
 The four subset samplers share one stream contract: each yields its draws in
 batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
 chunk)`` (the endless stream a solver run reads, a :class:`Draws` that hands
@@ -48,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import CombinatorialBlowup, EmptySupport, NumericError
-from .linalg import CsrSymmetricUpper, as_dense, eigendecompose, minor_threshold
+from .linalg import CsrSymmetricUpper, as_dense, eigendecompose
 from .rng import RngStream
 
 __all__ = [
@@ -61,6 +65,7 @@ __all__ = [
     "build_cumulative",
     "exact_probabilities",
     "make_sampler",
+    "minor_threshold",
     "principal_minors",
     "subset_counts",
 ]
@@ -87,6 +92,26 @@ _SUB_BATCH = 256
 # SpectralVolumeSampler gives up on a search once this many of its draws
 # all fell under the minor clamp.
 _CLAMP_GIVE_UP = 10_000
+
+# Principal minors below this times (max diagonal) ** tau count as exactly 0.
+_DET_CLAMP = 1e-14
+
+
+def minor_threshold(diag_max: float, tau: int) -> float:
+    """The value below which an order-tau principal minor of B counts as
+    exactly 0, for B's largest diagonal entry ``diag_max``: 1e-14 times
+    ``diag_max ** tau``, or infinity when ``diag_max <= 0``.  Only
+    :func:`principal_minors` clamps with it, for every determinantal
+    sampler.  A power that overflows raises :class:`NumericError`."""
+    if not diag_max > 0:
+        return np.inf
+    try:
+        return _DET_CLAMP * diag_max**tau
+    except OverflowError:
+        raise NumericError(
+            f"minor threshold overflows: largest diagonal entry {diag_max:.3g} "
+            f"to the power {tau}"
+        ) from None
 
 
 def build_cumulative(weights) -> np.ndarray:
@@ -167,10 +192,11 @@ def principal_minors(
     d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``, O(1) per subset and identities
     for any symmetric B; tau >= 4 takes batched LU determinants of the
     gathered blocks, O(tau^3) per subset.  With ``clamp=True`` (the PSD
-    sampling path) minors below :func:`~volcd.linalg.minor_threshold`,
-    roundoff negatives included, are set to exactly 0, so degenerate
-    submatrices carry no sampling mass; ``clamp=False`` gives raw
-    determinants, e.g. for indefinite input.
+    sampling path) minors below :func:`minor_threshold`, roundoff negatives
+    included, are set to exactly 0, so degenerate submatrices carry no
+    sampling mass; so does a subset with a repeated row.  This is the one
+    place the clamp is applied.  ``clamp=False`` gives raw determinants,
+    e.g. for indefinite input.
     """
     diag = b.diagonal().astype(float)
     n = diag.size
@@ -379,10 +405,9 @@ class SpectralVolumeSampler(_SubsetStream):
     cancels in every ratio and keeps the table from overflowing; those
     within roundoff of 0 (at most n * eps times the largest) count as 0, so
     tau above the numerical rank raises :class:`EmptySupport`.  A draw costs
-    O(tau^3 + tau log n).  Subsets whose minor, by the table's kernel
-    :func:`principal_minors`, is under :func:`~volcd.linalg.minor_threshold`
-    are drawn again: the distribution is :class:`VolumeSampler`'s, and no
-    drawn block is singular.
+    O(tau^3 + tau log n).  Subsets whose clamped minor, by the table's
+    kernel :func:`principal_minors`, is 0 are drawn again: the distribution
+    is :class:`VolumeSampler`'s, and no drawn block is singular.
 
     Draws come sorted, searched ``_SUB_BATCH`` lanes at a time in lock step:
     each round every unfinished lane makes tau proposals.  The number of
@@ -428,7 +453,6 @@ class SpectralVolumeSampler(_SubsetStream):
         cdf[-1] = 1.0
         cdf += 2.0 * np.arange(rank)
         self._cdf = cdf.ravel(order="F")
-        self._threshold = minor_threshold(float(np.max(np.diagonal(self.b))), tau)
 
     def _eigen_sets(self, rng: RngStream, k: int) -> np.ndarray:
         """k eigenvector sets, (k, tau) ascending column indices of ``_q``."""
@@ -483,15 +507,14 @@ class SpectralVolumeSampler(_SubsetStream):
 
     def _search(self, rng: RngStream, k: int) -> np.ndarray:
         """k sorted subsets, (k, tau) int64; lanes whose minor, by the
-        table's kernel :func:`principal_minors`, is clamped are drawn again."""
+        table's clamped kernel :func:`principal_minors`, is 0 are drawn
+        again, a row accepted twice among them."""
         out = np.empty((k, self.tau), dtype=np.int64)
         todo = np.arange(k)
         drawn = 0
         while todo.size:
             s = self._rows(rng, self._eigen_sets(rng, todo.size))
-            ok = principal_minors(self.b, self.tau, s, clamp=False) >= self._threshold
-            # a row accepted twice, with roundoff odds, is drawn again too
-            ok &= (np.diff(s, axis=1) > 0).all(axis=1)
+            ok = principal_minors(self.b, self.tau, s) > 0.0
             out[todo[ok]] = s[ok]
             drawn += todo.size
             todo = todo[~ok]

@@ -17,24 +17,15 @@ which eigendecomposes B once (O(n^3) time, O(n^2) memory) and then costs
 O(tau^3 + tau log n) per draw; a long run hands over to enumeration once
 its draws have cost as much as the table's build.
 
-The solve dispatches on the size of the subset it is given, not on the
-configured ``tau``, so a forced subset of any size gets its own Newton step.
-Closed forms for one to three coordinates read the diagonal of B and its
-off-diagonal entries in S; larger subsets gather B[S, S] and factor it by
-Cholesky.  Dense and sparse B take the same path.  Every size applies one
-rule to a singular block: :class:`SingularSubmatrix` under the exact methods,
-the pseudoinverse step under ``sdna``.
-
-A run stops at the iteration budget, at the target gap, or at the first
-non-finite objective value; in target-gap mode a diverged run is reported as
-capped.  :func:`run` has one loop over :func:`~volcd.objectives.steps`,
-which steps the state and yields its value, or a window's values as one
-float64 array; the loop counts, traces and tests for a stop, and reads the
-state only through ``value`` and ``x``.  :func:`~volcd.objectives.steps`
-says which step each state takes (a fused sparse step, a dense window, or
-the state's methods, which forced subsets replay) and how closely they
-agree; ``solve.regular``, the closed forms' pivot tests vectorized over
-stacked blocks, serves the windows.
+This module holds a run's configuration (:class:`SolverConfig`), its report
+(:class:`SolverReport`), the stop rule (:func:`check_stop`) and the loop
+(:func:`run`).  How a subset is stepped, the subsystem solve included, is
+:func:`~volcd.objectives.steps`'s; ``run`` hands it B and whether the method
+solves exactly.  A run stops at the iteration budget, at the target gap, or
+at the first non-finite objective value; in target-gap mode a diverged run
+is reported as capped.  The loop reads the steps' values, one float per
+step or a window's values as one float64 array, counts, traces and tests
+for a stop, and reads the state only through ``value`` and ``x``.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -49,14 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import objectives
-from .errors import ConfigError, SingularSubmatrix
-from .linalg import (
-    gather_submatrix,
-    pseudo_solve,
-    require_finite,
-    spd_solve,
-    validate_index_set,
-)
+from .errors import ConfigError
+from .linalg import require_finite, validate_index_set
 from .rng import RngStream
 from .sampling import UniformSampler, make_sampler
 
@@ -115,6 +100,10 @@ class SolverConfig:
             raise ConfigError("trace_every must be at least 1")
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        if self.x0 is not None:
+            x0 = np.asarray(self.x0, dtype=float)
+            if x0.shape != (n,) or not np.isfinite(x0).all():
+                raise ConfigError(f"x0 must be a finite vector of length {n}")
         # checked here, before a run's clock starts, so a replay of recorded
         # subsets times the same loop as the sampled run
         for s in self.forced_subsets or ():
@@ -136,11 +125,6 @@ class SolverReport:
     capped: bool = False
     subsets: list | None = None
 
-    def write_trace(self, fh) -> None:
-        """Line-oriented trace records "k,f" at the configured cadence."""
-        for k, f in self.trace:
-            fh.write(f"{k},{f!r}\n")
-
 
 def check_stop(k: int, value: float, config: SolverConfig) -> bool:
     """True once the iteration budget or the target gap is reached, or once
@@ -153,109 +137,6 @@ def check_stop(k: int, value: float, config: SolverConfig) -> bool:
         if value - config.f_star <= config.target_gap:
             return True
     return config.max_iters is not None and k >= config.max_iters
-
-
-# ---------------------------------------------------------------------------
-# Subsystem solves
-
-
-def _make_step_solver(b, exact: bool):
-    """Return h = solve(S, g), the solution of B[S, S] h = g, by the size of
-    S: closed forms for one to three coordinates read B through its diagonal
-    and ``item``, larger subsets gather B[S, S] and factor it.  A block with
-    a leading pivot that is not positive (NaN included) is singular: it
-    raises :class:`SingularSubmatrix` if ``exact``, and is solved by the
-    pseudoinverse otherwise.
-
-    ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
-    on Python floats, for the fused sparse separable step of
-    :func:`~volcd.objectives.steps`.  For its windowed dense steps,
-    ``solve.matrix`` is B itself and ``solve.regular(d, o)`` is the pivot
-    test of the closed form for one to three coordinates, vectorized over a
-    stack of blocks (``d`` their diagonals, ``o`` their strictly upper
-    entries in row order): True where that closed form solves the block, so
-    the window solves exactly the blocks the per-step path does."""
-    diag = b.diagonal().tolist()
-    pair = b.item
-
-    def one(i, g1):
-        d = diag[i]
-        if d > 0.0:
-            return g1 / d
-        if exact:
-            raise SingularSubmatrix("zero diagonal pivot")
-        return 0.0
-
-    def two(i, j, g1, g2):
-        aa, bb, cc = diag[i], diag[j], pair(i, j)
-        det = aa * bb - cc * cc
-        if det > 0.0 and aa > 0.0:
-            return (bb * g1 - cc * g2) / det, (aa * g2 - cc * g1) / det
-        if exact:
-            raise SingularSubmatrix("singular 2x2 submatrix")
-        h1, h2 = pseudo_solve(np.array([[aa, cc], [cc, bb]]), np.array([g1, g2])).tolist()
-        return h1, h2
-
-    def three(i, j, k, g1, g2, g3):
-        # B[S, S] = L D L' with unit lower L; each pivot is checked before
-        # it divides
-        d1 = diag[i]
-        if d1 > 0.0:
-            p, q = pair(i, j), pair(i, k)
-            l21, l31 = p / d1, q / d1
-            d2 = diag[j] - p * l21
-            if d2 > 0.0:
-                t = pair(j, k) - q * l21
-                l32 = t / d2
-                d3 = diag[k] - q * l31 - t * l32
-                if d3 > 0.0:
-                    y2 = g2 - l21 * g1
-                    h3 = (g3 - l31 * g1 - l32 * y2) / d3
-                    h2 = y2 / d2 - l32 * h3
-                    return g1 / d1 - l21 * h2 - l31 * h3, h2, h3
-        if exact:
-            raise SingularSubmatrix("singular 3x3 submatrix")
-        sub = gather_submatrix(b, np.array([i, j, k], dtype=np.int64))
-        h1, h2, h3 = pseudo_solve(sub, np.array([g1, g2, g3])).tolist()
-        return h1, h2, h3
-
-    def regular(d, o):
-        # the pivot tests of one, two and three, expression for expression,
-        # on stacked blocks of one size: d[:, r] = B[s_r, s_r], and o holds
-        # B[s_r, s_c] for r < c in row order
-        size = d.shape[1]
-        if size == 1:
-            return d[:, 0] > 0.0
-        if size == 2:
-            aa, bb, cc = d[:, 0], d[:, 1], o[:, 0]
-            return (aa * bb - cc * cc > 0.0) & (aa > 0.0)
-        d1, (p, q, r) = d[:, 0], o.T
-        # three divides only after a pivot passed; here a failed pivot's
-        # later expressions may divide by zero, and their results are unused
-        with np.errstate(all="ignore"):
-            l21, l31 = p / d1, q / d1
-            d2 = d[:, 1] - p * l21
-            t = r - q * l21
-            l32 = t / d2
-            d3 = d[:, 2] - q * l31 - t * l32
-        return (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0)
-
-    closed = (None, one, two, three)
-
-    def solve(s, g):
-        size = s.size
-        if size <= 3:
-            return np.array(closed[size](*s.tolist(), *g.tolist()), ndmin=1)
-        sub = gather_submatrix(b, s)
-        try:
-            return spd_solve(sub, g)
-        except SingularSubmatrix:
-            if exact:
-                raise
-            return pseudo_solve(sub, g)
-
-    solve.one, solve.two, solve.regular, solve.matrix = one, two, regular, b
-    return solve
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +175,6 @@ def run(obj, b, config: SolverConfig):
     else:
         forced = [np.asarray(s, dtype=np.int64) for s in forced]
         subsets = iter(forced)
-    solve = _make_step_solver(b, exact=config.method != "sdna")
 
     value = state.value
     trace = [(0, float(value))]
@@ -303,7 +183,7 @@ def run(obj, b, config: SolverConfig):
     isfinite, ndarray = math.isfinite, np.ndarray
     k = 0
     if not check_stop(0, value, config):
-        stepper = objectives.steps(state, subsets, solve)
+        stepper = objectives.steps(state, subsets, b, exact=config.method != "sdna")
         for value in stepper:
             if type(value) is ndarray and value.ndim:
                 # a window's block of values: taken whole when none of its

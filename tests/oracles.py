@@ -12,17 +12,14 @@ the library, so that a test can demand bitwise agreement:
   its cumulative array;
 * :func:`psd_det` is a clamped Cholesky determinant, zero for a degenerate
   block;
-* :func:`principal_submatrix` validates a subset, then gathers B[S, S].
+* :func:`principal_submatrix` validates a subset, then gathers B[S, S];
+* :func:`csr_from_rows` builds a ``CsrSymmetricUpper`` from per-row lists.
 """
 
 import numpy as np
 
-from volcd.linalg import (
-    CsrSymmetricUpper,
-    gather_submatrix,
-    minor_threshold,
-    validate_index_set,
-)
+from volcd.linalg import CsrSymmetricUpper, gather_submatrix, validate_index_set
+from volcd.sampling import minor_threshold
 
 
 def pair_draw(sampler, u1: float, u2: float) -> tuple[int, int]:
@@ -109,3 +106,17 @@ def principal_submatrix(b, s) -> np.ndarray:
     if not isinstance(b, CsrSymmetricUpper):
         b = np.asarray(b, dtype=float)
     return gather_submatrix(b, validate_index_set(s, b.shape[0]))
+
+
+def csr_from_rows(n: int, rows) -> CsrSymmetricUpper:
+    """A ``CsrSymmetricUpper`` from per-row (columns, values) pairs; rows
+    past the end of ``rows`` and empty pairs are empty rows."""
+    indptr = [0]
+    indices: list[int] = []
+    values: list[float] = []
+    for i in range(n):
+        cols, vals = rows[i] if i < len(rows) else ((), ())
+        indices.extend(int(c) for c in cols)
+        values.extend(float(v) for v in vals)
+        indptr.append(len(indices))
+    return CsrSymmetricUpper(n, np.asarray(indptr), np.asarray(indices), np.asarray(values))

@@ -21,7 +21,7 @@ from volcd.linalg import (
 )
 from volcd.objectives import QuadraticObjective
 
-from oracles import principal_submatrix, psd_det
+from oracles import csr_from_rows, principal_submatrix, psd_det
 
 TRIDIAG = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
 
@@ -65,7 +65,7 @@ def test_submatrix_csr_matches_dense():
             principal_submatrix(csr, s), principal_submatrix(b, s)
         )
     # an empty row reads as zeros, inside and outside the selected block
-    csr = CsrSymmetricUpper.from_rows(
+    csr = csr_from_rows(
         4, [([0, 2], [2.0, 0.5]), ([], []), ([2, 3], [3.0, -1.0]), ([3], [1.5])]
     )
     dense = csr.to_dense()
@@ -165,10 +165,10 @@ def test_add_to_diagonal_matches_scipy_sum():
     csrs = [
         CsrSymmetricUpper.from_dense(dense),
         # an empty row and a stored off-diagonal zero
-        CsrSymmetricUpper.from_rows(
+        csr_from_rows(
             4, [([0, 2], [2.0, 0.0]), ([], []), ([2, 3], [1.0, 0.5]), ([3], [1.0])]
         ),
-        CsrSymmetricUpper.from_rows(3, []),
+        csr_from_rows(3, []),
     ]
     for csr in csrs:
         expected = CsrSymmetricUpper.from_scipy(
@@ -315,7 +315,7 @@ def test_full_operator_and_its_products_match_scipy():
     rng = np.random.default_rng(22)
     csrs = [CsrSymmetricUpper.from_dense(d) for d in _symmetric_cases()]
     # a stored off-diagonal zero, which the full operator leaves out
-    csrs.append(CsrSymmetricUpper.from_rows(3, [([0, 2], [2.0, 0.0]), ([], []), ([2], [1.0])]))
+    csrs.append(csr_from_rows(3, [([0, 2], [2.0, 0.0]), ([], []), ([2], [1.0])]))
     for csr in csrs:
         expected = _scipy_full(csr)
         for full in (csr.full(), QuadraticObjective(csr, np.zeros(csr.n))._operator()):
@@ -410,12 +410,12 @@ def test_psd_det_clamps_degenerate():
 
 def test_csr_requires_diagonal_first():
     with pytest.raises(ZeroDiagonalNonzeroRow):
-        CsrSymmetricUpper.from_rows(2, [([1], [1.0]), ([1], [2.0])])
+        csr_from_rows(2, [([1], [1.0]), ([1], [2.0])])
 
 
 def test_csr_zero_diagonal_with_offdiag_rejected():
     with pytest.raises(ZeroDiagonalNonzeroRow):
-        CsrSymmetricUpper.from_rows(2, [([0, 1], [0.0, 1.0]), ([1], [2.0])])
+        csr_from_rows(2, [([0, 1], [0.0, 1.0]), ([1], [2.0])])
 
 
 def test_csr_zero_diagonal_with_nonzero_above_it_rejected():
@@ -435,19 +435,19 @@ def test_csr_zero_diagonal_with_nonzero_above_it_rejected():
 
 
 def test_csr_zero_rows_allowed():
-    c = CsrSymmetricUpper.from_rows(3, [([0], [1.0]), ([], []), ([2], [2.0])])
+    c = csr_from_rows(3, [([0], [1.0]), ([], []), ([2], [2.0])])
     assert np.allclose(c.to_dense(), np.diag([1.0, 0.0, 2.0]))
     assert c.indptr[1] == c.indptr[2]  # row 1 stores nothing
 
 
 def test_csr_rejects_unsorted_columns():
     with pytest.raises(ValueError):
-        CsrSymmetricUpper.from_rows(3, [([0, 2, 1], [1.0, 0.5, 0.5]), ([], []), ([], [])])
+        csr_from_rows(3, [([0, 2, 1], [1.0, 0.5, 0.5]), ([], []), ([], [])])
 
 
 def test_csr_rejects_negative_diagonal():
     with pytest.raises(ValueError):
-        CsrSymmetricUpper.from_rows(1, [([0], [-1.0])])
+        csr_from_rows(1, [([0], [-1.0])])
 
 
 def test_csr_entry_lookup():

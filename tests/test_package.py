@@ -137,3 +137,44 @@ def test_solvers_reads_no_private_attribute():
         and not (node.attr.startswith("__") and node.attr.endswith("__"))
     ]
     assert private == []
+
+
+def _src_tree(name):
+    path = Path(volcd.__file__).with_name(name)
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def test_solvers_imports_only_its_checks():
+    # the step kernels live in objectives: solvers needs from linalg and
+    # errors only what its config checks and its loop raise
+    imported = {
+        (node.module, alias.name)
+        for node in ast.walk(_src_tree("solvers.py"))
+        if isinstance(node, ast.ImportFrom) and node.module in ("linalg", "errors")
+        for alias in node.names
+    }
+    assert imported == {
+        ("errors", "ConfigError"),
+        ("linalg", "require_finite"),
+        ("linalg", "validate_index_set"),
+    }
+
+
+def test_minor_clamp_is_applied_in_one_place():
+    # principal_minors applies the clamp for every determinantal sampler;
+    # run_experiment only checks, before any run, that it does not overflow
+    def calls(tree):
+        return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and "minor_threshold" in (getattr(node.func, "id", None),
+                                          getattr(node.func, "attr", None))}
+
+    callers, lines = set(), set()
+    for path in sorted(Path(volcd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef) and calls(func):
+                callers.add((path.name, func.name))
+                lines |= {(path.name, line) for line in calls(func)}
+        # no call outside a function
+        assert {(path.name, line) for line in calls(tree)} <= lines
+    assert callers == {("sampling.py", "principal_minors"), ("benchmark.py", "run_experiment")}
