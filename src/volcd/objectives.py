@@ -6,7 +6,7 @@ Each objective certifies its own upper curvature matrix B, meaning
     f(y) <= f(x) + <grad f(x), y - x> + ||y - x||_B^2 / 2
 
 for all x, y.  Solvers hold a :class:`GradientState` per run; the state keeps
-the iterate together with maintained residuals so that a coordinate step and
+the iterate with maintained residuals and any ridge term, so that a step and
 its partial gradient cost only the touched rows and columns, never a full
 pass over the data.
 
@@ -35,16 +35,17 @@ one to three coordinates read the diagonal of B and its off-diagonal
 entries in S, larger subsets gather B[S, S] and factor it by LAPACK's
 Cholesky, for dense and sparse B alike.  Every size applies one rule to a
 singular block: :class:`~volcd.errors.SingularSubmatrix` when the solve is
-exact, the pseudoinverse step otherwise.  A sparse separable state
-under a rowwise loss takes a fused step, bitwise the state's own methods;
-``_column_step`` is the one column update of both.  A dense quadratic state
-on a sampled stream of subsets of one to three coordinates (rcd:1, rcdvs:1
-to rcdvs:3, sdna:1 to sdna:3) takes windowed steps, each window of steps one
-block lower-triangular solve whose values before the last are yielded as
-one array; they agree with the per-step path to rounding (1e-10 relative in
-the tests, 1.5e-12 measured), not bitwise, and a diverging run stops where
-the per-step path stops.  Every other run, a dense quadratic one on forced
-subsets or at tau >= 4 included, steps through the state's public methods.
+exact, the pseudoinverse step otherwise.  A sparse separable state under a
+rowwise loss, ridge or not, takes a fused step, bitwise the state's own
+methods; ``_column_step`` is the one column update of both.  A dense
+quadratic state without ridge on a sampled stream of one to three
+coordinates (rcd:1, rcdvs:1 to rcdvs:3, sdna:1 to sdna:3) takes windowed
+steps, each window of steps one block lower-triangular solve whose values
+before the last are yielded as one array; they agree with the per-step path
+to rounding (1e-10 relative in the tests, 1.5e-12 measured), not bitwise,
+and a diverging run stops where the per-step path stops.  Every other run,
+a dense quadratic one on forced subsets, at tau >= 4 or with ridge
+included, steps through the state's public methods.
 """
 
 from __future__ import annotations
@@ -202,9 +203,14 @@ class SqrtNormLoss(_SmoothedLoss):
 class GradientState:
     """Mutable per-run solver state: the iterate plus maintained residuals.
 
-    Single-owner: one state per solver run, never shared between threads.
-    Caches are rebuilt every ``REFRESH_INTERVAL`` steps to bound drift.
+    Subclasses keep their residuals by ``_partial``, ``_apply`` and
+    ``_recompute``; the public methods add the ridge term _gamma * _sq / 2,
+    _sq = ||x||^2, that a :class:`RegularizedObjective` sets.  Single-owner,
+    one state per run, never shared between threads; caches are rebuilt
+    every ``REFRESH_INTERVAL`` steps to bound drift.
     """
+
+    _gamma = _sq = 0.0
 
     def __init__(self, x0: np.ndarray):
         self.x = np.array(x0, dtype=float, copy=True)
@@ -212,14 +218,18 @@ class GradientState:
 
     @property
     def value(self) -> float:
-        return self._value
+        return self._value + 0.5 * self._gamma * self._sq if self._gamma else self._value
 
     def partial_gradient(self, s) -> np.ndarray:
-        raise NotImplementedError
+        g = self._partial(s)
+        return g + self._gamma * self.x[s] if self._gamma else g
 
     def apply_step(self, s, h) -> None:
         """Decrement x[S] by h and update residuals incrementally."""
-        self._apply(np.asarray(s), np.asarray(h, dtype=float))
+        s, h = np.asarray(s), np.asarray(h, dtype=float)
+        if self._gamma:
+            self._sq += float(h @ h) - 2.0 * float(self.x[s] @ h)
+        self._apply(s, h)
         self._steps += 1
         if self._steps >= REFRESH_INTERVAL:
             self.refresh()
@@ -227,6 +237,11 @@ class GradientState:
     def refresh(self) -> None:
         self._steps = 0
         self._recompute()
+        if self._gamma:
+            self._sq = float(self.x @ self.x)
+
+    def _partial(self, s):
+        raise NotImplementedError
 
     def _apply(self, s, h):
         raise NotImplementedError
@@ -248,7 +263,7 @@ class _QuadraticState(GradientState):
         self._g = self._op @ self.x - self._b
         self._value = 0.5 * float(self.x @ (self._g - self._b))
 
-    def partial_gradient(self, s):
+    def _partial(self, s):
         return self._g[s].copy()
 
 
@@ -302,7 +317,7 @@ class _SeparableState(GradientState):
         self._z = self._obj._products(self.x)
         self._evaluate()
 
-    def partial_gradient(self, s):
+    def _partial(self, s):
         return self._obj.a[:, s].T @ self._w
 
     def _apply(self, s, h):
@@ -345,7 +360,7 @@ class _SeparableSparseState(_SeparableState):
         self._cols = obj._columns()
         super().__init__(obj, x0)
 
-    def partial_gradient(self, s):
+    def _partial(self, s):
         cols, w = self._cols, self._w
         out = np.empty(len(s))
         for p, j in enumerate(s):
@@ -370,33 +385,6 @@ class _SeparableSparseState(_SeparableState):
             rows, vals, _ = cols[j]
             z[rows] -= vals * hj
         self._evaluate()
-
-
-class _RidgeState(GradientState):
-    def __init__(self, obj: "RegularizedObjective", x0):
-        self._inner = obj.inner.init_state(x0)
-        self.x = self._inner.x  # shared iterate
-        self._steps = 0
-        self._gamma = obj.gamma
-        self._sq = float(self.x @ self.x)
-
-    @property
-    def value(self):
-        return self._inner.value + 0.5 * self._gamma * self._sq
-
-    def partial_gradient(self, s):
-        return self._inner.partial_gradient(s) + self._gamma * self.x[s]
-
-    def _apply(self, s, h):
-        xs_old = self.x[s]
-        self._sq += float(h @ h) - 2.0 * float(xs_old @ h)
-        # the inner step without the inner step count: this state's refresh
-        # already recomputes the inner state once per interval
-        self._inner._apply(s, h)
-
-    def _recompute(self):
-        self._inner.refresh()
-        self._sq = float(self.x @ self.x)
 
 
 # ---------------------------------------------------------------------------
@@ -507,26 +495,26 @@ def steps(state, subsets, b, exact: bool):
     A singular block raises :class:`SingularSubmatrix` if ``exact`` and
     takes the pseudoinverse step otherwise (:func:`_make_step_solver`).
 
-    A dense quadratic state on a sampler's :class:`~volcd.sampling.Draws`
-    of one to three coordinates, with a dense B, takes windowed steps, which
-    agree with the per-step path to rounding.  A window yields the values
-    of its steps before the last as one 1-d float64 array, then the last as
-    a float; a reader that stops inside the array sends the number of its
-    values it took, and the window applies those steps and ends, while a
-    close there applies the steps of every value yielded.  A sparse separable
-    state under a rowwise loss (bare or with ridge) takes a fused step,
-    bitwise ``apply_step``'s, whose locals go back to the state when the
-    generator closes or ends.  Every other state, a dense quadratic one on
-    forced subsets or at tau >= 4 included, steps through its public
-    methods: a subset of four or more coordinates is solved by LAPACK's
-    Cholesky, whose singularity test a window cannot repeat."""
+    A dense quadratic state without ridge on a sampler's
+    :class:`~volcd.sampling.Draws` of one to three coordinates, with a dense
+    B, takes windowed steps, which agree with the per-step path to rounding.
+    A window yields the values of its steps before the last as one 1-d
+    float64 array, then the last as a float; a reader that stops inside the
+    array sends the number of its values it took, and the window applies
+    those steps and ends, while a close there applies the steps of every
+    value yielded.  A sparse separable state under a rowwise loss, whatever
+    its ridge weight, takes a fused step, bitwise ``apply_step``'s, whose
+    locals go back to the state when the generator closes or ends.  Every
+    other state, a dense quadratic one on forced subsets, at tau >= 4 or
+    with ridge included, steps through its public methods: a subset of four
+    or more coordinates is solved by LAPACK's Cholesky, whose singularity
+    test a window cannot repeat."""
     solve = _make_step_solver(b, exact)
     kind = type(state)
-    if (kind is _QuadraticDenseState and type(subsets) is Draws and subsets.tau <= 3
-            and isinstance(b, np.ndarray)):
+    if (kind is _QuadraticDenseState and not state._gamma and type(subsets) is Draws
+            and subsets.tau <= 3 and isinstance(b, np.ndarray)):
         return _dense_window_steps(state, subsets, b, solve)
-    inner = state._inner if kind is _RidgeState else state
-    if type(inner) is _SeparableSparseState and inner._obj.loss.rowwise:
+    if kind is _SeparableSparseState and state._obj.loss.rowwise:
         return _sparse_separable_steps(state, subsets, solve)
     return _public_steps(state, subsets, solve)
 
@@ -676,21 +664,19 @@ def _dense_window_steps(state, draws, b, solve):
 
 
 def _sparse_separable_steps(state, subsets, solve):
-    """Fused steps of a sparse separable state under a rowwise loss, bare or
-    with ridge: one or two coordinates read ``np.dot(vals, w[rows])``, as
-    ``partial_gradient`` does, solve on floats and step each column by
+    """Fused steps of a sparse separable state under a rowwise loss, with or
+    without a ridge term: one or two coordinates read ``np.dot(vals,
+    w[rows])``, as ``_partial`` does, add the ridge term to it and to the
+    squared norm in Python floats, solve on floats and step each column by
     :func:`_column_step`; larger steps call ``partial_gradient``, ``solve``
-    and ``_apply``.  A pair keeps ``_RidgeState._apply``'s length-2 dots:
-    they may round unlike a*a + b*b."""
-    ridge = type(state) is _RidgeState
-    inner = state._inner if ridge else state
+    and ``_apply``.  A pair keeps ``apply_step``'s length-2 dots for the
+    squared norm: they may round unlike a*a + b*b."""
     one, two = solve.one, solve.two
-    column, loss = _column_step, inner._obj.loss
-    x, cols = state.x, inner._cols
-    z, ell, w = inner._z, inner._ell, inner._w
-    value, count = inner._value, state._steps
-    gamma = state._gamma if ridge else 0.0
-    sq = state._sq if ridge else 0.0
+    column, loss = _column_step, state._obj.loss
+    x, cols = state.x, state._cols
+    z, ell, w = state._z, state._ell, state._w
+    value, count = state._value, state._steps
+    gamma, sq = state._gamma, state._sq
     interval = REFRESH_INTERVAL
     try:
         for s in subsets:
@@ -699,11 +685,11 @@ def _sparse_separable_steps(state, subsets, solve):
                 i = s.item(0)
                 ci = cols[i]
                 gi = float(np.dot(ci[1], w[ci[0]]))
-                if ridge:
+                if gamma:
                     xi = x.item(i)
                     gi += gamma * xi
                 h = one(i, gi)
-                if ridge:
+                if gamma:
                     sq += h * h - 2.0 * (xi * h)
                 x[i] -= h
                 value += column(loss, z, ell, w, ci, h)
@@ -712,11 +698,11 @@ def _sparse_separable_steps(state, subsets, solve):
                 ci, cj = cols[i], cols[j]
                 gi = float(np.dot(ci[1], w[ci[0]]))
                 gj = float(np.dot(cj[1], w[cj[0]]))
-                if ridge:
+                if gamma:
                     gi += gamma * x.item(i)
                     gj += gamma * x.item(j)
                 hi, hj = two(i, j, gi, gj)
-                if ridge:
+                if gamma:
                     hs = np.array((hi, hj))
                     sq += float(hs @ hs) - 2.0 * float(x[s] @ hs)
                 x[i] -= hi
@@ -725,23 +711,20 @@ def _sparse_separable_steps(state, subsets, solve):
                 value += column(loss, z, ell, w, cj, hj)
             else:
                 h = solve(s, state.partial_gradient(s))
-                if ridge:  # _RidgeState._apply's update, on the local sq
+                if gamma:  # apply_step's update, on the local sq
                     sq += float(h @ h) - 2.0 * float(x[s] @ h)
-                inner._value = value
-                inner._apply(s, h)
-                value = inner._value
+                state._value = value
+                state._apply(s, h)
+                value = state._value
             count += 1
             if count >= interval:
                 state.refresh()
-                z, ell, w, value, count = inner._z, inner._ell, inner._w, inner._value, 0
-                if ridge:
-                    sq = state._sq
-            # the ridge state's value property, with its expression
-            yield value + 0.5 * gamma * sq if ridge else value
+                z, ell, w, value, sq, count = (state._z, state._ell, state._w, state._value,
+                                               state._sq, 0)
+            # the value property, with its expression
+            yield value + 0.5 * gamma * sq if gamma else value
     finally:
-        inner._value, state._steps = value, count
-        if ridge:
-            state._sq = sq
+        state._value, state._sq, state._steps = value, sq, count
 
 
 # ---------------------------------------------------------------------------
@@ -852,7 +835,10 @@ class SeparableObjective:
 
 
 class RegularizedObjective:
-    """inner(x) + gamma * ||x||^2 / 2; curvature gains gamma on the diagonal."""
+    """inner(x) + gamma * ||x||^2 / 2; curvature gains gamma on the diagonal.
+
+    Its state is the inner objective's own, with gamma added to the state's
+    ridge weight, so the weights of nested ridges add into one."""
 
     def __init__(self, inner, gamma: float):
         if not (math.isfinite(gamma) and gamma > 0):
@@ -873,4 +859,7 @@ class RegularizedObjective:
         return add_to_diagonal(self.inner.curvature_matrix(), self.gamma)
 
     def init_state(self, x0) -> GradientState:
-        return _RidgeState(self, x0)
+        state = self.inner.init_state(x0)
+        state._gamma += self.gamma
+        state._sq = float(state.x @ state.x)
+        return state

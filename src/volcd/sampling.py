@@ -30,9 +30,10 @@ C(n, tau) <= tau * n^2 (every tau <= 2, tau = 3 up to n = 20, tau = 4 up to
 n = 12), the spectral sampler beyond, handing over to enumeration after
 as many draws as the table costs to build (``_handover_draws``).
 
-This module owns the rule that says when a minor counts as zero:
-:func:`minor_threshold` gives the clamp, and :func:`principal_minors` is
-the one place that applies it, for the table and the spectral sampler alike.
+This module owns the rule that says when a minor counts as zero: at most
+1e-14 times its block's diagonal product.  :func:`principal_minors` is the
+one place that applies it, for the table and the spectral sampler alike,
+after :func:`minor_threshold`'s overflow check.
 
 The four subset samplers share one stream contract: each yields its draws in
 batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
@@ -93,16 +94,16 @@ _SUB_BATCH = 256
 # all fell under the minor clamp.
 _CLAMP_GIVE_UP = 10_000
 
-# Principal minors below this times (max diagonal) ** tau count as exactly 0.
+# A principal minor at most this times its block's diagonal product is 0.
 _DET_CLAMP = 1e-14
 
 
 def minor_threshold(diag_max: float, tau: int) -> float:
-    """The value below which an order-tau principal minor of B counts as
-    exactly 0, for B's largest diagonal entry ``diag_max``: 1e-14 times
-    ``diag_max ** tau``, or infinity when ``diag_max <= 0``.  Only
-    :func:`principal_minors` clamps with it, for every determinantal
-    sampler.  A power that overflows raises :class:`NumericError`."""
+    """1e-14 times ``diag_max ** tau`` for B's largest diagonal entry
+    ``diag_max``, or infinity when ``diag_max <= 0``: a bound on the clamp
+    threshold of every order-tau block of B, which :func:`principal_minors`
+    takes first, so that a power that overflows raises
+    :class:`NumericError` before any minor is taken."""
     if not diag_max > 0:
         return np.inf
     try:
@@ -192,42 +193,46 @@ def principal_minors(
     d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``, O(1) per subset and identities
     for any symmetric B; tau >= 4 takes batched LU determinants of the
     gathered blocks, O(tau^3) per subset.  With ``clamp=True`` (the PSD
-    sampling path) minors below :func:`minor_threshold`, roundoff negatives
-    included, are set to exactly 0, so degenerate submatrices carry no
-    sampling mass; so does a subset with a repeated row.  This is the one
-    place the clamp is applied.  ``clamp=False`` gives raw determinants,
-    e.g. for indefinite input.
+    sampling path) a minor at most 1e-14 times its block's diagonal product,
+    which bounds it by Hadamard's inequality, is set to exactly 0, so
+    degenerate blocks at their own scale, roundoff negatives and repeated
+    rows carry no sampling mass.  This is the one place the clamp is
+    applied.  ``clamp=False`` gives raw determinants, e.g. for indefinite
+    input.
     """
     diag = b.diagonal().astype(float)
     n = diag.size
-    # before the minors: a threshold that overflows raises NumericError
-    threshold = minor_threshold(float(np.max(diag)), tau) if clamp else None
+    if clamp:  # before the minors: a threshold that overflows raises NumericError
+        minor_threshold(float(np.max(diag)), tau)
     if subsets is None:
         subsets = all_subsets(n, tau)
     if tau == 1:
         # singleton minors are the diagonal, which sparse B gives without
-        # densifying
+        # densifying; each is its own diagonal product
         minors = diag[subsets[:, 0]]
-    else:
-        flat = np.ascontiguousarray(as_dense(b)).ravel()
-        minors = np.empty(subsets.shape[0])
-        for lo in range(0, subsets.shape[0], _CHUNK):
-            s = subsets[lo : lo + _CHUNK]
-            if tau >= 4:
-                m = np.linalg.det(flat.take(s[:, :, None] * n + s[:, None, :]))
-            elif tau == 2:
-                i, j = s.T
-                m = diag.take(i) * diag.take(j) - flat.take(i * n + j) ** 2
-            else:
-                i, j, k = cols = np.ascontiguousarray(s.T)
-                d_i, d_j, d_k = diag.take(cols)
-                b_ij, b_ik = flat.take(i * n + j), flat.take(i * n + k)
-                b_jk = flat.take(j * n + k)
-                pair = d_j * d_k - b_jk**2
-                m = d_i * pair - b_ij**2 * d_k - b_ik**2 * d_j + 2.0 * b_ij * b_ik * b_jk
-            minors[lo : lo + s.shape[0]] = m
-    if clamp:
-        minors[minors < threshold] = 0.0
+        return np.where(minors <= _DET_CLAMP * minors, 0.0, minors) if clamp else minors
+    flat = np.ascontiguousarray(as_dense(b)).ravel()
+    minors = np.empty(subsets.shape[0])
+    for lo in range(0, subsets.shape[0], _CHUNK):
+        s = subsets[lo : lo + _CHUNK]
+        if tau >= 4:
+            m = np.linalg.det(flat.take(s[:, :, None] * n + s[:, None, :]))
+            prod = diag.take(s).prod(axis=1) if clamp else None
+        elif tau == 2:
+            i, j = s.T
+            prod = diag.take(i) * diag.take(j)
+            m = prod - flat.take(i * n + j) ** 2
+        else:
+            i, j, k = cols = np.ascontiguousarray(s.T)
+            d_i, d_j, d_k = diag.take(cols)
+            b_ij, b_ik = flat.take(i * n + j), flat.take(i * n + k)
+            b_jk = flat.take(j * n + k)
+            prod = d_i * d_j * d_k
+            pair = d_j * d_k - b_jk**2
+            m = d_i * pair - b_ij**2 * d_k - b_ik**2 * d_j + 2.0 * b_ij * b_ik * b_jk
+        if clamp:  # a negative product, of indefinite B, clamps at 0
+            m[m <= _DET_CLAMP * np.maximum(prod, 0.0)] = 0.0
+        minors[lo : lo + s.shape[0]] = m
     return minors
 
 

@@ -19,7 +19,7 @@ the library, so that a test can demand bitwise agreement:
 import numpy as np
 
 from volcd.linalg import CsrSymmetricUpper, gather_submatrix, validate_index_set
-from volcd.sampling import minor_threshold
+from volcd.sampling import _DET_CLAMP
 
 
 def pair_draw(sampler, u1: float, u2: float) -> tuple[int, int]:
@@ -75,25 +75,22 @@ def probabilities(sampler) -> np.ndarray:
     return np.diff(sampler.cumulative, prepend=0.0)
 
 
-def psd_det(m, clamp_scale: float | None = None) -> float:
+def psd_det(m) -> float:
     """Principal-minor determinant of a PSD matrix, clamped to exactly 0.
 
-    Values below ``minor_threshold`` of the largest diagonal entry are
-    treated as degenerate and return 0.0, so floating-point noise cannot give
-    a singular submatrix positive sampling probability.  ``clamp_scale``
-    overrides that entry when the submatrix is part of a larger matrix.
+    Values at most 1e-14 times the product of the matrix's own diagonal
+    entries, which bounds the determinant by Hadamard's inequality, are
+    treated as degenerate and return 0.0, as ``principal_minors`` clamps, so
+    floating-point noise cannot give a singular submatrix positive sampling
+    probability.
     """
     m = np.asarray(m, dtype=float)
-    scale = float(np.max(np.diag(m))) if clamp_scale is None else float(clamp_scale)
-    threshold = minor_threshold(scale, m.shape[0])
-    if threshold == np.inf:
-        return 0.0
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return 0.0
     det = float(np.prod(np.diag(chol)) ** 2)
-    return 0.0 if det < threshold else det
+    return 0.0 if det <= _DET_CLAMP * float(np.prod(np.diag(m))) else det
 
 
 def principal_submatrix(b, s) -> np.ndarray:

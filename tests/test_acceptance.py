@@ -454,11 +454,10 @@ def test_degenerate_submatrices_never_sampled():
         b = _random_psd(rng, 6, rank=4)
         b[5, :] = 0.0
         b[:, 5] = 0.0
-        scale = float(np.diag(b).max())
         for tau in (1, 2, 3):
             sampler = VolumeSampler(b, tau)
             for s in sampler.sample_many(stream, 2500):
-                assert psd_det(b[np.ix_(s, s)], clamp_scale=scale) > 0
+                assert psd_det(b[np.ix_(s, s)]) > 0
         csr = CsrSymmetricUpper.from_dense(b)
         for s in SparseTwoSampler(csr).sample_many(stream, 2500):
-            assert psd_det(b[np.ix_(s, s)], clamp_scale=scale) > 0
+            assert psd_det(b[np.ix_(s, s)]) > 0

@@ -242,9 +242,8 @@ def test_refresh_matches_incremental_state():
         kept_value, kept_grad = state.value, state.partial_gradient(everything)
         # the separable caches: derivatives w and loss values ell, per row
         # or, under a full-residual loss, the total
-        inner = getattr(state, "_inner", state)
-        caches = [c for c in ("_w", "_ell") if hasattr(inner, c)]
-        kept = {c: getattr(inner, c).copy() for c in caches}
+        caches = [c for c in ("_w", "_ell") if hasattr(state, c)]
+        kept = {c: getattr(state, c).copy() for c in caches}
         state.refresh()
         for value in (kept_value, obj.value(state.x)):
             assert state.value == pytest.approx(value, rel=1e-9), name
@@ -252,12 +251,12 @@ def test_refresh_matches_incremental_state():
             gap = np.linalg.norm(state.partial_gradient(everything) - grad)
             assert gap <= 1e-9 * np.linalg.norm(grad), name
         for c in caches:
-            fresh = getattr(inner, c)
+            fresh = getattr(state, c)
             gap = np.linalg.norm(fresh - kept[c])
             assert gap <= 1e-9 * np.linalg.norm(fresh), (name, c)
 
 
-def test_ridge_state_refreshes_inner_once_per_interval(monkeypatch):
+def test_ridge_state_recomputes_once_per_refresh_interval(monkeypatch):
     from volcd import objectives
 
     monkeypatch.setattr(objectives, "REFRESH_INTERVAL", 10)
@@ -266,11 +265,10 @@ def test_ridge_state_refreshes_inner_once_per_interval(monkeypatch):
         SeparableObjective(a, np.sign(np.arange(12) - 5.5), LogisticLoss()), 0.5
     )
     state = obj.init_state(np.zeros(5))
-    inner = state._inner
     recomputes = []
-    recompute = inner._recompute
+    recompute = state._recompute
     monkeypatch.setattr(
-        inner, "_recompute", lambda: (recomputes.append(1), recompute())
+        state, "_recompute", lambda: (recomputes.append(1), recompute())
     )
     for k in range(10):
         state.apply_step([k % 5], [0.1 * (k + 1)])

@@ -178,3 +178,12 @@ def test_minor_clamp_is_applied_in_one_place():
         # no call outside a function
         assert {(path.name, line) for line in calls(tree)} <= lines
     assert callers == {("sampling.py", "principal_minors"), ("benchmark.py", "run_experiment")}
+
+
+def test_the_ridge_term_lives_in_every_state():
+    # RegularizedObjective adds its weight to the inner objective's own
+    # state: no src module defines a wrapper state or reads an inner one
+    for path in sorted(Path(volcd.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not (isinstance(node, ast.ClassDef) and node.name == "_RidgeState"), path.name
+            assert not (isinstance(node, ast.Attribute) and node.attr == "_inner"), path.name

@@ -237,6 +237,19 @@ def test_order3_minors_match_per_subset_determinants():
     assert (clamped[~touches_zero_row] > 0.0).all()
 
 
+def test_clamped_minors_of_an_indefinite_matrix_are_never_negative():
+    # blocks with the negative diagonal entry have a negative diagonal
+    # product; their minors, -1 and -(1 - c^2) = -2.2e-16, still clamp to 0
+    # instead of reaching the table as negative weights
+    b = np.eye(4)
+    b[0, 0] = -1.0
+    b[1, 2] = b[2, 1] = 1.0 - 2.0**-53
+    for tau in (1, 2, 3, 4):
+        assert (principal_minors(b, tau) >= 0.0).all(), tau
+    with pytest.raises(EmptySupport):
+        VolumeSampler(b, 3)
+
+
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
 def test_minors_of_any_subset_rows_are_the_tables_bits(tau, sparse):
@@ -347,7 +360,7 @@ def test_sampled_submatrices_always_nonsingular():
         for tau in (1, 2, 3):
             sampler = VolumeSampler(b, tau)
             for s in sampler.sample_many(stream, 400):
-                assert psd_det(b[np.ix_(s, s)], clamp_scale=np.diag(b).max()) > 0
+                assert psd_det(b[np.ix_(s, s)]) > 0
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +409,11 @@ def test_spectral_sampler_empty_support_above_rank():
 
 
 def test_spectral_sampler_gives_up_when_every_minor_is_clamped():
-    # rank 2 numerically, but the only pair minor, 1e-15, is under the clamp,
-    # so enumeration has no support either
-    b = np.diag([1.0, 1e-15])
+    # rank 2 above the sampler's rank cut (eigenvalues 2 and 2.6e-15), but
+    # the only pair minor, 5.1e-15, is at most 1e-14 times its block's
+    # diagonal product 1, so enumeration has no support either
+    c = np.sqrt(1.0 - 5e-15)
+    b = np.array([[1.0, c], [c, 1.0]])
     with pytest.raises(EmptySupport):
         VolumeSampler(b, 2)
     sampler = SpectralVolumeSampler(b, 2)
@@ -411,14 +426,14 @@ def test_spectral_sampler_never_draws_a_degenerate_subset():
     b = np.array([[1.0, 1, 0], [1, 1, 0], [0, 0, 1.0]])
     draws = SpectralVolumeSampler(b, 2).sample_many(RngStream(3), 5000)
     assert (0, 1) not in count_subsets(draws)
-    # {1, ..., 8} has minor 1, under the clamp 1e-14 * 60^8 = 1.7, yet it
-    # carries 1/481 of the unclamped mass: about 40 of 20k draws without
-    # the redraw.  Every other subset holds 0 and is kept.
+    # {1, ..., 8} is the identity: well conditioned at its own scale, though
+    # its minor 1 is small beside the others' 60, so it keeps its exact
+    # share 1/481, about 42 of 20k draws (standard deviation 6.4)
     b = np.diag([60.0] + [1.0] * 8)
     draws = SpectralVolumeSampler(b, 8).sample_many(RngStream(4), 20_000)
-    assert (draws[:, 0] == 0).all()
     exact = exact_probabilities(b, 8)
-    assert exact[tuple(range(1, 9))] == 0.0
+    assert exact[tuple(range(1, 9))] == pytest.approx(1 / 481, rel=1e-12)
+    assert 10 <= int((draws[:, 0] == 1).sum()) <= 74
     assert tv_distance(subset_counts(draws, 9), exact, 20_000) <= 0.02
 
 
@@ -870,8 +885,7 @@ def _assert_marginals(draws, p, max_z, mean_z2):
 @pytest.mark.parametrize("tau, draws", [
     (3, 30_000),
     (4, 20_000),
-    pytest.param(8, 2_000, marks=pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 1: the clamp 1e-14 * max(diag)^tau drops real mass at tau = 8"))),
+    (8, 2_000),
 ])
 def test_spectral_inclusion_frequencies_match_the_marginals(tau, draws):
     b = _k_spike(400)

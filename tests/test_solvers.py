@@ -10,6 +10,7 @@ from volcd.objectives import (
     HuberLoss,
     LogisticLoss,
     QuadraticObjective,
+    RegularizedObjective,
     SeparableObjective,
     SquareLoss,
     _make_step_solver,
@@ -24,6 +25,7 @@ from volcd.sampling import (
     VolumeSampler,
     exact_probabilities,
     make_sampler,
+    principal_minors,
 )
 from volcd.solvers import SolverConfig, check_stop, run
 from volcd.spectral import b_tau
@@ -849,6 +851,20 @@ def test_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch):
     assert abs(rep.final_value - full) <= 1e-9 * abs(full)
 
 
+def test_rcdvs_8_runs_where_the_largest_diagonal_clamped_every_minor():
+    # with the clamp at 1e-14 * max(diag)^8 the spectral sampler drew 10240
+    # subsets of this B, found none above it and raised EmptySupport; at
+    # each block's own diagonal product the run takes its 50 steps, on
+    # blocks of positive minor that the old clamp removed
+    obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=160, lam1=1600.0, seed=0))
+    b = obj.curvature_matrix()
+    rep = run(obj, b, SolverConfig(method="rcdvs", tau=8, max_iters=50, record_subsets=True))
+    assert rep.iterations == 50 and rep.final_value < obj.value(np.zeros(160))
+    drawn = np.array(rep.subsets)
+    assert (principal_minors(b, 8, drawn) > 0.0).all()
+    assert (principal_minors(b, 8, drawn, clamp=False) < 1e-14 * b.diagonal().max() ** 8).all()
+
+
 # ---------------------------------------------------------------------------
 # the windowed steps of sampled rcd:1, rcdvs:2, rcdvs:3, sdna:1, sdna:2 and
 # sdna:3 runs on dense quadratics
@@ -945,6 +961,25 @@ def test_window_stops_a_diverging_run_at_its_first_non_finite_value(monkeypatch,
             assert windowed.capped and not np.isfinite(windowed.final_value), where
             assert windowed.iterations == replay.iterations < 100_000, where
             assert np.isfinite([f for _, f in windowed.trace[:-1]]).all(), where
+
+
+@pytest.mark.parametrize("method, tau", _WINDOWED)
+def test_a_ridge_quadratic_never_takes_the_window(monkeypatch, method, tau):
+    # the window steps the quadratic's own gradient and value, which leave
+    # out the ridge term: a sampled ridge run takes the per-step path, so it
+    # is bitwise its forced replay, and its value is the objective's
+    quad, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+    obj = RegularizedObjective(quad, 2.0)
+    b = obj.curvature_matrix()
+    x0 = np.random.default_rng(4).standard_normal(40)
+    calls = _window_spy(monkeypatch)
+    cfg = SolverConfig(method=method, tau=tau, seed=5, x0=x0, max_iters=300, trace_every=1,
+                       record_subsets=True)
+    sampled = run(obj, b, cfg)
+    replay = run(obj, b, replace(cfg, forced_subsets=sampled.subsets))
+    assert calls == [] and sampled.iterations == 300
+    assert _outcome(sampled) == _outcome(replay)
+    assert sampled.final_value == pytest.approx(obj.value(sampled.x_final), rel=1e-12)
 
 
 def test_window_refreshes_at_the_per_step_paths_steps(monkeypatch):
@@ -1321,8 +1356,8 @@ def test_sparse_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch, tmp
     obj, b = _sparse_separable(kind, tmp_path)
     rng = np.random.default_rng(35)
     forced = [np.sort(rng.choice(8, size=1 + p % 4, replace=False)) for p in range(100)]
-    # under ridge the outer refresh also refreshes the inner state
-    per_run = (100 // 7) * (2 if kind == "ridge-logistic" else 1)
+    # one refresh per interval, with or without ridge
+    per_run = 100 // 7
     for extra in (dict(method="rcd", tau=1), dict(method="rcdvs", tau=2),
                   dict(method="sdna", tau=2), dict(method="rcdvs", tau=2, forced_subsets=forced)):
         cfg = SolverConfig(max_iters=100, seed=36, trace_every=1, record_subsets=True, **extra)

@@ -43,3 +43,24 @@ def test_same_iterates_fails_on_a_difference_unless_declared(tmp_path):
     assert done.stdout.rstrip().endswith("1 undeclared difference(s)")
     done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/rcd:1")
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_same_iterates_reports_a_failing_tree_as_error_rows(tmp_path):
+    # a tree whose run raises prints both rows of the cell as ERROR, with
+    # the child's last stderr line, and they count as differences
+    shutil.copytree(_REPO / "src" / "volcd", tmp_path / "src" / "volcd",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    solvers = tmp_path / "src" / "volcd" / "solvers.py"
+    solvers.write_text(solvers.read_text(encoding="utf-8")
+                       + "\n\ndef run(*args, **kwargs):\n    raise RuntimeError('no run here')\n",
+                       encoding="utf-8")
+    done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1")
+    assert done.returncode == 1, done.stdout + done.stderr
+    rows = [line.split(None, 3) for line in done.stdout.splitlines()
+            if line.startswith("dense-n10/")]
+    assert [row[:3] for row in rows] == [["dense-n10/rcd:1", "18", "ERROR"],
+                                         ["dense-n10/rcd:1/forced", "18", "ERROR"]]
+    assert all(row[3] == "other tree: RuntimeError: no run here  UNDECLARED" for row in rows)
+    assert done.stdout.rstrip().endswith("2 undeclared difference(s)")
+    done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*")
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -19,8 +19,10 @@ Two lines per cell, ``SHAPE/METHOD`` for its sampled runs and
 ``SHAPE/METHOD/forced`` for their replays, say whether the subsets,
 iteration counts, traces and final iterates of the 18 runs are equal, and
 the largest relative difference of the traces and iterates where they are
-not.  The exit status is 1 if a line differs and its name matches no
-``--declared`` pattern, else 0.  ``--cells`` keeps the cells whose
+not.  A cell whose child exits non-zero in either tree prints both its lines
+as ``ERROR``, with the child's last line of stderr; an ``ERROR`` line counts
+as a difference.  The exit status is 1 if a line differs and its name
+matches no ``--declared`` pattern, else 0.  ``--cells`` keeps the cells whose
 ``SHAPE/METHOD`` matches one of its patterns (fnmatch, as in
 ``'dense-n10/*'``).
 """
@@ -45,7 +47,8 @@ from perfbench.workloads import WORKLOADS, write_libsvm  # noqa: E402
 SEEDS = (0, 1, 2)
 BUDGET = 777
 TRACE_EVERY = (1, 7, 2**62)
-DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "sdna:1", "sdna:2", "sdna:3")
+DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "rcdvs:8", "sdna:1", "sdna:2",
+                 "sdna:3")
 SPARSE_METHODS = ("rcd:1", "rcdvs:2")
 HUBER_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
 FIELDS = ("subsets", "iters", "trace", "x_final")
@@ -104,11 +107,16 @@ np.savez(out, **saved)
 """
 
 
-def run_cell(tree: Path, cell: dict, out: Path) -> dict:
+def run_cell(tree: Path, cell: dict, out: Path) -> dict | str:
+    """The cell's saved outcomes on ``tree``, or, if its child exits
+    non-zero, the child's last line of stderr."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
                PYTHONPATH=str(tree / "src"))
-    subprocess.run([sys.executable, "-c", _CHILD, str(out), json.dumps(cell)],
-                   env=env, check=True, cwd=str(tree))
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(out), json.dumps(cell)],
+                          env=env, cwd=str(tree), capture_output=True, text=True)
+    if done.returncode:
+        lines = done.stderr.strip().splitlines()
+        return lines[-1] if lines else f"exit status {done.returncode}"
     with np.load(out) as data:
         return {key: data[key] for key in data.files}
 
@@ -177,18 +185,23 @@ def main(argv=None) -> int:
                 mine = run_cell(HERE, cell, tmp / "mine.npz")
                 theirs = run_cell(other, cell, tmp / "theirs.npz")
                 runs = len(SEEDS) * 2 * len(TRACE_EVERY)
+                failed = [f"{side} tree: {saved}" for side, saved in
+                          (("this", mine), ("other", theirs)) if isinstance(saved, str)]
                 # the sampled runs' keys start with "seed", their replays' with "forced"
                 for row, head in ((name, "seed "), (name + "/forced", "forced ")):
-                    equal, worst = compare(*({k: v for k, v in saved.items() if k.startswith(head)}
-                                             for saved in (mine, theirs)))
-                    same = all(equal.values())
-                    note = "-" if same else f"{worst:.3g}"
+                    if failed:
+                        same, line = False, "ERROR  " + "; ".join(failed)
+                    else:
+                        equal, worst = compare(*({k: v for k, v in saved.items()
+                                                  if k.startswith(head)}
+                                                 for saved in (mine, theirs)))
+                        same = all(equal.values())
+                        line = "  ".join(f"{'equal' if equal[f] else 'DIFFER':8}"
+                                         for f in FIELDS) + ("  -" if same else f"  {worst:.3g}")
                     if not same and not any(fnmatch.fnmatchcase(row, p) for p in args.declared):
                         undeclared += 1
-                        note += "  UNDECLARED"
-                    print(f"{row:33} {runs:>4}  "
-                          + "  ".join(f"{'equal' if equal[f] else 'DIFFER':8}" for f in FIELDS)
-                          + f"  {note}", flush=True)
+                        line += "  UNDECLARED"
+                    print(f"{row:33} {runs:>4}  {line}", flush=True)
     print(f"{undeclared} undeclared difference(s)")
     return 1 if undeclared else 0
 
