@@ -33,7 +33,6 @@ from .linalg import (
     load_dense_triples,
     pseudo_solve,
     save_triples,
-    spd_solve,
 )
 from .objectives import (
     HuberLoss,
@@ -149,7 +148,6 @@ __all__ = [
     "run",
     "run_experiment",
     "save_triples",
-    "spd_solve",
     "sum_adjugates",
     "sum_principal_minors",
 ]

@@ -16,7 +16,8 @@ one exception is ``sampling.SparseTwoSampler``, which walks the
 ``indptr``, ``indices`` and ``values`` of a :class:`CsrSymmetricUpper`.
 
 scipy is imported only inside the functions that call it: the LAPACK
-Cholesky of :func:`spd_solve` (steps of four or more coordinates) and the
+Cholesky routines of ``_cholesky_routines``, which the step kernel of
+:mod:`volcd.objectives` calls for steps of four or more coordinates, and the
 ``from_scipy``/``to_scipy`` bridges of :class:`CsrSymmetricUpper`, for
 callers that already hold scipy matrices.  Every other sparse operation is
 numpy alone.
@@ -30,12 +31,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    NumericError,
-    ParseError,
-    SingularSubmatrix,
-    ZeroDiagonalNonzeroRow,
-)
+from .errors import NumericError, ParseError, ZeroDiagonalNonzeroRow
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -56,7 +52,6 @@ __all__ = [
     "pseudo_solve",
     "require_finite",
     "save_triples",
-    "spd_solve",
     "symmetrize",
     "validate_index_set",
 ]
@@ -441,28 +436,6 @@ def _cholesky_routines():
     from scipy.linalg.lapack import dpotrf, dpotrs
 
     return dpotrf, dpotrs
-
-
-def spd_solve(m, rhs) -> np.ndarray:
-    """Solve M h = rhs for symmetric positive definite M via Cholesky.
-
-    Calls LAPACK ``potrf``/``potrs`` directly; only the lower triangle of M
-    is read.  Raises :class:`SingularSubmatrix` on a non-positive pivot,
-    which signals a degenerate coordinate selection, and ``ValueError`` on a
-    non-square M.
-    """
-    potrf, potrs = _cholesky_routines()
-    m = np.asarray(m, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    c, info = potrf(m, lower=1, clean=0)
-    if info > 0:
-        raise SingularSubmatrix(
-            f"leading minor of order {info} is not positive definite"
-        )
-    h, _ = potrs(c, rhs, lower=1)
-    return h
 
 
 def pseudo_solve(m, rhs) -> np.ndarray:

@@ -33,19 +33,21 @@ solves B[S, S] h = grad f(x)[S] by the size of S, not the configured tau,
 so a forced subset of any size gets its own Newton step: closed forms for
 one to three coordinates read the diagonal of B and its off-diagonal
 entries in S, larger subsets gather B[S, S] and factor it by LAPACK's
-Cholesky, for dense and sparse B alike.  Every size applies one rule to a
-singular block: :class:`~volcd.errors.SingularSubmatrix` when the solve is
-exact, the pseudoinverse step otherwise.  A sparse separable state under a
-rowwise loss, ridge or not, takes a fused step, bitwise the state's own
-methods; ``_column_step`` is the one column update of both.  A dense
-quadratic state without ridge on a sampled stream of one to three
-coordinates (rcd:1, rcdvs:1 to rcdvs:3, sdna:1 to sdna:3) takes windowed
-steps, each window of steps one block lower-triangular solve whose values
-before the last are yielded as one array; they agree with the per-step path
-to rounding (1e-10 relative in the tests, 1.5e-12 measured), not bitwise,
-and a diverging run stops where the per-step path stops.  Every other run,
-a dense quadratic one on forced subsets, at tau >= 4 or with ridge
-included, steps through the state's public methods.
+Cholesky, for dense and sparse B alike; scipy is imported for the first
+such block.  Every size applies one rule to a singular block:
+:class:`~volcd.errors.SingularSubmatrix` when the solve is exact, the
+pseudoinverse step otherwise.  A sparse separable state under a rowwise
+loss, ridge or not, takes a fused step, bitwise the state's own methods;
+``_column_step`` is the one column update of both.  A dense quadratic state
+without ridge on a sampled stream with a dense B takes windowed steps at
+every tau, each window of steps one block lower-triangular solve whose
+values before the last are yielded as one array.  A window tests each
+block as the per-step solve does, so it solves exactly the blocks that
+path solves; its steps agree with that path to rounding (1e-10 relative in
+the tests, 1.5e-12 measured), not bitwise, and a diverging run stops where
+the per-step path stops.  Every other run, a dense quadratic one on forced
+subsets, with ridge included or with a CSR B, steps through the state's
+public methods.
 """
 
 from __future__ import annotations
@@ -60,10 +62,10 @@ from .errors import SingularSubmatrix
 from .linalg import (
     CsrMatrix,
     CsrSymmetricUpper,
+    _cholesky_routines,
     add_to_diagonal,
     gather_submatrix,
     pseudo_solve,
-    spd_solve,
     symmetrize,
 )
 from .sampling import Draws
@@ -84,10 +86,10 @@ __all__ = [
 REFRESH_INTERVAL = 10**6
 
 # Coordinates per window of a dense quadratic's windowed steps: a window
-# takes _WINDOW // tau subsets.
+# takes max(1, _WINDOW // tau) subsets.
 _WINDOW = 48
 
-# Windows per slice of a batch, the subsets whose pivot tests, gathered
+# Windows per slice of a batch, the subsets whose singularity tests, gathered
 # entries of B and value-decrease constants a dense quadratic's windowed
 # steps compute at once: a slice, not the whole batch, so that a short run
 # does not pay for subsets it never takes.
@@ -394,20 +396,29 @@ class _SeparableSparseState(_SeparableState):
 def _make_step_solver(b, exact: bool):
     """Return h = solve(S, g), the solution of B[S, S] h = g, by the size of
     S: closed forms for one to three coordinates read B through its diagonal
-    and ``item``, larger subsets gather B[S, S] and factor it.  A block with
-    a leading pivot that is not positive (NaN included) is singular: it
-    raises :class:`SingularSubmatrix` if ``exact``, and is solved by the
-    pseudoinverse otherwise.
+    and ``item``, larger subsets gather B[S, S] and factor it by LAPACK's
+    ``dpotrf``, imported with scipy on the first such block.  A block with a
+    leading pivot that is not positive (NaN included, where LAPACK tests
+    it) is singular: it raises :class:`SingularSubmatrix` if ``exact``, and
+    is solved by the pseudoinverse otherwise.
 
     ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
     on Python floats, for the fused sparse separable step.  For the windowed
-    dense steps, ``solve.regular(d, o)`` is the pivot test of the closed
-    form for one to three coordinates, vectorized over a stack of blocks
-    (``d`` their diagonals, ``o`` their strictly upper entries in row
-    order): True where that closed form solves the block, so the window
-    solves exactly the blocks the per-step path does."""
+    dense steps, ``solve.regular(subsets, d, o)`` tests a stack of blocks of
+    one size (``subsets`` their coordinates, ``d`` their diagonals, ``o``
+    their strictly upper entries in row order): True where the per-step
+    solve solves the block.  For one to three coordinates it is the closed
+    form's pivot test, vectorized; for more it is the same ``dpotrf`` call
+    on each block, gathered from a dense B.  So the window solves exactly
+    the blocks the per-step path does."""
     diag = b.diagonal().tolist()
     pair = b.item
+
+    def factor(sub):
+        # LAPACK's Cholesky of a gathered block B[S, S], its lower triangle
+        # read: info > 0 is the order of the first leading minor that is not
+        # positive definite
+        return _cholesky_routines()[0](sub, lower=1, clean=0)
 
     def one(i, g1):
         d = diag[i]
@@ -450,11 +461,16 @@ def _make_step_solver(b, exact: bool):
         h1, h2, h3 = pseudo_solve(sub, np.array([g1, g2, g3])).tolist()
         return h1, h2, h3
 
-    def regular(d, o):
-        # the pivot tests of one, two and three, expression for expression,
-        # on stacked blocks of one size: d[:, r] = B[s_r, s_r], and o holds
-        # B[s_r, s_c] for r < c in row order
+    def regular(subsets, d, o):
+        # blocks of four or more coordinates take solve's own factor, on
+        # blocks gathered at once from the window's dense B, each bitwise
+        # solve's gather; the pivot tests of one, two and three, expression
+        # for expression, on stacked blocks of one size: d[:, r] = B[s_r,
+        # s_r], and o holds B[s_r, s_c] for r < c in row order
         size = d.shape[1]
+        if size > 3:
+            blocks = b[subsets[:, :, None], subsets[:, None, :]]
+            return np.array([not factor(m)[1] for m in blocks], dtype=bool)
         if size == 1:
             return d[:, 0] > 0.0
         if size == 2:
@@ -478,12 +494,13 @@ def _make_step_solver(b, exact: bool):
         if size <= 3:
             return np.array(closed[size](*s.tolist(), *g.tolist()), ndmin=1)
         sub = gather_submatrix(b, s)
-        try:
-            return spd_solve(sub, g)
-        except SingularSubmatrix:
-            if exact:
-                raise
-            return pseudo_solve(sub, g)
+        c, info = factor(sub)
+        if not info:
+            return _cholesky_routines()[1](c, g, lower=1)[0]
+        if exact:
+            raise SingularSubmatrix(
+                f"leading minor of order {info} is not positive definite")
+        return pseudo_solve(sub, g)
 
     solve.one, solve.two, solve.regular = one, two, regular
     return solve
@@ -496,8 +513,8 @@ def steps(state, subsets, b, exact: bool):
     takes the pseudoinverse step otherwise (:func:`_make_step_solver`).
 
     A dense quadratic state without ridge on a sampler's
-    :class:`~volcd.sampling.Draws` of one to three coordinates, with a dense
-    B, takes windowed steps, which agree with the per-step path to rounding.
+    :class:`~volcd.sampling.Draws`, of any subset size, with a dense B,
+    takes windowed steps, which agree with the per-step path to rounding.
     A window yields the values of its steps before the last as one 1-d
     float64 array, then the last as a float; a reader that stops inside the
     array sends the number of its values it took, and the window applies
@@ -505,14 +522,12 @@ def steps(state, subsets, b, exact: bool):
     value yielded.  A sparse separable state under a rowwise loss, whatever
     its ridge weight, takes a fused step, bitwise ``apply_step``'s, whose
     locals go back to the state when the generator closes or ends.  Every
-    other state, a dense quadratic one on forced subsets, at tau >= 4 or
-    with ridge included, steps through its public methods: a subset of four
-    or more coordinates is solved by LAPACK's Cholesky, whose singularity
-    test a window cannot repeat."""
+    other state, a dense quadratic one on forced subsets, with ridge
+    included or with a CSR B, steps through its public methods."""
     solve = _make_step_solver(b, exact)
     kind = type(state)
     if (kind is _QuadraticDenseState and not state._gamma and type(subsets) is Draws
-            and subsets.tau <= 3 and isinstance(b, np.ndarray)):
+            and isinstance(b, np.ndarray)):
         return _dense_window_steps(state, subsets, b, solve)
     if kind is _SeparableSparseState and state._obj.loss.rowwise:
         return _sparse_separable_steps(state, subsets, solve)
@@ -535,47 +550,47 @@ def _apply_window(x, g, idx, h, rows, p):
 
 def _dense_window_steps(state, draws, b, solve):
     """Windowed steps of a dense quadratic state on a sampled stream of
-    subsets of one to three coordinates.
+    subsets.
 
-    A window peeks at the next ``_WINDOW // tau`` subsets S_1, ..., S_m of
-    the stream's batch, fewer at the batch's end and at the refresh
-    boundary, and stacks their indices into I.  Step t solves B[S_t, S_t]
-    h_t = g[S_t] - sum_{s<t} A[S_t, S_s] h_s, so the window's steps are one
+    A window peeks at the next ``max(1, _WINDOW // tau)`` subsets S_1, ...,
+    S_m of the stream's batch, fewer at the batch's end and at the refresh
+    boundary, and stacks their indices into I.  Step t solves B[S_t, S_t] h_t
+    = g[S_t] - sum_{s<t} A[S_t, S_s] h_s, so the window's steps are one
     block lower-triangular system M h = g[I], where M has B's diagonal
-    blocks and the strictly block-lower part of A[I, I].  What depends on
-    the subsets alone is done once per slice of ``_SLICE`` windows' subsets
-    of the batch: the gathered diagonal and block-upper entries of B,
-    ``solve.regular``, the closed forms' own pivot tests, and the constants
-    B_ss - A_ss / 2 and B_st - A_st / 2 of each step's value decrease
-    h_t . B h_t - h_t . A h_t / 2.  The values value - cumsum(decrease) of a
-    window's first m - 1 steps are yielded as one float64 array, and the
-    steps are applied, with R = A[I], as g -= h @ R and x[I] -= h before
-    the last value is yielded as a float.  A reader that stops inside the
-    array sends the number of its values it took, and the window applies
-    those steps and ends; closing the generator there applies them all.
-    The stream logs exactly the subsets applied.  A diagonal block that
-    fails the pivot test ends the window before it and takes the per-step
+    blocks and the strictly block-lower part of A[I, I].  What depends on the
+    subsets alone is done once per slice of ``_SLICE`` windows' subsets of
+    the batch: the gathered diagonal and block-upper entries of B,
+    ``solve.regular``, the per-step solve's own singularity test, and the
+    constants B_ss - A_ss / 2 and B_st - A_st / 2 of each step's value
+    decrease h_t . B h_t - h_t . A h_t / 2.  The values value -
+    cumsum(decrease) of a window's first m - 1 steps are yielded as one
+    float64 array, and the steps are applied, with R = A[I], as g -= h @ R
+    and x[I] -= h before the last value is yielded as a float.  A reader that
+    stops inside the array sends the number of its values it took, and the
+    window applies those steps and ends; closing the generator there applies
+    them all.  The stream logs exactly the subsets applied.  A diagonal block
+    that fails that test ends the window before it and takes the per-step
     path, which raises under an exact method; so does the first subset of a
-    window whose solve fails.  A window with a step that raises the value
-    (B does not bound A on that block: the run overshoots, and its
-    iteration amplifies rounding differences) or with values past
-    ``_VALUE_LIMIT`` is not taken, and its subsets step one at a time, so a
-    diverging run takes the per-step path's own arithmetic and stops where
-    its replay stops.  So the values of a taken window are finite, within
-    the limit and non-increasing.  Otherwise the iterates agree with the
-    per-step path, ``_apply``, to rounding, not bitwise."""
+    window whose solve fails.  A window with a step that raises the value (B
+    does not bound A on that block: the run overshoots, and its iteration
+    amplifies rounding differences) or with values past ``_VALUE_LIMIT`` is
+    not taken, and its subsets step one at a time, so a diverging run takes
+    the per-step path's own arithmetic and stops where its replay stops.  So
+    the values of a taken window are finite, within the limit and
+    non-increasing.  Otherwise the iterates agree with the per-step path,
+    ``_apply``, to rounding, not bitwise."""
     tau = draws.tau
     x, a, regular = state.x, state._op, solve.regular
     g, value, count = state._g, state._value, state._steps
     bdiag, adiag = b.diagonal(), a.diagonal()
-    block = np.arange(_WINDOW) // tau
+    per, interval = max(1, _WINDOW // tau), REFRESH_INTERVAL
+    block = np.arange(per * tau) // tau
     lower = block[:, None] > block  # strictly block-lower
     # a subset's strictly upper entries (r, c), in row order, sit at
     # (t tau + r, t tau + c) in the system of a window whose block t it is
     pair = np.triu_indices(tau, 1)
-    first = np.arange(0, _WINDOW, tau)[:, None]
+    first = np.arange(0, per * tau, tau)[:, None]
     upper_r, upper_c = (first + i for i in pair)
-    per, interval = _WINDOW // tau, REFRESH_INTERVAL
     off = size = 0  # the next subset's offset in the slice, and its length
     pending = 0  # steps whose values were yielded but which are not applied
     solo = 0  # subsets left to step one at a time after a window not taken
@@ -596,7 +611,7 @@ def _dense_window_steps(state, draws, b, solve):
                     bo_s = b[rr, cc]
                     cross_s = bo_s - 0.5 * a[rr, cc]
                 diag_s = bd_s - 0.5 * adiag[flat]
-                fails = np.flatnonzero(~regular(bd_s.reshape(size, tau), bo_s)).tolist()
+                fails = np.flatnonzero(~regular(sl, bd_s.reshape(size, tau), bo_s)).tolist()
                 fails.append(size)
             m = 0
             if solo:

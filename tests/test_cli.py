@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import volcd
 from volcd import benchmark, cli
 from volcd.benchmark import ExperimentConfig
 from volcd.cli import (
@@ -234,6 +235,20 @@ def test_run_overflowing_minor_clamp_fails_before_the_baseline_runs():
     assert done.returncode == 3
     assert len(done.stderr.splitlines()) == 1
     assert done.stderr.startswith("numeric failure: minor threshold overflows")
+
+
+def test_python_m_volcd_runs_the_cli_from_a_source_checkout(tmp_path):
+    # the package's __main__ makes `python -m volcd` the `volcd` command
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    version = subprocess.run([sys.executable, "-m", "volcd", "--version"], cwd=tmp_path,
+                             env=env, capture_output=True, text=True, timeout=60)
+    assert version.returncode == 0 and version.stdout.strip() == volcd.__version__
+    gen = subprocess.run(
+        [sys.executable, "-m", "volcd", "gen", "--kind", "quadratic", "--n", "6",
+         "--seed", "1", "--out", "b.txt"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
+    assert gen.returncode == 0, gen.stderr
+    assert load_csr_triples(tmp_path / "b.txt").shape == (6, 6)
 
 
 def test_run_tau_four_past_the_enumeration_range(capsys):

@@ -17,9 +17,8 @@ from volcd.linalg import (
     load_dense_triples,
     pseudo_solve,
     save_triples,
-    spd_solve,
 )
-from volcd.objectives import QuadraticObjective
+from volcd.objectives import QuadraticObjective, _make_step_solver
 
 from oracles import csr_from_rows, principal_submatrix, psd_det
 
@@ -91,26 +90,40 @@ def test_submatrix_of_psd_is_psd():
 # solves
 
 
+def _kernel_solve(m, rhs, sparse=False, exact=True):
+    """The step kernel's solve of M h = rhs, M taken as a whole block of a
+    dense or CSR B; four or more coordinates take LAPACK's Cholesky."""
+    m = np.asarray(m, dtype=float)
+    b = CsrSymmetricUpper.from_dense(m) if sparse else m
+    return _make_step_solver(b, exact)(np.arange(len(m)), np.asarray(rhs, dtype=float))
+
+
 def test_spd_solve_diagonal():
-    assert np.allclose(spd_solve(np.diag([2.0, 4.0]), [2.0, 4.0]), [1.0, 1.0])
+    for sparse in (False, True):
+        h = _kernel_solve(np.diag([2.0, 4.0, 8.0, 16.0]), [2.0, 4.0, 8.0, 16.0], sparse)
+        assert np.allclose(h, np.ones(4))
 
 
 def test_spd_solve_hand_case():
-    assert np.allclose(spd_solve([[2.0, 1], [1, 2]], [3.0, 3.0]), [1.0, 1.0])
+    m = np.kron(np.eye(2), [[2.0, 1], [1, 2]])
+    for sparse in (False, True):
+        assert np.allclose(_kernel_solve(m, [3.0, 3.0, 3.0, 3.0], sparse), np.ones(4))
 
 
 def test_spd_solve_singular_raises():
     for m in (
-        [[1.0, 1], [1, 1]],  # rank deficient
-        [[1.0, 2], [2, 1]],  # indefinite
-        [[2.0, 0, 0], [0, 0, 0], [0, 0, 3]],  # zero pivot
+        np.ones((4, 4)),  # rank one
+        np.kron(np.eye(3), [[1.0, 2], [2, 1]]),  # indefinite
+        np.diag([2.0, 0, 3, 1, 5]),  # zero pivot
+        np.kron(np.diag([1.0, 2, 3, 4]), np.ones((2, 2))),  # copied rows at size 8
     ):
-        with pytest.raises(SingularSubmatrix):
-            spd_solve(m, np.ones(len(m)))
+        for sparse in (False, True):
+            with pytest.raises(SingularSubmatrix, match="leading minor of order 2"):
+                _kernel_solve(m, np.ones(len(m)), sparse)
 
 
 def test_spd_solve_imports_lapack_once(monkeypatch):
-    spd_solve(np.eye(4), np.ones(4))
+    _kernel_solve(np.eye(4), np.ones(4))
     imported = []
     real_import = builtins.__import__
 
@@ -119,27 +132,25 @@ def test_spd_solve_imports_lapack_once(monkeypatch):
         return real_import(name, *args, **kwargs)
 
     monkeypatch.setattr(builtins, "__import__", recording)
-    h = spd_solve(4.0 * np.eye(4), np.ones(4))
+    h = _kernel_solve(4.0 * np.eye(4), np.ones(4))
+    h_sparse = _kernel_solve(4.0 * np.eye(4), np.ones(4), sparse=True)
     monkeypatch.undo()
     assert imported == []
     assert np.array_equal(h, np.full(4, 0.25))
-
-
-def test_spd_solve_rejects_non_square():
-    with pytest.raises(ValueError):
-        spd_solve(np.ones((2, 3)), [1.0, 2.0])
+    assert np.array_equal(h_sparse, np.full(4, 0.25))
 
 
 def test_spd_solve_bitwise_matches_scipy_cholesky():
     rng = np.random.default_rng(11)
-    for n in (3, 5):
+    for n in (4, 5, 8):
         for _ in range(200):
             g = rng.standard_normal((n + 2, n))
             m = g.T @ g
-            for rhs in (rng.standard_normal(n), rng.standard_normal((n, 2))):
-                factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
-                expected = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-                h = spd_solve(m, rhs)
+            rhs = rng.standard_normal(n)
+            factor = scipy.linalg.cho_factor(m, lower=True, check_finite=False)
+            expected = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            for sparse in (False, True):
+                h = _kernel_solve(m, rhs, sparse)
                 assert h.shape == expected.shape
                 assert np.array_equal(h, expected)
 
@@ -147,12 +158,13 @@ def test_spd_solve_bitwise_matches_scipy_cholesky():
 def test_spd_solve_residual_bound():
     rng = np.random.default_rng(2)
     for _ in range(50):
-        n = int(rng.integers(1, 10))
+        n = int(rng.integers(4, 9))
         g = rng.standard_normal((n, n))
         m = g @ g.T + np.eye(n)
         rhs = rng.standard_normal(n)
-        h = spd_solve(m, rhs)
-        assert np.linalg.norm(m @ h - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
+        for sparse in (False, True):
+            h = _kernel_solve(m, rhs, sparse)
+            assert np.linalg.norm(m @ h - rhs) <= 1e-10 * (1 + np.linalg.norm(rhs))
 
 
 def test_add_to_diagonal_matches_scipy_sum():
@@ -348,7 +360,7 @@ def test_pseudo_solve_matches_spd_solve_on_spd():
         g = rng.standard_normal((n, n))
         m = g @ g.T + np.eye(n)
         rhs = rng.standard_normal(n)
-        assert np.allclose(pseudo_solve(m, rhs), spd_solve(m, rhs), atol=1e-8)
+        assert np.allclose(pseudo_solve(m, rhs), _kernel_solve(m, rhs), atol=1e-8)
 
 
 # ---------------------------------------------------------------------------

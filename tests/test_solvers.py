@@ -2,10 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from volcd import objectives, solvers
 from volcd.errors import ConfigError, SingularSubmatrix
-from volcd.linalg import CsrSymmetricUpper, eigendecompose, pseudo_solve, spd_solve
+from volcd.linalg import CsrSymmetricUpper, eigendecompose, pseudo_solve
 from volcd.objectives import (
     HuberLoss,
     LogisticLoss,
@@ -37,6 +38,12 @@ def spd_quadratic(rng, n, shift=1.0):
     g = rng.standard_normal((n, n))
     a = g @ g.T + shift * np.eye(n)
     return QuadraticObjective(a, rng.standard_normal(n))
+
+
+def cholesky_solve(m, g):
+    """M h = g by LAPACK's Cholesky of M's lower triangle, bitwise the step
+    kernel's solve of a block of four or more coordinates."""
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(m, lower=True), g)
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +241,7 @@ def test_monotone_descent_on_quadratic_recomputed():
     prev = obj.value(x)
     for s in rep.subsets:
         g = obj.gradient(x)[s]
-        h = spd_solve(obj.a[np.ix_(s, s)], g)
+        h = cholesky_solve(obj.a[np.ix_(s, s)], g)
         x[s] -= h
         cur = obj.value(x)
         assert cur <= prev + 1e-10
@@ -480,7 +487,7 @@ def test_pair_solve_same_on_dense_and_sparse_curvature():
                 s = np.sort(rng.choice(40, size=size, replace=False))
                 g = rng.standard_normal(size)
                 assert solve_d(s, g).tobytes() == solve_s(s, g).tobytes()
-                assert np.allclose(solve_s(s, g), spd_solve(dense[np.ix_(s, s)], g))
+                assert np.allclose(solve_s(s, g), cholesky_solve(dense[np.ix_(s, s)], g))
 
 
 def test_singular_sparse_pair_raises_or_falls_back():
@@ -543,7 +550,7 @@ def test_singular_block_rule_at_size_three(sparse):
     assert np.array_equal(h, pseudo_solve(a[np.ix_(singular, singular)], g))
     # the regular block takes the closed form, the same bits from dense and
     # CSR B and within roundoff of the LAPACK Cholesky solve
-    reference = spd_solve(a[np.ix_(regular, regular)], g)
+    reference = cholesky_solve(a[np.ix_(regular, regular)], g)
     for exact in (True, False):
         h = _make_step_solver(b, exact)(regular, g)
         other = _make_step_solver(a if sparse else CsrSymmetricUpper.from_dense(a), exact)
@@ -572,8 +579,8 @@ def test_size_three_closed_form_checks_every_pivot(block):
     with pytest.raises(SingularSubmatrix):
         _make_step_solver(a, exact=True)(s, g)
     if np.isfinite(a).all():  # LAPACK's potrf passes a NaN pivot through
-        with pytest.raises(SingularSubmatrix):
-            spd_solve(a, g)
+        with pytest.raises(np.linalg.LinAlgError):
+            scipy.linalg.cho_factor(a, lower=True)
         h = _make_step_solver(a, exact=False)(s, g)
         assert np.array_equal(h, pseudo_solve(a, g))
 
@@ -866,8 +873,9 @@ def test_rcdvs_8_runs_where_the_largest_diagonal_clamped_every_minor():
 
 
 # ---------------------------------------------------------------------------
-# the windowed steps of sampled rcd:1, rcdvs:2, rcdvs:3, sdna:1, sdna:2 and
-# sdna:3 runs on dense quadratics
+# the windowed steps of sampled runs on dense quadratics: rcd:1, rcdvs:2,
+# rcdvs:3, sdna:1, sdna:2 and sdna:3, and rcdvs and sdna at tau 4, 5 and 8
+# where _WINDOWED_WIDE is listed
 
 # the window solves each window's steps as one linear system, so it agrees
 # with the per-step path to rounding, not bitwise
@@ -911,6 +919,10 @@ def _assert_agree(windowed, replay):
 
 
 _WINDOWED = [("rcd", 1), ("rcdvs", 2), ("sdna", 1), ("sdna", 2), ("rcdvs", 3), ("sdna", 3)]
+# four or more coordinates per subset: each block takes the per-step solve's
+# own LAPACK Cholesky test
+_WINDOWED_WIDE = [("rcdvs", 4), ("sdna", 4), ("rcdvs", 5), ("sdna", 5), ("rcdvs", 8),
+                  ("sdna", 8)]
 
 
 def _stream(method, b, tau):
@@ -918,7 +930,7 @@ def _stream(method, b, tau):
     return UniformSampler(b.shape[0], tau) if method == "sdna" else make_sampler(b, tau)
 
 
-@pytest.mark.parametrize("method, tau", _WINDOWED)
+@pytest.mark.parametrize("method, tau", _WINDOWED + _WINDOWED_WIDE)
 @pytest.mark.parametrize("trace_every", [1, 7])
 @pytest.mark.parametrize("scale", [1.0, 2.0])
 def test_window_agrees_with_the_per_step_replay(monkeypatch, method, tau, trace_every, scale):
@@ -1197,7 +1209,6 @@ def test_vectorized_pivot_tests_match_the_closed_forms():
     # solve; on small-integer blocks, many of them singular or indefinite
     # with pivots of exactly 0, it decides as one, two and three do
     rng = np.random.default_rng(50)
-    regular = _make_step_solver(np.eye(1), exact=True).regular
     for size in (1, 2, 3):
         blocks = [np.array(m, dtype=float) for m in (
             np.diag([0.0] * size), np.diag([np.nan] + [1.0] * (size - 1)))]
@@ -1214,7 +1225,10 @@ def test_vectorized_pivot_tests_match_the_closed_forms():
                 closed.append(True)
             except SingularSubmatrix:
                 closed.append(False)
-        assert regular(d, o).tolist() == closed
+        # the blocks as the diagonal blocks of one B, the window's input
+        regular = _make_step_solver(scipy.linalg.block_diag(*blocks), exact=True).regular
+        subsets = np.arange(len(blocks) * size).reshape(-1, size)
+        assert regular(subsets, d, o).tolist() == closed
         assert 50 < sum(closed) < len(blocks) - 50
 
 
@@ -1245,6 +1259,111 @@ def test_window_steps_past_the_value_limit_one_subset_at_a_time(monkeypatch, met
     per = objectives._WINDOW // tau
     assert 0 < above <= len(per_step) < above + per
     assert len(per_step) % per == 0 and len(per_step) < windowed.iterations == 400
+
+
+# ---------------------------------------------------------------------------
+# windows of four or more coordinates per subset
+
+
+def test_subsets_wider_than_the_window_take_one_subset_windows(monkeypatch):
+    # tau = 50 > _WINDOW: every window holds one subset, whose step is
+    # yielded as a float and solved by np.linalg.solve on B[S, S]
+    obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=60, lam1=400.0, seed=3))
+    b = obj.curvature_matrix()
+    x0 = np.random.default_rng(4).standard_normal(60)
+    stepper = objectives.steps(obj.init_state(x0), _stream("sdna", b, 50).draws(
+        RngStream(5), solvers._SAMPLE_CHUNK), b, exact=False)
+    assert stepper.__name__ == "_dense_window_steps"
+    assert all(isinstance(next(stepper), float) for _ in range(20))
+    stepper.close()
+    for stop in (dict(target_gap=1e-9, f_star=f_star, max_iters=100_000), dict(max_iters=40)):
+        cfg = SolverConfig(method="sdna", tau=50, seed=5, x0=x0, trace_every=1, **stop)
+        windowed, replay = _window_and_replay(monkeypatch, obj, b, cfg)
+        _assert_agree(windowed, replay)
+        assert 0 < windowed.iterations < 100_000 and not windowed.capped
+        drawn = _stream("sdna", b, 50).sample_many(RngStream(5), windowed.iterations)
+        assert np.array_equal(np.array(windowed.subsets), drawn)
+
+
+@pytest.mark.parametrize("method, tau", [("rcdvs", 4), ("sdna", 4), ("rcdvs", 8), ("sdna", 8)])
+def test_window_of_four_or_more_coordinates_stops_a_diverging_run_at_its_replays_step(
+        monkeypatch, method, tau):
+    # B = A / 4 overshoots, as at tau <= 3: no window is taken, and the run
+    # steps one subset at a time to its replay's first non-finite value
+    for problem_seed in (0, 1):
+        obj, _, f_star = gen_quadratic(
+            ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=problem_seed))
+        for seed in range(4):
+            cfg = SolverConfig(method=method, tau=tau, seed=seed, target_gap=1e-3,
+                               f_star=f_star, max_iters=100_000, trace_every=1)
+            windowed, replay = _window_and_replay(monkeypatch, obj,
+                                                  obj.curvature_matrix() / 4, cfg)
+            where = f"problem seed {problem_seed}, solver seed {seed}"
+            assert windowed.capped and not np.isfinite(windowed.final_value), where
+            assert windowed.iterations == replay.iterations < 100_000, where
+            assert np.isfinite([f for _, f in windowed.trace[:-1]]).all(), where
+
+
+def test_window_leaves_every_block_lapack_refuses_to_the_per_step_path(monkeypatch):
+    # coordinate 3 has a zero row and column, so LAPACK's Cholesky refuses
+    # every block that holds it: each such block ends its window and takes
+    # sdna's per-step pseudoinverse step, the windows take every other
+    # block, and the run matches its replay
+    rng = np.random.default_rng(60)
+    a = spd_quadratic(rng, 8).a
+    a[3, :] = a[:, 3] = 0.0
+    rhs = rng.standard_normal(8)
+    rhs[3] = 0.0
+    obj = QuadraticObjective(a, rhs)
+    pseudo, per_step = [], []
+    apply = objectives._QuadraticDenseState._apply
+
+    def counting_pseudo(m, g):
+        pseudo.append(1)
+        return pseudo_solve(m, g)
+
+    def counting_apply(state, s, h):
+        per_step.append(3 in s)
+        apply(state, s, h)
+
+    monkeypatch.setattr(objectives, "pseudo_solve", counting_pseudo)
+    monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", counting_apply)
+    cfg = SolverConfig(method="sdna", tau=4, seed=61, max_iters=300, trace_every=1)
+    windowed = run(obj, a, replace(cfg, record_subsets=True))
+    monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", apply)
+    holding = sum(3 in s for s in windowed.subsets)
+    assert per_step == [True] * holding and len(pseudo) == holding
+    assert 100 < holding < 200
+    windowed, replay = _window_and_replay(monkeypatch, obj, a, cfg)
+    _assert_agree(windowed, replay)
+
+
+def test_window_block_test_of_four_or_more_coordinates_is_the_per_step_solves():
+    # solve.regular factors each block by the per-step solve's own dpotrf:
+    # on small-integer blocks, many of them singular, it decides as the
+    # per-step solve does
+    rng = np.random.default_rng(51)
+    for size in (4, 5, 8):
+        blocks = [np.diag([0.0] * size), np.ones((size, size))]
+        for _ in range(200):
+            # rank size // 2 plus a 0/1 diagonal: singular unless the
+            # diagonal adds the missing rank
+            f = rng.integers(-2, 3, size=(size, size // 2))
+            blocks.append((f @ f.T + np.diag(rng.integers(0, 2, size=size))).astype(float))
+        solve = _make_step_solver(scipy.linalg.block_diag(*blocks), exact=True)
+        subsets = np.arange(len(blocks) * size).reshape(-1, size)
+        per_step = []
+        for s in subsets:
+            try:
+                solve(s, np.ones(size))
+                per_step.append(True)
+            except SingularSubmatrix:
+                per_step.append(False)
+        upper = np.triu_indices(size, 1)
+        d = np.array([m.diagonal() for m in blocks])
+        o = np.array([m[upper] for m in blocks])
+        assert solve.regular(subsets, d, o).tolist() == per_step
+        assert 20 < sum(per_step) < len(blocks) - 20
 
 
 # ---------------------------------------------------------------------------
