@@ -12,14 +12,15 @@ pass over the data.
 
 Every loss has one kernel, ``eval(z, b) -> (values, w)``: its values and
 derivatives w = dloss/dz together, so their shared work (``z - b``,
-``exp(-|s|)``, Huber's clipped ``d / mu``, the log-sum-exp's exp, the
-smoothed norm) is done once.  Rowwise losses (square, logistic, Huber)
-return per-row values, full-residual ones (log-sum-exp, smoothed norm) the
-total as a 0-d array; the value is ``values.sum()`` either way.  Huber's
-kernel is the clip form c * (d - c * mu / 2) with c = clip(d / mu, -1, 1):
-bitwise the piecewise formula outside |d| <= mu, within 1.11 ulp of the
-exact value inside (the piecewise form: 1.28).  A sparse data matrix is a
-numpy :class:`~volcd.linalg.CsrMatrix`, so no objective imports scipy: a
+the logistic value, from which its derivative is taken, Huber's clipped
+``d / mu``, the log-sum-exp's exp, the smoothed norm) is done once.
+Rowwise losses (square, logistic, Huber) return per-row values,
+full-residual ones (log-sum-exp, smoothed norm) the total as a 0-d array;
+the value is ``values.sum()`` either way.  Huber's kernel is the clip form
+c * (d - c * mu / 2) with c = clip(d / mu, -1, 1): bitwise the piecewise
+formula outside |d| <= mu, within 1.11 ulp of the exact value inside (the
+piecewise form: 1.28).  A sparse data matrix is a numpy
+:class:`~volcd.linalg.CsrMatrix`, so no objective imports scipy: a
 scipy sparse matrix given by the caller is converted on the way in.  A
 sparse separable objective keeps one ``(rows, vals, b_rows)`` view per
 column of A, built once, with intp row indices; under a rowwise loss its
@@ -119,7 +120,12 @@ class LogisticLoss:
     """Logistic loss per row: ln(1 + exp(-b_i t)) with labels b_i in {-1, +1}.
 
     Evaluated as max(0, -s) + log1p(exp(-|s|)) for s = b_i t, which is stable
-    for any magnitude of s.
+    for any magnitude of s.  The derivative -b_i sigmoid(-s) comes from the
+    value v itself, as b_i * expm1(-v), since exp(-v) - 1 = -sigmoid(-s):
+    no branch and no division.  The values are bitwise the textbook
+    formula's; the derivative is within 2.4 ulp of a long-double reference
+    (the quotient form e / (1 + e), e = exp(-|s|): 2.3), and finite at
+    infinite margins.
     """
 
     rowwise = True
@@ -127,9 +133,11 @@ class LogisticLoss:
 
     def eval(self, z, b):
         s = b * z
-        e = np.exp(-np.abs(s))  # sigmoid(-s) without overflow on either tail
-        values = np.maximum(0.0, -s) + np.log1p(e)
-        return values, -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
+        values = np.maximum(0.0, -s)
+        values += np.log1p(np.exp(-np.abs(s)))
+        w = np.expm1(-values)
+        w *= b
+        return values, w
 
 
 class _SmoothedLoss:
@@ -336,14 +344,15 @@ def _column_step(loss, z, ell, w, col, hj) -> float:
     loss on those rows only into ell and w, and returns the value change.
     """
     rows, vals, b_rows = col
-    # put and add.reduce are the scatter and sum without the wrappers
+    # fancy assignment scatters in under half the time of ndarray.put (0.43
+    # against 1.08 us at 250 rows); add.reduce is the sum without its wrapper
     zr = z[rows]
     zr -= vals * hj
-    z.put(rows, zr)
+    z[rows] = zr
     ev, dv = loss.eval(zr, b_rows)
     change = float(np.add.reduce(ev - ell[rows]))
-    ell.put(rows, ev)
-    w.put(rows, dv)
+    ell[rows] = ev
+    w[rows] = dv
     return change
 
 

@@ -84,6 +84,31 @@ def test_logistic_extreme_margins_stable():
         assert np.array_equal(d, [0.0, -labels[1]])
 
 
+def test_logistic_derivative_is_within_3_ulp_of_extended_precision():
+    # values bitwise the textbook formula; the derivative b * expm1(-v),
+    # taken from the value, against -b * sigmoid(-s) in long double, over
+    # margins spanning the exp underflow at 745 and the tails at 1e4
+    if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
+        pytest.skip("long double is no wider than double here")
+    rng = np.random.default_rng(14)
+    s = np.concatenate([rng.uniform(-745.0, 745.0, 20000), rng.uniform(-40.0, 40.0, 20000),
+                        3.0 * rng.standard_normal(20000), rng.uniform(-1e4, 1e4, 2000),
+                        [745.0, -745.0, 744.0, -744.0, 1e4, -1e4, 1e-300, -1e-300, 0.0, -0.0]])
+    b = np.sign(rng.standard_normal(s.size))
+    values, derivs = LogisticLoss().eval(s * b, b)
+    assert values.tobytes() == (np.maximum(0.0, -s) + np.log1p(np.exp(-np.abs(s)))).tobytes()
+    ref = -b.astype(np.longdouble) / (1 + np.exp(s.astype(np.longdouble)))
+    err = np.abs(derivs.astype(np.longdouble) - ref) / np.spacing(np.abs(ref.astype(float)))
+    assert err.max() <= 3.0
+    # infinite margins give finite derivatives, -b and a signed zero; NaN propagates
+    z = np.array([np.inf, -np.inf, np.inf, -np.inf, np.nan, np.nan])
+    b = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+    values, derivs = LogisticLoss().eval(z, b)
+    assert np.array_equal(derivs[:4], [0.0, -1.0, 1.0, 0.0])
+    assert np.array_equal(values[:4], [0.0, np.inf, np.inf, 0.0])
+    assert np.isnan(values[4:]).all() and np.isnan(derivs[4:]).all()
+
+
 def test_gradients_match_finite_differences():
     rng = np.random.default_rng(1)
     objs = make_objectives(rng)
@@ -369,10 +394,10 @@ def _reference_values_and_derivs(loss, z, b):
     if isinstance(loss, SquareLoss):
         return 0.5 * (z - b) ** 2, z - b
     if isinstance(loss, LogisticLoss):
+        # the derivative from the value: exp(-v) - 1 = -sigmoid(-s)
         s = b * z
         values = np.maximum(0.0, -s) + np.log1p(np.exp(-np.abs(s)))
-        e = np.exp(-np.abs(s))
-        return values, -b * (np.where(s >= 0, e, 1.0) / (1.0 + e))
+        return values, b * np.expm1(-values)
     # the clip form: c = clip(d / mu, -1, 1) times d - c * mu / 2
     c = np.clip((z - b) / loss.mu, -1.0, 1.0)
     return c * ((z - b) - 0.5 * loss.mu * c), c

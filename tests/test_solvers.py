@@ -1530,12 +1530,28 @@ def test_sparse_fused_loop_stops_where_check_stop_does(monkeypatch, tmp_path, ki
     assert direct.iterations == stop
 
 
-@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2)])
-def test_sparse_huber_value_does_not_drift_over_a_long_run(method, tau):
-    # 20k steps on a sparse Huber instance of perfbench's shape (about 33
-    # rows per column): the value the steps maintain one column at a time
-    # stays with a from-scratch evaluation at the final iterate
-    obj, _, _ = gen_huber(ProblemSpec(kind="huber", n=200, m=500, sparsity=10, mu=0.01, seed=4))
+@pytest.mark.parametrize(
+    "method, tau, kind",
+    [("rcd", 1, "huber"), ("rcdvs", 2, "huber"),
+     ("rcd", 1, "ridge-logistic"), ("rcdvs", 2, "ridge-logistic")],
+    ids=["rcd-1", "rcdvs-2", "rcd-1-ridge-logistic", "rcdvs-2-ridge-logistic"],
+)
+def test_sparse_huber_value_does_not_drift_over_a_long_run(method, tau, kind):
+    # 20k steps on a sparse Huber instance and on a ridge logistic one of
+    # perfbench's shapes (about 33 and 250 rows per column): the value the
+    # steps maintain one column at a time stays with a from-scratch
+    # evaluation at the final iterate
+    if kind == "huber":
+        obj, _, _ = gen_huber(ProblemSpec(kind="huber", n=200, m=500, sparsity=10, mu=0.01,
+                                          seed=4))
+    else:
+        import scipy.sparse
+
+        rng = np.random.default_rng(4)
+        a = scipy.sparse.random(1000, 40, density=0.25, random_state=4, format="csr",
+                                data_rvs=rng.standard_normal)
+        labels = np.sign(rng.standard_normal(1000))
+        obj = RegularizedObjective(SeparableObjective(a, labels, LogisticLoss()), 1.0)
     rep = run(obj, obj.curvature_matrix(),
               SolverConfig(method=method, tau=tau, seed=5, max_iters=20_000, trace_every=1000))
     assert rep.iterations == 20_000

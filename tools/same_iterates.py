@@ -49,7 +49,7 @@ BUDGET = 777
 TRACE_EVERY = (1, 7, 2**62)
 DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "rcdvs:8", "sdna:1", "sdna:2",
                  "sdna:3", "sdna:4", "sdna:8")
-SPARSE_METHODS = ("rcd:1", "rcdvs:2")
+SPARSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
 HUBER_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
 FIELDS = ("subsets", "iters", "trace", "x_final")
 
