@@ -73,7 +73,6 @@ from .sampling import (
 from .solvers import (
     SolverConfig,
     SolverReport,
-    check_stop,
     run,
 )
 from .spectral import (
@@ -127,7 +126,6 @@ __all__ = [
     "b_tau",
     "banded_psd",
     "build_cumulative",
-    "check_stop",
     "d_tau_quadratic",
     "eigendecompose",
     "elementary_symmetric",

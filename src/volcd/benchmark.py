@@ -195,9 +195,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         eigenvalues = eigendecompose(dense_b).eigenvalues
 
     raw: list[dict] = []
-    # capped repetitions whose value turned non-finite: they stopped early,
-    # not at the iteration cap
-    diverged = dict.fromkeys((f"{m}:{t}" for m, t in cells), 0)
     rep_seqs = np.random.SeedSequence(config.seed).spawn(config.repetitions)
     for rep, seq in enumerate(rep_seqs):
         prob_seq, solver_seq = seq.spawn(2)
@@ -233,9 +230,8 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
                 "it": report.iterations,
                 "time": report.wall_time,
                 "capped": report.capped,
+                "status": report.status,
             }
-            if report.capped and not math.isfinite(report.final_value):
-                diverged[f"{method}:{tau}"] += 1
             if method == "rcd":
                 baseline_it = report.iterations
             cell["acc"] = (
@@ -251,8 +247,9 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         key = f"{method}:{tau}"
         good = [r[key] for r in raw if not r[key]["capped"]]
         capped = sum(1 for r in raw if r[key]["capped"])
-        for count, cause in ((capped - diverged[key], "hit the iteration cap"),
-                             (diverged[key], "diverged to a non-finite value")):
+        for status, cause in (("budget", "hit the iteration cap"),
+                              ("diverged", "diverged to a non-finite value")):
+            count = sum(1 for r in raw if r[key]["status"] == status)
             if count:
                 warnings.warn(
                     f"{key}: {count}/{len(raw)} repetitions {cause} "

@@ -19,7 +19,8 @@ of ``--config``, overridden by same-named flags (``--max-updates``); sections a
 verb does not read are ignored.  An unknown key, a value that does not parse,
 or gamma without dataset is a configuration error.
 Exit codes: 0 success, 2 configuration error (including a file that cannot
-be read or written), 3 numeric failure.
+be read or written), 3 numeric failure, or a ``run`` with a diverged
+repetition, after its table is written.
 """
 
 from __future__ import annotations
@@ -190,6 +191,11 @@ def _cmd_run(args) -> int:
     config = _run_config(args)
     table = run_experiment(config)
     _write(emit_table(table, config.output), args.out)
+    cells = [f"{row.method}:{row.tau}" for row in table.rows]
+    diverged = [c for c in cells if any(r[c]["status"] == "diverged" for r in table.raw)]
+    if diverged:
+        print(f"numeric failure: runs diverged in {', '.join(diverged)}", file=sys.stderr)
+        return 3
     return 0
 
 

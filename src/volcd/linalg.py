@@ -18,8 +18,8 @@ one exception is ``sampling.SparseTwoSampler``, which walks the
 scipy is imported only inside the functions that call it: the LAPACK
 Cholesky routines of ``_cholesky_routines``, which the step kernel of
 :mod:`volcd.objectives` calls for steps of four or more coordinates, and the
-``from_scipy``/``to_scipy`` bridges of :class:`CsrSymmetricUpper`, for
-callers that already hold scipy matrices.  Every other sparse operation is
+``from_scipy`` bridges of :class:`CsrSymmetricUpper` and :class:`CsrMatrix`,
+for callers that already hold scipy matrices.  Every other sparse operation is
 numpy alone.
 """
 
@@ -27,14 +27,10 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericError, ParseError, ZeroDiagonalNonzeroRow
-
-if TYPE_CHECKING:
-    import scipy.sparse
 
 __all__ = [
     "CsrMatrix",
@@ -224,15 +220,6 @@ class CsrSymmetricUpper:
         n = a.shape[0]
         rows, cols = np.nonzero(np.triu(a))
         return cls(n, rows.searchsorted(np.arange(n + 1)), cols, a[rows, cols])
-
-    def to_scipy(self) -> scipy.sparse.csr_matrix:
-        """The full symmetric matrix as a scipy CSR matrix."""
-        import scipy.sparse
-
-        full = self.full()
-        return scipy.sparse.csr_matrix(
-            (full.data, full.indices, full.indptr), shape=self.shape
-        )
 
     @classmethod
     def from_scipy(cls, sp) -> "CsrSymmetricUpper":

@@ -17,15 +17,15 @@ which eigendecomposes B once (O(n^3) time, O(n^2) memory) and then costs
 O(tau^3 + tau log n) per draw; a long run hands over to enumeration once
 its draws have cost as much as the table's build.
 
-This module holds a run's configuration (:class:`SolverConfig`), its report
-(:class:`SolverReport`), the stop rule (:func:`check_stop`) and the loop
-(:func:`run`).  How a subset is stepped, the subsystem solve included, is
-:func:`~volcd.objectives.steps`'s; ``run`` hands it B and whether the method
-solves exactly.  A run stops at the iteration budget, at the target gap, or
-at the first non-finite objective value; in target-gap mode a diverged run
-is reported as capped.  The loop reads the steps' values, one float per
-step or a window's values as one float64 array, counts, traces and tests
-for a stop, and reads the state only through ``value`` and ``x``.
+This module holds a run's configuration (:class:`SolverConfig`), with the
+one stop rule (:meth:`~SolverConfig.stop_rule`), its report
+(:class:`SolverReport`) and the loop (:func:`run`).  How a subset is
+stepped is :func:`~volcd.objectives.steps`'s.  A run ends with a status:
+``"diverged"`` at the first non-finite value, ``"converged"`` at the target
+gap, ``"budget"`` at the iteration budget, or ``"exhausted"`` when the
+forced subsets run out; ``capped`` is derived from it.  The loop counts,
+traces and asks the stop rule, and reads the state only through ``value``
+and ``x``; it silences numpy's overflow warnings, which the status replaces.
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -45,12 +45,7 @@ from .linalg import require_finite, validate_index_set
 from .rng import RngStream
 from .sampling import UniformSampler, make_sampler
 
-__all__ = [
-    "SolverConfig",
-    "SolverReport",
-    "check_stop",
-    "run",
-]
+__all__ = ["SolverConfig", "SolverReport", "run"]
 
 _METHODS = ("rcdvs", "rcd", "sdna")
 _SAMPLE_CHUNK = 4096
@@ -62,7 +57,7 @@ class SolverConfig:
 
     Stopping: give ``max_iters`` (iteration budget K), or ``target_gap``
     together with the known optimal value ``f_star`` to stop as soon as
-    f(x) - f_star <= target_gap, or both.
+    f(x) - f_star <= target_gap, or both; :meth:`stop_rule` states the test.
     """
 
     method: str = "rcdvs"
@@ -109,10 +104,32 @@ class SolverConfig:
         for s in self.forced_subsets or ():
             validate_index_set(s, n)
 
+    def stop_rule(self):
+        """``ended(k, value)``: why a run whose k-th step reached ``value``
+        ends there, else None.  In order: a non-finite value is
+        ``"diverged"``, a gap value - f_star <= target_gap ``"converged"``,
+        and k >= max_iters ``"budget"``.  A closure, so that the step loop
+        looks up no attribute."""
+        gap, f_star = self.target_gap, self.f_star
+        limit = math.inf if self.max_iters is None else self.max_iters
+        isfinite = math.isfinite
+
+        def ended(k, value):
+            if not isfinite(value):
+                return "diverged"
+            if gap is not None and value - f_star <= gap:
+                return "converged"
+            return "budget" if k >= limit else None
+
+        return ended
+
 
 @dataclass
 class SolverReport:
-    """Outcome of one solver run."""
+    """Outcome of one solver run.  ``status`` is ``"converged"``,
+    ``"budget"``, ``"diverged"`` or ``"exhausted"`` (the forced subsets ran
+    out); ``capped`` is derived from it, true in target-gap mode unless the
+    run converged."""
 
     method: str
     tau: int
@@ -122,21 +139,9 @@ class SolverReport:
     trace: list[tuple[int, float]]
     wall_time: float
     seed: int
+    status: str
     capped: bool = False
     subsets: list | None = None
-
-
-def check_stop(k: int, value: float, config: SolverConfig) -> bool:
-    """True once the iteration budget or the target gap is reached, or once
-    the value is no longer finite (a diverged run)."""
-    if not math.isfinite(value):
-        return True
-    if config.target_gap is not None:
-        if config.f_star is None:
-            raise ConfigError("target_gap mode needs the optimal value f_star")
-        if value - config.f_star <= config.target_gap:
-            return True
-    return config.max_iters is not None and k >= config.max_iters
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +157,10 @@ def run(obj, b, config: SolverConfig):
     This is the one solver entry point: it dispatches on ``config.method``.
 
     The steps yield a float per step, or a window's block of values as one
-    1-d array: a block is taken whole when its steps are neither traced nor
-    at the budget and its last value, the least, is off the gap; otherwise
-    its values are walked one by one as floats are, and a stop inside it
-    sends the window the number of its steps taken, which it applies.
+    1-d array: a block is taken whole when its steps are not traced and
+    the stop rule lets its last value, the least, pass; otherwise its values
+    are walked one by one as floats are, and a stop inside it sends the
+    window the number of its steps taken, which it applies.
     """
     n = obj.n
     config.validate(n)
@@ -178,52 +183,53 @@ def run(obj, b, config: SolverConfig):
 
     value = state.value
     trace = [(0, float(value))]
-    trace_every, f_star, gap = config.trace_every, config.f_star, config.target_gap
-    limit = math.inf if config.max_iters is None else config.max_iters
-    isfinite, ndarray = math.isfinite, np.ndarray
+    trace_every, ended, ndarray = config.trace_every, config.stop_rule(), np.ndarray
     k = 0
-    if not check_stop(0, value, config):
-        stepper = objectives.steps(state, subsets, b, exact=config.method != "sdna")
-        for value in stepper:
-            if type(value) is ndarray and value.ndim:
-                # a window's block of values: taken whole when none of its
-                # steps is traced or reaches the budget, and its last value,
-                # the least, misses the gap by check_stop's own expression
-                k0, end = k, k + value.size
-                if end < limit and end // trace_every == k // trace_every and (
-                        gap is None or value[-1] - f_star > gap):
-                    k = end
-                    continue
-                # otherwise it is walked with the float path's expressions
-                for value in value.tolist():
-                    k += 1
-                    if k % trace_every == 0:
-                        trace.append((k, value))
-                    if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
-                        break
-                else:
-                    continue
-                # the window applies the block's steps up to this one, and ends
-                try:
-                    stepper.send(k - k0)
-                except StopIteration:
-                    pass
-                break
-            k += 1
-            if k % trace_every == 0:
-                trace.append((k, float(value)))
-            # check_stop's tests, in its order and with its expressions
-            if not isfinite(value) or (gap is not None and value - f_star <= gap) or k >= limit:
-                break
-        # a window applies the steps whose values it yielded on close
-        stepper.close()
+    status = ended(0, value)
+    if status is None:
+        # a diverging run overflows on its way to its "diverged" value
+        with np.errstate(over="ignore", invalid="ignore"):
+            stepper = objectives.steps(state, subsets, b, exact=config.method != "sdna")
+            for value in stepper:
+                if type(value) is ndarray and value.ndim:
+                    # a window's block of values: finite and non-increasing, so
+                    # it is taken whole when none of its steps is traced and
+                    # the stop rule lets its last value pass
+                    k0, end = k, k + value.size
+                    if end // trace_every == k // trace_every and ended(end, value[-1]) is None:
+                        k = end
+                        continue
+                    # otherwise it is walked as floats are
+                    for value in value.tolist():
+                        k += 1
+                        if k % trace_every == 0:
+                            trace.append((k, value))
+                        status = ended(k, value)
+                        if status is not None:
+                            break
+                    else:
+                        continue
+                    # the window applies the block's steps up to this one, and ends
+                    try:
+                        stepper.send(k - k0)
+                    except StopIteration:
+                        pass
+                    break
+                k += 1
+                if k % trace_every == 0:
+                    trace.append((k, float(value)))
+                status = ended(k, value)
+                if status is not None:
+                    break
+            else:
+                status = "exhausted"
+            # a window applies the steps whose values it yielded on close
+            stepper.close()
 
     if trace[-1][0] != k:
         trace.append((k, float(value)))
     if forced is not None and log is not None:
         log = forced[:k]
-    # in target-gap mode a diverged run (inf or NaN value) counts as capped
-    capped = gap is not None and not (isfinite(value) and value - f_star <= gap)
     return SolverReport(
         method=config.method,
         tau=config.tau,
@@ -233,6 +239,7 @@ def run(obj, b, config: SolverConfig):
         trace=trace,
         wall_time=time.perf_counter() - start,
         seed=config.seed,
-        capped=capped,
+        status=status,
+        capped=config.target_gap is not None and status != "converged",
         subsets=log,
     )

@@ -13,7 +13,9 @@ the library, so that a test can demand bitwise agreement:
 * :func:`psd_det` is a clamped Cholesky determinant, zero for a degenerate
   block;
 * :func:`principal_submatrix` validates a subset, then gathers B[S, S];
-* :func:`csr_from_rows` builds a ``CsrSymmetricUpper`` from per-row lists.
+* :func:`csr_from_rows` builds a ``CsrSymmetricUpper`` from per-row lists;
+* :func:`to_scipy` is a ``CsrSymmetricUpper``'s full symmetric matrix as a
+  scipy CSR matrix, through ``CsrSymmetricUpper.full``.
 """
 
 import numpy as np
@@ -117,3 +119,12 @@ def csr_from_rows(n: int, rows) -> CsrSymmetricUpper:
         values.extend(float(v) for v in vals)
         indptr.append(len(indices))
     return CsrSymmetricUpper(n, np.asarray(indptr), np.asarray(indices), np.asarray(values))
+
+
+def to_scipy(csr: CsrSymmetricUpper):
+    """The full symmetric matrix of ``csr`` as a scipy CSR matrix, with the
+    arrays of ``csr.full()``."""
+    import scipy.sparse
+
+    full = csr.full()
+    return scipy.sparse.csr_matrix((full.data, full.indices, full.indptr), shape=csr.shape)

@@ -115,8 +115,8 @@ def test_capped_runs_flagged_and_excluded():
 
 
 def test_diverged_runs_are_not_blamed_on_the_iteration_cap(monkeypatch):
-    # a run whose value turns non-finite stops early and is reported capped;
-    # the warning names that cause apart from real cap hits
+    # a run whose value turns non-finite stops early with status diverged,
+    # and is capped; the warning names that cause apart from real cap hits
     from dataclasses import replace
 
     solver_run = benchmark.run
@@ -127,7 +127,7 @@ def test_diverged_runs_are_not_blamed_on_the_iteration_cap(monkeypatch):
         if cfg.method == "sdna":
             calls.append(cfg.seed)
             if len(calls) % 3 != 1:  # two of three repetitions diverge
-                return replace(report, final_value=float("nan"), capped=True)
+                return replace(report, status="diverged", capped=True)
         return report
 
     monkeypatch.setattr(benchmark, "run", run_diverging_sdna)
@@ -140,6 +140,7 @@ def test_diverged_runs_are_not_blamed_on_the_iteration_cap(monkeypatch):
     ]
     sdna = next(r for r in t.rows if r.method == "sdna")
     assert sdna.capped == 2
+    assert [rep["sdna:2"]["status"] for rep in t.raw] == ["converged", "diverged", "diverged"]
 
     monkeypatch.setattr(benchmark, "run", solver_run)
     with pytest.warns(UserWarning) as record:
@@ -161,7 +162,7 @@ def test_acc_leaves_out_repetitions_whose_baseline_did_not_converge(monkeypatch)
         if cfg.method == "rcd":
             calls.append(cfg.seed)
             if len(calls) != 2:  # only the second repetition's baseline converges
-                return replace(report, capped=True)
+                return replace(report, status="budget", capped=True)
         return report
 
     monkeypatch.setattr(benchmark, "run", run_capping_rcd)

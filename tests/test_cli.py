@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,36 @@ def test_run_verb_with_config_file_and_override(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0].startswith("method,")
     assert len(lines) == 3  # header + rcd + rcdvs
+
+
+@pytest.mark.parametrize("diverged", [(), (1,), (0, 2)], ids=["none", "one", "two"])
+def test_run_exits_3_after_its_table_when_a_repetition_diverged(monkeypatch, capsys, diverged):
+    # the table is written whatever the statuses; a diverged repetition of
+    # any cell then exits 3 with one line naming the cells
+    from dataclasses import replace
+
+    solver_run, calls = benchmark.run, []
+
+    def run_diverging_sdna(obj, b, cfg):
+        report = solver_run(obj, b, cfg)
+        if cfg.method == "sdna":
+            calls.append(cfg.seed)
+            if len(calls) - 1 in diverged:
+                return replace(report, status="diverged", capped=True)
+        return report
+
+    monkeypatch.setattr(benchmark, "run", run_diverging_sdna)
+    argv = ["run", "--kind", "quadratic", "--n", "20", "--methods", "rcdvs:2,sdna:2",
+            "--repetitions", "3", "--output", "csv"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc = main(argv)
+    out, err = capsys.readouterr()
+    assert len(out.strip().splitlines()) == 4  # header + rcd + rcdvs + sdna
+    if diverged:
+        assert rc == 3 and err == "numeric failure: runs diverged in sdna:2\n"
+    else:
+        assert rc == 0 and err == ""
 
 
 def test_config_error_exit_code(capsys):

@@ -180,6 +180,43 @@ def test_minor_clamp_is_applied_in_one_place():
     assert callers == {("sampling.py", "principal_minors"), ("benchmark.py", "run_experiment")}
 
 
+def test_the_stop_test_is_stated_once():
+    # in solvers, the finiteness test and every ordering against the gap or
+    # the budget sit in SolverConfig.stop_rule, besides validate's checks of
+    # the settings themselves; run_experiment classifies a run by its status
+    # and never reads its final value
+    bounds = {"target_gap", "max_iters", "gap", "limit"}
+
+    def named(node):
+        return getattr(node, "id", None) or getattr(node, "attr", None)
+
+    def stop_tests(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and named(node) == "isfinite":
+                yield node.lineno, "isfinite"
+            elif isinstance(node, ast.Compare) and any(
+                    isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE)) for op in node.ops):
+                for operand in (node.left, *node.comparators):
+                    hit = {named(n) for n in ast.walk(operand)} & bounds
+                    if hit:
+                        yield node.lineno, min(hit)
+
+    tree = _src_tree("solvers.py")
+    owner = {}
+    for parent in (tree, *(n for n in tree.body if isinstance(n, ast.ClassDef))):
+        for func in parent.body:
+            if isinstance(func, ast.FunctionDef):
+                owner.update((line, func.name) for line, _ in stop_tests(func))
+    found = list(stop_tests(tree))
+    assert {line for line, _ in found} == owner.keys()
+    assert set(owner.values()) == {"stop_rule", "validate"}
+    in_rule = {what for line, what in found if owner[line] == "stop_rule"}
+    assert in_rule == {"isfinite", "gap", "limit"}
+    assert not hasattr(volcd, "check_stop") and "check_stop" not in volcd.__all__
+    assert not [node.lineno for node in ast.walk(_src_tree("benchmark.py"))
+                if isinstance(node, ast.Attribute) and node.attr == "final_value"]
+
+
 def test_the_ridge_term_lives_in_every_state():
     # RegularizedObjective adds its weight to the inner objective's own
     # state: no src module defines a wrapper state or reads an inner one

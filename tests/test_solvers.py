@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from volcd.sampling import (
     make_sampler,
     principal_minors,
 )
-from volcd.solvers import SolverConfig, check_stop, run
+from volcd.solvers import SolverConfig, run
 from volcd.spectral import b_tau
 
 from oracles import pair_draw, principal_submatrix
@@ -106,13 +107,27 @@ def test_sdna_rank_deficient_submatrix_still_descends():
 
 
 def test_check_stop_gap_rules():
-    cfg = SolverConfig(method="rcd", tau=1, target_gap=0.01, f_star=1.0)
-    assert not check_stop(5, 1.0105, cfg)  # gap 0.0105 > 0.01: continue
-    assert check_stop(5, 1.0, cfg)
+    ended = SolverConfig(method="rcd", tau=1, target_gap=0.01, f_star=1.0).stop_rule()
+    assert ended(5, 1.0105) is None  # gap 0.0105 > 0.01: continue
+    assert ended(5, 1.0) == "converged"
     # a gap exactly equal to the target counts as reached (<=); use an
     # exactly representable gap to keep the boundary check meaningful
     exact = SolverConfig(method="rcd", tau=1, target_gap=0.015625, f_star=1.0)
-    assert check_stop(5, 1.015625, exact)
+    assert exact.stop_rule()(5, 1.015625) == "converged"
+    # a non-finite value diverges before the gap and the budget are read,
+    # and the gap is read before the budget
+    both = SolverConfig(method="rcd", tau=1, max_iters=10, target_gap=0.5, f_star=0.0)
+    ended = both.stop_rule()
+    for value in (np.inf, -np.inf, np.nan):
+        assert ended(10, value) == "diverged"
+        assert ended(3, value) == "diverged"
+    assert ended(10, 0.5) == "converged"
+    assert ended(10, 0.75) == "budget"
+    assert ended(9, 0.75) is None
+    budget_only = SolverConfig(method="rcd", tau=1, max_iters=10).stop_rule()
+    assert budget_only(9, -1e300) is None and budget_only(10, -1e300) == "budget"
+    gap_only = SolverConfig(method="rcd", tau=1, target_gap=0.5, f_star=0.0).stop_rule()
+    assert gap_only(10**18, 0.75) is None and gap_only(1, 0.5) == "converged"
 
 
 def test_zero_iteration_budget_reports_start():
@@ -383,7 +398,7 @@ def test_capped_flag_set_when_gap_not_reached():
         method="rcdvs", tau=1, max_iters=1, target_gap=1e-12, f_star=f_star, seed=0
     )
     rep = run(obj, a, cfg)
-    assert rep.capped
+    assert rep.capped and rep.status == "budget"
     # a curvature below the true one diverges to NaN, which must not pass
     # for a converged run
     a = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -397,7 +412,7 @@ def test_capped_flag_set_when_gap_not_reached():
     # the run ends at the first non-finite value, long before the budget
     assert np.isinf(rep.final_value)
     assert rep.iterations < 3000
-    assert rep.capped
+    assert rep.capped and rep.status == "diverged"
 
 
 def test_run_dispatch_and_method_guards():
@@ -1179,7 +1194,7 @@ def test_window_stops_where_check_stop_does(monkeypatch, method, tau, early):
     # for every window size: there value - f_star <= gap and value <=
     # f_star + gap disagree.  Early, the first holds and the run stops at
     # 47; late, only the second holds and the run goes on.  A block is taken
-    # whole only when check_stop's own expression misses the gap at its
+    # whole only when the stop rule's own expression misses the gap at its
     # last value.  The early case needs a gap that is not small against
     # f_star, where value - f_star rounds.
     obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=3))
@@ -1194,7 +1209,8 @@ def test_window_stops_where_check_stop_does(monkeypatch, method, tau, early):
         if (v - f <= gap) == early and (v <= f + gap) != early
     )
     cfg = replace(cfg, target_gap=gap, f_star=f_star, record_subsets=True)
-    stop = next(k for k, f in enumerate(values) if check_stop(k, f, cfg))
+    ended = cfg.stop_rule()
+    stop = next(k for k, f in enumerate(values) if ended(k, f))
     assert stop == 47 if early else stop > 47
     calls = _window_spy(monkeypatch)
     whole = run(obj, b, replace(cfg, trace_every=2**62))
@@ -1510,8 +1526,8 @@ def test_sparse_fused_loop_stops_a_diverging_run_where_the_generic_loop_does(
 @pytest.mark.parametrize("kind", ["huber", "ridge-logistic"])
 def test_sparse_fused_loop_stops_where_check_stop_does(monkeypatch, tmp_path, kind):
     # as for the dense loop: at step 40, value - f_star <= gap is false
-    # while value <= f_star + gap is true, and both loops stop where
-    # check_stop says, on the state's own value expression under ridge
+    # while value <= f_star + gap is true, and both loops stop where the
+    # stop rule says, on the state's own value expression under ridge
     obj, b = _sparse_separable(kind, tmp_path)
     cfg = SolverConfig(method="rcd", tau=1, max_iters=60, seed=38, trace_every=1)
     values = [f for _, f in run(obj, b, cfg).trace]
@@ -1523,7 +1539,8 @@ def test_sparse_fused_loop_stops_where_check_stop_does(monkeypatch, tmp_path, ki
         if v <= f + gap and not v - f <= gap
     )
     cfg = replace(cfg, target_gap=gap, f_star=f_star)
-    stop = next(k for k, f in enumerate(values) if check_stop(k, f, cfg))
+    ended = cfg.stop_rule()
+    stop = next(k for k, f in enumerate(values) if ended(k, f))
     assert stop > 40
     direct, generic = _both_paths(monkeypatch, obj, b, cfg, _SPARSE_LOOP)
     assert _outcome(direct) == _outcome(generic)
@@ -1592,3 +1609,116 @@ def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kin
         for rep in reps:
             assert len(rep.subsets) == rep.iterations
             assert np.array_equal(np.array(rep.subsets), drawn)
+
+
+# ---------------------------------------------------------------------------
+# how a run ends: one status per stop, on every path
+
+
+def test_a_run_that_ends_at_its_start_builds_no_steps(monkeypatch):
+    # max_iters = 0 ends at the budget, and a start inside the gap has
+    # converged, before the steps are built
+    def refuse(*args, **kwargs):
+        raise AssertionError("a run that ends at k = 0 builds no steps")
+
+    monkeypatch.setattr(objectives, "steps", refuse)
+    a = np.diag([1.0, 2.0])
+    obj = QuadraticObjective(a, np.array([1.0, 1.0]))
+    x0 = np.array([3.0, 3.0])
+    f0 = obj.value(x0)
+    base = SolverConfig(method="rcdvs", tau=1, x0=x0)
+    for stop, status, capped in [
+        (dict(max_iters=0), "budget", False),
+        (dict(max_iters=0, target_gap=1.0, f_star=f0 - 2.0), "budget", True),
+        # the start's gap equals the target exactly: converged (<=)
+        (dict(max_iters=10, target_gap=1.0, f_star=f0 - 1.0), "converged", False),
+        (dict(target_gap=1.0, f_star=f0 - 0.5), "converged", False),
+    ]:
+        rep = run(obj, a, replace(base, **stop))
+        assert (rep.status, rep.capped, rep.iterations) == (status, capped, 0), stop
+        assert rep.trace == [(0, f0)] and rep.x_final.tolist() == x0.tolist()
+
+
+_PATHS = {"per-step": "_public_steps", "window": "_dense_window_steps", "fused": _SPARSE_LOOP}
+
+
+def _ended(monkeypatch, path, obj, b, cfg):
+    """The report of ``run``, which must take the step generator of
+    ``objectives`` that ``path`` names, with every warning an error."""
+    calls = []
+    loop = getattr(objectives, _PATHS[path])
+
+    def spy(*args):
+        calls.append(1)
+        return loop(*args)
+
+    monkeypatch.setattr(objectives, _PATHS[path], spy)
+    errstate = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = run(obj, b, cfg)
+    monkeypatch.setattr(objectives, _PATHS[path], loop)
+    assert calls == [1] and np.geterr() == errstate
+    return rep
+
+
+@pytest.mark.parametrize("path", list(_PATHS))
+def test_each_path_ends_with_the_status_of_its_stop(monkeypatch, tmp_path, path):
+    # converged, budget and diverged on the per-step path, the window and
+    # the fused sparse step; exhausted where forced subsets take the path,
+    # which leaves out the window.  A quarter of the curvature overshoots
+    # every step, and the run diverges without a warning.
+    if path == "fused":
+        obj, b = _sparse_separable("square", tmp_path)
+        f_star = run(obj, b, SolverConfig(method="rcd", max_iters=2000, seed=32)).final_value
+        gap = 0.05 * (obj.value(np.zeros(obj.n)) - f_star)
+        quarter = CsrSymmetricUpper.from_dense(b.to_dense() / 4)
+    else:
+        quad, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=3))
+        obj = quad if path == "window" else _PublicObjective(quad)
+        b, gap = quad.curvature_matrix(), 1e-3
+        quarter = b / 4
+    gap_stop = dict(target_gap=gap, f_star=f_star, max_iters=100_000)
+    base = SolverConfig(method="rcdvs", tau=2, seed=40, trace_every=1, record_subsets=True)
+
+    converged = _ended(monkeypatch, path, obj, b, replace(base, **gap_stop))
+    assert (converged.status, converged.capped) == ("converged", False)
+    assert 0 < converged.iterations < 100_000
+    assert converged.final_value - f_star <= gap < converged.trace[-2][1] - f_star
+
+    budget = _ended(monkeypatch, path, obj, b, replace(base, max_iters=50))
+    assert (budget.status, budget.capped, budget.iterations) == ("budget", False, 50)
+
+    for stop in (gap_stop, dict(max_iters=100_000)):
+        diverged = _ended(monkeypatch, path, obj, quarter, replace(base, **stop))
+        assert (diverged.status, diverged.capped) == ("diverged", "target_gap" in stop)
+        assert 0 < diverged.iterations < 100_000 and not np.isfinite(diverged.final_value)
+        assert np.isfinite([f for _, f in diverged.trace[:-1]]).all()
+
+    if path == "window":
+        return
+    forced = replace(base, forced_subsets=budget.subsets[:20])
+    for stop, capped in ((dict(max_iters=100), False),
+                         (dict(target_gap=gap, f_star=f_star - 1e6, max_iters=100), True)):
+        exhausted = _ended(monkeypatch, path, obj, b, replace(forced, **stop))
+        assert (exhausted.status, exhausted.capped, exhausted.iterations) == (
+            "exhausted", capped, 20)
+        assert exhausted.trace == budget.trace[:21]
+    # a budget met by the last forced subset ends the run as a budget
+    last = _ended(monkeypatch, path, obj, b, replace(forced, max_iters=20))
+    assert (last.status, last.iterations) == ("budget", 20)
+
+
+@pytest.mark.parametrize("method, tau, iterations",
+                         [("rcd", 1, 584), ("rcdvs", 2, 396), ("sdna", 4, 400)])
+def test_a_diverging_windowed_run_ends_diverged_at_its_first_non_finite_value(
+        monkeypatch, method, tau, iterations):
+    # B = A / 4 on a spiked quadratic, in budget mode: each run ends at its
+    # first non-finite value, reported diverged and not capped, with every
+    # numpy warning an error
+    obj, _, _ = gen_quadratic(
+        ProblemSpec(kind="quadratic", n=60, lam1=400.0, lam2=100.0, seed=0))
+    rep = _ended(monkeypatch, "window", obj, obj.curvature_matrix() / 4,
+                 SolverConfig(method=method, tau=tau, max_iters=200_000))
+    assert (rep.status, rep.capped, rep.iterations) == ("diverged", False, iterations)
+    assert not np.isfinite(rep.final_value)
