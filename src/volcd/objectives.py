@@ -35,15 +35,19 @@ so a forced subset of any size gets its own Newton step: closed forms for
 one to three coordinates read the diagonal of B and its off-diagonal
 entries in S, larger subsets gather B[S, S] and factor it by LAPACK's
 Cholesky, for dense and sparse B alike; scipy is imported for the first
-such block.  Every size applies one rule to a singular block:
-:class:`~volcd.errors.SingularSubmatrix` when the solve is exact, the
-pseudoinverse step otherwise.  A sparse separable state under a rowwise
-loss, ridge or not, takes a fused step, bitwise the state's own methods;
+such block.  Every size tests a block by the samplers' one rule,
+:func:`~volcd.sampling.block_pivots` (an L D L' pivot at most 1e-14 times
+its diagonal entry): the closed forms on their own pivots, larger blocks by
+the kernel itself, so a drawn block is one the step solves.  A singular
+block raises :class:`~volcd.errors.SingularSubmatrix` when the solve is
+exact and takes the pseudoinverse step otherwise.  A sparse separable
+state under a rowwise loss, ridge or not, takes a fused step, bitwise the
+state's own methods;
 ``_column_step`` is the one column update of both.  A dense quadratic state
 without ridge on a sampled stream with a dense B takes windowed steps at
 every tau, each window of steps one block lower-triangular solve whose
 values before the last are yielded as one array.  A window tests each
-block as the per-step solve does, so it solves exactly the blocks that
+block by the same kernel, so it solves exactly the blocks the per-step
 path solves; its steps agree with that path to rounding (1e-10 relative in
 the tests, 1.5e-12 measured), not bitwise, and a diverging run stops where
 the per-step path stops.  Every other run, a dense quadratic one on forced
@@ -69,7 +73,7 @@ from .linalg import (
     pseudo_solve,
     symmetrize,
 )
-from .sampling import Draws
+from .sampling import _DET_CLAMP, Draws, block_pivots
 
 __all__ = [
     "GradientState",
@@ -406,22 +410,26 @@ def _make_step_solver(b, exact: bool):
     """Return h = solve(S, g), the solution of B[S, S] h = g, by the size of
     S: closed forms for one to three coordinates read B through its diagonal
     and ``item``, larger subsets gather B[S, S] and factor it by LAPACK's
-    ``dpotrf``, imported with scipy on the first such block.  A block with a
-    leading pivot that is not positive (NaN included, where LAPACK tests
-    it) is singular: it raises :class:`SingularSubmatrix` if ``exact``, and
-    is solved by the pseudoinverse otherwise.
+    ``dpotrf``, imported with scipy on the first such block.  A block is
+    singular by the rule of :func:`~volcd.sampling.block_pivots`: some
+    pivot d_k of its L D L' in sorted order at most 1e-14 times its diagonal
+    entry B_kk, NaN included.  It raises :class:`SingularSubmatrix` if
+    ``exact``, and is solved by the pseudoinverse otherwise.  The closed
+    forms test their own pivots, the kernel's tau <= 3 expressions; a
+    larger block calls the kernel on itself before ``dpotrf`` factors it.
+    A block the kernel passes but ``dpotrf`` refuses, one within rounding
+    of singular, takes the pseudoinverse step under either method.
 
     ``solve.one(i, g1)`` and ``solve.two(i, j, g1, g2)`` are the closed forms
     on Python floats, for the fused sparse separable step.  For the windowed
-    dense steps, ``solve.regular(subsets, d, o)`` tests a stack of blocks of
-    one size (``subsets`` their coordinates, ``d`` their diagonals, ``o``
-    their strictly upper entries in row order): True where the per-step
-    solve solves the block.  For one to three coordinates it is the closed
-    form's pivot test, vectorized; for more it is the same ``dpotrf`` call
-    on each block, gathered from a dense B.  So the window solves exactly
-    the blocks the per-step path does."""
+    dense steps, ``solve.regular(d, o)`` tests a stack of blocks of one size
+    (``d`` their diagonals and ``o`` their strictly upper entries in row
+    order, one column per block) by the kernel itself: True where the
+    per-step solve solves the block, so the window solves the blocks the
+    per-step path does, and the blocks the samplers draw."""
     diag = b.diagonal().tolist()
     pair = b.item
+    delta = _DET_CLAMP
 
     def factor(sub):
         # LAPACK's Cholesky of a gathered block B[S, S], its lower triangle
@@ -431,7 +439,7 @@ def _make_step_solver(b, exact: bool):
 
     def one(i, g1):
         d = diag[i]
-        if d > 0.0:
+        if d > delta * d:
             return g1 / d
         if exact:
             raise SingularSubmatrix("zero diagonal pivot")
@@ -440,7 +448,7 @@ def _make_step_solver(b, exact: bool):
     def two(i, j, g1, g2):
         aa, bb, cc = diag[i], diag[j], pair(i, j)
         det = aa * bb - cc * cc
-        if det > 0.0 and aa > 0.0:
+        if aa > delta * aa and det / aa > delta * bb:
             return (bb * g1 - cc * g2) / det, (aa * g2 - cc * g1) / det
         if exact:
             raise SingularSubmatrix("singular 2x2 submatrix")
@@ -451,15 +459,15 @@ def _make_step_solver(b, exact: bool):
         # B[S, S] = L D L' with unit lower L; each pivot is checked before
         # it divides
         d1 = diag[i]
-        if d1 > 0.0:
+        if d1 > delta * d1:
             p, q = pair(i, j), pair(i, k)
             l21, l31 = p / d1, q / d1
             d2 = diag[j] - p * l21
-            if d2 > 0.0:
+            if d2 > delta * diag[j]:
                 t = pair(j, k) - q * l21
                 l32 = t / d2
                 d3 = diag[k] - q * l31 - t * l32
-                if d3 > 0.0:
+                if d3 > delta * diag[k]:
                     y2 = g2 - l21 * g1
                     h3 = (g3 - l31 * g1 - l32 * y2) / d3
                     h2 = y2 / d2 - l32 * h3
@@ -470,31 +478,8 @@ def _make_step_solver(b, exact: bool):
         h1, h2, h3 = pseudo_solve(sub, np.array([g1, g2, g3])).tolist()
         return h1, h2, h3
 
-    def regular(subsets, d, o):
-        # blocks of four or more coordinates take solve's own factor, on
-        # blocks gathered at once from the window's dense B, each bitwise
-        # solve's gather; the pivot tests of one, two and three, expression
-        # for expression, on stacked blocks of one size: d[:, r] = B[s_r,
-        # s_r], and o holds B[s_r, s_c] for r < c in row order
-        size = d.shape[1]
-        if size > 3:
-            blocks = b[subsets[:, :, None], subsets[:, None, :]]
-            return np.array([not factor(m)[1] for m in blocks], dtype=bool)
-        if size == 1:
-            return d[:, 0] > 0.0
-        if size == 2:
-            aa, bb, cc = d[:, 0], d[:, 1], o[:, 0]
-            return (aa * bb - cc * cc > 0.0) & (aa > 0.0)
-        d1, (p, q, r) = d[:, 0], o.T
-        # three divides only after a pivot passed; here a failed pivot's
-        # later expressions may divide by zero, and their results are unused
-        with np.errstate(all="ignore"):
-            l21, l31 = p / d1, q / d1
-            d2 = d[:, 1] - p * l21
-            t = r - q * l21
-            l32 = t / d2
-            d3 = d[:, 2] - q * l31 - t * l32
-        return (d1 > 0.0) & (d2 > 0.0) & (d3 > 0.0)
+    def regular(d, o):
+        return block_pivots(d, o)[1]
 
     closed = (None, one, two, three)
 
@@ -503,12 +488,15 @@ def _make_step_solver(b, exact: bool):
         if size <= 3:
             return np.array(closed[size](*s.tolist(), *g.tolist()), ndmin=1)
         sub = gather_submatrix(b, s)
-        c, info = factor(sub)
-        if not info:
-            return _cholesky_routines()[1](c, g, lower=1)[0]
-        if exact:
-            raise SingularSubmatrix(
-                f"leading minor of order {info} is not positive definite")
+        k = np.arange(size)
+        if regular(sub.diagonal()[:, None], sub[k[:, None] < k][:, None])[0]:
+            c, info = factor(sub)
+            if not info:
+                return _cholesky_routines()[1](c, g, lower=1)[0]
+            # a pivot that passed the kernel's test but not dpotrf's: the
+            # block is within rounding of singular, and solved as one
+        elif exact:
+            raise SingularSubmatrix(f"singular {size}x{size} submatrix")
         return pseudo_solve(sub, g)
 
     solve.one, solve.two, solve.regular = one, two, regular
@@ -569,7 +557,8 @@ def _dense_window_steps(state, draws, b, solve):
     blocks and the strictly block-lower part of A[I, I].  What depends on the
     subsets alone is done once per slice of ``_SLICE`` windows' subsets of
     the batch: the gathered diagonal and block-upper entries of B,
-    ``solve.regular``, the per-step solve's own singularity test, and the
+    ``solve.regular``, the pivot kernel's verdict that the per-step solve
+    also reads, and the
     constants B_ss - A_ss / 2 and B_st - A_st / 2 of each step's value
     decrease h_t . B h_t - h_t . A h_t / 2.  The values value -
     cumsum(decrease) of a window's first m - 1 steps are yielded as one
@@ -614,13 +603,13 @@ def _dense_window_steps(state, draws, b, solve):
                 off, size = 0, len(sl)
                 flat = sl.ravel()
                 bd_s = bdiag[flat]
-                bo_s = None
+                bo_s = np.empty((size, 0))
                 if tau > 1:
                     rr, cc = sl[:, pair[0]], sl[:, pair[1]]
                     bo_s = b[rr, cc]
                     cross_s = bo_s - 0.5 * a[rr, cc]
                 diag_s = bd_s - 0.5 * adiag[flat]
-                fails = np.flatnonzero(~regular(sl, bd_s.reshape(size, tau), bo_s)).tolist()
+                fails = np.flatnonzero(~regular(bd_s.reshape(size, tau).T, bo_s.T)).tolist()
                 fails.append(size)
             m = 0
             if solo:

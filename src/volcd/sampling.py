@@ -6,16 +6,16 @@ Four samplers live here:
   proportional to det(B[S, S]) by enumerating all C(n, tau) subsets, so its
   table grows as C(n, tau) * tau.  :func:`all_subsets` fills the
   lexicographic table block by block, and :func:`principal_minors`, the one
-  minor kernel (closed forms for tau <= 3, batched LU above), takes every
-  minor.  Each draw is one binary search.  It is the exactness oracle for
-  the other determinantal samplers.
+  minor kernel (closed forms for tau <= 3, the product of the L D L'
+  pivots above), takes every minor.  Each draw is one binary search.  It is the
+  exactness oracle for the other determinantal samplers.
 * :class:`SpectralVolumeSampler` draws from the same distribution without
   enumerating: it eigendecomposes B once, O(n^3) time and O(n^2) memory,
   picks tau eigenvectors by elementary symmetric polynomials, draws the
   rows of the projection DPP they span by rejection, O(tau^3 + tau log n)
-  per draw, and clamps their minors by the same kernel.  Given a handover
-  count, it builds the enumeration table once a run has drawn that many
-  subsets and takes the rest of the stream from it.
+  per draw, and draws again any subset the pivot rule refuses, by the same
+  kernel.  Given a handover count, it builds the enumeration table once a
+  run has drawn that many subsets and takes the rest of the stream from it.
 * :class:`SparseTwoSampler` draws 2-element subsets from the same
   determinantal distribution after an O(nnz + n) preprocessing pass over a
   :class:`~volcd.linalg.CsrSymmetricUpper`, which also builds two guide
@@ -30,10 +30,13 @@ C(n, tau) <= tau * n^2 (every tau <= 2, tau = 3 up to n = 20, tau = 4 up to
 n = 12), the spectral sampler beyond, handing over to enumeration after
 as many draws as the table costs to build (``_handover_draws``).
 
-This module owns the rule that says when a minor counts as zero: at most
-1e-14 times its block's diagonal product.  :func:`principal_minors` is the
-one place that applies it, for the table and the spectral sampler alike,
-after :func:`minor_threshold`'s overflow check.
+This module owns the rule that says when a block B[S, S] is singular: some
+pivot of its L D L' factorization, in the subset's sorted order, is at most
+1e-14 times its diagonal entry (at tau = 2, det <= 1e-14 B_ii B_jj).
+:func:`block_pivots` states it; :func:`principal_minors` zeroes the minors
+it refuses, after :func:`minor_threshold`'s overflow check, and the step
+kernel of :mod:`volcd.objectives` refuses the same blocks, so a drawn block
+is one the step solves.
 
 The four subset samplers share one stream contract: each yields its draws in
 batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
@@ -63,6 +66,7 @@ __all__ = [
     "UniformSampler",
     "VolumeSampler",
     "all_subsets",
+    "block_pivots",
     "build_cumulative",
     "exact_probabilities",
     "make_sampler",
@@ -91,17 +95,17 @@ _CHUNK = 1 << 12
 _SUB_BATCH = 256
 
 # SpectralVolumeSampler gives up on a search once this many of its draws
-# all fell under the minor clamp.
+# all failed the pivot test.
 _CLAMP_GIVE_UP = 10_000
 
-# A principal minor at most this times its block's diagonal product is 0.
+# A block with an L D L' pivot at most this times its diagonal entry is singular.
 _DET_CLAMP = 1e-14
 
 
 def minor_threshold(diag_max: float, tau: int) -> float:
     """1e-14 times ``diag_max ** tau`` for B's largest diagonal entry
-    ``diag_max``, or infinity when ``diag_max <= 0``: a bound on the clamp
-    threshold of every order-tau block of B, which :func:`principal_minors`
+    ``diag_max``, or infinity when ``diag_max <= 0``: 1e-14 times a bound
+    on every order-tau minor of a PSD B, which :func:`principal_minors`
     takes first, so that a power that overflows raises
     :class:`NumericError` before any minor is taken."""
     if not diag_max > 0:
@@ -177,6 +181,49 @@ def all_subsets(n: int, tau: int) -> np.ndarray:
     return out
 
 
+def block_pivots(d: np.ndarray, o) -> tuple[np.ndarray, np.ndarray]:
+    """The L D L' pivots of m symmetric tau x tau blocks, (tau, m), and the
+    pivot rule's verdict on each, True where the block is regular.
+
+    The blocks lie along the last axis: ``d`` (tau, m) holds their
+    diagonals and ``o`` (tau (tau - 1) / 2, m) their strictly upper entries
+    in row order, unused at tau = 1.  A block is singular when some pivot
+    d_k, in its own order without pivoting, is at most 1e-14 times its
+    diagonal entry B_kk, NaN included; no pivot exceeds its B_kk once the
+    earlier ones passed, so this is d_k <= 1e-14 max(B_kk, 0).  Being
+    relative to each block's scale, the test does not fall with tau as a
+    minor over its diagonal product does.  tau <= 3 take the expressions
+    of the step kernel's ``one``, ``two`` and ``three``, so their verdict
+    is the step's own; larger tau eliminate the stack in lock step,
+    O(m tau^3), which at tau = 3 would be ``three``'s arithmetic too.
+    """
+    tau, m = d.shape
+    with np.errstate(all="ignore"):
+        if tau == 1:
+            piv = d
+        elif tau == 2:
+            aa, bb = d
+            piv = np.array((aa, (aa * bb - o[0] * o[0]) / aa))
+        elif tau == 3:
+            (d1, dj, dk), (p, q, r) = d, o
+            l21, l31 = p / d1, q / d1
+            d2 = dj - p * l21
+            t = r - q * l21
+            piv = np.array((d1, d2, dk - q * l31 - t * (t / d2)))
+        else:
+            w = np.empty((tau, tau, m))
+            i = np.arange(tau)
+            upper = i[:, None] < i
+            w[upper] = w.transpose(1, 0, 2)[upper] = o
+            w[i, i] = d
+            for k in range(tau - 1):
+                # column k below the pivot, u, and its multipliers u / d_k
+                u = w[k + 1 :, k]
+                w[k + 1 :, k + 1 :] -= u[:, None] * (u / w[k, k])
+            piv = np.diagonal(w).T
+        return piv, (piv > _DET_CLAMP * d).all(axis=0)
+
+
 def principal_minors(
     b, tau: int, subsets: np.ndarray | None = None, clamp: bool = True
 ) -> np.ndarray:
@@ -184,21 +231,22 @@ def principal_minors(
     range(n) in any order, ``all_subsets(n, tau)`` by default.
 
     The one minor kernel, which the enumeration table and the spectral
-    sampler's clamp test share, so a subset's minor is the same bits in
+    sampler's redraw test share, so a subset's minor is the same bits in
     either, in any row order.  ``b`` may be dense or a
     :class:`~volcd.linalg.CsrSymmetricUpper`; tau = 1 reads only its
     diagonal, larger tau a C-contiguous dense view, ``_CHUNK`` rows at a
-    time.  tau = 2 and 3 take closed forms by flat ``take``s, ``d_i d_j -
-    b_ij^2`` and the first-row expansion ``d_i (d_j d_k - b_jk^2) - b_ij^2
-    d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``, O(1) per subset and identities
-    for any symmetric B; tau >= 4 takes batched LU determinants of the
-    gathered blocks, O(tau^3) per subset.  With ``clamp=True`` (the PSD
-    sampling path) a minor at most 1e-14 times its block's diagonal product,
-    which bounds it by Hadamard's inequality, is set to exactly 0, so
-    degenerate blocks at their own scale, roundoff negatives and repeated
-    rows carry no sampling mass.  This is the one place the clamp is
-    applied.  ``clamp=False`` gives raw determinants, e.g. for indefinite
-    input.
+    time.  Each chunk gathers the blocks' diagonals and strictly upper
+    entries by flat ``take``s.  tau = 2 and 3 take closed forms, ``d_i d_j
+    - b_ij^2`` and the first-row expansion ``d_i (d_j d_k - b_jk^2) -
+    b_ij^2 d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``, O(1) per subset and
+    identities for any symmetric B.  With ``clamp=True`` (the PSD sampling
+    path) every block also takes :func:`block_pivots`, O(tau^3) per subset
+    above tau = 3: a minor the pivot rule refuses, or one that is not
+    positive, is set to exactly 0, so degenerate blocks at their own scale,
+    roundoff negatives and repeated rows carry no sampling mass, and
+    tau >= 4 take the product of the pivots as the minor.  This is the one
+    place the rule is applied to minors.  ``clamp=False`` gives raw
+    determinants, e.g. for indefinite input, by batched LU above tau = 3.
     """
     diag = b.diagonal().astype(float)
     n = diag.size
@@ -206,32 +254,34 @@ def principal_minors(
         minor_threshold(float(np.max(diag)), tau)
     if subsets is None:
         subsets = all_subsets(n, tau)
-    if tau == 1:
-        # singleton minors are the diagonal, which sparse B gives without
-        # densifying; each is its own diagonal product
-        minors = diag[subsets[:, 0]]
-        return np.where(minors <= _DET_CLAMP * minors, 0.0, minors) if clamp else minors
-    flat = np.ascontiguousarray(as_dense(b)).ravel()
+    # singleton minors are the diagonal, which sparse B gives without
+    # densifying
+    flat = np.ascontiguousarray(as_dense(b)).ravel() if tau > 1 else None
+    k = np.arange(tau)
+    rows, cols = np.nonzero(k[:, None] < k)
     minors = np.empty(subsets.shape[0])
     for lo in range(0, subsets.shape[0], _CHUNK):
         s = subsets[lo : lo + _CHUNK]
-        if tau >= 4:
-            m = np.linalg.det(flat.take(s[:, :, None] * n + s[:, None, :]))
-            prod = diag.take(s).prod(axis=1) if clamp else None
+        # one row per position in the subset: its diagonal entries, and its
+        # strictly upper entries in row order
+        st = np.ascontiguousarray(s.T)
+        d = diag.take(st)
+        o = flat.take(st[rows] * n + st[cols]) if tau > 1 else None
+        if tau == 1:
+            m = d[0]
         elif tau == 2:
-            i, j = s.T
-            prod = diag.take(i) * diag.take(j)
-            m = prod - flat.take(i * n + j) ** 2
-        else:
-            i, j, k = cols = np.ascontiguousarray(s.T)
-            d_i, d_j, d_k = diag.take(cols)
-            b_ij, b_ik = flat.take(i * n + j), flat.take(i * n + k)
-            b_jk = flat.take(j * n + k)
-            prod = d_i * d_j * d_k
+            m = d[0] * d[1] - o[0] ** 2
+        elif tau == 3:
+            (d_i, d_j, d_k), (b_ij, b_ik, b_jk) = d, o
             pair = d_j * d_k - b_jk**2
             m = d_i * pair - b_ij**2 * d_k - b_ik**2 * d_j + 2.0 * b_ij * b_ik * b_jk
-        if clamp:  # a negative product, of indefinite B, clamps at 0
-            m[m <= _DET_CLAMP * np.maximum(prod, 0.0)] = 0.0
+        elif not clamp:
+            m = np.linalg.det(flat.take(s[:, :, None] * n + s[:, None, :]))
+        if clamp:
+            piv, regular = block_pivots(d, o)
+            if tau >= 4:
+                m = piv.prod(axis=0)
+            m = np.where(regular & (m > 0.0), m, 0.0)
         minors[lo : lo + s.shape[0]] = m
     return minors
 
@@ -311,11 +361,13 @@ class VolumeSampler(_SubsetStream):
     Preprocessing builds the lexicographic subset table and every principal
     minor of order tau, then their cumulative sums: O(C(n, tau) * tau) time
     and memory for tau <= 3 (closed-form minors), O(C(n, tau) * tau^3) time
-    for tau >= 4 (batched LU).  Each draw afterwards is a single binary
-    search, about 0.5 us.  The build takes 40-70 ns per subset at tau = 3
-    and 0.3-0.75 us at tau = 4 and 5, so :func:`make_sampler` enumerates
-    from the start only while C(n, tau) <= tau * n^2, where the table builds
-    in under 1 ms, and otherwise after the spectral sampler's handover.  It
+    for tau >= 4 (the pivot kernel's lock-step elimination).  Each draw
+    afterwards is a single binary search, about 0.5 us.  The build takes
+    40-70 ns per subset at tau = 3, 75-105 ns at tau = 4, 120-130 ns at
+    tau = 5 and 0.4 us at tau = 8 (n = 16-160, one BLAS thread), so
+    :func:`make_sampler` enumerates from the start only while C(n, tau) <=
+    tau * n^2, where the table builds in under 1 ms, and otherwise after
+    the spectral sampler's handover.  It
     is the exactness oracle either way.  Construction refuses more than
     ``MAX_ENUMERATED_SUBSETS`` outcomes and raises :class:`EmptySupport`
     when every minor is zero, i.e. when tau exceeds the rank of the matrix.
@@ -412,7 +464,8 @@ class SpectralVolumeSampler(_SubsetStream):
     tau above the numerical rank raises :class:`EmptySupport`.  A draw costs
     O(tau^3 + tau log n).  Subsets whose clamped minor, by the table's
     kernel :func:`principal_minors`, is 0 are drawn again: the distribution
-    is :class:`VolumeSampler`'s, and no drawn block is singular.
+    is :class:`VolumeSampler`'s, and no drawn block is singular under the
+    pivot rule, so the step solves every one.
 
     Draws come sorted, searched ``_SUB_BATCH`` lanes at a time in lock step:
     each round every unfinished lane makes tau proposals.  The number of
@@ -438,7 +491,7 @@ class SpectralVolumeSampler(_SubsetStream):
                 f"{MAX_SPECTRAL_DIMENSION}: it densifies and eigendecomposes B"
             )
         self.handover = handover
-        # C-contiguous, so the clamp test's minors never copy it
+        # C-contiguous, so the redraw test's minors never copy it
         self.b = np.ascontiguousarray(as_dense(b))
         spectrum = eigendecompose(self.b)
         lam = np.maximum(spectrum.eigenvalues, 0.0)
@@ -513,7 +566,8 @@ class SpectralVolumeSampler(_SubsetStream):
     def _search(self, rng: RngStream, k: int) -> np.ndarray:
         """k sorted subsets, (k, tau) int64; lanes whose minor, by the
         table's clamped kernel :func:`principal_minors`, is 0 are drawn
-        again, a row accepted twice among them."""
+        again: those the pivot rule refuses, a row accepted twice among
+        them."""
         out = np.empty((k, self.tau), dtype=np.int64)
         todo = np.arange(k)
         drawn = 0
@@ -525,8 +579,8 @@ class SpectralVolumeSampler(_SubsetStream):
             todo = todo[~ok]
             if todo.size == k and drawn >= _CLAMP_GIVE_UP:
                 raise EmptySupport(
-                    f"none of {drawn} drawn order-{self.tau} minors passed the "
-                    f"clamp; the support is empty or nearly so"
+                    f"none of {drawn} drawn order-{self.tau} blocks passed the "
+                    f"pivot test; the support is empty or nearly so"
                 )
         return out
 
@@ -747,11 +801,14 @@ def _handover_draws(n: int, tau: int) -> int | None:
     """How many spectral draws cost as much as building the enumeration
     table, or None when the table would exceed ``MAX_HANDOVER_SUBSETS``.
 
-    Measured on dense quadratics at n = 20-235 (one BLAS thread): the table
-    builds in 40-70 ns per subset at tau = 3 (closed-form minors) and
-    0.3-0.75 us at tau = 4 and 5 (batched LU), while a spectral draw costs
-    about 5-10, 8-15 and 10-18 us more than a table draw.  So the table pays
-    for itself after about C(n, 3) / 128 or C(n, tau) / 16 draws.
+    Measured on dense quadratics at n = 20-235 (one BLAS thread), when
+    tables at tau >= 4 took batched LU determinants: the table built in
+    40-70 ns per subset at tau = 3 (closed-form minors) and 0.3-0.75 us at
+    tau = 4 and 5, while a spectral draw costs about 5-10, 8-15 and 10-18 us
+    more than a table draw.  So the table paid for itself after about
+    C(n, 3) / 128 or C(n, tau) / 16 draws.  The pivot kernel builds tau = 4
+    and 5 tables in 75-130 ns per subset (n = 20-60), so there the table now
+    pays for itself about four times sooner than these counts assume.
     """
     count = math.comb(n, tau)
     if count > MAX_HANDOVER_SUBSETS:

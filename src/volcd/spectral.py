@@ -185,8 +185,9 @@ def expected_step_matrix(b, tau: int) -> np.ndarray:
     """Exact expectation of the embedded submatrix inverse under
     determinantal subset sampling, by enumeration.
 
-    Only subsets with a (clamped) positive minor contribute, mirroring the
-    sampler's exclusion of degenerate submatrices.
+    Only subsets with a positive clamped minor contribute, those the
+    samplers' pivot rule calls regular, mirroring the sampler's exclusion
+    of singular blocks.
     """
     b = as_dense(b)
     n = b.shape[0]

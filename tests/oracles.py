@@ -10,8 +10,10 @@ the library, so that a test can demand bitwise agreement:
   of all 2x2 principal minors;
 * :func:`probabilities` reads a ``VolumeSampler``'s outcome probabilities off
   its cumulative array;
-* :func:`psd_det` is a clamped Cholesky determinant, zero for a degenerate
-  block;
+* :func:`psd_det` is a Cholesky determinant, zero for a block the pivot
+  rule calls singular;
+* :func:`copied_row` is a PSD matrix with one row and column copied onto
+  another, whose blocks that hold both are exactly singular;
 * :func:`principal_submatrix` validates a subset, then gathers B[S, S];
 * :func:`csr_from_rows` builds a ``CsrSymmetricUpper`` from per-row lists;
 * :func:`to_scipy` is a ``CsrSymmetricUpper``'s full symmetric matrix as a
@@ -78,21 +80,35 @@ def probabilities(sampler) -> np.ndarray:
 
 
 def psd_det(m) -> float:
-    """Principal-minor determinant of a PSD matrix, clamped to exactly 0.
+    """Principal-minor determinant of a PSD matrix, the product of its
+    squared Cholesky pivots, or exactly 0 for a singular block.
 
-    Values at most 1e-14 times the product of the matrix's own diagonal
-    entries, which bounds the determinant by Hadamard's inequality, are
-    treated as degenerate and return 0.0, as ``principal_minors`` clamps, so
-    floating-point noise cannot give a singular submatrix positive sampling
-    probability.
+    A block is singular, as ``block_pivots`` rules, when some squared pivot
+    c_kk^2 (the LDL' pivot d_k) is at most 1e-14 times its own diagonal
+    entry m_kk, or when the Cholesky factorization fails; so floating-point
+    noise cannot give a singular submatrix positive sampling probability.
     """
     m = np.asarray(m, dtype=float)
     try:
         chol = np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return 0.0
-    det = float(np.prod(np.diag(chol)) ** 2)
-    return 0.0 if det <= _DET_CLAMP * float(np.prod(np.diag(m))) else det
+    pivots = np.diag(chol) ** 2
+    return 0.0 if (pivots <= _DET_CLAMP * np.diag(m)).any() else float(np.prod(pivots))
+
+
+def copied_row(seed: int, n: int) -> np.ndarray:
+    """a a' + I for a = ``default_rng(seed).standard_normal((n, 4))``, with
+    row and column 0 copied onto row and column 1.  Every principal block
+    that holds coordinates 0 and 1 is exactly singular, its second pivot 0
+    or rounding noise: at n = 6 LAPACK's Cholesky accepted the block
+    [0, 1, 2, 3] for 61 of the seeds 0-199, and so for [0, ..., 4] and
+    [0, ..., 7] at n = 7 and 10."""
+    a = np.random.default_rng(seed).standard_normal((n, 4))
+    b = a @ a.T + np.eye(n)
+    b[1, :] = b[0, :]
+    b[:, 1] = b[:, 0]
+    return b
 
 
 def principal_submatrix(b, s) -> np.ndarray:

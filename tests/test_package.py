@@ -162,7 +162,30 @@ def test_solvers_imports_only_its_checks():
 
 def test_minor_clamp_is_applied_in_one_place():
     # principal_minors applies the clamp for every determinantal sampler;
-    # run_experiment only checks, before any run, that it does not overflow
+    # run_experiment only checks, before any run, that it does not overflow.
+    # The pivot rule's constant is assigned once, in sampling, and read only
+    # by the kernel block_pivots, principal_minors, minor_threshold and the
+    # step kernel _make_step_solver, never at module level
+    allowed = {("sampling.py", "block_pivots"), ("sampling.py", "principal_minors"),
+               ("sampling.py", "minor_threshold"), ("objectives.py", "_make_step_solver")}
+
+    def clamp_names(tree, ctx):
+        return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
+                and node.id == "_DET_CLAMP" and isinstance(node.ctx, ctx)}
+
+    assigned, readers = [], set()
+    for path in sorted(Path(volcd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assigned += [path.name] * len(clamp_names(tree, ast.Store))
+        inside = set()
+        for func in tree.body:
+            if isinstance(func, ast.FunctionDef) and clamp_names(func, ast.Load):
+                readers.add((path.name, func.name))
+                inside |= clamp_names(func, ast.Load)
+        assert clamp_names(tree, ast.Load) == inside, path.name
+    assert assigned == ["sampling.py"]
+    assert ("sampling.py", "block_pivots") in readers and readers <= allowed
+
     def calls(tree):
         return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and "minor_threshold" in (getattr(node.func, "id", None),

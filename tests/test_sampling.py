@@ -893,6 +893,17 @@ def test_spectral_inclusion_frequencies_match_the_marginals(tau, draws):
     _assert_marginals(got, _volume_marginals(b, tau), 5.0, (0.65, 1.35))
 
 
+def test_inclusion_frequencies_at_tau_30_match_the_marginals():
+    # at n = 60 most tau = 30 blocks have a minor under 1e-14 times their
+    # diagonal product, though every pivot is at least 0.045 of its
+    # diagonal entry: the pivot rule keeps them, and the draws keep the
+    # volume-sampling marginals
+    obj, _, _ = generate(ProblemSpec(kind="quadratic", n=60, lam1=400.0, lam2=100.0, seed=0))
+    b = obj.curvature_matrix()
+    got = SpectralVolumeSampler(b, 30).sample_many(RngStream(1), 1000)
+    _assert_marginals(got, _volume_marginals(b, 30), 5.0, (0.65, 1.35))
+
+
 def test_inclusion_frequencies_past_the_spectral_handover_match_the_marginals():
     b = _k_spike(60)
     sampler = make_sampler(b, 3)

@@ -32,7 +32,7 @@ from volcd.sampling import (
 from volcd.solvers import SolverConfig, run
 from volcd.spectral import b_tau
 
-from oracles import pair_draw, principal_submatrix
+from oracles import copied_row, pair_draw, principal_submatrix
 
 
 def spd_quadratic(rng, n, shift=1.0):
@@ -602,22 +602,62 @@ def test_size_three_closed_form_checks_every_pivot(block):
 
 @pytest.mark.parametrize("sparse", [False, True])
 def test_singular_block_rule_at_size_four(sparse):
-    # coordinate 3 has a zero row and column, so LAPACK's Cholesky of
-    # B[{0,1,2,3},{0,1,2,3}] stops at its fourth leading minor
+    # coordinate 3 has a zero row and column, so B[{0,1,2,3},{0,1,2,3}] has a
+    # fourth pivot of 0; and a copied row makes the blocks [0, ..., size - 1]
+    # of copied_row exactly singular at sizes 4, 5 and 8, with a second
+    # pivot of at most rounding noise, which LAPACK's Cholesky accepted for
+    # 61 of these 200 seeds: each block raises under an exact solve and
+    # takes the pseudoinverse step otherwise
     a = spd_quadratic(np.random.default_rng(12), 5).a
     a[3, :] = a[:, 3] = 0.0
-    b = CsrSymmetricUpper.from_dense(a) if sparse else a
-    s, g = np.arange(4), np.array([0.5, -0.25, 1.0, 2.0])
-    with pytest.raises(SingularSubmatrix, match="leading minor of order 4"):
-        _make_step_solver(b, exact=True)(s, g)
-    h = _make_step_solver(b, exact=False)(s, g)
-    assert np.array_equal(h, pseudo_solve(a[np.ix_(s, s)], g))
-    obj = QuadraticObjective(b, np.ones(5))
-    forced = dict(tau=4, max_iters=1, forced_subsets=[[0, 1, 2, 3]])
-    with pytest.raises(SingularSubmatrix):
-        run(obj, b, SolverConfig(method="rcdvs", **forced))
-    rep = run(obj, b, SolverConfig(method="sdna", **forced))
-    assert rep.final_value <= obj.value(np.zeros(5)) + 1e-12
+    cases = [(a, 4, 0)] + [(copied_row(seed, size + 2), size, seed)
+                           for size in (4, 5, 8) for seed in range(200)]
+    for a, size, seed in cases:
+        b = CsrSymmetricUpper.from_dense(a) if sparse else a
+        s, g = np.arange(size), np.linspace(-1.0, 2.0, size)
+        with pytest.raises(SingularSubmatrix, match=f"singular {size}x{size} submatrix"):
+            _make_step_solver(b, exact=True)(s, g)
+        h = _make_step_solver(b, exact=False)(s, g)
+        assert np.array_equal(h, pseudo_solve(a[np.ix_(s, s)], g))
+        if seed:
+            continue
+        # a forced step on the block, once per matrix and size
+        obj = QuadraticObjective(b, np.ones(len(a)))
+        forced = dict(tau=size, max_iters=1, forced_subsets=[list(s)])
+        with pytest.raises(SingularSubmatrix):
+            run(obj, b, SolverConfig(method="rcdvs", **forced))
+        rep = run(obj, b, SolverConfig(method="sdna", **forced))
+        assert rep.final_value <= obj.value(np.zeros(len(a))) + 1e-12
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("size", [2, 3, 4, 8])
+def test_samplers_and_steps_decide_alike_at_the_pivot_rules_boundary(size, sparse):
+    # B = L D L' with a unit lower L and its last pivot 1e-15 or 1e-13 of
+    # its diagonal entry, either side of the rule's 1e-14: the table's
+    # minor (0 or positive, also the spectral sampler's redraw test), the
+    # window's solve.regular and the per-step solve (raise or solve) agree,
+    # singular at 1e-15 and regular at 1e-13
+    rng = np.random.default_rng(80 + size)
+    s, upper = np.arange(size), np.triu_indices(size, 1)
+    for _ in range(20):
+        lower = np.tril(rng.uniform(-1.0, 1.0, (size, size)), -1) + np.eye(size)
+        d = rng.uniform(0.5, 2.0, size)
+        for ratio, regular in ((1e-15, False), (1e-13, True)):
+            # d_n = ratio * B_nn, where B_nn = sum_k L_nk^2 d_k
+            d[-1] = ratio / (1.0 - ratio) * float(lower[-1, :-1] ** 2 @ d[:-1])
+            a = (lower * d) @ lower.T
+            a = np.triu(a) + np.triu(a, 1).T
+            b = CsrSymmetricUpper.from_dense(a) if sparse else a
+            solve = _make_step_solver(b, exact=True)
+            try:
+                solve(s, np.ones(size))
+                solved = True
+            except SingularSubmatrix:
+                solved = False
+            drawn = principal_minors(b, size, s[None])[0] > 0.0
+            tested = solve.regular(a.diagonal()[:, None], a[upper][:, None])[0]
+            assert drawn == tested == solved == regular, ratio
 
 
 @pytest.mark.parametrize("sparse", [False, True])
@@ -885,6 +925,21 @@ def test_rcdvs_8_runs_where_the_largest_diagonal_clamped_every_minor():
     drawn = np.array(rep.subsets)
     assert (principal_minors(b, 8, drawn) > 0.0).all()
     assert (principal_minors(b, 8, drawn, clamp=False) < 1e-14 * b.diagonal().max() ** 8).all()
+
+
+def test_rcdvs_50_runs_where_every_minor_fell_under_the_diagonal_product():
+    # the old clamp, a minor at most 1e-14 times its block's diagonal
+    # product, refused every drawn order-50 block of this B and raised
+    # EmptySupport; by the pivot rule each is regular, and the run takes its
+    # 20 steps
+    obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=60, lam1=400.0, lam2=100.0, seed=0))
+    b = obj.curvature_matrix()
+    rep = run(obj, b, SolverConfig(method="rcdvs", tau=50, max_iters=20, record_subsets=True))
+    assert rep.iterations == 20 and rep.final_value < obj.value(np.zeros(60))
+    drawn = np.array(rep.subsets)
+    assert (principal_minors(b, 50, drawn) > 0.0).all()
+    raw = principal_minors(b, 50, drawn, clamp=False)
+    assert (raw <= 1e-14 * b.diagonal()[drawn].prod(axis=1)).all()
 
 
 # ---------------------------------------------------------------------------
@@ -1241,10 +1296,9 @@ def test_vectorized_pivot_tests_match_the_closed_forms():
                 closed.append(True)
             except SingularSubmatrix:
                 closed.append(False)
-        # the blocks as the diagonal blocks of one B, the window's input
+        # the window's input: the blocks' diagonals and upper entries
         regular = _make_step_solver(scipy.linalg.block_diag(*blocks), exact=True).regular
-        subsets = np.arange(len(blocks) * size).reshape(-1, size)
-        assert regular(subsets, d, o).tolist() == closed
+        assert regular(d.T, o.T).tolist() == closed
         assert 50 < sum(closed) < len(blocks) - 50
 
 
@@ -1321,43 +1375,50 @@ def test_window_of_four_or_more_coordinates_stops_a_diverging_run_at_its_replays
 
 
 def test_window_leaves_every_block_lapack_refuses_to_the_per_step_path(monkeypatch):
-    # coordinate 3 has a zero row and column, so LAPACK's Cholesky refuses
-    # every block that holds it: each such block ends its window and takes
-    # sdna's per-step pseudoinverse step, the windows take every other
-    # block, and the run matches its replay
+    # coordinate 3 has a zero row and column, so every block that holds it
+    # is singular; in copied_row every block that holds 0 and 1 is, though
+    # LAPACK's Cholesky accepts some of them.  Each such block ends its
+    # window and takes sdna's per-step pseudoinverse step, the windows take
+    # every other block, and the run matches its replay
     rng = np.random.default_rng(60)
-    a = spd_quadratic(rng, 8).a
-    a[3, :] = a[:, 3] = 0.0
+    zero_row = spd_quadratic(rng, 8).a
+    zero_row[3, :] = zero_row[:, 3] = 0.0
     rhs = rng.standard_normal(8)
-    rhs[3] = 0.0
-    obj = QuadraticObjective(a, rhs)
-    pseudo, per_step = [], []
+    copied = copied_row(61, 8)
+    cases = [
+        (zero_row, np.where(np.arange(8) == 3, 0.0, rhs), lambda s: 3 in s, (100, 200)),
+        (copied, np.where(np.arange(8) == 1, rhs[0], rhs), lambda s: {0, 1} <= set(s), (30, 110)),
+    ]
     apply = objectives._QuadraticDenseState._apply
+    for a, rhs, singular, (low, high) in cases:
+        obj = QuadraticObjective(a, rhs)
+        pseudo, per_step = [], []
 
-    def counting_pseudo(m, g):
-        pseudo.append(1)
-        return pseudo_solve(m, g)
+        def counting_pseudo(m, g):
+            pseudo.append(1)
+            return pseudo_solve(m, g)
 
-    def counting_apply(state, s, h):
-        per_step.append(3 in s)
-        apply(state, s, h)
+        def counting_apply(state, s, h):
+            per_step.append(singular(s.tolist()))
+            apply(state, s, h)
 
-    monkeypatch.setattr(objectives, "pseudo_solve", counting_pseudo)
-    monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", counting_apply)
-    cfg = SolverConfig(method="sdna", tau=4, seed=61, max_iters=300, trace_every=1)
-    windowed = run(obj, a, replace(cfg, record_subsets=True))
-    monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", apply)
-    holding = sum(3 in s for s in windowed.subsets)
-    assert per_step == [True] * holding and len(pseudo) == holding
-    assert 100 < holding < 200
-    windowed, replay = _window_and_replay(monkeypatch, obj, a, cfg)
-    _assert_agree(windowed, replay)
+        monkeypatch.setattr(objectives, "pseudo_solve", counting_pseudo)
+        monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", counting_apply)
+        cfg = SolverConfig(method="sdna", tau=4, seed=61, max_iters=300, trace_every=1)
+        windowed = run(obj, a, replace(cfg, record_subsets=True))
+        monkeypatch.setattr(objectives._QuadraticDenseState, "_apply", apply)
+        holding = sum(singular(s.tolist()) for s in windowed.subsets)
+        assert per_step == [True] * holding and len(pseudo) == holding
+        assert low < holding < high
+        windowed, replay = _window_and_replay(monkeypatch, obj, a, cfg)
+        _assert_agree(windowed, replay)
 
 
 def test_window_block_test_of_four_or_more_coordinates_is_the_per_step_solves():
-    # solve.regular factors each block by the per-step solve's own dpotrf:
-    # on small-integer blocks, many of them singular, it decides as the
-    # per-step solve does
+    # solve.regular is the pivot kernel's verdict, and the per-step solve
+    # tests its block by the same kernel: on small-integer blocks, many of
+    # them singular, and on copied-row blocks, it decides as the per-step
+    # solve does
     rng = np.random.default_rng(51)
     for size in (4, 5, 8):
         blocks = [np.diag([0.0] * size), np.ones((size, size))]
@@ -1366,6 +1427,7 @@ def test_window_block_test_of_four_or_more_coordinates_is_the_per_step_solves():
             # diagonal adds the missing rank
             f = rng.integers(-2, 3, size=(size, size // 2))
             blocks.append((f @ f.T + np.diag(rng.integers(0, 2, size=size))).astype(float))
+        blocks += [copied_row(seed, size + 2)[:size, :size] for seed in range(40)]
         solve = _make_step_solver(scipy.linalg.block_diag(*blocks), exact=True)
         subsets = np.arange(len(blocks) * size).reshape(-1, size)
         per_step = []
@@ -1378,7 +1440,7 @@ def test_window_block_test_of_four_or_more_coordinates_is_the_per_step_solves():
         upper = np.triu_indices(size, 1)
         d = np.array([m.diagonal() for m in blocks])
         o = np.array([m[upper] for m in blocks])
-        assert solve.regular(subsets, d, o).tolist() == per_step
+        assert solve.regular(d.T, o.T).tolist() == per_step
         assert 20 < sum(per_step) < len(blocks) - 20
 
 

@@ -11,9 +11,11 @@ perfbench update budget) and for a budget of 777 steps, each at trace_every
 subsets it recorded, through ``forced_subsets`` with the same stop and
 trace settings, which takes the per-step path a window replaces.  The
 shapes are a dense quadratic at n = 10, a dense Huber regression (n = 60,
-m = 200), and the dense-gap, dense-tau3, sparse-huber and logistic-file
-workloads of ``perfbench/workloads.py``; seed s builds the problem with seed
-s and seeds the solver with s.
+m = 200), the dense-gap, dense-tau3, sparse-huber and logistic-file
+workloads of ``perfbench/workloads.py``, and ``dense-n60``, a dense
+quadratic at n = 60 (lam1 400, lam2 100) whose cells take tau = 30 and 50,
+where most blocks' minors lie below 1e-14 times their diagonal products;
+seed s builds the problem with seed s and seeds the solver with s.
 
 Two lines per cell, ``SHAPE/METHOD`` for its sampled runs and
 ``SHAPE/METHOD/forced`` for their replays, say whether the subsets,
@@ -51,6 +53,7 @@ DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "rcdvs:8", "sdna:1", 
                  "sdna:3", "sdna:4", "sdna:8")
 SPARSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
 HUBER_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
+WIDE_METHODS = ("rcdvs:30", "rcdvs:50", "sdna:30")
 FIELDS = ("subsets", "iters", "trace", "x_final")
 
 
@@ -63,6 +66,9 @@ def shapes() -> dict:
         w = WORKLOADS[name]
         methods = DENSE_METHODS if name.startswith("dense") else SPARSE_METHODS
         out[name] = (w.problem, w.dataset, w.epsilon, w.max_updates, methods)
+    # every gap run stops within 30 iterations, well inside the cap
+    out["dense-n60"] = ({"kind": "quadratic", "n": 60, "lam1": 400.0, "lam2": 100.0}, None,
+                        1e-6, 6_000, WIDE_METHODS)
     return out
 
 
