@@ -26,7 +26,6 @@ from .linalg import (
     CsrMatrix,
     CsrSymmetricUpper,
     Spectrum,
-    adjugate,
     eigendecompose,
     format_triples,
     load_csr_triples,
@@ -81,10 +80,8 @@ from .spectral import (
     b_tau,
     d_tau_quadratic,
     elementary_symmetric,
-    expected_step_matrix,
     modulus_quadratic,
     sum_adjugates,
-    sum_principal_minors,
 )
 
 __all__ = [
@@ -122,7 +119,6 @@ __all__ = [
     "VolumeSampler",
     "ZeroDiagonalNonzeroRow",
     "acceleration_ratio",
-    "adjugate",
     "b_tau",
     "banded_psd",
     "build_cumulative",
@@ -131,7 +127,6 @@ __all__ = [
     "elementary_symmetric",
     "emit_table",
     "exact_probabilities",
-    "expected_step_matrix",
     "format_triples",
     "gen_huber",
     "gen_quadratic",
@@ -147,5 +142,4 @@ __all__ = [
     "run_experiment",
     "save_triples",
     "sum_adjugates",
-    "sum_principal_minors",
 ]

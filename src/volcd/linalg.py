@@ -21,6 +21,9 @@ Cholesky routines of ``_cholesky_routines``, which the step kernel of
 ``from_scipy`` bridges of :class:`CsrSymmetricUpper` and :class:`CsrMatrix`,
 for callers that already hold scipy matrices.  Every other sparse operation is
 numpy alone.
+
+No determinant or adjugate is taken here: the adjugate that the identity
+tests enumerate with is an oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ __all__ = [
     "CsrSymmetricUpper",
     "Spectrum",
     "add_to_diagonal",
-    "adjugate",
     "as_dense",
     "as_symmetric",
     "eigendecompose",
@@ -458,38 +460,6 @@ def eigendecompose(b) -> Spectrum:
         raise NumericError(f"eigendecomposition failed to converge: {exc}") from exc
     order = np.argsort(w)[::-1]
     return Spectrum(eigenvalues=w[order], q=q[:, order])
-
-
-def adjugate(m) -> np.ndarray:
-    """Adjugate matrix: satisfies M @ adjugate(M) = det(M) * I.
-
-    Computed as det(M) * inv(M) when M is comfortably nonsingular, by cofactor
-    expansion otherwise.  Used by the enumerated sums of
-    :mod:`volcd.spectral` (``sum_adjugates``, ``expected_step_matrix``) and
-    by test oracles; sizes stay small.
-    """
-    m = np.asarray(m, dtype=float)
-    n = m.shape[0]
-    if n == 1:
-        return np.ones((1, 1))
-    det = float(np.linalg.det(m))
-    scale = float(np.abs(m).max()) or 1.0
-    if n > 3 and abs(det) > 1e-10 * scale**n:
-        return det * np.linalg.inv(m)
-    return _adjugate_cofactor(m)
-
-
-def _adjugate_cofactor(m: np.ndarray) -> np.ndarray:
-    n = m.shape[0]
-    adj = np.empty((n, n))
-    keep = np.arange(n)
-    for i in range(n):
-        rows = keep[keep != i]
-        for j in range(n):
-            cols = keep[keep != j]
-            minor = m[np.ix_(rows, cols)]
-            adj[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return adj
 
 
 # ---------------------------------------------------------------------------

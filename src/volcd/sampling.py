@@ -6,9 +6,9 @@ Four samplers live here:
   proportional to det(B[S, S]) by enumerating all C(n, tau) subsets, so its
   table grows as C(n, tau) * tau.  :func:`all_subsets` fills the
   lexicographic table block by block, and :func:`principal_minors`, the one
-  minor kernel (closed forms for tau <= 3, the product of the L D L'
-  pivots above), takes every minor.  Each draw is one binary search.  It is the
-  exactness oracle for the other determinantal samplers.
+  minor kernel (the product of the pivots of :func:`block_pivots`), takes
+  every minor.  Each draw is one binary search.  It is the exactness oracle
+  for the other determinantal samplers.
 * :class:`SpectralVolumeSampler` draws from the same distribution without
   enumerating: it eigendecomposes B once, O(n^3) time and O(n^2) memory,
   picks tau eigenvectors by elementary symmetric polynomials, draws the
@@ -21,7 +21,8 @@ Four samplers live here:
   :class:`~volcd.linalg.CsrSymmetricUpper`, which also builds two guide
   tables.  Draws are searched in sub-batches, on demand, by lock-step numpy
   bisections that start from guide-table brackets; each pair equals the one
-  the scalar reference search in ``tests/oracles.py`` returns.
+  the scalar reference search in ``tests/oracles.py`` returns.  A pair the
+  pivot rule refuses is drawn again from fresh uniforms.
 * :class:`UniformSampler` draws subsets uniformly without replacement.
 
 :func:`make_sampler` picks the determinantal sampler for a storage, n and
@@ -33,10 +34,11 @@ as many draws as the table costs to build (``_handover_draws``).
 This module owns the rule that says when a block B[S, S] is singular: some
 pivot of its L D L' factorization, in the subset's sorted order, is at most
 1e-14 times its diagonal entry (at tau = 2, det <= 1e-14 B_ii B_jj).
-:func:`block_pivots` states it; :func:`principal_minors` zeroes the minors
-it refuses, after :func:`minor_threshold`'s overflow check, and the step
-kernel of :mod:`volcd.objectives` refuses the same blocks, so a drawn block
-is one the step solves.
+:func:`block_pivots` states it; every minor is the product of its pivots,
+zeroed where it refuses the block (:func:`principal_minors`, after
+:func:`minor_threshold`'s overflow check), the pair sampler draws again a
+pair it refuses, and the step kernel of :mod:`volcd.objectives` refuses the
+same blocks, so a drawn block is one the step solves.
 
 The four subset samplers share one stream contract: each yields its draws in
 batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
@@ -94,8 +96,8 @@ _CHUNK = 1 << 12
 # a time.
 _SUB_BATCH = 256
 
-# SpectralVolumeSampler gives up on a search once this many of its draws
-# all failed the pivot test.
+# SpectralVolumeSampler and SparseTwoSampler give up on a search once this
+# many of its draws all failed the pivot test.
 _CLAMP_GIVE_UP = 10_000
 
 # A block with an L D L' pivot at most this times its diagonal entry is singular.
@@ -224,9 +226,7 @@ def block_pivots(d: np.ndarray, o) -> tuple[np.ndarray, np.ndarray]:
         return piv, (piv > _DET_CLAMP * d).all(axis=0)
 
 
-def principal_minors(
-    b, tau: int, subsets: np.ndarray | None = None, clamp: bool = True
-) -> np.ndarray:
+def principal_minors(b, tau: int, subsets: np.ndarray | None = None) -> np.ndarray:
     """det(B[S, S]) for each row S of ``subsets``: sorted tau-subsets of
     range(n) in any order, ``all_subsets(n, tau)`` by default.
 
@@ -236,22 +236,16 @@ def principal_minors(
     :class:`~volcd.linalg.CsrSymmetricUpper`; tau = 1 reads only its
     diagonal, larger tau a C-contiguous dense view, ``_CHUNK`` rows at a
     time.  Each chunk gathers the blocks' diagonals and strictly upper
-    entries by flat ``take``s.  tau = 2 and 3 take closed forms, ``d_i d_j
-    - b_ij^2`` and the first-row expansion ``d_i (d_j d_k - b_jk^2) -
-    b_ij^2 d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk``, O(1) per subset and
-    identities for any symmetric B.  With ``clamp=True`` (the PSD sampling
-    path) every block also takes :func:`block_pivots`, O(tau^3) per subset
-    above tau = 3: a minor the pivot rule refuses, or one that is not
-    positive, is set to exactly 0, so degenerate blocks at their own scale,
-    roundoff negatives and repeated rows carry no sampling mass, and
-    tau >= 4 take the product of the pivots as the minor.  This is the one
-    place the rule is applied to minors.  ``clamp=False`` gives raw
-    determinants, e.g. for indefinite input, by batched LU above tau = 3.
+    entries by flat ``take``s for :func:`block_pivots`: a minor is the
+    product of the pivots, O(1) per subset at tau <= 3 and O(tau^3) above,
+    or exactly 0 where the pivot rule refuses the block, so degenerate
+    blocks at their own scale, indefinite ones and repeated rows carry no
+    sampling mass.  :func:`minor_threshold` runs first, so an overflowing
+    bound on the minors raises before any is taken.
     """
     diag = b.diagonal().astype(float)
     n = diag.size
-    if clamp:  # before the minors: a threshold that overflows raises NumericError
-        minor_threshold(float(np.max(diag)), tau)
+    minor_threshold(float(np.max(diag)), tau)
     if subsets is None:
         subsets = all_subsets(n, tau)
     # singleton minors are the diagonal, which sparse B gives without
@@ -267,22 +261,9 @@ def principal_minors(
         st = np.ascontiguousarray(s.T)
         d = diag.take(st)
         o = flat.take(st[rows] * n + st[cols]) if tau > 1 else None
-        if tau == 1:
-            m = d[0]
-        elif tau == 2:
-            m = d[0] * d[1] - o[0] ** 2
-        elif tau == 3:
-            (d_i, d_j, d_k), (b_ij, b_ik, b_jk) = d, o
-            pair = d_j * d_k - b_jk**2
-            m = d_i * pair - b_ij**2 * d_k - b_ik**2 * d_j + 2.0 * b_ij * b_ik * b_jk
-        elif not clamp:
-            m = np.linalg.det(flat.take(s[:, :, None] * n + s[:, None, :]))
-        if clamp:
-            piv, regular = block_pivots(d, o)
-            if tau >= 4:
-                m = piv.prod(axis=0)
-            m = np.where(regular & (m > 0.0), m, 0.0)
-        minors[lo : lo + s.shape[0]] = m
+        piv, regular = block_pivots(d, o)
+        with np.errstate(invalid="ignore"):  # inf * 0 in a refused block
+            minors[lo : lo + s.shape[0]] = np.where(regular, piv.prod(axis=0), 0.0)
     return minors
 
 
@@ -360,11 +341,12 @@ class VolumeSampler(_SubsetStream):
 
     Preprocessing builds the lexicographic subset table and every principal
     minor of order tau, then their cumulative sums: O(C(n, tau) * tau) time
-    and memory for tau <= 3 (closed-form minors), O(C(n, tau) * tau^3) time
-    for tau >= 4 (the pivot kernel's lock-step elimination).  Each draw
+    and memory for tau <= 3 (the pivot kernel's closed forms),
+    O(C(n, tau) * tau^3) time for tau >= 4 (its lock-step elimination).  Each draw
     afterwards is a single binary search, about 0.5 us.  The build takes
-    40-70 ns per subset at tau = 3, 75-105 ns at tau = 4, 120-130 ns at
-    tau = 5 and 0.4 us at tau = 8 (n = 16-160, one BLAS thread), so
+    25-40 ns per subset at tau = 2 (n = 100-400), 40-55 ns at tau = 3 and
+    75-80 ns at tau = 4 (n = 40-160), 120-160 ns at tau = 5 and 0.4 us at
+    tau = 8 (n = 16-30), and about 0.1 ms at n = 16 (one BLAS thread), so
     :func:`make_sampler` enumerates from the start only while C(n, tau) <=
     tau * n^2, where the table builds in under 1 ms, and otherwise after
     the spectral sampler's handover.  It
@@ -392,10 +374,9 @@ class VolumeSampler(_SubsetStream):
 
 
 def exact_probabilities(b, tau: int) -> dict[tuple[int, ...], float]:
-    """Brute-force subset distribution: det(B[S,S]) / sum of all minors.
-
-    Enumeration oracle for testing both samplers; keep n small (<= 20).
-    """
+    """Every subset's probability, det(B[S, S]) over the sum of all minors
+    by the table's kernel: the reference ``volcd sample-test`` compares
+    draws with, built by enumeration, so keep C(n, tau) small."""
     subsets = all_subsets(b.shape[0], tau)
     minors = principal_minors(b, tau, subsets)
     total = minors.sum()
@@ -414,6 +395,26 @@ def subset_counts(samples: np.ndarray, n: int) -> dict[tuple[int, ...], int]:
     keys, counts = np.unique(np.ravel_multi_index(samples.T, dims), return_counts=True)
     rows = np.column_stack(np.unravel_index(keys, dims))
     return dict(zip(map(tuple, rows.tolist()), counts.tolist()))
+
+
+def _redraw_refused(out: np.ndarray, ok: np.ndarray, draw) -> np.ndarray:
+    """``out`` with every lane that ``ok`` refuses drawn again by
+    ``draw(m)``, which returns m subsets and the pivot rule's verdicts on
+    them, until each lane holds an accepted subset.  Raises
+    :class:`EmptySupport` once ``_CLAMP_GIVE_UP`` draws were all refused."""
+    k = drawn = len(out)
+    todo = np.flatnonzero(~ok)
+    while todo.size:
+        if todo.size == k and drawn >= _CLAMP_GIVE_UP:
+            raise EmptySupport(
+                f"none of {drawn} drawn order-{out.shape[1]} blocks passed the "
+                f"pivot test; the support is empty or nearly so"
+            )
+        s, ok = draw(todo.size)
+        out[todo[ok]] = s[ok]
+        drawn += todo.size
+        todo = todo[~ok]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +463,8 @@ class SpectralVolumeSampler(_SubsetStream):
     cancels in every ratio and keeps the table from overflowing; those
     within roundoff of 0 (at most n * eps times the largest) count as 0, so
     tau above the numerical rank raises :class:`EmptySupport`.  A draw costs
-    O(tau^3 + tau log n).  Subsets whose clamped minor, by the table's
-    kernel :func:`principal_minors`, is 0 are drawn again: the distribution
+    O(tau^3 + tau log n).  Subsets whose minor, by the table's kernel
+    :func:`principal_minors`, is 0 are drawn again: the distribution
     is :class:`VolumeSampler`'s, and no drawn block is singular under the
     pivot rule, so the step solves every one.
 
@@ -565,24 +566,14 @@ class SpectralVolumeSampler(_SubsetStream):
 
     def _search(self, rng: RngStream, k: int) -> np.ndarray:
         """k sorted subsets, (k, tau) int64; lanes whose minor, by the
-        table's clamped kernel :func:`principal_minors`, is 0 are drawn
-        again: those the pivot rule refuses, a row accepted twice among
-        them."""
-        out = np.empty((k, self.tau), dtype=np.int64)
-        todo = np.arange(k)
-        drawn = 0
-        while todo.size:
-            s = self._rows(rng, self._eigen_sets(rng, todo.size))
-            ok = principal_minors(self.b, self.tau, s) > 0.0
-            out[todo[ok]] = s[ok]
-            drawn += todo.size
-            todo = todo[~ok]
-            if todo.size == k and drawn >= _CLAMP_GIVE_UP:
-                raise EmptySupport(
-                    f"none of {drawn} drawn order-{self.tau} blocks passed the "
-                    f"pivot test; the support is empty or nearly so"
-                )
-        return out
+        table's kernel :func:`principal_minors`, is 0 are drawn again: those
+        the pivot rule refuses, a row accepted twice among them."""
+
+        def draw(m):
+            s = self._rows(rng, self._eigen_sets(rng, m))
+            return s, principal_minors(self.b, self.tau, s) > 0.0
+
+        return _redraw_refused(*draw(k), draw)
 
     def _batches(self, rng: RngStream, chunk: int):
         # spectral sub-batches up to the handover, the last one cut short,
@@ -653,7 +644,10 @@ class SparseTwoSampler(_SubsetStream):
     Draws are searched on demand: each chunk of ``chunk`` pairs takes
     ``chunk`` first and then ``chunk`` second uniforms at once, but is
     searched ``_SUB_BATCH`` pairs at a time, only when the caller reaches
-    them, so a run that stops early pays for few unused pairs.
+    them, so a run that stops early pays for few unused pairs.  The pair
+    masses take no pivot test, so the searched pairs take
+    :func:`block_pivots`, and a refused one (0 < det <= 1e-14 B_ii B_jj) is
+    drawn again from fresh uniforms taken after the chunk's.
     """
 
     def __init__(self, b: CsrSymmetricUpper):
@@ -703,10 +697,11 @@ class SparseTwoSampler(_SubsetStream):
         self._gap_scale = n / self.t[0]
         self._gap_guide = (n + 1) - _count_below(self.t * self._gap_scale)
 
-    def _search(self, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    def _search(self, u1: np.ndarray, u2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The pairs the scalar reference search in ``tests/oracles.py``
         returns for the uniforms ``u1`` and ``u2``, as a (len(u1), 2) int64
-        array, searched in lock step."""
+        array, searched in lock step, and :func:`block_pivots`' verdict on
+        each pair's block."""
         q, t, diag, hcum, n = self.q, self.t, self.diag, self.hcum, self.n
 
         # the row: smallest i with v <= q[i].  v and every q[i] reach their
@@ -754,15 +749,21 @@ class SparseTwoSampler(_SubsetStream):
             c = np.where(ok, c, phi)
         out = np.empty((u1.size, 2), dtype=np.int64)
         out[:, 0] = i0
-        out[:, 1] = _bisect(enough, a, c) - 1
-        return out
+        out[:, 1] = j = _bisect(enough, a, c) - 1
+        # B_ij is the chosen stored entry when j is its column, else 0
+        b_ij = np.where(cols[pos] == j, self.b.values[pos], 0.0)
+        return out, block_pivots(np.array((d, diag[j])), b_ij[None])[1]
 
     def _batches(self, rng: RngStream, chunk: int):
+        def redraw(m):
+            return self._search(rng.uniforms(m), rng.uniforms(m))
+
         while True:
             u1 = rng.uniforms(chunk)
             u2 = rng.uniforms(chunk)
             for lo in range(0, chunk, _SUB_BATCH):
-                yield self._search(u1[lo : lo + _SUB_BATCH], u2[lo : lo + _SUB_BATCH])
+                found = self._search(u1[lo : lo + _SUB_BATCH], u2[lo : lo + _SUB_BATCH])
+                yield _redraw_refused(*found, redraw)
 
 
 # ---------------------------------------------------------------------------

@@ -3,20 +3,21 @@
 Everything here is a pure function of eigenvalues (and eigenvectors where a
 matrix is materialized): elementary symmetric polynomials, subset-size
 surrogate matrices, tail-sum acceleration ratios, strong-convexity moduli,
-and sublevel-set radii for quadratics.  Brute-force enumeration paths back
-the identity tests and are hard-capped at small sizes.
+and sublevel-set radii for quadratics.  Only closed forms live here: the
+enumerations over every subset that the identity tests check them against
+(minor sums, adjugate sums, the expected step matrix) are test oracles in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CombinatorialBlowup, DegenerateApprox, UnboundedLevelSet
-from .linalg import Spectrum, adjugate, as_dense, eigendecompose, symmetrize
-from .sampling import _esp_prefix_table, all_subsets, principal_minors
+from .errors import DegenerateApprox, UnboundedLevelSet
+from .linalg import Spectrum, as_dense, eigendecompose, symmetrize
+from .sampling import _esp_prefix_table
 
 __all__ = [
     "TauApprox",
@@ -24,14 +25,10 @@ __all__ = [
     "b_tau",
     "d_tau_quadratic",
     "elementary_symmetric",
-    "expected_step_matrix",
     "modulus_quadratic",
     "sum_adjugates",
-    "sum_principal_minors",
 ]
 
-_ENUM_CAP_N = 12
-_ENUM_CAP_SUBSETS = 10**5
 _RANK_RTOL = 1e-12
 
 
@@ -56,61 +53,24 @@ def _esp_all_degrees(x: np.ndarray, m: int) -> np.ndarray:
     return _esp_prefix_table(x, m)[:, -1]
 
 
-def sum_principal_minors(b, tau: int) -> float:
-    """Sum of det(B[S, S]) over all tau-subsets, by enumeration.
-
-    Equals the degree-tau elementary symmetric polynomial of the eigenvalues;
-    this is the enumeration side of that identity.  Allowed up to n = 20
-    (batched determinants stay cheap there).
-    """
-    b = as_dense(b)
-    n = b.shape[0]
-    if not 1 <= tau <= n:
-        raise ValueError(f"subset size {tau} out of range for dimension {n}")
-    if n > 20:
-        raise CombinatorialBlowup(
-            f"minor-sum enumeration is capped at n = 20, got n = {n}"
-        )
-    return float(principal_minors(b, tau, clamp=False).sum())
-
-
-def sum_adjugates(b, tau: int, method: str = "spectral") -> np.ndarray:
+def sum_adjugates(b, tau: int) -> np.ndarray:
     """Sum of embedded adjugates of all tau x tau principal submatrices.
 
-    Two evaluation paths give the same matrix:
-
-    * ``"enumerate"``: scatter-add adjugate(B[S, S]) into an n x n zero
-      matrix over every subset S (slow; capped at small n),
-    * ``"spectral"``: conjugate by the eigenvectors a diagonal of
-      elementary symmetric polynomials of degree tau - 1 in the eigenvalues
-      with one entry removed at a time.
+    Conjugates by the eigenvectors of B a diagonal of elementary symmetric
+    polynomials of degree tau - 1 in the eigenvalues with one entry removed
+    at a time, O(n^3 + n^2 tau).  Raises ``ValueError`` for tau outside
+    1..n.
     """
     b = as_dense(b)
     n = b.shape[0]
-    if method == "enumerate":
-        _guard_enumeration(n, tau)
-        out = np.zeros((n, n))
-        for s in all_subsets(n, tau):
-            out[np.ix_(s, s)] += adjugate(b[np.ix_(s, s)])
-        return symmetrize(out)
-    if method == "spectral":
-        spec = eigendecompose(b)
-        lam = spec.eigenvalues
-        d = np.empty(n)
-        for i in range(n):
-            d[i] = _esp_all_degrees(np.delete(lam, i), tau - 1)[tau - 1]
-        return symmetrize((spec.q * d) @ spec.q.T)
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _guard_enumeration(n: int, tau: int) -> None:
-    """Cap for paths that factor every submatrix (adjugates, inverses)."""
     if not 1 <= tau <= n:
         raise ValueError(f"subset size {tau} out of range for dimension {n}")
-    if n > _ENUM_CAP_N and math.comb(n, tau) > _ENUM_CAP_SUBSETS:
-        raise CombinatorialBlowup(
-            f"enumeration over C({n},{tau}) subsets exceeds the brute-force cap"
-        )
+    spec = eigendecompose(b)
+    lam = spec.eigenvalues
+    d = np.empty(n)
+    for i in range(n):
+        d[i] = _esp_all_degrees(np.delete(lam, i), tau - 1)[tau - 1]
+    return symmetrize((spec.q * d) @ spec.q.T)
 
 
 # ---------------------------------------------------------------------------
@@ -179,29 +139,6 @@ def acceleration_ratio(eigenvalues, tau1: int, tau2: int) -> float:
             f"tail sum from position {tau2} is zero; tau2 exceeds the rank"
         )
     return num / den
-
-
-def expected_step_matrix(b, tau: int) -> np.ndarray:
-    """Exact expectation of the embedded submatrix inverse under
-    determinantal subset sampling, by enumeration.
-
-    Only subsets with a positive clamped minor contribute, those the
-    samplers' pivot rule calls regular, mirroring the sampler's exclusion
-    of singular blocks.
-    """
-    b = as_dense(b)
-    n = b.shape[0]
-    _guard_enumeration(n, tau)
-    subsets = all_subsets(n, tau)
-    minors = principal_minors(b, tau, subsets, clamp=True)
-    total = minors.sum()
-    if total <= 0.0:
-        raise DegenerateApprox("all principal minors are zero")
-    out = np.zeros((n, n))
-    for s, m in zip(subsets, minors):
-        if m > 0.0:
-            out[np.ix_(s, s)] += adjugate(b[np.ix_(s, s)])
-    return symmetrize(out / total)
 
 
 def modulus_quadratic(spectrum: Spectrum, tau: int) -> float:

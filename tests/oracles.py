@@ -18,12 +18,41 @@ the library, so that a test can demand bitwise agreement:
 * :func:`csr_from_rows` builds a ``CsrSymmetricUpper`` from per-row lists;
 * :func:`to_scipy` is a ``CsrSymmetricUpper``'s full symmetric matrix as a
   scipy CSR matrix, through ``CsrSymmetricUpper.full``.
+
+The raw-determinant enumerations that the spectral identities are checked
+against live here too, capped at small sizes; the library takes every
+principal minor as the product of ``block_pivots``' pivots and keeps only
+the closed forms:
+
+* :func:`raw_minors` is det(B[S, S]) with no pivot test, for any symmetric
+  B: closed forms at tau <= 3, batched LU above;
+* :func:`sum_principal_minors` sums them over every tau-subset, the
+  enumeration side of e_tau(eigenvalues);
+* :func:`adjugate` is one block's adjugate, and
+  :func:`sum_adjugates_by_enumeration` scatters every block's into an n x n
+  matrix, the enumeration side of ``spectral.sum_adjugates``;
+* :func:`expected_step_matrix` is E[U_S B_SS^-1 U_S'] under volume
+  sampling, over the subsets the pivot rule calls regular.
 """
+
+import math
 
 import numpy as np
 
-from volcd.linalg import CsrSymmetricUpper, gather_submatrix, validate_index_set
-from volcd.sampling import _DET_CLAMP
+from volcd.errors import CombinatorialBlowup, DegenerateApprox
+from volcd.linalg import (
+    CsrSymmetricUpper,
+    as_dense,
+    gather_submatrix,
+    symmetrize,
+    validate_index_set,
+)
+from volcd.sampling import _DET_CLAMP, all_subsets, principal_minors
+
+# paths that factor every submatrix (adjugates, inverses) refuse more than
+# this many subsets once n exceeds _ENUM_CAP_N
+_ENUM_CAP_N = 12
+_ENUM_CAP_SUBSETS = 10**5
 
 
 def pair_draw(sampler, u1: float, u2: float) -> tuple[int, int]:
@@ -144,3 +173,113 @@ def to_scipy(csr: CsrSymmetricUpper):
 
     full = csr.full()
     return scipy.sparse.csr_matrix((full.data, full.indices, full.indptr), shape=csr.shape)
+
+
+def raw_minors(b, tau: int, subsets=None) -> np.ndarray:
+    """det(B[S, S]) for each row S of ``subsets``, ``all_subsets(n, tau)``
+    by default, with no pivot test: the diagonal at tau = 1, d_i d_j -
+    b_ij^2 at tau = 2, the first-row expansion d_i (d_j d_k - b_jk^2) -
+    b_ij^2 d_k - b_ik^2 d_j + 2 b_ij b_ik b_jk at tau = 3 (identities for
+    any symmetric B), and batched LU determinants above."""
+    b = as_dense(b)
+    s = all_subsets(b.shape[0], tau) if subsets is None else np.asarray(subsets)
+    d = b.diagonal().astype(float)[s.T]
+    if tau == 1:
+        return d[0]
+    if tau == 2:
+        return d[0] * d[1] - b[s[:, 0], s[:, 1]] ** 2
+    if tau == 3:
+        d_i, d_j, d_k = d
+        b_ij, b_ik, b_jk = b[s[:, 0], s[:, 1]], b[s[:, 0], s[:, 2]], b[s[:, 1], s[:, 2]]
+        pair = d_j * d_k - b_jk**2
+        return d_i * pair - b_ij**2 * d_k - b_ik**2 * d_j + 2.0 * b_ij * b_ik * b_jk
+    return np.linalg.det(b[s[:, :, None], s[:, None, :]])
+
+
+def sum_principal_minors(b, tau: int) -> float:
+    """Sum of det(B[S, S]) over all tau-subsets, by enumeration.
+
+    Equals the degree-tau elementary symmetric polynomial of the eigenvalues;
+    this is the enumeration side of that identity.  Allowed up to n = 20
+    (batched determinants stay cheap there).
+    """
+    b = as_dense(b)
+    n = b.shape[0]
+    if not 1 <= tau <= n:
+        raise ValueError(f"subset size {tau} out of range for dimension {n}")
+    if n > 20:
+        raise CombinatorialBlowup(
+            f"minor-sum enumeration is capped at n = 20, got n = {n}"
+        )
+    return float(raw_minors(b, tau).sum())
+
+
+def adjugate(m) -> np.ndarray:
+    """Adjugate matrix: satisfies M @ adjugate(M) = det(M) * I.
+
+    Computed as det(M) * inv(M) when M is comfortably nonsingular, by
+    cofactor expansion otherwise; sizes stay small.
+    """
+    m = np.asarray(m, dtype=float)
+    n = m.shape[0]
+    if n == 1:
+        return np.ones((1, 1))
+    det = float(np.linalg.det(m))
+    scale = float(np.abs(m).max()) or 1.0
+    if n > 3 and abs(det) > 1e-10 * scale**n:
+        return det * np.linalg.inv(m)
+    adj = np.empty((n, n))
+    keep = np.arange(n)
+    for i in range(n):
+        rows = keep[keep != i]
+        for j in range(n):
+            cols = keep[keep != j]
+            minor = m[np.ix_(rows, cols)]
+            adj[j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+def _guard_enumeration(n: int, tau: int) -> None:
+    """Cap for paths that factor every submatrix (adjugates, inverses)."""
+    if not 1 <= tau <= n:
+        raise ValueError(f"subset size {tau} out of range for dimension {n}")
+    if n > _ENUM_CAP_N and math.comb(n, tau) > _ENUM_CAP_SUBSETS:
+        raise CombinatorialBlowup(
+            f"enumeration over C({n},{tau}) subsets exceeds the brute-force cap"
+        )
+
+
+def sum_adjugates_by_enumeration(b, tau: int) -> np.ndarray:
+    """Sum of embedded adjugates of all tau x tau principal submatrices:
+    adjugate(B[S, S]) scatter-added into an n x n zero matrix over every
+    subset S."""
+    b = as_dense(b)
+    n = b.shape[0]
+    _guard_enumeration(n, tau)
+    out = np.zeros((n, n))
+    for s in all_subsets(n, tau):
+        out[np.ix_(s, s)] += adjugate(b[np.ix_(s, s)])
+    return symmetrize(out)
+
+
+def expected_step_matrix(b, tau: int) -> np.ndarray:
+    """Exact expectation of the embedded submatrix inverse under
+    determinantal subset sampling, by enumeration.
+
+    Only subsets with a positive minor by ``principal_minors`` contribute,
+    those the samplers' pivot rule calls regular, mirroring the samplers'
+    exclusion of singular blocks.
+    """
+    b = as_dense(b)
+    n = b.shape[0]
+    _guard_enumeration(n, tau)
+    subsets = all_subsets(n, tau)
+    minors = principal_minors(b, tau, subsets)
+    total = minors.sum()
+    if total <= 0.0:
+        raise DegenerateApprox("all principal minors are zero")
+    out = np.zeros((n, n))
+    for s, m in zip(subsets, minors):
+        if m > 0.0:
+            out[np.ix_(s, s)] += adjugate(b[np.ix_(s, s)])
+    return symmetrize(out / total)

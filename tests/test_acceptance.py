@@ -36,10 +36,14 @@ from volcd.spectral import (
     elementary_symmetric,
     modulus_quadratic,
     sum_adjugates,
-    sum_principal_minors,
 )
 
-from oracles import psd_det
+from oracles import (
+    expected_step_matrix,
+    psd_det,
+    sum_adjugates_by_enumeration,
+    sum_principal_minors,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -102,8 +106,8 @@ def test_criterion_2_identity_suite():
             worst_minor = max(
                 worst_minor, abs(lhs - rhs) / max(1.0, abs(rhs))
             )
-            spectral = sum_adjugates(b, tau, method="spectral")
-            brute = sum_adjugates(b, tau, method="enumerate")
+            spectral = sum_adjugates(b, tau)
+            brute = sum_adjugates_by_enumeration(b, tau)
             denom = max(1.0, float(np.linalg.norm(brute)))
             worst_adj = max(
                 worst_adj, float(np.linalg.norm(spectral - brute)) / denom
@@ -119,8 +123,6 @@ def test_criterion_2_identity_suite():
 
 
 def test_criterion_3_spectral_bounds():
-    from volcd.spectral import expected_step_matrix
-
     rng = np.random.default_rng(103)
     worst = np.inf
     for trial in range(50):

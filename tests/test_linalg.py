@@ -10,7 +10,6 @@ from volcd.linalg import (
     CsrMatrix,
     CsrSymmetricUpper,
     add_to_diagonal,
-    adjugate,
     as_symmetric,
     eigendecompose,
     load_csr_triples,
@@ -20,7 +19,7 @@ from volcd.linalg import (
 )
 from volcd.objectives import QuadraticObjective, _make_step_solver
 
-from oracles import copied_row, csr_from_rows, principal_submatrix, psd_det, to_scipy
+from oracles import adjugate, copied_row, csr_from_rows, principal_submatrix, psd_det, to_scipy
 
 TRIDIAG = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import re
@@ -201,6 +202,22 @@ def test_minor_clamp_is_applied_in_one_place():
         # no call outside a function
         assert {(path.name, line) for line in calls(tree)} <= lines
     assert callers == {("sampling.py", "principal_minors"), ("benchmark.py", "run_experiment")}
+
+
+def test_every_minor_is_a_pivot_product():
+    # no src module takes a determinant: principal_minors multiplies
+    # block_pivots' pivots, with no raw mode beside it, and the enumerated
+    # minor and adjugate sums are test oracles
+    for path in sorted(Path(volcd.__file__).parent.glob("*.py")):
+        dets = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute) and node.attr == "det"]
+        assert dets == [], path.name
+    assert "clamp" not in inspect.signature(volcd.sampling.principal_minors).parameters
+    assert "method" not in inspect.signature(volcd.spectral.sum_adjugates).parameters
+    for name in ("adjugate", "sum_principal_minors", "expected_step_matrix"):
+        assert name not in volcd.__all__ and not hasattr(volcd, name)
+        for module in ("linalg", "spectral"):
+            assert not hasattr(importlib.import_module(f"volcd.{module}"), name)
 
 
 def test_the_stop_test_is_stated_once():

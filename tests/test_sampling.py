@@ -24,7 +24,14 @@ from volcd.sampling import (
     subset_counts,
 )
 
-from oracles import csr_from_rows, pair_draw, probabilities, psd_det, total_pair_mass
+from oracles import (
+    csr_from_rows,
+    pair_draw,
+    probabilities,
+    psd_det,
+    raw_minors,
+    total_pair_mass,
+)
 
 TRIDIAG = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
 
@@ -223,13 +230,13 @@ def test_order3_minors_match_per_subset_determinants():
     for n in (3, 4, 7, 13):
         g = rng.standard_normal((n, n))
         indefinite = g + g.T
-        got = principal_minors(indefinite, 3, clamp=False)
+        got = raw_minors(indefinite, 3)
         ref = _per_subset_det(indefinite, 3)
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     psd = random_psd(rng, 9)
     psd[2, :] = psd[:, 2] = 0.0
     ref = _per_subset_det(psd, 3)
-    raw = principal_minors(psd, 3, clamp=False)
+    raw = raw_minors(psd, 3)
     assert np.abs(raw - ref).max() <= 1e-12 * np.abs(ref).max()
     clamped = principal_minors(psd, 3)
     touches_zero_row = (all_subsets(9, 3) == 2).any(axis=1)
@@ -253,9 +260,9 @@ def test_clamped_minors_of_an_indefinite_matrix_are_never_negative():
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
 def test_minors_of_any_subset_rows_are_the_tables_bits(tau, sparse):
-    # one kernel for the table and for the spectral sampler's clamp test:
+    # one kernel for the table and for the spectral sampler's redraw test:
     # rows in any order, with repeats, over several chunks, give the
-    # table's minor at each subset
+    # table's minor at each subset, as they give the oracle's raw minor
     rng = np.random.default_rng(20 + tau)
     n = 11
     dense = random_psd(rng, n, rank=n - 2) + np.diag(rng.uniform(0, 1, n))
@@ -267,9 +274,9 @@ def test_minors_of_any_subset_rows_are_the_tables_bits(tau, sparse):
         b = dense
     table = all_subsets(n, tau)
     rows = rng.integers(0, table.shape[0], size=2 * sampling._CHUNK + 7)
-    for clamp in (False, True):
-        full = principal_minors(b, tau, clamp=clamp)
-        got = principal_minors(b, tau, table[rows], clamp=clamp)
+    for minors in (raw_minors, principal_minors):
+        full = minors(b, tau)
+        got = minors(b, tau, table[rows])
         assert got.tobytes() == full[rows].tobytes()
 
 
@@ -290,11 +297,31 @@ def test_a_subset_with_a_repeated_row_has_a_clamped_minor_of_zero(tau):
 
 def test_low_order_minors_are_the_closed_forms():
     b = random_psd(np.random.default_rng(9), 8)
-    assert np.array_equal(principal_minors(b, 1, clamp=False), np.diag(b))
+    assert np.array_equal(raw_minors(b, 1), np.diag(b))
+    assert np.array_equal(principal_minors(b, 1), np.diag(b))
     pairs = np.array(list(itertools.combinations(range(8), 2)))
     i, j = pairs[:, 0], pairs[:, 1]
     expected = b[i, i] * b[j, j] - b[i, j] ** 2
-    assert np.array_equal(principal_minors(b, 2, clamp=False), expected)
+    assert np.array_equal(raw_minors(b, 2), expected)
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
+def test_table_minors_are_the_pivot_product(tau, sparse):
+    # every minor is the product of block_pivots' pivots, zeroed where it
+    # refuses the block, at every tau: the table's closed forms are gone
+    rng = np.random.default_rng(40 + tau)
+    n = 10
+    dense = random_psd(rng, n, rank=n - 3) + np.diag(rng.uniform(0, 1, n))
+    dense[2, :] = dense[:, 2] = 0.0
+    b = CsrSymmetricUpper.from_dense(dense) if sparse else dense
+    st = all_subsets(n, tau).T
+    rows, cols = np.triu_indices(tau, 1)
+    piv, regular = sampling.block_pivots(dense[st, st], dense[st[rows], st[cols]])
+    expected = np.where(regular, piv.prod(0), 0.0)
+    assert not regular.all()
+    assert principal_minors(b, tau).tobytes() == expected.tobytes()
+    assert VolumeSampler(b, tau).cumulative.tobytes() == build_cumulative(expected).tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -616,13 +643,79 @@ def test_sparse2_normalization_equals_minor_sum():
         np.fill_diagonal(b, np.abs(np.diag(b)) + 1.0)
         csr = CsrSymmetricUpper.from_dense(b)
         sampler = SparseTwoSampler(csr)
-        total = principal_minors(b, 2, clamp=False).sum()
+        total = raw_minors(b, 2).sum()
         assert total_pair_mass(sampler) == pytest.approx(total, rel=1e-8)
         lam = np.linalg.eigvalsh(b)
         sigma2 = sum(
             lam[i] * lam[j] for i in range(7) for j in range(i + 1, 7)
         )
         assert total_pair_mass(sampler) == pytest.approx(sigma2, rel=1e-8)
+
+
+def _near_singular_pair():
+    # B[{4, 5}, {4, 5}] = [[1, c], [c, 1]] has det 5e-15 <= 1e-14 B_44 B_55,
+    # a block the pivot rule refuses, though it carries pair mass; rows 0-3
+    # are small enough that it holds about a third of the mass.  Row 0
+    # stores (0, 1) and (0, 4), so its pairs lie both on stored entries and
+    # in the gaps after them
+    c = np.sqrt(1.0 - 5e-15)
+    b = np.diag([2e-15, 1e-15, 1e-15, 1e-15, 1.0, 1.0])
+    b[4, 5] = b[5, 4] = c
+    b[0, 1] = b[1, 0] = 5e-16
+    b[0, 4] = b[4, 0] = 1e-8
+    return b
+
+
+class _Queued:
+    """An rng whose ``uniforms(k)`` hands out the given arrays in turn,
+    then ``rest``'s uniforms."""
+
+    def __init__(self, arrays, rest):
+        self.arrays, self.rest = list(arrays), rest
+
+    def uniforms(self, k):
+        if not self.arrays:
+            return self.rest.uniforms(k)
+        assert k == self.arrays[0].size
+        return self.arrays.pop(0)
+
+
+def test_sparse2_draws_again_a_pair_the_pivot_rule_refuses():
+    b = _near_singular_pair()
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(b))
+    u1, u2 = RngStream(5).uniforms(200), RngStream(6).uniforms(200)
+    pairs, ok = sampler._search(u1, u2)
+    # the lock-step search is still the scalar one, and its verdict refuses
+    # exactly the near-singular pair, which it draws about a third of the time
+    expected = [pair_draw(sampler, a, c) for a, c in zip(u1.tolist(), u2.tolist())]
+    assert np.array_equal(pairs, expected)
+    singular = (pairs == (4, 5)).all(axis=1)
+    assert np.array_equal(ok, ~singular) and 40 <= singular.sum() <= 120
+    assert (principal_minors(b, 2, pairs[ok]) > 0.0).all()
+
+    # a stream's draws keep the chunk's pairs where no pair is refused and
+    # draw the refused lanes again from uniforms taken after the chunk's
+    draws = sampler.sample_many(_Queued([u1, u2], RngStream(7)), 200)
+    assert np.array_equal(draws[ok], pairs[ok])
+    assert not (draws == (4, 5)).all(axis=1).any()
+    assert (principal_minors(b, 2, draws) > 0.0).all()
+
+    # rcdvs:2 runs on that B: its step raises SingularSubmatrix on the pair
+    from volcd.objectives import QuadraticObjective
+    from volcd.solvers import SolverConfig, run
+
+    csr = CsrSymmetricUpper.from_dense(b)
+    cfg = SolverConfig(method="rcdvs", tau=2, max_iters=500, record_subsets=True)
+    rep = run(QuadraticObjective(csr, np.ones(6)), csr, cfg)
+    assert rep.iterations == 500 and rep.status == "budget"
+    assert not (np.array(rep.subsets) == (4, 5)).all(axis=1).any()
+
+
+def test_sparse2_gives_up_when_every_pair_is_refused():
+    c = np.sqrt(1.0 - 5e-15)
+    sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(np.array([[1.0, c], [c, 1.0]])))
+    with pytest.raises(EmptySupport, match="none of 10240 drawn order-2 blocks"):
+        sampler.sample_many(RngStream(0), 256)
 
 
 def test_sparse2_requires_rank_two():
@@ -702,7 +795,10 @@ def test_batched_pair_search_matches_sample_one(name):
     expected = np.array(
         [pair_draw(sampler, a, c) for a, c in zip(u1.tolist(), u2.tolist())]
     )
-    assert np.array_equal(sampler._search(u1, u2), expected)
+    pairs, ok = sampler._search(u1, u2)
+    assert np.array_equal(pairs, expected)
+    # its verdict on each pair is the table kernel's on the same block
+    assert np.array_equal(ok, principal_minors(b, 2, expected) > 0.0)
 
     # a constant gap guide puts every bracket at one end of its gap: 0 at
     # the first column, n + 1 at the last.  A draw whose column lies
@@ -716,7 +812,7 @@ def test_batched_pair_search_matches_sample_one(name):
     assert any((int(i), int(j)) not in stored for i, j in expected)
     for fill in (0, b.n + 1):
         sampler._gap_guide = np.full_like(sampler._gap_guide, fill)
-        assert np.array_equal(sampler._search(u1, u2), expected)
+        assert np.array_equal(sampler._search(u1, u2)[0], expected)
 
 
 def test_subset_counts_match_dict_loop():

@@ -2,15 +2,20 @@ import numpy as np
 import pytest
 
 from volcd.errors import CombinatorialBlowup, DegenerateApprox, UnboundedLevelSet
-from volcd.linalg import adjugate, eigendecompose
+from volcd.linalg import eigendecompose
 from volcd.spectral import (
     acceleration_ratio,
     b_tau,
     d_tau_quadratic,
     elementary_symmetric,
-    expected_step_matrix,
     modulus_quadratic,
     sum_adjugates,
+)
+
+from oracles import (
+    adjugate,
+    expected_step_matrix,
+    sum_adjugates_by_enumeration,
     sum_principal_minors,
 )
 
@@ -128,8 +133,8 @@ def test_sum_adjugates_both_paths_agree():
         n = int(rng.integers(2, 8))
         b = random_symmetric(rng, n)
         for tau in range(1, n + 1):
-            spectral = sum_adjugates(b, tau, method="spectral")
-            brute = sum_adjugates(b, tau, method="enumerate")
+            spectral = sum_adjugates(b, tau)
+            brute = sum_adjugates_by_enumeration(b, tau)
             scale = max(1.0, np.linalg.norm(brute))
             assert np.linalg.norm(spectral - brute) <= 1e-8 * scale
 
@@ -405,11 +410,10 @@ _SPEC4 = eigendecompose(np.diag([4.0, 2.0, 1.0, 1.0]))
     (lambda: sum_principal_minors(TRIDIAG, 0), ValueError, "out of range"),
     (lambda: sum_principal_minors(TRIDIAG, 4), ValueError, "out of range"),
     (lambda: sum_principal_minors(np.eye(21), 2), CombinatorialBlowup, "capped at n = 20"),
-    (lambda: sum_adjugates(TRIDIAG, 0, method="enumerate"), ValueError, "out of range"),
-    (lambda: sum_adjugates(TRIDIAG, 4, method="enumerate"), ValueError, "out of range"),
-    (lambda: sum_adjugates(np.eye(40), 5, method="enumerate"), CombinatorialBlowup,
+    (lambda: sum_adjugates(TRIDIAG, 0), ValueError, "out of range"),
+    (lambda: sum_adjugates(TRIDIAG, 4), ValueError, "out of range"),
+    (lambda: sum_adjugates_by_enumeration(np.eye(40), 5), CombinatorialBlowup,
      "brute-force cap"),
-    (lambda: sum_adjugates(TRIDIAG, 2, method="other"), ValueError, "unknown method"),
     (lambda: b_tau(_SPEC4, 0), ValueError, "out of range"),
     (lambda: b_tau(_SPEC4, 5), ValueError, "out of range"),
     (lambda: acceleration_ratio([4.0, 2.0, 1.0], 0, 2), ValueError, "1 <= tau1 <= tau2"),
