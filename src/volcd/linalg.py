@@ -11,9 +11,11 @@ columns and builds the upper triangle of scale * A'A; its kernels are numpy
 Other modules may pick an algorithm by storage (the sparse pair sampler,
 the sparse solver states).  They read B through ``shape``, ``diagonal()``
 and ``item(i, j)``, which both storages provide, gather blocks with
-:func:`gather_submatrix`, and densify it only with :func:`as_dense`.  The
-one exception is ``sampling.SparseTwoSampler``, which walks the
-``indptr``, ``indices`` and ``values`` of a :class:`CsrSymmetricUpper`.
+:func:`gather_submatrix`, and densify it only with :func:`as_dense`; a CSR
+B's entries at many positions come from :meth:`CsrSymmetricUpper.entries`
+in one call.  The one exception is ``sampling.SparseTwoSampler``, which
+walks the ``indptr``, ``indices`` and ``values`` of a
+:class:`CsrSymmetricUpper`.
 
 scipy is imported only inside the functions that call it: the LAPACK
 Cholesky routines of ``_cholesky_routines``, which the step kernel of
@@ -124,16 +126,18 @@ class CsrSymmetricUpper:
 
     The arrays follow the standard compressed-row convention: ``indptr`` has
     length n + 1, ``indices``/``values`` have length nnz.  Instances are
-    immutable after construction and safe to share across threads.
+    immutable after construction and safe to share across threads; the
+    lookup arrays of :meth:`entries` are built on its first call.
     """
 
-    __slots__ = ("n", "indptr", "indices", "values")
+    __slots__ = ("n", "indptr", "indices", "values", "_lookup")
 
     def __init__(self, n: int, indptr, indices, values):
         self.n = int(n)
         self.indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         self.indices = np.ascontiguousarray(indices, dtype=np.int64)
         self.values = np.ascontiguousarray(values, dtype=float)
+        self._lookup = None
         self._validate()
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
@@ -187,7 +191,11 @@ class CsrSymmetricUpper:
         return d
 
     def item(self, i: int, j: int) -> float:
-        """B[i, j] with symmetric lookup, named like ``ndarray.item``."""
+        """B[i, j] with symmetric lookup, named like ``ndarray.item``.
+
+        The closed-form steps read B one entry at a time through this, so
+        it searches its row alone: :meth:`entries`' array calls cost several
+        times more on one entry."""
         if i > j:
             i, j = j, i
         lo, hi = self.indptr[i], self.indptr[i + 1]
@@ -196,6 +204,26 @@ class CsrSymmetricUpper:
         if k < hi and self.indices[k] == j:
             return float(self.values[k])
         return 0.0
+
+    def entries(self, i, j) -> np.ndarray:
+        """B[i, j] elementwise over broadcastable index arrays, with
+        symmetric lookup: a stored entry's own value, 0.0 where none is
+        stored.
+
+        One ``searchsorted`` of the upper-triangle keys min * n + max over
+        the stored entries' keys row * n + column, which the storage order
+        already sorts.  Keys and values are built on the first call, each
+        with a sentinel past the end (key n * n, value 0.0), so every
+        position the search returns can be read.
+        """
+        if self._lookup is None:
+            n = self.n
+            self._lookup = (np.append(self._rows() * n + self.indices, n * n),
+                            np.append(self.values, 0.0))
+        keys, values = self._lookup
+        want = np.minimum(i, j) * self.n + np.maximum(i, j)
+        k = keys.searchsorted(want)
+        return np.where(keys[k] == want, values[k], 0.0)
 
     def _rows(self) -> np.ndarray:
         """The row of every stored entry."""
@@ -409,11 +437,10 @@ def gather_submatrix(b, s: np.ndarray) -> np.ndarray:
     valid (sorted, distinct, in range); nothing is checked.
 
     ``b`` is an ndarray, read by one fancy index, or a
-    :class:`CsrSymmetricUpper`, read by one lookup per entry.
+    :class:`CsrSymmetricUpper`, read by one :meth:`~CsrSymmetricUpper.entries`.
     """
     if isinstance(b, CsrSymmetricUpper):
-        idx = s.tolist()
-        return np.array([[b.item(i, j) for j in idx] for i in idx])
+        return b.entries(s[:, None], s)
     return b[s[:, None], s]
 
 

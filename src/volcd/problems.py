@@ -321,13 +321,21 @@ def reference_min(obj, b=None) -> float:
 
     Quadratics use the minimum-norm stationary point; an inconsistent linear
     term means an unbounded objective.  Other objectives must have a positive
-    definite curvature matrix (e.g. any ridge weight > 0): the bound-
-    minimizing full-gradient iteration x <- x - B^{-1} grad f(x) then
-    converges deterministically and runs until the gradient norm is tiny.
-    B is densified, sparse or not, and factored once by numpy's Cholesky; a
-    B that is not positive definite raises :class:`NumericError`.
-    ``b`` is that curvature matrix when the caller has already built it;
-    by default it is built here.
+    definite curvature matrix B (e.g. any ridge weight > 0), which majorizes
+    the Hessian.  From x = y = 0 and t = 1, each iteration takes the
+    majorizer's step from the extrapolated point, x' = y - B^{-1} grad f(y),
+    with Nesterov's momentum, t' = (1 + sqrt(1 + 4 t^2)) / 2 and
+    y' = x' + ((t - 1) / t') (x' - x), and restarts the momentum (t = 1, so
+    y' = x') whenever grad f(y)'(x' - x) > 0 (O'Donoghue & Candes, "Adaptive
+    restart for accelerated gradient schemes", 2015).  Where B overstates the
+    Hessian, as for logistic losses with large margins, this takes a small
+    fraction of the plain step x <- x - B^{-1} grad f(x)'s iterations.
+    The run ends at the first y whose gradient norm is at most 1e-10, and
+    returns f(y); past ``_REFERENCE_MAX_ITERS`` gradients it raises
+    :class:`NumericError`.  B is densified, sparse or not, and factored once
+    by numpy's Cholesky; a B that is not positive definite raises
+    :class:`NumericError`.  ``b`` is that curvature matrix when the caller
+    has already built it; by default it is built here.
     """
     if isinstance(obj, QuadraticObjective):
         a = as_dense(obj.a)
@@ -354,13 +362,20 @@ def reference_min(obj, b=None) -> float:
     # whatever the rounding of W, so it only preconditions the steps
     inv_chol = np.linalg.inv(chol)
 
-    x = np.zeros(obj.n)
+    x = y = np.zeros(obj.n)
+    t = 1.0
     for _ in range(_REFERENCE_MAX_ITERS):
-        g = obj.gradient(x)
+        g = obj.gradient(y)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= _REFERENCE_GRAD_TOL:
-            return float(obj.value(x))
-        x = x - inv_chol.T @ (inv_chol @ g)
+            return float(obj.value(y))
+        x_next = y - inv_chol.T @ (inv_chol @ g)
+        step = x_next - x
+        if g @ step > 0:  # the momentum points uphill: restart it
+            t = 1.0
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        y = x_next + ((t - 1.0) / t_next) * step
+        x, t = x_next, t_next
     raise NumericError(
         f"reference solve did not reach gradient norm {_REFERENCE_GRAD_TOL:g} in "
         f"{_REFERENCE_MAX_ITERS} iterations (achieved {gnorm:.3e})"

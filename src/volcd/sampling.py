@@ -234,9 +234,10 @@ def principal_minors(b, tau: int, subsets: np.ndarray | None = None) -> np.ndarr
     sampler's redraw test share, so a subset's minor is the same bits in
     either, in any row order.  ``b`` may be dense or a
     :class:`~volcd.linalg.CsrSymmetricUpper`; tau = 1 reads only its
-    diagonal, larger tau a C-contiguous dense view, ``_CHUNK`` rows at a
-    time.  Each chunk gathers the blocks' diagonals and strictly upper
-    entries by flat ``take``s for :func:`block_pivots`: a minor is the
+    diagonal, larger tau a dense B's C-contiguous flat view or a sparse B's
+    stored entries, never densified, ``_CHUNK`` rows at a time.  Each chunk
+    gathers the blocks' diagonals and strictly upper entries by ``take``s
+    (flat ones on a dense B) for :func:`block_pivots`: a minor is the
     product of the pivots, O(1) per subset at tau <= 3 and O(tau^3) above,
     or exactly 0 where the pivot rule refuses the block, so degenerate
     blocks at their own scale, indefinite ones and repeated rows carry no
@@ -248,9 +249,17 @@ def principal_minors(b, tau: int, subsets: np.ndarray | None = None) -> np.ndarr
     minor_threshold(float(np.max(diag)), tau)
     if subsets is None:
         subsets = all_subsets(n, tau)
-    # singleton minors are the diagonal, which sparse B gives without
-    # densifying
-    flat = np.ascontiguousarray(as_dense(b)).ravel() if tau > 1 else None
+    # singleton minors are the diagonal alone
+    if tau == 1:
+        upper = None
+    elif isinstance(b, CsrSymmetricUpper):
+        upper = b.entries
+    else:
+        flat = np.ascontiguousarray(b, dtype=float).ravel()
+
+        def upper(i, j):
+            return flat.take(i * n + j)
+
     k = np.arange(tau)
     rows, cols = np.nonzero(k[:, None] < k)
     minors = np.empty(subsets.shape[0])
@@ -260,7 +269,7 @@ def principal_minors(b, tau: int, subsets: np.ndarray | None = None) -> np.ndarr
         # strictly upper entries in row order
         st = np.ascontiguousarray(s.T)
         d = diag.take(st)
-        o = flat.take(st[rows] * n + st[cols]) if tau > 1 else None
+        o = upper(st[rows], st[cols]) if tau > 1 else None
         piv, regular = block_pivots(d, o)
         with np.errstate(invalid="ignore"):  # inf * 0 in a refused block
             minors[lo : lo + s.shape[0]] = np.where(regular, piv.prod(axis=0), 0.0)

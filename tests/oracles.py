@@ -17,7 +17,9 @@ the library, so that a test can demand bitwise agreement:
 * :func:`principal_submatrix` validates a subset, then gathers B[S, S];
 * :func:`csr_from_rows` builds a ``CsrSymmetricUpper`` from per-row lists;
 * :func:`to_scipy` is a ``CsrSymmetricUpper``'s full symmetric matrix as a
-  scipy CSR matrix, through ``CsrSymmetricUpper.full``.
+  scipy CSR matrix, through ``CsrSymmetricUpper.full``;
+* :func:`majorization_min` is ``reference_min``'s optimum of a non-quadratic
+  by the plain majorization step, without momentum.
 
 The raw-determinant enumerations that the spectral identities are checked
 against live here too, capped at small sizes; the library takes every
@@ -39,7 +41,7 @@ import math
 
 import numpy as np
 
-from volcd.errors import CombinatorialBlowup, DegenerateApprox
+from volcd.errors import CombinatorialBlowup, DegenerateApprox, NumericError
 from volcd.linalg import (
     CsrSymmetricUpper,
     as_dense,
@@ -47,6 +49,7 @@ from volcd.linalg import (
     symmetrize,
     validate_index_set,
 )
+from volcd.problems import _REFERENCE_GRAD_TOL, _REFERENCE_MAX_ITERS
 from volcd.sampling import _DET_CLAMP, all_subsets, principal_minors
 
 # paths that factor every submatrix (adjugates, inverses) refuse more than
@@ -173,6 +176,25 @@ def to_scipy(csr: CsrSymmetricUpper):
 
     full = csr.full()
     return scipy.sparse.csr_matrix((full.data, full.indices, full.indptr), shape=csr.shape)
+
+
+def majorization_min(obj, b=None) -> float:
+    """Optimal value of a strongly convex non-quadratic by the plain
+    majorization step x <- x - B^-1 grad f(x) from x = 0, with B = ``b`` or
+    the objective's curvature matrix: ``reference_min``'s iteration without
+    momentum, with its Cholesky inverse, gradient-norm tolerance and
+    iteration cap."""
+    if b is None:
+        b = obj.curvature_matrix()
+    inv_chol = np.linalg.inv(np.linalg.cholesky(as_dense(b)))
+    x = np.zeros(obj.n)
+    for _ in range(_REFERENCE_MAX_ITERS):
+        g = obj.gradient(x)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= _REFERENCE_GRAD_TOL:
+            return float(obj.value(x))
+        x = x - inv_chol.T @ (inv_chol @ g)
+    raise NumericError(f"majorization did not converge (gradient norm {gnorm:.3e})")
 
 
 def raw_minors(b, tau: int, subsets=None) -> np.ndarray:

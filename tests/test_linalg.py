@@ -18,6 +18,7 @@ from volcd.linalg import (
     save_triples,
 )
 from volcd.objectives import QuadraticObjective, _make_step_solver
+from volcd.problems import banded_psd
 
 from oracles import adjugate, copied_row, csr_from_rows, principal_submatrix, psd_det, to_scipy
 
@@ -470,6 +471,23 @@ def test_csr_entry_lookup():
     assert c.item(1, 0) == 1.0
     assert c.item(0, 2) == 0.0
     assert np.allclose(c.diagonal(), [2.0, 2.0, 2.0])
+
+
+def test_csr_entries_are_the_dense_entries_bitwise():
+    # one vectorized lookup, symmetric and broadcast, reads each stored value
+    # and 0.0 where nothing is stored, in either triangle
+    b = banded_psd(30, 3, seed=4)
+    dense = b.to_dense()
+    i, j = np.random.default_rng(5).integers(0, 30, size=(2, 400))
+    got = b.entries(i, j)
+    assert np.array_equal(got, dense[i, j])
+    assert (got == 0.0).any() and (got != 0.0).any()
+    s = np.array([2, 3, 9, 29])
+    assert np.array_equal(b.entries(s[:, None], s), dense[s[:, None], s])
+    assert b.item(29, 28) == dense[28, 29]
+    # no stored entry at all: the search reads only the sentinel
+    empty = CsrSymmetricUpper(3, np.zeros(4, dtype=np.int64), [], [])
+    assert np.array_equal(empty.entries(np.arange(3), 2), np.zeros(3))
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,19 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+from volcd import problems
 from volcd.errors import ConfigError, NumericError, ParseError, UnboundedLevelSet
 from volcd.linalg import CsrSymmetricUpper, eigendecompose
-from volcd.objectives import QuadraticObjective, RegularizedObjective
+from volcd.objectives import (
+    HuberLoss,
+    LogSumExpLoss,
+    QuadraticObjective,
+    RegularizedObjective,
+    SeparableObjective,
+    SqrtNormLoss,
+    SquareLoss,
+)
 from volcd.problems import (
     ProblemSpec,
     banded_psd,
@@ -14,6 +24,8 @@ from volcd.problems import (
     read_libsvm,
     reference_min,
 )
+
+from oracles import majorization_min
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +399,77 @@ def test_reference_min_refuses_a_curvature_that_is_not_positive_definite(tmp_pat
     b = obj.curvature_matrix()
     assert isinstance(b, CsrSymmetricUpper)
     assert reference_min(obj) == reference_min(obj, b=b.to_dense())
+
+
+def _planted_libsvm(path, seed: int, rows: int = 300, features: int = 20):
+    """A LIBSVM file whose labels are the sign of a planted score plus
+    noise, each entry present with probability 0.3."""
+    gen = np.random.default_rng(seed)
+    w = gen.standard_normal(features)
+    x = np.where(gen.random((rows, features)) < 0.3, gen.standard_normal((rows, features)), 0.0)
+    y = np.where(x @ w + 0.5 * gen.standard_normal(rows) > 0.0, "+1", "-1")
+    path.write_text("".join(
+        label + "".join(f" {j + 1}:{row[j]!r}" for j in np.flatnonzero(row).tolist()) + "\n"
+        for label, row in zip(y.tolist(), x.tolist())
+    ))
+    return path
+
+
+def _counting_gradients(obj):
+    """Wrap ``obj.gradient`` so that each call appends the gradient's norm."""
+    norms = []
+    gradient = obj.gradient
+
+    def counted(x):
+        g = gradient(x)
+        norms.append(float(np.linalg.norm(g)))
+        return g
+
+    obj.gradient = counted
+    return norms
+
+
+@pytest.mark.parametrize("gamma", [1.0, 1e-2, 1e-4])
+def test_reference_min_matches_the_plain_majorization_on_a_logistic_file(tmp_path, gamma):
+    obj = load_libsvm(_planted_libsvm(tmp_path / "planted.svm", seed=1), gamma=gamma)
+    assert reference_min(obj) == pytest.approx(majorization_min(obj), rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "csr"])
+@pytest.mark.parametrize(
+    "loss", [HuberLoss(0.5), LogSumExpLoss(0.3), SqrtNormLoss(0.3), SquareLoss()],
+    ids=["huber", "logsumexp", "sqrtnorm", "square"],
+)
+def test_reference_min_matches_the_plain_majorization_on_ridge_objectives(loss, sparse):
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((60, 10))
+    a[rng.random(a.shape) < 0.6] = 0.0
+    data = scipy.sparse.csr_matrix(a) if sparse else a
+    obj = RegularizedObjective(SeparableObjective(data, rng.standard_normal(60), loss), 1e-2)
+    assert reference_min(obj) == pytest.approx(majorization_min(obj), rel=1e-12, abs=0)
+
+
+def test_reference_min_takes_accelerated_steps(tmp_path):
+    # the band holds the 57-84 gradient evaluations of seeds 100-199 at this
+    # shape with room; the plain majorization step took 168-262 there
+    obj = load_libsvm(_planted_libsvm(tmp_path / "planted.svm", seed=1), gamma=1.0)
+    norms = _counting_gradients(obj)
+    reference_min(obj)
+    assert 40 <= len(norms) <= 120
+    assert norms[-1] <= 1e-10 < min(norms[:-1])
+
+
+def test_reference_min_fails_at_its_iteration_cap(tmp_path, monkeypatch):
+    monkeypatch.setattr(problems, "_REFERENCE_MAX_ITERS", 3)
+    obj = load_libsvm(_planted_libsvm(tmp_path / "planted.svm", seed=1), gamma=1.0)
+    norms = _counting_gradients(obj)
+    with pytest.raises(NumericError) as err:
+        reference_min(obj)
+    assert len(norms) == 3
+    assert str(err.value) == (
+        "reference solve did not reach gradient norm 1e-10 in 3 iterations "
+        f"(achieved {norms[-1]:.3e})"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 from volcd import sampling
 from volcd.errors import CombinatorialBlowup, EmptySupport
-from volcd.linalg import CsrSymmetricUpper
+from volcd.linalg import CsrSymmetricUpper, gather_submatrix
 from volcd.problems import ProblemSpec, banded_psd, generate
 from volcd.rng import RngStream
 from volcd.spectral import _esp_all_degrees
@@ -322,6 +322,28 @@ def test_table_minors_are_the_pivot_product(tau, sparse):
     assert not regular.all()
     assert principal_minors(b, tau).tobytes() == expected.tobytes()
     assert VolumeSampler(b, tau).cumulative.tobytes() == build_cumulative(expected).tobytes()
+
+
+@pytest.mark.parametrize("tau", [2, 3, 5])
+def test_csr_minors_read_stored_entries_without_densifying(monkeypatch, tau):
+    # a CSR B's minors and blocks read its stored entries where they lie, so
+    # no n x n array is built; the bits are the dense path's
+    n = 200
+    b = banded_psd(n, 3, seed=tau)
+    dense = b.to_dense()
+    runs = np.arange(n - tau + 1)[:, None] + np.arange(tau)
+    scattered = np.sort(np.random.default_rng(tau).random((300, n)).argsort(axis=1)[:, :tau], axis=1)
+    subsets = np.concatenate((runs, scattered))
+    expected = principal_minors(dense, tau, subsets)
+    assert (expected > 0).all()
+
+    def densify(self):
+        raise AssertionError("a CSR B was densified")
+
+    monkeypatch.setattr(CsrSymmetricUpper, "to_dense", densify)
+    assert principal_minors(b, tau, subsets).tobytes() == expected.tobytes()
+    for s in subsets[::50]:
+        assert gather_submatrix(b, s).tobytes() == dense[s[:, None], s].tobytes()
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
