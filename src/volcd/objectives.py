@@ -16,7 +16,12 @@ the logistic value, from which its derivative is taken, Huber's clipped
 ``d / mu``, the log-sum-exp's exp, the smoothed norm) is done once.
 Rowwise losses (square, logistic, Huber) return per-row values,
 full-residual ones (log-sum-exp, smoothed norm) the total as a 0-d array;
-the value is ``values.sum()`` either way.  Huber's kernel is the clip form
+the value is ``values.sum()`` either way.  A rowwise ``eval`` is
+elementwise: the rows of a gather evaluate to bitwise the gathered rows of
+a whole-vector evaluation.  Rowwise losses also have ``derivative(z, b)``,
+bitwise ``eval``'s w, for steps that need no values: it skips Huber's and
+the square loss's value passes, while the logistic loss, whose derivative
+comes from its value, calls ``eval``.  Huber's kernel is the clip form
 c * (d - c * mu / 2) with c = clip(d / mu, -1, 1): bitwise the piecewise
 formula outside |d| <= mu, within 1.11 ulp of the exact value inside (the
 piecewise form: 1.28).  A sparse data matrix is a numpy
@@ -27,6 +32,12 @@ column of A, built once, with intp row indices; under a rowwise loss its
 state also keeps the per-row loss values, so a step costs a fixed few numpy
 calls per column (one ``np.dot`` for a partial-gradient entry, one reduction
 for a value change) and evaluates the loss on that column's rows only.
+Such a state's value is the sum of those per-step changes.  When A holds
+at least m / ``_BLOCK`` nonzeros per column on average, so that summing all
+m rows costs no more than the rows ``_BLOCK`` steps touch, the state takes
+checkpoints: at every ``_BLOCK``-th step since its last refresh, on every
+path, its value becomes the exact sum of its loss values plus its ridge
+term.  A taller, sparser A keeps the per-step changes alone.
 
 A solver steps a state through :func:`steps`, the one place that knows
 how a subset is stepped.  Its step kernel, :func:`_make_step_solver`,
@@ -43,7 +54,14 @@ block raises :class:`~volcd.errors.SingularSubmatrix` when the solve is
 exact and takes the pseudoinverse step otherwise.  A sparse separable
 state under a rowwise loss, ridge or not, takes a fused step, bitwise the
 state's own methods;
-``_column_step`` is the one column update of both.  A dense quadratic state
+``_column_step`` is the one column update of both.  On a sampled stream
+whose run traces at a multiple of ``_BLOCK`` steps, a state that takes
+checkpoints steps in blocks of ``_BLOCK`` steps between them that move x,
+z and w alone and evaluate the loss once, at the block's end: the run
+takes a block whole, or has it stepped again one step at a time.  The
+subsets, iterates and checkpoint values are bitwise the per-step path's;
+the stopping step is too when B bounds f, up to rounding at the stop (see
+:func:`~volcd.solvers.run`).  A dense quadratic state
 without ridge on a sampled stream with a dense B takes windowed steps at
 every tau, each window of steps one block lower-triangular solve whose
 values before the last are yielded as one array.  A window tests each
@@ -104,6 +122,15 @@ _SLICE = 8
 # per-step value update overflows before a window's cumsum does.
 _VALUE_LIMIT = 1e300
 
+# Steps per block of a sparse separable state under a rowwise loss whose A
+# has at least m / _BLOCK nonzeros per column on average: its value is the
+# exact sum of its loss values at every _BLOCK-th step since its last refresh,
+# and a sampled run that traces at a multiple of _BLOCK steps steps it a block
+# at a time.  It divides REFRESH_INTERVAL, sampling._SUB_BATCH and
+# solvers._SAMPLE_CHUNK, so refreshes and the ends of the samplers' batches
+# fall on a block's end.
+_BLOCK = 32
+
 
 # ---------------------------------------------------------------------------
 # Losses
@@ -118,6 +145,9 @@ class SquareLoss:
     def eval(self, z, b):
         d = z - b
         return 0.5 * d**2, d
+
+    def derivative(self, z, b):
+        return z - b
 
 
 class LogisticLoss:
@@ -142,6 +172,10 @@ class LogisticLoss:
         w = np.expm1(-values)
         w *= b
         return values, w
+
+    def derivative(self, z, b):
+        # the derivative is taken from the values
+        return self.eval(z, b)[1]
 
 
 class _SmoothedLoss:
@@ -179,6 +213,9 @@ class HuberLoss(_SmoothedLoss):
         # np.clip(d / mu, -1, 1) element for element, without its wrapper
         c = np.minimum(np.maximum(d / mu, -1.0), 1.0)
         return c * (d - (0.5 * mu) * c), c
+
+    def derivative(self, z, b):
+        return np.minimum(np.maximum((z - b) / self.mu, -1.0), 1.0)
 
 
 class LogSumExpLoss(_SmoothedLoss):
@@ -360,6 +397,18 @@ def _column_step(loss, z, ell, w, col, hj) -> float:
     return change
 
 
+def _column_move(loss, z, ell, w, col, hj) -> float:
+    """A column's share of a step inside a block of the fused sparse step:
+    z and w as :func:`_column_step` updates them, by the loss's
+    ``derivative``, with ell left for the block's end; no value change."""
+    rows, vals, b_rows = col
+    zr = z[rows]
+    zr -= vals * hj
+    z[rows] = zr
+    w[rows] = loss.derivative(zr, b_rows)
+    return 0.0
+
+
 class _SeparableSparseState(_SeparableState):
     """Separable state over a :class:`~volcd.linalg.CsrMatrix` data matrix.
 
@@ -368,11 +417,20 @@ class _SeparableSparseState(_SeparableState):
     the rows its columns meet and a partial gradient reads only those
     columns.  Under a rowwise loss a step evaluates the loss once per
     column, on that column's rows only, and never on the rows it left alone;
-    under a full-residual loss it evaluates the loss on all of z.
+    under a full-residual loss a step evaluates the loss on all of z.
+
+    Under a rowwise loss the value is kept by the steps' changes.  It
+    becomes the exact sum of ell at every ``_BLOCK``-th step when
+    ``_checkpoints``: when A's columns hold m / ``_BLOCK`` nonzeros or more
+    on average, so that the sum over all m rows costs no more than the rows
+    of ``_BLOCK`` steps.  A taller, sparser A keeps the changes alone, and
+    its untraced runs take no blocks, whose end pays the same sum.
     """
 
     def __init__(self, obj: "SeparableObjective", x0):
         self._cols = obj._columns()
+        m, n = obj.a.shape
+        self._checkpoints = obj.loss.rowwise and _BLOCK * obj.a.data.size >= m * n
         super().__init__(obj, x0)
 
     def _partial(self, s):
@@ -400,6 +458,13 @@ class _SeparableSparseState(_SeparableState):
             rows, vals, _ = cols[j]
             z[rows] -= vals * hj
         self._evaluate()
+
+    def apply_step(self, s, h) -> None:
+        super().apply_step(s, h)
+        if self._checkpoints and self._steps % _BLOCK == 0:
+            # the value, kept by per-step changes, becomes the exact sum (a
+            # refresh has just set it so)
+            self._value = float(self._ell.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +568,7 @@ def _make_step_solver(b, exact: bool):
     return solve
 
 
-def steps(state, subsets, b, exact: bool):
+def steps(state, subsets, b, exact: bool, trace_every: int = 1):
     """Step ``state`` by the solution h of B[S, S] h = partial gradient on S
     for each S drawn from ``subsets``, yielding its value after each step.
     A singular block raises :class:`SingularSubmatrix` if ``exact`` and
@@ -518,16 +583,24 @@ def steps(state, subsets, b, exact: bool):
     those steps and ends, while a close there applies the steps of every
     value yielded.  A sparse separable state under a rowwise loss, whatever
     its ridge weight, takes a fused step, bitwise ``apply_step``'s, whose
-    locals go back to the state when the generator closes or ends.  Every
-    other state, a dense quadratic one on forced subsets, with ridge
-    included or with a CSR B, steps through its public methods."""
+    locals go back to the state when the generator closes or ends.  On a
+    sampler's stream, when ``trace_every``, the reader's trace interval, is
+    a multiple of ``_BLOCK`` and the state takes checkpoints, it takes lazy
+    blocks, each ending at a checkpoint and so at most at its last step on
+    a trace point: it yields the pair (length, last value) for a block of
+    steps whose other values it never computes, and a reader takes the
+    block whole by asking for the next value or sends 0 to have its steps
+    taken again one at a time, each yielded as a float.  Every other state, a dense quadratic one on forced subsets, with
+    ridge included or with a CSR B, steps through its public methods."""
     solve = _make_step_solver(b, exact)
     kind = type(state)
     if (kind is _QuadraticDenseState and not state._gamma and type(subsets) is Draws
             and isinstance(b, np.ndarray)):
         return _dense_window_steps(state, subsets, b, solve)
     if kind is _SeparableSparseState and state._obj.loss.rowwise:
-        return _sparse_separable_steps(state, subsets, solve)
+        lazy = (state._checkpoints and type(subsets) is Draws
+                and trace_every % _BLOCK == 0)
+        return _sparse_separable_steps(state, subsets, solve, lazy)
     return _public_steps(state, subsets, solve)
 
 
@@ -676,67 +749,132 @@ def _dense_window_steps(state, draws, b, solve):
         state._value, state._steps = value, count
 
 
-def _sparse_separable_steps(state, subsets, solve):
+def _sparse_separable_steps(state, subsets, solve, lazy):
     """Fused steps of a sparse separable state under a rowwise loss, with or
     without a ridge term: one or two coordinates read ``np.dot(vals,
     w[rows])``, as ``_partial`` does, add the ridge term to it and to the
-    squared norm in Python floats, solve on floats and step each column by
-    :func:`_column_step`; larger steps call ``partial_gradient``, ``solve``
-    and ``_apply``.  A pair keeps ``apply_step``'s length-2 dots for the
-    squared norm: they may round unlike a*a + b*b."""
+    squared norm in Python floats and solve on floats; larger steps call
+    ``partial_gradient`` and ``solve``.  A pair keeps ``apply_step``'s
+    length-2 dots for the squared norm: they may round unlike a*a + b*b.
+
+    One at a time, a step moves each column by :func:`_column_step`, and
+    the value becomes the exact sum of ell at every ``_BLOCK``-th step when
+    the state takes checkpoints, as ``apply_step``'s does.  When ``lazy``,
+    the steps from such a checkpoint to the next, the ``_BLOCK`` subsets
+    that ``subsets.peek`` hands out, are stepped as one block: each column moves z and w alone
+    (:func:`_column_move`), and the loss is evaluated on all rows at the
+    block's end, which gives that step's exact value and ell.  A block
+    whose end value is finite and not above its start is yielded as the
+    pair (``_BLOCK``, end value); the reader takes it whole by asking for
+    the next value, or sends 0, and the block is restored from its snapshot
+    of x, z, w and the squared norm and stepped again one step at a time,
+    as is a block whose end value fails that test.  Its subsets are taken
+    from the stream only when the block is taken, and a close at its yield
+    takes it.  A peek cut short by a batch's end, or a block that would
+    pass a refresh, steps one at a time to the next checkpoint.  Both paths
+    give bitwise the same x, z, w and checkpoint values, since a rowwise
+    ``eval`` is elementwise."""
     one, two = solve.one, solve.two
-    column, loss = _column_step, state._obj.loss
+    column, move, loss, b = _column_step, _column_move, state._obj.loss, state._obj.b
     x, cols = state.x, state._cols
     z, ell, w = state._z, state._ell, state._w
     value, count = state._value, state._steps
     gamma, sq = state._gamma, state._sq
-    interval = REFRESH_INTERVAL
+    interval, per, checkpoints = REFRESH_INTERVAL, _BLOCK, state._checkpoints
+    isfinite = math.isfinite
+    pending = False  # a block yielded and not yet taken
+
+    def step(s, kernel, value):
+        """Steps x and the squared norm on s, and each column's rows through
+        ``kernel``; returns ``value`` plus the kernel's value changes."""
+        nonlocal sq
+        size = s.size
+        if size == 1:
+            i = s.item(0)
+            ci = cols[i]
+            gi = float(np.dot(ci[1], w[ci[0]]))
+            if gamma:
+                xi = x.item(i)
+                gi += gamma * xi
+            h = one(i, gi)
+            if gamma:
+                sq += h * h - 2.0 * (xi * h)
+            x[i] -= h
+            return value + kernel(loss, z, ell, w, ci, h)
+        if size == 2:
+            i, j = s.tolist()
+            ci, cj = cols[i], cols[j]
+            gi = float(np.dot(ci[1], w[ci[0]]))
+            gj = float(np.dot(cj[1], w[cj[0]]))
+            if gamma:
+                gi += gamma * x.item(i)
+                gj += gamma * x.item(j)
+            hi, hj = two(i, j, gi, gj)
+            if gamma:
+                hs = np.array((hi, hj))
+                sq += float(hs @ hs) - 2.0 * float(x[s] @ hs)
+            x[i] -= hi
+            x[j] -= hj
+            value += kernel(loss, z, ell, w, ci, hi)
+            return value + kernel(loss, z, ell, w, cj, hj)
+        h = solve(s, state.partial_gradient(s))
+        if gamma:  # apply_step's update
+            sq += float(h @ h) - 2.0 * float(x[s] @ h)
+        x[s] -= h
+        for j, hj in zip(s.tolist(), h.tolist()):
+            value += kernel(loss, z, ell, w, cols[j], hj)
+        return value
+
     try:
-        for s in subsets:
-            size = s.size
-            if size == 1:
-                i = s.item(0)
-                ci = cols[i]
-                gi = float(np.dot(ci[1], w[ci[0]]))
-                if gamma:
-                    xi = x.item(i)
-                    gi += gamma * xi
-                h = one(i, gi)
-                if gamma:
-                    sq += h * h - 2.0 * (xi * h)
-                x[i] -= h
-                value += column(loss, z, ell, w, ci, h)
-            elif size == 2:
-                i, j = s.tolist()
-                ci, cj = cols[i], cols[j]
-                gi = float(np.dot(ci[1], w[ci[0]]))
-                gj = float(np.dot(cj[1], w[cj[0]]))
-                if gamma:
-                    gi += gamma * x.item(i)
-                    gj += gamma * x.item(j)
-                hi, hj = two(i, j, gi, gj)
-                if gamma:
-                    hs = np.array((hi, hj))
-                    sq += float(hs @ hs) - 2.0 * float(x[s] @ hs)
-                x[i] -= hi
-                x[j] -= hj
-                value += column(loss, z, ell, w, ci, hi)
-                value += column(loss, z, ell, w, cj, hj)
+        while True:
+            # blocks from a checkpoint on, while the reader takes them
+            while lazy and count % per == 0 and count + per <= interval:
+                subs = subsets.peek(per)
+                if len(subs) < per:
+                    break
+                start = value + 0.5 * gamma * sq if gamma else value
+                saved = x.copy(), z.copy(), w.copy(), sq
+                for s in subs:
+                    step(s, move, 0.0)
+                ev = loss.eval(z, b)[0]
+                end = float(ev.sum())
+                last = end + 0.5 * gamma * sq if gamma else end
+                taken = 0
+                if isfinite(last) and last <= start:
+                    pending = True
+                    taken = yield per, last
+                    pending = False
+                if taken is not None:
+                    x[:], z[:], w[:], sq = saved
+                    break
+                subsets.take(per)
+                state._ell = ell = ev
+                value = end
+                count += per
+                if count >= interval:
+                    state.refresh()
+                    z, ell, w, value, sq, count = (state._z, state._ell, state._w,
+                                                   state._value, state._sq, 0)
+            # then one step at a time, to the next checkpoint if lazy
+            for s in subsets:
+                value = step(s, column, value)
+                count += 1
+                if count >= interval:
+                    state.refresh()
+                    z, ell, w, value, sq, count = (state._z, state._ell, state._w,
+                                                   state._value, state._sq, 0)
+                elif checkpoints and count % per == 0:
+                    value = float(ell.sum())
+                # the value property, with its expression
+                yield value + 0.5 * gamma * sq if gamma else value
+                if lazy and count % per == 0:
+                    break
             else:
-                h = solve(s, state.partial_gradient(s))
-                if gamma:  # apply_step's update, on the local sq
-                    sq += float(h @ h) - 2.0 * float(x[s] @ h)
-                state._value = value
-                state._apply(s, h)
-                value = state._value
-            count += 1
-            if count >= interval:
-                state.refresh()
-                z, ell, w, value, sq, count = (state._z, state._ell, state._w, state._value,
-                                               state._sq, 0)
-            # the value property, with its expression
-            yield value + 0.5 * gamma * sq if gamma else value
+                return
     finally:
+        if pending:
+            subsets.take(per)
+            state._ell, value, count = ev, end, count + per
         state._value, state._sq, state._steps = value, sq, count
 
 

@@ -26,6 +26,10 @@ gap, ``"budget"`` at the iteration budget, or ``"exhausted"`` when the
 forced subsets run out; ``capped`` is derived from it.  The loop counts,
 traces and asks the stop rule, and reads the state only through ``value``
 and ``x``; it silences numpy's overflow warnings, which the status replaces.
+It takes the steps' values one at a time, a window's values as one array,
+or a sparse separable run's lazy block as its length and last value, and
+takes either block whole only when the stop rule lets its last value pass
+(see :func:`run`).
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -156,11 +160,24 @@ def run(obj, b, config: SolverConfig):
     except that a dense B with a non-finite entry raises ``ValueError``.
     This is the one solver entry point: it dispatches on ``config.method``.
 
-    The steps yield a float per step, or a window's block of values as one
-    1-d array: a block is taken whole when its steps are not traced and
-    the stop rule lets its last value, the least, pass; otherwise its values
-    are walked one by one as floats are, and a stop inside it sends the
-    window the number of its steps taken, which it applies.
+    The steps yield a float per step, a window's block of values as one
+    1-d array, or a lazy block of a sparse separable run as the tuple
+    (length, last value), whose other values are never computed.  A window
+    is taken whole when none of its steps is traced, a lazy block when none
+    but its last is (whose value it traces), and either only when the stop
+    rule lets its last value pass.  Otherwise a window's values are walked
+    one by one as floats are, and a stop inside it sends the window the
+    number of its steps taken, which it applies; a lazy block is sent 0,
+    and its steps come again one at a time, as floats, from its start.
+
+    A window's last value is its least, so taking it whole stops where the
+    per-step path stops.  A lazy block's last value is not above its first,
+    which the steps check, but its other values are unseen: when B bounds
+    f they fall from first to last, and a lazy run stops at the per-step
+    run's step up to rounding at the target, where a value inside a block
+    may round to the target while the block's end rounds above it.  When B
+    does not bound f, a value inside a block may meet the target while the
+    block's end does not, and the run takes the block and stops later.
     """
     n = obj.n
     config.validate(n)
@@ -189,8 +206,20 @@ def run(obj, b, config: SolverConfig):
     if status is None:
         # a diverging run overflows on its way to its "diverged" value
         with np.errstate(over="ignore", invalid="ignore"):
-            stepper = objectives.steps(state, subsets, b, exact=config.method != "sdna")
+            stepper = objectives.steps(state, subsets, b, exact=config.method != "sdna",
+                                       trace_every=trace_every)
             for value in stepper:
+                if type(value) is tuple:
+                    # a lazy block: its length and its last value, finite and
+                    # not above its first; taken whole when no step but its
+                    # last is traced, else stepped again one step at a time
+                    end, last = k + value[0], value[1]
+                    if (end - 1) // trace_every == k // trace_every and ended(end, last) is None:
+                        k, value = end, last
+                        if k % trace_every == 0:
+                            trace.append((k, value))
+                        continue
+                    value = stepper.send(0)
                 if type(value) is ndarray and value.ndim:
                     # a window's block of values: finite and non-increasing, so
                     # it is taken whole when none of its steps is traced and

@@ -443,6 +443,39 @@ def test_loss_eval_matches_reference_formulas(loss):
         assert np.isnan(values) and np.isnan(derivs).all()
 
 
+@pytest.mark.parametrize("loss", [SquareLoss(), LogisticLoss(), HuberLoss(0.5), HuberLoss(0.01)])
+@pytest.mark.parametrize("scale", [1e4, 1e308, np.inf])
+def test_rowwise_loss_eval_is_elementwise(loss, scale):
+    # the fused sparse step evaluates the loss on one column's rows at a
+    # time, and a block's end on all rows at once, so its values stay
+    # bitwise only if a gather of rows evaluates to bitwise the gathered
+    # rows of a whole-vector evaluation, at every length the ufuncs' vector
+    # loops cut differently; ``derivative`` gives bitwise eval's derivatives
+    rng = np.random.default_rng(13)
+    for size in [*range(1, 18), 250, 1000]:
+        b = rng.standard_normal(size)
+        if isinstance(loss, LogisticLoss):
+            b = np.sign(b)  # labels
+        if np.isinf(scale):
+            # margins of +-inf among finite ones up to +-1e4
+            z = 1e4 * rng.uniform(-1.0, 1.0, size)
+            z[rng.random(size) < 0.3] = np.inf
+            z[rng.random(size) < 0.3] = -np.inf
+        else:
+            z = scale * rng.uniform(-1.0, 1.0, size)
+        with np.errstate(all="ignore"):
+            values, derivs = loss.eval(z, b)
+            assert loss.derivative(z, b).tobytes() == derivs.tobytes()
+            gathers = [np.arange(size), np.arange(size)[::-1], np.arange(size)[1::2]]
+            gathers += [np.sort(rng.choice(size, int(rng.integers(1, size + 1)), replace=False))
+                        for _ in range(4)]
+            for rows in gathers:
+                part_values, part_derivs = loss.eval(z[rows], b[rows])
+                assert part_values.tobytes() == values[rows].tobytes()
+                assert part_derivs.tobytes() == derivs[rows].tobytes()
+                assert loss.derivative(z[rows], b[rows]).tobytes() == derivs[rows].tobytes()
+
+
 @pytest.mark.parametrize("mu", [0.5, 0.01, 0.3, 1e-5, 7.0])
 def test_huber_clip_form_agrees_with_the_piecewise_formula(mu):
     # outside |d| <= mu bitwise; inside within a few ulp (each form is

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from volcd import objectives, solvers
+from volcd import objectives, sampling, solvers
 from volcd.errors import ConfigError, SingularSubmatrix
 from volcd.linalg import CsrSymmetricUpper, eigendecompose, pseudo_solve
 from volcd.objectives import (
@@ -1567,18 +1567,23 @@ def test_sparse_fused_loop_refreshes_at_the_generic_loops_steps(monkeypatch, tmp
         assert abs(direct.final_value - full) <= 1e-9 * abs(full)
 
 
-@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2)])
+@pytest.mark.parametrize("method, tau, trace_every", [
+    pytest.param(method, tau, every, id=f"{method}-{tau}{suffix}")
+    for every, suffix in ((5, ""), (2**62, "-untraced"))
+    for method, tau in (("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2))
+])
 @pytest.mark.parametrize("kind", ["square", "ridge-logistic"])
 def test_sparse_fused_loop_stops_a_diverging_run_where_the_generic_loop_does(
-    monkeypatch, tmp_path, kind, method, tau
+    monkeypatch, tmp_path, kind, method, tau, trace_every
 ):
     # a quarter of the curvature overshoots each step threefold on the
     # square loss and on a dominant ridge term: both loops stop at the same
-    # first non-finite value
+    # first non-finite value.  Untraced, the values rise, so the blocks
+    # fall back to single steps.
     obj, b = _sparse_separable(kind, tmp_path, gamma=8.0)
     quarter = CsrSymmetricUpper.from_dense(b.to_dense() / 4)
     cfg = SolverConfig(method=method, tau=tau, seed=37, target_gap=1e-3, f_star=0.0,
-                       max_iters=20_000, trace_every=5)
+                       max_iters=20_000, trace_every=trace_every)
     direct, generic = _both_paths(monkeypatch, obj, quarter, cfg, _SPARSE_LOOP)
     assert _outcome(direct) == _outcome(generic)
     assert not np.isfinite(direct.final_value) and direct.iterations < 20_000
@@ -1638,16 +1643,181 @@ def test_sparse_huber_value_does_not_drift_over_a_long_run(method, tau, kind):
     assert abs(rep.final_value - full) <= 1e-10 * max(1.0, abs(full))
 
 
+def _block_spy(monkeypatch):
+    """The lengths of the runs of subsets that ``Draws.take`` took, and the
+    ``lazy`` flag of each fused sparse step built: the fused step takes a
+    stream's subsets through ``take`` only for a block taken whole."""
+    taken, flags = [], []
+    take, fused = Draws.take, objectives._sparse_separable_steps
+
+    def take_spy(draws, m):
+        taken.append(m)
+        take(draws, m)
+
+    def fused_spy(*args):
+        flags.append(args[3])
+        return fused(*args)
+
+    monkeypatch.setattr(Draws, "take", take_spy)
+    monkeypatch.setattr(objectives, _SPARSE_LOOP, fused_spy)
+    return taken, flags
+
+
+@pytest.mark.parametrize("method, tau", [("rcd", 1), ("rcdvs", 2), ("rcdvs", 3), ("sdna", 2)])
+@pytest.mark.parametrize("kind", _SPARSE_KINDS)
+def test_an_untraced_sparse_run_takes_blocks_bitwise_its_forced_replay(
+        monkeypatch, tmp_path, kind, method, tau):
+    # untraced, a sampled run steps in blocks and replays the block where it
+    # stops one step at a time; its forced replay steps one at a time
+    # throughout, and both end alike, by the gap and by the budget
+    obj, b = _sparse_separable(kind, tmp_path)
+    x0 = np.random.default_rng(31).standard_normal(obj.n)
+    f0 = obj.value(x0)
+    f_ref = run(obj, b, SolverConfig(method="rcd", max_iters=2000, seed=32, x0=x0)).final_value
+    taken, flags = _block_spy(monkeypatch)
+    per = objectives._BLOCK
+    for stop in (dict(target_gap=1e-7 * (f0 - f_ref), f_star=f_ref, max_iters=20_000),
+                 dict(max_iters=777)):
+        cfg = SolverConfig(method=method, tau=tau, seed=33, x0=x0, trace_every=2**62,
+                           record_subsets=True, **stop)
+        taken.clear()
+        flags.clear()
+        sampled = run(obj, b, cfg)
+        assert flags == [True] and taken and set(taken) == {per}
+        assert sampled.iterations > len(taken) * per
+        taken.clear()
+        flags.clear()
+        replay = run(obj, b, replace(cfg, forced_subsets=sampled.subsets))
+        assert flags == [False] and taken == []
+        assert _outcome(sampled) == _outcome(replay)
+        assert sampled.status == ("budget" if "target_gap" not in stop else "converged")
+        # a run traced at a multiple of the block's length takes blocks,
+        # and traces each block's last value; other traced runs take none
+        traced = run(obj, b, replace(cfg, trace_every=2 * per))
+        assert flags[-1] is True and taken and set(taken) == {per}
+        replay = run(obj, b, replace(cfg, trace_every=2 * per, forced_subsets=traced.subsets))
+        assert _outcome(traced) == _outcome(replay)
+        assert len(traced.trace) == 2 + traced.iterations // (2 * per)
+        taken.clear()
+        for every in (1, 7, per + 16):
+            traced = run(obj, b, replace(cfg, trace_every=every))
+            assert flags[-1] is False and taken == []
+            assert _outcome(traced)[:3] == _outcome(sampled)[:3]
+
+
+@pytest.mark.parametrize("kind", ["huber", "ridge-logistic"])
+def test_a_sparse_rowwise_value_is_the_exact_sum_at_every_blocks_end(tmp_path, kind):
+    # at every _BLOCK-th step the value is bitwise the loss summed afresh at
+    # the state's z plus its ridge term, whether the state steps one step
+    # at a time through its public methods or the fused step, or in blocks
+    per = objectives._BLOCK
+    for interval in (objectives.REFRESH_INTERVAL, solvers._SAMPLE_CHUNK,
+                     sampling._SUB_BATCH):
+        assert interval % per == 0
+    obj, b = _sparse_separable(kind, tmp_path)
+    inner = obj.inner if kind == "ridge-logistic" else obj
+
+    def exact(state):
+        total = float(inner.loss.eval(state._z, inner.b)[0].sum())
+        return total + 0.5 * state._gamma * state._sq if state._gamma else total
+
+    sampler, solve = make_sampler(b, 2), _make_step_solver(b, True)
+    public = obj.init_state(np.zeros(obj.n))
+    ends = []
+    for k, s in enumerate(sampler.sample_many(RngStream(41), 256)[: 3 * per], start=1):
+        public.apply_step(s, solve(s, public.partial_gradient(s)))
+        if k % per == 0:
+            assert public.value == exact(public)
+            ends.append((public.value, public.x.tobytes()))
+    for every in (1, 2**62):
+        for blocks in range(1, 4):
+            state = obj.init_state(np.zeros(obj.n))
+            stepper = objectives.steps(state, sampler.draws(RngStream(41), 256), b, True,
+                                       trace_every=every)
+            values = [next(stepper) for _ in range(blocks if every > 1 else blocks * per)]
+            # untraced, each value is a block's (length, last value); the
+            # close at the last block's end takes that block
+            stepper.close()
+            if every > 1:
+                assert [length for length, _ in values] == [per] * blocks
+                values = [last for _, last in values]
+            assert state._steps == blocks * per
+            assert values[-1] == state.value == exact(state) == ends[blocks - 1][0]
+            assert state.x.tobytes() == ends[blocks - 1][1]
+
+
+def test_a_lazy_block_under_a_b_that_does_not_bound_f_may_pass_the_target(tmp_path):
+    # with B_00 cut to 0.3 of its value B no longer bounds f, and the steps
+    # on coordinate 0 overshoot, so values rise inside some blocks.  With the
+    # target at the first new low that its block's end rises above again
+    # (the end not above the block's start), the per-step run and the forced
+    # replay stop at that low; the untraced run sees only the block's end,
+    # takes the block and stops later
+    obj, b = _sparse_separable("huber", tmp_path)
+    dense = b.to_dense()
+    dense[0, 0] *= 0.3
+    under, per = CsrSymmetricUpper.from_dense(dense), objectives._BLOCK
+    cfg = SolverConfig(method="rcd", tau=1, seed=33, max_iters=3000)
+    values = [value for _, value in run(obj, under, cfg).trace]
+
+    def passed(k):
+        start, end = values[k - k % per], values[k - k % per + per]
+        return k % per and values[k] < min(values[:k]) and values[k] < end <= start
+
+    low = next(k for k in range(1, len(values) - per) if passed(k))
+    stop = replace(cfg, target_gap=values[low], f_star=0.0, record_subsets=True)
+    stepped = run(obj, under, stop)
+    assert (stepped.iterations, stepped.status) == (low, "converged")
+    lazy = run(obj, under, replace(stop, trace_every=2**62))
+    assert lazy.status == "converged" and lazy.iterations >= low - low % per + per
+    replay = run(obj, under, replace(stop, forced_subsets=lazy.subsets))
+    assert _outcome(replay) == _outcome(stepped)
+
+
+def test_a_tall_sparse_state_takes_no_checkpoints_and_no_blocks(monkeypatch):
+    # 4000 rows and 3 nonzeros in each of 40 columns: a sum over all rows
+    # costs more than the rows _BLOCK steps touch, so the value keeps the
+    # per-step changes alone and an untraced run steps one step at a time,
+    # bitwise a traced run and the public methods
+    import scipy.sparse
+
+    rng = np.random.default_rng(43)
+    rows = np.concatenate([rng.choice(4000, 3, replace=False) for _ in range(40)])
+    a = scipy.sparse.csc_matrix((rng.standard_normal(120), (rows, np.repeat(np.arange(40), 3))),
+                                shape=(4000, 40))
+    obj = SeparableObjective(a, rng.standard_normal(4000), HuberLoss(0.5))
+    b = obj.curvature_matrix()
+    assert objectives._BLOCK * 120 < 4000 * 40
+    assert not obj.init_state(np.zeros(40))._checkpoints
+    taken, flags = _block_spy(monkeypatch)
+    for method, tau in (("rcd", 1), ("rcdvs", 2)):
+        cfg = SolverConfig(method=method, tau=tau, seed=44, max_iters=500, trace_every=2**62)
+        untraced = run(obj, b, cfg)
+        assert flags == [False] and taken == []
+        traced = run(obj, b, replace(cfg, trace_every=1))
+        assert _outcome(traced)[:3] == _outcome(untraced)[:3]
+        generic = run(_PublicObjective(obj), b, cfg)
+        assert _outcome(generic) == _outcome(untraced)
+        flags.clear()
+
+
 # ---------------------------------------------------------------------------
 # one subset drawn per iteration
 
 
-@pytest.mark.parametrize("kind", ["dense", "huber", "ridge-logistic"])
-def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kind):
+@pytest.mark.parametrize("kind, trace_every", [
+    pytest.param("dense", 1, id="dense"),
+    pytest.param("huber", 1, id="huber"),
+    pytest.param("ridge-logistic", 1, id="ridge-logistic"),
+    pytest.param("huber", 2**62, id="huber-untraced"),
+    pytest.param("ridge-logistic", 2**62, id="ridge-logistic-untraced"),
+])
+def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kind, trace_every):
     # the steps take a subset only when the loop asks for the next value: a
     # run that stops at the gap or at its budget has consumed the first k
     # subsets of its stream, through the window (a dense quadratic's sdna
-    # run), the fused sparse step and the public methods alike
+    # run), the fused sparse step and the public methods alike.  Untraced,
+    # the fused step takes blocks, and both runs stop inside one.
     if kind == "dense":
         obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=30, lam1=400.0, seed=3))
         b, gap = obj.curvature_matrix(), 1e-3
@@ -1657,7 +1827,8 @@ def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kin
         gap = 0.05 * (obj.value(np.zeros(obj.n)) - f_star)
     for stop, budget in ((dict(target_gap=gap, f_star=f_star, max_iters=100_000), False),
                          (dict(max_iters=200), True)):
-        cfg = SolverConfig(method="sdna", tau=2, seed=39, record_subsets=True, **stop)
+        cfg = SolverConfig(method="sdna", tau=2, seed=39, record_subsets=True,
+                           trace_every=trace_every, **stop)
         if kind == "dense":
             reps = _window_and_replay(monkeypatch, obj, b, cfg)
             _assert_agree(*reps)
@@ -1667,6 +1838,9 @@ def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kin
         direct = reps[0]
         assert (direct.iterations == 200) if budget else (0 < direct.iterations < 100_000)
         assert not direct.capped
+        if trace_every > 1:
+            assert direct.iterations > objectives._BLOCK
+            assert direct.iterations % objectives._BLOCK
         drawn = UniformSampler(obj.n, 2).sample_many(RngStream(39), direct.iterations)
         for rep in reps:
             assert len(rep.subsets) == rep.iterations

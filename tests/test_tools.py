@@ -64,3 +64,49 @@ def test_same_iterates_reports_a_failing_tree_as_error_rows(tmp_path):
     assert done.stdout.rstrip().endswith("2 undeclared difference(s)")
     done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*")
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def _copy_with(tmp_path, module, old, new):
+    """A copy of this tree's src/volcd with ``old`` replaced by ``new`` in
+    ``module``."""
+    shutil.copytree(_REPO / "src" / "volcd", tmp_path / "src" / "volcd",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "volcd" / module
+    text = path.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return tmp_path
+
+
+def test_same_iterates_declares_a_values_only_difference_by_field(tmp_path):
+    # final values one ulp up: the subsets, iteration counts and iterates
+    # stay, and only the traces, which hold the final value, differ
+    tree = _copy_with(tmp_path, "solvers.py", "final_value=float(value),",
+                      "final_value=float(value) * (1 + 2**-52),")
+    cell = ["--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*"]
+    done = _same_iterates(tree, *cell, "--fields", "trace")
+    assert done.returncode == 0, done.stdout + done.stderr
+    rows = [line.split() for line in done.stdout.splitlines() if line.startswith("dense-n10/")]
+    assert [row[1:6] for row in rows] == [["18", "equal", "equal", "DIFFER", "equal"]] * 2
+    assert all(0 < float(row[6]) < 1e-15 and len(row) == 7 for row in rows)
+    assert done.stdout.rstrip().endswith("0 undeclared difference(s)")
+    # declared in another field only, the same difference fails
+    done = _same_iterates(tree, *cell, "--fields", "x_final")
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert done.stdout.rstrip().endswith("2 undeclared difference(s)")
+
+
+def test_same_iterates_fails_on_an_iterate_difference_declared_for_values_only(tmp_path):
+    # half-length windows move the iterates in their last bits: a cell
+    # declared for its traces alone still fails on them
+    tree = _copy_with(tmp_path, "objectives.py", "\n_WINDOW = 48\n", "\n_WINDOW = 24\n")
+    done = _same_iterates(tree, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*",
+                          "--fields", "trace")
+    assert done.returncode == 1, done.stdout + done.stderr
+    row = next(line for line in done.stdout.splitlines() if line.startswith("dense-n10/rcd:1 "))
+    assert row.split()[1:6] == ["18", "equal", "equal", "DIFFER", "DIFFER"]
+    assert row.endswith("UNDECLARED")
+    assert done.stdout.rstrip().endswith("1 undeclared difference(s)")
+    done = _same_iterates(tree, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*",
+                          "--fields", "trace", "x_final")
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -1,6 +1,7 @@
 """Check that two source trees run the same iterates, bit for bit.
 
-    python tools/same_iterates.py OTHER_TREE [--declared CELL ...] [--cells PATTERN ...]
+    python tools/same_iterates.py OTHER_TREE [--declared CELL ...] [--fields FIELD ...]
+                                             [--cells PATTERN ...]
 
 A cell is one problem shape and one method:tau.  For each cell and each of
 the two trees (this one and OTHER_TREE, each a checkout with ``src/volcd``)
@@ -23,10 +24,14 @@ iteration counts, traces and final iterates of the 18 runs are equal, and
 the largest relative difference of the traces and iterates where they are
 not.  A cell whose child exits non-zero in either tree prints both its lines
 as ``ERROR``, with the child's last line of stderr; an ``ERROR`` line counts
-as a difference.  The exit status is 1 if a line differs and its name
-matches no ``--declared`` pattern, else 0.  ``--cells`` keeps the cells whose
-``SHAPE/METHOD`` matches one of its patterns (fnmatch, as in
-``'dense-n10/*'``).
+as a difference.  A line's difference is declared when its name matches a
+``--declared`` pattern and every field that differs is one of ``--fields``
+(all four by default, an ``ERROR`` line differing in all of them): so
+``--declared 'sparse-huber/*' --fields trace`` accepts values that changed
+while the subsets, iteration counts and iterates stayed.  The exit status is
+1 if a line has a difference that is not declared, else 0.  ``--cells``
+keeps the cells whose ``SHAPE/METHOD`` matches one of its patterns (fnmatch,
+as in ``'dense-n10/*'``).
 """
 
 from __future__ import annotations
@@ -161,6 +166,8 @@ def main(argv=None) -> int:
     parser.add_argument("other", type=Path, help="the tree to compare with, holding src/volcd")
     parser.add_argument("--declared", nargs="*", default=[],
                         help="cells (fnmatch patterns) whose differences are expected")
+    parser.add_argument("--fields", nargs="*", choices=FIELDS, default=list(FIELDS),
+                        help="the fields in which a declared cell may differ (default: all)")
     parser.add_argument("--cells", nargs="*", default=["*"],
                         help="run only the cells that match one of these patterns")
     args = parser.parse_args(argv)
@@ -196,15 +203,18 @@ def main(argv=None) -> int:
                 # the sampled runs' keys start with "seed", their replays' with "forced"
                 for row, head in ((name, "seed "), (name + "/forced", "forced ")):
                     if failed:
-                        same, line = False, "ERROR  " + "; ".join(failed)
+                        equal, line = dict.fromkeys(FIELDS, False), "ERROR  " + "; ".join(failed)
                     else:
                         equal, worst = compare(*({k: v for k, v in saved.items()
                                                   if k.startswith(head)}
                                                  for saved in (mine, theirs)))
-                        same = all(equal.values())
                         line = "  ".join(f"{'equal' if equal[f] else 'DIFFER':8}"
-                                         for f in FIELDS) + ("  -" if same else f"  {worst:.3g}")
-                    if not same and not any(fnmatch.fnmatchcase(row, p) for p in args.declared):
+                                         for f in FIELDS)
+                        line += "  -" if all(equal.values()) else f"  {worst:.3g}"
+                    differ = {f for f in FIELDS if not equal[f]}
+                    declared = (differ <= set(args.fields)
+                                and any(fnmatch.fnmatchcase(row, p) for p in args.declared))
+                    if differ and not declared:
                         undeclared += 1
                         line += "  UNDECLARED"
                     print(f"{row:33} {runs:>4}  {line}", flush=True)
