@@ -64,11 +64,12 @@ the stopping step is too when B bounds f, up to rounding at the stop (see
 :func:`~volcd.solvers.run`).  A dense quadratic state
 without ridge on a sampled stream with a dense B takes windowed steps at
 every tau, each window of steps one block lower-triangular solve whose
-values before the last are yielded as one array.  A window tests each
-block by the same kernel, so it solves exactly the blocks the per-step
-path solves; its steps agree with that path to rounding (1e-10 relative in
-the tests, 1.5e-12 measured), not bitwise, and a diverging run stops where
-the per-step path stops.  Every other run, a dense quadratic one on forced
+steps before the last are yielded as one block.  Both kinds of block reach
+the reader as (length, last value), by :func:`steps`' one rule.  A window
+tests each block by the same kernel, so it solves exactly the blocks the
+per-step path solves; its steps agree with that path to rounding (1e-10
+relative in the tests, 1.5e-12 measured), not bitwise, and a diverging run
+stops where the per-step path stops.  Every other run, a dense quadratic one on forced
 subsets, with ridge included or with a CSR B, steps through the state's
 public methods.
 """
@@ -574,24 +575,26 @@ def steps(state, subsets, b, exact: bool, trace_every: int = 1):
     A singular block raises :class:`SingularSubmatrix` if ``exact`` and
     takes the pseudoinverse step otherwise (:func:`_make_step_solver`).
 
+    Some paths yield a block of steps instead, as the tuple (length, last
+    value): the number of its steps and the value after the last.  The
+    reader takes the block whole by asking for the next value, or sends 0
+    and then receives the block's ``length`` values one at a time as
+    floats.  Closing the generator at the tuple takes the block; closing it
+    inside the walk applies exactly the steps whose values were yielded.
+
     A dense quadratic state without ridge on a sampler's
     :class:`~volcd.sampling.Draws`, of any subset size, with a dense B,
-    takes windowed steps, which agree with the per-step path to rounding.
-    A window yields the values of its steps before the last as one 1-d
-    float64 array, then the last as a float; a reader that stops inside the
-    array sends the number of its values it took, and the window applies
-    those steps and ends, while a close there applies the steps of every
-    value yielded.  A sparse separable state under a rowwise loss, whatever
-    its ridge weight, takes a fused step, bitwise ``apply_step``'s, whose
-    locals go back to the state when the generator closes or ends.  On a
-    sampler's stream, when ``trace_every``, the reader's trace interval, is
-    a multiple of ``_BLOCK`` and the state takes checkpoints, it takes lazy
-    blocks, each ending at a checkpoint and so at most at its last step on
-    a trace point: it yields the pair (length, last value) for a block of
-    steps whose other values it never computes, and a reader takes the
-    block whole by asking for the next value or sends 0 to have its steps
-    taken again one at a time, each yielded as a float.  Every other state, a dense quadratic one on forced subsets, with
-    ridge included or with a CSR B, steps through its public methods."""
+    takes windowed steps, which agree with the per-step path to rounding:
+    a window's steps before its last are a block.  A sparse separable state
+    under a rowwise loss, whatever its ridge weight, takes a fused step,
+    bitwise ``apply_step``'s, whose locals go back to the state when the
+    generator closes or ends.  On a sampler's stream, when ``trace_every``,
+    the reader's trace interval, is a multiple of ``_BLOCK`` and the state
+    takes checkpoints, it takes lazy blocks, each ending at a checkpoint and
+    so at most at its last step on a trace point, whose values before the
+    last it computes only when walked.  Every other state, a dense quadratic
+    one on forced subsets, with ridge included or with a CSR B, steps
+    through its public methods."""
     solve = _make_step_solver(b, exact)
     kind = type(state)
     if (kind is _QuadraticDenseState and not state._gamma and type(subsets) is Draws
@@ -634,15 +637,15 @@ def _dense_window_steps(state, draws, b, solve):
     also reads, and the
     constants B_ss - A_ss / 2 and B_st - A_st / 2 of each step's value
     decrease h_t . B h_t - h_t . A h_t / 2.  The values value -
-    cumsum(decrease) of a window's first m - 1 steps are yielded as one
-    float64 array, and the steps are applied, with R = A[I], as g -= h @ R
-    and x[I] -= h before the last value is yielded as a float.  A reader that
-    stops inside the array sends the number of its values it took, and the
-    window applies those steps and ends; closing the generator there applies
-    them all.  The stream logs exactly the subsets applied.  A diagonal block
-    that fails that test ends the window before it and takes the per-step
-    path, which raises under an exact method; so does the first subset of a
-    window whose solve fails.  A window with a step that raises the value (B
+    cumsum(decrease) of a window's first m - 1 steps are its block
+    (:func:`steps`), yielded as (m - 1, its last value) and walked on 0 from
+    the same array, and a close applies the steps whose values were
+    yielded.  The window's steps are applied, with R = A[I], as g -= h @ R
+    and x[I] -= h before the last value is yielded as a float.  The stream
+    logs exactly the subsets applied.  A diagonal block that fails that test
+    ends the window before it and takes the per-step path, which raises
+    under an exact method; so does the first subset of a window whose solve
+    fails.  A window with a step that raises the value (B
     does not bound A on that block: the run overshoots, and its iteration
     amplifies rounding differences) or with values past ``_VALUE_LIMIT`` is
     not taken, and its subsets step one at a time, so a diverging run takes
@@ -724,13 +727,14 @@ def _dense_window_steps(state, draws, b, solve):
                 value, m = state._value, 1
             else:
                 if m > 1:
+                    # the block of the first m - 1 steps, walked on 0; a close
+                    # applies the steps whose values were yielded
                     pending = m - 1
-                    # a reader that stops inside the block sends how many of
-                    # its values it took
-                    taken = yield vals[:-1]
-                    if taken is not None:
-                        pending = taken
-                        return
+                    if (yield pending, float(vals[-2])) is not None:
+                        pending = 0
+                        for v in vals[:-1].tolist():
+                            pending += 1
+                            yield v
                 _apply_window(x, g, idx, h, rows, p)
                 draws.take(m)
                 value, pending = last, 0
@@ -765,12 +769,11 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
     (:func:`_column_move`), and the loss is evaluated on all rows at the
     block's end, which gives that step's exact value and ell.  A block
     whose end value is finite and not above its start is yielded as the
-    pair (``_BLOCK``, end value); the reader takes it whole by asking for
-    the next value, or sends 0, and the block is restored from its snapshot
-    of x, z, w and the squared norm and stepped again one step at a time,
-    as is a block whose end value fails that test.  Its subsets are taken
-    from the stream only when the block is taken, and a close at its yield
-    takes it.  A peek cut short by a batch's end, or a block that would
+    block (``_BLOCK``, end value) of :func:`steps`; on 0 it is restored from
+    its snapshot of x, z, w and the squared norm and walked by stepping it
+    again one step at a time, as is a block whose end value fails that
+    test.  Its subsets are taken from the stream only when the block is
+    taken.  A peek cut short by a batch's end, or a block that would
     pass a refresh, steps one at a time to the next checkpoint.  Both paths
     give bitwise the same x, z, w and checkpoint values, since a rowwise
     ``eval`` is elementwise."""

@@ -26,10 +26,9 @@ gap, ``"budget"`` at the iteration budget, or ``"exhausted"`` when the
 forced subsets run out; ``capped`` is derived from it.  The loop counts,
 traces and asks the stop rule, and reads the state only through ``value``
 and ``x``; it silences numpy's overflow warnings, which the status replaces.
-It takes the steps' values one at a time, a window's values as one array,
-or a sparse separable run's lazy block as its length and last value, and
-takes either block whole only when the stop rule lets its last value pass
-(see :func:`run`).
+It takes the steps' values one at a time, and a block of steps as its
+length and last value, whole only when the stop rule lets its last value
+pass (see :func:`run`).
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -160,15 +159,12 @@ def run(obj, b, config: SolverConfig):
     except that a dense B with a non-finite entry raises ``ValueError``.
     This is the one solver entry point: it dispatches on ``config.method``.
 
-    The steps yield a float per step, a window's block of values as one
-    1-d array, or a lazy block of a sparse separable run as the tuple
-    (length, last value), whose other values are never computed.  A window
-    is taken whole when none of its steps is traced, a lazy block when none
-    but its last is (whose value it traces), and either only when the stop
-    rule lets its last value pass.  Otherwise a window's values are walked
-    one by one as floats are, and a stop inside it sends the window the
-    number of its steps taken, which it applies; a lazy block is sent 0,
-    and its steps come again one at a time, as floats, from its start.
+    The steps yield a float per step or a block of steps as the tuple
+    (length, last value) (:func:`~volcd.objectives.steps`).  A block is
+    taken whole when no step but its last is traced, whose value it
+    traces, and the stop rule lets its last value pass.  Otherwise it is
+    sent 0 and its values are walked one at a time, as floats are; a stop
+    inside it closes the steps, which apply exactly the steps walked.
 
     A window's last value is its least, so taking it whole stops where the
     per-step path stops.  A lazy block's last value is not above its first,
@@ -200,7 +196,7 @@ def run(obj, b, config: SolverConfig):
 
     value = state.value
     trace = [(0, float(value))]
-    trace_every, ended, ndarray = config.trace_every, config.stop_rule(), np.ndarray
+    trace_every, ended = config.trace_every, config.stop_rule()
     k = 0
     status = ended(0, value)
     if status is None:
@@ -210,9 +206,9 @@ def run(obj, b, config: SolverConfig):
                                        trace_every=trace_every)
             for value in stepper:
                 if type(value) is tuple:
-                    # a lazy block: its length and its last value, finite and
-                    # not above its first; taken whole when no step but its
-                    # last is traced, else stepped again one step at a time
+                    # a block: its length and its last value, taken whole
+                    # when no step but its last is traced and the stop rule
+                    # lets its last value pass, else walked value by value
                     end, last = k + value[0], value[1]
                     if (end - 1) // trace_every == k // trace_every and ended(end, last) is None:
                         k, value = end, last
@@ -220,30 +216,6 @@ def run(obj, b, config: SolverConfig):
                             trace.append((k, value))
                         continue
                     value = stepper.send(0)
-                if type(value) is ndarray and value.ndim:
-                    # a window's block of values: finite and non-increasing, so
-                    # it is taken whole when none of its steps is traced and
-                    # the stop rule lets its last value pass
-                    k0, end = k, k + value.size
-                    if end // trace_every == k // trace_every and ended(end, value[-1]) is None:
-                        k = end
-                        continue
-                    # otherwise it is walked as floats are
-                    for value in value.tolist():
-                        k += 1
-                        if k % trace_every == 0:
-                            trace.append((k, value))
-                        status = ended(k, value)
-                        if status is not None:
-                            break
-                    else:
-                        continue
-                    # the window applies the block's steps up to this one, and ends
-                    try:
-                        stepper.send(k - k0)
-                    except StopIteration:
-                        pass
-                    break
                 k += 1
                 if k % trace_every == 0:
                     trace.append((k, float(value)))
@@ -252,7 +224,7 @@ def run(obj, b, config: SolverConfig):
                     break
             else:
                 status = "exhausted"
-            # a window applies the steps whose values it yielded on close
+            # a close takes a block at its tuple, and the steps walked inside it
             stepper.close()
 
     if trace[-1][0] != k:

@@ -1104,13 +1104,72 @@ def test_window_value_stays_on_the_objective_over_200k_steps(method, tau):
 
 
 def _yielded(stepper, count):
-    """The next ``count`` values of the steps, a window's block of values
-    flattened, as floats; the steps must yield exactly that many."""
+    """The next ``count`` values of the steps as floats, a block's walked:
+    at its (length, last value) it sends 0 and collects the block's length
+    values; the steps must yield exactly that many."""
     values = []
     while len(values) < count:
-        values += np.atleast_1d(next(stepper)).tolist()
+        value = next(stepper)
+        if type(value) is tuple:
+            length, value = value[0], stepper.send(0)
+            values += [value] + [next(stepper) for _ in range(length - 1)]
+        else:
+            values.append(value)
     assert len(values) == count
     return values
+
+
+_BLOCK_CASES = ([("dense", method, tau) for method in ("rcdvs", "sdna") for tau in (1, 2, 3, 8)]
+                + [(kind, "rcdvs", tau) for kind in ("huber", "ridge-logistic")
+                   for tau in (1, 2, 3)])
+
+
+@pytest.mark.parametrize("kind, method, tau", _BLOCK_CASES)
+def test_a_block_is_its_length_and_last_value_and_a_close_applies_the_values_yielded(
+        tmp_path, kind, method, tau):
+    # a dense window's first steps and a sparse rowwise run's lazy block
+    # alike: a block is yielded as (length, last value), and every other
+    # value as a float; 0 sent at a block walks its length values, the
+    # last bitwise the block's; a close at the block takes it, and a close
+    # inside the walk applies the steps walked
+    if kind == "dense":
+        obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
+        b = obj.curvature_matrix()
+    else:
+        obj, b = _sparse_separable(kind, tmp_path)
+    stream = _stream(method, b, tau)
+    x0 = np.random.default_rng(4).standard_normal(obj.n)
+
+    def first_block():
+        """A fresh run's steps, its log and state, and its first block; the
+        values before it must be floats."""
+        log, state = [], obj.init_state(x0)
+        stepper = objectives.steps(state, stream.draws(RngStream(5), solvers._SAMPLE_CHUNK, log),
+                                   b, exact=method != "sdna", trace_every=2**62)
+        for _ in range(1000):
+            value = next(stepper)
+            if type(value) is tuple:
+                return stepper, log, state, value
+            assert isinstance(value, float)
+        pytest.fail("no block in 1000 values")
+
+    stepper, log, state, block = first_block()
+    length, last = block
+    assert len(block) == 2 and type(length) is int and length > 1 and isinstance(last, float)
+    walked = [stepper.send(0)] + [next(stepper) for _ in range(length - 1)]
+    assert all(isinstance(value, float) for value in walked)
+    assert np.float64(walked[-1]).tobytes() == np.float64(last).tobytes()
+    stepper.close()
+    stepper, log, state, (length, last) = first_block()
+    before = len(log)
+    stepper.close()
+    assert len(log) == before + length and state.value == last
+    for j in sorted({1, length // 2, length - 1, length}):
+        stepper, log, state, _ = first_block()
+        before = len(log)
+        walked = [stepper.send(0)] + [next(stepper) for _ in range(j - 1)]
+        stepper.close()
+        assert len(log) == before + j and state.value == walked[-1]
 
 
 def test_window_raises_at_the_singular_blocks_step():
@@ -1134,7 +1193,7 @@ def test_window_raises_at_the_singular_blocks_step():
 
 
 def test_closing_a_window_inside_its_block_applies_the_blocks_steps():
-    # a reader that closes the steps after a block without sending a count
+    # a reader that walks a block and closes the steps at its last value
     # has the steps of every value the block held applied and logged
     obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
     b = obj.curvature_matrix()
@@ -1192,10 +1251,20 @@ def _assert_same_run(a, b):
     assert _outcome(a)[:3] + _outcome(a)[4:] == _outcome(b)[:3] + _outcome(b)[4:]
 
 
+def _assert_same_trace(traced, walked, every):
+    """The same run, and ``traced``'s trace, at every ``every``-th step and
+    the last, bitwise the trace of ``walked``, which traces every step."""
+    _assert_same_run(traced, walked)
+    expected = [(k, f) for k, f in walked.trace if k % every == 0 or k == walked.iterations]
+    assert np.array(traced.trace).tobytes() == np.array(expected).tobytes()
+
+
 @pytest.mark.parametrize("method, tau", _WINDOWED)
 def test_a_block_taken_whole_is_bitwise_its_value_by_value_walk(monkeypatch, method, tau):
     # trace_every = 2**62 lets run take each block of values whole unless
-    # it may stop inside; trace_every = 1 walks every block value by value
+    # it may stop inside; trace_every = 1 walks every block value by value;
+    # trace_every = per - 1 takes and traces a block whose last value lands
+    # on a trace point, and walks one with a trace point inside
     obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
     b = obj.curvature_matrix()
     x0 = np.random.default_rng(4).standard_normal(40)
@@ -1204,7 +1273,8 @@ def test_a_block_taken_whole_is_bitwise_its_value_by_value_walk(monkeypatch, met
     # the first two windows are whole: a block of per - 1 values, then a float
     stepper = objectives.steps(obj.init_state(x0), _stream(method, b, tau).draws(
         RngStream(5), solvers._SAMPLE_CHUNK), b, exact=method != "sdna")
-    sizes = [np.size(next(stepper)) for _ in range(4)]
+    sizes = [value[0] if type(value) is tuple else 1 for value in
+             (next(stepper) for _ in range(4))]
     stepper.close()
     assert sizes == [per - 1, 1, per - 1, 1]
     values = [f for _, f in run(obj, b, replace(base, max_iters=2 * per, trace_every=1)).trace]
@@ -1227,8 +1297,10 @@ def test_a_block_taken_whole_is_bitwise_its_value_by_value_walk(monkeypatch, met
         with np.errstate(all="ignore"):
             whole = run(obj, curvature, replace(base, trace_every=2**62, **stop))
             walked = run(obj, curvature, replace(base, trace_every=1, **stop))
-        assert calls == [1, 1]
+            ends = run(obj, curvature, replace(base, trace_every=per - 1, **stop))
+        assert calls == [1, 1, 1]
         _assert_same_run(whole, walked)
+        _assert_same_trace(ends, walked, per - 1)
         if expected is None:
             assert whole.capped and not np.isfinite(whole.final_value)
         else:
@@ -1239,6 +1311,8 @@ def test_a_block_taken_whole_is_bitwise_its_value_by_value_walk(monkeypatch, met
         whole = run(obj, b, replace(base, trace_every=2**62, **stop))
         walked = run(obj, b, replace(base, trace_every=1, **stop))
         _assert_same_run(whole, walked)
+        _assert_same_trace(run(obj, b, replace(base, trace_every=per - 1, **stop)), walked,
+                           per - 1)
         assert whole.iterations > 100
 
 

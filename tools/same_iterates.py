@@ -8,9 +8,12 @@ the two trees (this one and OTHER_TREE, each a checkout with ``src/volcd``)
 a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` imports that tree's
 volcd and runs seeds 0-2, each to the shape's epsilon gap (capped at its
 perfbench update budget) and for a budget of 777 steps, each at trace_every
-1, 7 and 2**62: 18 runs per cell.  Each run is then replayed on the
-subsets it recorded, through ``forced_subsets`` with the same stop and
-trace settings, which takes the per-step path a window replaces.  The
+1, 7, 64 and 2**62: 24 runs per cell.  At 1 and 7 every block of steps is
+walked value by value; at 64 a block whose last step is the only one
+traced is taken whole and traced there; at 2**62 no block is traced.  Each
+run is then replayed on the subsets it recorded, through ``forced_subsets``
+with the same stop and trace settings, which takes the per-step path a
+window replaces.  The
 shapes are a dense quadratic at n = 10, a dense Huber regression (n = 60,
 m = 200), the dense-gap, dense-tau3, sparse-huber and logistic-file
 workloads of ``perfbench/workloads.py``, and ``dense-n60``, a dense
@@ -20,7 +23,7 @@ seed s builds the problem with seed s and seeds the solver with s.
 
 Two lines per cell, ``SHAPE/METHOD`` for its sampled runs and
 ``SHAPE/METHOD/forced`` for their replays, say whether the subsets,
-iteration counts, traces and final iterates of the 18 runs are equal, and
+iteration counts, traces and final iterates of the 24 runs are equal, and
 the largest relative difference of the traces and iterates where they are
 not.  A cell whose child exits non-zero in either tree prints both its lines
 as ``ERROR``, with the child's last line of stderr; an ``ERROR`` line counts
@@ -53,7 +56,7 @@ from perfbench.workloads import WORKLOADS, write_libsvm  # noqa: E402
 
 SEEDS = (0, 1, 2)
 BUDGET = 777
-TRACE_EVERY = (1, 7, 2**62)
+TRACE_EVERY = (1, 7, 64, 2**62)
 DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "rcdvs:8", "sdna:1", "sdna:2",
                  "sdna:3", "sdna:4", "sdna:8")
 SPARSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
