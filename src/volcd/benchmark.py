@@ -19,9 +19,8 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ConfigError
-from .linalg import CsrSymmetricUpper, as_dense, eigendecompose
+from .linalg import as_dense, eigendecompose
 from .problems import ProblemSpec, generate, load_libsvm, reference_min
-from .sampling import minor_threshold
 from .solvers import SolverConfig, run
 from .spectral import acceleration_ratio
 
@@ -205,11 +204,6 @@ def run_experiment(config: ExperimentConfig) -> ResultTable:
         else:
             obj, b, f_star = dataset, dataset_b, dataset_fstar
 
-        # an overflowing minor clamp fails now; sdna and CSR pairs take none
-        diag_max = float(np.max(b.diagonal()))
-        for method, tau in cells:
-            if method != "sdna" and not (tau == 2 and isinstance(b, CsrSymmetricUpper)):
-                minor_threshold(diag_max, tau)
         solver_seeds = solver_seq.spawn(len(cells))
         rep_out: dict = {"rep": rep}
         baseline_it = None

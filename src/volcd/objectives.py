@@ -481,8 +481,9 @@ def _make_step_solver(b, exact: bool):
     pivot d_k of its L D L' in sorted order at most 1e-14 times its diagonal
     entry B_kk, NaN included.  It raises :class:`SingularSubmatrix` if
     ``exact``, and is solved by the pseudoinverse otherwise.  The closed
-    forms test their own pivots, the kernel's tau <= 3 expressions; a
-    larger block calls the kernel on itself before ``dpotrf`` factors it.
+    forms solve by L D L', testing each pivot, the kernel's tau <= 3
+    expression, at any scale of B; a larger block calls the kernel on
+    itself before ``dpotrf`` factors it.
     A block the kernel passes but ``dpotrf`` refuses, one within rounding
     of singular, takes the pseudoinverse step under either method.
 
@@ -511,19 +512,22 @@ def _make_step_solver(b, exact: bool):
             raise SingularSubmatrix("zero diagonal pivot")
         return 0.0
 
+    # B[S, S] = L D L' with unit lower L; each pivot is checked before it
+    # divides
     def two(i, j, g1, g2):
-        aa, bb, cc = diag[i], diag[j], pair(i, j)
-        det = aa * bb - cc * cc
-        if aa > delta * aa and det / aa > delta * bb:
-            return (bb * g1 - cc * g2) / det, (aa * g2 - cc * g1) / det
+        d1, p = diag[i], pair(i, j)
+        if d1 > delta * d1:
+            l21 = p / d1
+            d2 = diag[j] - p * l21
+            if d2 > delta * diag[j]:
+                h2 = (g2 - l21 * g1) / d2
+                return g1 / d1 - l21 * h2, h2
         if exact:
             raise SingularSubmatrix("singular 2x2 submatrix")
-        h1, h2 = pseudo_solve(np.array([[aa, cc], [cc, bb]]), np.array([g1, g2])).tolist()
+        h1, h2 = pseudo_solve(np.array([[d1, p], [p, diag[j]]]), np.array([g1, g2])).tolist()
         return h1, h2
 
     def three(i, j, k, g1, g2, g3):
-        # B[S, S] = L D L' with unit lower L; each pivot is checked before
-        # it divides
         d1 = diag[i]
         if d1 > delta * d1:
             p, q = pair(i, j), pair(i, k)

@@ -35,10 +35,16 @@ This module owns the rule that says when a block B[S, S] is singular: some
 pivot of its L D L' factorization, in the subset's sorted order, is at most
 1e-14 times its diagonal entry (at tau = 2, det <= 1e-14 B_ii B_jj).
 :func:`block_pivots` states it; every minor is the product of its pivots,
-zeroed where it refuses the block (:func:`principal_minors`, after
-:func:`minor_threshold`'s overflow check), the pair sampler draws again a
-pair it refuses, and the step kernel of :mod:`volcd.objectives` refuses the
-same blocks, so a drawn block is one the step solves.
+zeroed where it refuses the block (:func:`principal_minors`), the pair
+sampler draws again a pair it refuses, and the step kernel of
+:mod:`volcd.objectives` refuses the same blocks, so a drawn block is one the
+step solves.
+
+At a fixed tau, P(S) is the same for c B at every c > 0, so the
+determinantal samplers read B 4^(-j) (``_scale_exponent``), whose largest
+diagonal entry lies in [1/4, 1): their minors, eigenvalues and pair masses
+neither overflow nor underflow with the scale of B, and B times a power of
+two that keeps its entries normal draws bitwise the subsets of B.
 
 The four subset samplers share one stream contract: each yields its draws in
 batches from ``_batches(rng, chunk)``, and the common ``draws(rng,
@@ -57,7 +63,7 @@ import math
 
 import numpy as np
 
-from .errors import CombinatorialBlowup, EmptySupport, NumericError
+from .errors import CombinatorialBlowup, EmptySupport
 from .linalg import CsrSymmetricUpper, as_dense, eigendecompose
 from .rng import RngStream
 
@@ -72,7 +78,6 @@ __all__ = [
     "build_cumulative",
     "exact_probabilities",
     "make_sampler",
-    "minor_threshold",
     "principal_minors",
     "subset_counts",
 ]
@@ -104,21 +109,14 @@ _CLAMP_GIVE_UP = 10_000
 _DET_CLAMP = 1e-14
 
 
-def minor_threshold(diag_max: float, tau: int) -> float:
-    """1e-14 times ``diag_max ** tau`` for B's largest diagonal entry
-    ``diag_max``, or infinity when ``diag_max <= 0``: 1e-14 times a bound
-    on every order-tau minor of a PSD B, which :func:`principal_minors`
-    takes first, so that a power that overflows raises
-    :class:`NumericError` before any minor is taken."""
-    if not diag_max > 0:
-        return np.inf
-    try:
-        return _DET_CLAMP * diag_max**tau
-    except OverflowError:
-        raise NumericError(
-            f"minor threshold overflows: largest diagonal entry {diag_max:.3g} "
-            f"to the power {tau}"
-        ) from None
+def _scale_exponent(diag) -> int:
+    """-2j for j = ceil(e / 2), e the binary exponent (``math.frexp``) of the
+    largest of the diagonal entries ``diag``, 0 when it is not positive:
+    ``np.ldexp(B, -2j)`` has its largest diagonal entry in [1/4, 1).  The
+    exponent is even because ``eigh`` is bitwise equivariant under powers of
+    4, not of 2."""
+    top = float(np.max(diag))
+    return 2 * (math.frexp(top)[1] // -2) if top > 0 else 0
 
 
 def build_cumulative(weights) -> np.ndarray:
@@ -196,8 +194,9 @@ def block_pivots(d: np.ndarray, o) -> tuple[np.ndarray, np.ndarray]:
     relative to each block's scale, the test does not fall with tau as a
     minor over its diagonal product does.  tau <= 3 take the expressions
     of the step kernel's ``one``, ``two`` and ``three``, so their verdict
-    is the step's own; larger tau eliminate the stack in lock step,
-    O(m tau^3), which at tau = 3 would be ``three``'s arithmetic too.
+    is the step's own, with no product of two diagonal entries; larger tau
+    eliminate the stack in lock step, O(m tau^3), which at tau = 3 would be
+    ``three``'s arithmetic too.
     """
     tau, m = d.shape
     with np.errstate(all="ignore"):
@@ -205,7 +204,7 @@ def block_pivots(d: np.ndarray, o) -> tuple[np.ndarray, np.ndarray]:
             piv = d
         elif tau == 2:
             aa, bb = d
-            piv = np.array((aa, (aa * bb - o[0] * o[0]) / aa))
+            piv = np.array((aa, bb - o[0] * (o[0] / aa)))
         elif tau == 3:
             (d1, dj, dk), (p, q, r) = d, o
             l21, l31 = p / d1, q / d1
@@ -241,12 +240,13 @@ def principal_minors(b, tau: int, subsets: np.ndarray | None = None) -> np.ndarr
     product of the pivots, O(1) per subset at tau <= 3 and O(tau^3) above,
     or exactly 0 where the pivot rule refuses the block, so degenerate
     blocks at their own scale, indefinite ones and repeated rows carry no
-    sampling mass.  :func:`minor_threshold` runs first, so an overflowing
-    bound on the minors raises before any is taken.
+    sampling mass.  It reads B 4^(-j), so every minor carries the factor
+    4^(-j tau), which cancels in every ratio, and none overflows.
     """
-    diag = b.diagonal().astype(float)
+    diag = b.diagonal()
     n = diag.size
-    minor_threshold(float(np.max(diag)), tau)
+    scale = _scale_exponent(diag)
+    diag = np.ldexp(diag, scale)
     if subsets is None:
         subsets = all_subsets(n, tau)
     # singleton minors are the diagonal alone
@@ -269,7 +269,7 @@ def principal_minors(b, tau: int, subsets: np.ndarray | None = None) -> np.ndarr
         # strictly upper entries in row order
         st = np.ascontiguousarray(s.T)
         d = diag.take(st)
-        o = upper(st[rows], st[cols]) if tau > 1 else None
+        o = np.ldexp(upper(st[rows], st[cols]), scale) if tau > 1 else None
         piv, regular = block_pivots(d, o)
         with np.errstate(invalid="ignore"):  # inf * 0 in a refused block
             minors[lo : lo + s.shape[0]] = np.where(regular, piv.prod(axis=0), 0.0)
@@ -466,12 +466,13 @@ class SpectralVolumeSampler(_SubsetStream):
        part of ||Q[i, J]||^2 orthogonal to the rows already chosen.  That
        needs about tau * H_tau proposals per draw.
 
-    Preprocessing is the eigendecomposition, O(n^3) time, and O(n^2) memory
-    for the eigenvectors, their column CDFs and a dense view of B.  Negative
-    eigenvalues are clamped to 0 and the rest scaled by the largest, which
-    cancels in every ratio and keeps the table from overflowing; those
-    within roundoff of 0 (at most n * eps times the largest) count as 0, so
-    tau above the numerical rank raises :class:`EmptySupport`.  A draw costs
+    Preprocessing is the eigendecomposition of B 4^(-j), O(n^3) time, and
+    O(n^2) memory for the eigenvectors, their column CDFs and a dense view
+    of B.  Negative eigenvalues are clamped to 0 and the rest scaled by the
+    largest, which cancels in every ratio and keeps the table from
+    overflowing; those within roundoff of 0 (at most n * eps times the
+    largest) count as 0, so tau above the numerical rank raises
+    :class:`EmptySupport`.  A draw costs
     O(tau^3 + tau log n).  Subsets whose minor, by the table's kernel
     :func:`principal_minors`, is 0 are drawn again: the distribution
     is :class:`VolumeSampler`'s, and no drawn block is singular under the
@@ -503,7 +504,7 @@ class SpectralVolumeSampler(_SubsetStream):
         self.handover = handover
         # C-contiguous, so the redraw test's minors never copy it
         self.b = np.ascontiguousarray(as_dense(b))
-        spectrum = eigendecompose(self.b)
+        spectrum = eigendecompose(np.ldexp(self.b, _scale_exponent(self.b.diagonal())))
         lam = np.maximum(spectrum.eigenvalues, 0.0)
         if lam[0] > 0.0:
             lam /= lam[0]
@@ -648,7 +649,8 @@ class SparseTwoSampler(_SubsetStream):
     their guide, so each takes a few probes instead of about log2(n); a gap
     bracket whose endpoints fail the predicate is searched again over the
     whole gap.  The guides only narrow the searches, so every pair is the
-    one the reference returns, bit for bit.
+    one the reference returns, bit for bit.  Every mass is that of B 4^(-j),
+    and a searched pair's entry B_ij is scaled when it is read.
 
     Draws are searched on demand: each chunk of ``chunk`` pairs takes
     ``chunk`` first and then ``chunk`` second uniforms at once, but is
@@ -674,26 +676,23 @@ class SparseTwoSampler(_SubsetStream):
         self._gap_stop = np.append(b.indices[1:], n)
         self._gap_stop[row_end] = n
 
-        # sums that overflow are caught by the check below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            sq = values**2
-            running = np.cumsum(sq)
-            before_row = np.concatenate(([0.0], running))[indptr[:-1]]
-            row_of = np.repeat(np.arange(n), rowlen)
-            self.hcum = running - before_row[row_of]
+        # the masses of B 4^(-j), whose diagonal is below 1: no sum overflows
+        self._scale = scale = _scale_exponent(b.diagonal())
+        sq = np.ldexp(values, scale)
+        sq *= sq
+        running = np.cumsum(sq)
+        before_row = np.concatenate(([0.0], running))[indptr[:-1]]
+        row_of = np.repeat(np.arange(n), rowlen)
+        self.hcum = running - before_row[row_of]
 
-            self.diag = diag = b.diagonal()
-            self.t = np.concatenate((np.cumsum(diag[::-1])[::-1], [0.0]))
+        self.diag = diag = np.ldexp(b.diagonal(), scale)
+        self.t = np.concatenate((np.cumsum(diag[::-1])[::-1], [0.0]))
 
-            h_last = np.zeros(n)
-            h_last[nonempty] = self.hcum[row_end]
-            mass = diag[: n - 1] * self.t[: n - 1] - h_last[: n - 1]
-            np.maximum(mass, 0.0, out=mass)
-            self.q = np.cumsum(mass)
-        if not (math.isfinite(self.q[-1]) and math.isfinite(self.t[0])):
-            raise NumericError(
-                "pair masses overflow: the diagonal or the 2x2 minors of B are too large"
-            )
+        h_last = np.zeros(n)
+        h_last[nonempty] = self.hcum[row_end]
+        mass = diag[: n - 1] * self.t[: n - 1] - h_last[: n - 1]
+        np.maximum(mass, 0.0, out=mass)
+        self.q = np.cumsum(mass)
         if self.q[-1] <= 0.0:
             raise EmptySupport(
                 "no 2x2 principal minor is positive; matrix rank is below 2"
@@ -760,7 +759,7 @@ class SparseTwoSampler(_SubsetStream):
         out[:, 0] = i0
         out[:, 1] = j = _bisect(enough, a, c) - 1
         # B_ij is the chosen stored entry when j is its column, else 0
-        b_ij = np.where(cols[pos] == j, self.b.values[pos], 0.0)
+        b_ij = np.where(cols[pos] == j, np.ldexp(self.b.values[pos], self._scale), 0.0)
         return out, block_pivots(np.array((d, diag[j])), b_ij[None])[1]
 
     def _batches(self, rng: RngStream, chunk: int):

@@ -286,11 +286,12 @@ def sum_adjugates_by_enumeration(b, tau: int) -> np.ndarray:
 
 def expected_step_matrix(b, tau: int) -> np.ndarray:
     """Exact expectation of the embedded submatrix inverse under
-    determinantal subset sampling, by enumeration.
+    determinantal subset sampling, by enumeration: each block's inverse
+    weighed by its minor by ``principal_minors``, over their sum.
 
-    Only subsets with a positive minor by ``principal_minors`` contribute,
-    those the samplers' pivot rule calls regular, mirroring the samplers'
-    exclusion of singular blocks.
+    Only subsets with a positive minor contribute, those the samplers'
+    pivot rule calls regular, mirroring the samplers' exclusion of singular
+    blocks.
     """
     b = as_dense(b)
     n = b.shape[0]
@@ -303,5 +304,5 @@ def expected_step_matrix(b, tau: int) -> np.ndarray:
     out = np.zeros((n, n))
     for s, m in zip(subsets, minors):
         if m > 0.0:
-            out[np.ix_(s, s)] += adjugate(b[np.ix_(s, s)])
+            out[np.ix_(s, s)] += m * np.linalg.inv(b[np.ix_(s, s)])
     return symmetrize(out / total)

@@ -20,8 +20,8 @@ from volcd.cli import (
     _settings,
     main,
 )
-from volcd.linalg import load_csr_triples, save_triples
-from volcd.problems import ProblemSpec
+from volcd.linalg import CsrSymmetricUpper, load_csr_triples, save_triples
+from volcd.problems import ProblemSpec, banded_psd
 from volcd.sampling import exact_probabilities
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -133,6 +133,22 @@ def test_sample_test_verb_small_tv(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("tau", [2, 3])
+def test_sample_test_prints_the_same_bytes_at_any_scale_of_b(tmp_path, capsys, tau):
+    # the pair sampler (tau = 2 on a CSR file) and the table (tau = 3) draw
+    # from B 4^-j, so B times 2^600 or 2^-600 prints B's report byte for byte
+    b = banded_psd(8, 3, seed=4)
+    outputs = []
+    for k in (0, 600, -600):
+        path = tmp_path / f"b{k}.txt"
+        save_triples(CsrSymmetricUpper(b.n, b.indptr, b.indices, np.ldexp(b.values, k)), path)
+        assert isinstance(_load_matrix(path), CsrSymmetricUpper)
+        assert main(["sample-test", "--matrix", str(path), "--tau", str(tau),
+                     "--draws", "5000", "--seed", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
 @pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau", "4"], ["--draws", "0"]])
 def test_sample_test_rejects_a_bad_tau_or_draw_count(tmp_path, capsys, flags):
     out = tmp_path / "b.txt"
@@ -212,21 +228,30 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
     assert rc == 3  # every pair minor is zero: empty support
 
 
-@pytest.mark.parametrize("flags, message", [
-    # (max B_ii)^2 overflows the minor threshold: dense B, quadratic and huber
-    (["--kind", "quadratic", "--n", "5", "--lam1", "1e200", "--lam2", "1"],
-     "minor threshold overflows"),
-    (["--kind", "huber", "--n", "5", "--m", "8", "--lam1", "1e300", "--mu", "1e-300"],
-     "minor threshold overflows"),
-    # sparse B: the pair sampler's masses overflow
-    (["--kind", "huber", "--n", "5", "--m", "8", "--sparsity", "2", "--lam1", "1e300",
-      "--lam2", "1e300"], "pair masses overflow"),
+@pytest.mark.parametrize("flags", [
+    # the samplers take their minors and pair masses on B 4^-j, so rcdvs
+    # runs at any scale of B: dense B, and CSR B through the pair sampler
+    ["--kind", "quadratic", "--n", "5", "--lam1", "1e200", "--lam2", "1"],
+    ["--kind", "huber", "--n", "5", "--m", "8", "--sparsity", "2", "--lam1", "1e300",
+     "--lam2", "1e300"],
 ])
-def test_run_overflowing_curvature_exits_3(capsys, flags, message):
+def test_run_at_a_huge_curvature_scale_prints_its_table(capsys, flags):
     argv = ["run", *flags, "--methods", "rcdvs:2", "--repetitions", "1", "--max-updates", "100"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # capped cells
+        assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == "" and out.splitlines()[3].startswith("| rcdvs  | 2   |")
+
+
+def test_run_on_a_numerically_rank_one_curvature_exits_3(capsys):
+    # spectrum (1e300, 100, 1, 1, 1): every pair's second pivot is at most
+    # 1e-14 times its diagonal entry, so the pivot rule leaves no pair
+    argv = ["run", "--kind", "huber", "--n", "5", "--m", "8", "--lam1", "1e300", "--mu", "1e-300",
+            "--methods", "rcdvs:2", "--repetitions", "1", "--max-updates", "100"]
     assert main(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numeric failure: ") and message in err
+    assert capsys.readouterr().err.startswith(
+        "numeric failure: all order-2 principal minors are zero")
 
 
 def test_run_overflowing_dataset_gram_exits_3(tmp_path, capsys):
@@ -236,36 +261,18 @@ def test_run_overflowing_dataset_gram_exits_3(tmp_path, capsys):
     assert "numeric failure: Gram matrix overflows" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--kind", "huber", "--n", "5", "--m", "8", "--sparsity", "2", "--lam1", "1e300",
-      "--lam2", "1e300", "--max-updates", "1000"], "pair masses overflow"),
-    (["--dataset", "huge.svm", "--gamma", "1"], "Gram matrix overflows"),
-])
-def test_run_overflow_exits_print_only_their_message(tmp_path, flags, message):
+def test_run_overflow_exit_prints_only_its_message(tmp_path):
     # in a fresh interpreter, where numpy's RuntimeWarnings would reach stderr
     (tmp_path / "huge.svm").write_text("1 1:1e308 2:1e308\n-1 1:1e308 2:1\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
         str(pathlib.Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
-        [sys.executable, "-W", "default", "-m", "volcd.cli", "run", *flags, "--methods", "rcdvs:2",
-         "--repetitions", "1"], cwd=tmp_path, env=env, capture_output=True, text=True)
+        [sys.executable, "-W", "default", "-m", "volcd.cli", "run", "--dataset", "huge.svm",
+         "--gamma", "1", "--methods", "rcdvs:2", "--repetitions", "1"],
+        cwd=tmp_path, env=env, capture_output=True, text=True)
     assert done.returncode == 3
     assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith(f"numeric failure: {message}")
-
-
-def test_run_overflowing_minor_clamp_fails_before_the_baseline_runs():
-    # the rcd:1 baseline would spend its default 1e8-update budget before
-    # rcdvs:2 built its sampler; the clamp is checked before any run
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
-        str(pathlib.Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")])))
-    done = subprocess.run(
-        [sys.executable, "-m", "volcd.cli", "run", "--kind", "quadratic", "--n", "5",
-         "--lam1", "1e200", "--lam2", "1", "--methods", "rcdvs:2", "--repetitions", "1"],
-        env=env, capture_output=True, text=True, timeout=30)
-    assert done.returncode == 3
-    assert len(done.stderr.splitlines()) == 1
-    assert done.stderr.startswith("numeric failure: minor threshold overflows")
+    assert done.stderr.startswith("numeric failure: Gram matrix overflows")
 
 
 def test_python_m_volcd_runs_the_cli_from_a_source_checkout(tmp_path):

@@ -161,14 +161,34 @@ def test_solvers_imports_only_its_checks():
     }
 
 
+def _owners(name):
+    """The (module, top-level function or class) pairs of src whose bodies
+    name ``name``, as a variable or an attribute; none names it at module
+    level."""
+    owners = set()
+    for path in sorted(Path(volcd.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+
+        def lines(node):
+            return {n.lineno for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))
+                    and name in (getattr(n, "id", None), getattr(n, "attr", None))}
+
+        inside = set()
+        for top in tree.body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) and lines(top):
+                owners.add((path.name, top.name))
+                inside |= lines(top)
+        assert lines(tree) == inside, path.name
+    return owners
+
+
 def test_minor_clamp_is_applied_in_one_place():
-    # principal_minors applies the clamp for every determinantal sampler;
-    # run_experiment only checks, before any run, that it does not overflow.
+    # principal_minors applies the clamp for every determinantal sampler.
     # The pivot rule's constant is assigned once, in sampling, and read only
-    # by the kernel block_pivots, principal_minors, minor_threshold and the
-    # step kernel _make_step_solver, never at module level
+    # by the kernel block_pivots, principal_minors and the step kernel
+    # _make_step_solver, never at module level
     allowed = {("sampling.py", "block_pivots"), ("sampling.py", "principal_minors"),
-               ("sampling.py", "minor_threshold"), ("objectives.py", "_make_step_solver")}
+               ("objectives.py", "_make_step_solver")}
 
     def clamp_names(tree, ctx):
         return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Name)
@@ -186,22 +206,17 @@ def test_minor_clamp_is_applied_in_one_place():
         assert clamp_names(tree, ast.Load) == inside, path.name
     assert assigned == ["sampling.py"]
     assert ("sampling.py", "block_pivots") in readers and readers <= allowed
+    assert not hasattr(volcd.sampling, "minor_threshold")
 
-    def calls(tree):
-        return {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-                and "minor_threshold" in (getattr(node.func, "id", None),
-                                          getattr(node.func, "attr", None))}
 
-    callers, lines = set(), set()
-    for path in sorted(Path(volcd.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for func in ast.walk(tree):
-            if isinstance(func, ast.FunctionDef) and calls(func):
-                callers.add((path.name, func.name))
-                lines |= {(path.name, line) for line in calls(func)}
-        # no call outside a function
-        assert {(path.name, line) for line in calls(tree)} <= lines
-    assert callers == {("sampling.py", "principal_minors"), ("benchmark.py", "run_experiment")}
+def test_the_scale_of_b_is_taken_in_one_place():
+    # the determinantal samplers work on B 4^-j: one sampling function
+    # takes the exponent, by frexp, and only the minor kernel and the
+    # spectral and pair samplers read it and scale by ldexp
+    readers = {("sampling.py", name)
+               for name in ("principal_minors", "SpectralVolumeSampler", "SparseTwoSampler")}
+    assert _owners("frexp") == {("sampling.py", "_scale_exponent")}
+    assert _owners("_scale_exponent") == _owners("ldexp") == readers
 
 
 def test_every_minor_is_a_pivot_product():

@@ -53,6 +53,12 @@ def random_psd(rng, n, rank=None):
     return g.T @ g
 
 
+def scaled(b):
+    """B 4^-j, j = ceil(e / 2) for e the binary exponent of the dense B's
+    largest diagonal entry: the matrix whose minors the samplers read."""
+    return np.ldexp(b, -2 * math.ceil(math.frexp(float(np.max(np.diag(b))))[1] / 2))
+
+
 class Uniforms:
     """An rng whose ``uniforms(k)`` hands out the given k values."""
 
@@ -298,7 +304,9 @@ def test_a_subset_with_a_repeated_row_has_a_clamped_minor_of_zero(tau):
 def test_low_order_minors_are_the_closed_forms():
     b = random_psd(np.random.default_rng(9), 8)
     assert np.array_equal(raw_minors(b, 1), np.diag(b))
-    assert np.array_equal(principal_minors(b, 1), np.diag(b))
+    # the kernel reads B 4^-j, whose largest diagonal entry lies in [1/4, 1)
+    assert 0.25 <= np.diag(scaled(b)).max() < 1.0
+    assert np.array_equal(principal_minors(b, 1), np.diag(scaled(b)))
     pairs = np.array(list(itertools.combinations(range(8), 2)))
     i, j = pairs[:, 0], pairs[:, 1]
     expected = b[i, i] * b[j, j] - b[i, j] ** 2
@@ -308,8 +316,9 @@ def test_low_order_minors_are_the_closed_forms():
 @pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("tau", [1, 2, 3, 4, 5])
 def test_table_minors_are_the_pivot_product(tau, sparse):
-    # every minor is the product of block_pivots' pivots, zeroed where it
-    # refuses the block, at every tau: the table's closed forms are gone
+    # every minor is the product of block_pivots' pivots on B 4^-j, zeroed
+    # where it refuses the block, at every tau: the table's closed forms
+    # are gone
     rng = np.random.default_rng(40 + tau)
     n = 10
     dense = random_psd(rng, n, rank=n - 3) + np.diag(rng.uniform(0, 1, n))
@@ -317,7 +326,8 @@ def test_table_minors_are_the_pivot_product(tau, sparse):
     b = CsrSymmetricUpper.from_dense(dense) if sparse else dense
     st = all_subsets(n, tau).T
     rows, cols = np.triu_indices(tau, 1)
-    piv, regular = sampling.block_pivots(dense[st, st], dense[st[rows], st[cols]])
+    sc = scaled(dense)
+    piv, regular = sampling.block_pivots(sc[st, st], sc[st[rows], st[cols]])
     expected = np.where(regular, piv.prod(0), 0.0)
     assert not regular.all()
     assert principal_minors(b, tau).tobytes() == expected.tobytes()
@@ -595,24 +605,27 @@ def test_make_sampler_rule_at_its_boundaries(monkeypatch, storage, n, tau, expec
 
 
 def test_sparse2_preprocess_hand_values():
+    # the masses of B / 4: the largest diagonal entry 2 = 0.5 * 2^2
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
-    assert np.allclose(sampler.hcum, [4.0, 5.0, 4.0, 5.0, 4.0])
-    assert np.allclose(sampler.t, [6.0, 4.0, 2.0, 0.0])
-    assert np.allclose(sampler.q, [7.0, 10.0])
+    assert np.allclose(sampler.hcum, [0.25, 0.3125, 0.25, 0.3125, 0.25])
+    assert np.allclose(sampler.t, [1.5, 1.0, 0.5, 0.0])
+    assert np.allclose(sampler.q, [0.4375, 0.625])
 
 
 def test_sparse2_preprocess_identity_two():
+    # the masses of I / 4: 1 = 0.5 * 2^1, and j = ceil(1 / 2) = 1
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(np.eye(2)))
-    assert np.allclose(sampler.hcum[:1], [1.0])
-    assert np.allclose(sampler.t, [2.0, 1.0, 0.0])
-    assert np.allclose(sampler.q, [1.0])
+    assert np.allclose(sampler.hcum[:1], [0.0625])
+    assert np.allclose(sampler.t, [0.5, 0.25, 0.0])
+    assert np.allclose(sampler.q, [0.0625])
 
 
 def test_sparse2_zero_row_contributes_nothing():
     b = np.diag([1.0, 0.0, 2.0])
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(b))
-    # masses: row 0 pairs with {1,2}: 1*0 + 1*2 = 2; row 1: zero
-    assert np.allclose(sampler.q, [2.0, 2.0])
+    # masses of B / 4: row 0 pairs with {1,2}: 0.25*0 + 0.25*0.5 = 0.125;
+    # row 1: zero
+    assert np.allclose(sampler.q, [0.125, 0.125])
     draws = sampler.sample_many(RngStream(11), 3000)
     assert set(count_subsets(draws)) == {(0, 2)}
 
@@ -665,9 +678,10 @@ def test_sparse2_normalization_equals_minor_sum():
         np.fill_diagonal(b, np.abs(np.diag(b)) + 1.0)
         csr = CsrSymmetricUpper.from_dense(b)
         sampler = SparseTwoSampler(csr)
-        total = raw_minors(b, 2).sum()
+        # the masses are those of B 4^-j
+        total = raw_minors(scaled(b), 2).sum()
         assert total_pair_mass(sampler) == pytest.approx(total, rel=1e-8)
-        lam = np.linalg.eigvalsh(b)
+        lam = np.linalg.eigvalsh(scaled(b))
         sigma2 = sum(
             lam[i] * lam[j] for i in range(7) for j in range(i + 1, 7)
         )

@@ -1,3 +1,4 @@
+import functools
 import warnings
 from dataclasses import replace
 
@@ -2032,3 +2033,70 @@ def test_a_diverging_windowed_run_ends_diverged_at_its_first_non_finite_value(
                  SolverConfig(method=method, tau=tau, max_iters=200_000))
     assert (rep.status, rep.capped, rep.iterations) == ("diverged", False, iterations)
     assert not np.isfinite(rep.final_value)
+
+
+# ---------------------------------------------------------------------------
+# any scale of B: P(S) is proportional to det(B[S, S]) for c B as for B
+
+_SCALE_CELLS = [("rcdvs", 1), ("rcdvs", 2), ("rcdvs", 3), ("rcdvs", 4), ("rcdvs", 8),
+                ("sdna", 2), ("sdna", 4)]
+
+
+def _scaled_quadratic(kind, k):
+    """A and b times 2^k: the n = 60 spiked dense quadratic, or a CSR
+    banded one."""
+    if kind == "dense":
+        obj, _, _ = gen_quadratic(
+            ProblemSpec(kind="quadratic", n=60, lam1=400.0, lam2=100.0, seed=0))
+        return QuadraticObjective(np.ldexp(obj.a, k), np.ldexp(obj.b, k))
+    band = banded_psd(120, 3, seed=2)
+    a = CsrSymmetricUpper(band.n, band.indptr, band.indices, np.ldexp(band.values, k))
+    return QuadraticObjective(a, np.ldexp(np.random.default_rng(5).standard_normal(120), k))
+
+
+@functools.cache
+def _scale_runs(kind, k):
+    """Per cell, a sampled 300-step run on the problem scaled by 2^k and a
+    forced replay of the subsets the unscaled run drew; then the exact
+    probabilities of pairs and triples, and 5000 draws of the pair sampler
+    on a CSR B."""
+    obj = _scaled_quadratic(kind, k)
+    runs = {}
+    for method, tau in _SCALE_CELLS:
+        cfg = SolverConfig(method=method, tau=tau, max_iters=300, seed=3, record_subsets=True)
+        sampled = run(obj, obj.a, cfg)
+        drawn = _scale_runs(kind, 0)[0][method, tau][0].subsets if k else sampled.subsets
+        runs[method, tau] = sampled, run(obj, obj.a, replace(cfg, forced_subsets=drawn))
+    exact = [exact_probabilities(obj.a, tau) for tau in (2, 3)]
+    pairs = SparseTwoSampler(obj.a).sample_many(RngStream(1), 5000) if kind == "csr" else None
+    return runs, exact, pairs
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -530, 480, 520, 1000])
+@pytest.mark.parametrize("kind", ["dense", "csr"])
+def test_a_run_at_any_scale_of_b_draws_the_subsets_and_iterates_of_b(kind, k):
+    # the samplers read B 4^-j and the closed-form steps solve by L D L', so
+    # every subset and, but for the two cases below, every iterate is the
+    # unscaled run's, bit for bit, from 2^-1000 to 2^1000
+    def same(x, ref, loose):
+        if loose:
+            assert np.abs(x - ref).max() <= _WINDOW_RTOL * np.abs(ref).max()
+        else:
+            assert x.tobytes() == ref.tobytes()
+
+    base, base_exact, base_pairs = _scale_runs(kind, 0)
+    runs, exact, pairs = _scale_runs(kind, k)
+    for cell, (sampled, forced) in runs.items():
+        ref_sampled, ref_forced = base[cell]
+        assert np.array_equal(sampled.subsets, ref_sampled.subsets), cell
+        assert sampled.status == "budget", cell
+        # at 2^-1000 the gradient of a run converged to rounding, about
+        # 1e-15 times 2^-1000, is subnormal and keeps fewer bits
+        same(forced.x_final, ref_forced.x_final, k == -1000)
+        # at 2^1000 the values pass _VALUE_LIMIT, so a dense run's windows
+        # give way to the per-step path, which agrees with them to rounding
+        if k == 1000:
+            assert abs(sampled.final_value) > objectives._VALUE_LIMIT
+        same(sampled.x_final, ref_sampled.x_final, k == -1000 or (k == 1000 and kind == "dense"))
+    assert exact == base_exact
+    assert np.array_equal(pairs, base_pairs)
