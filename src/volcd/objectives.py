@@ -12,16 +12,16 @@ pass over the data.
 
 Every loss has one kernel, ``eval(z, b) -> (values, w)``: its values and
 derivatives w = dloss/dz together, so their shared work (``z - b``,
-the logistic value, from which its derivative is taken, Huber's clipped
-``d / mu``, the log-sum-exp's exp, the smoothed norm) is done once.
+the logistic margin, Huber's clipped ``d / mu``, the log-sum-exp's exp,
+the smoothed norm) is done once.
 Rowwise losses (square, logistic, Huber) return per-row values,
 full-residual ones (log-sum-exp, smoothed norm) the total as a 0-d array;
 the value is ``values.sum()`` either way.  A rowwise ``eval`` is
 elementwise: the rows of a gather evaluate to bitwise the gathered rows of
 a whole-vector evaluation.  Rowwise losses also have ``derivative(z, b)``,
-bitwise ``eval``'s w, for steps that need no values: it skips Huber's and
-the square loss's value passes, while the logistic loss, whose derivative
-comes from its value, calls ``eval``.  Huber's kernel is the clip form
+bitwise ``eval``'s w, for steps that need no values: it skips the value
+pass of each, and the logistic loss's is its own kernel, -b / (1 +
+exp(b z)), which ``eval`` also returns.  Huber's kernel is the clip form
 c * (d - c * mu / 2) with c = clip(d / mu, -1, 1): bitwise the piecewise
 formula outside |d| <= mu, within 1.11 ulp of the exact value inside (the
 piecewise form: 1.28).  A sparse data matrix is a numpy
@@ -56,9 +56,11 @@ state under a rowwise loss, ridge or not, takes a fused step, bitwise the
 state's own methods;
 ``_column_step`` is the one column update of both.  On a sampled stream
 whose run traces at a multiple of ``_BLOCK`` steps, a state that takes
-checkpoints steps in blocks of ``_BLOCK`` steps between them that move x,
-z and w alone and evaluate the loss once, at the block's end: the run
-takes a block whole, or has it stepped again one step at a time.  The
+checkpoints steps in blocks of ``_BLOCK`` steps between them that keep x
+and z alone, each gradient entry taking the loss's ``derivative`` on the z
+rows it reads, and evaluate the loss once, at the block's end, which gives
+ell and w: the run takes a block whole, or has it stepped again one step
+at a time.  The
 subsets, iterates and checkpoint values are bitwise the per-step path's;
 the stopping step is too when B bounds f, up to rounding at the stop (see
 :func:`~volcd.solvers.run`).  A dense quadratic state
@@ -155,12 +157,15 @@ class LogisticLoss:
     """Logistic loss per row: ln(1 + exp(-b_i t)) with labels b_i in {-1, +1}.
 
     Evaluated as max(0, -s) + log1p(exp(-|s|)) for s = b_i t, which is stable
-    for any magnitude of s.  The derivative -b_i sigmoid(-s) comes from the
-    value v itself, as b_i * expm1(-v), since exp(-v) - 1 = -sigmoid(-s):
-    no branch and no division.  The values are bitwise the textbook
-    formula's; the derivative is within 2.4 ulp of a long-double reference
-    (the quotient form e / (1 + e), e = exp(-|s|): 2.3), and finite at
-    infinite margins.
+    for any magnitude of s; the values are bitwise this textbook formula's.
+    The derivative -b_i sigmoid(-s) has a kernel of its own, -b_i / (1 +
+    exp(s)), and ``eval`` returns it as w.  Where exp(s) would overflow, at
+    margins above 709.78, where the derivative is subnormal or zero, those
+    elements take the quotient form -b_i e / (1 + e), e = exp(-s), instead;
+    a test of the largest margin keeps every other call to three ufuncs and
+    never lets exp overflow.  The derivative is within 2.16 ulp of a
+    long-double reference (1.22 ulp in the overflow band), elementwise, and
+    finite at infinite margins.
     """
 
     rowwise = True
@@ -170,13 +175,27 @@ class LogisticLoss:
         s = b * z
         values = np.maximum(0.0, -s)
         values += np.log1p(np.exp(-np.abs(s)))
-        w = np.expm1(-values)
-        w *= b
-        return values, w
+        return values, _logistic_derivative(s, b)
 
     def derivative(self, z, b):
-        # the derivative is taken from the values
-        return self.eval(z, b)[1]
+        return _logistic_derivative(b * z, b)
+
+
+def _logistic_derivative(s, b):
+    """The logistic derivative -b / (1 + exp(s)) at margins s, computed in
+    the array s.  fmax skips NaN margins, so a NaN row does not hide an
+    overflowing one, and an empty column reduces to -inf."""
+    limit = 709.78  # exp(limit) is finite
+    if np.fmax.reduce(s, initial=-np.inf) > limit:
+        # above the limit 1 + e rounds to 1 in the quotient form
+        big = s > limit
+        w = b / (-1.0 - np.exp(np.minimum(s, limit)))
+        w[big] = -b[big] * np.exp(-s[big])
+        return w
+    # b / (-1 - e) is -b / (1 + e), the negation exact
+    np.exp(s, out=s)
+    np.subtract(-1.0, s, out=s)
+    return np.divide(b, s, out=s)
 
 
 class _SmoothedLoss:
@@ -398,18 +417,6 @@ def _column_step(loss, z, ell, w, col, hj) -> float:
     return change
 
 
-def _column_move(loss, z, ell, w, col, hj) -> float:
-    """A column's share of a step inside a block of the fused sparse step:
-    z and w as :func:`_column_step` updates them, by the loss's
-    ``derivative``, with ell left for the block's end; no value change."""
-    rows, vals, b_rows = col
-    zr = z[rows]
-    zr -= vals * hj
-    z[rows] = zr
-    w[rows] = loss.derivative(zr, b_rows)
-    return 0.0
-
-
 class _SeparableSparseState(_SeparableState):
     """Separable state over a :class:`~volcd.linalg.CsrMatrix` data matrix.
 
@@ -596,9 +603,10 @@ def steps(state, subsets, b, exact: bool, trace_every: int = 1):
     the reader's trace interval, is a multiple of ``_BLOCK`` and the state
     takes checkpoints, it takes lazy blocks, each ending at a checkpoint and
     so at most at its last step on a trace point, whose values before the
-    last it computes only when walked.  Every other state, a dense quadratic
-    one on forced subsets, with ridge included or with a CSR B, steps
-    through its public methods."""
+    last it computes only when walked; a block keeps x and z, takes each
+    derivative where a gradient reads it, and takes w at its end.  Every
+    other state, a dense quadratic one on forced subsets, with ridge
+    included or with a CSR B, steps through its public methods."""
     solve = _make_step_solver(b, exact)
     kind = type(state)
     if (kind is _QuadraticDenseState and not state._gamma and type(subsets) is Draws
@@ -759,30 +767,35 @@ def _dense_window_steps(state, draws, b, solve):
 
 def _sparse_separable_steps(state, subsets, solve, lazy):
     """Fused steps of a sparse separable state under a rowwise loss, with or
-    without a ridge term: one or two coordinates read ``np.dot(vals,
-    w[rows])``, as ``_partial`` does, add the ridge term to it and to the
-    squared norm in Python floats and solve on floats; larger steps call
-    ``partial_gradient`` and ``solve``.  A pair keeps ``apply_step``'s
-    length-2 dots for the squared norm: they may round unlike a*a + b*b.
+    without a ridge term: one or two coordinates add the ridge term to
+    their partial-gradient entries and to the squared norm in Python floats
+    and solve on floats; larger steps call ``solve`` on an array.  A pair
+    keeps ``apply_step``'s length-2 dots for the squared norm: they may round
+    unlike a*a + b*b.
 
-    One at a time, a step moves each column by :func:`_column_step`, and
-    the value becomes the exact sum of ell at every ``_BLOCK``-th step when
-    the state takes checkpoints, as ``apply_step``'s does.  When ``lazy``,
-    the steps from such a checkpoint to the next, the ``_BLOCK`` subsets
-    that ``subsets.peek`` hands out, are stepped as one block: each column moves z and w alone
-    (:func:`_column_move`), and the loss is evaluated on all rows at the
-    block's end, which gives that step's exact value and ell.  A block
-    whose end value is finite and not above its start is yielded as the
-    block (``_BLOCK``, end value) of :func:`steps`; on 0 it is restored from
-    its snapshot of x, z, w and the squared norm and walked by stepping it
-    again one step at a time, as is a block whose end value fails that
-    test.  Its subsets are taken from the stream only when the block is
-    taken.  A peek cut short by a batch's end, or a block that would
-    pass a refresh, steps one at a time to the next checkpoint.  Both paths
-    give bitwise the same x, z, w and checkpoint values, since a rowwise
-    ``eval`` is elementwise."""
+    One at a time, a gradient entry reads ``np.dot(vals, w[rows])``, as
+    ``partial_gradient`` does, and a step moves each column by
+    :func:`_column_step`; the value becomes the exact sum of ell at every
+    ``_BLOCK``-th step when the state takes checkpoints, as ``apply_step``'s
+    does.  When ``lazy``, the steps from such a checkpoint to the next, the
+    ``_BLOCK`` subsets that ``subsets.peek`` hands out, are stepped as one
+    block that keeps x and z alone: a gradient entry gathers z on its
+    column's rows and applies the loss's ``derivative`` there, a move
+    updates z only (a single coordinate through the rows its gradient
+    gathered), and the block's end takes ell, w and that step's exact value
+    from one ``eval`` on all rows.  A block whose end value is finite and
+    not above its start is yielded as the block (``_BLOCK``, end value) of
+    :func:`steps`; on 0 it is restored from its snapshot of x, z and the
+    squared norm and walked by stepping it again one step at a time, as is
+    a block whose end value fails that test.  Its subsets are taken from the
+    stream only when the block is taken.  A peek cut short by a batch's end,
+    or a block that would pass a refresh, steps one at a time to the next
+    checkpoint.  Both paths give bitwise the same x, z, w and checkpoint
+    values, since a rowwise ``eval`` is elementwise and ``derivative`` is
+    bitwise its w."""
     one, two = solve.one, solve.two
-    column, move, loss, b = _column_step, _column_move, state._obj.loss, state._obj.b
+    column, loss, b = _column_step, state._obj.loss, state._obj.b
+    derivative = loss.derivative
     x, cols = state.x, state._cols
     z, ell, w = state._z, state._ell, state._w
     value, count = state._value, state._steps
@@ -791,15 +804,21 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
     isfinite = math.isfinite
     pending = False  # a block yielded and not yet taken
 
-    def step(s, kernel, value):
-        """Steps x and the squared norm on s, and each column's rows through
-        ``kernel``; returns ``value`` plus the kernel's value changes."""
+    def step(s, value, block):
+        """Steps x and the squared norm on s and z on each column's rows;
+        returns ``value`` plus the columns' value changes, or ``value`` as
+        given inside a block, where z moves alone and w is not read."""
         nonlocal sq
         size = s.size
         if size == 1:
             i = s.item(0)
             ci = cols[i]
-            gi = float(np.dot(ci[1], w[ci[0]]))
+            rows, vals, b_rows = ci
+            if block:
+                zr = z[rows]
+                gi = float(np.dot(vals, derivative(zr, b_rows)))
+            else:
+                gi = float(np.dot(vals, w[rows]))
             if gamma:
                 xi = x.item(i)
                 gi += gamma * xi
@@ -807,12 +826,21 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
             if gamma:
                 sq += h * h - 2.0 * (xi * h)
             x[i] -= h
-            return value + kernel(loss, z, ell, w, ci, h)
+            if block:
+                zr -= vals * h
+                z[rows] = zr
+                return value
+            return value + column(loss, z, ell, w, ci, h)
         if size == 2:
             i, j = s.tolist()
             ci, cj = cols[i], cols[j]
-            gi = float(np.dot(ci[1], w[ci[0]]))
-            gj = float(np.dot(cj[1], w[cj[0]]))
+            if block:
+                zi = z[ci[0]]
+                gi = float(np.dot(ci[1], derivative(zi, ci[2])))
+                gj = float(np.dot(cj[1], derivative(z[cj[0]], cj[2])))
+            else:
+                gi = float(np.dot(ci[1], w[ci[0]]))
+                gj = float(np.dot(cj[1], w[cj[0]]))
             if gamma:
                 gi += gamma * x.item(i)
                 gj += gamma * x.item(j)
@@ -822,14 +850,37 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
                 sq += float(hs @ hs) - 2.0 * float(x[s] @ hs)
             x[i] -= hi
             x[j] -= hj
-            value += kernel(loss, z, ell, w, ci, hi)
-            return value + kernel(loss, z, ell, w, cj, hj)
-        h = solve(s, state.partial_gradient(s))
+            if block:
+                zi -= ci[1] * hi
+                z[ci[0]] = zi
+                # the columns may share rows, so j's are gathered after i's move
+                zj = z[cj[0]]
+                zj -= cj[1] * hj
+                z[cj[0]] = zj
+                return value
+            value += column(loss, z, ell, w, ci, hi)
+            return value + column(loss, z, ell, w, cj, hj)
+        js = s.tolist()
+        if block:
+            g = np.array([np.dot(vals, derivative(z[rows], b_rows))
+                          for rows, vals, b_rows in map(cols.__getitem__, js)])
+            if gamma:  # partial_gradient's expression
+                g = g + gamma * x[s]
+        else:
+            g = state.partial_gradient(s)
+        h = solve(s, g)
         if gamma:  # apply_step's update
             sq += float(h @ h) - 2.0 * float(x[s] @ h)
         x[s] -= h
-        for j, hj in zip(s.tolist(), h.tolist()):
-            value += kernel(loss, z, ell, w, cols[j], hj)
+        if block:
+            for j, hj in zip(js, h.tolist()):
+                rows, vals, _ = cols[j]
+                zr = z[rows]
+                zr -= vals * hj
+                z[rows] = zr
+            return value
+        for j, hj in zip(js, h.tolist()):
+            value += column(loss, z, ell, w, cols[j], hj)
         return value
 
     try:
@@ -840,10 +891,10 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
                 if len(subs) < per:
                     break
                 start = value + 0.5 * gamma * sq if gamma else value
-                saved = x.copy(), z.copy(), w.copy(), sq
+                saved = x.copy(), z.copy(), sq
                 for s in subs:
-                    step(s, move, 0.0)
-                ev = loss.eval(z, b)[0]
+                    step(s, 0.0, True)
+                ev, wv = loss.eval(z, b)
                 end = float(ev.sum())
                 last = end + 0.5 * gamma * sq if gamma else end
                 taken = 0
@@ -852,10 +903,10 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
                     taken = yield per, last
                     pending = False
                 if taken is not None:
-                    x[:], z[:], w[:], sq = saved
+                    x[:], z[:], sq = saved
                     break
                 subsets.take(per)
-                state._ell = ell = ev
+                state._ell, state._w = ell, w = ev, wv
                 value = end
                 count += per
                 if count >= interval:
@@ -864,7 +915,7 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
                                                    state._value, state._sq, 0)
             # then one step at a time, to the next checkpoint if lazy
             for s in subsets:
-                value = step(s, column, value)
+                value = step(s, value, False)
                 count += 1
                 if count >= interval:
                     state.refresh()
@@ -881,7 +932,7 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
     finally:
         if pending:
             subsets.take(per)
-            state._ell, value, count = ev, end, count + per
+            state._ell, state._w, value, count = ev, wv, end, count + per
         state._value, state._sq, state._steps = value, sq, count
 
 

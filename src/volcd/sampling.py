@@ -391,10 +391,7 @@ def exact_probabilities(b, tau: int) -> dict[tuple[int, ...], float]:
     total = minors.sum()
     if total <= 0:
         raise EmptySupport("all principal minors are zero")
-    return {
-        tuple(int(i) for i in row): float(m / total)
-        for row, m in zip(subsets, minors)
-    }
+    return dict(zip(map(tuple, subsets.tolist()), (minors / total).tolist()))
 
 
 def subset_counts(samples: np.ndarray, n: int) -> dict[tuple[int, ...], int]:

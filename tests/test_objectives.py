@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -85,9 +87,10 @@ def test_logistic_extreme_margins_stable():
 
 
 def test_logistic_derivative_is_within_3_ulp_of_extended_precision():
-    # values bitwise the textbook formula; the derivative b * expm1(-v),
-    # taken from the value, against -b * sigmoid(-s) in long double, over
-    # margins spanning the exp underflow at 745 and the tails at 1e4
+    # values bitwise the textbook formula; the derivative -b / (1 + exp(s)),
+    # with the quotient form where exp(s) overflows, against
+    # -b * sigmoid(-s) in long double, over margins spanning the exp
+    # underflow at 745 and the tails at 1e4
     if np.finfo(np.longdouble).nmant <= np.finfo(float).nmant:
         pytest.skip("long double is no wider than double here")
     rng = np.random.default_rng(14)
@@ -107,6 +110,38 @@ def test_logistic_derivative_is_within_3_ulp_of_extended_precision():
     assert np.array_equal(derivs[:4], [0.0, -1.0, 1.0, 0.0])
     assert np.array_equal(values[:4], [0.0, np.inf, np.inf, 0.0])
     assert np.isnan(values[4:]).all() and np.isnan(derivs[4:]).all()
+
+
+def test_logistic_derivative_in_the_exp_overflow_band():
+    # margins s = b z above 709.78, where exp(s) overflows and the
+    # derivative is subnormal or zero, take the quotient form: within the
+    # same 3-ulp bound, with no overflow warning, and a gather that mixes
+    # such rows with others gives bitwise the whole vector's derivatives
+    loss = LogisticLoss()
+    rng = np.random.default_rng(15)
+    edge = [709.78, np.nextafter(709.78, np.inf), 709.8, 710.0, 720.0, 744.5, 745.0]
+    s = np.concatenate([edge, rng.uniform(709.78, 745.0, 2000), rng.uniform(-40.0, 40.0, 2000),
+                        rng.uniform(700.0, 709.78, 500), [np.inf, -np.inf, np.nan]])
+    b = np.sign(rng.standard_normal(s.size))
+    z = s * b
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        derivs = loss.derivative(z, b)
+        assert loss.eval(z, b)[1].tobytes() == derivs.tobytes()
+        for _ in range(20):
+            rows = np.sort(rng.choice(s.size, int(rng.integers(1, 60)), replace=False))
+            assert loss.derivative(z[rows], b[rows]).tobytes() == derivs[rows].tobytes()
+            assert loss.eval(z[rows], b[rows])[1].tobytes() == derivs[rows].tobytes()
+        # an overflowing row beside a NaN one still takes the quotient form
+        assert loss.derivative(z[[7, -1]], b[[7, -1]])[0] == derivs[7] != 0.0
+    finite = np.isfinite(s)
+    assert (derivs[finite] != 0.0).all() and (derivs[:-3] * b[:-3] < 0.0).all()
+    assert np.array_equal(derivs[-3:-1], [-0.0, -b[-2]]) and np.isnan(derivs[-1])
+    if np.finfo(np.longdouble).nmant > np.finfo(float).nmant:
+        ref = -b[finite].astype(np.longdouble) / (1 + np.exp(s[finite].astype(np.longdouble)))
+        err = np.abs(derivs[finite].astype(np.longdouble) - ref) / np.spacing(
+            np.abs(ref.astype(float)))
+        assert err.max() <= 3.0
 
 
 def test_gradients_match_finite_differences():
@@ -394,10 +429,16 @@ def _reference_values_and_derivs(loss, z, b):
     if isinstance(loss, SquareLoss):
         return 0.5 * (z - b) ** 2, z - b
     if isinstance(loss, LogisticLoss):
-        # the derivative from the value: exp(-v) - 1 = -sigmoid(-s)
+        # the derivative -b / (1 + exp(s)), and the quotient form
+        # -b e / (1 + e), e = exp(-s), where exp(s) overflows
         s = b * z
         values = np.maximum(0.0, -s) + np.log1p(np.exp(-np.abs(s)))
-        return values, b * np.expm1(-values)
+        with np.errstate(over="ignore"):
+            derivs = -b / (1.0 + np.exp(s))
+        big = s > 709.78
+        e = np.exp(-s[big])
+        derivs[big] = -b[big] * e / (1.0 + e)
+        return values, derivs
     # the clip form: c = clip(d / mu, -1, 1) times d - c * mu / 2
     c = np.clip((z - b) / loss.mu, -1.0, 1.0)
     return c * ((z - b) - 0.5 * loss.mu * c), c

@@ -1821,6 +1821,44 @@ def test_a_sparse_rowwise_value_is_the_exact_sum_at_every_blocks_end(tmp_path, k
             assert state.x.tobytes() == ends[blocks - 1][1]
 
 
+@pytest.mark.parametrize("tau", [1, 2, 3])
+@pytest.mark.parametrize("kind", _SPARSE_KINDS)
+def test_a_lazy_block_reads_no_stored_derivative(tmp_path, kind, tau):
+    # a block keeps x and z and takes w from its end's eval: with the
+    # state's w poisoned by NaN just before a block that is then taken
+    # whole, x, the value and the next block's end are bitwise the forced
+    # replay's
+    obj, b = _sparse_separable(kind, tmp_path)
+    per = objectives._BLOCK
+    x0 = np.random.default_rng(31).standard_normal(obj.n)
+    state, log = obj.init_state(x0), []
+    stepper = objectives.steps(state, make_sampler(b, tau).draws(RngStream(42), 256, log), b,
+                               True, trace_every=2**62)
+    # walk the first block, so that the per-step path leaves w behind
+    assert type(next(stepper)) is tuple
+    walked = [stepper.send(0)] + [next(stepper) for _ in range(per - 1)]
+    state._w[:] = np.nan
+    second = next(stepper)
+    assert type(second) is tuple and second[0] == per
+    x_second = state.x.copy()
+    third = next(stepper)  # takes the second block whole
+    assert type(third) is tuple and np.isfinite(third[1])
+    stepper.close()  # takes the third
+    assert len(log) == 3 * per
+
+    replay = obj.init_state(x0)
+    forced = objectives.steps(replay, iter(log), b, True)
+    values = [next(forced) for _ in range(2 * per)]
+    x_replay = replay.x.copy()
+    values += [next(forced) for _ in range(per)]
+    forced.close()
+    assert np.array(walked).tobytes() == np.array(values[:per]).tobytes()
+    assert second[1] == values[2 * per - 1] and x_second.tobytes() == x_replay.tobytes()
+    assert third[1] == values[-1] == state.value == replay.value
+    assert state.x.tobytes() == replay.x.tobytes()
+    assert state._w.tobytes() == replay._w.tobytes()
+
+
 def test_a_lazy_block_under_a_b_that_does_not_bound_f_may_pass_the_target(tmp_path):
     # with B_00 cut to 0.3 of its value B no longer bounds f, and the steps
     # on coordinate 0 overshoot, so values rise inside some blocks.  With the

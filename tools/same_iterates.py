@@ -16,10 +16,14 @@ with the same stop and trace settings, which takes the per-step path a
 window replaces.  The
 shapes are a dense quadratic at n = 10, a dense Huber regression (n = 60,
 m = 200), the dense-gap, dense-tau3, sparse-huber and logistic-file
-workloads of ``perfbench/workloads.py``, and ``dense-n60``, a dense
-quadratic at n = 60 (lam1 400, lam2 100) whose cells take tau = 30 and 50,
-where most blocks' minors lie below 1e-14 times their diagonal products;
-seed s builds the problem with seed s and seeds the solver with s.
+workloads of ``perfbench/workloads.py``, ``logistic-tall``, a ridge
+logistic regression on a 4000 x 40 LIBSVM file at density 0.02, whose A
+holds fewer than m / 32 nonzeros per column, so its state takes no
+checkpoints and every run, untraced included, takes the fused sparse step
+one step at a time, and ``dense-n60``, a dense quadratic at n = 60 (lam1
+400, lam2 100) whose cells take tau = 30 and 50, where most blocks' minors
+lie below 1e-14 times their diagonal products; seed s builds the problem
+(or writes the LIBSVM file) with seed s and seeds the solver with s.
 
 Two lines per cell, ``SHAPE/METHOD`` for its sampled runs and
 ``SHAPE/METHOD/forced`` for their replays, say whether the subsets,
@@ -74,6 +78,9 @@ def shapes() -> dict:
         w = WORKLOADS[name]
         methods = DENSE_METHODS if name.startswith("dense") else SPARSE_METHODS
         out[name] = (w.problem, w.dataset, w.epsilon, w.max_updates, methods)
+    # its gap runs stop within a few hundred steps
+    out["logistic-tall"] = (None, {"rows": 4000, "features": 40, "density": 0.02, "gamma": 1.0},
+                            1.0, 20_000, SPARSE_METHODS)
     # every gap run stops within 30 iterations, well inside the cap
     out["dense-n60"] = ({"kind": "quadratic", "n": 60, "lam1": 400.0, "lam2": 100.0}, None,
                         1e-6, 6_000, WIDE_METHODS)
