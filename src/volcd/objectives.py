@@ -39,8 +39,9 @@ checkpoints: at every ``_BLOCK``-th step since its last refresh, on every
 path, its value becomes the exact sum of its loss values plus its ridge
 term.  A taller, sparser A keeps the per-step changes alone.
 
-A solver steps a state through :func:`steps`, the one place that knows
-how a subset is stepped.  Its step kernel, :func:`_make_step_solver`,
+A solver runs its loop through :func:`steps`, the one place that knows
+how a subset is stepped: it counts the steps, traces and asks the run's
+stop rule on every path.  Its step kernel, :func:`_make_step_solver`,
 solves B[S, S] h = grad f(x)[S] by the size of S, not the configured tau,
 so a forced subset of any size gets its own Newton step: closed forms for
 one to three coordinates read the diagonal of B and its off-diagonal
@@ -53,27 +54,24 @@ the kernel itself, so a drawn block is one the step solves.  A singular
 block raises :class:`~volcd.errors.SingularSubmatrix` when the solve is
 exact and takes the pseudoinverse step otherwise.  A sparse separable
 state under a rowwise loss, ridge or not, takes a fused step, bitwise the
-state's own methods;
-``_column_step`` is the one column update of both.  On a sampled stream
-whose run traces at a multiple of ``_BLOCK`` steps, a state that takes
-checkpoints steps in blocks of ``_BLOCK`` steps between them that keep x
-and z alone, each gradient entry taking the loss's ``derivative`` on the z
-rows it reads, and evaluate the loss once, at the block's end, which gives
-ell and w: the run takes a block whole, or has it stepped again one step
-at a time.  The
-subsets, iterates and checkpoint values are bitwise the per-step path's;
-the stopping step is too when B bounds f, up to rounding at the stop (see
-:func:`~volcd.solvers.run`).  A dense quadratic state
-without ridge on a sampled stream with a dense B takes windowed steps at
-every tau, each window of steps one block lower-triangular solve whose
-steps before the last are yielded as one block.  Both kinds of block reach
-the reader as (length, last value), by :func:`steps`' one rule.  A window
-tests each block by the same kernel, so it solves exactly the blocks the
-per-step path solves; its steps agree with that path to rounding (1e-10
-relative in the tests, 1.5e-12 measured), not bitwise, and a diverging run
-stops where the per-step path stops.  Every other run, a dense quadratic one on forced
-subsets, with ridge included or with a CSR B, steps through the state's
-public methods.
+state's own methods; ``_column_step`` is the one column update of both.
+On a sampled stream, a state that takes checkpoints steps in blocks of
+``_BLOCK`` steps between them that hold no trace point but their last;
+a block keeps x and z alone, each gradient entry taking the loss's
+``derivative`` on the z rows it reads, and evaluates the loss once, at its
+end, which gives ell and w.  It is taken when the stop rule lets its end
+pass, else stepped again one step at a time.  The subsets, iterates and
+checkpoint values are bitwise the per-step path's; the stopping step is
+too when B bounds f, up to rounding at the stop (see
+:func:`~volcd.solvers.run`).  A dense quadratic state without ridge on a
+sampled stream with a dense B takes windowed steps at every tau, each
+window of steps one block lower-triangular solve whose values are known
+before it is applied.  A window tests each block by the same kernel, so it
+solves exactly the blocks the per-step path solves; its steps agree with
+that path to rounding (1e-10 relative in the tests, 1.5e-12 measured), not
+bitwise, and a diverging run stops where the per-step path stops.  Every
+other run, a dense quadratic one on forced subsets, with ridge included or
+with a CSR B, steps through the state's public methods.
 """
 
 from __future__ import annotations
@@ -580,50 +578,55 @@ def _make_step_solver(b, exact: bool):
     return solve
 
 
-def steps(state, subsets, b, exact: bool, trace_every: int = 1):
-    """Step ``state`` by the solution h of B[S, S] h = partial gradient on S
-    for each S drawn from ``subsets``, yielding its value after each step.
-    A singular block raises :class:`SingularSubmatrix` if ``exact`` and
-    takes the pseudoinverse step otherwise (:func:`_make_step_solver`).
+def steps(state, subsets, b, exact: bool, trace_every: int, ended):
+    """Run the steps of one run: step ``state`` by the solution h of
+    B[S, S] h = partial gradient on S for each S drawn from ``subsets``,
+    counting the steps k, until ``ended(k, value)``, the run's stop rule,
+    names why the run ends at step k, or the subsets run out
+    (``"exhausted"``).  Returns the trace ``[(k, value), ...]`` at every
+    ``trace_every``-th step, k, the value after the last step and the
+    status.  A singular block raises :class:`SingularSubmatrix` if
+    ``exact`` and takes the pseudoinverse step otherwise
+    (:func:`_make_step_solver`).
 
-    Some paths yield a block of steps instead, as the tuple (length, last
-    value): the number of its steps and the value after the last.  The
-    reader takes the block whole by asking for the next value, or sends 0
-    and then receives the block's ``length`` values one at a time as
-    floats.  Closing the generator at the tuple takes the block; closing it
-    inside the walk applies exactly the steps whose values were yielded.
-
-    A dense quadratic state without ridge on a sampler's
+    The path is picked by the state's type, once per run.  A dense
+    quadratic state without ridge on a sampler's
     :class:`~volcd.sampling.Draws`, of any subset size, with a dense B,
-    takes windowed steps, which agree with the per-step path to rounding:
-    a window's steps before its last are a block.  A sparse separable state
-    under a rowwise loss, whatever its ridge weight, takes a fused step,
-    bitwise ``apply_step``'s, whose locals go back to the state when the
-    generator closes or ends.  On a sampler's stream, when ``trace_every``,
-    the reader's trace interval, is a multiple of ``_BLOCK`` and the state
-    takes checkpoints, it takes lazy blocks, each ending at a checkpoint and
-    so at most at its last step on a trace point, whose values before the
-    last it computes only when walked; a block keeps x and z, takes each
-    derivative where a gradient reads it, and takes w at its end.  Every
-    other state, a dense quadratic one on forced subsets, with ridge
-    included or with a CSR B, steps through its public methods."""
+    takes windowed steps, which agree with the per-step path to rounding.
+    A sparse separable state under a rowwise loss, whatever its ridge
+    weight, takes a fused step, bitwise ``apply_step``'s.  On a sampler's
+    stream, when the state takes checkpoints, it takes a lazy block from a
+    checkpoint to the next when no step but the block's last is a trace
+    point: a block keeps x and z, takes each derivative where a gradient
+    reads it, and takes w at its end, and it is taken when the stop rule
+    lets its end pass.  Every other state, a dense quadratic one on forced
+    subsets, with ridge included or with a CSR B, or one that offers only
+    the public methods, steps through them."""
     solve = _make_step_solver(b, exact)
     kind = type(state)
     if (kind is _QuadraticDenseState and not state._gamma and type(subsets) is Draws
             and isinstance(b, np.ndarray)):
-        return _dense_window_steps(state, subsets, b, solve)
+        return _dense_window_steps(state, subsets, b, solve, trace_every, ended)
     if kind is _SeparableSparseState and state._obj.loss.rowwise:
-        lazy = (state._checkpoints and type(subsets) is Draws
-                and trace_every % _BLOCK == 0)
-        return _sparse_separable_steps(state, subsets, solve, lazy)
-    return _public_steps(state, subsets, solve)
+        lazy = state._checkpoints and type(subsets) is Draws
+        return _sparse_separable_steps(state, subsets, solve, lazy, trace_every, ended)
+    return _public_steps(state, subsets, solve, trace_every, ended)
 
 
-def _public_steps(state, subsets, solve):
-    """Steps through the state's public methods."""
+def _public_steps(state, subsets, solve, trace_every, ended):
+    """Steps through the state's public methods, asking ``ended`` after
+    each."""
+    trace, k, value = [], 0, state.value
     for s in subsets:
         state.apply_step(s, solve(s, state.partial_gradient(s)))
-        yield state.value
+        value = state.value
+        k += 1
+        if k % trace_every == 0:
+            trace.append((k, float(value)))
+        status = ended(k, value)
+        if status is not None:
+            return trace, k, value, status
+    return trace, k, value, "exhausted"
 
 
 def _apply_window(x, g, idx, h, rows, p):
@@ -633,7 +636,7 @@ def _apply_window(x, g, idx, h, rows, p):
     np.subtract.at(x, idx[:p], h[:p])
 
 
-def _dense_window_steps(state, draws, b, solve):
+def _dense_window_steps(state, draws, b, solve, trace_every, ended):
     """Windowed steps of a dense quadratic state on a sampled stream of
     subsets.
 
@@ -649,22 +652,24 @@ def _dense_window_steps(state, draws, b, solve):
     also reads, and the
     constants B_ss - A_ss / 2 and B_st - A_st / 2 of each step's value
     decrease h_t . B h_t - h_t . A h_t / 2.  The values value -
-    cumsum(decrease) of a window's first m - 1 steps are its block
-    (:func:`steps`), yielded as (m - 1, its last value) and walked on 0 from
-    the same array, and a close applies the steps whose values were
-    yielded.  The window's steps are applied, with R = A[I], as g -= h @ R
-    and x[I] -= h before the last value is yielded as a float.  The stream
-    logs exactly the subsets applied.  A diagonal block that fails that test
-    ends the window before it and takes the per-step path, which raises
-    under an exact method; so does the first subset of a window whose solve
-    fails.  A window with a step that raises the value (B
+    cumsum(decrease) of the window's steps exist before it is applied.  The
+    stop rule is asked at the step before the last and, if it ends the run
+    there, from the first step on, and the steps up to the first it names,
+    or all of them, are applied, with R = A[I], as g -= h @ R and x[I] -= h:
+    their trace points before the last read the values, and the last is
+    traced and tested after any refresh there.  The stream logs exactly the
+    subsets applied.  A diagonal block that fails that test ends the window
+    before it and takes the per-step path, which raises under an exact
+    method; so does the first subset of a window whose solve fails.  A
+    window with a step that raises the value (B
     does not bound A on that block: the run overshoots, and its iteration
     amplifies rounding differences) or with values past ``_VALUE_LIMIT`` is
     not taken, and its subsets step one at a time, so a diverging run takes
     the per-step path's own arithmetic and stops where its replay stops.  So
     the values of a taken window are finite, within the limit and
-    non-increasing.  Otherwise the iterates agree with the per-step path,
-    ``_apply``, to rounding, not bitwise."""
+    non-increasing, and the stop rule, asked at one of them first, stops
+    where it stops asked at each.  Otherwise the iterates agree with the
+    per-step path, ``_apply``, to rounding, not bitwise."""
     tau = draws.tau
     x, a, regular = state.x, state._op, solve.regular
     g, value, count = state._g, state._value, state._steps
@@ -678,94 +683,93 @@ def _dense_window_steps(state, draws, b, solve):
     first = np.arange(0, per * tau, tau)[:, None]
     upper_r, upper_c = (first + i for i in pair)
     off = size = 0  # the next subset's offset in the slice, and its length
-    pending = 0  # steps whose values were yielded but which are not applied
     solo = 0  # subsets left to step one at a time after a window not taken
-    try:
-        while True:
-            subs = draws.peek(min(per, interval - count))
-            k = len(subs)
-            if off + k > size:
-                # the next slice starts at subs[0] and ends at the batch's end
-                # at the latest
-                sl = draws.peek(_SLICE * per)
-                off, size = 0, len(sl)
-                flat = sl.ravel()
-                bd_s = bdiag[flat]
-                bo_s = np.empty((size, 0))
-                if tau > 1:
-                    rr, cc = sl[:, pair[0]], sl[:, pair[1]]
-                    bo_s = b[rr, cc]
-                    cross_s = bo_s - 0.5 * a[rr, cc]
-                diag_s = bd_s - 0.5 * adiag[flat]
-                fails = np.flatnonzero(~regular(bd_s.reshape(size, tau).T, bo_s.T)).tolist()
-                fails.append(size)
-            m = 0
-            if solo:
-                solo -= 1
-            else:
-                m = min(k, fails[bisect_left(fails, off)] - off)
-            if m:
-                p, at = m * tau, off * tau
-                idx = flat[at : at + p]
-                rows = a[idx]
-                mat = np.where(lower[:p, :p], rows[:, idx], 0.0)
-                mat.ravel()[:: p + 1] = bd_s[at : at + p]
-                if tau > 1:
-                    bo, r, c = bo_s[off : off + m], upper_r[:m], upper_c[:m]
-                    mat[r, c] = bo
-                    mat[c, r] = bo
-                try:
-                    h = np.linalg.solve(mat, g[idx])
-                except np.linalg.LinAlgError:
-                    m = 0  # an overflow inside the solve: the run diverges
-            if m:
-                # each step's value decrease, term by term
-                dec = diag_s[at : at + p] * (h * h)
-                if tau > 1:
-                    cross = cross_s[off : off + m] * (h[r] * h[c])
-                    dec = dec.reshape(m, tau).sum(1) + 2.0 * cross.sum(1)
-                vals = value - dec.cumsum()
-                last = float(vals[-1])
-                # the window is taken only if every step descends, so its
-                # values fall from value to last, and stay within the limit
-                if not (dec.min() >= 0.0 and value <= _VALUE_LIMIT
-                        and last >= -_VALUE_LIMIT):
-                    m, solo = 0, per - 1
-            if m == 0:
-                s = subs[0]
-                draws.take(1)
-                state._value = value
-                state._apply(s, solve(s, g[s]))
-                value, m = state._value, 1
-            else:
-                if m > 1:
-                    # the block of the first m - 1 steps, walked on 0; a close
-                    # applies the steps whose values were yielded
-                    pending = m - 1
-                    if (yield pending, float(vals[-2])) is not None:
-                        pending = 0
-                        for v in vals[:-1].tolist():
-                            pending += 1
-                            yield v
-                _apply_window(x, g, idx, h, rows, p)
-                draws.take(m)
-                value, pending = last, 0
-            off += m
-            count += m
-            if count >= interval:
-                state._value = value
-                state.refresh()
-                g, value, count = state._g, state._value, 0
-            yield value
-    finally:
-        if pending:
-            _apply_window(x, g, idx, h, rows, pending * tau)
-            draws.take(pending)
-            value, count = float(vals[pending - 1]), count + pending
-        state._value, state._steps = value, count
+    trace, k = [], 0
+    while True:
+        subs = draws.peek(min(per, interval - count))
+        if off + len(subs) > size:
+            # the next slice starts at subs[0] and ends at the batch's end
+            # at the latest
+            sl = draws.peek(_SLICE * per)
+            off, size = 0, len(sl)
+            flat = sl.ravel()
+            bd_s = bdiag[flat]
+            bo_s = np.empty((size, 0))
+            if tau > 1:
+                rr, cc = sl[:, pair[0]], sl[:, pair[1]]
+                bo_s = b[rr, cc]
+                cross_s = bo_s - 0.5 * a[rr, cc]
+            diag_s = bd_s - 0.5 * adiag[flat]
+            fails = np.flatnonzero(~regular(bd_s.reshape(size, tau).T, bo_s.T)).tolist()
+            fails.append(size)
+        m = 0
+        if solo:
+            solo -= 1
+        else:
+            m = min(len(subs), fails[bisect_left(fails, off)] - off)
+        if m:
+            p, at = m * tau, off * tau
+            idx = flat[at : at + p]
+            rows = a[idx]
+            mat = np.where(lower[:p, :p], rows[:, idx], 0.0)
+            mat.ravel()[:: p + 1] = bd_s[at : at + p]
+            if tau > 1:
+                bo, r, c = bo_s[off : off + m], upper_r[:m], upper_c[:m]
+                mat[r, c] = bo
+                mat[c, r] = bo
+            try:
+                h = np.linalg.solve(mat, g[idx])
+            except np.linalg.LinAlgError:
+                m = 0  # an overflow inside the solve: the run diverges
+        if m:
+            # each step's value decrease, term by term
+            dec = diag_s[at : at + p] * (h * h)
+            if tau > 1:
+                cross = cross_s[off : off + m] * (h[r] * h[c])
+                dec = dec.reshape(m, tau).sum(1) + 2.0 * cross.sum(1)
+            vals = value - dec.cumsum()
+            last = float(vals[-1])
+            # the window is taken only if every step descends, so its
+            # values fall from value to last, and stay within the limit
+            if not (dec.min() >= 0.0 and value <= _VALUE_LIMIT
+                    and last >= -_VALUE_LIMIT):
+                m, solo = 0, per - 1
+        if m == 0:
+            s = subs[0]
+            draws.take(1)
+            state._value = value
+            state._apply(s, solve(s, g[s]))
+            value, m = state._value, 1
+        else:
+            # the window's steps up to the first before its last that ends
+            # the run, else all of them; the last one taken is traced and
+            # tested below
+            if m > 1 and ended(k + m - 1, float(vals[-2])) is not None:
+                m = next(j for j, v in enumerate(vals[:-1].tolist(), 1)
+                         if ended(k + j, v) is not None)
+            t = k - k % trace_every + trace_every  # the first trace point
+            if t < k + m:
+                trace += zip(range(t, k + m, trace_every),
+                             vals[t - k - 1 : m - 1 : trace_every].tolist())
+            _apply_window(x, g, idx, h, rows, m * tau)
+            draws.take(m)
+            value = float(vals[m - 1])
+        off += m
+        count += m
+        k += m
+        if count >= interval:
+            state._value = value
+            state.refresh()
+            g, value, count = state._g, state._value, 0
+        if k % trace_every == 0:
+            trace.append((k, float(value)))
+        status = ended(k, value)
+        if status is not None:
+            state._value, state._steps = value, count
+            return trace, k, value, status
 
 
-def _sparse_separable_steps(state, subsets, solve, lazy):
+def _sparse_separable_steps(state, subsets, solve, lazy, trace_every, ended):
     """Fused steps of a sparse separable state under a rowwise loss, with or
     without a ridge term: one or two coordinates add the ridge term to
     their partial-gradient entries and to the squared norm in Python floats
@@ -779,20 +783,19 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
     ``_BLOCK``-th step when the state takes checkpoints, as ``apply_step``'s
     does.  When ``lazy``, the steps from such a checkpoint to the next, the
     ``_BLOCK`` subsets that ``subsets.peek`` hands out, are stepped as one
-    block that keeps x and z alone: a gradient entry gathers z on its
-    column's rows and applies the loss's ``derivative`` there, a move
-    updates z only (a single coordinate through the rows its gradient
-    gathered), and the block's end takes ell, w and that step's exact value
-    from one ``eval`` on all rows.  A block whose end value is finite and
-    not above its start is yielded as the block (``_BLOCK``, end value) of
-    :func:`steps`; on 0 it is restored from its snapshot of x, z and the
-    squared norm and walked by stepping it again one step at a time, as is
-    a block whose end value fails that test.  Its subsets are taken from the
-    stream only when the block is taken.  A peek cut short by a batch's end,
-    or a block that would pass a refresh, steps one at a time to the next
-    checkpoint.  Both paths give bitwise the same x, z, w and checkpoint
-    values, since a rowwise ``eval`` is elementwise and ``derivative`` is
-    bitwise its w."""
+    block that keeps x and z alone, when no trace point falls strictly
+    inside it: a gradient entry gathers z on its column's rows and applies
+    the loss's ``derivative`` there, a move updates z only (a single
+    coordinate through the rows its gradient gathered), and the block's end
+    takes ell, w and that step's exact value from one ``eval`` on all rows.
+    A block whose end value is finite, not above its start and passed by
+    the stop rule is taken, and its subsets are taken from the stream; any
+    other is restored from its snapshot of x, z and the squared norm and
+    stepped again one step at a time, with the stop rule asked after each.
+    A peek cut short by a batch's end, or a block that would pass a
+    refresh, steps one at a time to the next checkpoint.  Both paths give
+    bitwise the same x, z, w and checkpoint values, since a rowwise
+    ``eval`` is elementwise and ``derivative`` is bitwise its w."""
     one, two = solve.one, solve.two
     column, loss, b = _column_step, state._obj.loss, state._obj.b
     derivative = loss.derivative
@@ -802,7 +805,6 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
     gamma, sq = state._gamma, state._sq
     interval, per, checkpoints = REFRESH_INTERVAL, _BLOCK, state._checkpoints
     isfinite = math.isfinite
-    pending = False  # a block yielded and not yet taken
 
     def step(s, value, block):
         """Steps x and the squared norm on s and z on each column's rows;
@@ -883,57 +885,58 @@ def _sparse_separable_steps(state, subsets, solve, lazy):
             value += column(loss, z, ell, w, cols[j], hj)
         return value
 
-    try:
-        while True:
-            # blocks from a checkpoint on, while the reader takes them
-            while lazy and count % per == 0 and count + per <= interval:
-                subs = subsets.peek(per)
-                if len(subs) < per:
-                    break
-                start = value + 0.5 * gamma * sq if gamma else value
-                saved = x.copy(), z.copy(), sq
-                for s in subs:
-                    step(s, 0.0, True)
-                ev, wv = loss.eval(z, b)
-                end = float(ev.sum())
-                last = end + 0.5 * gamma * sq if gamma else end
-                taken = 0
-                if isfinite(last) and last <= start:
-                    pending = True
-                    taken = yield per, last
-                    pending = False
-                if taken is not None:
-                    x[:], z[:], sq = saved
-                    break
-                subsets.take(per)
-                state._ell, state._w = ell, w = ev, wv
-                value = end
-                count += per
-                if count >= interval:
-                    state.refresh()
-                    z, ell, w, value, sq, count = (state._z, state._ell, state._w,
-                                                   state._value, state._sq, 0)
-            # then one step at a time, to the next checkpoint if lazy
-            for s in subsets:
-                value = step(s, value, False)
-                count += 1
-                if count >= interval:
-                    state.refresh()
-                    z, ell, w, value, sq, count = (state._z, state._ell, state._w,
-                                                   state._value, state._sq, 0)
-                elif checkpoints and count % per == 0:
-                    value = float(ell.sum())
-                # the value property, with its expression
-                yield value + 0.5 * gamma * sq if gamma else value
-                if lazy and count % per == 0:
-                    break
-            else:
-                return
-    finally:
-        if pending:
+    # current is the value property's expression, the value the run reads
+    trace, k, current, status = [], 0, state.value, None
+    while status is None:
+        # blocks from a checkpoint on, while no trace point falls strictly
+        # inside one and the stop rule lets each end pass
+        while (lazy and count % per == 0 and count + per <= interval
+               and (k + per - 1) // trace_every == k // trace_every):
+            subs = subsets.peek(per)
+            if len(subs) < per:
+                break
+            start = value + 0.5 * gamma * sq if gamma else value
+            saved = x.copy(), z.copy(), sq
+            for s in subs:
+                step(s, 0.0, True)
+            ev, wv = loss.eval(z, b)
+            end = float(ev.sum())
+            last = end + 0.5 * gamma * sq if gamma else end
+            if not (isfinite(last) and last <= start and ended(k + per, last) is None):
+                x[:], z[:], sq = saved
+                break
+            state._ell, state._w = ell, w = ev, wv
             subsets.take(per)
-            state._ell, state._w, value, count = ev, wv, end, count + per
-        state._value, state._sq, state._steps = value, sq, count
+            value, current = end, last
+            count += per
+            k += per
+            if k % trace_every == 0:
+                trace.append((k, last))
+            if count >= interval:
+                state.refresh()
+                z, ell, w, value, sq, count = (state._z, state._ell, state._w,
+                                               state._value, state._sq, 0)
+        # then one step at a time, to the next checkpoint if lazy
+        for s in subsets:
+            value = step(s, value, False)
+            count += 1
+            if count >= interval:
+                state.refresh()
+                z, ell, w, value, sq, count = (state._z, state._ell, state._w,
+                                               state._value, state._sq, 0)
+            elif checkpoints and count % per == 0:
+                value = float(ell.sum())
+            k += 1
+            current = value + 0.5 * gamma * sq if gamma else value
+            if k % trace_every == 0:
+                trace.append((k, current))
+            status = ended(k, current)
+            if status is not None or lazy and count % per == 0:
+                break
+        else:
+            status = "exhausted"
+    state._value, state._sq, state._steps = value, sq, count
+    return trace, k, current, status
 
 
 # ---------------------------------------------------------------------------

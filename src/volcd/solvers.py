@@ -19,16 +19,15 @@ its draws have cost as much as the table's build.
 
 This module holds a run's configuration (:class:`SolverConfig`), with the
 one stop rule (:meth:`~SolverConfig.stop_rule`), its report
-(:class:`SolverReport`) and the loop (:func:`run`).  How a subset is
-stepped is :func:`~volcd.objectives.steps`'s.  A run ends with a status:
+(:class:`SolverReport`) and the entry point (:func:`run`).  The loop, and
+how a subset is stepped, are :func:`~volcd.objectives.steps`'s.  A run
+ends with a status:
 ``"diverged"`` at the first non-finite value, ``"converged"`` at the target
 gap, ``"budget"`` at the iteration budget, or ``"exhausted"`` when the
-forced subsets run out; ``capped`` is derived from it.  The loop counts,
-traces and asks the stop rule, and reads the state only through ``value``
-and ``x``; it silences numpy's overflow warnings, which the status replaces.
-It takes the steps' values one at a time, and a block of steps as its
-length and last value, whole only when the stop rule lets its last value
-pass (see :func:`run`).
+forced subsets run out; ``capped`` is derived from it.  :func:`run`
+builds the run, reads the state only through ``value`` and ``x``, and
+silences numpy's overflow warnings, which the status replaces; the steps
+count, trace and ask the stop rule in one loop (see :func:`run`).
 
 A run is strictly sequential; run several configs concurrently by giving
 each its own seed.
@@ -159,19 +158,18 @@ def run(obj, b, config: SolverConfig):
     except that a dense B with a non-finite entry raises ``ValueError``.
     This is the one solver entry point: it dispatches on ``config.method``.
 
-    The steps yield a float per step or a block of steps as the tuple
-    (length, last value) (:func:`~volcd.objectives.steps`).  A block is
-    taken whole when no step but its last is traced, whose value it
-    traces, and the stop rule lets its last value pass.  Otherwise it is
-    sent 0 and its values are walked one at a time, as floats are; a stop
-    inside it closes the steps, which apply exactly the steps walked.
+    ``run`` checks the config, builds the state and the subset stream, and
+    asks the stop rule at the start; :func:`~volcd.objectives.steps` runs
+    the loop, which counts, traces and asks the stop rule after each step,
+    and ``run`` reports its outcome.
 
-    A window's last value is its least, so taking it whole stops where the
-    per-step path stops.  A lazy block's last value is not above its first,
-    which the steps check, but its other values are unseen: when B bounds
-    f they fall from first to last, and a lazy run stops at the per-step
-    run's step up to rounding at the target, where a value inside a block
-    may round to the target while the block's end rounds above it.  When B
+    A window's values fall, so asking the stop rule at the last of them
+    stops where the per-step path stops.  A lazy block's last value is not
+    above its first, which the steps check, but its other values are
+    unseen: the stop rule is asked at its end alone.  When B bounds f they
+    fall from first to last, and a lazy run stops at the per-step run's
+    step up to rounding at the target, where a value inside a block may
+    round to the target while the block's end rounds above it.  When B
     does not bound f, a value inside a block may meet the target while the
     block's end does not, and the run takes the block and stops later.
     """
@@ -196,36 +194,15 @@ def run(obj, b, config: SolverConfig):
 
     value = state.value
     trace = [(0, float(value))]
-    trace_every, ended = config.trace_every, config.stop_rule()
+    ended = config.stop_rule()
     k = 0
     status = ended(0, value)
     if status is None:
         # a diverging run overflows on its way to its "diverged" value
         with np.errstate(over="ignore", invalid="ignore"):
-            stepper = objectives.steps(state, subsets, b, exact=config.method != "sdna",
-                                       trace_every=trace_every)
-            for value in stepper:
-                if type(value) is tuple:
-                    # a block: its length and its last value, taken whole
-                    # when no step but its last is traced and the stop rule
-                    # lets its last value pass, else walked value by value
-                    end, last = k + value[0], value[1]
-                    if (end - 1) // trace_every == k // trace_every and ended(end, last) is None:
-                        k, value = end, last
-                        if k % trace_every == 0:
-                            trace.append((k, value))
-                        continue
-                    value = stepper.send(0)
-                k += 1
-                if k % trace_every == 0:
-                    trace.append((k, float(value)))
-                status = ended(k, value)
-                if status is not None:
-                    break
-            else:
-                status = "exhausted"
-            # a close takes a block at its tuple, and the steps walked inside it
-            stepper.close()
+            points, k, value, status = objectives.steps(
+                state, subsets, b, config.method != "sdna", config.trace_every, ended)
+        trace += points
 
     if trace[-1][0] != k:
         trace.append((k, float(value)))

@@ -127,8 +127,9 @@ def test_sparse_curvature_builders_never_import_scipy(tmp_path):
 
 
 def test_solvers_reads_no_private_attribute():
-    # solvers steps a state through objectives.steps and reads only its value
-    # and x: how a state is laid out is known to objectives alone
+    # solvers hands a state to objectives.steps, which runs the loop, and
+    # reads only its value and x: how a state is laid out is known to
+    # objectives alone
     path = Path(volcd.__file__).with_name("solvers.py")
     tree = ast.parse(path.read_text(encoding="utf-8"))
     private = [

@@ -848,19 +848,20 @@ def test_dense_sdna_pseudoinverse_steps_keep_the_value_on_the_objective(monkeypa
     assert abs(rep.final_value - full) <= 1e-12 * max(1.0, abs(full))
 
 
-def test_dense_forced_subsets_of_sizes_one_to_five_take_their_newton_steps():
+def test_dense_forced_subsets_of_sizes_one_to_five_take_their_newton_steps(monkeypatch):
     # off the window a dense quadratic steps through its public methods,
     # whose _apply has one branch for a single coordinate and one for more
     obj = spd_quadratic(np.random.default_rng(17), 12)
     rng = np.random.default_rng(18)
     forced = [np.sort(rng.choice(12, size=1 + p % 5, replace=False)) for p in range(60)]
-    stepper = objectives.steps(obj.init_state(np.zeros(12)), iter(forced), obj.a, exact=True)
-    assert stepper.__name__ == "_public_steps"
     expected = _newton_steps(obj.a, obj.b, np.zeros(12), forced)
+    calls = _path_spy(monkeypatch, "_public_steps")
     for method in ("rcdvs", "sdna"):
         cfg = SolverConfig(method=method, tau=2, max_iters=len(forced),
                            forced_subsets=forced, trace_every=1, record_subsets=True)
+        calls.clear()
         rep = run(obj, obj.a, cfg)
+        assert len(calls) == 1
         assert rep.iterations == len(forced)
         assert [s.tolist() for s in rep.subsets] == [s.tolist() for s in forced]
         assert np.abs(rep.x_final - expected).max() <= 1e-10 * np.abs(expected).max()
@@ -953,17 +954,23 @@ def test_rcdvs_50_runs_where_every_minor_fell_under_the_diagonal_product():
 _WINDOW_RTOL = 1e-10
 
 
-def _window_spy(monkeypatch):
-    """Counts the runs that take the windowed steps."""
+def _path_spy(monkeypatch, name):
+    """The arguments of each call of the step path of ``objectives`` named
+    ``name``, the state first and the subset stream second."""
     calls = []
-    window = objectives._dense_window_steps
+    path = getattr(objectives, name)
 
     def spy(*args):
-        calls.append(1)
-        return window(*args)
+        calls.append(args)
+        return path(*args)
 
-    monkeypatch.setattr(objectives, "_dense_window_steps", spy)
+    monkeypatch.setattr(objectives, name, spy)
     return calls
+
+
+def _window_spy(monkeypatch):
+    """The arguments of each run's windowed steps."""
+    return _path_spy(monkeypatch, "_dense_window_steps")
 
 
 def _window_and_replay(monkeypatch, obj, b, cfg):
@@ -973,7 +980,7 @@ def _window_and_replay(monkeypatch, obj, b, cfg):
     with np.errstate(all="ignore"):
         windowed = run(obj, b, replace(cfg, record_subsets=True))
         replay = run(obj, b, replace(cfg, forced_subsets=windowed.subsets))
-    assert calls == [1]
+    assert len(calls) == 1
     return windowed, replay
 
 
@@ -1104,110 +1111,82 @@ def test_window_value_stays_on_the_objective_over_200k_steps(method, tau):
     assert abs(rep.final_value - full) <= 1e-9 * abs(full)
 
 
-def _yielded(stepper, count):
-    """The next ``count`` values of the steps as floats, a block's walked:
-    at its (length, last value) it sends 0 and collects the block's length
-    values; the steps must yield exactly that many."""
-    values = []
-    while len(values) < count:
-        value = next(stepper)
-        if type(value) is tuple:
-            length, value = value[0], stepper.send(0)
-            values += [value] + [next(stepper) for _ in range(length - 1)]
-        else:
-            values.append(value)
-    assert len(values) == count
-    return values
-
-
 _BLOCK_CASES = ([("dense", method, tau) for method in ("rcdvs", "sdna") for tau in (1, 2, 3, 8)]
                 + [(kind, "rcdvs", tau) for kind in ("huber", "ridge-logistic")
                    for tau in (1, 2, 3)])
 
 
 @pytest.mark.parametrize("kind, method, tau", _BLOCK_CASES)
-def test_a_block_is_its_length_and_last_value_and_a_close_applies_the_values_yielded(
-        tmp_path, kind, method, tau):
-    # a dense window's first steps and a sparse rowwise run's lazy block
-    # alike: a block is yielded as (length, last value), and every other
-    # value as a float; 0 sent at a block walks its length values, the
-    # last bitwise the block's; a close at the block takes it, and a close
-    # inside the walk applies the steps walked
+def test_a_stop_inside_a_block_applies_and_logs_exactly_the_steps_before_it(
+        monkeypatch, tmp_path, kind, method, tau):
+    # a budget that ends the run at step j of its second block, a dense
+    # window or a sparse rowwise run's lazy block alike: the untraced run
+    # takes the first block whole, then applies and logs exactly j steps
+    # of the second, a window's first j taken from the stream at once and a
+    # lazy block's stepped one at a time; its x and value are bitwise those
+    # of the run traced at every step
     if kind == "dense":
         obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
         b = obj.curvature_matrix()
+        length = objectives._WINDOW // tau
     else:
         obj, b = _sparse_separable(kind, tmp_path)
-    stream = _stream(method, b, tau)
+        length = objectives._BLOCK
     x0 = np.random.default_rng(4).standard_normal(obj.n)
-
-    def first_block():
-        """A fresh run's steps, its log and state, and its first block; the
-        values before it must be floats."""
-        log, state = [], obj.init_state(x0)
-        stepper = objectives.steps(state, stream.draws(RngStream(5), solvers._SAMPLE_CHUNK, log),
-                                   b, exact=method != "sdna", trace_every=2**62)
-        for _ in range(1000):
-            value = next(stepper)
-            if type(value) is tuple:
-                return stepper, log, state, value
-            assert isinstance(value, float)
-        pytest.fail("no block in 1000 values")
-
-    stepper, log, state, block = first_block()
-    length, last = block
-    assert len(block) == 2 and type(length) is int and length > 1 and isinstance(last, float)
-    walked = [stepper.send(0)] + [next(stepper) for _ in range(length - 1)]
-    assert all(isinstance(value, float) for value in walked)
-    assert np.float64(walked[-1]).tobytes() == np.float64(last).tobytes()
-    stepper.close()
-    stepper, log, state, (length, last) = first_block()
-    before = len(log)
-    stepper.close()
-    assert len(log) == before + length and state.value == last
+    base = SolverConfig(method=method, tau=tau, seed=5, x0=x0, record_subsets=True)
+    taken, _ = _block_spy(monkeypatch)
     for j in sorted({1, length // 2, length - 1, length}):
-        stepper, log, state, _ = first_block()
-        before = len(log)
-        walked = [stepper.send(0)] + [next(stepper) for _ in range(j - 1)]
-        stepper.close()
-        assert len(log) == before + j and state.value == walked[-1]
+        cfg = replace(base, max_iters=length + j)
+        taken.clear()
+        untraced = run(obj, b, replace(cfg, trace_every=2**62))
+        assert taken == ([length, j] if kind == "dense" else [length]), j
+        assert untraced.iterations == len(untraced.subsets) == length + j
+        assert untraced.status == "budget"
+        _assert_same_run(untraced, run(obj, b, replace(cfg, trace_every=1)))
 
 
-def test_window_raises_at_the_singular_blocks_step():
+def test_window_raises_at_the_singular_blocks_step(monkeypatch):
     # the third pair is the singular block {0, 1}: the window takes the two
-    # pairs before it, and the per-step step raises on it
+    # pairs before it, and the per-step step raises on it after the stream
+    # has logged it
     a = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 2.0]])
     obj = QuadraticObjective(a, np.array([1.0, 0.5, 0.5]))
     batch = np.array([[0, 2], [1, 2], [0, 1], [0, 2]])
-    draws = Draws(iter([batch]), 2, log=[])
-    state = obj.init_state(np.zeros(3))
-    stepper = objectives.steps(state, draws, a, exact=True)
-    assert stepper.__name__ == "_dense_window_steps"
-    values = _yielded(stepper, 2)
-    with pytest.raises(SingularSubmatrix):
-        next(stepper)
     replay = run(obj, a, SolverConfig(method="rcdvs", tau=2, max_iters=2,
                                       forced_subsets=list(batch[:2])))
-    assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-14)
-    assert state.x == pytest.approx(replay.x_final, rel=1e-14)
-    assert np.array_equal(np.array(draws.log), batch[:3])
+    calls = _window_spy(monkeypatch)
+    for budget, logged in ((2, 2), (10, 3)):
+        state, draws = obj.init_state(np.zeros(3)), Draws(iter([batch]), 2, log=[])
+        ended = SolverConfig(max_iters=budget).stop_rule()
+        if budget == 2:
+            trace, k, _, status = objectives.steps(state, draws, a, True, 1, ended)
+            assert (k, status) == (2, "budget")
+            assert [f for _, f in trace] == pytest.approx([f for _, f in replay.trace[1:]],
+                                                          rel=1e-14)
+        else:
+            with pytest.raises(SingularSubmatrix):
+                objectives.steps(state, draws, a, True, 1, ended)
+        assert state.x == pytest.approx(replay.x_final, rel=1e-14)
+        assert np.array_equal(np.array(draws.log), batch[:logged])
+    assert len(calls) == 2
 
 
-def test_closing_a_window_inside_its_block_applies_the_blocks_steps():
-    # a reader that walks a block and closes the steps at its last value
-    # has the steps of every value the block held applied and logged
+def test_a_stop_at_the_end_of_a_windows_first_steps_applies_and_logs_them(monkeypatch):
+    # a budget of 23 ends an rcdvs:2 run at the last of its first window's
+    # 23 steps before the window's last: exactly those steps are applied
+    # and logged, with the per-step replay's values
     obj, _, _ = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
     b = obj.curvature_matrix()
-    draws = make_sampler(b, 2).draws(RngStream(5), 4096, log=[])
-    state = obj.init_state(np.zeros(40))
-    stepper = objectives.steps(state, draws, b, exact=True)
-    values = _yielded(stepper, 23)
-    stepper.close()
-    assert len(draws.log) == 23
-    replay = run(obj, b, SolverConfig(method="rcdvs", tau=2, max_iters=23,
-                                      forced_subsets=draws.log))
-    assert state.value == values[-1]
-    assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-12)
+    taken, _ = _block_spy(monkeypatch)
+    calls = _window_spy(monkeypatch)
+    cfg = SolverConfig(method="rcdvs", tau=2, seed=5, max_iters=23, trace_every=1,
+                       record_subsets=True)
+    rep = run(obj, b, cfg)
+    assert len(calls) == 1 and taken == [23] and len(rep.subsets) == 23
+    state = calls[0][0]
+    replay = run(obj, b, replace(cfg, forced_subsets=rep.subsets))
+    assert state.value == rep.final_value == rep.trace[-1][1]
+    assert [f for _, f in rep.trace] == pytest.approx([f for _, f in replay.trace], rel=1e-12)
     assert np.abs(state.x - replay.x_final).max() <= _WINDOW_RTOL * np.abs(replay.x_final).max()
 
 
@@ -1219,7 +1198,8 @@ def test_closing_a_window_inside_its_block_applies_the_blocks_steps():
         [[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],  # second pivot exactly 0
     ],
 )
-def test_window_meets_a_singular_three_block_as_the_per_step_path_does(method, singular):
+def test_window_meets_a_singular_three_block_as_the_per_step_path_does(
+        monkeypatch, method, singular):
     # the third subset is the singular block {0, 1, 2}: the window takes the
     # two subsets before it; at the block rcdvs raises and sdna takes its
     # pseudoinverse step, and the stream has logged up to that block
@@ -1228,23 +1208,24 @@ def test_window_meets_a_singular_three_block_as_the_per_step_path_does(method, s
     a[3:, 3:] = [[2.0, 1.0], [1.0, 2.0]]
     obj = QuadraticObjective(a, np.array([1.0, 0.5, 0.5, -1.0, 0.25]))
     batch = np.array([[0, 3, 4], [2, 3, 4], [0, 1, 2], [1, 3, 4]])
-    draws = Draws(iter([batch]), 3, log=[])
-    state = obj.init_state(np.zeros(5))
-    stepper = objectives.steps(state, draws, a, exact=method == "rcdvs")
-    assert stepper.__name__ == "_dense_window_steps"
-    values = _yielded(stepper, 2)
-    if method == "rcdvs":
-        with pytest.raises(SingularSubmatrix):
-            next(stepper)
-        taken = 2
-    else:
-        values += _yielded(stepper, 1)
-        taken = 3
+    taken = 3 if method == "sdna" else 2
     replay = run(obj, a, SolverConfig(method=method, tau=3, max_iters=taken,
                                       forced_subsets=list(batch[:taken])))
-    assert values == pytest.approx([f for _, f in replay.trace[1:]], rel=1e-14)
-    assert state.x == pytest.approx(replay.x_final, rel=1e-14, abs=1e-14)
-    assert np.array_equal(np.array(draws.log), batch[:3])
+    calls = _window_spy(monkeypatch)
+    for budget in (taken, 3) if method == "rcdvs" else (taken,):
+        state, draws = obj.init_state(np.zeros(5)), Draws(iter([batch]), 3, log=[])
+        ended = SolverConfig(max_iters=budget).stop_rule()
+        if budget == taken:
+            trace, k, _, status = objectives.steps(state, draws, a, method == "rcdvs", 1, ended)
+            assert (k, status) == (taken, "budget")
+            assert [f for _, f in trace] == pytest.approx([f for _, f in replay.trace[1:]],
+                                                          rel=1e-14)
+        else:
+            with pytest.raises(SingularSubmatrix):
+                objectives.steps(state, draws, a, True, 1, ended)
+        assert state.x == pytest.approx(replay.x_final, rel=1e-14, abs=1e-14)
+        assert np.array_equal(np.array(draws.log), batch[:budget])
+    assert len(calls) == 1 + (method == "rcdvs")
 
 
 def _assert_same_run(a, b):
@@ -1262,23 +1243,20 @@ def _assert_same_trace(traced, walked, every):
 
 @pytest.mark.parametrize("method, tau", _WINDOWED)
 def test_a_block_taken_whole_is_bitwise_its_value_by_value_walk(monkeypatch, method, tau):
-    # trace_every = 2**62 lets run take each block of values whole unless
-    # it may stop inside; trace_every = 1 walks every block value by value;
-    # trace_every = per - 1 takes and traces a block whose last value lands
-    # on a trace point, and walks one with a trace point inside
+    # trace_every = 2**62 traces no value of a window, trace_every = 1 every
+    # value, read from the window's values before it is applied, and
+    # trace_every = per - 1 a window's last value or one inside it: the
+    # three runs are bitwise one run, whose stop inside a window finds the
+    # first value the stop rule names
     obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=40, lam1=400.0, seed=3))
     b = obj.curvature_matrix()
     x0 = np.random.default_rng(4).standard_normal(40)
     per = objectives._WINDOW // tau
     base = SolverConfig(method=method, tau=tau, seed=5, x0=x0, record_subsets=True)
-    # the first two windows are whole: a block of per - 1 values, then a float
-    stepper = objectives.steps(obj.init_state(x0), _stream(method, b, tau).draws(
-        RngStream(5), solvers._SAMPLE_CHUNK), b, exact=method != "sdna")
-    sizes = [value[0] if type(value) is tuple else 1 for value in
-             (next(stepper) for _ in range(4))]
-    stepper.close()
-    assert sizes == [per - 1, 1, per - 1, 1]
+    # the first two windows are whole: the stream hands out per subsets twice
+    taken, _ = _block_spy(monkeypatch)
     values = [f for _, f in run(obj, b, replace(base, max_iters=2 * per, trace_every=1)).trace]
+    assert taken == [per, per]
     cases = []
     # gap stops at the first, a middle and the last value of the second
     # block that lowers the value: a step that lowers it by 0 cannot be
@@ -1299,7 +1277,7 @@ def test_a_block_taken_whole_is_bitwise_its_value_by_value_walk(monkeypatch, met
             whole = run(obj, curvature, replace(base, trace_every=2**62, **stop))
             walked = run(obj, curvature, replace(base, trace_every=1, **stop))
             ends = run(obj, curvature, replace(base, trace_every=per - 1, **stop))
-        assert calls == [1, 1, 1]
+        assert len(calls) == 3
         _assert_same_run(whole, walked)
         _assert_same_trace(ends, walked, per - 1)
         if expected is None:
@@ -1345,7 +1323,7 @@ def test_window_stops_where_check_stop_does(monkeypatch, method, tau, early):
     calls = _window_spy(monkeypatch)
     whole = run(obj, b, replace(cfg, trace_every=2**62))
     walked = run(obj, b, cfg)
-    assert calls == [1, 1]
+    assert len(calls) == 2
     _assert_same_run(whole, walked)
     assert whole.iterations == stop
 
@@ -1411,19 +1389,17 @@ def test_window_steps_past_the_value_limit_one_subset_at_a_time(monkeypatch, met
 
 
 def test_subsets_wider_than_the_window_take_one_subset_windows(monkeypatch):
-    # tau = 50 > _WINDOW: every window holds one subset, whose step is
-    # yielded as a float and solved by np.linalg.solve on B[S, S]
+    # tau = 50 > _WINDOW: every window holds one subset, taken from the
+    # stream alone, whose step is solved by np.linalg.solve on B[S, S]
     obj, _, f_star = gen_quadratic(ProblemSpec(kind="quadratic", n=60, lam1=400.0, seed=3))
     b = obj.curvature_matrix()
     x0 = np.random.default_rng(4).standard_normal(60)
-    stepper = objectives.steps(obj.init_state(x0), _stream("sdna", b, 50).draws(
-        RngStream(5), solvers._SAMPLE_CHUNK), b, exact=False)
-    assert stepper.__name__ == "_dense_window_steps"
-    assert all(isinstance(next(stepper), float) for _ in range(20))
-    stepper.close()
+    taken, _ = _block_spy(monkeypatch)
     for stop in (dict(target_gap=1e-9, f_star=f_star, max_iters=100_000), dict(max_iters=40)):
         cfg = SolverConfig(method="sdna", tau=50, seed=5, x0=x0, trace_every=1, **stop)
+        taken.clear()
         windowed, replay = _window_and_replay(monkeypatch, obj, b, cfg)
+        assert taken == [1] * windowed.iterations
         _assert_agree(windowed, replay)
         assert 0 < windowed.iterations < 100_000 and not windowed.capped
         drawn = _stream("sdna", b, 50).sample_many(RngStream(5), windowed.iterations)
@@ -1718,15 +1694,19 @@ def test_sparse_huber_value_does_not_drift_over_a_long_run(method, tau, kind):
     assert abs(rep.final_value - full) <= 1e-10 * max(1.0, abs(full))
 
 
-def _block_spy(monkeypatch):
+def _block_spy(monkeypatch, starts=None):
     """The lengths of the runs of subsets that ``Draws.take`` took, and the
     ``lazy`` flag of each fused sparse step built: the fused step takes a
-    stream's subsets through ``take`` only for a block taken whole."""
+    stream's subsets through ``take`` only for a block taken whole.  A
+    ``starts`` list gets the step each run of subsets starts at, the length
+    of the stream's log."""
     taken, flags = [], []
     take, fused = Draws.take, objectives._sparse_separable_steps
 
     def take_spy(draws, m):
         taken.append(m)
+        if starts is not None:
+            starts.append(len(draws.log))
         take(draws, m)
 
     def fused_spy(*args):
@@ -1742,14 +1722,22 @@ def _block_spy(monkeypatch):
 @pytest.mark.parametrize("kind", _SPARSE_KINDS)
 def test_an_untraced_sparse_run_takes_blocks_bitwise_its_forced_replay(
         monkeypatch, tmp_path, kind, method, tau):
-    # untraced, a sampled run steps in blocks and replays the block where it
+    # untraced, a sampled run steps in blocks and steps the block where it
     # stops one step at a time; its forced replay steps one at a time
     # throughout, and both end alike, by the gap and by the budget
     obj, b = _sparse_separable(kind, tmp_path)
     x0 = np.random.default_rng(31).standard_normal(obj.n)
     f0 = obj.value(x0)
     f_ref = run(obj, b, SolverConfig(method="rcd", max_iters=2000, seed=32, x0=x0)).final_value
-    taken, flags = _block_spy(monkeypatch)
+    starts, peeks = [], []
+    taken, flags = _block_spy(monkeypatch, starts)
+    peek = Draws.peek
+
+    def peek_spy(draws, k):
+        peeks.append(k)
+        return peek(draws, k)
+
+    monkeypatch.setattr(Draws, "peek", peek_spy)
     per = objectives._BLOCK
     for stop in (dict(target_gap=1e-7 * (f0 - f_ref), f_star=f_ref, max_iters=20_000),
                  dict(max_iters=777)):
@@ -1766,22 +1754,33 @@ def test_an_untraced_sparse_run_takes_blocks_bitwise_its_forced_replay(
         assert flags == [False] and taken == []
         assert _outcome(sampled) == _outcome(replay)
         assert sampled.status == ("budget" if "target_gap" not in stop else "converged")
-        # a run traced at a multiple of the block's length takes blocks,
-        # and traces each block's last value; other traced runs take none
-        traced = run(obj, b, replace(cfg, trace_every=2 * per))
-        assert flags[-1] is True and taken and set(taken) == {per}
-        replay = run(obj, b, replace(cfg, trace_every=2 * per, forced_subsets=traced.subsets))
-        assert _outcome(traced) == _outcome(replay)
-        assert len(traced.trace) == 2 + traced.iterations // (2 * per)
-        taken.clear()
-        for every in (1, 7, per + 16):
+        # a traced run takes the blocks that hold no trace point but their
+        # last step, at any interval, and traces a block's last value where
+        # it is one; 48 = per + 16 is no multiple of the block's length
+        for every in (2 * per, per + 16, 100, 1000):
+            taken.clear()
+            starts.clear()
             traced = run(obj, b, replace(cfg, trace_every=every))
-            assert flags[-1] is False and taken == []
+            assert flags[-1] is True and taken and set(taken) == {per}
+            assert all((k + per - 1) // every == k // every for k in starts), every
+            replay = run(obj, b, replace(cfg, trace_every=every, forced_subsets=traced.subsets))
+            assert _outcome(traced) == _outcome(replay)
+            assert _outcome(traced)[:3] == _outcome(sampled)[:3]
+            assert [k for k, _ in traced.trace] == sorted(
+                {*range(0, traced.iterations, every), traced.iterations})
+        # below the block's length every block holds a trace point: none is
+        # computed, and the run steps one step at a time
+        for every in (1, 7):
+            taken.clear()
+            peeks.clear()
+            traced = run(obj, b, replace(cfg, trace_every=every))
+            assert flags[-1] is True and taken == [] and peeks == []
             assert _outcome(traced)[:3] == _outcome(sampled)[:3]
 
 
 @pytest.mark.parametrize("kind", ["huber", "ridge-logistic"])
-def test_a_sparse_rowwise_value_is_the_exact_sum_at_every_blocks_end(tmp_path, kind):
+def test_a_sparse_rowwise_value_is_the_exact_sum_at_every_blocks_end(
+        monkeypatch, tmp_path, kind):
     # at every _BLOCK-th step the value is bitwise the loss summed afresh at
     # the state's z plus its ridge term, whether the state steps one step
     # at a time through its public methods or the fused step, or in blocks
@@ -1804,59 +1803,56 @@ def test_a_sparse_rowwise_value_is_the_exact_sum_at_every_blocks_end(tmp_path, k
         if k % per == 0:
             assert public.value == exact(public)
             ends.append((public.value, public.x.tobytes()))
-    for every in (1, 2**62):
+    calls = _path_spy(monkeypatch, _SPARSE_LOOP)
+    taken, _ = _block_spy(monkeypatch)
+    for every in (1, per):
         for blocks in range(1, 4):
+            # a budget at a block's end: traced at every block's end, the run
+            # takes the blocks before it whole, and the last, where it stops,
+            # one step at a time
+            calls.clear()
+            taken.clear()
             state = obj.init_state(np.zeros(obj.n))
-            stepper = objectives.steps(state, sampler.draws(RngStream(41), 256), b, True,
-                                       trace_every=every)
-            values = [next(stepper) for _ in range(blocks if every > 1 else blocks * per)]
-            # untraced, each value is a block's (length, last value); the
-            # close at the last block's end takes that block
-            stepper.close()
-            if every > 1:
-                assert [length for length, _ in values] == [per] * blocks
-                values = [last for _, last in values]
+            trace, k, value, status = objectives.steps(
+                state, sampler.draws(RngStream(41), 256), b, True, every,
+                SolverConfig(max_iters=blocks * per).stop_rule())
+            assert len(calls) == 1 and (k, status) == (blocks * per, "budget")
+            assert taken == ([per] * (blocks - 1) if every == per else [])
             assert state._steps == blocks * per
-            assert values[-1] == state.value == exact(state) == ends[blocks - 1][0]
+            assert value == state.value == exact(state) == ends[blocks - 1][0]
             assert state.x.tobytes() == ends[blocks - 1][1]
+            assert [f for j, f in trace if j % per == 0] == [f for f, _ in ends[:blocks]]
 
 
 @pytest.mark.parametrize("tau", [1, 2, 3])
 @pytest.mark.parametrize("kind", _SPARSE_KINDS)
-def test_a_lazy_block_reads_no_stored_derivative(tmp_path, kind, tau):
+def test_a_lazy_block_reads_no_stored_derivative(monkeypatch, tmp_path, kind, tau):
     # a block keeps x and z and takes w from its end's eval: with the
-    # state's w poisoned by NaN just before a block that is then taken
-    # whole, x, the value and the next block's end are bitwise the forced
-    # replay's
+    # state's w poisoned by NaN at the first block's end, the next two
+    # blocks are taken whole, and x, w, the subsets and the value at every
+    # block's end are bitwise the forced replay's
     obj, b = _sparse_separable(kind, tmp_path)
     per = objectives._BLOCK
     x0 = np.random.default_rng(31).standard_normal(obj.n)
-    state, log = obj.init_state(x0), []
-    stepper = objectives.steps(state, make_sampler(b, tau).draws(RngStream(42), 256, log), b,
-                               True, trace_every=2**62)
-    # walk the first block, so that the per-step path leaves w behind
-    assert type(next(stepper)) is tuple
-    walked = [stepper.send(0)] + [next(stepper) for _ in range(per - 1)]
-    state._w[:] = np.nan
-    second = next(stepper)
-    assert type(second) is tuple and second[0] == per
-    x_second = state.x.copy()
-    third = next(stepper)  # takes the second block whole
-    assert type(third) is tuple and np.isfinite(third[1])
-    stepper.close()  # takes the third
-    assert len(log) == 3 * per
+    calls = _path_spy(monkeypatch, _SPARSE_LOOP)
+    taken = []
+    take = Draws.take
 
-    replay = obj.init_state(x0)
-    forced = objectives.steps(replay, iter(log), b, True)
-    values = [next(forced) for _ in range(2 * per)]
-    x_replay = replay.x.copy()
-    values += [next(forced) for _ in range(per)]
-    forced.close()
-    assert np.array(walked).tobytes() == np.array(values[:per]).tobytes()
-    assert second[1] == values[2 * per - 1] and x_second.tobytes() == x_replay.tobytes()
-    assert third[1] == values[-1] == state.value == replay.value
-    assert state.x.tobytes() == replay.x.tobytes()
-    assert state._w.tobytes() == replay._w.tobytes()
+    def poison(draws, m):
+        if not taken:
+            calls[0][0]._w[:] = np.nan
+        taken.append(m)
+        take(draws, m)
+
+    monkeypatch.setattr(Draws, "take", poison)
+    cfg = SolverConfig(method="rcdvs", tau=tau, seed=42, x0=x0, max_iters=3 * per + 1,
+                       trace_every=per, record_subsets=True)
+    lazy = run(obj, b, cfg)
+    assert taken == [per] * 3 and len(lazy.subsets) == 3 * per + 1
+    replay = run(obj, b, replace(cfg, forced_subsets=lazy.subsets))
+    assert _outcome(lazy) == _outcome(replay)
+    assert [k for k, _ in lazy.trace] == [0, per, 2 * per, 3 * per, 3 * per + 1]
+    assert calls[0][0]._w.tobytes() == calls[1][0]._w.tobytes()
 
 
 def test_a_lazy_block_under_a_b_that_does_not_bound_f_may_pass_the_target(tmp_path):
@@ -1926,7 +1922,7 @@ def test_a_tall_sparse_state_takes_no_checkpoints_and_no_blocks(monkeypatch):
     pytest.param("ridge-logistic", 2**62, id="ridge-logistic-untraced"),
 ])
 def test_a_run_draws_exactly_one_subset_per_iteration(monkeypatch, tmp_path, kind, trace_every):
-    # the steps take a subset only when the loop asks for the next value: a
+    # the steps take a subset from the stream only for a step they apply: a
     # run that stops at the gap or at its budget has consumed the first k
     # subsets of its stream, through the window (a dense quadratic's sdna
     # run), the fused sparse step and the public methods alike.  Untraced,
@@ -1992,7 +1988,7 @@ _PATHS = {"per-step": "_public_steps", "window": "_dense_window_steps", "fused":
 
 
 def _ended(monkeypatch, path, obj, b, cfg):
-    """The report of ``run``, which must take the step generator of
+    """The report of ``run``, which must take the step path of
     ``objectives`` that ``path`` names, with every warning an error."""
     calls = []
     loop = getattr(objectives, _PATHS[path])
@@ -2092,7 +2088,6 @@ def _scaled_quadratic(kind, k):
     return QuadraticObjective(a, np.ldexp(np.random.default_rng(5).standard_normal(120), k))
 
 
-@functools.cache
 def _scale_runs(kind, k):
     """Per cell, a sampled 300-step run on the problem scaled by 2^k and a
     forced replay of the subsets the unscaled run drew; then the exact
@@ -2103,11 +2098,19 @@ def _scale_runs(kind, k):
     for method, tau in _SCALE_CELLS:
         cfg = SolverConfig(method=method, tau=tau, max_iters=300, seed=3, record_subsets=True)
         sampled = run(obj, obj.a, cfg)
-        drawn = _scale_runs(kind, 0)[0][method, tau][0].subsets if k else sampled.subsets
+        drawn = _unscaled_runs(kind)[0][method, tau][0].subsets if k else sampled.subsets
         runs[method, tau] = sampled, run(obj, obj.a, replace(cfg, forced_subsets=drawn))
     exact = [exact_probabilities(obj.a, tau) for tau in (2, 3)]
     pairs = SparseTwoSampler(obj.a).sample_many(RngStream(1), 5000) if kind == "csr" else None
     return runs, exact, pairs
+
+
+@functools.cache
+def _unscaled_runs(kind):
+    """``_scale_runs(kind, 0)``, which every scale's case reads: kept for the
+    session, while each scaled case's runs and exact probabilities (37 MB
+    for a CSR B) are freed when its test ends."""
+    return _scale_runs(kind, 0)
 
 
 @pytest.mark.parametrize("k", [-1000, -600, -530, 480, 520, 1000])
@@ -2122,7 +2125,7 @@ def test_a_run_at_any_scale_of_b_draws_the_subsets_and_iterates_of_b(kind, k):
         else:
             assert x.tobytes() == ref.tobytes()
 
-    base, base_exact, base_pairs = _scale_runs(kind, 0)
+    base, base_exact, base_pairs = _unscaled_runs(kind)
     runs, exact, pairs = _scale_runs(kind, k)
     for cell, (sampled, forced) in runs.items():
         ref_sampled, ref_forced = base[cell]

@@ -19,7 +19,7 @@ def test_same_iterates_passes_its_own_tree():
     rows = [line.split() for line in done.stdout.splitlines() if line.startswith("dense-n10/")]
     # each cell's sampled runs, then their forced replays
     assert [row[0] for row in rows] == [name for cell in cells for name in (cell, cell + "/forced")]
-    assert all(row[1:] == ["24", "equal", "equal", "equal", "equal", "-"] for row in rows)
+    assert all(row[1:] == ["30", "equal", "equal", "equal", "equal", "-"] for row in rows)
     assert done.stdout.rstrip().endswith("0 undeclared difference(s)")
 
 
@@ -35,10 +35,10 @@ def test_same_iterates_fails_on_a_difference_unless_declared(tmp_path):
     done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1")
     assert done.returncode == 1, done.stdout + done.stderr
     row, replay = (line for line in done.stdout.splitlines() if line.startswith("dense-n10/"))
-    assert row.split()[1:6] == ["24", "equal", "equal", "DIFFER", "DIFFER"]
+    assert row.split()[1:6] == ["30", "equal", "equal", "DIFFER", "DIFFER"]
     assert row.endswith("UNDECLARED") and 0 < float(row.split()[6]) < 1e-10
     # forced replays take no window, so they stay bitwise
-    assert replay.split() == ["dense-n10/rcd:1/forced", "24", "equal", "equal", "equal", "equal",
+    assert replay.split() == ["dense-n10/rcd:1/forced", "30", "equal", "equal", "equal", "equal",
                               "-"]
     assert done.stdout.rstrip().endswith("1 undeclared difference(s)")
     done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/rcd:1")
@@ -58,8 +58,8 @@ def test_same_iterates_reports_a_failing_tree_as_error_rows(tmp_path):
     assert done.returncode == 1, done.stdout + done.stderr
     rows = [line.split(None, 3) for line in done.stdout.splitlines()
             if line.startswith("dense-n10/")]
-    assert [row[:3] for row in rows] == [["dense-n10/rcd:1", "24", "ERROR"],
-                                         ["dense-n10/rcd:1/forced", "24", "ERROR"]]
+    assert [row[:3] for row in rows] == [["dense-n10/rcd:1", "30", "ERROR"],
+                                         ["dense-n10/rcd:1/forced", "30", "ERROR"]]
     assert all(row[3] == "other tree: RuntimeError: no run here  UNDECLARED" for row in rows)
     assert done.stdout.rstrip().endswith("2 undeclared difference(s)")
     done = _same_iterates(tmp_path, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*")
@@ -87,7 +87,7 @@ def test_same_iterates_declares_a_values_only_difference_by_field(tmp_path):
     done = _same_iterates(tree, *cell, "--fields", "trace")
     assert done.returncode == 0, done.stdout + done.stderr
     rows = [line.split() for line in done.stdout.splitlines() if line.startswith("dense-n10/")]
-    assert [row[1:6] for row in rows] == [["24", "equal", "equal", "DIFFER", "equal"]] * 2
+    assert [row[1:6] for row in rows] == [["30", "equal", "equal", "DIFFER", "equal"]] * 2
     assert all(0 < float(row[6]) < 1e-15 and len(row) == 7 for row in rows)
     assert done.stdout.rstrip().endswith("0 undeclared difference(s)")
     # declared in another field only, the same difference fails
@@ -104,7 +104,7 @@ def test_same_iterates_fails_on_an_iterate_difference_declared_for_values_only(t
                           "--fields", "trace")
     assert done.returncode == 1, done.stdout + done.stderr
     row = next(line for line in done.stdout.splitlines() if line.startswith("dense-n10/rcd:1 "))
-    assert row.split()[1:6] == ["24", "equal", "equal", "DIFFER", "DIFFER"]
+    assert row.split()[1:6] == ["30", "equal", "equal", "DIFFER", "DIFFER"]
     assert row.endswith("UNDECLARED")
     assert done.stdout.rstrip().endswith("1 undeclared difference(s)")
     done = _same_iterates(tree, "--cells", "dense-n10/rcd:1", "--declared", "dense-n10/*",

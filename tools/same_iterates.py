@@ -8,9 +8,11 @@ the two trees (this one and OTHER_TREE, each a checkout with ``src/volcd``)
 a fresh interpreter with ``OPENBLAS_NUM_THREADS=1`` imports that tree's
 volcd and runs seeds 0-2, each to the shape's epsilon gap (capped at its
 perfbench update budget) and for a budget of 777 steps, each at trace_every
-1, 7, 64 and 2**62: 24 runs per cell.  At 1 and 7 every block of steps is
-walked value by value; at 64 a block whose last step is the only one
-traced is taken whole and traced there; at 2**62 no block is traced.  Each
+1, 7, 48, 64 and 2**62: 30 runs per cell.  A sparse run takes a lazy block
+of 32 steps only where no step but its last is a trace point: at 1 and 7
+never, at 48, no multiple of 32, between trace points, at 64 at every
+block, whose last step it traces where it is a trace point, and at 2**62
+always.  A dense window's trace points read the window's values.  Each
 run is then replayed on the subsets it recorded, through ``forced_subsets``
 with the same stop and trace settings, which takes the per-step path a
 window replaces.  The
@@ -27,7 +29,7 @@ lie below 1e-14 times their diagonal products; seed s builds the problem
 
 Two lines per cell, ``SHAPE/METHOD`` for its sampled runs and
 ``SHAPE/METHOD/forced`` for their replays, say whether the subsets,
-iteration counts, traces and final iterates of the 24 runs are equal, and
+iteration counts, traces and final iterates of the 30 runs are equal, and
 the largest relative difference of the traces and iterates where they are
 not.  A cell whose child exits non-zero in either tree prints both its lines
 as ``ERROR``, with the child's last line of stderr; an ``ERROR`` line counts
@@ -60,7 +62,7 @@ from perfbench.workloads import WORKLOADS, write_libsvm  # noqa: E402
 
 SEEDS = (0, 1, 2)
 BUDGET = 777
-TRACE_EVERY = (1, 7, 64, 2**62)
+TRACE_EVERY = (1, 7, 48, 64, 2**62)
 DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "rcdvs:8", "sdna:1", "sdna:2",
                  "sdna:3", "sdna:4", "sdna:8")
 SPARSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
