@@ -2,8 +2,9 @@
 
 The package bundles the solver family (determinantal, diagonal, and uniform
 subset selection), the subset samplers themselves (enumeration, a spectral
-sampler for large C(n, tau), and a sparse O(nnz + n)-preprocessing pair
-sampler, chosen by ``make_sampler``), the smooth objective zoo with
+sampler for large C(n, tau), and a sparse pair sampler that draws by
+rejection from the diagonal product after O(nnz + n) preprocessing, chosen
+by ``make_sampler``), the smooth objective zoo with
 curvature matrices, spectral quantities that predict and bound convergence,
 and a benchmark CLI that reproduces the synthetic and dataset experiments.
 """

@@ -9,7 +9,8 @@ Verbs:
                    acceleration ratios for a matrix file
 * ``sample-test``  compare empirical subset frequencies against the exact
                    determinantal distribution, drawn from the sampler
-                   ``make_sampler`` picks, the one ``run`` uses
+                   ``make_sampler`` picks, the one ``run`` uses, which it
+                   names, with the pair sampler's acceptance rate
 
 ``gen`` reads ``[problem]`` kind n m lam1 lam2 mu sparsity seed reflections.
 ``run`` reads ``[problem]`` without seed, since every repetition's problem seed
@@ -41,7 +42,7 @@ from .linalg import (
 )
 from .problems import ProblemSpec, generate
 from .rng import RngStream
-from .sampling import exact_probabilities, make_sampler, subset_counts
+from .sampling import SparseTwoSampler, exact_probabilities, make_sampler, subset_counts
 from .spectral import acceleration_ratio, b_tau
 
 
@@ -247,7 +248,8 @@ def _cmd_sample_test(args) -> int:
     if not 1 <= args.tau <= b.shape[0] or args.draws < 1 or args.seed < 0:
         raise ConfigError(f"need 1 <= tau <= {b.shape[0]}, draws >= 1 and seed >= 0")
     exact = exact_probabilities(b, args.tau)
-    draws = make_sampler(b, args.tau).sample_many(RngStream(args.seed), args.draws)
+    sampler = make_sampler(b, args.tau)
+    draws = sampler.sample_many(RngStream(args.seed), args.draws)
     counts = subset_counts(draws, b.shape[0])
     tv = 0.5 * sum(
         abs(counts.get(s, 0) / args.draws - p) for s, p in exact.items()
@@ -255,6 +257,9 @@ def _cmd_sample_test(args) -> int:
     lines = [
         f"outcomes: {len(exact)}",
         f"draws: {args.draws}",
+        f"sampler: {type(sampler).__name__}"
+        + (f", acceptance {sampler.acceptance:.6g}"
+           if isinstance(sampler, SparseTwoSampler) else ""),
         f"total variation distance: {tv:.6f}",
     ]
     worst = sorted(

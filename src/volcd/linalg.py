@@ -14,8 +14,8 @@ and ``item(i, j)``, which both storages provide, gather blocks with
 :func:`gather_submatrix`, and densify it only with :func:`as_dense`; a CSR
 B's entries at many positions come from :meth:`CsrSymmetricUpper.entries`
 in one call.  The one exception is ``sampling.SparseTwoSampler``, which
-walks the ``indptr``, ``indices`` and ``values`` of a
-:class:`CsrSymmetricUpper`.
+reads B_ij by a bisection inside row i, walking the ``indptr``, ``indices``
+and ``values`` of a :class:`CsrSymmetricUpper`.
 
 scipy is imported only inside the functions that call it: the LAPACK
 Cholesky routines of ``_cholesky_routines``, which the step kernel of

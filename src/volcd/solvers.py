@@ -11,11 +11,12 @@ methods differ only in how S is drawn and how the subsystem is solved:
   exact solve with a pseudoinverse fallback for degenerate submatrices.
 
 The determinantal draws come from :func:`~volcd.sampling.make_sampler`: the
-sparse pair sampler for CSR B with tau = 2, enumeration of all C(n, tau)
-minors while C(n, tau) <= tau * n^2, and otherwise the spectral sampler,
-which eigendecomposes B once (O(n^3) time, O(n^2) memory) and then costs
-O(tau^3 + tau log n) per draw; a long run hands over to enumeration once
-its draws have cost as much as the table's build.
+sparse pair sampler for CSR B with tau = 2 where it accepts at least 1/64 of
+its proposals, enumeration of all C(n, tau) minors while C(n, tau) <= tau *
+n^2, and otherwise the spectral sampler, which eigendecomposes B once
+(O(n^3) time, O(n^2) memory) and then costs O(tau^3 + tau log n) per draw;
+a long run hands over to enumeration once its draws have cost as much as
+the table's build.
 
 This module holds a run's configuration (:class:`SolverConfig`), with the
 one stop rule (:meth:`~SolverConfig.stop_rule`), its report

@@ -133,6 +133,20 @@ def test_sample_test_verb_small_tv(tmp_path, capsys):
         assert exc.value.code == 2
 
 
+def test_sample_test_names_its_sampler(tmp_path, capsys):
+    # the pair sampler with its acceptance rate, and the table it falls
+    # back on for a CSR B whose pair proposals are mostly refused:
+    # acceptance 1 - 0.995^2 = 0.009975 is below 1/64
+    save_triples(np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]]), tmp_path / "csr.txt")
+    save_triples(np.array([[1.0, 0.995], [0.995, 1.0]]), tmp_path / "spiked.txt")
+    for name, tau, line in (("csr.txt", 2, "sampler: SparseTwoSampler, acceptance 0.833333"),
+                            ("csr.txt", 3, "sampler: VolumeSampler"),
+                            ("spiked.txt", 2, "sampler: VolumeSampler")):
+        assert main(["sample-test", "--matrix", str(tmp_path / name), "--tau", str(tau),
+                     "--draws", "100"]) == 0
+        assert capsys.readouterr().out.splitlines()[2] == line
+
+
 @pytest.mark.parametrize("tau", [2, 3])
 def test_sample_test_prints_the_same_bytes_at_any_scale_of_b(tmp_path, capsys, tau):
     # the pair sampler (tau = 2 on a CSR file) and the table (tau = 3) draw
@@ -229,7 +243,7 @@ def test_numeric_failure_exit_code(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [
-    # the samplers take their minors and pair masses on B 4^-j, so rcdvs
+    # the samplers take their minors and diagonal products on B 4^-j, so rcdvs
     # runs at any scale of B: dense B, and CSR B through the pair sampler
     ["--kind", "quadratic", "--n", "5", "--lam1", "1e200", "--lam2", "1"],
     ["--kind", "huber", "--n", "5", "--m", "8", "--sparsity", "2", "--lam1", "1e300",

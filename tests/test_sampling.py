@@ -26,11 +26,9 @@ from volcd.sampling import (
 
 from oracles import (
     csr_from_rows,
-    pair_draw,
     probabilities,
     psd_det,
     raw_minors,
-    total_pair_mass,
 )
 
 TRIDIAG = np.array([[2.0, 1, 0], [1, 2, 1], [0, 1, 2]])
@@ -508,9 +506,8 @@ def test_spectral_sampler_same_seed_same_subsets():
 @pytest.mark.parametrize("chunk", [4, 4096])
 def test_spectral_sample_many_is_the_head_of_draws(chunk):
     # the stream contract every determinantal sampler shares:
-    # sample_many(rng, k) is the head of draws(rng, k).  Only the pair
-    # sampler's stream depends on the chunk, which it takes as sample_many
-    # blocks; the others draw the same stream for every chunk.
+    # sample_many(rng, k) is the head of draws(rng, k), and every sampler
+    # draws the same stream for every chunk.
     b = random_psd(np.random.default_rng(36), 9)
     csr = banded_psd(9, 2, seed=4)
     samplers = (
@@ -523,12 +520,7 @@ def test_spectral_sample_many_is_the_head_of_draws(chunk):
     for sampler in samplers:
         stream = sampler.draws(RngStream(21), chunk)
         head = np.array([next(stream) for _ in range(600)])
-        if isinstance(sampler, SparseTwoSampler):
-            rng = RngStream(21)
-            blocks = [sampler.sample_many(rng, chunk) for _ in range(0, 600, chunk)]
-            assert np.array_equal(np.concatenate(blocks)[:600], head)
-        else:
-            assert np.array_equal(sampler.sample_many(RngStream(21), 600), head)
+        assert np.array_equal(sampler.sample_many(RngStream(21), 600), head)
         for k in (1, 256, 300, 600):
             stream = sampler.draws(RngStream(21), k)
             first = np.array([next(stream) for _ in range(k)])
@@ -577,23 +569,30 @@ def test_spectral_sampler_refuses_a_large_dimension_before_densifying(monkeypatc
         ("dense", 233, 3, ("spectral", 16260)),  # the largest table handed over
         ("dense", 234, 3, ("spectral", None)),
         ("csr", 21, 3, ("spectral", 11)),
-        ("csr", 2000, 2, ("pairs", None)),
+        ("csr", 2000, 2, ("pairs", None)),  # acceptance at the floor
+        ("csr-below-floor", 2000, 2, ("enumerate", None)),
         ("csr", 2000, 1, ("enumerate", None)),
         ("dense", 2000, 2, ("enumerate", None)),
         ("dense", 2000, 1, ("enumerate", None)),
     ],
 )
 def test_make_sampler_rule_at_its_boundaries(monkeypatch, storage, n, tau, expected):
-    # the rule alone: the constructors are replaced, so nothing is built
+    # the rule alone: the constructors are replaced, so nothing is built;
+    # the pair sampler's stand-in accepts at the floor, or just below it
+    class Tagged(tuple):
+        acceptance = sampling._MIN_ACCEPTANCE
+        if storage == "csr-below-floor":
+            acceptance = np.nextafter(acceptance, 0.0)
+
     for name, tag in (
         ("VolumeSampler", "enumerate"),
         ("SpectralVolumeSampler", "spectral"),
         ("SparseTwoSampler", "pairs"),
     ):
         monkeypatch.setattr(
-            sampling, name, lambda *args, tag=tag, handover=None: (tag, handover)
+            sampling, name, lambda *args, tag=tag, handover=None: Tagged((tag, handover))
         )
-    if storage == "csr":
+    if storage.startswith("csr"):
         b = csr_from_rows(n, [])
     else:
         b = np.broadcast_to(0.0, (n, n))
@@ -605,38 +604,39 @@ def test_make_sampler_rule_at_its_boundaries(monkeypatch, storage, n, tau, expec
 
 
 def test_sparse2_preprocess_hand_values():
-    # the masses of B / 4: the largest diagonal entry 2 = 0.5 * 2^2
+    # the table of B / 4: the largest diagonal entry 2 = 0.5 * 2^2.  e_2 of
+    # its diagonal is 0.75 and of its eigenvalues 0.75 - 2 * 0.25^2 = 0.625
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
-    assert np.allclose(sampler.hcum, [0.25, 0.3125, 0.25, 0.3125, 0.25])
-    assert np.allclose(sampler.t, [1.5, 1.0, 0.5, 0.0])
-    assert np.allclose(sampler.q, [0.4375, 0.625])
+    assert np.array_equal(sampler._esp, [[1, 1, 1, 1], [0, 0.5, 1, 1.5], [0, 0, 0.25, 0.75]])
+    assert sampler.acceptance == pytest.approx(0.625 / 0.75, rel=1e-15)
 
 
 def test_sparse2_preprocess_identity_two():
-    # the masses of I / 4: 1 = 0.5 * 2^1, and j = ceil(1 / 2) = 1
+    # the table of I / 4: 1 = 0.5 * 2^1, and j = ceil(1 / 2) = 1
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(np.eye(2)))
-    assert np.allclose(sampler.hcum[:1], [0.0625])
-    assert np.allclose(sampler.t, [0.5, 0.25, 0.0])
-    assert np.allclose(sampler.q, [0.0625])
+    assert np.array_equal(sampler._esp[2], [0, 0, 0.0625])
+    assert sampler.acceptance == 1.0
 
 
 def test_sparse2_zero_row_contributes_nothing():
     b = np.diag([1.0, 0.0, 2.0])
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(b))
-    # masses of B / 4: row 0 pairs with {1,2}: 0.25*0 + 0.25*0.5 = 0.125;
-    # row 1: zero
-    assert np.allclose(sampler.q, [0.125, 0.125])
+    assert sampler.acceptance == 1.0
     draws = sampler.sample_many(RngStream(11), 3000)
     assert set(count_subsets(draws)) == {(0, 2)}
 
 
 def test_sparse2_sample_trace():
+    # on B / 4, diag 0.5: e_2 of the prefixes is (0, 0, 0.25, 0.75) and e_1
+    # (0, 0.5, 1, 1.5).  Lane by lane, the uniforms of i, of j and of the
+    # acceptance test: 0.3 * 0.75 <= 0.25 picks j = 1, and i = 0 below it,
+    # whose pivot 0.5 - 0.25^2 / 0.5 = 0.375 accepts u < 0.75; 0.5 * 0.75
+    # picks j = 2, and 0.6 or 0.4 of e_1 = 1 picks i = 1 or 0; B_02 = 0
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
-    # row search: q1/q2 = 0.7 >= 0.65 picks the first row; the gap search
-    # then lands past the stored neighbor, on column 2
-    assert pair_draw(sampler, 0.65, 0.5) == (0, 2)
-    for u2 in (0.1, 0.5, 0.9):
-        assert pair_draw(sampler, 0.75, u2) == (1, 2)
+    u = [[0.9, 0.9, 0.6, 0.4], [0.3, 0.3, 0.5, 0.5], [0.7, 0.8, 0.7, 0.999]]
+    pairs, ok = sampler._propose(Uniforms(np.ravel(u)), 4)
+    assert pairs.tolist() == [[0, 1], [0, 1], [1, 2], [0, 2]]
+    assert ok.tolist() == [True, False, True, True]
 
 
 def test_sparse2_statistical_matches_exact():
@@ -671,6 +671,8 @@ def test_sparse2_matches_general_sampler_distribution():
 
 
 def test_sparse2_normalization_equals_minor_sum():
+    # acceptance times e_2 of the diagonal, the proposals' normalization, is
+    # the sum of all 2x2 principal minors, e_2 of the eigenvalues
     rng = np.random.default_rng(7)
     for _ in range(10):
         b = random_psd(rng, 7)
@@ -679,60 +681,46 @@ def test_sparse2_normalization_equals_minor_sum():
         csr = CsrSymmetricUpper.from_dense(b)
         sampler = SparseTwoSampler(csr)
         # the masses are those of B 4^-j
-        total = raw_minors(scaled(b), 2).sum()
-        assert total_pair_mass(sampler) == pytest.approx(total, rel=1e-8)
+        mass = sampler.acceptance * sampler._esp[2, -1]
+        assert mass == pytest.approx(raw_minors(scaled(b), 2).sum(), rel=1e-8)
         lam = np.linalg.eigvalsh(scaled(b))
         sigma2 = sum(
             lam[i] * lam[j] for i in range(7) for j in range(i + 1, 7)
         )
-        assert total_pair_mass(sampler) == pytest.approx(sigma2, rel=1e-8)
+        assert mass == pytest.approx(sigma2, rel=1e-8)
 
 
 def _near_singular_pair():
     # B[{4, 5}, {4, 5}] = [[1, c], [c, 1]] has det 5e-15 <= 1e-14 B_44 B_55,
-    # a block the pivot rule refuses, though it carries pair mass; rows 0-3
-    # are small enough that it holds about a third of the mass.  Row 0
-    # stores (0, 1) and (0, 4), so its pairs lie both on stored entries and
-    # in the gaps after them
+    # a block the pivot rule refuses, and about 30 % of the proposals.  Row
+    # 0 stores (0, 1) and (0, 4), so B_ij is read both on stored entries and
+    # between them
     c = np.sqrt(1.0 - 5e-15)
-    b = np.diag([2e-15, 1e-15, 1e-15, 1e-15, 1.0, 1.0])
+    b = np.diag([0.25, 0.25, 0.25, 0.25, 1.0, 1.0])
     b[4, 5] = b[5, 4] = c
-    b[0, 1] = b[1, 0] = 5e-16
+    b[0, 1] = b[1, 0] = 0.1
     b[0, 4] = b[4, 0] = 1e-8
     return b
-
-
-class _Queued:
-    """An rng whose ``uniforms(k)`` hands out the given arrays in turn,
-    then ``rest``'s uniforms."""
-
-    def __init__(self, arrays, rest):
-        self.arrays, self.rest = list(arrays), rest
-
-    def uniforms(self, k):
-        if not self.arrays:
-            return self.rest.uniforms(k)
-        assert k == self.arrays[0].size
-        return self.arrays.pop(0)
 
 
 def test_sparse2_draws_again_a_pair_the_pivot_rule_refuses():
     b = _near_singular_pair()
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(b))
-    u1, u2 = RngStream(5).uniforms(200), RngStream(6).uniforms(200)
-    pairs, ok = sampler._search(u1, u2)
-    # the lock-step search is still the scalar one, and its verdict refuses
-    # exactly the near-singular pair, which it draws about a third of the time
-    expected = [pair_draw(sampler, a, c) for a, c in zip(u1.tolist(), u2.tolist())]
-    assert np.array_equal(pairs, expected)
+    pairs, ok = sampler._propose(RngStream(5), 1000)
+    # the acceptance test refuses exactly the near-singular pair among the
+    # proposals where it is sure, and keeps only regular blocks
     singular = (pairs == (4, 5)).all(axis=1)
-    assert np.array_equal(ok, ~singular) and 40 <= singular.sum() <= 120
+    assert 230 <= singular.sum() <= 370 and not ok[singular].any()
+    assert ok[(pairs == (0, 4)).all(axis=1) | (pairs[:, 0] > 0) & ~singular].all()
     assert (principal_minors(b, 2, pairs[ok]) > 0.0).all()
 
-    # a stream's draws keep the chunk's pairs where no pair is refused and
-    # draw the refused lanes again from uniforms taken after the chunk's
-    draws = sampler.sample_many(_Queued([u1, u2], RngStream(7)), 200)
-    assert np.array_equal(draws[ok], pairs[ok])
+    # the stream is the accepted proposals of successive sub-batches, in
+    # order, handed out 256 at a time
+    rng = RngStream(7)
+    accepted = [pairs[ok] for pairs, ok in (sampler._propose(rng, 256) for _ in range(3))]
+    draws = sampler.sample_many(RngStream(7), 500)
+    assert np.array_equal(draws, np.concatenate(accepted)[:500])
+    assert len(accepted[0]) < 256 and sampler.draws(RngStream(7), 4).peek(1000).shape == (256, 2)
     assert not (draws == (4, 5)).all(axis=1).any()
     assert (principal_minors(b, 2, draws) > 0.0).all()
 
@@ -741,6 +729,7 @@ def test_sparse2_draws_again_a_pair_the_pivot_rule_refuses():
     from volcd.solvers import SolverConfig, run
 
     csr = CsrSymmetricUpper.from_dense(b)
+    assert isinstance(make_sampler(csr, 2), SparseTwoSampler)
     cfg = SolverConfig(method="rcdvs", tau=2, max_iters=500, record_subsets=True)
     rep = run(QuadraticObjective(csr, np.ones(6)), csr, cfg)
     assert rep.iterations == 500 and rep.status == "budget"
@@ -768,9 +757,40 @@ def test_sparse_two_sampler_single_draw():
     sampler = SparseTwoSampler(CsrSymmetricUpper.from_dense(TRIDIAG))
     s = sampler.sample_many(RngStream(1), 1)[0]
     assert s[0] < s[1]
-    rng = RngStream(1)
-    u1, u2 = rng.uniforms(1)[0], rng.uniforms(1)[0]
-    assert tuple(s) == pair_draw(sampler, u1, u2)
+    assert np.array_equal(s, sampler.sample_many(RngStream(1), 300)[0])
+
+
+def _badly_scaled_rows():
+    # rows 0 and 1 nearly parallel, rows 2-5 at 1e-15: the pair masses of
+    # rows 2-5 are the small difference of large suffix sums, the case on
+    # which a search over cumulative pair masses drew at TV 0.053.  Its
+    # acceptance, 1.5e-14, is far below the floor
+    b = np.diag([1.0, 1.0, 2e-15, 1e-15, 1e-15, 1e-15])
+    b[0, 1] = b[1, 0] = np.sqrt(1.0 - 5e-15)
+    b[0, 2] = b[2, 0] = 1e-8
+    b[3, 4] = b[4, 3] = 5e-16
+    return CsrSymmetricUpper.from_dense(b)
+
+
+def test_make_sampler_draws_exactly_on_badly_scaled_rows():
+    b = _badly_scaled_rows()
+    sampler = make_sampler(b, 2)
+    draws = 200_000
+    counts = subset_counts(sampler.sample_many(RngStream(1), draws), b.n)
+    assert tv_distance(counts, exact_probabilities(b, 2), draws) <= 0.02
+    assert isinstance(sampler, VolumeSampler)
+    assert SparseTwoSampler(b).acceptance < sampling._MIN_ACCEPTANCE
+
+
+def test_sparse2_draws_a_subnormal_scale_diagonal():
+    # B 4^-j has diagonal (0.25, 2.5e-311, 2.5e-311, 2.5e-311): its pair
+    # masses are subnormal, and {0, 1}, {0, 2} and {0, 3} hold all of them
+    b = CsrSymmetricUpper.from_dense(np.diag([1.0, 1e-310, 1e-310, 1e-310]))
+    draws = 30_000
+    counts = subset_counts(SparseTwoSampler(b).sample_many(RngStream(2), draws), b.n)
+    assert set(counts) == {(0, 1), (0, 2), (0, 3)}
+    assert tv_distance(counts, exact_probabilities(b, 2), draws) <= 0.02
+    assert make_sampler(b, 2).acceptance == 1.0
 
 
 def _sparse_psd_with_empty_rows(seed, n):
@@ -799,56 +819,46 @@ PAIR_SEARCH_MATRICES = {
 }
 
 
-def _edge_uniforms(sampler):
-    # 0, the row guide's bucket edges, the nextafter neighbours of every
-    # q[i] / q[-1] (at most 300 rows), and some plain uniforms
-    q = sampler.q
-    rows = np.unique(np.linspace(0, q.size - 1, min(q.size, 300)).astype(int))
-    edges = np.arange(1, q.size) / sampler._row_scale / q[-1]
-    ratio = q[rows] / q[-1]
-    u1 = np.concatenate((
-        [0.0],
-        edges[:: max(1, edges.size // 300)],
-        np.nextafter(ratio, 0.0),
-        ratio,
-        np.nextafter(ratio, 1.0),
-        np.random.default_rng(q.size).random(500),
-    ))
-    u1 = u1[u1 < 1.0]
-    u2 = np.resize([0.0, np.nextafter(1.0, 0.0), 0.5, 1e-12, 0.999], u1.size)
-    u2[::3] = np.random.default_rng(q.size + 1).random(u2[::3].size)
-    return u1, u2
+def _edge_uniforms(sampler, m):
+    # m uniforms: for each degree, the ratios e_l(diag[:k]) / e_l(diag) that
+    # end a prefix, their nextafter neighbours and the guide's bucket edges
+    # k / n (at most 300 of each), then plain uniforms
+    rng = np.random.default_rng(sampler.n)
+    cols = []
+    for l in (1, 2):
+        row = sampler._esp[l]
+        k = np.unique(np.linspace(1, sampler.n, min(sampler.n, 300)).astype(int))
+        ratio = row[k] / row[-1]
+        u = np.concatenate((ratio, np.nextafter(ratio, 0.0), np.nextafter(ratio, 1.0), k / sampler.n))
+        u = u[(u > 0.0) & (u < 1.0)]
+        cols.append(np.concatenate((u, rng.random(m)))[:m])
+    return cols[0], cols[1], rng.random(m)
 
 
 @pytest.mark.parametrize("name", list(PAIR_SEARCH_MATRICES))
-def test_batched_pair_search_matches_sample_one(name):
-    # the lock-step search must return the scalar search's pair for every
-    # uniform, edge cases included, whether a draw's guide bracket holds or
-    # it falls back to its whole gap
+def test_pair_proposals_match_a_plain_search(name):
+    # the guided searches return plain searchsorted's pair for every
+    # uniform, edge cases included, and the row-local lookup reads B_ij as
+    # CsrSymmetricUpper.entries does: the verdict is recomputed from them
     b = PAIR_SEARCH_MATRICES[name]()
     sampler = SparseTwoSampler(b)
-    u1, u2 = _edge_uniforms(sampler)
-    expected = np.array(
-        [pair_draw(sampler, a, c) for a, c in zip(u1.tolist(), u2.tolist())]
-    )
-    pairs, ok = sampler._search(u1, u2)
-    assert np.array_equal(pairs, expected)
-    # its verdict on each pair is the table kernel's on the same block
-    assert np.array_equal(ok, principal_minors(b, 2, expected) > 0.0)
-
-    # a constant gap guide puts every bracket at one end of its gap: 0 at
-    # the first column, n + 1 at the last.  A draw whose column lies
-    # elsewhere must take the full-gap fallback to come out right; with the
-    # zero guide, every column that is not a stored entry of its row does.
-    stored = {
-        (i, int(j))
-        for i in range(b.n)
-        for j in b.indices[b.indptr[i] : b.indptr[i + 1]]
-    }
-    assert any((int(i), int(j)) not in stored for i, j in expected)
-    for fill in (0, b.n + 1):
-        sampler._gap_guide = np.full_like(sampler._gap_guide, fill)
-        assert np.array_equal(sampler._search(u1, u2)[0], expected)
+    u = _edge_uniforms(sampler, 1000)
+    pairs, ok = sampler._propose(Uniforms(np.concatenate(u)), 1000)
+    e = sampler._esp
+    j = np.searchsorted(e[2], u[1] * e[2, -1]) - 1
+    i = np.searchsorted(e[1], u[0] * e[1, j]) - 1
+    # where u e_l underflows to 0, from u = nextafter(0, 1), the plain
+    # search returns no index, and the guided one still a pair
+    assert ((0 <= pairs[:, 0]) & (pairs[:, 0] < pairs[:, 1]) & (pairs[:, 1] < b.n)).all()
+    positive = (u[1] * e[2, -1] > 0.0) & (u[0] * e[1, j] > 0.0)
+    assert np.array_equal(pairs[positive], np.column_stack((i, j))[positive])
+    i, j = pairs.T
+    scale = sampling._scale_exponent(b.diagonal())
+    d = np.ldexp(b.diagonal()[pairs.T], scale)
+    piv, regular = sampling.block_pivots(d, np.ldexp(b.entries(i, j), scale)[None])
+    assert np.array_equal(ok, regular & (u[2] * d[1] < piv[1]))
+    # every accepted pair is a block the table's kernel calls regular
+    assert (principal_minors(b, 2, pairs[ok]) > 0.0).all()
 
 
 def test_subset_counts_match_dict_loop():
@@ -870,10 +880,9 @@ def test_subset_counts_match_dict_loop():
         lambda b: VolumeSampler(b, 2),
         lambda b: VolumeSampler(b.to_dense(), 3),
         lambda b: VolumeSampler(b, 3),
-        SparseTwoSampler,
         lambda b: UniformSampler(b.shape[0], 3),
     ],
-    ids=["dense-2", "csr-2", "dense-3", "csr-3", "sparse-pairs", "uniform-3"],
+    ids=["dense-2", "csr-2", "dense-3", "csr-3", "uniform-3"],
 )
 def test_draws_continue_sample_many_blocks_across_chunks(make):
     # the solver consumes subsets through draws(); it must be the same

@@ -33,7 +33,7 @@ from volcd.sampling import (
 from volcd.solvers import SolverConfig, run
 from volcd.spectral import b_tau
 
-from oracles import copied_row, pair_draw, principal_submatrix, raw_minors
+from oracles import copied_row, principal_submatrix, raw_minors
 
 
 def spd_quadratic(rng, n, shift=1.0):
@@ -689,30 +689,20 @@ def _two_batches(sampler, rng):
     return np.concatenate([sampler.sample_many(rng, 4096) for _ in range(2)])
 
 
-def _two_scalar_chunks(b, rng):
-    # the scalar search on each 4096-draw chunk's uniforms: the chunk's
-    # first uniforms, then its second ones
-    sampler = SparseTwoSampler(b)
-    pairs = []
-    for _ in range(2):
-        u1, u2 = rng.uniforms(4096).tolist(), rng.uniforms(4096).tolist()
-        pairs += [pair_draw(sampler, a, c) for a, c in zip(u1, u2)]
-    return pairs
-
-
 @pytest.mark.parametrize(
     "method, sparse, reference",
     [
-        ("rcdvs", True, lambda b, rng: _two_scalar_chunks(b, rng)),
+        ("rcdvs", True, lambda b, rng: SparseTwoSampler(b).sample_many(rng, 5000)),
         ("rcdvs", False, lambda b, rng: _two_batches(VolumeSampler(b, 2), rng)),
         ("sdna", True, lambda b, rng: UniformSampler(b.shape[0], 2).sample_many(rng, 5000)),
     ],
 )
 def test_subset_stream_matches_reference_draws(method, sparse, reference):
     # a run draws the same subsets as its sampler's reference draws over
-    # consecutive 4096-draw chunks, also across the chunk boundary: the
-    # scalar pair search for SparseTwoSampler, sample_many batches for
-    # VolumeSampler, and one 5000-subset block of UniformSampler for sdna
+    # consecutive 4096-draw chunks, also across the chunk boundary:
+    # sample_many batches for VolumeSampler, and one 5000-subset block of
+    # SparseTwoSampler, whose stream does not depend on the chunk, and of
+    # UniformSampler for sdna
     csr = banded_psd(60, 3, seed=5)
     b = csr if sparse else csr.to_dense()
     obj = QuadraticObjective(b, np.random.default_rng(6).standard_normal(60))

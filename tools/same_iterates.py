@@ -22,10 +22,13 @@ workloads of ``perfbench/workloads.py``, ``logistic-tall``, a ridge
 logistic regression on a 4000 x 40 LIBSVM file at density 0.02, whose A
 holds fewer than m / 32 nonzeros per column, so its state takes no
 checkpoints and every run, untraced included, takes the fused sparse step
-one step at a time, and ``dense-n60``, a dense quadratic at n = 60 (lam1
-400, lam2 100) whose cells take tau = 30 and 50, where most blocks' minors
-lie below 1e-14 times their diagonal products; seed s builds the problem
-(or writes the LIBSVM file) with seed s and seeds the solver with s.
+one step at a time, ``dense-n60``, a dense quadratic at n = 60 (lam1 400,
+lam2 100) whose cells take tau = 30 and 50, where most blocks' minors lie
+below 1e-14 times their diagonal products, and ``csr-banded``, a quadratic
+on the CSR matrix ``banded_psd(400, 3)`` with a standard normal right-hand
+side, the one shape whose state is the sparse quadratic's and whose pair
+sampler reads a B that is not a Gram matrix; seed s builds the problem (or
+writes the LIBSVM file) with seed s and seeds the solver with s.
 
 Two lines per cell, ``SHAPE/METHOD`` for its sampled runs and
 ``SHAPE/METHOD/forced`` for their replays, say whether the subsets,
@@ -68,6 +71,7 @@ DENSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "rcdvs:4", "rcdvs:8", "sdna:1", 
 SPARSE_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
 HUBER_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3")
 WIDE_METHODS = ("rcdvs:30", "rcdvs:50", "sdna:30")
+BANDED_METHODS = ("rcd:1", "rcdvs:2", "rcdvs:3", "sdna:2")
 FIELDS = ("subsets", "iters", "trace", "x_final")
 
 
@@ -86,6 +90,8 @@ def shapes() -> dict:
     # every gap run stops within 30 iterations, well inside the cap
     out["dense-n60"] = ({"kind": "quadratic", "n": 60, "lam1": 400.0, "lam2": 100.0}, None,
                         1e-6, 6_000, WIDE_METHODS)
+    # its gap runs stop within about 5,000 updates
+    out["csr-banded"] = ({"banded": [400, 3]}, None, 0.01, 20_000, BANDED_METHODS)
     return out
 
 
@@ -96,7 +102,8 @@ _CHILD = r"""
 import json, sys
 import numpy as np
 from volcd.linalg import as_dense
-from volcd.problems import ProblemSpec, generate, load_libsvm, reference_min
+from volcd.objectives import QuadraticObjective
+from volcd.problems import ProblemSpec, banded_psd, generate, load_libsvm, reference_min
 from volcd.solvers import SolverConfig, run
 
 out, cell = sys.argv[1], json.loads(sys.argv[2])
@@ -112,6 +119,11 @@ for seed in cell["seeds"]:
         obj = load_libsvm(cell["files"][str(seed)], gamma=cell["gamma"])
         b = obj.curvature_matrix()
         f_star = reference_min(obj, b=as_dense(b))
+    elif "banded" in cell["problem"]:
+        n, width = cell["problem"]["banded"]
+        b = banded_psd(n, width, seed=seed)
+        obj = QuadraticObjective(b, np.random.default_rng(seed).standard_normal(n))
+        f_star = reference_min(obj)
     else:
         obj, _, f_star = generate(ProblemSpec(seed=seed, **cell["problem"]))
         b = obj.curvature_matrix()
